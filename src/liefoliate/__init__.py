@@ -44,19 +44,32 @@ from .roots import (
     reflect,
     root_from_coords,
 )
-from .slmodel import (
-    IwasawaFactors,
-    MatrixElement,
-    Subspace,
-    bracket,
-    build_s_phi_v,
-    cartan_split,
-    is_lie_triple,
-    iwasawa_group,
-    killing_form,
-    moebius,
-    restricted_root_decompose,
-)
+# The matrix model needs numpy, which costs more to import than the rest of
+# the package; its names are resolved on first use (PEP 562).
+_SLMODEL_NAMES = frozenset({
+    "IwasawaFactors",
+    "MatrixElement",
+    "Subspace",
+    "bracket",
+    "build_s_phi_v",
+    "cartan_split",
+    "is_lie_triple",
+    "iwasawa_group",
+    "killing_form",
+    "moebius",
+    "restricted_root_decompose",
+})
+
+
+def __getattr__(name: str):
+    if name in _SLMODEL_NAMES:
+        from . import slmodel
+
+        value = getattr(slmodel, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

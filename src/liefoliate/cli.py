@@ -13,26 +13,21 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .catalog import catalog_entries, catalog_lookup
 from .errors import LieFoliateError
 from .foliations import enumerate_foliations
 from .parabolic import horospherical, parabolic_data, phi_subset
 from .roots import build_root_system, dynkin_diagram, format_root
-from .slmodel import (
-    halfplane_orbit,
-    is_lie_triple,
-    iwasawa_group,
-    killing_form,
-    subspace,
-)
 from .verify import SUITES, run_suite
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, ensure_ascii=False))
+    try:
+        text = json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)
+    except ValueError as exc:  # NaN or infinity, which strict JSON cannot carry
+        raise LieFoliateError(f"result is not finite: {exc}")
+    print(text)
 
 
 def _parse_phi(text: str | None) -> tuple[int, ...]:
@@ -44,7 +39,9 @@ def _parse_phi(text: str | None) -> tuple[int, ...]:
         raise LieFoliateError(f"cannot parse Phi indices from {text!r}")
 
 
-def _parse_matrix(text: str) -> np.ndarray:
+def _parse_matrix(text: str):
+    import numpy as np
+
     try:
         data = json.loads(text)
         return np.array(data, dtype=float)
@@ -178,6 +175,10 @@ def _cmd_foliations(args) -> int:
 
 
 def _cmd_slmodel(args) -> int:
+    import numpy as np
+
+    from .slmodel import halfplane_orbit, is_lie_triple, iwasawa_group, killing_form, subspace
+
     if args.action == "iwasawa":
         g = _parse_matrix(args.matrix)
         n = args.rank + 1

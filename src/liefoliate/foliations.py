@@ -109,6 +109,8 @@ def hyperbolic_factor(space: SpaceDescriptor, alpha_index: int) -> HyperbolicFac
                 raise LieFoliateError("quaternionic factor needs a multiplicity divisible by 4")
             n = m // 4 + 1
         else:
+            if m != 8:
+                raise LieFoliateError("octonionic factor needs root multiplicity 8")
             n = 2
     return HyperbolicFactor(alpha_index, algebra, n, n * _ALGEBRA_REAL_DIM[algebra])
 

@@ -67,13 +67,14 @@ def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Ro
     """(Sigma_Phi, Sigma_Phi^+): the roots lying in the rational span of Phi.
 
     A root lies in span(Phi) exactly when its expansion over the simple roots
-    is supported on Phi, so membership reduces to an exact integer support
-    test.
+    is supported on Phi, so membership reduces to one test of the root's
+    support bitmask against the bits of Phi.
     """
     rs = space.root_system
-    chosen = frozenset(phi.indices)
-    sigma_phi = frozenset(lam for lam in rs.roots if rs.support(lam) <= chosen)
-    sigma_phi_pos = frozenset(lam for lam in rs.positive if lam in sigma_phi)
+    masks = rs.support_masks
+    outside = ~sum(1 << (i - 1) for i in phi.indices)
+    sigma_phi = frozenset(lam for lam, mask in masks.items() if not mask & outside)
+    sigma_phi_pos = frozenset(lam for lam in rs.positive if not masks[lam] & outside)
     return sigma_phi, sigma_phi_pos
 
 

@@ -323,67 +323,22 @@ _BUILDERS = {
 }
 
 
-class _CoefficientSolver:
-    """Exact expansion of vectors over a fixed list of simple roots."""
-
-    def __init__(self, simple: tuple[Root, ...]):
-        self.simple = simple
-        self.rank = len(simple)
-        dim = simple[0].dim
-        # Pick rank linearly independent coordinate rows, then invert the
-        # resulting square system over the rationals.
-        rows: list[int] = []
-        basis: list[list[Fraction]] = []
-        for d in range(dim):
-            cand = [Fraction(s.scaled[d]) for s in simple]
-            red = self._reduce(basis, cand)
-            if any(red):
-                basis.append(red)
-                rows.append(d)
-            if len(rows) == self.rank:
-                break
-        if len(rows) < self.rank:
-            raise LieFoliateError("simple roots are linearly dependent")
-        self.rows = rows
-        square = [[Fraction(simple[i].scaled[d]) for i in range(self.rank)] for d in rows]
-        self.inverse = self._invert(square)
-
-    @staticmethod
-    def _reduce(basis, vec):
-        v = list(vec)
-        for b in basis:
-            pivot = next(i for i, x in enumerate(b) if x)
-            if v[pivot]:
-                f = v[pivot] / b[pivot]
-                v = [a - f * c for a, c in zip(v, b)]
-        return v
-
-    @staticmethod
-    def _invert(m):
-        k = len(m)
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(m)]
-        for col in range(k):
-            pivot = next(i for i in range(col, k) if aug[i][col])
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for i in range(k):
-                if i != col and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-        return [row[k:] for row in aug]
-
-    def coefficients(self, root: Root) -> tuple[Fraction, ...]:
-        sub = [Fraction(root.scaled[d]) for d in self.rows]
-        coeffs = tuple(
-            sum(self.inverse[i][j] * sub[j] for j in range(self.rank)) for i in range(self.rank)
-        )
-        # Consistency on the remaining coordinates: root must lie in the span.
-        for d in range(root.dim):
-            val = sum(coeffs[i] * self.simple[i].scaled[d] for i in range(self.rank))
-            if val != root.scaled[d]:
-                raise LieFoliateError(f"{root} does not lie in the span of the simple roots")
-        return coeffs
+def _independent(vectors) -> bool:
+    """Whether integer vectors are linearly independent (fraction-free elimination)."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [p[col] * a - f * b for a, b in zip(rows[i], p)]
+        rank += 1
+    return rank == len(rows)
 
 
 @dataclass(frozen=True)
@@ -405,31 +360,60 @@ class RootSystem:
         return tuple(-p for p in self.positive)
 
     @cached_property
-    def _solver(self) -> _CoefficientSolver:
-        return _CoefficientSolver(self.simple)
+    def _expansion(self) -> tuple[dict[Root, tuple[int, ...]], dict[Root, int]]:
+        """Simple-root coefficients and support bitmasks of every root.
 
-    @cached_property
-    def _integer_coeffs(self) -> dict[Root, tuple[int, ...]]:
-        table = {}
-        for root in sorted(self.roots):
-            coeffs = self._solver.coefficients(root)
-            if any(c.denominator != 1 for c in coeffs):
-                raise LieFoliateError(f"{root} has non-integer simple-root coefficients")
-            table[root] = tuple(int(c) for c in coeffs)
-        return table
+        Walks the positive roots by height: every positive root that is not
+        simple is beta + alpha_i for a positive root beta one level lower
+        (Humphreys, Intro. to Lie Algebras, 10.2), so coeff(beta) + e_i is its
+        expansion once the simple roots are independent.  Bit i-1 of a mask
+        is set when alpha_i occurs.  Tables are keyed by the system's own
+        Root objects.
+        """
+        if not _independent(r.scaled for r in self.simple):
+            raise LieFoliateError("simple roots are linearly dependent")
+        by_scaled = {p.scaled: p for p in self.positive}
+        coeffs: dict[Root, tuple[int, ...]] = {}
+        masks: dict[Root, int] = {}
+        level = []
+        for i, alpha in enumerate(self.simple):
+            coeffs[alpha] = tuple(int(j == i) for j in range(self.rank))
+            masks[alpha] = 1 << i
+            level.append(alpha)
+        while level:
+            above = []
+            for beta in level:
+                c, m = coeffs[beta], masks[beta]
+                for i, alpha in enumerate(self.simple):
+                    lam = by_scaled.get(tuple(a + b for a, b in zip(beta.scaled, alpha.scaled)))
+                    if lam is not None and lam not in coeffs:
+                        coeffs[lam] = c[:i] + (c[i] + 1,) + c[i + 1:]
+                        masks[lam] = m | (1 << i)
+                        above.append(lam)
+            level = above
+        for p in self.positive:
+            if p not in coeffs:
+                raise LieFoliateError(
+                    f"positive root {p} is not a sum of simple roots through positive roots"
+                )
+        for lam in self.roots:
+            if lam not in coeffs:
+                p = -lam
+                coeffs[lam] = tuple(-c for c in coeffs[p])
+                masks[lam] = masks[p]
+        return coeffs, masks
 
     def simple_coefficients(self, root: Root) -> tuple[int, ...]:
         """Integer coefficients of a root of the system over the simple roots."""
         try:
-            return self._integer_coeffs[root]
+            return self._expansion[0][root]
         except KeyError:
             raise LieFoliateError(f"{root} is not a root of {self.family.value}_{self.rank}")
 
-    def support(self, root: Root) -> frozenset[int]:
-        """1-based indices of the simple roots appearing in the expansion."""
-        return frozenset(
-            i + 1 for i, c in enumerate(self.simple_coefficients(root)) if c != 0
-        )
+    @property
+    def support_masks(self) -> dict[Root, int]:
+        """Root -> bitmask of its support: bit i-1 is set when alpha_i occurs."""
+        return self._expansion[1]
 
     @cached_property
     def length_classes(self) -> dict[Fraction, tuple[Root, ...]]:
@@ -474,10 +458,9 @@ def _validate_system(rs: RootSystem) -> None:
         raise LieFoliateError("simple roots must be positive")
     if len(rs.simple) != rs.rank:
         raise LieFoliateError("number of simple roots must equal the rank")
-    for p in rs.positive:
-        coeffs = rs.simple_coefficients(p)
-        if any(c < 0 for c in coeffs):
-            raise LieFoliateError(f"positive root {p} has a negative coefficient")
+    # Building the expansion raises unless the simple roots are independent
+    # and reach every positive root.
+    rs._expansion
     doubled = {r for r in rs.roots if r.double() in rs.roots}
     if rs.family is Family.BC:
         expected = {r for r in rs.roots if sum(1 for c in r.scaled if c) == 1 and

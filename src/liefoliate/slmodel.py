@@ -53,6 +53,8 @@ def _as_array(x, *, square: bool = True) -> np.ndarray:
     a = np.array(getattr(x, "entries", x), dtype=float)
     if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
         raise LieFoliateError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise LieFoliateError("matrix entries must be finite")
     return a
 
 
@@ -245,6 +247,20 @@ class IwasawaFactors:
         return self.k @ self.a @ self.n
 
 
+def _require_det_one(a: np.ndarray) -> None:
+    """Reject a matrix whose determinant is not 1 within TAU_NUM.
+
+    The tolerance is relative to the Hadamard bound prod_j ||a e_j|| >= |det a|,
+    which scales with the columns as the determinant does.  A power of the
+    largest entry does not: max|a|^n let diag(1e3, 1e3, 1e3, 1e-3, 1e-3, 2e-3),
+    of determinant 2, through.
+    """
+    det = float(np.linalg.det(a))
+    hadamard = float(np.prod(np.linalg.norm(a, axis=0)))
+    if not math.isfinite(det) or abs(det - 1.0) > TAU_NUM * hadamard:
+        raise LieFoliateError(f"matrix must have determinant 1, got {det}")
+
+
 def iwasawa_group(g) -> IwasawaFactors:
     """Factor g in SL_n(R) as k a n by orthonormalizing the columns of g.
 
@@ -254,10 +270,7 @@ def iwasawa_group(g) -> IwasawaFactors:
     numerically singular column sets.
     """
     a = _as_array(g)
-    n = a.shape[0]
-    det = float(np.linalg.det(a))
-    if abs(det - 1.0) > TAU_NUM * max(1.0, np.abs(a).max() ** n):
-        raise LieFoliateError(f"matrix must have determinant 1, got {det}")
+    _require_det_one(a)
     q, r = np.linalg.qr(a)
     diag = np.diag(r).copy()
     if np.any(np.abs(diag) < 1e-13 * max(1.0, np.abs(a).max())):
@@ -570,11 +583,9 @@ def moebius(g, z: complex) -> complex:
     a = _as_array(g)
     if a.shape != (2, 2):
         raise LieFoliateError("moebius needs a 2x2 matrix")
-    det = float(np.linalg.det(a))
-    if abs(det - 1.0) > TAU_NUM * max(1.0, float(np.abs(a).max()) ** 2):
-        raise LieFoliateError(f"matrix must have determinant 1, got {det}")
+    _require_det_one(a)
     z = complex(z)
-    if z.imag <= 0:
+    if not (z.imag > 0 and math.isfinite(z.real) and math.isfinite(z.imag)):
         raise LieFoliateError("the point must lie in the upper half plane")
     return complex((a[0, 0] * z + a[0, 1]) / (a[1, 0] * z + a[1, 1]))
 

@@ -2,7 +2,9 @@
 
 Each criterion returns (name, ok, detail) and runs in seconds; the CLI
 ``verify`` subcommand prints one line per criterion and exits nonzero when
-any fails.  The same functions back the acceptance tests.
+any fails.  The same functions back the acceptance tests.  Criteria on the
+matrix model import numpy and ``slmodel`` themselves, so that importing this
+module (as the CLI does) does not load numpy.
 """
 
 from __future__ import annotations
@@ -10,9 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
-
-from . import catalog, foliations, parabolic, slmodel
+from . import catalog, foliations, parabolic
 from .roots import (
     DynkinDiagram,
     DynkinEdge,
@@ -173,6 +173,10 @@ def criterion_4_fibonacci() -> Check:
 
 def criterion_5_killing() -> Check:
     """|B(X,Y) - 2(r+1) tr(XY)| < 1e-9 on 100 random pairs per rank."""
+    import numpy as np
+
+    from . import slmodel
+
     rng = slmodel.default_rng()
     worst = 0.0
     for r in range(1, 7):
@@ -190,6 +194,10 @@ def criterion_5_killing() -> Check:
 
 def criterion_6_iwasawa() -> Check:
     """Round trip and idempotence of the group factorization, 1000 samples per rank."""
+    import numpy as np
+
+    from . import slmodel
+
     rng = slmodel.default_rng()
     worst = 0.0
     worst_refac = 0.0
@@ -212,6 +220,8 @@ def criterion_6_iwasawa() -> Check:
 
 def criterion_7_parabolic_blocks() -> Check:
     """Root-theoretic dim q_Phi equals the block-triangular entry count, r <= 5."""
+    from . import slmodel
+
     for r in range(1, 6):
         space = catalog.catalog_lookup(f"SL{r + 1}")
         for phi in _all_phi(space):
@@ -238,6 +248,8 @@ def criterion_8_horospherical() -> Check:
 
 def criterion_9_lie_triple() -> Check:
     """p_Phi, p_Phi^s, a_Phi pass; the documented non-example fails."""
+    from . import slmodel
+
     worst = 0.0
     for r in range(1, 6):
         for k in range(r + 1):
@@ -266,6 +278,8 @@ def criterion_9_lie_triple() -> Check:
 
 def criterion_10_foliations() -> Check:
     """Rank-one two-class result; SL5 counts; bracket-closed subalgebras."""
+    from . import slmodel
+
     for name in ("so(4,1)", "su(3,1)", "sp(3,1)", "f4(-20)"):
         space = catalog.catalog_lookup(name)
         classes = foliations.enumerate_foliations(space)
@@ -292,6 +306,10 @@ def criterion_10_foliations() -> Check:
 
 def criterion_11_halfplane() -> Check:
     """K fixes i; A dilates i; N translates horizontally."""
+    import numpy as np
+
+    from . import slmodel
+
     worst_k = max(
         abs(slmodel.moebius(slmodel.k_factor(s), 1j) - 1j)
         for s in np.linspace(0.0, 2.0 * math.pi, 25)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from liefoliate.catalog import catalog_lookup
@@ -166,6 +167,20 @@ def test_slmodel_iwasawa(capsys):
     code, _, err = run(capsys, "slmodel", "iwasawa", "--rank", "2",
                        "--matrix", "[[1,0],[1,1]]")
     assert code == 1 and "3x3" in err
+
+
+@pytest.mark.parametrize("argv", (
+    ("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[NaN,0],[0,1]]"),
+    ("slmodel", "killing", "--x", "[[Infinity,0],[0,1]]", "--y", "[[1,0],[0,-1]]"),
+    # finite input whose result overflows
+    ("slmodel", "killing", "--x", "[[1e300,0],[0,-1e300]]", "--y", "[[1e300,0],[0,-1e300]]"),
+    ("slmodel", "halfplane", "--orbit", "K", "--base-re", "nan"),
+))
+def test_slmodel_non_finite_is_a_domain_error(capsys, argv):
+    with np.errstate(over="ignore"):
+        code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "finite" in err or "upper half plane" in err
 
 
 def test_slmodel_killing(capsys):

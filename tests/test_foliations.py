@@ -1,5 +1,6 @@
 """Orthogonal subsets, hyperbolic factors, and foliation class enumeration."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -81,6 +82,13 @@ def test_hyperbolic_factor_division_algebras():
     assert (f.algebra, f.n, f.real_dim) == ("H", 2, 8)
     f = hyperbolic_factor(catalog_lookup("e6(-14)"), 2)  # m=8, m2=1
     assert (f.algebra, f.n, f.real_dim) == ("C", 5, 10)
+
+
+def test_hyperbolic_factor_octonionic_needs_multiplicity_eight():
+    f4 = catalog_lookup("f4(-20)")  # (m_alpha, m_2alpha) = (8, 7)
+    bad = dataclasses.replace(f4, simple_mults=((6, 7),))
+    with pytest.raises(LieFoliateError, match="multiplicity 8"):
+        hyperbolic_factor(bad, 1)
 
 
 def test_hyperbolic_factor_index_validation():

@@ -56,6 +56,10 @@ def test_moebius_rejects_bad_inputs():
         moebius(np.eye(2), 1.0 - 1j)
     with pytest.raises(LieFoliateError, match="2x2"):
         moebius(np.eye(3), 1j)
+    with pytest.raises(LieFoliateError, match="determinant"):
+        moebius(np.diag([1e6, 2e-6]), 1j)
+    with pytest.raises(LieFoliateError, match="upper half plane"):
+        moebius(np.eye(2), complex(math.nan, 1.0))
 
 
 def test_kan_decomposition_of_sl2_matches_generators():

@@ -8,6 +8,7 @@ from liefoliate.errors import LieFoliateError
 from liefoliate.roots import (
     Family,
     Root,
+    RootSystem,
     build_root_system,
     inner,
     reflect,
@@ -138,6 +139,40 @@ def test_simple_expansion_uniform_sign_integers(family, rank):
     # positives expand nonnegatively
     for lam in rs.positive:
         assert all(c >= 0 for c in rs.simple_coefficients(lam))
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS + [("A", 31), ("C", 16)])
+def test_expansion_sums_to_the_root_and_masks_match_support(family, rank):
+    rs = build_root_system(family, rank)
+    masks = rs.support_masks
+    assert set(masks) == rs.roots
+    for lam in rs.roots:
+        coeffs = rs.simple_coefficients(lam)
+        total = tuple(
+            sum(c * alpha.scaled[d] for c, alpha in zip(coeffs, rs.simple))
+            for d in range(rs.ambient_dim)
+        )
+        assert total == lam.scaled
+        assert masks[lam] == sum(1 << i for i, c in enumerate(coeffs) if c)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("BC", 2), ("E6", 6), ("G2", 2)])
+def test_from_dict_rejects_a_positive_root_swapped_for_its_negative(family, rank):
+    rs = build_root_system(family, rank)
+    data = rs.to_dict()
+    k = next(k for k, lam in enumerate(rs.positive) if lam not in rs.simple)
+    data["positive"][k] = [-c for c in data["positive"][k]]
+    with pytest.raises(LieFoliateError, match="not a sum of simple roots"):
+        RootSystem.from_dict(data)
+
+
+def test_from_dict_rejects_dependent_simple_roots():
+    rs = build_root_system("A", 3)
+    data = rs.to_dict()
+    alpha1, alpha2, _ = rs.simple
+    data["simple"][2] = [a + b for a, b in zip(alpha1.scaled, alpha2.scaled)]
+    with pytest.raises(LieFoliateError, match="linearly dependent"):
+        RootSystem.from_dict(data)
 
 
 def test_simple_coefficients_rejects_non_roots():

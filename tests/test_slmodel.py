@@ -321,6 +321,24 @@ def test_iwasawa_rejects_wrong_determinant():
         iwasawa_group(2.0 * np.eye(2))
 
 
+def test_iwasawa_determinant_tolerance_does_not_grow_with_the_entries():
+    # det = 2; a tolerance scaled by max|a|^n = 1e18 would let it through.
+    with pytest.raises(LieFoliateError, match="determinant"):
+        iwasawa_group(np.diag([1e3, 1e3, 1e3, 1e-3, 1e-3, 2e-3]))
+    f = iwasawa_group(np.diag([1e3, 1e3, 1e3, 1e-3, 1e-3, 1e-3]))
+    assert np.allclose(np.diag(f.a), [1e3, 1e3, 1e3, 1e-3, 1e-3, 1e-3])
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_non_finite_entries_are_rejected(bad):
+    g = np.eye(2)
+    g[0, 0] = bad
+    with pytest.raises(LieFoliateError, match="finite"):
+        iwasawa_group(g)
+    with pytest.raises(LieFoliateError, match="finite"):
+        MatrixElement(np.array([[bad, 0.0], [0.0, 0.0]]))
+
+
 def test_random_sl_has_unit_determinant():
     rng = default_rng(77)
     for n in (2, 3, 4, 5):
