@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 
 from .errors import LieFoliateError
-from .roots import Family, Root, RootSystem, build_root_system, inner
+from .roots import SCALE, Family, Root, RootSystem, build_root_system, inner
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,10 @@ class MultiplicityFunction:
 
     The catalog provides multiplicities on the simple roots only; the value on
     an arbitrary root is read off from its squared length (length classes and
-    Weyl orbits coincide for the ten irreducible families).
+    Weyl orbits coincide for the ten irreducible families).  ``classes`` keys
+    the values by the exact squared length; lookups use the integer squared
+    norm of the doubled coordinates, SCALE**2 times that length, so a call
+    builds no Fraction.
     """
 
     classes: tuple[tuple[Fraction, int], ...]
@@ -193,15 +196,16 @@ class MultiplicityFunction:
         return cls(tuple(sorted(table.items())))
 
     @cached_property
-    def _table(self) -> dict[Fraction, int]:
-        return dict(self.classes)
+    def _table(self) -> dict[int, int]:
+        return {int(length * SCALE * SCALE): m for length, m in self.classes}
 
     def __call__(self, root: Root) -> int:
-        length = inner(root, root)
         try:
-            return self._table[length]
+            return self._table[sum(c * c for c in root.scaled)]
         except KeyError:
-            raise LieFoliateError(f"no multiplicity recorded for a root of squared length {length}")
+            raise LieFoliateError(
+                f"no multiplicity recorded for a root of squared length {inner(root, root)}"
+            )
 
 
 def root_multiplicity(space: SpaceDescriptor, lam: Root) -> int:

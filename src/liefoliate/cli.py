@@ -19,7 +19,7 @@ from .errors import LieFoliateError
 from .foliations import enumerate_foliations
 from .parabolic import horospherical, parabolic_data, phi_subset
 from .roots import build_root_system, dynkin_diagram, format_root
-from .verify import SUITES, run_suite
+from .verify import SUITES, timed_suite
 
 
 def _emit_json(obj) -> None:
@@ -220,10 +220,10 @@ def _cmd_slmodel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks = run_suite(args.suite)
     failed = 0
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    for (name, ok, detail), seconds in timed_suite(args.suite):
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}", flush=True)
+        print(f"{seconds:8.3f} s  {name}", file=sys.stderr, flush=True)
         failed += 0 if ok else 1
     if failed:
         print(f"{failed} criterion/criteria failed", file=sys.stderr)

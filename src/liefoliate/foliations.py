@@ -12,6 +12,17 @@ and by dim V.  Subspaces V of equal dimension give congruent foliations of
 the Euclidean factor, so only the dimension is recorded.  Whether classes
 with different keys are always non-congruent is not certified here; records
 are labeled accordingly.
+
+For an orthogonal Phi the dimension of N_Phi has a closed form.  The support
+of a positive root is connected in the Dynkin diagram, and no two roots of
+Phi are adjacent, so the only positive roots in the span of Phi are the
+alpha and 2 alpha with alpha in Phi: Sigma_Phi^+ = {alpha, 2 alpha}.  Hence
+
+    dim N_Phi = dim M - r - sum over alpha in Phi of (m_alpha + m_2alpha),
+
+and m_alpha + m_2alpha = dim F_alpha H^{n_alpha} - 1 for the hyperbolic
+factor of alpha, so the enumeration reads dim N_Phi off the factors it
+builds anyway and never scans the roots.
 """
 
 from __future__ import annotations
@@ -20,8 +31,7 @@ from dataclasses import dataclass
 
 from .catalog import SpaceDescriptor, catalog_lookup
 from .errors import LieFoliateError
-from .parabolic import parabolic_data, phi_subset
-from .roots import DynkinDiagram, Family, apply_permutation, diagram_automorphisms, dynkin_diagram
+from .roots import DynkinDiagram, apply_permutation, diagram_automorphisms, dynkin_diagram
 
 __all__ = [
     "HyperbolicFactor",
@@ -190,15 +200,15 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False) 
     """
     dd = dynkin_diagram(space.root_system)
     r = space.rank
+    by_index = {i: hyperbolic_factor(space, i) for i in range(1, r + 1)}
     classes = []
     for orbit in sorted(_phi_orbits(dd), key=lambda o: (len(o[0]), o[0])):
         phi = orbit[0]
-        ph = phi_subset(space, phi)
-        data = parabolic_data(space, ph)
-        factors = tuple(hyperbolic_factor(space, i) for i in phi)
+        factors = tuple(by_index[i] for i in phi)
         hyper_leaf = sum(f.real_dim - 1 for f in factors)
+        dim_n_phi = space.dimension - r - hyper_leaf  # the closed form above
         for dim_v in range(0, r - len(phi) + 1):
-            leaf_dim = hyper_leaf + dim_v + data.dim_n_phi
+            leaf_dim = hyper_leaf + dim_v + dim_n_phi
             codim = space.dimension - leaf_dim
             trivial = codim == 0
             if trivial and not include_trivial:
@@ -213,7 +223,7 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False) 
                     codim=codim,
                     trivial=trivial,
                     factors=factors,
-                    dim_n_phi=data.dim_n_phi,
+                    dim_n_phi=dim_n_phi,
                 )
             )
     return classes

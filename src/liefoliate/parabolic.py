@@ -146,14 +146,13 @@ def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     """Chevalley and Langlands dimension data for q_Phi."""
     if phi.space != space:
         raise LieFoliateError("Phi subset belongs to a different space")
-    rs = space.root_system
     mult = space.multiplicities
     sigma_phi, sigma_phi_pos = root_subsystem(space, phi)
     r, r_phi = space.rank, phi.r_phi
 
-    sum_phi = sum(mult(lam) for lam in sigma_phi)
     sum_phi_pos = sum(mult(lam) for lam in sigma_phi_pos)
-    total_pos = sum(mult(lam) for lam in rs.positive)
+    sum_phi = 2 * sum_phi_pos  # m(-lam) = m(lam)
+    total_pos = space.dimension - r  # dim M = r + sum of positive multiplicities
 
     dim_a_phi = r - r_phi
     dim_n_phi = total_pos - sum_phi_pos

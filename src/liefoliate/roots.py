@@ -416,6 +416,10 @@ class RootSystem:
         return self._expansion[1]
 
     @cached_property
+    def _dynkin_diagram(self) -> "DynkinDiagram":
+        return _build_dynkin_diagram(self)
+
+    @cached_property
     def length_classes(self) -> dict[Fraction, tuple[Root, ...]]:
         classes: dict[Fraction, list[Root]] = {}
         for root in sorted(self.roots):
@@ -608,8 +612,13 @@ def dynkin_diagram(rs: RootSystem) -> DynkinDiagram:
     Vertices are the simple roots, double-circled when the doubled root is
     again a root.  Two vertices are joined by 4<a,b>^2 / (<a,a><b,b>) lines
     (an exact integer in {0,1,2,3}); on multiple edges an arrow points from
-    the longer root to the shorter one.
+    the longer root to the shorter one.  The diagram is built once per root
+    system and the same immutable object is returned on every call.
     """
+    return rs._dynkin_diagram
+
+
+def _build_dynkin_diagram(rs: RootSystem) -> DynkinDiagram:
     vertices = tuple(
         DynkinVertex(i + 1, rs.simple[i].double() in rs.roots) for i in range(rs.rank)
     )

@@ -1,26 +1,27 @@
 """Self-contained verification suite.
 
 Each criterion returns (name, ok, detail) and runs in seconds; the CLI
-``verify`` subcommand prints one line per criterion and exits nonzero when
-any fails.  The same functions back the acceptance tests.  Criteria on the
-matrix model import numpy and ``slmodel`` themselves, so that importing this
-module (as the CLI does) does not load numpy.
+``verify`` subcommand prints one line per criterion, writes the seconds each
+took to stderr, and exits nonzero when any fails.  The same functions back
+the acceptance tests.  Criteria on the matrix model import numpy and
+``slmodel`` themselves, so that importing this module (as the CLI does) does
+not load numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
+from time import perf_counter
 
 from . import catalog, foliations, parabolic
 from .roots import (
     DynkinDiagram,
     DynkinEdge,
     DynkinVertex,
-    Family,
     build_root_system,
     dynkin_diagram,
-    inner,
     reflect,
 )
 
@@ -351,7 +352,15 @@ SUITES = {
 }
 
 
-def run_suite(suite: str = "all") -> list[Check]:
+def timed_suite(suite: str = "all") -> Iterator[tuple[Check, float]]:
+    """Run the suite's criteria in order, yielding each result with its seconds."""
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    return [_CRITERIA[i]() for i in SUITES[suite]]
+    for i in SUITES[suite]:
+        start = perf_counter()
+        check = _CRITERIA[i]()
+        yield check, perf_counter() - start
+
+
+def run_suite(suite: str = "all") -> list[Check]:
+    return [check for check, _ in timed_suite(suite)]

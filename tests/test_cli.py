@@ -232,3 +232,14 @@ def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "catalog")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_writes_each_criterion_seconds_to_stderr(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "parabolic")
+    assert code == 0
+    names = [line.split(": ")[0].split("  ", 1)[1] for line in out.splitlines()]
+    assert names == ["7 parabolic blocks", "8 horospherical"]
+    timings = [line.split() for line in err.splitlines()]
+    assert [" ".join(t[2:]) for t in timings] == names
+    assert all(t[1] == "s" and float(t[0]) >= 0 for t in timings)
+    assert " s " not in out

@@ -1,0 +1,136 @@
+"""Invariants from the paper across the whole catalog, up to rank 10.
+
+The exhaustive tests check the closed form used by the foliation enumeration
+against the general root-subsystem computation.  The property tests draw
+random catalog instances and random Phi, and compare each result with a sum
+over the roots made here from the simple-root expansions.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liefoliate.catalog import catalog_entries, catalog_lookup
+from liefoliate.errors import LieFoliateError
+from liefoliate.foliations import (
+    enumerate_foliations,
+    foliation_codimension,
+    hyperbolic_factor,
+    orthogonal_subsets,
+)
+from liefoliate.parabolic import horospherical, parabolic_data, phi_subset
+from liefoliate.roots import dynkin_diagram, inner
+
+MAX_RANK = 10
+
+
+def _catalog_instances() -> tuple:
+    """Every catalog entry at every rank up to MAX_RANK, several p - q each."""
+    names = ["sl(2,R)"]
+    for m in range(2, 2 * MAX_RANK + 2):
+        names += [f"sl({m},R)", f"sl({m},C)", f"sl({m},H)", f"so({m},C)", f"so({m},H)",
+                  f"sp({m},R)", f"sp({m},C)", f"so({m},1)"]
+    for q in range(1, MAX_RANK + 1):
+        for p in (q, q + 1, q + 2, q + 5):
+            names += [f"so({p},{q})", f"sp({p},{q})", f"su({p},{q})"]
+    names += [e.ascii_doc for e in catalog_entries() if e.fixed_rank is not None]
+    spaces = {}
+    for name in names:
+        try:
+            space = catalog_lookup(name)
+        except LieFoliateError:
+            continue
+        if space.rank <= MAX_RANK:
+            spaces.setdefault(space.name, space)
+    return tuple(spaces.values())
+
+
+SPACES = _catalog_instances()
+
+
+def test_instances_cover_every_catalog_entry():
+    assert {s.entry_key for s in SPACES} == {e.key for e in catalog_entries()}
+    by_key = {}
+    for s in SPACES:
+        by_key.setdefault(s.entry_key, set()).add(s.rank)
+    for e in catalog_entries():
+        if e.fixed_rank is None:
+            assert max(by_key[e.key]) == MAX_RANK, e.key
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+def test_closed_form_dim_n_phi_matches_parabolic_data(space):
+    for i in range(1, space.rank + 1):
+        m = space.m_alpha(i) + space.m_2alpha(i)
+        assert m == hyperbolic_factor(space, i).real_dim - 1
+    records = enumerate_foliations(space, include_trivial=True)
+    covered = set()
+    for fc in records:
+        for phi in fc.orbit:
+            expected = parabolic_data(space, phi_subset(space, phi)).dim_n_phi
+            assert fc.dim_n_phi == expected, (space.name, phi)
+            covered.add(phi)
+    assert covered == set(orthogonal_subsets(dynkin_diagram(space.root_system)))
+
+
+def _positive_split(space, phi):
+    """Sums of multiplicities over the positive roots inside and outside span(Phi)."""
+    rs, mult = space.root_system, space.multiplicities
+    inside = outside = 0
+    for lam in rs.positive:
+        coeffs = rs.simple_coefficients(lam)
+        if all(c == 0 for i, c in enumerate(coeffs, start=1) if i not in phi):
+            inside += mult(lam)
+        else:
+            outside += mult(lam)
+    return inside, outside
+
+
+@st.composite
+def space_and_phi(draw, orthogonal=False):
+    space = draw(st.sampled_from(SPACES))
+    if orthogonal:
+        phi = draw(st.sampled_from(orthogonal_subsets(dynkin_diagram(space.root_system))))
+    else:
+        phi = tuple(sorted(draw(st.sets(st.integers(1, space.rank)))))
+    return space, phi
+
+
+@settings(max_examples=150, deadline=None)
+@given(space_and_phi())
+def test_horospherical_dimensions_are_conserved(case):
+    space, phi = case
+    h = horospherical(space, phi_subset(space, phi))
+    inside, outside = _positive_split(space, phi)
+    assert h.dim_Fs == len(phi) + inside == sum(f.dim for f in h.factors)
+    assert h.dim_euclidean == space.rank - len(phi)
+    assert h.dim_N == outside
+    assert h.dim_Fs + h.dim_euclidean + h.dim_N == space.dimension
+    assert space.dimension == space.rank + inside + outside
+
+
+@settings(max_examples=150, deadline=None)
+@given(space_and_phi(orthogonal=True))
+def test_closed_form_holds_for_random_orthogonal_phi(case):
+    space, phi = case
+    _, outside = _positive_split(space, phi)
+    (fc,) = [c for c in enumerate_foliations(space, include_trivial=True)
+             if phi in c.orbit and c.dim_v == 0]
+    assert fc.dim_n_phi == outside
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SPACES))
+def test_every_record_has_codimension_r_minus_dim_v(space):
+    for fc in enumerate_foliations(space, include_trivial=True):
+        assert fc.codim == foliation_codimension(fc) == space.rank - fc.dim_v
+        assert fc.leaf_dim + fc.codim == space.dimension
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SPACES))
+def test_multiplicity_agrees_with_the_fraction_length_class(space):
+    mult = space.multiplicities
+    by_length = dict(mult.classes)
+    for lam in space.root_system.roots:
+        assert mult(lam) == by_length[inner(lam, lam)]
