@@ -136,6 +136,12 @@ class SpaceDescriptor:
         return MultiplicityFunction.for_space(self)
 
     @cached_property
+    def positive_mults(self) -> tuple[int, ...]:
+        """m(lambda) for each lambda of ``root_system.positive``, in that order."""
+        mult = self.multiplicities
+        return tuple(mult(lam) for lam in self.root_system.positive)
+
+    @cached_property
     def dimension(self) -> int:
         return space_dimension(self)
 
@@ -217,10 +223,14 @@ def root_multiplicity(space: SpaceDescriptor, lam: Root) -> int:
 
 def space_dimension(space: SpaceDescriptor) -> int:
     """dim M = rank + sum of the multiplicities over the positive roots."""
-    mult = space.multiplicities
-    return space.rank + sum(mult(lam) for lam in space.root_system.positive)
+    return space.rank + sum(space.positive_mults)
 
 
+# One descriptor per (key, r, n) for the life of the process, so its cached
+# multiplicities and dimension are computed once.  Each key has one call site,
+# whose display parameters in fmt are functions of (r, n).  A call that raises
+# is not cached and raises again.
+@lru_cache(maxsize=None)
 def _instantiate(key: str, *, r: int | None = None, n: int | None = None, **fmt) -> SpaceDescriptor:
     entry = _entry_map()[key]
     rank = entry.fixed_rank if entry.fixed_rank is not None else r

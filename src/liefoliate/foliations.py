@@ -28,6 +28,7 @@ builds anyway and never scans the roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .catalog import SpaceDescriptor, catalog_lookup
 from .errors import LieFoliateError
@@ -191,6 +192,12 @@ def _phi_orbits(dd: DynkinDiagram) -> list[tuple[tuple[int, ...], ...]]:
     return orbits
 
 
+@lru_cache(maxsize=None)
+def _sorted_phi_orbits(dd: DynkinDiagram) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The Phi orbits of a diagram ordered by (r_Phi, Phi), computed once per diagram."""
+    return tuple(sorted(_phi_orbits(dd), key=lambda o: (len(o[0]), o[0])))
+
+
 def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False) -> list[FoliationClass]:
     """All foliation classes of the space, one per (Phi orbit, dim V).
 
@@ -202,7 +209,7 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False) 
     r = space.rank
     by_index = {i: hyperbolic_factor(space, i) for i in range(1, r + 1)}
     classes = []
-    for orbit in sorted(_phi_orbits(dd), key=lambda o: (len(o[0]), o[0])):
+    for orbit in _sorted_phi_orbits(dd):
         phi = orbit[0]
         factors = tuple(by_index[i] for i in phi)
         hyper_leaf = sum(f.real_dim - 1 for f in factors)

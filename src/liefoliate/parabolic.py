@@ -63,19 +63,23 @@ def phi_subset(space: SpaceDescriptor, indices) -> PhiSubset:
     return PhiSubset(space, tuple(sorted(set(int(i) for i in indices))))
 
 
+def _mask(indices) -> int:
+    """Bit i-1 is set for each 1-based simple-root index i."""
+    return sum(1 << (i - 1) for i in indices)
+
+
 def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Root], frozenset[Root]]:
     """(Sigma_Phi, Sigma_Phi^+): the roots lying in the rational span of Phi.
 
     A root lies in span(Phi) exactly when its expansion over the simple roots
     is supported on Phi, so membership reduces to one test of the root's
-    support bitmask against the bits of Phi.
+    support bitmask against the bits of Phi.  One pass over the positive
+    rows finds both sets, since -lambda has the support of lambda.
     """
-    rs = space.root_system
-    masks = rs.support_masks
-    outside = ~sum(1 << (i - 1) for i in phi.indices)
-    sigma_phi = frozenset(lam for lam, mask in masks.items() if not mask & outside)
-    sigma_phi_pos = frozenset(lam for lam in rs.positive if not masks[lam] & outside)
-    return sigma_phi, sigma_phi_pos
+    outside = ~_mask(phi.indices)
+    inside = [(lam, neg) for lam, neg, mask in space.root_system.rows if not mask & outside]
+    sigma_phi_pos = frozenset(lam for lam, _ in inside)
+    return sigma_phi_pos.union(neg for _, neg in inside), sigma_phi_pos
 
 
 @dataclass(frozen=True)
@@ -146,11 +150,11 @@ def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     """Chevalley and Langlands dimension data for q_Phi."""
     if phi.space != space:
         raise LieFoliateError("Phi subset belongs to a different space")
-    mult = space.multiplicities
     sigma_phi, sigma_phi_pos = root_subsystem(space, phi)
     r, r_phi = space.rank, phi.r_phi
 
-    sum_phi_pos = sum(mult(lam) for lam in sigma_phi_pos)
+    index, mults = space.root_system.positive_index, space.positive_mults
+    sum_phi_pos = sum(mults[index[lam]] for lam in sigma_phi_pos)
     sum_phi = 2 * sum_phi_pos  # m(-lam) = m(lam)
     total_pos = space.dimension - r  # dim M = r + sum of positive multiplicities
 
@@ -207,10 +211,11 @@ class BoundaryFactor:
         return cls(tuple(data["component_indices"]), data["rank"], data["name"], data["dim"])
 
 
-def _is_named_sl_component(space: SpaceDescriptor, dd, component, mult) -> bool:
+def _is_named_sl_component(dd, component, mults) -> bool:
     # The factor of a component is named only when the component is a
-    # simply-laced path whose whole subsystem has multiplicity one; the
-    # subalgebra generated is then a split special linear algebra.
+    # simply-laced path whose whole subsystem has multiplicity one (mults
+    # holds the multiplicities of its positive roots; m(-lambda) = m(lambda));
+    # the subalgebra generated is then a split special linear algebra.
     for i in component:
         vertex = dd.vertices[i - 1]
         if vertex.double_circle:
@@ -222,24 +227,30 @@ def _is_named_sl_component(space: SpaceDescriptor, dd, component, mult) -> bool:
                 e = dd.edge_between(i, j)
                 if e is not None and e.lines != 1:
                     return False
-    comp_phi = phi_subset(space, component)
-    sigma_c, _ = root_subsystem(space, comp_phi)
-    return all(mult(lam) == 1 for lam in sigma_c)
+    return all(m == 1 for m in mults)
 
 
 def boundary_components(space: SpaceDescriptor, phi: PhiSubset) -> list[BoundaryFactor]:
     """Factors of F_Phi^s, one per connected component of Phi in the diagram."""
     if phi.space != space:
         raise LieFoliateError("Phi subset belongs to a different space")
-    dd = dynkin_diagram(space.root_system)
-    mult = space.multiplicities
+    rs = space.root_system
+    dd = dynkin_diagram(rs)
+    _, sigma_pos = root_subsystem(space, phi)
+    components = dd.connected_components(phi.indices)
+    # The support of a root is connected, so each root of Sigma_Phi^+ lies in
+    # the span of exactly one component: the one holding its lowest set bit.
+    component_of = {i: k for k, component in enumerate(components) for i in component}
+    masks, index, mults = rs.support_masks, rs.positive_index, space.positive_mults
+    component_mults: list[list[int]] = [[] for _ in components]
+    for lam in sigma_pos:
+        mask = masks[lam]
+        component_mults[component_of[(mask & -mask).bit_length()]].append(mults[index[lam]])
     factors = []
-    for component in dd.connected_components(phi.indices):
-        comp_phi = phi_subset(space, component)
-        _, sigma_pos = root_subsystem(space, comp_phi)
+    for component, comp_mults in zip(components, component_mults):
         rank = len(component)
-        dim = rank + sum(mult(lam) for lam in sigma_pos)
-        if _is_named_sl_component(space, dd, component, mult):
+        dim = rank + sum(comp_mults)
+        if _is_named_sl_component(dd, component, comp_mults):
             name = f"SL_{rank + 1}(R)/SO_{rank + 1}"
         else:
             name = f"unnamed rank-{rank} factor"

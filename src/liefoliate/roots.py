@@ -416,6 +416,22 @@ class RootSystem:
         return self._expansion[1]
 
     @cached_property
+    def rows(self) -> tuple[tuple[Root, Root, int], ...]:
+        """(lambda, -lambda, support mask) for each lambda of ``positive``, in order.
+
+        Both roots of a row are the system's own Root objects, so a scan over
+        the rows builds no Root.
+        """
+        masks = self.support_masks
+        own = {lam.scaled: lam for lam in self.roots}
+        return tuple((lam, own[tuple(-c for c in lam.scaled)], masks[lam]) for lam in self.positive)
+
+    @cached_property
+    def positive_index(self) -> dict[Root, int]:
+        """Positive root -> its position in ``positive`` (and in ``rows``)."""
+        return {lam: k for k, lam in enumerate(self.positive)}
+
+    @cached_property
     def _dynkin_diagram(self) -> "DynkinDiagram":
         return _build_dynkin_diagram(self)
 

@@ -174,10 +174,17 @@ def ad_matrix(x) -> np.ndarray:
 
 
 def killing_form(x, y) -> float:
-    """Killing form B(X,Y) = tr(ad X o ad Y), computed from adjoint matrices."""
+    """Killing form B(X,Y) = tr(ad X o ad Y) on sl(n,R), computed from adjoint matrices.
+
+    Both arguments must lie in sl(n,R): a matrix with |tr X| above
+    TAU_ALG * n * max|X_ij| is rejected, a tolerance that scales with X.
+    """
     a, b = _as_array(x), _as_array(y)
     if a.shape != b.shape:
         raise LieFoliateError(f"size mismatch: {a.shape} vs {b.shape}")
+    for name, m in (("X", a), ("Y", b)):
+        if abs(np.trace(m)) > TAU_ALG * m.shape[0] * np.abs(m).max(initial=0.0):
+            raise LieFoliateError(f"{name} is not in sl(n,R): its trace is not zero")
     return float(np.trace(ad_matrix(a) @ ad_matrix(b)))
 
 

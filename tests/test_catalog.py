@@ -62,6 +62,22 @@ def test_unknown_name_lists_grammar():
         catalog_lookup("totally-bogus")
 
 
+def test_lookup_returns_one_descriptor_per_space():
+    d = catalog_lookup("SL5")
+    assert catalog_lookup("sl(5,R)") is d
+    assert catalog_lookup("SL_5(R)/SO_5") is d
+    assert catalog_lookup("so(7,2)") is catalog_lookup("SOo(2,7)")
+    assert catalog_lookup("so(7,2)") is not catalog_lookup("so(8,2)")
+    assert catalog_lookup("so(7,2)") != catalog_lookup("so(8,2)")
+
+
+@pytest.mark.parametrize("name", ["sl(5,Q)", "so(2,1)", "e6(5)", "sp(1,R)"])
+def test_invalid_name_raises_on_every_call(name):
+    for _ in range(3):
+        with pytest.raises(LieFoliateError):
+            catalog_lookup(name)
+
+
 @pytest.mark.parametrize(
     "name,message",
     [

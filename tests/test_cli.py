@@ -192,6 +192,13 @@ def test_slmodel_killing(capsys):
     assert data["difference"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_slmodel_killing_outside_sl_n_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "slmodel", "killing",
+                         "--x", "[[1,2],[3,4]]", "--y", "[[1,0],[0,1]]")
+    assert code == 1 and out == ""
+    assert "trace" in err
+
+
 def test_slmodel_check_lie_triple(capsys):
     basis = "[[[0,0.5,0],[0.5,0,0],[0,0,0]],[[0,0,0.5],[0,0,0],[0.5,0,0]]]"
     code, out, _ = run(capsys, "slmodel", "check-lie-triple", "--basis", basis)

@@ -1,9 +1,11 @@
 """Invariants from the paper across the whole catalog, up to rank 10.
 
 The exhaustive tests check the closed form used by the foliation enumeration
-against the general root-subsystem computation.  The property tests draw
-random catalog instances and random Phi, and compare each result with a sum
-over the roots made here from the simple-root expansions.
+against the general root-subsystem computation, and the data computed once
+per space and per diagram against a fresh computation.  The property tests
+draw random catalog instances and random Phi, and compare each result with a
+reference made here from the simple-root expansions and the multiplicity
+function.
 """
 
 import pytest
@@ -13,13 +15,15 @@ from hypothesis import strategies as st
 from liefoliate.catalog import catalog_entries, catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
+    _phi_orbits,
+    _sorted_phi_orbits,
     enumerate_foliations,
     foliation_codimension,
     hyperbolic_factor,
     orthogonal_subsets,
 )
-from liefoliate.parabolic import horospherical, parabolic_data, phi_subset
-from liefoliate.roots import dynkin_diagram, inner
+from liefoliate.parabolic import boundary_components, horospherical, parabolic_data, phi_subset
+from liefoliate.roots import dynkin_diagram, inner, reflect
 
 MAX_RANK = 10
 
@@ -134,3 +138,78 @@ def test_multiplicity_agrees_with_the_fraction_length_class(space):
     by_length = dict(mult.classes)
     for lam in space.root_system.roots:
         assert mult(lam) == by_length[inner(lam, lam)]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+def test_per_space_multiplicities_are_aligned_and_sum_to_the_dimension(space):
+    mult = space.multiplicities
+    assert space.positive_mults == tuple(mult(lam) for lam in space.root_system.positive)
+    assert sum(space.positive_mults) == space.dimension - space.rank
+
+
+def test_cached_phi_orbits_equal_a_fresh_computation():
+    diagrams = {(s.family, s.rank): dynkin_diagram(s.root_system) for s in SPACES}
+    for dd in diagrams.values():
+        cached = _sorted_phi_orbits(dd)
+        assert cached == tuple(sorted(_phi_orbits(dd), key=lambda o: (len(o[0]), o[0])))
+        assert _sorted_phi_orbits(dd) is cached
+
+
+def _support_within(rs, lam, indices) -> bool:
+    return all(c == 0 for i, c in enumerate(rs.simple_coefficients(lam), start=1)
+               if i not in indices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(space_and_phi())
+def test_parabolic_data_matches_a_reference_from_the_expansions(case):
+    space, phi = case
+    rs, mult = space.root_system, space.multiplicities
+    sigma = frozenset(lam for lam in rs.roots if _support_within(rs, lam, phi))
+    sigma_pos = sigma & frozenset(rs.positive)
+    sum_pos = sum(mult(lam) for lam in sigma_pos)
+    sum_all = sum(mult(lam) for lam in sigma)
+    outside = sum(mult(lam) for lam in rs.positive) - sum_pos
+    r, r_phi, k0 = space.rank, len(phi), space.dim_k0
+
+    d = parabolic_data(space, phi_subset(space, phi))
+    assert d.sigma_phi == sigma and d.sigma_phi_pos == sigma_pos
+    assert (d.dim_a_phi, d.dim_n_phi) == (r - r_phi, outside)
+    assert (d.dim_p_phi, d.dim_p_phi_s) == (r + sum_pos, r_phi + sum_pos)
+    if k0 is None:
+        assert d.dim_g0 is d.dim_l_phi is d.dim_m_phi is d.dim_q_phi is d.dim_k_phi is None
+    else:
+        dim_l = k0 + r + sum_all
+        assert (d.dim_g0, d.dim_l_phi, d.dim_k_phi) == (k0 + r, dim_l, k0 + sum_pos)
+        assert (d.dim_m_phi, d.dim_q_phi) == (dim_l - (r - r_phi), dim_l + outside)
+    assert d.dim_g_phi == (r_phi + sum_all if k0 == 0 else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(space_and_phi())
+def test_boundary_factors_match_a_per_component_reference(case):
+    space, phi = case
+    rs, mult = space.root_system, space.multiplicities
+    factors = boundary_components(space, phi_subset(space, phi))
+    assert [f.component_indices for f in factors] == \
+        dynkin_diagram(rs).connected_components(phi)
+    for f in factors:
+        k = f.rank
+        pos = [lam for lam in rs.positive if _support_within(rs, lam, f.component_indices)]
+        assert k == len(f.component_indices)
+        assert f.dim == k + sum(mult(lam) for lam in pos)
+        # A connected reduced subsystem with one root length and k(k+1)/2
+        # positive roots is A_k; with all multiplicities one its factor is
+        # SL_{k+1}(R)/SO_{k+1}.
+        split_a = (len(pos) == k * (k + 1) // 2
+                   and len({inner(lam, lam) for lam in pos}) == 1
+                   and all(mult(lam) == 1 for lam in pos))
+        assert f.name == (f"SL_{k + 1}(R)/SO_{k + 1}" if split_a else f"unnamed rank-{k} factor")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SPACES))
+def test_reflections_in_simple_roots_preserve_the_root_system(space):
+    rs = space.root_system
+    for alpha in rs.simple:
+        assert {reflect(alpha, lam) for lam in rs.roots} == rs.roots

@@ -156,6 +156,17 @@ def test_expansion_sums_to_the_root_and_masks_match_support(family, rank):
         assert masks[lam] == sum(1 << i for i, c in enumerate(coeffs) if c)
 
 
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_rows_align_with_positive_and_reuse_the_system_roots(family, rank):
+    rs = build_root_system(family, rank)
+    own = {lam: lam for lam in rs.roots}
+    assert len(rs.rows) == len(rs.positive) == len(rs.positive_index)
+    for k, (lam, neg, mask) in enumerate(rs.rows):
+        assert lam is rs.positive[k] and rs.positive_index[lam] == k
+        assert neg == -lam and own[neg] is neg
+        assert mask == rs.support_masks[lam]
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("BC", 2), ("E6", 6), ("G2", 2)])
 def test_from_dict_rejects_a_positive_root_swapped_for_its_negative(family, rank):
     rs = build_root_system(family, rank)

@@ -140,6 +140,38 @@ def test_killing_closed_form_random():
             assert killing_form(x, y) == pytest.approx(2.0 * n * np.trace(x @ y), abs=1e-9)
 
 
+@pytest.mark.parametrize("x", [
+    [[1.0, 2.0], [3.0, 4.0]],
+    np.eye(3),
+    1e-20 * np.diag([1.0, 0.0]),  # tiny, so an absolute tolerance would pass it
+    1e20 * np.diag([1.0, -1.0, 1e-6]),
+])
+def test_killing_rejects_a_matrix_outside_sl_n(x):
+    traceless_y = np.diag([1.0, -1.0, 0.0])[:len(x), :len(x)]
+    with pytest.raises(LieFoliateError, match="trace"):
+        killing_form(x, traceless_y)
+    with pytest.raises(LieFoliateError, match="trace"):
+        killing_form(traceless_y, x)
+
+
+def test_killing_trace_tolerance_is_scale_invariant():
+    rng = default_rng(5)
+    for n in range(2, 9):
+        x, y = traceless(rng, n), traceless(rng, n)
+        for scale in (1e-20, 1e-8, 1.0, 1e8, 1e20):
+            value = killing_form(scale * x, y)
+            assert value == pytest.approx(scale * 2.0 * n * np.trace(x @ y), rel=1e-9)
+
+
+def test_killing_accepts_every_shifted_random_matrix():
+    # x - tr(x)/n I, as the verify criterion and the benchmark build them
+    rng = default_rng(1729)
+    for n in range(2, 9):
+        for _ in range(200):
+            x, y = traceless(rng, n), traceless(rng, n)
+            killing_form(x, y)
+
+
 def test_killing_symmetric_bilinear_ad_invariant():
     rng = default_rng(3)
     n = 4
