@@ -14,12 +14,12 @@ import json
 import sys
 
 from . import __version__
-from .catalog import catalog_entries, catalog_lookup
 from .errors import LieFoliateError
-from .foliations import enumerate_foliations
-from .parabolic import horospherical, parabolic_data, phi_subset
-from .roots import build_root_system, dynkin_diagram, format_root
-from .verify import SUITES, timed_suite
+
+# The keys of verify.SUITES, sorted.  Importing verify for them would load
+# catalog, parabolic and foliations for every command; a test checks that
+# the two agree.
+_SUITES = ("all", "catalog", "foliations", "parabolic", "rootsys", "slmodel")
 
 
 def _emit_json(obj) -> None:
@@ -50,6 +50,8 @@ def _parse_matrix(text: str):
 
 
 def _cmd_rootsys(args) -> int:
+    from .roots import build_root_system, dynkin_diagram, format_root
+
     if args.action == "show" and args.format == "dot":
         print("usage error: --format dot is only valid for 'rootsys dynkin'", file=sys.stderr)
         return 2
@@ -85,6 +87,8 @@ def _cmd_rootsys(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from .catalog import catalog_entries
+
     entries = catalog_entries()
     if args.format == "json":
         _emit_json(
@@ -114,6 +118,9 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_parabolic(args) -> int:
+    from .catalog import catalog_lookup
+    from .parabolic import parabolic_data, phi_subset
+
     space = catalog_lookup(args.space)
     phi = phi_subset(space, _parse_phi(args.phi))
     data = parabolic_data(space, phi)
@@ -140,6 +147,9 @@ def _cmd_parabolic(args) -> int:
 
 
 def _cmd_horospherical(args) -> int:
+    from .catalog import catalog_lookup
+    from .parabolic import horospherical, phi_subset
+
     space = catalog_lookup(args.space)
     phi = phi_subset(space, _parse_phi(args.phi))
     data = horospherical(space, phi)
@@ -157,6 +167,9 @@ def _cmd_horospherical(args) -> int:
 
 
 def _cmd_foliations(args) -> int:
+    from .catalog import catalog_lookup
+    from .foliations import enumerate_foliations
+
     space = catalog_lookup(args.space)
     classes = enumerate_foliations(space, include_trivial=args.include_trivial)
     if args.codim is not None:
@@ -220,6 +233,8 @@ def _cmd_slmodel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import timed_suite
+
     failed = 0
     for (name, ok, detail), seconds in timed_suite(args.suite):
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}", flush=True)
@@ -312,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_slmodel, action="halfplane")
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    p.add_argument("--suite", default="all", choices=sorted(SUITES))
+    p.add_argument("--suite", default="all", choices=_SUITES)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -1,17 +1,21 @@
 """Enumeration of hyperpolar homogeneous foliation classes.
 
-A class is determined by an orthogonal subset Phi of the simple roots (no two
-chosen vertices adjacent in the Dynkin diagram) together with the dimension
-of a linear subspace V of the Euclidean factor E^{r - r_Phi}.  Each chosen
+A foliation F_{Phi,V} is determined by an orthogonal subset Phi of the
+simple roots (no two chosen vertices adjacent in the Dynkin diagram) together
+with a linear subspace V of the Euclidean factor E^{r - r_Phi}.  Each chosen
 root contributes a codimension-one foliation of a totally geodesic hyperbolic
 space F_alpha H^{n_alpha}; the V part foliates the Euclidean factor by
 parallel affine subspaces; the nilpotent factor N_Phi is taken whole.
 
-Classes are keyed by the orbit of Phi under the diagram automorphism group
-and by dim V.  Subspaces V of equal dimension give congruent foliations of
-the Euclidean factor, so only the dimension is recorded.  Whether classes
-with different keys are always non-congruent is not certified here; records
-are labeled accordingly.
+A record is keyed by (Phi orbit, dim V): the orbit of Phi under the diagram
+automorphism group, and the dimension of V, not V itself.  By part (iii) of
+the main theorem of Berndt, Diaz-Ramos and Tamaru, F_{Phi,V} and
+F_{Phi',V'} are congruent exactly when a diagram automorphism P has
+P(Phi) = Phi' and P_*V = V'; that does not make distinct V of one dimension
+congruent in M, so a record with 0 < dim V < r - r_Phi stands for a
+continuous family of foliations, not for one congruence class.  Whether
+records with different keys are always non-congruent is not certified here;
+records are labeled accordingly.
 
 For an orthogonal Phi the dimension of N_Phi has a closed form.  The support
 of a positive root is connected in the Dynkin diagram, and no two roots of

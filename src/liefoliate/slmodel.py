@@ -19,12 +19,15 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .catalog import SpaceDescriptor
 from .errors import LieFoliateError
-from .roots import Family, Root
+
+if TYPE_CHECKING:
+    from .catalog import SpaceDescriptor
+    from .roots import Root
 
 TAU_ALG = 1e-12
 TAU_NUM = 1e-10
@@ -53,9 +56,16 @@ def _as_array(x, *, square: bool = True) -> np.ndarray:
     a = np.array(getattr(x, "entries", x), dtype=float)
     if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
         raise LieFoliateError(f"expected a square matrix, got shape {a.shape}")
+    if a.size == 0:
+        raise LieFoliateError(f"expected a nonempty matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise LieFoliateError("matrix entries must be finite")
     return a
+
+
+def _is_traceless(a: np.ndarray) -> bool:
+    """|tr A| <= TAU_ALG * n * max|A_ij|: a tolerance that scales with A."""
+    return abs(np.trace(a)) <= TAU_ALG * a.shape[0] * np.abs(a).max()
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,13 +81,12 @@ class MatrixElement:
 
     def __post_init__(self) -> None:
         a = _as_array(self.entries)
-        scale = max(1.0, float(np.abs(a).max()))
-        if abs(np.trace(a)) > TAU_ALG * scale:
+        if not _is_traceless(a):
             raise LieFoliateError("matrix is not traceless")
         if self.tag is not None:
             if self.tag not in VALID_TAGS:
                 raise LieFoliateError(f"unknown tag {self.tag!r}; valid tags: {VALID_TAGS}")
-            tol = TAU_ALG * scale
+            tol = TAU_ALG * max(1.0, float(np.abs(a).max()))
             if self.tag == "k" and np.abs(a + a.T).max() > tol:
                 raise LieFoliateError("tag k requires a skew-symmetric matrix")
             if self.tag == "p" and np.abs(a - a.T).max() > tol:
@@ -157,11 +166,18 @@ def _coords_stack(stack: np.ndarray) -> np.ndarray:
 
 
 def bracket(x, y) -> MatrixElement:
-    """Commutator [X, Y] = XY - YX."""
+    """Commutator [X, Y] = XY - YX.
+
+    A commutator is traceless, so the trace it picks up in rounding is
+    removed from its diagonal: for commuting X and Y the computed result is
+    rounding error alone, whose trace is not small next to its own entries.
+    """
     a, b = _as_array(x), _as_array(y)
     if a.shape != b.shape:
         raise LieFoliateError(f"size mismatch: {a.shape} vs {b.shape}")
-    return MatrixElement(a @ b - b @ a)
+    c = a @ b - b @ a
+    c[np.diag_indices_from(c)] -= np.trace(c) / c.shape[0]
+    return MatrixElement(c)
 
 
 def ad_matrix(x) -> np.ndarray:
@@ -183,7 +199,7 @@ def killing_form(x, y) -> float:
     if a.shape != b.shape:
         raise LieFoliateError(f"size mismatch: {a.shape} vs {b.shape}")
     for name, m in (("X", a), ("Y", b)):
-        if abs(np.trace(m)) > TAU_ALG * m.shape[0] * np.abs(m).max(initial=0.0):
+        if not _is_traceless(m):
             raise LieFoliateError(f"{name} is not in sl(n,R): its trace is not zero")
     return float(np.trace(ad_matrix(a) @ ad_matrix(b)))
 
@@ -218,13 +234,18 @@ def restricted_root_decompose(x) -> dict[Root | None, MatrixElement]:
 
     The component at the root e_i* - e_j* is the single entry X[i,j] E_ij;
     zero components are omitted.  Summing all values reassembles X exactly.
+    The trace is tested on the diagonal part, which is returned as an element
+    of a and so must be traceless relative to its own entries; that test
+    implies the one relative to X.
     """
+    from .roots import Root
+
     a = _as_array(x)
     n = a.shape[0]
-    if abs(np.trace(a)) > TAU_ALG * max(1.0, np.abs(a).max()):
+    diag = np.diag(np.diag(a))
+    if not _is_traceless(diag):
         raise LieFoliateError("matrix is not traceless")
     out: dict[Root | None, MatrixElement] = {}
-    diag = np.diag(np.diag(a))
     if np.any(np.diag(a) != 0.0):
         out[None] = MatrixElement(diag, tag="a")
     for i in range(n):
@@ -400,6 +421,8 @@ def bracket_closure_residual(s: Subspace) -> float:
 
 
 def _check_sl_space(space: SpaceDescriptor) -> int:
+    from .roots import Family
+
     if space.family is not Family.A or any(
         space.m_alpha(i) != 1 for i in range(1, space.rank + 1)
     ):

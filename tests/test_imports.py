@@ -1,4 +1,5 @@
-"""The package loads numpy only for the matrix model."""
+"""Each CLI command loads only the package modules it calls, and numpy only
+for the matrix model."""
 
 import os
 import subprocess
@@ -8,12 +9,13 @@ from pathlib import Path
 import pytest
 
 import liefoliate
+from liefoliate import cli, verify
 
 SRC = Path(liefoliate.__file__).resolve().parent.parent
 
-# Runs the CLI as ``python -m liefoliate.cli`` does, then reports whether
-# numpy was loaded.  A fresh interpreter is needed: other tests load numpy
-# into this one.
+# Runs the CLI as ``python -m liefoliate.cli`` does, then reports the
+# package's modules that were loaded and whether numpy was.  A fresh
+# interpreter is needed: other tests load every module into this one.
 PROBE = """\
 import runpy, sys
 sys.argv = ["liefoliate", *sys.argv[1:]]
@@ -22,24 +24,50 @@ try:
 except SystemExit as exc:
     if exc.code:
         raise
-print("numpy" in sys.modules, file=sys.stderr)
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("liefoliate."))
+print(",".join(loaded), "numpy" in sys.modules, file=sys.stderr)
 """
 
 
-@pytest.mark.parametrize("argv", (
-    ("parabolic", "--space", "SL5", "--phi", "1,3"),
-    ("foliations", "enumerate", "--space", "so(5,2)"),
-    ("rootsys", "show", "--family", "E6", "--rank", "6"),
-    ("catalog", "list"),
-))
-def test_cli_commands_off_the_matrix_model_do_not_load_numpy(argv):
+def probe(*argv: str) -> tuple[set[str], bool]:
+    """The ``liefoliate.*`` modules and whether numpy was loaded.  The CLI
+    module itself runs as ``__main__`` and is not among them."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
-    assert proc.stderr.splitlines()[-1] == "False"
+    modules, numpy = proc.stderr.splitlines()[-1].split(" ")
+    return set(filter(None, modules.split(","))), numpy == "True"
+
+
+# ``data`` is the package that holds catalog.json, read through importlib.resources.
+CATALOG = {"errors", "roots", "catalog", "data"}
+
+
+@pytest.mark.parametrize("argv, expected", (
+    (("--version",), {"errors"}),
+    (("rootsys", "show", "--family", "E6", "--rank", "6"), {"errors", "roots"}),
+    (("catalog", "list"), CATALOG),
+    (("parabolic", "--space", "SL5", "--phi", "1,3"), CATALOG | {"parabolic"}),
+    (("horospherical", "--space", "su(4,2)", "--phi", "1"), CATALOG | {"parabolic"}),
+    (("foliations", "enumerate", "--space", "so(5,2)"), CATALOG | {"foliations"}),
+    (("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), {"errors", "slmodel"}),
+))
+def test_each_command_loads_only_the_modules_it_calls(argv, expected):
+    modules, numpy = probe(*argv)
+    assert modules == expected
+    assert numpy == ("slmodel" in expected)
+
+
+def test_importing_the_package_loads_no_module_and_lists_every_name():
+    code = ("import sys, liefoliate\n"
+            "print(sorted(m for m in sys.modules if m.startswith('liefoliate.')))\n"
+            "print(set(liefoliate.__all__) <= set(dir(liefoliate)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines() == ["[]", "True"]
 
 
 def test_every_public_name_resolves():
@@ -50,3 +78,7 @@ def test_every_public_name_resolves():
     assert set(liefoliate.__all__) <= set(namespace)
     with pytest.raises(AttributeError):
         liefoliate.no_such_name
+
+
+def test_cli_suite_choices_are_the_verify_suites():
+    assert cli._SUITES == tuple(sorted(verify.SUITES))

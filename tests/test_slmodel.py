@@ -62,6 +62,47 @@ def test_matrix_element_requires_traceless():
         MatrixElement(np.eye(2))
 
 
+@pytest.mark.parametrize("x", [
+    1e-13 * np.diag([1.0, 0.0]),  # tiny, so a tolerance of at least 1e-12 would pass it
+    1e-20 * np.diag([1.0, 0.0]),
+    1e20 * np.diag([1.0, -1.0, 1e-6]),
+])
+def test_trace_tolerance_is_relative_to_the_matrix(x):
+    with pytest.raises(LieFoliateError, match="traceless"):
+        MatrixElement(x)
+    with pytest.raises(LieFoliateError, match="traceless"):
+        restricted_root_decompose(x)
+
+
+def test_decompose_tests_the_trace_of_its_diagonal_part():
+    # Traceless relative to X, but the diagonal part it returns would not be.
+    x = np.array([[1e-13, 1.0], [1.0, 0.0]])
+    MatrixElement(x)
+    with pytest.raises(LieFoliateError, match="traceless"):
+        restricted_root_decompose(x)
+
+
+def test_shifted_random_matrices_are_traceless_at_every_scale():
+    rng = default_rng(5)
+    for n in range(2, 9):
+        x = traceless(rng, n)
+        for scale in (1e-20, 1e-8, 1.0, 1e8, 1e20):
+            MatrixElement(scale * x)
+            restricted_root_decompose(scale * x)
+
+
+@pytest.mark.parametrize("call", [
+    MatrixElement,
+    restricted_root_decompose,
+    iwasawa_group,
+    lambda x: killing_form(x, x),
+    lambda x: bracket(x, x),
+])
+def test_empty_matrix_is_a_domain_error(call):
+    with pytest.raises(LieFoliateError, match="nonempty"):
+        call(np.zeros((0, 0)))
+
+
 def test_matrix_element_tags_enforced():
     MatrixElement(np.array([[0.0, 1.0], [-1.0, 0.0]]), tag="k")
     with pytest.raises(LieFoliateError, match="skew"):
@@ -91,6 +132,17 @@ def test_bracket_examples():
     assert np.array_equal(bracket(h, e12).entries, 2.0 * e12)
     assert np.array_equal(bracket(e12, e21).entries, h)
     assert np.abs(bracket(e12, e12).entries).max() == 0.0
+
+
+def test_bracket_of_commuting_matrices_is_traceless():
+    # The computed [x, p(x)] is rounding error alone; its trace is removed.
+    rng = default_rng(11)
+    for n in range(2, 9):
+        for _ in range(50):
+            x = 10.0 ** rng.uniform(-8, 8) * traceless(rng, n)
+            for y in (x @ x, x @ x @ x + 3.0 * x):
+                z = bracket(x, y).entries
+                assert abs(np.trace(z)) <= TAU_ALG * n * np.abs(z).max()
 
 
 def test_bracket_size_mismatch():
