@@ -5,15 +5,24 @@ for Riemannian symmetric spaces of noncompact type: A_r, B_r, C_r, D_r, E6,
 E7, E8, F4, G2 and the non-reduced family BC_r.  Every root stores doubled
 integer coordinates, so the half-integer entries of the E-series and F4 stay
 exact and every inner product is a rational number.
+
+Each family is given only by a table of its simple roots.  One generator
+walks root strings up from them in simple-root coefficients, using the
+integer Cartan matrix, and maps the roots it finds to ambient coordinates
+once, at the end; BC_r adds 2 beta for each short root beta of B_r.  The
+same walk gives every root's simple-root coefficients and support mask, and
+the Dynkin diagram is read off the same Cartan matrix.  Positive roots are
+ordered by height, then by their coefficients in descending lexicographic
+order, so ``positive`` begins with the simple roots in order.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import add
 
 from .errors import LieFoliateError
 
@@ -138,188 +147,40 @@ def reflect(lam: Root, x: Root) -> Root:
     return Root(tuple(scaled))
 
 
-def _unit(dim: int, i: int, value: int = SCALE) -> tuple[int, ...]:
-    v = [0] * dim
-    v[i] = value
-    return tuple(v)
+def _vector(dim: int, entries: dict[int, int]) -> tuple[int, ...]:
+    return tuple(entries.get(k, 0) for k in range(dim))
 
 
-def _e(dim: int, i: int) -> Root:
-    """e_{i+1} as a Root (0-based index)."""
-    return Root(_unit(dim, i))
+def _chain(dim: int) -> tuple[tuple[int, ...], ...]:
+    """e_1 - e_2, ..., e_{dim-1} - e_dim in doubled coordinates."""
+    return tuple(_vector(dim, {i: SCALE, i + 1: -SCALE}) for i in range(dim - 1))
 
 
-def _pair_sum(dim: int, i: int, j: int, si: int, sj: int) -> Root:
-    v = [0] * dim
-    v[i] = si * SCALE
-    v[j] = sj * SCALE
-    return Root(tuple(v))
+# alpha_1, ..., alpha_8 of E8; E6 and E7 use the first six and seven.
+_E8_SIMPLE = (
+    (1, -1, -1, -1, -1, -1, -1, 1),
+    (2, 2, 0, 0, 0, 0, 0, 0),
+    (-2, 2, 0, 0, 0, 0, 0, 0),
+    (0, -2, 2, 0, 0, 0, 0, 0),
+    (0, 0, -2, 2, 0, 0, 0, 0),
+    (0, 0, 0, -2, 2, 0, 0, 0),
+    (0, 0, 0, 0, -2, 2, 0, 0),
+    (0, 0, 0, 0, 0, -2, 2, 0),
+)
 
-
-def _build_a(r: int):
-    dim = r + 1
-    positive = [_pair_sum(dim, i, j, 1, -1) for i in range(dim) for j in range(i + 1, dim)]
-    simple = [_pair_sum(dim, i, i + 1, 1, -1) for i in range(r)]
-    return dim, positive, simple
-
-
-def _build_b(r: int):
-    dim = r
-    positive = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            positive.append(_pair_sum(dim, i, j, 1, -1))
-            positive.append(_pair_sum(dim, i, j, 1, 1))
-    positive.extend(_e(dim, i) for i in range(r))
-    simple = [_pair_sum(dim, i, i + 1, 1, -1) for i in range(r - 1)]
-    simple.append(_e(dim, r - 1))
-    return dim, positive, simple
-
-
-def _build_c(r: int):
-    dim = r
-    positive = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            positive.append(_pair_sum(dim, i, j, 1, -1))
-            positive.append(_pair_sum(dim, i, j, 1, 1))
-    positive.extend(Root(_unit(dim, i, 2 * SCALE)) for i in range(r))
-    simple = [_pair_sum(dim, i, i + 1, 1, -1) for i in range(r - 1)]
-    simple.append(Root(_unit(dim, r - 1, 2 * SCALE)))
-    return dim, positive, simple
-
-
-def _build_d(r: int):
-    dim = r
-    positive = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            positive.append(_pair_sum(dim, i, j, 1, -1))
-            positive.append(_pair_sum(dim, i, j, 1, 1))
-    simple = [_pair_sum(dim, i, i + 1, 1, -1) for i in range(r - 1)]
-    simple.append(_pair_sum(dim, r - 2, r - 1, 1, 1))
-    return dim, positive, simple
-
-
-def _build_bc(r: int):
-    dim = r
-    positive = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            positive.append(_pair_sum(dim, i, j, 1, -1))
-            positive.append(_pair_sum(dim, i, j, 1, 1))
-    positive.extend(_e(dim, i) for i in range(r))
-    positive.extend(Root(_unit(dim, i, 2 * SCALE)) for i in range(r))
-    simple = [_pair_sum(dim, i, i + 1, 1, -1) for i in range(r - 1)]
-    simple.append(_e(dim, r - 1))
-    return dim, positive, simple
-
-
-def _half_root(signs) -> Root:
-    # signs is a full tuple of +-1; coordinates are signs/2, stored as odd ints.
-    return Root(tuple(int(s) for s in signs))
-
-
-def _e_simple_roots(count: int) -> list[Root]:
-    # Shared by E6/E7/E8: alpha_1 is a half root, alpha_2 = e1+e2, then
-    # alpha_i = e_{i-1} - e_{i-2}.
-    dim = 8
-    alpha1 = _half_root((1, -1, -1, -1, -1, -1, -1, 1))
-    alpha2 = _pair_sum(dim, 0, 1, 1, 1)
-    rest = [_pair_sum(dim, i - 2, i - 3, 1, -1) for i in range(3, count + 1)]
-    return [alpha1, alpha2] + rest
-
-
-def _build_e8(r: int):
-    dim = 8
-    positive = []
-    for i in range(dim):
-        for j in range(i):
-            positive.append(_pair_sum(dim, i, j, 1, -1))
-            positive.append(_pair_sum(dim, i, j, 1, 1))
-    # Half roots with coefficient +1/2 on e8 and an even number of minus
-    # signs among the first seven coordinates.
-    for signs in itertools.product((1, -1), repeat=7):
-        if sum(1 for s in signs if s < 0) % 2 == 0:
-            positive.append(_half_root(signs + (1,)))
-    return dim, positive, _e_simple_roots(8)
-
-
-def _build_e7(r: int):
-    dim = 8
-    positive = []
-    for i in range(6):
-        for j in range(i):
-            positive.append(_pair_sum(dim, i, j, 1, -1))
-            positive.append(_pair_sum(dim, i, j, 1, 1))
-    positive.append(_pair_sum(dim, 7, 6, 1, -1))
-    # Half roots orthogonal to e7+e8: sign pattern (-1 on e7, +1 on e8) with an
-    # odd number of minus signs among the first six coordinates.
-    for signs in itertools.product((1, -1), repeat=6):
-        if sum(1 for s in signs if s < 0) % 2 == 1:
-            positive.append(_half_root(signs + (-1, 1)))
-    return dim, positive, _e_simple_roots(7)
-
-
-def _build_e6(r: int):
-    dim = 8
-    positive = []
-    for i in range(5):
-        for j in range(i):
-            positive.append(_pair_sum(dim, i, j, 1, -1))
-            positive.append(_pair_sum(dim, i, j, 1, 1))
-    # Half roots orthogonal to e6-e7 and e7+e8, with an even number of minus
-    # signs among the first five coordinates.
-    for signs in itertools.product((1, -1), repeat=5):
-        if sum(1 for s in signs if s < 0) % 2 == 0:
-            positive.append(_half_root(signs + (-1, -1, 1)))
-    return dim, positive, _e_simple_roots(6)
-
-
-def _build_f4(r: int):
-    dim = 4
-    positive = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            positive.append(_pair_sum(dim, i, j, 1, -1))
-            positive.append(_pair_sum(dim, i, j, 1, 1))
-    positive.extend(_e(dim, i) for i in range(4))
-    for signs in itertools.product((1, -1), repeat=3):
-        positive.append(_half_root((1,) + signs))
-    simple = [
-        _pair_sum(dim, 1, 2, 1, -1),
-        _pair_sum(dim, 2, 3, 1, -1),
-        _e(dim, 3),
-        _half_root((1, -1, -1, -1)),
-    ]
-    return dim, positive, simple
-
-
-def _build_g2(r: int):
-    dim = 3
-    positive = [
-        Root((2, -2, 0)),
-        Root((-4, 2, 2)),
-        Root((-2, 0, 2)),
-        Root((0, -2, 2)),
-        Root((2, -4, 2)),
-        Root((-2, -2, 4)),
-    ]
-    simple = [positive[0], positive[1]]
-    return dim, positive, simple
-
-
-_BUILDERS = {
-    Family.A: _build_a,
-    Family.B: _build_b,
-    Family.C: _build_c,
-    Family.D: _build_d,
-    Family.E6: _build_e6,
-    Family.E7: _build_e7,
-    Family.E8: _build_e8,
-    Family.F4: _build_f4,
-    Family.G2: _build_g2,
-    Family.BC: _build_bc,
+# Simple roots alpha_1, ..., alpha_r of each family at rank r, in doubled
+# coordinates (Bourbaki, Lie IV-VI, Plates I-IX).  BC_r shares those of B_r.
+_SIMPLE_ROOTS = {
+    Family.A: lambda r: _chain(r + 1),
+    Family.B: lambda r: _chain(r) + (_vector(r, {r - 1: SCALE}),),
+    Family.C: lambda r: _chain(r) + (_vector(r, {r - 1: 2 * SCALE}),),
+    Family.D: lambda r: _chain(r) + (_vector(r, {r - 2: SCALE, r - 1: SCALE}),),
+    Family.E6: lambda r: _E8_SIMPLE[:6],
+    Family.E7: lambda r: _E8_SIMPLE[:7],
+    Family.E8: lambda r: _E8_SIMPLE,
+    Family.F4: lambda r: ((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)),
+    Family.G2: lambda r: ((2, -2, 0), (-4, 2, 2)),
+    Family.BC: lambda r: _SIMPLE_ROOTS[Family.B](r),
 }
 
 
@@ -341,9 +202,104 @@ def _independent(vectors) -> bool:
     return rank == len(rows)
 
 
+def _cartan_matrix(simple) -> tuple[tuple[int, ...], ...]:
+    """A_ij = 2<alpha_i, alpha_j>/<alpha_j, alpha_j> of the given simple roots.
+
+    Raises unless the simple roots are independent, every entry is an integer
+    and A_ij <= 0 for i != j, as for the simple roots of a crystallographic
+    root system.
+    """
+    if not _independent(simple):
+        raise LieFoliateError("simple roots are linearly dependent")
+    norms = [sum(a * a for a in alpha) for alpha in simple]
+    cartan = []
+    for i, a in enumerate(simple):
+        row = []
+        for j, b in enumerate(simple):
+            num = 2 * sum(x * y for x, y in zip(a, b))
+            if num % norms[j]:
+                raise LieFoliateError(
+                    f"Cartan entry A_{i + 1},{j + 1} = {Fraction(num, norms[j])} is not an integer"
+                )
+            if i != j and num > 0:
+                raise LieFoliateError(
+                    f"Cartan entry A_{i + 1},{j + 1} is positive: simple roots must not make an acute angle"
+                )
+            row.append(num // norms[j])
+        cartan.append(tuple(row))
+    return tuple(cartan)
+
+
+def _positive_roots(family: Family, simple, cartan) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(simple-root coefficients, doubled coordinates) of each positive root, in canonical order.
+
+    Walks root strings up from the simple roots, one height at a time
+    (Humphreys, Intro. to Lie Algebras, 9.4 and 10.2).  If the alpha_i-string
+    through a positive root beta starts at beta - p alpha_i, it ends at
+    beta + q alpha_i with q = p - <beta, alpha_i^vee>, so beta + alpha_i is a
+    root iff p - <beta, alpha_i^vee> > 0.  Every root below beta is found
+    before beta's level is walked, so p is read off the roots found.  Each
+    root keeps its pairings <beta, alpha_i^vee> = sum_j c_j A_ji, and
+    beta + alpha_i adds row i of the Cartan matrix to them.  BC_r adds
+    2 beta for each short root beta.  The order is by height, then by
+    coefficients in descending lexicographic order, so the first r roots
+    are the simple roots in order.
+    """
+    r = len(simple)
+    units = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    pairings = dict(zip(units, cartan))
+    parents: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    level = units
+    while level:
+        above: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        for c in level:
+            n = pairings[c]
+            for i in range(r):
+                p, down = 0, c
+                while down[i]:
+                    down = down[:i] + (down[i] - 1,) + down[i + 1:]
+                    if down not in pairings:
+                        break
+                    p += 1
+                if p - n[i] > 0:
+                    above.setdefault(c[:i] + (c[i] + 1,) + c[i + 1:], (c, i))
+        for up, (c, i) in above.items():
+            pairings[up] = tuple(map(add, pairings[c], cartan[i]))
+        parents.update(above)
+        level = list(above)
+    # Parents are listed before their children, so each root's coordinates
+    # are one vector sum away from its parent's.
+    coords = dict(zip(units, simple))
+    for up, (c, i) in parents.items():
+        coords[up] = tuple(map(add, coords[c], simple[i]))
+    if family is Family.BC:
+        short = min(sum(a * a for a in alpha) for alpha in simple)
+        for c, v in list(coords.items()):
+            if sum(a * a for a in v) == short:
+                coords[tuple(2 * x for x in c)] = tuple(2 * a for a in v)
+    order = sorted(coords, key=lambda c: (sum(c), [-x for x in c]))
+    return [(c, coords[c]) for c in order]
+
+
+def _generate(family: Family, rank: int, simple) -> "RootSystem":
+    """The root system spanned by the given simple roots (doubled-integer tuples)."""
+    cartan = _cartan_matrix(simple)
+    walk = _positive_roots(family, simple, cartan)
+    positive = tuple(Root(v) for _, v in walk)
+    roots = frozenset(positive) | frozenset(-lam for lam in positive)
+    coefficients = tuple(c for c, _ in walk)
+    return RootSystem(family, rank, len(simple[0]), roots, positive, positive[:rank],
+                      cartan, coefficients)
+
+
 @dataclass(frozen=True)
 class RootSystem:
-    """A full root system: all roots, a choice of positives, and simple roots."""
+    """A full root system: all roots, a choice of positives, and simple roots.
+
+    ``positive`` is in canonical order (see ``_positive_roots``) and begins
+    with ``simple``; ``cartan`` is the Cartan matrix of ``simple`` and
+    ``coefficients`` the simple-root coefficients of each positive root.
+    """
 
     family: Family
     rank: int
@@ -351,56 +307,24 @@ class RootSystem:
     roots: frozenset[Root]
     positive: tuple[Root, ...]
     simple: tuple[Root, ...]
+    cartan: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
+    coefficients: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     def __contains__(self, root: Root) -> bool:
         return root in self.roots
-
-    @property
-    def negative(self) -> tuple[Root, ...]:
-        return tuple(-p for p in self.positive)
 
     @cached_property
     def _expansion(self) -> tuple[dict[Root, tuple[int, ...]], dict[Root, int]]:
         """Simple-root coefficients and support bitmasks of every root.
 
-        Walks the positive roots by height: every positive root that is not
-        simple is beta + alpha_i for a positive root beta one level lower
-        (Humphreys, Intro. to Lie Algebras, 10.2), so coeff(beta) + e_i is its
-        expansion once the simple roots are independent.  Bit i-1 of a mask
-        is set when alpha_i occurs.  Tables are keyed by the system's own
-        Root objects.
+        Tables are keyed by the system's own Root objects; a negative root
+        has the negated coefficients and the same mask as its positive.
         """
-        if not _independent(r.scaled for r in self.simple):
-            raise LieFoliateError("simple roots are linearly dependent")
-        by_scaled = {p.scaled: p for p in self.positive}
         coeffs: dict[Root, tuple[int, ...]] = {}
         masks: dict[Root, int] = {}
-        level = []
-        for i, alpha in enumerate(self.simple):
-            coeffs[alpha] = tuple(int(j == i) for j in range(self.rank))
-            masks[alpha] = 1 << i
-            level.append(alpha)
-        while level:
-            above = []
-            for beta in level:
-                c, m = coeffs[beta], masks[beta]
-                for i, alpha in enumerate(self.simple):
-                    lam = by_scaled.get(tuple(a + b for a, b in zip(beta.scaled, alpha.scaled)))
-                    if lam is not None and lam not in coeffs:
-                        coeffs[lam] = c[:i] + (c[i] + 1,) + c[i + 1:]
-                        masks[lam] = m | (1 << i)
-                        above.append(lam)
-            level = above
-        for p in self.positive:
-            if p not in coeffs:
-                raise LieFoliateError(
-                    f"positive root {p} is not a sum of simple roots through positive roots"
-                )
-        for lam in self.roots:
-            if lam not in coeffs:
-                p = -lam
-                coeffs[lam] = tuple(-c for c in coeffs[p])
-                masks[lam] = masks[p]
+        for (lam, neg, mask), c in zip(self.rows, self.coefficients):
+            coeffs[lam], coeffs[neg] = c, tuple(-x for x in c)
+            masks[lam] = masks[neg] = mask
         return coeffs, masks
 
     def simple_coefficients(self, root: Root) -> tuple[int, ...]:
@@ -422,9 +346,11 @@ class RootSystem:
         Both roots of a row are the system's own Root objects, so a scan over
         the rows builds no Root.
         """
-        masks = self.support_masks
         own = {lam.scaled: lam for lam in self.roots}
-        return tuple((lam, own[tuple(-c for c in lam.scaled)], masks[lam]) for lam in self.positive)
+        return tuple(
+            (lam, own[tuple(-x for x in lam.scaled)], sum(1 << i for i, x in enumerate(c) if x))
+            for lam, c in zip(self.positive, self.coefficients)
+        )
 
     @cached_property
     def positive_index(self) -> dict[Root, int]:
@@ -455,40 +381,27 @@ class RootSystem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RootSystem":
-        rs = cls(
-            family=Family(data["family"]),
-            rank=data["rank"],
-            ambient_dim=data["ambient_dim"],
-            roots=frozenset(Root(tuple(c)) for c in data["roots"]),
-            positive=tuple(Root(tuple(c)) for c in data["positive"]),
-            simple=tuple(Root(tuple(c)) for c in data["simple"]),
-        )
-        _validate_system(rs)
+        """Generate the system from the listed simple roots and check the rest against it.
+
+        The simple roots must have the Cartan matrix of ``build_root_system``
+        for the family and rank, and the listed positive roots must be the
+        generated ones, in any order; the result lists them in canonical order.
+        """
+        family, rank = Family(data["family"]), data["rank"]
+        simple = tuple(Root(tuple(c)).scaled for c in data["simple"])
+        if len(simple) != rank or rank < 1:
+            raise LieFoliateError("number of simple roots must equal the rank, which is at least 1")
+        if any(len(alpha) != data["ambient_dim"] for alpha in simple):
+            raise LieFoliateError("simple roots must have ambient_dim coordinates")
+        rs = _generate(family, rank, simple)
+        if rs.cartan != build_root_system(family, rank).cartan:
+            raise LieFoliateError(f"simple roots do not have the Cartan matrix of {family.value}_{rank}")
+        positive = [Root(tuple(c)) for c in data["positive"]]
+        if len(positive) != len(rs.positive) or set(positive) != set(rs.positive):
+            raise LieFoliateError("positive roots are not those the simple roots generate")
+        if frozenset(Root(tuple(c)) for c in data["roots"]) != rs.roots:
+            raise LieFoliateError("root set is not the positive roots and their negatives")
         return rs
-
-
-def _validate_system(rs: RootSystem) -> None:
-    pos = set(rs.positive)
-    neg = {-p for p in rs.positive}
-    if pos & neg:
-        raise LieFoliateError("positive roots meet their negatives")
-    if rs.roots != pos | neg:
-        raise LieFoliateError("root set is not the disjoint union of positives and negatives")
-    if not set(rs.simple) <= pos:
-        raise LieFoliateError("simple roots must be positive")
-    if len(rs.simple) != rs.rank:
-        raise LieFoliateError("number of simple roots must equal the rank")
-    # Building the expansion raises unless the simple roots are independent
-    # and reach every positive root.
-    rs._expansion
-    doubled = {r for r in rs.roots if r.double() in rs.roots}
-    if rs.family is Family.BC:
-        expected = {r for r in rs.roots if sum(1 for c in r.scaled if c) == 1 and
-                    all(c in (0, SCALE, -SCALE) for c in r.scaled)}
-        if doubled != expected:
-            raise LieFoliateError("BC system must double exactly the short basis roots")
-    elif doubled:
-        raise LieFoliateError(f"{rs.family.value} system must be reduced")
 
 
 @lru_cache(maxsize=None)
@@ -504,11 +417,7 @@ def build_root_system(family: Family | str, rank: int) -> RootSystem:
     if not isinstance(rank, int) or rank < lo or (hi is not None and rank > hi):
         span = f"rank = {lo}" if hi == lo else f"rank >= {lo}"
         raise LieFoliateError(f"invalid rank {rank} for family {family.value}: valid range is {span}")
-    dim, positive, simple = _BUILDERS[family](rank)
-    roots = frozenset(positive) | frozenset(-p for p in positive)
-    rs = RootSystem(family, rank, dim, roots, tuple(positive), tuple(simple))
-    _validate_system(rs)
-    return rs
+    return _generate(family, rank, _SIMPLE_ROOTS[family](rank))
 
 
 @dataclass(frozen=True)
@@ -626,35 +535,31 @@ def dynkin_diagram(rs: RootSystem) -> DynkinDiagram:
     """Dynkin diagram of a root system.
 
     Vertices are the simple roots, double-circled when the doubled root is
-    again a root.  Two vertices are joined by 4<a,b>^2 / (<a,a><b,b>) lines
-    (an exact integer in {0,1,2,3}); on multiple edges an arrow points from
-    the longer root to the shorter one.  The diagram is built once per root
-    system and the same immutable object is returned on every call.
+    again a root.  Vertices i and j are joined by A_ij A_ji lines, read off
+    the Cartan matrix; on a multiple edge the arrow runs from i to j when
+    |A_ij| > |A_ji|, that is from the longer root to the shorter one.  The
+    diagram is built once per root system and the same immutable object is
+    returned on every call.
     """
     return rs._dynkin_diagram
 
 
 def _build_dynkin_diagram(rs: RootSystem) -> DynkinDiagram:
+    a = rs.cartan
     vertices = tuple(
         DynkinVertex(i + 1, rs.simple[i].double() in rs.roots) for i in range(rs.rank)
     )
     edges = []
     for i in range(rs.rank):
         for j in range(i + 1, rs.rank):
-            a, b = rs.simple[i], rs.simple[j]
-            ab = inner(a, b)
-            q = 4 * ab * ab / (inner(a, a) * inner(b, b))
-            if q.denominator != 1 or int(q) not in (0, 1, 2, 3):
-                raise LieFoliateError(f"unexpected angle between simple roots {i+1}, {j+1}")
-            lines = int(q)
+            lines = a[i][j] * a[j][i]
             if lines == 0:
                 continue
             arrow = None
-            if lines >= 2:
-                la, lb = inner(a, a), inner(b, b)
-                if la == lb:
-                    raise LieFoliateError("multiple edge between roots of equal length")
-                arrow = (i + 1, j + 1) if la > lb else (j + 1, i + 1)
+            if abs(a[i][j]) > abs(a[j][i]):
+                arrow = (i + 1, j + 1)
+            elif abs(a[j][i]) > abs(a[i][j]):
+                arrow = (j + 1, i + 1)
             edges.append(DynkinEdge(i + 1, j + 1, lines, arrow))
     notes = ()
     if rs.family is Family.BC:

@@ -52,9 +52,9 @@ def default_rng(seed: int | None = None) -> np.random.Generator:
     return np.random.default_rng(sampling_seed() if seed is None else seed)
 
 
-def _as_array(x, *, square: bool = True) -> np.ndarray:
+def _as_array(x) -> np.ndarray:
     a = np.array(getattr(x, "entries", x), dtype=float)
-    if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise LieFoliateError(f"expected a square matrix, got shape {a.shape}")
     if a.size == 0:
         raise LieFoliateError(f"expected a nonempty matrix, got shape {a.shape}")
@@ -566,7 +566,7 @@ def build_s_phi_v(
         for idx, mat in ell_choice.items():
             if idx not in indices:
                 raise LieFoliateError(f"ell choice given for index {idx} outside Phi")
-            m = _as_array(mat, square=True)
+            m = _as_array(mat)
             if m.shape != (n, n):
                 raise LieFoliateError("ell choice has the wrong matrix size")
             probe = m.copy()

@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liefoliate.errors import LieFoliateError
 from liefoliate.roots import (
+    RANK_RANGES,
     Family,
     Root,
     RootSystem,
@@ -31,6 +34,21 @@ COUNTS = {
 }
 
 ALL_SYSTEMS = sorted(COUNTS)
+
+# |Sigma+| of every family (Bourbaki, Lie IV-VI, Plates I-IX).
+POSITIVE_COUNTS = {
+    "A": lambda r: r * (r + 1) // 2, "B": lambda r: r * r, "C": lambda r: r * r,
+    "D": lambda r: r * (r - 1), "BC": lambda r: r * (r + 1),
+    "E6": lambda r: 36, "E7": lambda r: 63, "E8": lambda r: 120, "F4": lambda r: 24,
+    "G2": lambda r: 6,
+}
+
+# Every family at every valid rank up to 16.
+SYSTEMS_TO_16 = [
+    (family.value, r)
+    for family, (lo, hi) in RANK_RANGES.items()
+    for r in range(lo, (hi or 16) + 1)
+]
 
 
 def test_root_rejects_zero_vector():
@@ -167,13 +185,71 @@ def test_rows_align_with_positive_and_reuse_the_system_roots(family, rank):
         assert mask == rs.support_masks[lam]
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SYSTEMS_TO_16))
+def test_generated_system_is_closed_counted_and_canonically_ordered(case):
+    family, rank = case
+    rs = build_root_system(family, rank)
+    for alpha in rs.simple:
+        for lam in rs.roots:
+            assert reflect(alpha, lam) in rs.roots
+    assert len(rs.positive) == POSITIVE_COUNTS[family](rank)
+    coeffs = [rs.simple_coefficients(lam) for lam in rs.positive]
+    assert all(c >= 0 for cs in coeffs for c in cs)
+    # Heights never decrease; within one height, coefficients descend
+    # lexicographically.
+    assert coeffs == sorted(coeffs, key=lambda cs: (sum(cs), [-c for c in cs]))
+    assert rs.positive[:rank] == rs.simple
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("BC", 2), ("E6", 6), ("G2", 2)])
 def test_from_dict_rejects_a_positive_root_swapped_for_its_negative(family, rank):
     rs = build_root_system(family, rank)
     data = rs.to_dict()
     k = next(k for k, lam in enumerate(rs.positive) if lam not in rs.simple)
     data["positive"][k] = [-c for c in data["positive"][k]]
-    with pytest.raises(LieFoliateError, match="not a sum of simple roots"):
+    with pytest.raises(LieFoliateError, match="not those the simple roots generate"):
+        RootSystem.from_dict(data)
+
+
+def _left_out(data):
+    lam = data["positive"].pop()
+    data["roots"].remove(lam)
+    data["roots"].remove([-c for c in lam])
+
+
+def _emptied(data):
+    data["rank"], data["simple"], data["positive"], data["roots"] = 0, [], [], []
+
+
+def _relabelled(data):
+    data["family"] = "B"
+
+
+def _alpha2_negated(data):
+    data["simple"][1] = [-c for c in data["simple"][1]]
+
+
+def _alpha2_doubled(data):
+    data["simple"][1] = [2 * c for c in data["simple"][1]]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_left_out, "not those the simple roots generate"),
+        (_emptied, "which is at least 1"),
+        (_relabelled, "do not have the Cartan matrix of B_3"),
+        (_alpha2_negated, "A_1,2 is positive"),
+        (_alpha2_doubled, "A_1,2 = -1/2 is not an integer"),
+    ],
+    ids=["positive-root-left-out", "no-simple-roots", "family-relabelled",
+         "acute-simple-pair", "non-integral-cartan-entry"],
+)
+def test_from_dict_rejects_an_edited_system(edit, message):
+    data = build_root_system("A", 3).to_dict()
+    edit(data)
+    with pytest.raises(LieFoliateError, match=message):
         RootSystem.from_dict(data)
 
 
