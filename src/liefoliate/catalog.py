@@ -145,10 +145,6 @@ class SpaceDescriptor:
     def dimension(self) -> int:
         return space_dimension(self)
 
-    @property
-    def is_split(self) -> bool:
-        return self.dim_k0 == 0 and all(self.m_alpha(i) == 1 for i in range(1, self.rank + 1))
-
     def to_dict(self) -> dict:
         mults = [list(m) if isinstance(m, tuple) else m for m in self.simple_mults]
         return {

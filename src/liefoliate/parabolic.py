@@ -241,11 +241,12 @@ def boundary_components(space: SpaceDescriptor, phi: PhiSubset) -> list[Boundary
     # The support of a root is connected, so each root of Sigma_Phi^+ lies in
     # the span of exactly one component: the one holding its lowest set bit.
     component_of = {i: k for k, component in enumerate(components) for i in component}
-    masks, index, mults = rs.support_masks, rs.positive_index, space.positive_mults
+    rows, index, mults = rs.rows, rs.positive_index, space.positive_mults
     component_mults: list[list[int]] = [[] for _ in components]
     for lam in sigma_pos:
-        mask = masks[lam]
-        component_mults[component_of[(mask & -mask).bit_length()]].append(mults[index[lam]])
+        k = index[lam]
+        mask = rows[k][2]
+        component_mults[component_of[(mask & -mask).bit_length()]].append(mults[k])
     factors = []
     for component, comp_mults in zip(components, component_mults):
         rank = len(component)

@@ -313,35 +313,21 @@ class RootSystem:
     def __contains__(self, root: Root) -> bool:
         return root in self.roots
 
-    @cached_property
-    def _expansion(self) -> tuple[dict[Root, tuple[int, ...]], dict[Root, int]]:
-        """Simple-root coefficients and support bitmasks of every root.
-
-        Tables are keyed by the system's own Root objects; a negative root
-        has the negated coefficients and the same mask as its positive.
-        """
-        coeffs: dict[Root, tuple[int, ...]] = {}
-        masks: dict[Root, int] = {}
-        for (lam, neg, mask), c in zip(self.rows, self.coefficients):
-            coeffs[lam], coeffs[neg] = c, tuple(-x for x in c)
-            masks[lam] = masks[neg] = mask
-        return coeffs, masks
-
     def simple_coefficients(self, root: Root) -> tuple[int, ...]:
         """Integer coefficients of a root of the system over the simple roots."""
-        try:
-            return self._expansion[0][root]
-        except KeyError:
+        k = self.positive_index.get(root)
+        if k is not None:
+            return self.coefficients[k]
+        k = self.positive_index.get(-root)
+        if k is None:
             raise LieFoliateError(f"{root} is not a root of {self.family.value}_{self.rank}")
-
-    @property
-    def support_masks(self) -> dict[Root, int]:
-        """Root -> bitmask of its support: bit i-1 is set when alpha_i occurs."""
-        return self._expansion[1]
+        return tuple(-x for x in self.coefficients[k])
 
     @cached_property
     def rows(self) -> tuple[tuple[Root, Root, int], ...]:
         """(lambda, -lambda, support mask) for each lambda of ``positive``, in order.
+
+        Bit i-1 of the mask is set when alpha_i occurs in lambda.
 
         Both roots of a row are the system's own Root objects, so a scan over
         the rows builds no Root.
@@ -387,7 +373,14 @@ class RootSystem:
         for the family and rank, and the listed positive roots must be the
         generated ones, in any order; the result lists them in canonical order.
         """
-        family, rank = Family(data["family"]), data["rank"]
+        missing = [key for key in ("family", "rank", "ambient_dim", "simple", "positive", "roots")
+                   if key not in data]
+        if missing:
+            raise LieFoliateError(f"root system data lacks {', '.join(missing)}")
+        try:
+            family, rank = Family(data["family"]), data["rank"]
+        except ValueError:
+            raise LieFoliateError(f"unknown root system family {data['family']!r}") from None
         simple = tuple(Root(tuple(c)).scaled for c in data["simple"])
         if len(simple) != rank or rank < 1:
             raise LieFoliateError("number of simple roots must equal the rank, which is at least 1")

@@ -5,7 +5,8 @@ fixed basis, the Cartan splitting into skew and symmetric parts, the
 restricted root space decomposition, group-level Iwasawa factorization
 g = k a n, Lie-triple-system testing, the foliation subalgebras built from an
 orthogonal subset Phi and a Euclidean direction count, and the SL_2 action on
-the upper half plane.
+the upper half plane.  Every root space is a line here, so no construction
+chooses inside one; random samples use the fixed seed DEFAULT_SEED = 1729.
 
 Two tolerances are used throughout: TAU_ALG (1e-12) for identities that are
 exact in principle and only pick up rounding error on small integer bases,
@@ -16,7 +17,6 @@ conditioning error accumulates.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -34,22 +34,11 @@ TAU_NUM = 1e-10
 
 DEFAULT_SEED = 1729
 
-VALID_TAGS = ("g", "k", "p", "a", "n", "q_phi", "s_phi_v")
+VALID_TAGS = ("k", "p", "a", "n")
 
 
-def sampling_seed() -> int:
-    """Default RNG seed; the LIEFOLIATE_SEED environment variable overrides it."""
-    raw = os.environ.get("LIEFOLIATE_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise LieFoliateError(f"LIEFOLIATE_SEED must be an integer, got {raw!r}")
-
-
-def default_rng(seed: int | None = None) -> np.random.Generator:
-    return np.random.default_rng(sampling_seed() if seed is None else seed)
+def default_rng(seed: int = DEFAULT_SEED) -> np.random.Generator:
+    return np.random.default_rng(seed)
 
 
 def _as_array(x) -> np.ndarray:
@@ -147,17 +136,8 @@ def sl_basis(n: int) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
-def basis_coords(x) -> np.ndarray:
-    """Coordinates of a traceless matrix over sl_basis(n)."""
-    a = _as_array(x)
-    n = a.shape[0]
-    off = np.array([a[i, j] for i, j in _basis_indices(n)])
-    diag = np.cumsum(np.diag(a))[: n - 1]
-    return np.concatenate([off, diag])
-
-
 def _coords_stack(stack: np.ndarray) -> np.ndarray:
-    # Vectorized basis_coords for a stack of matrices (k, n, n) -> (k, n*n-1).
+    # Coordinates over sl_basis(n) of a stack of traceless matrices (k, n, n) -> (k, n*n-1).
     k, n, _ = stack.shape
     idx = _basis_indices(n)
     off = stack[:, [i for i, _ in idx], [j for _, j in idx]]
@@ -223,10 +203,6 @@ def metric_inner(x, y) -> float:
     a, b = _as_array(x), _as_array(y)
     n = a.shape[0]
     return 2.0 * n * float(np.sum(a * b))
-
-
-def metric_norm(x) -> float:
-    return math.sqrt(max(metric_inner(x, x), 0.0))
 
 
 def restricted_root_decompose(x) -> dict[Root | None, MatrixElement]:
@@ -355,17 +331,6 @@ class Subspace:
     def size(self) -> int:
         return self.basis[0].size if self.basis else 0
 
-    def contains(self, x, tol: float = TAU_ALG) -> bool:
-        """Whether x lies in the span of the basis, up to tolerance."""
-        a = _as_array(x)
-        if not self.basis:
-            return bool(np.abs(a).max() <= tol)
-        flat = np.stack([b.entries.ravel() for b in self.basis], axis=1)
-        q, _ = np.linalg.qr(flat)
-        v = a.ravel()
-        resid = v - q @ (q.T @ v)
-        return bool(np.abs(resid).max() <= tol * max(1.0, np.abs(a).max()))
-
 
 def subspace(mats, label: str = "", tag: str | None = None) -> Subspace:
     return Subspace(tuple(as_element(m, tag) for m in mats), label)
@@ -375,6 +340,24 @@ def subspace(mats, label: str = "", tag: str | None = None) -> Subspace:
 class LieTripleResult:
     holds: bool
     residual: float
+
+
+def _basis_brackets(s: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """The basis of S stacked (k, n, n) and the brackets [B_i, B_j] of its pairs (k, k, n, n)."""
+    stack = np.stack([b.entries for b in s.basis])
+    pair = np.einsum("iab,jbc->ijac", stack, stack) - np.einsum("jab,ibc->ijac", stack, stack)
+    return stack, pair
+
+
+def _residual_outside_span(s: Subspace, mats: np.ndarray) -> float:
+    """Largest metric norm, over the matrices of the stack mats, of their part outside span(S)."""
+    n = s.size
+    flat = mats.reshape(-1, n * n)
+    span = np.stack([b.entries.ravel() for b in s.basis], axis=1)
+    q, _ = np.linalg.qr(span)
+    resid = flat - (flat @ q) @ q.T
+    norms = np.sqrt(np.maximum(np.sum(resid * resid, axis=1), 0.0) * 2.0 * n)
+    return float(norms.max())
 
 
 def is_lie_triple(s: Subspace) -> LieTripleResult:
@@ -388,36 +371,19 @@ def is_lie_triple(s: Subspace) -> LieTripleResult:
     for b in s.basis:
         if np.abs(b.entries - b.entries.T).max() > TAU_ALG * max(1.0, np.abs(b.entries).max()):
             raise LieFoliateError("Lie-triple test requires symmetric basis elements")
-    k = s.dim
-    if k == 0:
+    if s.dim == 0:
         return LieTripleResult(True, 0.0)
-    n = s.size
-    stack = np.stack([b.entries for b in s.basis])
-    pair = np.einsum("iab,jbc->ijac", stack, stack) - np.einsum("jab,ibc->ijac", stack, stack)
+    stack, pair = _basis_brackets(s)
     triple = np.einsum("ijab,kbc->ijkac", pair, stack) - np.einsum("kab,ijbc->ijkac", stack, pair)
-    flat = triple.reshape(k * k * k, n * n)
-    span = np.stack([b.entries.ravel() for b in s.basis], axis=1)
-    q, _ = np.linalg.qr(span)
-    resid = flat - (flat @ q) @ q.T
-    norms = np.sqrt(np.maximum(np.sum(resid * resid, axis=1), 0.0) * 2.0 * n)
-    residual = float(norms.max())
+    residual = _residual_outside_span(s, triple)
     return LieTripleResult(residual <= TAU_ALG, residual)
 
 
 def bracket_closure_residual(s: Subspace) -> float:
     """Largest metric-norm residual of [X,Y] outside span(S) over basis pairs."""
-    k = s.dim
-    if k == 0:
+    if s.dim == 0:
         return 0.0
-    n = s.size
-    stack = np.stack([b.entries for b in s.basis])
-    pair = np.einsum("iab,jbc->ijac", stack, stack) - np.einsum("jab,ibc->ijac", stack, stack)
-    flat = pair.reshape(k * k, n * n)
-    span = np.stack([b.entries.ravel() for b in s.basis], axis=1)
-    q, _ = np.linalg.qr(span)
-    resid = flat - (flat @ q) @ q.T
-    norms = np.sqrt(np.maximum(np.sum(resid * resid, axis=1), 0.0) * 2.0 * n)
-    return float(norms.max())
+    return _residual_outside_span(s, _basis_brackets(s)[1])
 
 
 def _check_sl_space(space: SpaceDescriptor) -> int:
@@ -483,12 +449,6 @@ def a_phi_subspace(r: int, phi) -> Subspace:
     return subspace(mats, label="a_Phi", tag="a")
 
 
-def a_phi_orth_subspace(r: int, phi) -> Subspace:
-    """Orthogonal complement of a_Phi in a, spanned by the h_i with i in Phi."""
-    n = r + 1
-    return subspace([h_matrix(n, i - 1) for i in _phi_indices(phi)], label="a^Phi", tag="a")
-
-
 def _same_block_pairs(r: int, phi) -> list[tuple[int, int]]:
     pairs = []
     for block in phi_blocks(r, phi):
@@ -539,21 +499,14 @@ def q_phi_subspace(r: int, phi) -> Subspace:
     return subspace(mats, label="q_Phi")
 
 
-def build_s_phi_v(
-    space: SpaceDescriptor,
-    phi,
-    dim_v: int,
-    ell_choice: dict[int, np.ndarray] | None = None,
-) -> Subspace:
+def build_s_phi_v(space: SpaceDescriptor, phi, dim_v: int) -> Subspace:
     """Basis of the foliation subalgebra (a^Phi + V + n) with one line removed
     from each root space g_alpha, alpha in Phi.
 
     Phi must be orthogonal (no two indices adjacent) and dim_v lies in
     0..r - |Phi|.  V is realized as the first dim_v vectors of the canonical
-    basis of a_Phi.  Each removed line may be specified explicitly as a
-    nonzero element of the one-dimensional root space g_alpha; since those
-    spaces are lines here, any choice spans the same line and produces the
-    same subalgebra.
+    basis of a_Phi.  In the split space sl(n,R) each g_alpha is
+    one-dimensional, so the removed line is g_alpha itself.
     """
     r = _check_sl_space(space)
     indices = _phi_indices(phi)
@@ -562,20 +515,6 @@ def build_s_phi_v(
     if not 0 <= dim_v <= r - len(indices):
         raise LieFoliateError(f"dim_v must lie in 0..{r - len(indices)}")
     n = r + 1
-    if ell_choice:
-        for idx, mat in ell_choice.items():
-            if idx not in indices:
-                raise LieFoliateError(f"ell choice given for index {idx} outside Phi")
-            m = _as_array(mat)
-            if m.shape != (n, n):
-                raise LieFoliateError("ell choice has the wrong matrix size")
-            probe = m.copy()
-            top = abs(probe[idx - 1, idx])
-            probe[idx - 1, idx] = 0.0
-            if top <= TAU_ALG or np.abs(probe).max() > TAU_ALG * max(1.0, top):
-                raise LieFoliateError(
-                    f"ell choice for alpha_{idx} must be a nonzero element of its root space"
-                )
     mats = [h_matrix(n, i - 1) for i in indices]
     v_basis = a_phi_subspace(r, indices).basis
     mats.extend(b.entries for b in v_basis[:dim_v])
@@ -587,7 +526,7 @@ def build_s_phi_v(
         if (i, j) not in removed
     )
     label = f"s(Phi={{{','.join(map(str, indices))}}}, dim_V={dim_v})"
-    return Subspace(tuple(as_element(m, tag="s_phi_v") for m in mats), label)
+    return Subspace(tuple(as_element(m) for m in mats), label)
 
 
 # --- the SL_2 action on the upper half plane ---------------------------------

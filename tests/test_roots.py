@@ -162,8 +162,7 @@ def test_simple_expansion_uniform_sign_integers(family, rank):
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS + [("A", 31), ("C", 16)])
 def test_expansion_sums_to_the_root_and_masks_match_support(family, rank):
     rs = build_root_system(family, rank)
-    masks = rs.support_masks
-    assert set(masks) == rs.roots
+    assert {lam for row in rs.rows for lam in row[:2]} == rs.roots
     for lam in rs.roots:
         coeffs = rs.simple_coefficients(lam)
         total = tuple(
@@ -171,7 +170,10 @@ def test_expansion_sums_to_the_root_and_masks_match_support(family, rank):
             for d in range(rs.ambient_dim)
         )
         assert total == lam.scaled
-        assert masks[lam] == sum(1 << i for i, c in enumerate(coeffs) if c)
+    for lam, neg, mask in rs.rows:
+        coeffs = rs.simple_coefficients(lam)
+        assert rs.simple_coefficients(neg) == tuple(-c for c in coeffs)
+        assert mask == sum(1 << i for i, c in enumerate(coeffs) if c)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
@@ -182,7 +184,7 @@ def test_rows_align_with_positive_and_reuse_the_system_roots(family, rank):
     for k, (lam, neg, mask) in enumerate(rs.rows):
         assert lam is rs.positive[k] and rs.positive_index[lam] == k
         assert neg == -lam and own[neg] is neg
-        assert mask == rs.support_masks[lam]
+        assert mask == sum(1 << i for i, c in enumerate(rs.coefficients[k]) if c)
 
 
 @settings(max_examples=120, deadline=None)
@@ -234,6 +236,14 @@ def _alpha2_doubled(data):
     data["simple"][1] = [2 * c for c in data["simple"][1]]
 
 
+def _unknown_family(data):
+    data["family"] = "Z"
+
+
+def _positive_key_missing(data):
+    del data["positive"]
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
@@ -242,9 +252,11 @@ def _alpha2_doubled(data):
         (_relabelled, "do not have the Cartan matrix of B_3"),
         (_alpha2_negated, "A_1,2 is positive"),
         (_alpha2_doubled, "A_1,2 = -1/2 is not an integer"),
+        (_unknown_family, "unknown root system family 'Z'"),
+        (_positive_key_missing, "lacks positive"),
     ],
     ids=["positive-root-left-out", "no-simple-roots", "family-relabelled",
-         "acute-simple-pair", "non-integral-cartan-entry"],
+         "acute-simple-pair", "non-integral-cartan-entry", "unknown-family", "key-missing"],
 )
 def test_from_dict_rejects_an_edited_system(edit, message):
     data = build_root_system("A", 3).to_dict()

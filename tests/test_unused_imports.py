@@ -1,0 +1,71 @@
+"""No module of the package imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import liefoliate
+
+PACKAGE = Path(liefoliate.__file__).resolve().parent
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _imports_in(scope: ast.AST):
+    """Import statements of a scope, leaving out those of nested functions."""
+    for child in ast.iter_child_nodes(scope):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, FUNCTIONS):
+            yield from _imports_in(child)
+
+
+def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names if alias.name != "*"]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string constants listed in a module-level ``__all__``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {c.value for c in ast.walk(node.value)
+                      if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names imported in a scope (the module or a function) and read nowhere in it."""
+    tree = ast.parse(source)
+    unused = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))]:
+        used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        if scope is tree:
+            used |= _exported(tree)
+        for node in _imports_in(scope):
+            unused.extend(f"line {node.lineno}: {name}" for name in _bound_names(node)
+                          if name not in used)
+    return unused
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import os\n", ["line 1: os"]),
+    ("import os.path\nos.sep\n", []),
+    ("from __future__ import annotations\nimport math as m\nm.pi\n", []),
+    ("from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from x import Y\n"
+     "def f(y: Y) -> None:\n    pass\n", []),
+    ("import math\ndef f():\n    import json\n    return math.pi\n", ["line 3: json"]),
+    ("def f():\n    import json\ndef g():\n    return json\n", ["line 2: json"]),
+    ("from x import y\n__all__ = ['y']\n", []),
+])
+def test_unused_import_check_finds_what_it_should(source, expected):
+    assert unused_imports(source) == expected
