@@ -15,7 +15,7 @@ _EXPORTS = {
     "catalog": ("MultiplicityFunction", "SpaceDescriptor", "catalog_entries", "catalog_lookup",
                 "root_multiplicity", "space_dimension"),
     "errors": ("LieFoliateError",),
-    "foliations": ("FoliationClass", "HyperbolicFactor", "enumerate_foliations",
+    "foliations": ("FoliationClass", "HyperbolicFactor", "PhiOrbit", "enumerate_foliations",
                    "foliation_codimension", "hyperbolic_factor", "orthogonal_subsets"),
     "parabolic": ("BoundaryFactor", "HorosphericalData", "ParabolicData", "PhiSubset",
                   "boundary_components", "horospherical", "parabolic_data", "phi_subset",

@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Enumerate hyperpolar foliation classes, one record per (Phi orbit, dim V).  "
         "Cost grows exponentially with the rank: a path diagram of rank r has F(r+2) orthogonal "
         "subsets Phi (F the Fibonacci numbers), each giving up to r - r_Phi + 1 records.  "
-        "Measured on a 2-vCPU x86_64 VM: SL18 (rank 17) gives 28,069 records in 3.2 s and "
-        "SL22 (rank 21) 231,734 records in 28 s, with --format json.",
+        "Measured on a 2-vCPU x86_64 VM: SL18 (rank 17) gives 28,069 records in 2.5 s and "
+        "SL22 (rank 21) 231,734 records in 23 s and 2.6 GB, with --format json.",
     )
     p.add_argument("action", choices=("enumerate",))
     p.add_argument("--space", required=True)

@@ -8,7 +8,13 @@ space F_alpha H^{n_alpha}; the V part foliates the Euclidean factor by
 parallel affine subspaces; the nilpotent factor N_Phi is taken whole.
 
 A record is keyed by (Phi orbit, dim V): the orbit of Phi under the diagram
-automorphism group, and the dimension of V, not V itself.  By part (iii) of
+automorphism group, and the dimension of V, not V itself.  This follows the
+paper's parametrisation of the foliations by Phi together with V, and is
+how the records are stored: a ``PhiOrbit`` holds what every record of one
+orbit shares (the space, Phi, the orbit, the hyperbolic factors, dim N_Phi
+and the hyperbolic part of the leaf dimension) and is built once per orbit,
+and a ``FoliationClass`` is only (PhiOrbit, dim V), reading the rest off
+its orbit.  By part (iii) of
 the main theorem of Berndt, Diaz-Ramos and Tamaru, F_{Phi,V} and
 F_{Phi',V'} are congruent exactly when a diagram automorphism P has
 P(Phi) = Phi' and P_*V = V'; that does not make distinct V of one dimension
@@ -31,6 +37,7 @@ builds anyway and never scans the roots.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +47,7 @@ from .roots import DynkinDiagram, apply_permutation, diagram_automorphisms, dynk
 
 __all__ = [
     "HyperbolicFactor",
+    "PhiOrbit",
     "FoliationClass",
     "orthogonal_subsets",
     "hyperbolic_factor",
@@ -98,10 +106,6 @@ class HyperbolicFactor:
             "real_dim": self.real_dim,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "HyperbolicFactor":
-        return cls(data["alpha"], data["algebra"], data["n"], data["real_dim"])
-
 
 def hyperbolic_factor(space: SpaceDescriptor, alpha_index: int) -> HyperbolicFactor:
     """Hyperbolic-space data of the rank-one boundary component at alpha."""
@@ -131,55 +135,133 @@ def hyperbolic_factor(space: SpaceDescriptor, alpha_index: int) -> HyperbolicFac
 
 
 @dataclass(frozen=True)
-class FoliationClass:
-    """One congruence-class representative (Phi orbit, dim V)."""
+class PhiOrbit:
+    """What every record of one Phi orbit shares, built once per orbit.
+
+    ``phi`` is the orbit's representative, its first member in sorted order;
+    ``hyper_leaf_dim`` is the sum of dim F_alpha H^{n_alpha} - 1 over the
+    factors, the hyperbolic part of the leaf dimension.
+    """
 
     space: SpaceDescriptor
     phi: tuple[int, ...]
     orbit: tuple[tuple[int, ...], ...]
-    dim_v: int
-    leaf_dim: int
-    codim: int
-    trivial: bool
     factors: tuple[HyperbolicFactor, ...]
     dim_n_phi: int
+    hyper_leaf_dim: int
+
+
+def _phi_orbit(space: SpaceDescriptor, orbit: tuple[tuple[int, ...], ...],
+               factors: tuple[HyperbolicFactor, ...]) -> PhiOrbit:
+    hyper_leaf_dim = sum(f.real_dim - 1 for f in factors)
+    dim_n_phi = space.dimension - space.rank - hyper_leaf_dim  # the closed form above
+    return PhiOrbit(space, orbit[0], orbit, factors, dim_n_phi, hyper_leaf_dim)
+
+
+_RECORD_KEYS = ("space", "phi", "orbit", "dim_v", "leaf_dim", "codim", "trivial", "factors", "dim_n_phi")
+
+
+@dataclass(frozen=True, slots=True)
+class FoliationClass:
+    """One record (Phi orbit, dim V); everything else is read off the orbit."""
+
+    phi_orbit: PhiOrbit
+    dim_v: int
+
+    @property
+    def space(self) -> SpaceDescriptor:
+        return self.phi_orbit.space
+
+    @property
+    def phi(self) -> tuple[int, ...]:
+        return self.phi_orbit.phi
+
+    @property
+    def orbit(self) -> tuple[tuple[int, ...], ...]:
+        return self.phi_orbit.orbit
+
+    @property
+    def factors(self) -> tuple[HyperbolicFactor, ...]:
+        return self.phi_orbit.factors
+
+    @property
+    def dim_n_phi(self) -> int:
+        return self.phi_orbit.dim_n_phi
 
     @property
     def r_phi(self) -> int:
-        return len(self.phi)
+        return len(self.phi_orbit.phi)
+
+    @property
+    def leaf_dim(self) -> int:
+        return self.phi_orbit.hyper_leaf_dim + self.dim_v + self.phi_orbit.dim_n_phi
+
+    @property
+    def codim(self) -> int:
+        return self.phi_orbit.space.rank - self.dim_v
+
+    @property
+    def trivial(self) -> bool:
+        return self.codim == 0
 
     def to_dict(self) -> dict:
+        po = self.phi_orbit
         return {
-            "space": self.space.name,
-            "phi": list(self.phi),
-            "orbit": [list(p) for p in self.orbit],
+            "space": po.space.name,
+            "phi": list(po.phi),
+            "orbit": [list(p) for p in po.orbit],
             "dim_v": self.dim_v,
             "leaf_dim": self.leaf_dim,
             "codim": self.codim,
             "trivial": self.trivial,
-            "factors": [f.to_dict() for f in self.factors],
-            "dim_n_phi": self.dim_n_phi,
+            "factors": [f.to_dict() for f in po.factors],
+            "dim_n_phi": po.dim_n_phi,
             "congruence": CONGRUENCE_NOTE,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FoliationClass":
-        return cls(
-            space=catalog_lookup(data["space"]),
-            phi=tuple(data["phi"]),
-            orbit=tuple(tuple(p) for p in data["orbit"]),
-            dim_v=data["dim_v"],
-            leaf_dim=data["leaf_dim"],
-            codim=data["codim"],
-            trivial=data["trivial"],
-            factors=tuple(HyperbolicFactor.from_dict(f) for f in data["factors"]),
-            dim_n_phi=data["dim_n_phi"],
-        )
+        """Rebuild a record of ``to_dict`` from its space, phi and dim V.
+
+        The Phi orbit data are computed afresh; phi must be an orthogonal
+        subset and its orbit's representative, dim V must lie in
+        0..r - r_Phi, and the record's orbit, factors, dim N_Phi, leaf
+        dimension, codimension and triviality must be what the space gives,
+        else LieFoliateError.
+        """
+        missing = [key for key in _RECORD_KEYS if key not in data]
+        if missing:
+            raise LieFoliateError(f"foliation record lacks {', '.join(missing)}")
+        space = catalog_lookup(data["space"])
+        orbit = _orbit_of(space, data["phi"])
+        dim_v = data["dim_v"]
+        if type(dim_v) is not int or not 0 <= dim_v <= space.rank - len(orbit[0]):
+            raise LieFoliateError(f"dim_v {dim_v!r} is not in 0..{space.rank - len(orbit[0])}")
+        record = cls(_phi_orbit(space, orbit, tuple(hyperbolic_factor(space, i) for i in orbit[0])), dim_v)
+        expected = record.to_dict()
+        wrong = [key for key in _RECORD_KEYS[2:] if data[key] != expected[key]]
+        if wrong:
+            raise LieFoliateError(f"foliation record disagrees with {space.name} in {', '.join(wrong)}")
+        return record
 
 
 def foliation_codimension(fc: FoliationClass) -> int:
     """Codimension r_Phi + (r - r_Phi - dim V) of the leaves."""
     return fc.r_phi + (fc.space.rank - fc.r_phi - fc.dim_v)
+
+
+def _orbit_of(space: SpaceDescriptor, phi) -> tuple[tuple[int, ...], ...]:
+    """The Phi orbit of the space whose representative is phi, found among the cached orbits."""
+    dd = dynkin_diagram(space.root_system)
+    if (not isinstance(phi, (list, tuple)) or any(type(i) is not int or not 1 <= i <= space.rank for i in phi)
+            or list(phi) != sorted(set(phi)) or any(j in dd.neighbors(i) for i in phi for j in phi)):
+        raise LieFoliateError(f"phi {phi!r} is not an orthogonal subset of the simple roots of {space.name}")
+    phi = tuple(phi)
+    orbits = _sorted_phi_orbits(dd)
+    k = bisect_left(orbits, _orbit_key(phi), key=lambda o: _orbit_key(o[0]))
+    if k == len(orbits) or orbits[k][0] != phi:
+        raise LieFoliateError(f"phi {list(phi)} is not the representative (least member) of its orbit")
+    return orbits[k]
 
 
 def _phi_orbits(dd: DynkinDiagram) -> list[tuple[tuple[int, ...], ...]]:
@@ -196,10 +278,14 @@ def _phi_orbits(dd: DynkinDiagram) -> list[tuple[tuple[int, ...], ...]]:
     return orbits
 
 
+def _orbit_key(phi: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    return len(phi), phi
+
+
 @lru_cache(maxsize=None)
 def _sorted_phi_orbits(dd: DynkinDiagram) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The Phi orbits of a diagram ordered by (r_Phi, Phi), computed once per diagram."""
-    return tuple(sorted(_phi_orbits(dd), key=lambda o: (len(o[0]), o[0])))
+    return tuple(sorted(_phi_orbits(dd), key=lambda o: _orbit_key(o[0])))
 
 
 def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False) -> list[FoliationClass]:
@@ -207,34 +293,16 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False) 
 
     The degenerate single-leaf class (Phi empty, V the whole Euclidean
     factor, codimension zero) is excluded unless requested.  Classes are
-    ordered by (r_Phi, Phi, dim V).
+    ordered by (r_Phi, Phi, dim V); the records of one orbit share one
+    ``PhiOrbit``.
     """
     dd = dynkin_diagram(space.root_system)
     r = space.rank
     by_index = {i: hyperbolic_factor(space, i) for i in range(1, r + 1)}
     classes = []
     for orbit in _sorted_phi_orbits(dd):
-        phi = orbit[0]
-        factors = tuple(by_index[i] for i in phi)
-        hyper_leaf = sum(f.real_dim - 1 for f in factors)
-        dim_n_phi = space.dimension - r - hyper_leaf  # the closed form above
-        for dim_v in range(0, r - len(phi) + 1):
-            leaf_dim = hyper_leaf + dim_v + dim_n_phi
-            codim = space.dimension - leaf_dim
-            trivial = codim == 0
-            if trivial and not include_trivial:
-                continue
-            classes.append(
-                FoliationClass(
-                    space=space,
-                    phi=phi,
-                    orbit=orbit,
-                    dim_v=dim_v,
-                    leaf_dim=leaf_dim,
-                    codim=codim,
-                    trivial=trivial,
-                    factors=factors,
-                    dim_n_phi=dim_n_phi,
-                )
-            )
+        phi_orbit = _phi_orbit(space, orbit, tuple(by_index[i] for i in orbit[0]))
+        # codim = r - dim V, so only Phi empty with dim V = r is trivial
+        top = r - len(orbit[0]) if orbit[0] or include_trivial else r - 1
+        classes += [FoliationClass(phi_orbit, dim_v) for dim_v in range(top + 1)]
     return classes

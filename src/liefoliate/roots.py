@@ -403,9 +403,12 @@ def build_root_system(family: Family | str, rank: int) -> RootSystem:
 
     Raises LieFoliateError when the rank is outside the family's validity
     range (A: r>=1; B, C: r>=2; D: r>=3; BC: r>=1; exceptional families have
-    a fixed rank).
+    a fixed rank), and for an unknown family.
     """
-    family = Family(family)
+    try:
+        family = Family(family)
+    except ValueError:
+        raise LieFoliateError(f"unknown root system family {family!r}") from None
     lo, hi = RANK_RANGES[family]
     if not isinstance(rank, int) or rank < lo or (hi is not None and rank > hi):
         span = f"rank = {lo}" if hi == lo else f"rank >= {lo}"

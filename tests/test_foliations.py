@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -213,9 +214,72 @@ def test_class_ordering_is_deterministic():
     assert once == sorted(once, key=lambda t: (len(t[0]), t[0], t[1]))
 
 
-def test_foliation_class_json_round_trip():
-    sl5 = catalog_lookup("SL5")
-    for c in enumerate_foliations(sl5):
+@pytest.mark.parametrize("name", ["SL5", "so(4,4)", "e6(-14)", "sp(3,2)"])
+def test_foliation_class_json_round_trip(name):
+    for c in enumerate_foliations(catalog_lookup(name), include_trivial=True):
         d = c.to_dict()
         assert d["congruence"].startswith("orbit representative")
         assert FoliationClass.from_dict(d) == c
+        assert FoliationClass.from_dict(d).to_dict() == d
+
+
+def _set(key, value):
+    def edit(d):
+        d[key] = value
+    return edit
+
+
+def _shift(key):
+    def edit(d):
+        d[key] += 1
+    return edit
+
+
+def _factor_n(d):
+    d["factors"][0]["n"] = 3
+
+
+def _drop_factors(d):
+    del d["factors"]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_set("orbit", [[1]]), r"disagrees with sl\(5,R\) in orbit$"),
+        (_factor_n, r"disagrees with sl\(5,R\) in factors$"),
+        (_shift("dim_n_phi"), r"disagrees with sl\(5,R\) in dim_n_phi$"),
+        (_set("leaf_dim", 999), r"disagrees with sl\(5,R\) in leaf_dim$"),
+        (_shift("codim"), r"disagrees with sl\(5,R\) in codim$"),
+        (_set("trivial", True), r"disagrees with sl\(5,R\) in trivial$"),
+        (_set("phi", [1, 2]), "not an orthogonal subset"),
+        (_set("phi", [4]), "not the representative"),
+        (_set("dim_v", 4), "not in 0..3"),
+        (_drop_factors, "lacks factors"),
+    ],
+    ids=["orbit", "factors", "dim_n_phi", "leaf_dim", "codim", "trivial",
+         "phi-not-orthogonal", "phi-not-representative", "dim_v-out-of-range", "key-missing"],
+)
+def test_from_dict_rejects_an_edited_record(edit, message):
+    (record,) = [c for c in enumerate_foliations(catalog_lookup("SL5")) if (c.phi, c.dim_v) == ((1,), 2)]
+    d = record.to_dict()
+    edit(d)
+    with pytest.raises(LieFoliateError, match=message):
+        FoliationClass.from_dict(d)
+
+
+def test_sl14_enumeration_peak_memory():
+    # 3,300 slotted (PhiOrbit, dim V) records peaked at 247 KiB when this
+    # bound was set, which leaves 30% headroom (Python 3.11, x86_64); the
+    # same records with a per-instance __dict__ peaked at 376 KiB, and the
+    # earlier nine-field records at 543 KiB.
+    space = catalog_lookup("SL14")
+    enumerate_foliations(space)  # fills the cached Phi orbits
+    tracemalloc.start()
+    try:
+        records = enumerate_foliations(space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 3300
+    assert peak < 320 * 1024

@@ -77,6 +77,15 @@ def test_closed_form_dim_n_phi_matches_parabolic_data(space):
     assert covered == set(orthogonal_subsets(dynkin_diagram(space.root_system)))
 
 
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+def test_records_of_one_orbit_share_one_phi_orbit(space):
+    shared = {}
+    for fc in enumerate_foliations(space, include_trivial=True):
+        assert shared.setdefault(fc.orbit, fc.phi_orbit) is fc.phi_orbit, (space.name, fc.phi)
+    assert len({id(po) for po in shared.values()}) == len(shared)
+    assert list(shared) == list(_sorted_phi_orbits(dynkin_diagram(space.root_system)))
+
+
 def _positive_split(space, phi):
     """Sums of multiplicities over the positive roots inside and outside span(Phi)."""
     rs, mult = space.root_system, space.multiplicities

@@ -86,6 +86,11 @@ def test_invalid_ranks_rejected(family, rank):
         build_root_system(family, rank)
 
 
+def test_unknown_family_rejected():
+    with pytest.raises(LieFoliateError, match="unknown root system family 'Z'"):
+        build_root_system("Z", 3)
+
+
 def test_inner_examples():
     # <e1-e2, e2-e3> = -1 in A_2
     a2 = build_root_system("A", 2)
