@@ -364,29 +364,39 @@ def _exceptional(letter: str, tag: str) -> SpaceDescriptor:
 
 # Patterns over the normalized query string.  Display names and flattened
 # identifiers both resolve; two-index names may be given in either order.
+# A display name is read up to "/" and then checked whole by catalog_lookup.
 _PATTERNS: list[tuple[re.Pattern, callable]] = [
     (re.compile(r"^sl(\d+)$"), lambda m: _sl(int(m[1]), "r")),
     (re.compile(r"^sl\((\d+),([rch])\)$"), lambda m: _sl(int(m[1]), m[2])),
-    (re.compile(r"^sl(\d+)\(r\)/so(\d+)$"), lambda m: _sl(int(m[1]), "r")),
-    (re.compile(r"^sl(\d+)\(c\)/su(\d+)$"), lambda m: _sl(int(m[1]), "c")),
-    (re.compile(r"^sl(\d+)\(h\)/sp(\d+)$"), lambda m: _sl(int(m[1]), "h")),
+    (re.compile(r"^sl(\d+)\(([rch])\)/"), lambda m: _sl(int(m[1]), m[2])),
     (re.compile(r"^soo?\((\d+),(\d+)\)$"), lambda m: _so_real(int(m[1]), int(m[2]))),
-    (re.compile(r"^soo(\d+),(\d+)(/so\d+(so\d+)?)?$"), lambda m: _so_real(int(m[1]), int(m[2]))),
+    (re.compile(r"^soo(\d+),(\d+)(/|$)"), lambda m: _so_real(int(m[1]), int(m[2]))),
     (re.compile(r"^so\((\d+),c\)$"), lambda m: _so_complex(int(m[1]))),
-    (re.compile(r"^so(\d+)\(c\)/so(\d+)$"), lambda m: _so_complex(int(m[1]))),
+    (re.compile(r"^so(\d+)\(c\)/"), lambda m: _so_complex(int(m[1]))),
     (re.compile(r"^so\((\d+),h\)$"), lambda m: _so_quaternion(int(m[1]))),
-    (re.compile(r"^so(\d+)\(h\)/u(\d+)$"), lambda m: _so_quaternion(int(m[1]))),
+    (re.compile(r"^so(\d+)\(h\)/"), lambda m: _so_quaternion(int(m[1]))),
     (re.compile(r"^sp\((\d+),r\)$"), lambda m: _sp_real(int(m[1]))),
-    (re.compile(r"^sp(\d+)\(r\)/u(\d+)$"), lambda m: _sp_real(int(m[1]))),
+    (re.compile(r"^sp(\d+)\(r\)/"), lambda m: _sp_real(int(m[1]))),
     (re.compile(r"^sp\((\d+),c\)$"), lambda m: _sp_complex(int(m[1]))),
-    (re.compile(r"^sp(\d+)\(c\)/sp(\d+)$"), lambda m: _sp_complex(int(m[1]))),
+    (re.compile(r"^sp(\d+)\(c\)/"), lambda m: _sp_complex(int(m[1]))),
     (re.compile(r"^sp\((\d+),(\d+)\)$"), lambda m: _sp_pq(int(m[1]), int(m[2]))),
-    (re.compile(r"^sp(\d+),(\d+)(/sp\d+sp\d+)?$"), lambda m: _sp_pq(int(m[1]), int(m[2]))),
+    (re.compile(r"^sp(\d+),(\d+)(/|$)"), lambda m: _sp_pq(int(m[1]), int(m[2]))),
     (re.compile(r"^su\((\d+),(\d+)\)$"), lambda m: _su_pq(int(m[1]), int(m[2]))),
-    (re.compile(r"^su(\d+),(\d+)(/s\(u\d+u\d+\))?$"), lambda m: _su_pq(int(m[1]), int(m[2]))),
+    (re.compile(r"^su(\d+),(\d+)(/|$)"), lambda m: _su_pq(int(m[1]), int(m[2]))),
     (re.compile(r"^(e6|e7|e8|f4|g2)\((c|-?\d+)\)$"), lambda m: _exceptional(m[1], m[2])),
-    (re.compile(r"^(e6|e7|e8|f4|g2)(c|-?\d+)(/[a-z0-9()]+)?$"), lambda m: _exceptional(m[1], m[2])),
+    (re.compile(r"^(e6|e7|e8|f4|g2)(c|-?\d+)(/|$)"), lambda m: _exceptional(m[1], m[2])),
 ]
+
+
+@lru_cache(maxsize=None)
+def _display_names(display: str) -> tuple[str, str]:
+    """A display name normalized, and the same with p and q swapped throughout
+    for so(p,q), su(p,q) and sp(p,q) (else unchanged); computed once per space."""
+    name = _normalize(display)
+    pair = re.match(r"(?:soo|su|sp)(\d+),(\d+)/", name)
+    swap = {pair[1]: pair[2], pair[2]: pair[1]} if pair else {}
+    return name, re.sub(r"\d+", lambda t: swap.get(t[0], t[0]), name)
+
 
 _GRAMMAR_HELP = (
     "sl(m,R)|SL<m>, sl(m,C), sl(m,H) for m >= 2; so(p,q)|SOo(p,q) with q=1 (p>=3), "
@@ -399,11 +409,15 @@ _GRAMMAR_HELP = (
 def catalog_lookup(name: str) -> SpaceDescriptor:
     """Resolve a symmetric-space name to its catalog descriptor.
 
-    Unknown names are rejected with a summary of the valid grammar.
+    A name containing "/" must be the display name of the space it resolves
+    to.  Unknown names are rejected with a summary of the valid grammar.
     """
     query = _normalize(name)
     for pattern, handler in _PATTERNS:
         m = pattern.match(query)
         if m:
-            return handler(m)
+            space = handler(m)
+            if "/" in query and query not in _display_names(space.display):
+                raise LieFoliateError(f"{name!r} is not the display name of {space.name}, {space.display}")
+            return space
     raise LieFoliateError(f"unknown symmetric space {name!r}; valid names: {_GRAMMAR_HELP}")

@@ -132,18 +132,8 @@ class ParabolicData:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParabolicData":
-        space = catalog_lookup(data["space"])
-        return cls(
-            space=space,
-            phi=tuple(data["phi"]),
-            sigma_phi=frozenset(Root(tuple(c)) for c in data["sigma_phi"]),
-            sigma_phi_pos=frozenset(Root(tuple(c)) for c in data["sigma_phi_pos"]),
-            **{k: data[k] for k in (
-                "dim_a_phi", "dim_n_phi", "dim_g0", "dim_l_phi", "dim_m_phi",
-                "dim_q_phi", "dim_p_phi", "dim_p_phi_s", "dim_k_phi",
-                "dim_g_phi", "dim_z_phi",
-            )},
-        )
+        """Rebuild a record of ``to_dict`` from its space and phi, checking every other field."""
+        return _rebuilt(data, parabolic_data)
 
 
 def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
@@ -206,27 +196,17 @@ class BoundaryFactor:
             "dim": self.dim,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BoundaryFactor":
-        return cls(tuple(data["component_indices"]), data["rank"], data["name"], data["dim"])
-
 
 def _is_named_sl_component(dd, component, mults) -> bool:
-    # The factor of a component is named only when the component is a
-    # simply-laced path whose whole subsystem has multiplicity one (mults
-    # holds the multiplicities of its positive roots; m(-lambda) = m(lambda));
-    # the subalgebra generated is then a split special linear algebra.
+    # A component's factor is named only when the component is a simply-laced
+    # path (no double circle, off-diagonal Cartan entries 0 or -1, at most two
+    # neighbours per vertex) and mults, the multiplicities of its positive
+    # roots, are all one: it then generates a split special linear algebra.
+    a, inside = dd.cartan, set(component)
     for i in component:
-        vertex = dd.vertices[i - 1]
-        if vertex.double_circle:
+        joined = dd.neighbors(i) & inside
+        if dd.vertices[i - 1].double_circle or len(joined) > 2 or any(a[i - 1][j - 1] != -1 for j in joined):
             return False
-        if len(dd.neighbors(i) & set(component)) > 2:
-            return False
-        for j in component:
-            if j > i:
-                e = dd.edge_between(i, j)
-                if e is not None and e.lines != 1:
-                    return False
     return all(m == 1 for m in mults)
 
 
@@ -283,14 +263,28 @@ class HorosphericalData:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HorosphericalData":
-        return cls(
-            space=catalog_lookup(data["space"]),
-            phi=tuple(data["phi"]),
-            factors=tuple(BoundaryFactor.from_dict(f) for f in data["factors"]),
-            dim_Fs=data["dim_Fs"],
-            dim_euclidean=data["dim_euclidean"],
-            dim_N=data["dim_N"],
-        )
+        """Rebuild a record of ``to_dict`` from its space and phi, checking every other field."""
+        return _rebuilt(data, horospherical)
+
+
+def _rebuilt(data: dict, build):
+    """build(space, Phi) for the record's space and phi; LieFoliateError unless
+    the record has every key of the rebuilt record's ``to_dict``, with its value."""
+    missing = [key for key in ("space", "phi") if key not in data]
+    if missing:
+        raise LieFoliateError(f"record lacks {', '.join(missing)}")
+    space, phi = catalog_lookup(data["space"]), data["phi"]
+    if not isinstance(phi, list) or any(type(i) is not int for i in phi):
+        raise LieFoliateError(f"phi {phi!r} is not a list of simple-root indices")
+    record = build(space, PhiSubset(space, tuple(phi)))
+    expected = record.to_dict()
+    missing = [key for key in expected if key not in data]
+    if missing:
+        raise LieFoliateError(f"record lacks {', '.join(missing)}")
+    wrong = [key for key in expected if data[key] != expected[key]]
+    if wrong:
+        raise LieFoliateError(f"record disagrees with {space.name} in {', '.join(wrong)}")
+    return record
 
 
 def horospherical(space: SpaceDescriptor, phi: PhiSubset) -> HorosphericalData:

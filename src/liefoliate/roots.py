@@ -10,10 +10,11 @@ Each family is given only by a table of its simple roots.  One generator
 walks root strings up from them in simple-root coefficients, using the
 integer Cartan matrix, and maps the roots it finds to ambient coordinates
 once, at the end; BC_r adds 2 beta for each short root beta of B_r.  The
-same walk gives every root's simple-root coefficients and support mask, and
-the Dynkin diagram is read off the same Cartan matrix.  Positive roots are
-ordered by height, then by their coefficients in descending lexicographic
-order, so ``positive`` begins with the simple roots in order.
+same walk gives every root's simple-root coefficients and support mask.
+Positive roots are ordered by height, then by their coefficients in
+descending lexicographic order, so ``positive`` begins with the simple roots
+in order.  The Dynkin diagram is read off the Cartan matrix and derives it
+back from its edges; its adjacency and automorphisms read that one table.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 from operator import add
 
 from .errors import LieFoliateError
@@ -397,13 +399,14 @@ class RootSystem:
         return rs
 
 
-@lru_cache(maxsize=None)
 def build_root_system(family: Family | str, rank: int) -> RootSystem:
     """Construct the root system of the given family and rank.
 
     Raises LieFoliateError when the rank is outside the family's validity
     range (A: r>=1; B, C: r>=2; D: r>=3; BC: r>=1; exceptional families have
-    a fixed rank), and for an unknown family.
+    a fixed rank), and for an unknown family, before the cache is consulted,
+    so unhashable arguments raise LieFoliateError too.  Each system is built
+    once; ``cache_info`` and ``cache_clear`` are those of that cache.
     """
     try:
         family = Family(family)
@@ -413,7 +416,16 @@ def build_root_system(family: Family | str, rank: int) -> RootSystem:
     if not isinstance(rank, int) or rank < lo or (hi is not None and rank > hi):
         span = f"rank = {lo}" if hi == lo else f"rank >= {lo}"
         raise LieFoliateError(f"invalid rank {rank} for family {family.value}: valid range is {span}")
+    return _built_root_system(family, rank)
+
+
+@lru_cache(maxsize=None)
+def _built_root_system(family: Family, rank: int) -> RootSystem:
     return _generate(family, rank, _SIMPLE_ROOTS[family](rank))
+
+
+build_root_system.cache_info = _built_root_system.cache_info
+build_root_system.cache_clear = _built_root_system.cache_clear
 
 
 @dataclass(frozen=True)
@@ -432,7 +444,11 @@ class DynkinEdge:
 
 @dataclass(frozen=True)
 class DynkinDiagram:
-    """Decorated graph on the simple roots: line counts, arrows, double circles."""
+    """Decorated graph on the simple roots: line counts, arrows, double circles.
+
+    Vertices and edges are stored and exported; adjacency, automorphisms and
+    named factors read the Cartan matrix ``cartan`` derived from them once.
+    """
 
     vertices: tuple[DynkinVertex, ...]
     edges: tuple[DynkinEdge, ...]
@@ -443,22 +459,24 @@ class DynkinDiagram:
         return len(self.vertices)
 
     @cached_property
-    def _adjacency(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {v.index: set() for v in self.vertices}
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        """The Cartan matrix read off the edges: A_ij = A_ji = -lines on an edge
+        without an arrow, A_ij = -lines and A_ji = -1 on one whose arrow runs
+        from i to j (from the longer root to the shorter)."""
+        a = [[2 * (i == j) for j in range(self.rank)] for i in range(self.rank)]
         for e in self.edges:
-            adj[e.i].add(e.j)
-            adj[e.j].add(e.i)
-        return {k: frozenset(v) for k, v in adj.items()}
+            tail, head = e.arrow or (e.i, e.j)
+            a[tail - 1][head - 1] = -e.lines
+            a[head - 1][tail - 1] = -1 if e.arrow else -e.lines
+        return tuple(map(tuple, a))
+
+    @cached_property
+    def _adjacency(self) -> dict[int, frozenset[int]]:
+        return {i: frozenset(j for j, x in enumerate(row, start=1) if x and j != i)
+                for i, row in enumerate(self.cartan, start=1)}
 
     def neighbors(self, index: int) -> frozenset[int]:
         return self._adjacency[index]
-
-    @cached_property
-    def _edge_table(self) -> dict[tuple[int, int], DynkinEdge]:
-        return {(min(e.i, e.j), max(e.i, e.j)): e for e in self.edges}
-
-    def edge_between(self, i: int, j: int) -> DynkinEdge | None:
-        return self._edge_table.get((min(i, j), max(i, j)))
 
     def connected_components(self, indices) -> list[tuple[int, ...]]:
         """Connected components of the subdiagram induced on the given vertices."""
@@ -546,17 +564,11 @@ def _build_dynkin_diagram(rs: RootSystem) -> DynkinDiagram:
         DynkinVertex(i + 1, rs.simple[i].double() in rs.roots) for i in range(rs.rank)
     )
     edges = []
-    for i in range(rs.rank):
-        for j in range(i + 1, rs.rank):
-            lines = a[i][j] * a[j][i]
-            if lines == 0:
-                continue
-            arrow = None
-            if abs(a[i][j]) > abs(a[j][i]):
-                arrow = (i + 1, j + 1)
-            elif abs(a[j][i]) > abs(a[i][j]):
-                arrow = (j + 1, i + 1)
-            edges.append(DynkinEdge(i + 1, j + 1, lines, arrow))
+    for i, j in combinations(range(rs.rank), 2):
+        if a[i][j]:
+            longer, shorter = (i + 1, j + 1) if a[i][j] < a[j][i] else (j + 1, i + 1)
+            arrow = None if a[i][j] == a[j][i] else (longer, shorter)
+            edges.append(DynkinEdge(i + 1, j + 1, a[i][j] * a[j][i], arrow))
     notes = ()
     if rs.family is Family.BC:
         notes = (
@@ -571,65 +583,35 @@ def _build_dynkin_diagram(rs: RootSystem) -> DynkinDiagram:
 
 
 def diagram_automorphisms(dd: DynkinDiagram) -> list[tuple[int, ...]]:
-    """All vertex permutations preserving circles, line counts, and arrows.
+    """All vertex permutations that preserve the Cartan matrix and the double circles.
 
-    Permutations are returned as tuples p with p[k] the image of vertex k+1,
-    sorted with the identity first.  The result is closed under composition
-    and inverses.
+    A permutation p is kept when A[p(i)][p(j)] = A[i][j] for all i, j; this
+    preserves line counts and arrows (Humphreys 11.4, 12.2).  A backtracking
+    search maps each vertex only to vertices with the same double circle and
+    the same Cartan row up to order.  Permutations are returned as tuples p
+    with p[k] the image of vertex k+1, sorted with the identity first.  The
+    result is closed under composition and inverses.
     """
-    n = dd.rank
-    verts = [v.index for v in dd.vertices]
-    flags = {v.index: v.double_circle for v in dd.vertices}
-
-    def signature(v: int):
-        marks = []
-        for w in dd.neighbors(v):
-            e = dd.edge_between(v, w)
-            role = "none"
-            if e.arrow is not None:
-                role = "out" if e.arrow[0] == v else "in"
-            marks.append((e.lines, role))
-        return (flags[v], tuple(sorted(marks)))
-
-    sigs = {v: signature(v) for v in verts}
-    candidates = {v: [w for w in verts if sigs[w] == sigs[v]] for v in verts}
-
+    a = dd.cartan
+    n = len(a)
+    marks = [(v.double_circle, sorted(row)) for v, row in zip(dd.vertices, a)]
+    images = [[w for w in range(n) if marks[w] == marks[v]] for v in range(n)]
     results: list[tuple[int, ...]] = []
+    perm: list[int] = []
 
-    def extend(pos: int, mapping: dict[int, int], used: set[int]) -> None:
-        if pos == n:
-            results.append(tuple(mapping[v] for v in verts))
+    def extend(v: int) -> None:
+        if v == n:
+            results.append(tuple(w + 1 for w in perm))
             return
-        v = verts[pos]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            ok = True
-            for u, iu in mapping.items():
-                e = dd.edge_between(u, v)
-                f = dd.edge_between(iu, w)
-                if (e is None) != (f is None):
-                    ok = False
-                elif e is not None:
-                    if e.lines != f.lines:
-                        ok = False
-                    elif (e.arrow is None) != (f.arrow is None):
-                        ok = False
-                    elif e.arrow is not None:
-                        mapped = (w if e.arrow[0] == v else mapping[e.arrow[0]],
-                                  w if e.arrow[1] == v else mapping[e.arrow[1]])
-                        if mapped != f.arrow:
-                            ok = False
-                if not ok:
-                    break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                extend(pos + 1, mapping, used)
-                used.discard(w)
-                del mapping[v]
+        for w in images[v]:
+            # the latest vertices first: on a path, a wrong image fails at once
+            if w not in perm and all(a[w][perm[u]] == a[v][u] and a[perm[u]][w] == a[u][v]
+                                     for u in reversed(range(v))):
+                perm.append(w)
+                extend(v + 1)
+                perm.pop()
 
-    extend(0, {}, set())
+    extend(0)
     return sorted(results)
 
 

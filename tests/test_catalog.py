@@ -55,6 +55,21 @@ def test_lookup_display_names_round_trip():
         assert catalog_lookup(d.display) == d
 
 
+@pytest.mark.parametrize("name", ["SL_5(R)/SO_7", "E_6^6/F_4", "e66/xyz", "SU_{4,2}/S(U_1 U_9)"])
+def test_display_name_must_name_its_own_space(name):
+    with pytest.raises(LieFoliateError, match="display name"):
+        catalog_lookup(name)
+
+
+def test_display_name_indices_may_be_swapped_throughout():
+    su = catalog_lookup("su(4,2)")
+    assert catalog_lookup("SU_{2,4}/S(U_2 U_4)") is su
+    assert catalog_lookup("SO^o_{2,5}/SO_2 SO_5") is catalog_lookup("so(5,2)")
+    assert catalog_lookup("Sp_{1,3}/Sp_1 Sp_3") is catalog_lookup("sp(3,1)")
+    with pytest.raises(LieFoliateError):
+        catalog_lookup("SU_{2,4}/S(U_4 U_2)")
+
+
 def test_unknown_name_lists_grammar():
     with pytest.raises(LieFoliateError, match="valid names"):
         catalog_lookup("sl(5,Q)")

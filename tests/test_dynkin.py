@@ -3,8 +3,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liefoliate.roots import (
+    RANK_RANGES,
     DynkinDiagram,
     DynkinEdge,
     DynkinVertex,
@@ -81,17 +84,18 @@ def test_double_circle_iff_doubled_root():
 
 
 def brute_force_automorphisms(dd):
-    """Oracle: filter all rank! permutations."""
+    """Oracle: filter all rank! permutations, reading the edge list directly."""
     n = dd.rank
     flags = {v.index: v.double_circle for v in dd.vertices}
+    edges = {frozenset((e.i, e.j)): e for e in dd.edges}
     found = []
     for perm in itertools.permutations(range(1, n + 1)):
         image = {i + 1: perm[i] for i in range(n)}
         ok = all(flags[v] == flags[image[v]] for v in image)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                e = dd.edge_between(i, j)
-                f = dd.edge_between(image[i], image[j])
+                e = edges.get(frozenset((i, j)))
+                f = edges.get(frozenset((image[i], image[j])))
                 if (e is None) != (f is None):
                     ok = False
                 elif e is not None:
@@ -108,8 +112,8 @@ def brute_force_automorphisms(dd):
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("A", 1), ("A", 2), ("A", 4), ("B", 3), ("C", 3), ("D", 3), ("D", 4), ("D", 5),
-     ("E6", 6), ("F4", 4), ("G2", 2), ("BC", 3)],
+    [("A", 1), ("A", 2), ("A", 4), ("B", 2), ("B", 3), ("C", 3), ("D", 3), ("D", 4), ("D", 5),
+     ("D", 6), ("E6", 6), ("E7", 7), ("F4", 4), ("G2", 2), ("BC", 1), ("BC", 3)],
 )
 def test_automorphisms_match_brute_force(family, rank):
     dd = diagram(family, rank)
@@ -153,6 +157,30 @@ def test_diagram_json_round_trip():
     for fam, rank in [("A", 3), ("BC", 2), ("F4", 4), ("D", 4)]:
         dd = diagram(fam, rank)
         assert DynkinDiagram.from_dict(dd.to_dict()) == dd
+
+
+SYSTEMS_TO_16 = [
+    (family.value, r)
+    for family, (lo, hi) in RANK_RANGES.items()
+    for r in range(lo, (hi or 16) + 1)
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SYSTEMS_TO_16))
+def test_diagram_cartan_matrix_is_the_root_systems(case):
+    rs = build_root_system(*case)
+    dd = dynkin_diagram(rs)
+    assert dd.cartan == rs.cartan
+    assert DynkinDiagram.from_dict(dd.to_dict()).cartan == rs.cartan
+
+
+def test_neighbors_are_the_nonzero_off_diagonal_entries():
+    for fam, rank in [("A", 1), ("B", 3), ("D", 4), ("E7", 7), ("F4", 4), ("G2", 2), ("BC", 2)]:
+        dd = diagram(fam, rank)
+        for v in dd.vertices:
+            joined = {e.i for e in dd.edges if e.j == v.index} | {e.j for e in dd.edges if e.i == v.index}
+            assert dd.neighbors(v.index) == joined
 
 
 def test_dot_export():

@@ -23,7 +23,7 @@ DIGESTS = Path(__file__).resolve().parent / "golden" / "cli_digests.json"
 
 _FOLIATION_SPACES = (
     "SL5", "SL12", "e8(8)", "e6(-14)", "f4(-20)", "su(7,3)", "sp(4,2)",
-    "so(9,4)", "so(12,C)", "so(10,H)", "g2(C)",
+    "so(9,4)", "so(12,C)", "so(10,H)", "g2(C)", "so(4,4)", "e6(6)",
 )
 _PARABOLIC_CASES = (
     ("SL5", "1,3"), ("su(4,2)", "1"), ("e6(-14)", "1,2"), ("f4(4)", "2,3"),

@@ -63,6 +63,11 @@ def test_instances_cover_every_catalog_entry():
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+def test_display_name_resolves_to_its_space(space):
+    assert catalog_lookup(space.display) is space
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
 def test_closed_form_dim_n_phi_matches_parabolic_data(space):
     for i in range(1, space.rank + 1):
         m = space.m_alpha(i) + space.m_2alpha(i)

@@ -251,3 +251,23 @@ def test_parabolic_json_round_trip():
     su = catalog_lookup("su(4,2)")
     d = parabolic_data(su, phi_subset(su, [2]))
     assert ParabolicData.from_dict(d.to_dict()) == d
+
+
+@pytest.mark.parametrize("record_type, build", [
+    (ParabolicData, parabolic_data), (HorosphericalData, horospherical),
+])
+def test_from_dict_rejects_a_record_the_space_does_not_give(record_type, build):
+    sl5 = catalog_lookup("SL5")
+    data = build(sl5, phi_subset(sl5, [1, 3])).to_dict()
+    for key, value in [("dim_n_phi", 999), ("dim_N", 999), ("dim_euclidean", 0),
+                       ("sigma_phi_pos", []), ("factors", [])]:
+        if key in data:
+            with pytest.raises(LieFoliateError, match=f"disagrees with sl\\(5,R\\) in {key}"):
+                record_type.from_dict({**data, key: value})
+    for key in data:
+        edited = {k: v for k, v in data.items() if k != key}
+        with pytest.raises(LieFoliateError, match=f"lacks {key}"):
+            record_type.from_dict(edited)
+    for phi in ([3, 1], [0], "13", None):
+        with pytest.raises(LieFoliateError):
+            record_type.from_dict({**data, "phi": phi})

@@ -91,6 +91,13 @@ def test_unknown_family_rejected():
         build_root_system("Z", 3)
 
 
+def test_unhashable_arguments_rejected_before_the_cache():
+    with pytest.raises(LieFoliateError, match="unknown root system family"):
+        build_root_system(["A"], 3)
+    with pytest.raises(LieFoliateError, match="valid range"):
+        build_root_system("A", [3])
+
+
 def test_inner_examples():
     # <e1-e2, e2-e3> = -1 in A_2
     a2 = build_root_system("A", 2)

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, or defines a
+private module-level name it never reads."""
 
 import ast
 from pathlib import Path
@@ -50,6 +51,56 @@ def unused_imports(source: str) -> list[str]:
             unused.extend(f"line {node.lineno}: {name}" for name in _bound_names(node)
                           if name not in used)
     return unused
+
+
+def _private_names(node: ast.stmt) -> list[str]:
+    """Private names (``_name``, not dunders) a statement defines."""
+    if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unread_privates(source: str) -> list[str]:
+    """Private module-level names no other statement of the module reads, and
+    private class members the module never reads as an attribute."""
+    tree = ast.parse(source)
+    members = [m for cls in tree.body if isinstance(cls, ast.ClassDef) for m in cls.body]
+    loads = [n for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
+    unread = []
+    for node in [*tree.body, *members]:
+        kind = ast.Name if node in tree.body else ast.Attribute
+        inside = {id(n) for n in ast.walk(node)}
+        for name in _private_names(node):
+            if not any(isinstance(n, kind) and (n.id if kind is ast.Name else n.attr) == name
+                       and id(n) not in inside for n in loads):
+                unread.append(f"line {node.lineno}: {name}")
+    return unread
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_every_private_name_it_defines(path):
+    assert unread_privates(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("_X = 1\n", ["line 1: _X"]),
+    ("_X = 1\ndef f():\n    return _X\n", []),
+    ("def _f():\n    return _f()\n", ["line 1: _f"]),
+    ("class _C:\n    pass\n\n\nclass D(_C):\n    pass\n", []),
+    ("class D:\n    def _m(self):\n        pass\n", ["line 2: _m"]),
+    ("class D:\n    _k = 1\n    def _m(self):\n        return self._k\n    def f(self):\n"
+     "        return self._m()\n", []),
+    ("_T: int = 3\n__all__ = []\n", ["line 1: _T"]),
+    ("import functools\n@functools.cache\ndef _f():\n    pass\ng = _f\n", []),
+])
+def test_unread_private_check_finds_what_it_should(source, expected):
+    assert unread_privates(source) == expected
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
