@@ -16,7 +16,7 @@ _EXPORTS = {
                 "root_multiplicity", "space_dimension"),
     "errors": ("LieFoliateError",),
     "foliations": ("FoliationClass", "HyperbolicFactor", "PhiOrbit", "enumerate_foliations",
-                   "foliation_codimension", "hyperbolic_factor", "orthogonal_subsets"),
+                   "hyperbolic_factor", "orthogonal_subsets"),
     "parabolic": ("BoundaryFactor", "HorosphericalData", "ParabolicData", "PhiSubset",
                   "boundary_components", "horospherical", "parabolic_data", "phi_subset",
                   "root_subsystem"),

@@ -16,12 +16,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
 
 from .errors import LieFoliateError
-from .roots import SCALE, Family, Root, RootSystem, build_root_system, inner
+from .roots import Family, Root, RootSystem, build_root_system, inner
 
 
 @dataclass(frozen=True)
@@ -170,40 +169,34 @@ class MultiplicityFunction:
 
     The catalog provides multiplicities on the simple roots only; the value on
     an arbitrary root is read off from its squared length (length classes and
-    Weyl orbits coincide for the ten irreducible families).  ``classes`` keys
-    the values by the exact squared length; lookups use the integer squared
-    norm of the doubled coordinates, SCALE**2 times that length, so a call
-    builds no Fraction.
+    Weyl orbits coincide for the ten irreducible families).  ``table`` maps
+    the integer squared norm of a root's doubled coordinates, SCALE**2 times
+    its squared length, to the multiplicity, so a call builds no Fraction.
     """
 
-    classes: tuple[tuple[Fraction, int], ...]
+    table: dict[int, int]
 
     @classmethod
     def for_space(cls, space: SpaceDescriptor) -> "MultiplicityFunction":
         rs = space.root_system
-        table: dict[Fraction, int] = {}
+        norms = {lam: sum(c * c for c in lam.scaled) for lam in rs.positive}
+        table: dict[int, int] = {}
         for i, alpha in enumerate(rs.simple, start=1):
-            length = inner(alpha, alpha)
             m = space.m_alpha(i)
-            if table.setdefault(length, m) != m:
+            if table.setdefault(norms[alpha], m) != m:
                 raise LieFoliateError(
                     f"{space.name}: simple roots of equal length carry different multiplicities"
                 )
         if space.family is Family.BC:
-            alpha_r = rs.simple[-1]
-            table[4 * inner(alpha_r, alpha_r)] = space.m_2alpha(space.rank)
-        missing = set(rs.length_classes) - set(table)
+            table[4 * norms[rs.simple[-1]]] = space.m_2alpha(space.rank)
+        missing = set(norms.values()) - set(table)
         if missing:
-            raise LieFoliateError(f"{space.name}: no multiplicity for length classes {missing}")
-        return cls(tuple(sorted(table.items())))
-
-    @cached_property
-    def _table(self) -> dict[int, int]:
-        return {int(length * SCALE * SCALE): m for length, m in self.classes}
+            raise LieFoliateError(f"{space.name}: no multiplicity for doubled-coordinate norms {missing}")
+        return cls(table)
 
     def __call__(self, root: Root) -> int:
         try:
-            return self._table[sum(c * c for c in root.scaled)]
+            return self.table[sum(c * c for c in root.scaled)]
         except KeyError:
             raise LieFoliateError(
                 f"no multiplicity recorded for a root of squared length {inner(root, root)}"
@@ -310,16 +303,11 @@ def _so_quaternion(m: int) -> SpaceDescriptor:
     return _instantiate("so_H_even", r=m // 2, m=m)
 
 
-def _sp_real(r: int) -> SpaceDescriptor:
+def _sp(r: int, letter: str) -> SpaceDescriptor:
     if r < 2:
-        raise LieFoliateError("sp(r,R): valid for r >= 2 (sp(1,R) is carried by sl(2,R))")
-    return _instantiate("sp_R", r=r)
-
-
-def _sp_complex(r: int) -> SpaceDescriptor:
-    if r < 2:
-        raise LieFoliateError("sp(r,C): valid for r >= 2 (sp(1,C) is carried by sl(2,C))")
-    return _instantiate("sp_C", r=r)
+        f = letter.upper()
+        raise LieFoliateError(f"sp(r,{f}): valid for r >= 2 (sp(1,{f}) is carried by sl(2,{f}))")
+    return _instantiate({"r": "sp_R", "c": "sp_C"}[letter], r=r)
 
 
 def _sp_pq(p: int, q: int) -> SpaceDescriptor:
@@ -344,20 +332,21 @@ def _su_pq(p: int, q: int) -> SpaceDescriptor:
     return _instantiate("su_pq", r=q, n=p - q, p=p, q=q)
 
 
-_EXCEPTIONAL_KEYS = {
-    ("e6", "6"): "e6_6", ("e6", "2"): "e6_2", ("e6", "-14"): "e6_m14",
-    ("e6", "-26"): "e6_m26", ("e6", "c"): "e6_C",
-    ("e7", "7"): "e7_7", ("e7", "-5"): "e7_m5", ("e7", "-25"): "e7_m25", ("e7", "c"): "e7_C",
-    ("e8", "8"): "e8_8", ("e8", "-24"): "e8_m24", ("e8", "c"): "e8_C",
-    ("f4", "4"): "f4_4", ("f4", "-20"): "f4_m20", ("f4", "c"): "f4_C",
-    ("g2", "2"): "g2_2", ("g2", "c"): "g2_C",
-}
+_EXCEPTIONAL_NAME = re.compile(r"^(e6|e7|e8|f4|g2)\((c|-?\d+)\)$")
+
+
+@lru_cache(maxsize=1)
+def _exceptional_keys() -> dict[tuple[str, str], str]:
+    """(letter, tag) -> entry key of the 17 exceptional spaces, read off their flattened names."""
+    names = ((_EXCEPTIONAL_NAME.match(_normalize(e.ascii_fmt)), e.key) for e in catalog_entries())
+    return {(m[1], m[2]): key for m, key in names if m}
 
 
 def _exceptional(letter: str, tag: str) -> SpaceDescriptor:
-    key = _EXCEPTIONAL_KEYS.get((letter, tag))
+    keys = _exceptional_keys()
+    key = keys.get((letter, tag))
     if key is None:
-        valid = sorted(t for (l, t) in _EXCEPTIONAL_KEYS if l == letter)
+        valid = sorted(t for (l, t) in keys if l == letter)
         raise LieFoliateError(f"{letter}({tag}): valid tags are {', '.join(valid)}")
     return _instantiate(key)
 
@@ -375,15 +364,13 @@ _PATTERNS: list[tuple[re.Pattern, callable]] = [
     (re.compile(r"^so(\d+)\(c\)/"), lambda m: _so_complex(int(m[1]))),
     (re.compile(r"^so\((\d+),h\)$"), lambda m: _so_quaternion(int(m[1]))),
     (re.compile(r"^so(\d+)\(h\)/"), lambda m: _so_quaternion(int(m[1]))),
-    (re.compile(r"^sp\((\d+),r\)$"), lambda m: _sp_real(int(m[1]))),
-    (re.compile(r"^sp(\d+)\(r\)/"), lambda m: _sp_real(int(m[1]))),
-    (re.compile(r"^sp\((\d+),c\)$"), lambda m: _sp_complex(int(m[1]))),
-    (re.compile(r"^sp(\d+)\(c\)/"), lambda m: _sp_complex(int(m[1]))),
+    (re.compile(r"^sp\((\d+),([rc])\)$"), lambda m: _sp(int(m[1]), m[2])),
+    (re.compile(r"^sp(\d+)\(([rc])\)/"), lambda m: _sp(int(m[1]), m[2])),
     (re.compile(r"^sp\((\d+),(\d+)\)$"), lambda m: _sp_pq(int(m[1]), int(m[2]))),
     (re.compile(r"^sp(\d+),(\d+)(/|$)"), lambda m: _sp_pq(int(m[1]), int(m[2]))),
     (re.compile(r"^su\((\d+),(\d+)\)$"), lambda m: _su_pq(int(m[1]), int(m[2]))),
     (re.compile(r"^su(\d+),(\d+)(/|$)"), lambda m: _su_pq(int(m[1]), int(m[2]))),
-    (re.compile(r"^(e6|e7|e8|f4|g2)\((c|-?\d+)\)$"), lambda m: _exceptional(m[1], m[2])),
+    (_EXCEPTIONAL_NAME, lambda m: _exceptional(m[1], m[2])),
     (re.compile(r"^(e6|e7|e8|f4|g2)(c|-?\d+)(/|$)"), lambda m: _exceptional(m[1], m[2])),
 ]
 

@@ -52,7 +52,6 @@ __all__ = [
     "orthogonal_subsets",
     "hyperbolic_factor",
     "enumerate_foliations",
-    "foliation_codimension",
     "CONGRUENCE_NOTE",
 ]
 
@@ -109,8 +108,6 @@ class HyperbolicFactor:
 
 def hyperbolic_factor(space: SpaceDescriptor, alpha_index: int) -> HyperbolicFactor:
     """Hyperbolic-space data of the rank-one boundary component at alpha."""
-    if not 1 <= alpha_index <= space.rank:
-        raise LieFoliateError(f"simple root index {alpha_index} out of range 1..{space.rank}")
     m = space.m_alpha(alpha_index)
     m2 = space.m_2alpha(alpha_index)
     if m2 == 0:
@@ -243,11 +240,6 @@ class FoliationClass:
         if wrong:
             raise LieFoliateError(f"foliation record disagrees with {space.name} in {', '.join(wrong)}")
         return record
-
-
-def foliation_codimension(fc: FoliationClass) -> int:
-    """Codimension r_Phi + (r - r_Phi - dim V) of the leaves."""
-    return fc.r_phi + (fc.space.rank - fc.r_phi - fc.dim_v)
 
 
 def _orbit_of(space: SpaceDescriptor, phi) -> tuple[tuple[int, ...], ...]:

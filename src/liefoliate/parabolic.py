@@ -197,19 +197,6 @@ class BoundaryFactor:
         }
 
 
-def _is_named_sl_component(dd, component, mults) -> bool:
-    # A component's factor is named only when the component is a simply-laced
-    # path (no double circle, off-diagonal Cartan entries 0 or -1, at most two
-    # neighbours per vertex) and mults, the multiplicities of its positive
-    # roots, are all one: it then generates a split special linear algebra.
-    a, inside = dd.cartan, set(component)
-    for i in component:
-        joined = dd.neighbors(i) & inside
-        if dd.vertices[i - 1].double_circle or len(joined) > 2 or any(a[i - 1][j - 1] != -1 for j in joined):
-            return False
-    return all(m == 1 for m in mults)
-
-
 def boundary_components(space: SpaceDescriptor, phi: PhiSubset) -> list[BoundaryFactor]:
     """Factors of F_Phi^s, one per connected component of Phi in the diagram."""
     if phi.space != space:
@@ -230,12 +217,14 @@ def boundary_components(space: SpaceDescriptor, phi: PhiSubset) -> list[Boundary
     factors = []
     for component, comp_mults in zip(components, component_mults):
         rank = len(component)
-        dim = rank + sum(comp_mults)
-        if _is_named_sl_component(dd, component, comp_mults):
+        # A_k is the only irreducible rank-k root system with k(k+1)/2
+        # positive roots (D_3 = A_3); with every multiplicity one the factor
+        # is split SL.
+        if len(comp_mults) == rank * (rank + 1) // 2 and all(m == 1 for m in comp_mults):
             name = f"SL_{rank + 1}(R)/SO_{rank + 1}"
         else:
             name = f"unnamed rank-{rank} factor"
-        factors.append(BoundaryFactor(component, rank, name, dim))
+        factors.append(BoundaryFactor(component, rank, name, rank + sum(comp_mults)))
     return factors
 
 

@@ -15,6 +15,9 @@ Positive roots are ordered by height, then by their coefficients in
 descending lexicographic order, so ``positive`` begins with the simple roots
 in order.  The Dynkin diagram is read off the Cartan matrix and derives it
 back from its edges; its adjacency and automorphisms read that one table.
+``DynkinDiagram.from_dict`` accepts only edges that give such a table:
+vertices 1..n, edges of 1 to 3 lines between two of them, and an arrow on
+each multiple edge and on no other.
 """
 
 from __future__ import annotations
@@ -413,7 +416,7 @@ def build_root_system(family: Family | str, rank: int) -> RootSystem:
     except ValueError:
         raise LieFoliateError(f"unknown root system family {family!r}") from None
     lo, hi = RANK_RANGES[family]
-    if not isinstance(rank, int) or rank < lo or (hi is not None and rank > hi):
+    if type(rank) is not int or rank < lo or (hi is not None and rank > hi):
         span = f"rank = {lo}" if hi == lo else f"rank >= {lo}"
         raise LieFoliateError(f"invalid rank {rank} for family {family.value}: valid range is {span}")
     return _built_root_system(family, rank)
@@ -446,8 +449,8 @@ class DynkinEdge:
 class DynkinDiagram:
     """Decorated graph on the simple roots: line counts, arrows, double circles.
 
-    Vertices and edges are stored and exported; adjacency, automorphisms and
-    named factors read the Cartan matrix ``cartan`` derived from them once.
+    Vertices and edges are stored and exported; adjacency and automorphisms
+    read the Cartan matrix ``cartan`` derived from them once.
     """
 
     vertices: tuple[DynkinVertex, ...]
@@ -515,17 +518,37 @@ class DynkinDiagram:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DynkinDiagram":
-        return cls(
-            vertices=tuple(
-                DynkinVertex(v["index"], v["double_circle"]) for v in data["vertices"]
-            ),
-            edges=tuple(
-                DynkinEdge(e["i"], e["j"], e["lines"],
-                           tuple(e["arrow"]) if e.get("arrow") else None)
-                for e in data["edges"]
-            ),
-            notes=tuple(data.get("notes", ())),
-        )
+        """Rebuild a diagram of ``to_dict``, checking that it is one.
+
+        Raises LieFoliateError for a missing key, vertices not indexed 1..n in
+        order, an edge that is a loop, repeats a pair or leaves the vertices,
+        a line count outside 1..3, and an arrow that is not (i, j) or (j, i)
+        of its own multiple edge; a single edge carries no arrow.
+        """
+        try:
+            vertices = tuple(DynkinVertex(v["index"], v["double_circle"]) for v in data["vertices"])
+            edges = tuple(DynkinEdge(e["i"], e["j"], e["lines"],
+                                     tuple(e["arrow"]) if e.get("arrow") else None) for e in data["edges"])
+        except KeyError as exc:
+            raise LieFoliateError(f"Dynkin diagram data lacks {exc}") from None
+        except TypeError as exc:
+            raise LieFoliateError(f"malformed Dynkin diagram data: {exc}") from None
+        n = len(vertices)
+        if [(type(v.index), v.index) for v in vertices] != [(int, i) for i in range(1, n + 1)]:
+            raise LieFoliateError(f"diagram vertices must be indexed 1..{n} in order")
+        pairs = set()
+        for e in edges:
+            ends = frozenset((e.i, e.j))
+            if any(type(x) is not int for x in (e.i, e.j, e.lines)) or not ends <= set(range(1, n + 1)):
+                raise LieFoliateError(f"edge {e.i}-{e.j} must join two of the vertices 1..{n}")
+            if len(ends) == 1 or ends in pairs:
+                raise LieFoliateError(f"edge {e.i}-{e.j} is a loop or joins a pair twice")
+            pairs.add(ends)
+            if not 1 <= e.lines <= 3:
+                raise LieFoliateError(f"edge {e.i}-{e.j} has {e.lines} lines, not 1, 2 or 3")
+            if e.arrow not in (((e.i, e.j), (e.j, e.i)) if e.lines > 1 else (None,)):
+                raise LieFoliateError(f"edge {e.i}-{e.j} of {e.lines} lines cannot carry the arrow {e.arrow}")
+        return cls(vertices, edges, tuple(data.get("notes", ())))
 
     def to_dot(self, name: str = "dynkin") -> str:
         """Graphviz rendering; double circles become peripheries=2."""

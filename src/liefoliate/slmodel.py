@@ -52,9 +52,13 @@ def _as_array(x) -> np.ndarray:
     return a
 
 
+def _tolerance(a: np.ndarray) -> float:
+    """TAU_ALG * n * max|A_ij|: a tolerance that scales with A."""
+    return TAU_ALG * a.shape[0] * np.abs(a).max()
+
+
 def _is_traceless(a: np.ndarray) -> bool:
-    """|tr A| <= TAU_ALG * n * max|A_ij|: a tolerance that scales with A."""
-    return abs(np.trace(a)) <= TAU_ALG * a.shape[0] * np.abs(a).max()
+    return abs(np.trace(a)) <= _tolerance(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +79,7 @@ class MatrixElement:
         if self.tag is not None:
             if self.tag not in VALID_TAGS:
                 raise LieFoliateError(f"unknown tag {self.tag!r}; valid tags: {VALID_TAGS}")
-            tol = TAU_ALG * max(1.0, float(np.abs(a).max()))
+            tol = _tolerance(a)
             if self.tag == "k" and np.abs(a + a.T).max() > tol:
                 raise LieFoliateError("tag k requires a skew-symmetric matrix")
             if self.tag == "p" and np.abs(a - a.T).max() > tol:
@@ -343,8 +347,12 @@ class LieTripleResult:
 
 
 def _basis_brackets(s: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """The basis of S stacked (k, n, n) and the brackets [B_i, B_j] of its pairs (k, k, n, n)."""
+    """The basis of S stacked (k, n, n), each element scaled to unit metric norm
+    so that no residual depends on the scale of the given basis, and the
+    brackets [B_i, B_j] of its pairs (k, k, n, n)."""
     stack = np.stack([b.entries for b in s.basis])
+    stack = stack / np.abs(stack).max(axis=(1, 2), keepdims=True)  # no under- or overflow below
+    stack = stack / np.sqrt(2.0 * s.size * np.sum(stack * stack, axis=(1, 2), keepdims=True))
     pair = np.einsum("iab,jbc->ijac", stack, stack) - np.einsum("jab,ibc->ijac", stack, stack)
     return stack, pair
 
@@ -365,11 +373,12 @@ def is_lie_triple(s: Subspace) -> LieTripleResult:
 
     For every triple of basis elements the double bracket is projected onto
     the orthogonal complement of span(S) under the pairing -B(., theta .);
-    the subspace is a Lie triple system when the largest residual norm stays
-    below TAU_ALG.
+    the subspace is a Lie triple system when the largest residual norm, for
+    the basis scaled to unit norm, stays below TAU_ALG.  Each basis element
+    must be symmetric to within TAU_ALG * n * max|entry|.
     """
     for b in s.basis:
-        if np.abs(b.entries - b.entries.T).max() > TAU_ALG * max(1.0, np.abs(b.entries).max()):
+        if np.abs(b.entries - b.entries.T).max() > _tolerance(b.entries):
             raise LieFoliateError("Lie-triple test requires symmetric basis elements")
     if s.dim == 0:
         return LieTripleResult(True, 0.0)
@@ -380,7 +389,8 @@ def is_lie_triple(s: Subspace) -> LieTripleResult:
 
 
 def bracket_closure_residual(s: Subspace) -> float:
-    """Largest metric-norm residual of [X,Y] outside span(S) over basis pairs."""
+    """Largest metric-norm residual of [X,Y] outside span(S) over pairs of the
+    basis scaled to unit norm."""
     if s.dim == 0:
         return 0.0
     return _residual_outside_span(s, _basis_brackets(s)[1])

@@ -114,6 +114,26 @@ def test_out_of_range_parameters_rejected(name, message):
         catalog_lookup(name)
 
 
+# The messages of the hand-written tables these lookups replaced, word for word.
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        ("e6(1)", "e6(1): valid tags are -14, -26, 2, 6, c"),
+        ("e7(1)", "e7(1): valid tags are -25, -5, 7, c"),
+        ("e8(1)", "e8(1): valid tags are -24, 8, c"),
+        ("f4(1)", "f4(1): valid tags are -20, 4, c"),
+        ("g2(1)", "g2(1): valid tags are 2, c"),
+        ("sp(1,R)", "sp(r,R): valid for r >= 2 (sp(1,R) is carried by sl(2,R))"),
+        ("sp(1,C)", "sp(r,C): valid for r >= 2 (sp(1,C) is carried by sl(2,C))"),
+        ("Sp_1(C)/Sp_1", "sp(r,C): valid for r >= 2 (sp(1,C) is carried by sl(2,C))"),
+    ],
+)
+def test_rejection_messages_are_exact(name, message):
+    with pytest.raises(LieFoliateError) as excinfo:
+        catalog_lookup(name)
+    assert str(excinfo.value) == message
+
+
 # Independent oracle: classical closed-form dimensions of these spaces.
 #   sl(m,R): (m-1)(m+2)/2      sl(m,C): m^2-1       sl(m,H): (m-1)(2m+1)
 #   so(p,q): pq                so(m,C): m(m-1)/2    so(m,H): m(m-1)

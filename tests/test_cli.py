@@ -211,6 +211,16 @@ def test_slmodel_check_lie_triple(capsys):
     assert data["holds"] is False and data["residual"] > 0.1
 
 
+def test_slmodel_check_lie_triple_on_a_scaled_non_example(capsys):
+    bad = json.dumps([[[0, 5e-6, 0], [5e-6, 0, 0], [0, 0, 0]],
+                      [[0, 0, 5e-6], [0, 0, 0], [5e-6, 0, 0]],
+                      [[0, 0, 0], [0, 0, 5e-6], [0, 5e-6, 0]]])
+    code, out, _ = run(capsys, "slmodel", "check-lie-triple", "--basis", bad)
+    assert code == 0
+    assert '"holds": false' in out
+    assert json.loads(out)["residual"] > 0.1
+
+
 def test_slmodel_halfplane(capsys):
     code, out, _ = run(capsys, "slmodel", "halfplane", "--orbit", "N", "--samples", "5",
                        "--base-re", "0.5", "--base-im", "2.0")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liefoliate.errors import LieFoliateError
 from liefoliate.roots import (
     RANK_RANGES,
     DynkinDiagram,
@@ -157,6 +158,40 @@ def test_diagram_json_round_trip():
     for fam, rank in [("A", 3), ("BC", 2), ("F4", 4), ("D", 4)]:
         dd = diagram(fam, rank)
         assert DynkinDiagram.from_dict(dd.to_dict()) == dd
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d["vertices"].pop(0), "indexed 1..2 in order"),
+        (lambda d: d["vertices"].reverse(), "indexed 1..3 in order"),
+        (lambda d: d["vertices"][0].update(index=True), "indexed 1..3 in order"),
+        (lambda d: d["edges"][0].update(j=4), "join two of the vertices 1..3"),
+        (lambda d: d["edges"][0].update(i=0), "join two of the vertices 1..3"),
+        (lambda d: d["edges"][0].update(j=1), "loop"),
+        (lambda d: d["edges"].append(dict(d["edges"][0])), "joins a pair twice"),
+        (lambda d: d["edges"][0].update(lines=0), "0 lines"),
+        (lambda d: d["edges"][0].update(lines=4), "4 lines"),
+        (lambda d: d["edges"][1].update(arrow=[2, 1]), "cannot carry the arrow"),
+        (lambda d: d["edges"][1].update(arrow=[1, 3]), "cannot carry the arrow"),
+        (lambda d: d["edges"][1].update(arrow=None), "cannot carry the arrow"),
+        (lambda d: d["edges"][0].update(arrow=[1, 2]), "cannot carry the arrow"),
+        (lambda d: d.pop("edges"), "lacks 'edges'"),
+        (lambda d: d["vertices"][0].pop("double_circle"), "lacks 'double_circle'"),
+        (lambda d: d["edges"][0].pop("lines"), "lacks 'lines'"),
+        (lambda d: d["edges"][1].update(arrow=3), "malformed"),
+    ],
+    ids=["vertex-missing", "vertices-out-of-order", "bool-index", "edge-to-missing-vertex",
+         "edge-from-vertex-0", "loop", "repeated-edge", "no-lines", "four-lines",
+         "arrow-off-its-edge", "arrow-naming-another-vertex", "multiple-edge-without-arrow",
+         "arrow-on-single-edge", "edges-key-missing", "double-circle-key-missing",
+         "lines-key-missing", "arrow-not-a-pair"],
+)
+def test_from_dict_rejects_a_diagram_that_is_not_one(edit, message):
+    data = diagram("B", 3).to_dict()
+    edit(data)
+    with pytest.raises(LieFoliateError, match=message):
+        diagram_automorphisms(DynkinDiagram.from_dict(data))
 
 
 SYSTEMS_TO_16 = [

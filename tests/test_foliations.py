@@ -11,7 +11,6 @@ from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
     FoliationClass,
     enumerate_foliations,
-    foliation_codimension,
     hyperbolic_factor,
     orthogonal_subsets,
 )
@@ -160,7 +159,6 @@ def test_codimension_formula_and_leaf_dims():
     for name in ["sl(5,R)", "su(4,2)", "e6(-14)", "so(5,2)", "f4(4)"]:
         space = catalog_lookup(name)
         for c in enumerate_foliations(space, include_trivial=True):
-            assert c.codim == foliation_codimension(c)
             assert c.codim == c.r_phi + (space.rank - c.r_phi - c.dim_v)
             assert c.codim + c.leaf_dim == space.dimension
             assert c.trivial == (c.codim == 0)

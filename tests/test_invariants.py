@@ -8,6 +8,9 @@ reference made here from the simple-root expansions and the multiplicity
 function.
 """
 
+import itertools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +21,11 @@ from liefoliate.foliations import (
     _phi_orbits,
     _sorted_phi_orbits,
     enumerate_foliations,
-    foliation_codimension,
     hyperbolic_factor,
     orthogonal_subsets,
 )
 from liefoliate.parabolic import boundary_components, horospherical, parabolic_data, phi_subset
-from liefoliate.roots import dynkin_diagram, inner, reflect
+from liefoliate.roots import SCALE, dynkin_diagram, inner, reflect
 
 MAX_RANK = 10
 
@@ -141,7 +143,7 @@ def test_closed_form_holds_for_random_orthogonal_phi(case):
 @given(st.sampled_from(SPACES))
 def test_every_record_has_codimension_r_minus_dim_v(space):
     for fc in enumerate_foliations(space, include_trivial=True):
-        assert fc.codim == foliation_codimension(fc) == space.rank - fc.dim_v
+        assert fc.codim == space.rank - fc.dim_v
         assert fc.leaf_dim + fc.codim == space.dimension
 
 
@@ -149,7 +151,7 @@ def test_every_record_has_codimension_r_minus_dim_v(space):
 @given(st.sampled_from(SPACES))
 def test_multiplicity_agrees_with_the_fraction_length_class(space):
     mult = space.multiplicities
-    by_length = dict(mult.classes)
+    by_length = {Fraction(norm, SCALE * SCALE): m for norm, m in mult.table.items()}
     for lam in space.root_system.roots:
         assert mult(lam) == by_length[inner(lam, lam)]
 
@@ -199,10 +201,7 @@ def test_parabolic_data_matches_a_reference_from_the_expansions(case):
     assert d.dim_g_phi == (r_phi + sum_all if k0 == 0 else None)
 
 
-@settings(max_examples=150, deadline=None)
-@given(space_and_phi())
-def test_boundary_factors_match_a_per_component_reference(case):
-    space, phi = case
+def _check_boundary_factors(space, phi):
     rs, mult = space.root_system, space.multiplicities
     factors = boundary_components(space, phi_subset(space, phi))
     assert [f.component_indices for f in factors] == \
@@ -218,7 +217,21 @@ def test_boundary_factors_match_a_per_component_reference(case):
         split_a = (len(pos) == k * (k + 1) // 2
                    and len({inner(lam, lam) for lam in pos}) == 1
                    and all(mult(lam) == 1 for lam in pos))
-        assert f.name == (f"SL_{k + 1}(R)/SO_{k + 1}" if split_a else f"unnamed rank-{k} factor")
+        assert f.name == (f"SL_{k + 1}(R)/SO_{k + 1}" if split_a else f"unnamed rank-{k} factor"), \
+            (space.name, phi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(space_and_phi())
+def test_boundary_factors_match_a_per_component_reference(case):
+    _check_boundary_factors(*case)
+
+
+@pytest.mark.parametrize("space", [s for s in SPACES if s.rank <= 6], ids=lambda s: s.name)
+def test_every_boundary_factor_up_to_rank_6_matches_the_reference(space):
+    for k in range(space.rank + 1):
+        for phi in itertools.combinations(range(1, space.rank + 1), k):
+            _check_boundary_factors(space, phi)
 
 
 @settings(max_examples=60, deadline=None)

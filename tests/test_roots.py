@@ -91,6 +91,12 @@ def test_unknown_family_rejected():
         build_root_system("Z", 3)
 
 
+@pytest.mark.parametrize("rank", [True, False, 3.0])
+def test_a_rank_that_is_not_an_int_is_rejected(rank):
+    with pytest.raises(LieFoliateError, match="valid range"):
+        build_root_system("A", rank)
+
+
 def test_unhashable_arguments_rejected_before_the_cache():
     with pytest.raises(LieFoliateError, match="unknown root system family"):
         build_root_system(["A"], 3)

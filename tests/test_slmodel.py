@@ -118,6 +118,15 @@ def test_matrix_element_tags_enforced():
             MatrixElement(np.zeros((2, 2)) + np.diag([1.0, -1.0]), tag=tag)
 
 
+def test_tag_and_symmetry_tolerances_are_relative_to_the_matrix():
+    tiny = 1e-13 * e_matrix(2, 0, 1)
+    for tag, message in (("p", "symmetric"), ("k", "skew")):
+        with pytest.raises(LieFoliateError, match=message):
+            MatrixElement(tiny, tag=tag)
+    with pytest.raises(LieFoliateError, match="symmetric basis elements"):
+        is_lie_triple(subspace([tiny]))
+
+
 def test_matrix_element_is_immutable():
     el = as_element(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError):
@@ -494,6 +503,24 @@ def test_lie_triple_exhaustive_small_ranks():
                     res = is_lie_triple(builder(r, phi))
                     assert res.holds, (r, phi, builder.__name__)
                     assert res.residual < 1e-12
+
+
+def _offdiagonal_sl3():
+    return [(e_matrix(3, i, j) + e_matrix(3, j, i)) / 2.0 for i, j in ((0, 1), (0, 2), (1, 2))]
+
+
+# 1e-170 and 1e170 square to below and above the float range.
+SCALES = [10.0 ** k for k in range(-6, 7)] + [1e-170, 1e170]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_lie_triple_verdict_does_not_depend_on_the_scale_of_the_basis(scale):
+    res = is_lie_triple(subspace([scale * m for m in _offdiagonal_sl3()]))
+    assert not res.holds and res.residual > 0.1
+    good = subspace([scale * b.entries for b in p_phi_subspace(3, (1, 2)).basis])
+    res = is_lie_triple(good)
+    assert res.holds and res.residual < 1e-12
+    assert bracket_closure_residual(good) == pytest.approx(bracket_closure_residual(p_phi_subspace(3, (1, 2))))
 
 
 def test_lie_triple_two_plane_closes():
