@@ -160,7 +160,8 @@ class SpaceDescriptor:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpaceDescriptor":
-        return catalog_lookup(data["name"])
+        """Look the record's name up in the catalog, checking every other field."""
+        return rebuilt(data, ("name",), catalog_lookup, "space record")
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,29 @@ class MultiplicityFunction:
             raise LieFoliateError(
                 f"no multiplicity recorded for a root of squared length {inner(root, root)}"
             )
+
+
+def rebuilt(data: dict, keys: tuple[str, ...], build, what: str):
+    """The record ``build(*values)`` that the key fields of ``data`` name.
+
+    ``data`` must be a dict holding the key fields, the first of which names
+    the space, and every key of the rebuilt record's ``to_dict`` with the
+    same value; else LieFoliateError, whose message begins with ``what``.
+    """
+    if not isinstance(data, dict):
+        raise LieFoliateError(f"{what} is a {type(data).__name__}, not a dict")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise LieFoliateError(f"{what} lacks {', '.join(missing)}")
+    record = build(*(data[key] for key in keys))
+    expected = record.to_dict()
+    missing = [key for key in expected if key not in data]
+    if missing:
+        raise LieFoliateError(f"{what} lacks {', '.join(missing)}")
+    wrong = [key for key in expected if data[key] != expected[key]]
+    if wrong:
+        raise LieFoliateError(f"{what} disagrees with {expected[keys[0]]} in {', '.join(wrong)}")
+    return record
 
 
 def root_multiplicity(space: SpaceDescriptor, lam: Root) -> int:
@@ -399,6 +423,8 @@ def catalog_lookup(name: str) -> SpaceDescriptor:
     A name containing "/" must be the display name of the space it resolves
     to.  Unknown names are rejected with a summary of the valid grammar.
     """
+    if not isinstance(name, str):
+        raise LieFoliateError(f"symmetric space name {name!r} is not a string")
     query = _normalize(name)
     for pattern, handler in _PATTERNS:
         m = pattern.match(query)

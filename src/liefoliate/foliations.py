@@ -14,14 +14,16 @@ how the records are stored: a ``PhiOrbit`` holds what every record of one
 orbit shares (the space, Phi, the orbit, the hyperbolic factors, dim N_Phi
 and the hyperbolic part of the leaf dimension) and is built once per orbit,
 and a ``FoliationClass`` is only (PhiOrbit, dim V), reading the rest off
-its orbit.  By part (iii) of
-the main theorem of Berndt, Diaz-Ramos and Tamaru, F_{Phi,V} and
-F_{Phi',V'} are congruent exactly when a diagram automorphism P has
-P(Phi) = Phi' and P_*V = V'; that does not make distinct V of one dimension
-congruent in M, so a record with 0 < dim V < r - r_Phi stands for a
-continuous family of foliations, not for one congruence class.  Whether
-records with different keys are always non-congruent is not certified here;
-records are labeled accordingly.
+its orbit.  The Phi orbits of a diagram are one table, built once per
+diagram, that maps each orbit's representative (its least member) to the
+orbit, in (r_Phi, Phi) order; the enumeration walks it, and ``from_dict``
+looks a record's Phi up in it.  By part (iii) of the main theorem of
+Berndt, Diaz-Ramos and Tamaru, F_{Phi,V} and F_{Phi',V'} are congruent
+exactly when a diagram automorphism P has P(Phi) = Phi' and P_*V = V'; that
+does not make distinct V of one dimension congruent in M, so a record with
+0 < dim V < r - r_Phi stands for a continuous family of foliations, not for
+one congruence class.  Whether records with different keys are always
+non-congruent is not certified here; records are labeled accordingly.
 
 For an orthogonal Phi the dimension of N_Phi has a closed form.  The support
 of a positive root is connected in the Dynkin diagram, and no two roots of
@@ -37,11 +39,10 @@ builds anyway and never scans the roots.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .catalog import SpaceDescriptor, catalog_lookup
+from .catalog import SpaceDescriptor, catalog_lookup, rebuilt
 from .errors import LieFoliateError
 from .roots import DynkinDiagram, apply_permutation, diagram_automorphisms, dynkin_diagram
 
@@ -57,8 +58,7 @@ __all__ = [
 
 CONGRUENCE_NOTE = "orbit representative; pairwise non-congruence of distinct records is not certified"
 
-_ALGEBRA_REAL_DIM = {"R": 1, "C": 2, "H": 4, "O": 8}
-_ALGEBRA_BY_DOUBLE_MULT = {1: "C", 3: "H", 7: "O"}
+_ALGEBRA = {1: "R", 2: "C", 4: "H", 8: "O"}  # real dimension -> division algebra
 
 
 def orthogonal_subsets(dd: DynkinDiagram) -> list[tuple[int, ...]]:
@@ -107,28 +107,21 @@ class HyperbolicFactor:
 
 
 def hyperbolic_factor(space: SpaceDescriptor, alpha_index: int) -> HyperbolicFactor:
-    """Hyperbolic-space data of the rank-one boundary component at alpha."""
+    """Hyperbolic-space data of the rank-one boundary component at alpha.
+
+    The base algebra F is R, C, H or O as d = m_2alpha + 1 is 1, 2, 4 or 8,
+    and F H^n has m_alpha = (n - 1) d, so n = m_alpha / d + 1 and the real
+    dimension is n d; over O only n = 2 occurs, so m_alpha must be 8.
+    """
     m = space.m_alpha(alpha_index)
-    m2 = space.m_2alpha(alpha_index)
-    if m2 == 0:
-        algebra, n = "R", m + 1
-    else:
-        algebra = _ALGEBRA_BY_DOUBLE_MULT.get(m2)
-        if algebra is None:
-            raise LieFoliateError(f"doubled-root multiplicity {m2} is not one of 1, 3, 7")
-        if algebra == "C":
-            if m % 2:
-                raise LieFoliateError("complex factor needs an even root multiplicity")
-            n = m // 2 + 1
-        elif algebra == "H":
-            if m % 4:
-                raise LieFoliateError("quaternionic factor needs a multiplicity divisible by 4")
-            n = m // 4 + 1
-        else:
-            if m != 8:
-                raise LieFoliateError("octonionic factor needs root multiplicity 8")
-            n = 2
-    return HyperbolicFactor(alpha_index, algebra, n, n * _ALGEBRA_REAL_DIM[algebra])
+    d = space.m_2alpha(alpha_index) + 1
+    algebra = _ALGEBRA.get(d)
+    if algebra is None:
+        raise LieFoliateError(f"doubled-root multiplicity {d - 1} is not one of 1, 3, 7")
+    if m % d or d == 8 and m != 8:
+        raise LieFoliateError(f"{algebra} factor needs root multiplicity {8 if d == 8 else f'divisible by {d}'}")
+    n = m // d + 1
+    return HyperbolicFactor(alpha_index, algebra, n, n * d)
 
 
 @dataclass(frozen=True)
@@ -153,9 +146,6 @@ def _phi_orbit(space: SpaceDescriptor, orbit: tuple[tuple[int, ...], ...],
     hyper_leaf_dim = sum(f.real_dim - 1 for f in factors)
     dim_n_phi = space.dimension - space.rank - hyper_leaf_dim  # the closed form above
     return PhiOrbit(space, orbit[0], orbit, factors, dim_n_phi, hyper_leaf_dim)
-
-
-_RECORD_KEYS = ("space", "phi", "orbit", "dim_v", "leaf_dim", "codim", "trivial", "factors", "dim_n_phi")
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,62 +212,47 @@ class FoliationClass:
 
         The Phi orbit data are computed afresh; phi must be an orthogonal
         subset and its orbit's representative, dim V must lie in
-        0..r - r_Phi, and the record's orbit, factors, dim N_Phi, leaf
-        dimension, codimension and triviality must be what the space gives,
-        else LieFoliateError.
+        0..r - r_Phi, and every other field, the congruence note included,
+        must be what the space gives, else LieFoliateError.
         """
-        missing = [key for key in _RECORD_KEYS if key not in data]
-        if missing:
-            raise LieFoliateError(f"foliation record lacks {', '.join(missing)}")
-        space = catalog_lookup(data["space"])
-        orbit = _orbit_of(space, data["phi"])
-        dim_v = data["dim_v"]
-        if type(dim_v) is not int or not 0 <= dim_v <= space.rank - len(orbit[0]):
-            raise LieFoliateError(f"dim_v {dim_v!r} is not in 0..{space.rank - len(orbit[0])}")
-        record = cls(_phi_orbit(space, orbit, tuple(hyperbolic_factor(space, i) for i in orbit[0])), dim_v)
-        expected = record.to_dict()
-        wrong = [key for key in _RECORD_KEYS[2:] if data[key] != expected[key]]
-        if wrong:
-            raise LieFoliateError(f"foliation record disagrees with {space.name} in {', '.join(wrong)}")
-        return record
+        return rebuilt(data, ("space", "phi", "dim_v"), _record, "foliation record")
+
+
+def _record(name, phi, dim_v) -> FoliationClass:
+    space = catalog_lookup(name)
+    orbit = _orbit_of(space, phi)
+    if type(dim_v) is not int or not 0 <= dim_v <= space.rank - len(phi):
+        raise LieFoliateError(f"dim_v {dim_v!r} is not in 0..{space.rank - len(phi)}")
+    return FoliationClass(_phi_orbit(space, orbit, tuple(hyperbolic_factor(space, i) for i in phi)), dim_v)
 
 
 def _orbit_of(space: SpaceDescriptor, phi) -> tuple[tuple[int, ...], ...]:
-    """The Phi orbit of the space whose representative is phi, found among the cached orbits."""
+    """The Phi orbit of the space whose representative is phi."""
     dd = dynkin_diagram(space.root_system)
     if (not isinstance(phi, (list, tuple)) or any(type(i) is not int or not 1 <= i <= space.rank for i in phi)
             or list(phi) != sorted(set(phi)) or any(j in dd.neighbors(i) for i in phi for j in phi)):
         raise LieFoliateError(f"phi {phi!r} is not an orthogonal subset of the simple roots of {space.name}")
-    phi = tuple(phi)
-    orbits = _sorted_phi_orbits(dd)
-    k = bisect_left(orbits, _orbit_key(phi), key=lambda o: _orbit_key(o[0]))
-    if k == len(orbits) or orbits[k][0] != phi:
+    orbit = _orbit_table(dd).get(tuple(phi))
+    if orbit is None:
         raise LieFoliateError(f"phi {list(phi)} is not the representative (least member) of its orbit")
-    return orbits[k]
-
-
-def _phi_orbits(dd: DynkinDiagram) -> list[tuple[tuple[int, ...], ...]]:
-    subsets = orthogonal_subsets(dd)
-    auts = diagram_automorphisms(dd)
-    seen: set[tuple[int, ...]] = set()
-    orbits = []
-    for phi in subsets:
-        if phi in seen:
-            continue
-        orbit = sorted({apply_permutation(p, phi) for p in auts})
-        seen.update(orbit)
-        orbits.append(tuple(orbit))
-    return orbits
-
-
-def _orbit_key(phi: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return len(phi), phi
+    return orbit
 
 
 @lru_cache(maxsize=None)
-def _sorted_phi_orbits(dd: DynkinDiagram) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The Phi orbits of a diagram ordered by (r_Phi, Phi), computed once per diagram."""
-    return tuple(sorted(_phi_orbits(dd), key=lambda o: _orbit_key(o[0])))
+def _orbit_table(dd: DynkinDiagram) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Representative -> its sorted Phi orbit, in (r_Phi, Phi) order, built once per diagram.
+
+    The orthogonal subsets are visited in (r_Phi, Phi) order, so the first
+    member of an orbit met is its least one, the representative.
+    """
+    auts = diagram_automorphisms(dd)
+    table: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    seen: set[tuple[int, ...]] = set()
+    for phi in sorted(orthogonal_subsets(dd), key=lambda p: (len(p), p)):
+        if phi not in seen:
+            table[phi] = orbit = tuple(sorted({apply_permutation(p, phi) for p in auts}))
+            seen.update(orbit)
+    return table
 
 
 def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False) -> list[FoliationClass]:
@@ -292,9 +267,9 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False) 
     r = space.rank
     by_index = {i: hyperbolic_factor(space, i) for i in range(1, r + 1)}
     classes = []
-    for orbit in _sorted_phi_orbits(dd):
-        phi_orbit = _phi_orbit(space, orbit, tuple(by_index[i] for i in orbit[0]))
+    for phi, orbit in _orbit_table(dd).items():
+        phi_orbit = _phi_orbit(space, orbit, tuple(by_index[i] for i in phi))
         # codim = r - dim V, so only Phi empty with dim V = r is trivial
-        top = r - len(orbit[0]) if orbit[0] or include_trivial else r - 1
+        top = r - len(phi) if phi or include_trivial else r - 1
         classes += [FoliationClass(phi_orbit, dim_v) for dim_v in range(top + 1)]
     return classes

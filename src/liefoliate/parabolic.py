@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .catalog import SpaceDescriptor, catalog_lookup
+from .catalog import SpaceDescriptor, catalog_lookup, rebuilt
 from .errors import LieFoliateError
 from .roots import Root, dynkin_diagram
 
@@ -42,10 +42,10 @@ class PhiSubset:
 
     def __post_init__(self) -> None:
         r = self.space.rank
+        if any(type(i) is not int or not 1 <= i <= r for i in self.indices):
+            raise LieFoliateError(f"Phi indices {self.indices!r} must be ints in 1..{r}")
         if list(self.indices) != sorted(set(self.indices)):
             raise LieFoliateError("Phi indices must be strictly increasing")
-        if any(not 1 <= i <= r for i in self.indices):
-            raise LieFoliateError(f"Phi indices must lie in 1..{r}")
 
     @property
     def r_phi(self) -> int:
@@ -133,7 +133,8 @@ class ParabolicData:
     @classmethod
     def from_dict(cls, data: dict) -> "ParabolicData":
         """Rebuild a record of ``to_dict`` from its space and phi, checking every other field."""
-        return _rebuilt(data, parabolic_data)
+        return rebuilt(data, ("space", "phi"), lambda name, phi: parabolic_data(*_named(name, phi)),
+                       "parabolic record")
 
 
 def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
@@ -253,27 +254,16 @@ class HorosphericalData:
     @classmethod
     def from_dict(cls, data: dict) -> "HorosphericalData":
         """Rebuild a record of ``to_dict`` from its space and phi, checking every other field."""
-        return _rebuilt(data, horospherical)
+        return rebuilt(data, ("space", "phi"), lambda name, phi: horospherical(*_named(name, phi)),
+                       "horospherical record")
 
 
-def _rebuilt(data: dict, build):
-    """build(space, Phi) for the record's space and phi; LieFoliateError unless
-    the record has every key of the rebuilt record's ``to_dict``, with its value."""
-    missing = [key for key in ("space", "phi") if key not in data]
-    if missing:
-        raise LieFoliateError(f"record lacks {', '.join(missing)}")
-    space, phi = catalog_lookup(data["space"]), data["phi"]
-    if not isinstance(phi, list) or any(type(i) is not int for i in phi):
+def _named(name, phi) -> tuple[SpaceDescriptor, PhiSubset]:
+    """The space and the Phi subset a record names."""
+    if not isinstance(phi, list):
         raise LieFoliateError(f"phi {phi!r} is not a list of simple-root indices")
-    record = build(space, PhiSubset(space, tuple(phi)))
-    expected = record.to_dict()
-    missing = [key for key in expected if key not in data]
-    if missing:
-        raise LieFoliateError(f"record lacks {', '.join(missing)}")
-    wrong = [key for key in expected if data[key] != expected[key]]
-    if wrong:
-        raise LieFoliateError(f"record disagrees with {space.name} in {', '.join(wrong)}")
-    return record
+    space = catalog_lookup(name)
+    return space, PhiSubset(space, tuple(phi))
 
 
 def horospherical(space: SpaceDescriptor, phi: PhiSubset) -> HorosphericalData:

@@ -378,6 +378,8 @@ class RootSystem:
         for the family and rank, and the listed positive roots must be the
         generated ones, in any order; the result lists them in canonical order.
         """
+        if not isinstance(data, dict):
+            raise LieFoliateError(f"root system data is a {type(data).__name__}, not a dict")
         missing = [key for key in ("family", "rank", "ambient_dim", "simple", "positive", "roots")
                    if key not in data]
         if missing:

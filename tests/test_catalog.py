@@ -86,7 +86,7 @@ def test_lookup_returns_one_descriptor_per_space():
     assert catalog_lookup("so(7,2)") != catalog_lookup("so(8,2)")
 
 
-@pytest.mark.parametrize("name", ["sl(5,Q)", "so(2,1)", "e6(5)", "sp(1,R)"])
+@pytest.mark.parametrize("name", ["sl(5,Q)", "so(2,1)", "e6(5)", "sp(1,R)", None, 5])
 def test_invalid_name_raises_on_every_call(name):
     for _ in range(3):
         with pytest.raises(LieFoliateError):
@@ -245,6 +245,16 @@ def test_descriptor_json_round_trip():
     for name in ["sl(5,R)", "su(4,2)", "f4(-20)", "so(5,2)"]:
         d = catalog_lookup(name)
         assert SpaceDescriptor.from_dict(d.to_dict()) == d
+
+
+def test_descriptor_from_dict_checks_every_field():
+    data = catalog_lookup("SL5").to_dict()
+    with pytest.raises(LieFoliateError, match=r"record disagrees with sl\(5,R\) in rank, dimension$"):
+        SpaceDescriptor.from_dict({**data, "rank": 9, "dimension": 1})
+    with pytest.raises(LieFoliateError, match="lacks name$"):
+        SpaceDescriptor.from_dict({k: v for k, v in data.items() if k != "name"})
+    with pytest.raises(LieFoliateError, match="lacks notes$"):
+        SpaceDescriptor.from_dict({k: v for k, v in data.items() if k != "notes"})
 
 
 def test_sl_c_typo_note_recorded():

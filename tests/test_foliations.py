@@ -91,6 +91,33 @@ def test_hyperbolic_factor_octonionic_needs_multiplicity_eight():
         hyperbolic_factor(bad, 1)
 
 
+def _per_algebra_factor(m, m2):
+    """(algebra, n, real_dim) by the rule for each division algebra, or None if rejected."""
+    if m2 == 0:
+        return "R", m + 1, m + 1
+    if m2 == 1:
+        return ("C", m // 2 + 1, 2 * (m // 2 + 1)) if m % 2 == 0 else None
+    if m2 == 3:
+        return ("H", m // 4 + 1, 4 * (m // 4 + 1)) if m % 4 == 0 else None
+    if m2 == 7:
+        return ("O", 2, 16) if m == 8 else None
+    return None
+
+
+@pytest.mark.parametrize("m2", [0, 1, 2, 3, 7])
+def test_hyperbolic_factor_closed_form_matches_the_per_algebra_rules(m2):
+    f4 = catalog_lookup("f4(-20)")
+    for m in range(1, 17):
+        space = dataclasses.replace(f4, simple_mults=((m, m2),))
+        expected = _per_algebra_factor(m, m2)
+        if expected is None:
+            with pytest.raises(LieFoliateError):
+                hyperbolic_factor(space, 1)
+        else:
+            f = hyperbolic_factor(space, 1)
+            assert (f.algebra, f.n, f.real_dim) == expected, (m, m2)
+
+
 def test_hyperbolic_factor_index_validation():
     with pytest.raises(LieFoliateError):
         hyperbolic_factor(catalog_lookup("SL5"), 5)
@@ -237,8 +264,10 @@ def _factor_n(d):
     d["factors"][0]["n"] = 3
 
 
-def _drop_factors(d):
-    del d["factors"]
+def _drop(key):
+    def edit(d):
+        del d[key]
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -253,10 +282,13 @@ def _drop_factors(d):
         (_set("phi", [1, 2]), "not an orthogonal subset"),
         (_set("phi", [4]), "not the representative"),
         (_set("dim_v", 4), "not in 0..3"),
-        (_drop_factors, "lacks factors"),
+        (_drop("factors"), "lacks factors"),
+        (_drop("congruence"), "lacks congruence$"),
+        (_set("congruence", "congruent"), r"disagrees with sl\(5,R\) in congruence$"),
     ],
     ids=["orbit", "factors", "dim_n_phi", "leaf_dim", "codim", "trivial",
-         "phi-not-orthogonal", "phi-not-representative", "dim_v-out-of-range", "key-missing"],
+         "phi-not-orthogonal", "phi-not-representative", "dim_v-out-of-range", "key-missing",
+         "congruence-missing", "congruence-edited"],
 )
 def test_from_dict_rejects_an_edited_record(edit, message):
     (record,) = [c for c in enumerate_foliations(catalog_lookup("SL5")) if (c.phi, c.dim_v) == ((1,), 2)]

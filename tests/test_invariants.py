@@ -18,14 +18,13 @@ from hypothesis import strategies as st
 from liefoliate.catalog import catalog_entries, catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
-    _phi_orbits,
-    _sorted_phi_orbits,
+    _orbit_table,
     enumerate_foliations,
     hyperbolic_factor,
     orthogonal_subsets,
 )
 from liefoliate.parabolic import boundary_components, horospherical, parabolic_data, phi_subset
-from liefoliate.roots import SCALE, dynkin_diagram, inner, reflect
+from liefoliate.roots import SCALE, diagram_automorphisms, dynkin_diagram, inner, reflect
 
 MAX_RANK = 10
 
@@ -90,7 +89,7 @@ def test_records_of_one_orbit_share_one_phi_orbit(space):
     for fc in enumerate_foliations(space, include_trivial=True):
         assert shared.setdefault(fc.orbit, fc.phi_orbit) is fc.phi_orbit, (space.name, fc.phi)
     assert len({id(po) for po in shared.values()}) == len(shared)
-    assert list(shared) == list(_sorted_phi_orbits(dynkin_diagram(space.root_system)))
+    assert list(shared) == list(_orbit_table(dynkin_diagram(space.root_system)).values())
 
 
 def _positive_split(space, phi):
@@ -163,12 +162,25 @@ def test_per_space_multiplicities_are_aligned_and_sum_to_the_dimension(space):
     assert sum(space.positive_mults) == space.dimension - space.rank
 
 
+def _brute_force_orbits(dd) -> dict:
+    """Representative -> sorted orbit of every orthogonal subset, from all vertex subsets."""
+    verts = [v.index for v in dd.vertices]
+    edges = {frozenset((e.i, e.j)) for e in dd.edges}
+    orthogonal = [phi for k in range(len(verts) + 1) for phi in itertools.combinations(verts, k)
+                  if not any(frozenset(pair) in edges for pair in itertools.combinations(phi, 2))]
+    orbits = {tuple(sorted({tuple(sorted(p[i - 1] for i in phi)) for p in diagram_automorphisms(dd)}))
+              for phi in orthogonal}
+    return {orbit[0]: orbit for orbit in orbits}
+
+
 def test_cached_phi_orbits_equal_a_fresh_computation():
     diagrams = {(s.family, s.rank): dynkin_diagram(s.root_system) for s in SPACES}
     for dd in diagrams.values():
-        cached = _sorted_phi_orbits(dd)
-        assert cached == tuple(sorted(_phi_orbits(dd), key=lambda o: (len(o[0]), o[0])))
-        assert _sorted_phi_orbits(dd) is cached
+        table = _orbit_table(dd)
+        assert table == _brute_force_orbits(dd)
+        assert list(table) == sorted(table, key=lambda phi: (len(phi), phi))
+        assert all(phi == min(orbit) for phi, orbit in table.items())
+        assert _orbit_table(dd) is table
 
 
 def _support_within(rs, lam, indices) -> bool:

@@ -10,6 +10,7 @@ from liefoliate.errors import LieFoliateError
 from liefoliate.parabolic import (
     HorosphericalData,
     ParabolicData,
+    PhiSubset,
     boundary_components,
     horospherical,
     parabolic_data,
@@ -60,6 +61,10 @@ def test_phi_subset_validation():
     with pytest.raises(LieFoliateError):
         phi_subset(sl5, [5])
     assert phi_subset(sl5, [3, 1, 3]).indices == (1, 3)
+    for indices in [(1.5,), (1.0,), (True,), (1, "3")]:
+        with pytest.raises(LieFoliateError, match="must be ints in 1..4"):
+            PhiSubset(sl5, indices)
+    assert phi_subset(sl5, [3.0, True]).indices == (1, 3)
 
 
 def test_phi_subset_orthogonality_flag():
