@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from importlib import resources
 
@@ -23,25 +23,17 @@ from .errors import LieFoliateError
 from .roots import Family, Root, RootSystem, build_root_system, inner
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One record of the shipped catalog table (possibly rank-parameterized)."""
+class CatalogEntry(namedtuple("CatalogEntry", (
+        "key ascii_doc display_doc ascii_fmt display_fmt family rank_doc fixed_rank mult_pattern "
+        "mult_head mult_last mult_last_double mult_explicit dim_k0 notes"))):
+    """One record of the shipped catalog table (possibly rank-parameterized).
 
-    key: str
-    ascii_doc: str
-    display_doc: str
-    ascii_fmt: str
-    display_fmt: str
-    family: Family
-    rank_doc: str
-    fixed_rank: int | None
-    mult_pattern: str
-    mult_head: tuple[int, int] | None
-    mult_last: tuple[int, int] | None
-    mult_last_double: tuple[int, int] | None
-    mult_explicit: tuple[int, ...] | None
-    dim_k0: int | None
-    notes: tuple[str, ...]
+    ``fixed_rank`` and ``dim_k0`` are ints or None; ``mult_head``,
+    ``mult_last`` and ``mult_last_double`` are linear forms (a, b), meaning
+    a n + b, or None; ``mult_explicit`` is a tuple of ints or None.
+    """
+
+    __slots__ = ()
 
 
 def _linear(form: tuple[int, int] | None, n: int | None) -> int | None:
@@ -91,26 +83,20 @@ def _entry_map() -> dict[str, CatalogEntry]:
     return {e.key: e for e in catalog_entries()}
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
+class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank simple_mults dim_k0 entry_key notes",
+                                 defaults=((),))):
     """A concrete symmetric space: family, rank, and simple-root multiplicities.
 
     ``simple_mults`` holds one integer per simple root; for the BC family the
-    last entry is the pair (m_alpha, m_2alpha).
+    last entry is the pair (m_alpha, m_2alpha).  No ``__slots__``: the cached
+    properties live in the instance ``__dict__``.
     """
 
-    name: str
-    display: str
-    family: Family
-    rank: int
-    simple_mults: tuple
-    dim_k0: int | None
-    entry_key: str
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "SpaceDescriptor":
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.simple_mults) != self.rank:
             raise LieFoliateError("multiplicity vector length must equal the rank")
+        return self
 
     def m_alpha(self, index: int) -> int:
         """Multiplicity of the simple root alpha_index (1-based)."""
@@ -164,8 +150,7 @@ class SpaceDescriptor:
         return rebuilt(data, ("name",), catalog_lookup, "space record")
 
 
-@dataclass(frozen=True)
-class MultiplicityFunction:
+class MultiplicityFunction(namedtuple("MultiplicityFunction", "table")):
     """Root multiplicities, constant on each length class of the root system.
 
     The catalog provides multiplicities on the simple roots only; the value on
@@ -175,7 +160,7 @@ class MultiplicityFunction:
     its squared length, to the multiplicity, so a call builds no Fraction.
     """
 
-    table: dict[int, int]
+    __slots__ = ()
 
     @classmethod
     def for_space(cls, space: SpaceDescriptor) -> "MultiplicityFunction":

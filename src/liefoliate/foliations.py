@@ -39,7 +39,7 @@ builds anyway and never scans the roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .catalog import SpaceDescriptor, catalog_lookup, rebuilt
@@ -83,8 +83,7 @@ def orthogonal_subsets(dd: DynkinDiagram) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class HyperbolicFactor:
+class HyperbolicFactor(namedtuple("HyperbolicFactor", "alpha_index algebra n real_dim")):
     """The hyperbolic space F_alpha H^{n_alpha} attached to a simple root.
 
     The base algebra is R when the doubled root is absent (then
@@ -92,10 +91,7 @@ class HyperbolicFactor:
     root's multiplicity 1, 3 or 7.
     """
 
-    alpha_index: int
-    algebra: str
-    n: int
-    real_dim: int
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -124,8 +120,7 @@ def hyperbolic_factor(space: SpaceDescriptor, alpha_index: int) -> HyperbolicFac
     return HyperbolicFactor(alpha_index, algebra, n, n * d)
 
 
-@dataclass(frozen=True)
-class PhiOrbit:
+class PhiOrbit(namedtuple("PhiOrbit", "space phi orbit factors dim_n_phi hyper_leaf_dim")):
     """What every record of one Phi orbit shares, built once per orbit.
 
     ``phi`` is the orbit's representative, its first member in sorted order;
@@ -133,12 +128,7 @@ class PhiOrbit:
     factors, the hyperbolic part of the leaf dimension.
     """
 
-    space: SpaceDescriptor
-    phi: tuple[int, ...]
-    orbit: tuple[tuple[int, ...], ...]
-    factors: tuple[HyperbolicFactor, ...]
-    dim_n_phi: int
-    hyper_leaf_dim: int
+    __slots__ = ()
 
 
 def _phi_orbit(space: SpaceDescriptor, orbit: tuple[tuple[int, ...], ...],
@@ -148,12 +138,10 @@ def _phi_orbit(space: SpaceDescriptor, orbit: tuple[tuple[int, ...], ...],
     return PhiOrbit(space, orbit[0], orbit, factors, dim_n_phi, hyper_leaf_dim)
 
 
-@dataclass(frozen=True, slots=True)
-class FoliationClass:
+class FoliationClass(namedtuple("FoliationClass", "phi_orbit dim_v")):
     """One record (Phi orbit, dim V); everything else is read off the orbit."""
 
-    phi_orbit: PhiOrbit
-    dim_v: int
+    __slots__ = ()
 
     @property
     def space(self) -> SpaceDescriptor:

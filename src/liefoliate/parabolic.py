@@ -13,7 +13,7 @@ n_Phi dimensions and the whole horospherical side never need it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .catalog import SpaceDescriptor, catalog_lookup, rebuilt
@@ -33,19 +33,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhiSubset:
-    """A subset of the simple roots, given by sorted 1-based indices."""
+class PhiSubset(namedtuple("PhiSubset", "space indices")):
+    """A subset of the simple roots, given by sorted 1-based indices.
 
-    space: SpaceDescriptor
-    indices: tuple[int, ...]
+    No ``__slots__``: the cached property lives in the instance ``__dict__``.
+    """
 
-    def __post_init__(self) -> None:
-        r = self.space.rank
-        if any(type(i) is not int or not 1 <= i <= r for i in self.indices):
-            raise LieFoliateError(f"Phi indices {self.indices!r} must be ints in 1..{r}")
-        if list(self.indices) != sorted(set(self.indices)):
+    def __new__(cls, space: SpaceDescriptor, indices: tuple[int, ...]) -> "PhiSubset":
+        r = space.rank
+        if any(type(i) is not int or not 1 <= i <= r for i in indices):
+            raise LieFoliateError(f"Phi indices {indices!r} must be ints in 1..{r}")
+        if list(indices) != sorted(set(indices)):
             raise LieFoliateError("Phi indices must be strictly increasing")
+        return tuple.__new__(cls, (space, indices))
 
     @property
     def r_phi(self) -> int:
@@ -82,8 +82,9 @@ def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Ro
     return sigma_phi_pos.union(neg for _, neg in inside), sigma_phi_pos
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(namedtuple("ParabolicData", (
+        "space phi sigma_phi sigma_phi_pos dim_a_phi dim_n_phi dim_g0 dim_l_phi dim_m_phi dim_q_phi "
+        "dim_p_phi dim_p_phi_s dim_k_phi dim_g_phi dim_z_phi"))):
     """Dimension data of the parabolic subalgebra attached to Phi.
 
     Fields whose value requires dim k0 are None when the catalog does not
@@ -91,21 +92,7 @@ class ParabolicData:
     k0 = 0, where the center z_Phi is forced to vanish.
     """
 
-    space: SpaceDescriptor
-    phi: tuple[int, ...]
-    sigma_phi: frozenset[Root]
-    sigma_phi_pos: frozenset[Root]
-    dim_a_phi: int
-    dim_n_phi: int
-    dim_g0: int | None
-    dim_l_phi: int | None
-    dim_m_phi: int | None
-    dim_q_phi: int | None
-    dim_p_phi: int
-    dim_p_phi_s: int
-    dim_k_phi: int | None
-    dim_g_phi: int | None
-    dim_z_phi: int | None
+    __slots__ = ()
 
     @property
     def r_phi(self) -> int:
@@ -180,14 +167,10 @@ def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     )
 
 
-@dataclass(frozen=True)
-class BoundaryFactor:
+class BoundaryFactor(namedtuple("BoundaryFactor", "component_indices rank name dim")):
     """One factor of F_Phi^s, coming from a connected component of Phi."""
 
-    component_indices: tuple[int, ...]
-    rank: int
-    name: str
-    dim: int
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -229,16 +212,10 @@ def boundary_components(space: SpaceDescriptor, phi: PhiSubset) -> list[Boundary
     return factors
 
 
-@dataclass(frozen=True)
-class HorosphericalData:
+class HorosphericalData(namedtuple("HorosphericalData", "space phi factors dim_Fs dim_euclidean dim_N")):
     """The three factors of M = F_Phi^s x E^{r-r_Phi} x N_Phi."""
 
-    space: SpaceDescriptor
-    phi: tuple[int, ...]
-    factors: tuple[BoundaryFactor, ...]
-    dim_Fs: int
-    dim_euclidean: int
-    dim_N: int
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -18,13 +18,16 @@ back from its edges; its adjacency and automorphisms read that one table.
 ``DynkinDiagram.from_dict`` accepts only edges that give such a table:
 vertices 1..n, edges of 1 to 3 lines between two of them, and an arrow on
 each multiple edge and on no other.
+
+The records are immutable named tuples, and ``fractions`` is imported only
+by the functions that build a Fraction, so building a root system and its
+diagram loads neither ``dataclasses`` nor ``fractions``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import add
@@ -63,19 +66,25 @@ RANK_RANGES = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class Root:
-    """A nonzero vector with rational coordinates, stored doubled as integers."""
+class Root(namedtuple("Root", "scaled")):
+    """A nonzero vector with rational coordinates, stored doubled as integers.
 
-    scaled: tuple[int, ...]
+    ``scaled`` must be a non-empty tuple of ints (not bools), not all zero.
+    Roots order by ``scaled``.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.scaled:
+    __slots__ = ()
+
+    def __new__(cls, scaled: tuple[int, ...]) -> "Root":
+        if type(scaled) is not tuple:
+            raise LieFoliateError(f"scaled root coordinates must be a tuple, not a {type(scaled).__name__}")
+        if not scaled:
             raise LieFoliateError("a root needs at least one coordinate")
-        if not all(isinstance(c, int) for c in self.scaled):
+        if not all(type(c) is int for c in scaled):
             raise LieFoliateError("scaled root coordinates must be integers")
-        if all(c == 0 for c in self.scaled):
+        if not any(scaled):
             raise LieFoliateError("a root is never the zero vector")
+        return tuple.__new__(cls, (scaled,))
 
     @property
     def dim(self) -> int:
@@ -83,6 +92,8 @@ class Root:
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         return tuple(Fraction(c, SCALE) for c in self.scaled)
 
     def __neg__(self) -> "Root":
@@ -97,6 +108,8 @@ class Root:
 
 def root_from_coords(coords) -> Root:
     """Build a Root from plain rational coordinates (halves allowed)."""
+    from fractions import Fraction
+
     scaled = []
     for c in coords:
         s = Fraction(c) * SCALE
@@ -125,6 +138,8 @@ def inner(lam: Root, mu: Root) -> Fraction:
     """Exact Euclidean pairing of two roots."""
     if lam.dim != mu.dim:
         raise LieFoliateError(f"ambient dimension mismatch: {lam.dim} != {mu.dim}")
+    from fractions import Fraction
+
     return Fraction(sum(a * b for a, b in zip(lam.scaled, mu.scaled)), SCALE * SCALE)
 
 
@@ -142,6 +157,8 @@ def reflect(lam: Root, x: Root) -> Root:
     if num % den == 0:
         c = num // den
         return Root(tuple(xs - c * ls for xs, ls in zip(x.scaled, lam.scaled)))
+    from fractions import Fraction
+
     c = Fraction(num, den)
     scaled = []
     for xs, ls in zip(x.scaled, lam.scaled):
@@ -223,6 +240,8 @@ def _cartan_matrix(simple) -> tuple[tuple[int, ...], ...]:
         for j, b in enumerate(simple):
             num = 2 * sum(x * y for x, y in zip(a, b))
             if num % norms[j]:
+                from fractions import Fraction
+
                 raise LieFoliateError(
                     f"Cartan entry A_{i + 1},{j + 1} = {Fraction(num, norms[j])} is not an integer"
                 )
@@ -297,23 +316,16 @@ def _generate(family: Family, rank: int, simple) -> "RootSystem":
                       cartan, coefficients)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positive simple cartan coefficients")):
     """A full root system: all roots, a choice of positives, and simple roots.
 
     ``positive`` is in canonical order (see ``_positive_roots``) and begins
     with ``simple``; ``cartan`` is the Cartan matrix of ``simple`` and
     ``coefficients`` the simple-root coefficients of each positive root.
+    Both are functions of ``simple`` and ``positive``, so comparing them too
+    decides no equality differently.  No ``__slots__``: the cached
+    properties live in the instance ``__dict__``.
     """
-
-    family: Family
-    rank: int
-    ambient_dim: int
-    roots: frozenset[Root]
-    positive: tuple[Root, ...]
-    simple: tuple[Root, ...]
-    cartan: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    coefficients: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     def __contains__(self, root: Root) -> bool:
         return root in self.roots
@@ -354,7 +366,7 @@ class RootSystem:
 
     @cached_property
     def length_classes(self) -> dict[Fraction, tuple[Root, ...]]:
-        classes: dict[Fraction, list[Root]] = {}
+        classes = {}
         for root in sorted(self.roots):
             classes.setdefault(inner(root, root), []).append(root)
         return {k: tuple(v) for k, v in sorted(classes.items())}
@@ -388,7 +400,7 @@ class RootSystem:
             family, rank = Family(data["family"]), data["rank"]
         except ValueError:
             raise LieFoliateError(f"unknown root system family {data['family']!r}") from None
-        simple = tuple(Root(tuple(c)).scaled for c in data["simple"])
+        simple = tuple(alpha.scaled for alpha in _listed_roots(data, "simple"))
         if len(simple) != rank or rank < 1:
             raise LieFoliateError("number of simple roots must equal the rank, which is at least 1")
         if any(len(alpha) != data["ambient_dim"] for alpha in simple):
@@ -396,12 +408,20 @@ class RootSystem:
         rs = _generate(family, rank, simple)
         if rs.cartan != build_root_system(family, rank).cartan:
             raise LieFoliateError(f"simple roots do not have the Cartan matrix of {family.value}_{rank}")
-        positive = [Root(tuple(c)) for c in data["positive"]]
+        positive = _listed_roots(data, "positive")
         if len(positive) != len(rs.positive) or set(positive) != set(rs.positive):
             raise LieFoliateError("positive roots are not those the simple roots generate")
-        if frozenset(Root(tuple(c)) for c in data["roots"]) != rs.roots:
+        if frozenset(_listed_roots(data, "roots")) != rs.roots:
             raise LieFoliateError("root set is not the positive roots and their negatives")
         return rs
+
+
+def _listed_roots(data: dict, key: str) -> list[Root]:
+    """The roots that ``data[key]`` lists as lists of doubled coordinates."""
+    listed = data[key]
+    if not isinstance(listed, list) or not all(isinstance(c, list) for c in listed):
+        raise LieFoliateError(f"{key} must be a list of lists of doubled coordinates")
+    return [Root(tuple(c)) for c in listed]
 
 
 def build_root_system(family: Family | str, rank: int) -> RootSystem:
@@ -433,31 +453,23 @@ build_root_system.cache_info = _built_root_system.cache_info
 build_root_system.cache_clear = _built_root_system.cache_clear
 
 
-@dataclass(frozen=True)
-class DynkinVertex:
-    index: int
-    double_circle: bool
+class DynkinVertex(namedtuple("DynkinVertex", "index double_circle")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DynkinEdge:
-    i: int
-    j: int
-    lines: int
-    arrow: tuple[int, int] | None = None  # (tail, head); head is the shorter root
+class DynkinEdge(namedtuple("DynkinEdge", "i j lines arrow", defaults=(None,))):
+    """``arrow`` is (tail, head) on a multiple edge, head the shorter root, else None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults=((),))):
     """Decorated graph on the simple roots: line counts, arrows, double circles.
 
     Vertices and edges are stored and exported; adjacency and automorphisms
-    read the Cartan matrix ``cartan`` derived from them once.
+    read the Cartan matrix ``cartan`` derived from them once, cached in the
+    instance ``__dict__``.
     """
-
-    vertices: tuple[DynkinVertex, ...]
-    edges: tuple[DynkinEdge, ...]
-    notes: tuple[str, ...] = ()
 
     @property
     def rank(self) -> int:

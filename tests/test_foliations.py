@@ -1,6 +1,5 @@
 """Orthogonal subsets, hyperbolic factors, and foliation class enumeration."""
 
-import dataclasses
 import itertools
 import tracemalloc
 
@@ -86,7 +85,7 @@ def test_hyperbolic_factor_division_algebras():
 
 def test_hyperbolic_factor_octonionic_needs_multiplicity_eight():
     f4 = catalog_lookup("f4(-20)")  # (m_alpha, m_2alpha) = (8, 7)
-    bad = dataclasses.replace(f4, simple_mults=((6, 7),))
+    bad = f4._replace(simple_mults=((6, 7),))
     with pytest.raises(LieFoliateError, match="multiplicity 8"):
         hyperbolic_factor(bad, 1)
 
@@ -108,7 +107,7 @@ def _per_algebra_factor(m, m2):
 def test_hyperbolic_factor_closed_form_matches_the_per_algebra_rules(m2):
     f4 = catalog_lookup("f4(-20)")
     for m in range(1, 17):
-        space = dataclasses.replace(f4, simple_mults=((m, m2),))
+        space = f4._replace(simple_mults=((m, m2),))
         expected = _per_algebra_factor(m, m2)
         if expected is None:
             with pytest.raises(LieFoliateError):

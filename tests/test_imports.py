@@ -1,5 +1,6 @@
-"""Each CLI command loads only the package modules it calls, and numpy only
-for the matrix model."""
+"""Each CLI command loads only the package modules it calls, numpy only for
+the matrix model, and ``dataclasses``, ``inspect`` and ``fractions`` for no
+structure command."""
 
 import os
 import subprocess
@@ -13,10 +14,16 @@ from liefoliate import cli, verify
 
 SRC = Path(liefoliate.__file__).resolve().parent.parent
 
+# Standard-library modules whose import and class-building cost a structure
+# command does without: the records are named tuples, and roots imports
+# fractions only where a Fraction is built.
+COLD_START_HEAVY = ("dataclasses", "inspect", "fractions")
+
 # Runs the CLI as ``python -m liefoliate.cli`` does, then reports the
-# package's modules that were loaded and whether numpy was.  A fresh
-# interpreter is needed: other tests load every module into this one.
-PROBE = """\
+# package's modules that were loaded, whether numpy was, and which of
+# COLD_START_HEAVY were.  A fresh interpreter is needed: other tests load
+# every module into this one.
+PROBE = f"""\
 import runpy, sys
 sys.argv = ["liefoliate", *sys.argv[1:]]
 try:
@@ -25,20 +32,22 @@ except SystemExit as exc:
     if exc.code:
         raise
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("liefoliate."))
-print(",".join(loaded), "numpy" in sys.modules, file=sys.stderr)
+heavy = [m for m in {COLD_START_HEAVY!r} if m in sys.modules]
+print(",".join(loaded), "numpy" in sys.modules, ",".join(heavy), file=sys.stderr)
 """
 
 
-def probe(*argv: str) -> tuple[set[str], bool]:
-    """The ``liefoliate.*`` modules and whether numpy was loaded.  The CLI
-    module itself runs as ``__main__`` and is not among them."""
+def probe(*argv: str) -> tuple[set[str], bool, set[str]]:
+    """The ``liefoliate.*`` modules, whether numpy was loaded, and the
+    modules of COLD_START_HEAVY that were.  The CLI module itself runs as
+    ``__main__`` and is not among them."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    modules, numpy = proc.stderr.splitlines()[-1].split(" ")
-    return set(filter(None, modules.split(","))), numpy == "True"
+    modules, numpy, heavy = proc.stderr.splitlines()[-1].split(" ")
+    return set(filter(None, modules.split(","))), numpy == "True", set(filter(None, heavy.split(",")))
 
 
 # ``data`` is the package that holds catalog.json, read through importlib.resources.
@@ -55,9 +64,11 @@ CATALOG = {"errors", "roots", "catalog", "data"}
     (("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), {"errors", "slmodel"}),
 ))
 def test_each_command_loads_only_the_modules_it_calls(argv, expected):
-    modules, numpy = probe(*argv)
+    modules, numpy, heavy = probe(*argv)
     assert modules == expected
     assert numpy == ("slmodel" in expected)
+    if "slmodel" not in expected:  # its records are dataclasses, and numpy dominates
+        assert heavy == set()
 
 
 def test_importing_the_package_loads_no_module_and_lists_every_name():

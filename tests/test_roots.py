@@ -61,6 +61,16 @@ def test_root_rejects_non_integer_scaled():
         Root((1.5, 2))
 
 
+def test_root_rejects_a_list_and_a_bool_coordinate():
+    # a list would later make the root unhashable; a bool is no coordinate
+    with pytest.raises(LieFoliateError, match="must be a tuple, not a list"):
+        Root([2, -2])
+    with pytest.raises(LieFoliateError, match="must be integers"):
+        Root((True, 0))
+    with pytest.raises(LieFoliateError, match="must be a tuple"):
+        Root(scaled=[2, -2])
+
+
 def test_root_from_coords_halves():
     r = root_from_coords([Fraction(1, 2), Fraction(-1, 2)])
     assert r.scaled == (1, -1)
