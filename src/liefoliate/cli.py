@@ -171,9 +171,7 @@ def _cmd_foliations(args) -> int:
     from .foliations import enumerate_foliations
 
     space = catalog_lookup(args.space)
-    classes = enumerate_foliations(space, include_trivial=args.include_trivial)
-    if args.codim is not None:
-        classes = [c for c in classes if c.codim == args.codim]
+    classes = enumerate_foliations(space, include_trivial=args.include_trivial, codim=args.codim)
     if args.format == "json":
         _emit_json([c.to_dict() for c in classes])
     else:

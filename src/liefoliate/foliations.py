@@ -9,20 +9,21 @@ parallel affine subspaces; the nilpotent factor N_Phi is taken whole.
 
 A record is keyed by (Phi orbit, dim V): the orbit of Phi under the diagram
 automorphism group, and the dimension of V, not V itself.  This follows the
-paper's parametrisation of the foliations by Phi together with V, and is
-how the records are stored: a ``PhiOrbit`` holds what every record of one
-orbit shares (the space, Phi, the orbit, the hyperbolic factors, dim N_Phi
-and the hyperbolic part of the leaf dimension) and is built once per orbit,
-and a ``FoliationClass`` is only (PhiOrbit, dim V), reading the rest off
-its orbit.  The Phi orbits of a diagram are one table, built once per
-diagram, that maps each orbit's representative (its least member) to the
-orbit, in (r_Phi, Phi) order; the enumeration walks it, and ``from_dict``
-looks a record's Phi up in it.  By part (iii) of the main theorem of
+paper's parametrisation of the foliations by Phi together with V, and is how
+the records are stored: a ``PhiOrbit`` holds what every record of one orbit
+shares (the space, Phi, the orbit, the hyperbolic factors, dim N_Phi and the
+hyperbolic part of the leaf dimension) and is built once per orbit of each
+space, and a ``FoliationClass`` is only (PhiOrbit, dim V), reading the rest
+off its orbit.  The ``PhiOrbit``s of a space are one table, built once per
+space, that maps each orbit's representative (its least member) to its
+``PhiOrbit``, in (r_Phi, Phi) order; the enumeration walks it, and
+``from_dict`` looks a record's Phi up in it, so a record read back shares
+the enumerated record's ``PhiOrbit``.  By part (iii) of the main theorem of
 Berndt, Diaz-Ramos and Tamaru, F_{Phi,V} and F_{Phi',V'} are congruent
 exactly when a diagram automorphism P has P(Phi) = Phi' and P_*V = V'; that
-does not make distinct V of one dimension congruent in M, so a record with
-0 < dim V < r - r_Phi stands for a continuous family of foliations, not for
-one congruence class.  Whether records with different keys are always
+does not make distinct V of one dimension congruent in M, so a record
+with 0 < dim V < r - r_Phi stands for a continuous family of foliations, not
+for one congruence class.  Whether records with different keys are always
 non-congruent is not certified here; records are labeled accordingly.
 
 For an orthogonal Phi the dimension of N_Phi has a closed form.  The support
@@ -121,7 +122,7 @@ def hyperbolic_factor(space: SpaceDescriptor, alpha_index: int) -> HyperbolicFac
 
 
 class PhiOrbit(namedtuple("PhiOrbit", "space phi orbit factors dim_n_phi hyper_leaf_dim")):
-    """What every record of one Phi orbit shares, built once per orbit.
+    """What every record of one Phi orbit shares, built once per space and orbit.
 
     ``phi`` is the orbit's representative, its first member in sorted order;
     ``hyper_leaf_dim`` is the sum of dim F_alpha H^{n_alpha} - 1 over the
@@ -129,13 +130,6 @@ class PhiOrbit(namedtuple("PhiOrbit", "space phi orbit factors dim_n_phi hyper_l
     """
 
     __slots__ = ()
-
-
-def _phi_orbit(space: SpaceDescriptor, orbit: tuple[tuple[int, ...], ...],
-               factors: tuple[HyperbolicFactor, ...]) -> PhiOrbit:
-    hyper_leaf_dim = sum(f.real_dim - 1 for f in factors)
-    dim_n_phi = space.dimension - space.rank - hyper_leaf_dim  # the closed form above
-    return PhiOrbit(space, orbit[0], orbit, factors, dim_n_phi, hyper_leaf_dim)
 
 
 class FoliationClass(namedtuple("FoliationClass", "phi_orbit dim_v")):
@@ -198,7 +192,8 @@ class FoliationClass(namedtuple("FoliationClass", "phi_orbit dim_v")):
     def from_dict(cls, data: dict) -> "FoliationClass":
         """Rebuild a record of ``to_dict`` from its space, phi and dim V.
 
-        The Phi orbit data are computed afresh; phi must be an orthogonal
+        The Phi orbit data are looked up in the space's table, so the record
+        shares the enumerated record's ``PhiOrbit``; phi must be an orthogonal
         subset and its orbit's representative, dim V must lie in
         0..r - r_Phi, and every other field, the congruence note included,
         must be what the space gives, else LieFoliateError.
@@ -208,56 +203,69 @@ class FoliationClass(namedtuple("FoliationClass", "phi_orbit dim_v")):
 
 def _record(name, phi, dim_v) -> FoliationClass:
     space = catalog_lookup(name)
-    orbit = _orbit_of(space, phi)
+    phi_orbit = _orbit_of(space, phi)
     if type(dim_v) is not int or not 0 <= dim_v <= space.rank - len(phi):
         raise LieFoliateError(f"dim_v {dim_v!r} is not in 0..{space.rank - len(phi)}")
-    return FoliationClass(_phi_orbit(space, orbit, tuple(hyperbolic_factor(space, i) for i in phi)), dim_v)
+    return FoliationClass(phi_orbit, dim_v)
 
 
-def _orbit_of(space: SpaceDescriptor, phi) -> tuple[tuple[int, ...], ...]:
-    """The Phi orbit of the space whose representative is phi."""
+def _orbit_of(space: SpaceDescriptor, phi) -> PhiOrbit:
+    """The space's PhiOrbit whose representative is phi."""
     dd = dynkin_diagram(space.root_system)
     if (not isinstance(phi, (list, tuple)) or any(type(i) is not int or not 1 <= i <= space.rank for i in phi)
             or list(phi) != sorted(set(phi)) or any(j in dd.neighbors(i) for i in phi for j in phi)):
         raise LieFoliateError(f"phi {phi!r} is not an orthogonal subset of the simple roots of {space.name}")
-    orbit = _orbit_table(dd).get(tuple(phi))
-    if orbit is None:
+    phi_orbit = _phi_orbits(space).get(tuple(phi))
+    if phi_orbit is None:
         raise LieFoliateError(f"phi {list(phi)} is not the representative (least member) of its orbit")
-    return orbit
+    return phi_orbit
 
 
 @lru_cache(maxsize=None)
-def _orbit_table(dd: DynkinDiagram) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Representative -> its sorted Phi orbit, in (r_Phi, Phi) order, built once per diagram.
+def _phi_orbits(space: SpaceDescriptor) -> dict[tuple[int, ...], PhiOrbit]:
+    """Representative -> its PhiOrbit, in (r_Phi, Phi) order, built once per space.
 
     The orthogonal subsets are visited in (r_Phi, Phi) order, so the first
     member of an orbit met is its least one, the representative.
     """
+    dd = dynkin_diagram(space.root_system)
     auts = diagram_automorphisms(dd)
-    table: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    by_index = {i: hyperbolic_factor(space, i) for i in range(1, space.rank + 1)}
+    dim_n_empty = space.dimension - space.rank
+    table: dict[tuple[int, ...], PhiOrbit] = {}
     seen: set[tuple[int, ...]] = set()
     for phi in sorted(orthogonal_subsets(dd), key=lambda p: (len(p), p)):
         if phi not in seen:
-            table[phi] = orbit = tuple(sorted({apply_permutation(p, phi) for p in auts}))
+            orbit = tuple(sorted({apply_permutation(p, phi) for p in auts}))
             seen.update(orbit)
+            factors = tuple(by_index[i] for i in phi)
+            hyper_leaf_dim = sum(f.real_dim - 1 for f in factors)
+            # dim N_Phi by the closed form above
+            table[phi] = PhiOrbit(space, phi, orbit, factors, dim_n_empty - hyper_leaf_dim, hyper_leaf_dim)
     return table
 
 
-def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False) -> list[FoliationClass]:
+def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
+                         codim: int | None = None) -> list[FoliationClass]:
     """All foliation classes of the space, one per (Phi orbit, dim V).
 
     The degenerate single-leaf class (Phi empty, V the whole Euclidean
-    factor, codimension zero) is excluded unless requested.  Classes are
-    ordered by (r_Phi, Phi, dim V); the records of one orbit share one
-    ``PhiOrbit``.
+    factor, codimension zero) is excluded unless requested.  With ``codim``
+    only the classes of that codimension are made: one per orbit with
+    r_Phi <= codim, with dim V = r - codim.  Classes are ordered by
+    (r_Phi, Phi, dim V); the records of one orbit share one ``PhiOrbit``.
     """
-    dd = dynkin_diagram(space.root_system)
     r = space.rank
-    by_index = {i: hyperbolic_factor(space, i) for i in range(1, r + 1)}
+    table = _phi_orbits(space)
+    new = tuple.__new__  # what FoliationClass(phi_orbit, dim_v) builds, without its Python frame
+    # codim = r - dim V, so only Phi empty with dim V = r is trivial
+    if codim is not None:
+        if not 0 <= codim <= r or codim == 0 and not include_trivial:
+            return []
+        dim_v = r - codim
+        return [new(FoliationClass, (phi_orbit, dim_v)) for phi, phi_orbit in table.items() if len(phi) <= codim]
     classes = []
-    for phi, orbit in _orbit_table(dd).items():
-        phi_orbit = _phi_orbit(space, orbit, tuple(by_index[i] for i in phi))
-        # codim = r - dim V, so only Phi empty with dim V = r is trivial
+    for phi, phi_orbit in table.items():
         top = r - len(phi) if phi or include_trivial else r - 1
-        classes += [FoliationClass(phi_orbit, dim_v) for dim_v in range(top + 1)]
+        classes += [new(FoliationClass, (phi_orbit, dim_v)) for dim_v in range(top + 1)]
     return classes

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from liefoliate import foliations
 from liefoliate.catalog import catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
@@ -201,6 +202,44 @@ def test_spec_codim_examples():
     c = classes[((1, 3), 1)]
     assert c.codim == 3
     assert c.leaf_dim == (1 + 1) + 1 + 8 == 11
+
+
+@pytest.mark.parametrize("name", ["SL5", "e6(6)", "so(8,8)", "su(5,2)"])
+def test_enumeration_by_codim_equals_the_filtered_full_list(name):
+    space = catalog_lookup(name)
+    for include_trivial in (False, True):
+        full = enumerate_foliations(space, include_trivial=include_trivial)
+        for codim in range(-1, space.rank + 2):
+            expected = [c for c in full if c.codim == codim]
+            assert enumerate_foliations(space, include_trivial, codim) == expected, (include_trivial, codim)
+
+
+@pytest.mark.parametrize("name", ["SL5", "so(4,4)", "e6(-14)", "sp(3,2)"])
+def test_phi_orbits_are_built_once_per_space(name, monkeypatch):
+    space = catalog_lookup(name)
+    first = enumerate_foliations(space, include_trivial=True)
+
+    def refuse(*args):
+        raise AssertionError("Phi orbits rebuilt")
+
+    for fn in ("diagram_automorphisms", "orthogonal_subsets", "hyperbolic_factor"):
+        monkeypatch.setattr(foliations, fn, refuse)
+    again = enumerate_foliations(space, include_trivial=True)
+    assert again == first
+    for a, b in zip(first, again):
+        assert a.phi_orbit is b.phi_orbit
+        assert FoliationClass.from_dict(a.to_dict()).phi_orbit is a.phi_orbit
+
+
+def test_enumerated_records_are_what_the_constructor_builds():
+    # The enumeration builds records with tuple.__new__, which skips any
+    # FoliationClass.__new__: a check added there must fail this test.
+    assert "__new__" not in FoliationClass.__dict__
+    for name in ["SL5", "so(4,4)", "e6(-14)", "sp(3,2)"]:
+        for x in enumerate_foliations(catalog_lookup(name), include_trivial=True):
+            built = FoliationClass(x.phi_orbit, x.dim_v)
+            assert type(x) is FoliationClass
+            assert x == built and hash(x) == hash(built)
 
 
 def test_orbits_cover_all_orthogonal_subsets_once():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from liefoliate.catalog import catalog_entries, catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
-    _orbit_table,
+    _phi_orbits,
     enumerate_foliations,
     hyperbolic_factor,
     orthogonal_subsets,
@@ -89,7 +89,7 @@ def test_records_of_one_orbit_share_one_phi_orbit(space):
     for fc in enumerate_foliations(space, include_trivial=True):
         assert shared.setdefault(fc.orbit, fc.phi_orbit) is fc.phi_orbit, (space.name, fc.phi)
     assert len({id(po) for po in shared.values()}) == len(shared)
-    assert list(shared) == list(_orbit_table(dynkin_diagram(space.root_system)).values())
+    assert list(map(id, shared.values())) == list(map(id, _phi_orbits(space).values()))
 
 
 def _positive_split(space, phi):
@@ -174,13 +174,17 @@ def _brute_force_orbits(dd) -> dict:
 
 
 def test_cached_phi_orbits_equal_a_fresh_computation():
-    diagrams = {(s.family, s.rank): dynkin_diagram(s.root_system) for s in SPACES}
-    for dd in diagrams.values():
-        table = _orbit_table(dd)
-        assert table == _brute_force_orbits(dd)
+    brute_force = {}  # (family, rank) -> orbits from all vertex subsets
+    for space in SPACES:
+        dd = dynkin_diagram(space.root_system)
+        key = (space.family, space.rank)
+        if key not in brute_force:
+            brute_force[key] = _brute_force_orbits(dd)
+        table = _phi_orbits(space)
+        assert {phi: po.orbit for phi, po in table.items()} == brute_force[key], space.name
         assert list(table) == sorted(table, key=lambda phi: (len(phi), phi))
-        assert all(phi == min(orbit) for phi, orbit in table.items())
-        assert _orbit_table(dd) is table
+        assert all(po.phi == phi == min(po.orbit) and po.space is space for phi, po in table.items())
+        assert _phi_orbits(space) is table
 
 
 def _support_within(rs, lam, indices) -> bool:
