@@ -9,21 +9,21 @@ parallel affine subspaces; the nilpotent factor N_Phi is taken whole.
 
 A record is keyed by (Phi orbit, dim V): the orbit of Phi under the diagram
 automorphism group, and the dimension of V, not V itself.  This follows the
-paper's parametrisation of the foliations by Phi together with V, and is how
-the records are stored: a ``PhiOrbit`` holds what every record of one orbit
-shares (the space, Phi, the orbit, the hyperbolic factors, dim N_Phi and the
-hyperbolic part of the leaf dimension) and is built once per orbit of each
-space, and a ``FoliationClass`` is only (PhiOrbit, dim V), reading the rest
-off its orbit.  The ``PhiOrbit``s of a space are one table, built once per
-space, that maps each orbit's representative (its least member) to its
-``PhiOrbit``, in (r_Phi, Phi) order; the enumeration walks it, and
+paper's parametrisation of the foliations by Phi together with V, and is
+how the records are stored: a ``PhiOrbit`` holds what every record of one
+orbit shares (the space, Phi, the orbit, the hyperbolic factors, dim N_Phi
+and the hyperbolic part of the leaf dimension) and is built once per orbit
+of each space, and a ``FoliationClass`` is only (PhiOrbit, dim V), reading
+the rest off its orbit.  The ``PhiOrbit``s of a space are one table, built
+once per space, that maps each orbit's representative (its least member) to
+its ``PhiOrbit``, in (r_Phi, Phi) order; the enumeration walks it, and
 ``from_dict`` looks a record's Phi up in it, so a record read back shares
 the enumerated record's ``PhiOrbit``.  By part (iii) of the main theorem of
 Berndt, Diaz-Ramos and Tamaru, F_{Phi,V} and F_{Phi',V'} are congruent
 exactly when a diagram automorphism P has P(Phi) = Phi' and P_*V = V'; that
-does not make distinct V of one dimension congruent in M, so a record
-with 0 < dim V < r - r_Phi stands for a continuous family of foliations, not
-for one congruence class.  Whether records with different keys are always
+does not make distinct V of one dimension congruent in M, so a record with
+0 < dim V < r - r_Phi stands for a continuous family of foliations, not for
+one congruence class.  Whether records with different keys are always
 non-congruent is not certified here; records are labeled accordingly.
 
 For an orthogonal Phi the dimension of N_Phi has a closed form.  The support
@@ -256,16 +256,11 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
     (r_Phi, Phi, dim V); the records of one orbit share one ``PhiOrbit``.
     """
     r = space.rank
-    table = _phi_orbits(space)
     new = tuple.__new__  # what FoliationClass(phi_orbit, dim_v) builds, without its Python frame
-    # codim = r - dim V, so only Phi empty with dim V = r is trivial
-    if codim is not None:
-        if not 0 <= codim <= r or codim == 0 and not include_trivial:
-            return []
-        dim_v = r - codim
-        return [new(FoliationClass, (phi_orbit, dim_v)) for phi, phi_orbit in table.items() if len(phi) <= codim]
     classes = []
-    for phi, phi_orbit in table.items():
+    for phi, phi_orbit in _phi_orbits(space).items():
+        # codim = r - dim V, so only Phi empty with dim V = r is trivial
         top = r - len(phi) if phi or include_trivial else r - 1
-        classes += [new(FoliationClass, (phi_orbit, dim_v)) for dim_v in range(top + 1)]
+        dims = range(top + 1) if codim is None else [r - codim] if 0 <= r - codim <= top else []
+        classes += [new(FoliationClass, (phi_orbit, dim_v)) for dim_v in dims]
     return classes

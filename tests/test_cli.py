@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from liefoliate import foliations
 from liefoliate.catalog import catalog_lookup
 from liefoliate.cli import main
 from liefoliate.foliations import FoliationClass
@@ -125,6 +126,15 @@ def test_foliations_enumerate_json_count(capsys):
     code, out, _ = run(capsys, "foliations", "enumerate", "--space", "SL5",
                        "--include-trivial", "--format", "json")
     assert len(json.loads(out)) == 19
+
+
+def test_foliation_records_read_back_with_a_cold_orbit_table(capsys):
+    code, out, _ = run(capsys, "foliations", "enumerate", "--space", "SL14", "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    assert len(records) == 3300
+    foliations._phi_orbits.cache_clear()  # from_dict builds the table afresh
+    assert [FoliationClass.from_dict(d).to_dict() for d in records] == records
 
 
 def test_foliations_codim_filter(capsys):
