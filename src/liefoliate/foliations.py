@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .catalog import SpaceDescriptor, catalog_lookup, rebuilt
+from .catalog import SpaceDescriptor, rebuilt
 from .errors import LieFoliateError
 from .roots import DynkinDiagram, apply_permutation, diagram_automorphisms, dynkin_diagram
 
@@ -202,23 +202,14 @@ class FoliationClass(namedtuple("FoliationClass", "phi_orbit dim_v")):
 
 
 def _record(name, phi, dim_v) -> FoliationClass:
-    space = catalog_lookup(name)
-    phi_orbit = _orbit_of(space, phi)
-    if type(dim_v) is not int or not 0 <= dim_v <= space.rank - len(phi):
-        raise LieFoliateError(f"dim_v {dim_v!r} is not in 0..{space.rank - len(phi)}")
-    return FoliationClass(phi_orbit, dim_v)
+    from .parabolic import _named
 
-
-def _orbit_of(space: SpaceDescriptor, phi) -> PhiOrbit:
-    """The space's PhiOrbit whose representative is phi."""
-    dd = dynkin_diagram(space.root_system)
-    if (not isinstance(phi, (list, tuple)) or any(type(i) is not int or not 1 <= i <= space.rank for i in phi)
-            or list(phi) != sorted(set(phi)) or any(j in dd.neighbors(i) for i in phi for j in phi)):
-        raise LieFoliateError(f"phi {phi!r} is not an orthogonal subset of the simple roots of {space.name}")
-    phi_orbit = _phi_orbits(space).get(tuple(phi))
+    space, subset = _named(name, phi)
+    subset.check_foliation(dim_v)
+    phi_orbit = _phi_orbits(space).get(subset.indices)
     if phi_orbit is None:
-        raise LieFoliateError(f"phi {list(phi)} is not the representative (least member) of its orbit")
-    return phi_orbit
+        raise LieFoliateError(f"phi {phi} is not the representative (least member) of its orbit")
+    return FoliationClass(phi_orbit, dim_v)
 
 
 @lru_cache(maxsize=None)

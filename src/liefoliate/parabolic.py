@@ -58,14 +58,26 @@ class PhiSubset(namedtuple("PhiSubset", "space indices")):
         chosen = set(self.indices)
         return all(not (dd.neighbors(i) & chosen) for i in chosen)
 
+    def check_foliation(self, dim_v) -> None:
+        """Raise unless Phi is orthogonal and dim_v is an int in 0..r - r_Phi, as F_{Phi,V} needs."""
+        if not self.is_orthogonal:
+            raise LieFoliateError(
+                f"phi {list(self.indices)} is not an orthogonal subset of the simple roots of {self.space.name}")
+        top = self.space.rank - self.r_phi
+        if type(dim_v) is not int or not 0 <= dim_v <= top:
+            raise LieFoliateError(f"dim_v {dim_v!r} is not in 0..{top}")
+
+
+def phi_indices(r: int, indices) -> tuple[int, ...]:
+    """The distinct simple-root indices of ``indices``, sorted; each must lie in 1..r."""
+    ints = tuple(sorted(set(int(i) for i in indices)))
+    if ints and not 1 <= ints[0] <= ints[-1] <= r:
+        raise LieFoliateError(f"Phi indices {list(ints)} must be ints in 1..{r}")
+    return ints
+
 
 def phi_subset(space: SpaceDescriptor, indices) -> PhiSubset:
-    return PhiSubset(space, tuple(sorted(set(int(i) for i in indices))))
-
-
-def _mask(indices) -> int:
-    """Bit i-1 is set for each 1-based simple-root index i."""
-    return sum(1 << (i - 1) for i in indices)
+    return PhiSubset(space, phi_indices(space.rank, indices))
 
 
 def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Root], frozenset[Root]]:
@@ -74,9 +86,12 @@ def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Ro
     A root lies in span(Phi) exactly when its expansion over the simple roots
     is supported on Phi, so membership reduces to one test of the root's
     support bitmask against the bits of Phi.  One pass over the positive
-    rows finds both sets, since -lambda has the support of lambda.
+    rows finds both sets, since -lambda has the support of lambda.  A Phi
+    subset of another space raises LieFoliateError.
     """
-    outside = ~_mask(phi.indices)
+    if phi.space != space:
+        raise LieFoliateError("Phi subset belongs to a different space")
+    outside = ~sum(1 << (i - 1) for i in phi.indices)  # bit i-1 stands for alpha_i
     inside = [(lam, neg) for lam, neg, mask in space.root_system.rows if not mask & outside]
     sigma_phi_pos = frozenset(lam for lam, _ in inside)
     return sigma_phi_pos.union(neg for _, neg in inside), sigma_phi_pos
@@ -126,8 +141,6 @@ class ParabolicData(namedtuple("ParabolicData", (
 
 def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     """Chevalley and Langlands dimension data for q_Phi."""
-    if phi.space != space:
-        raise LieFoliateError("Phi subset belongs to a different space")
     sigma_phi, sigma_phi_pos = root_subsystem(space, phi)
     r, r_phi = space.rank, phi.r_phi
 
@@ -183,11 +196,9 @@ class BoundaryFactor(namedtuple("BoundaryFactor", "component_indices rank name d
 
 def boundary_components(space: SpaceDescriptor, phi: PhiSubset) -> list[BoundaryFactor]:
     """Factors of F_Phi^s, one per connected component of Phi in the diagram."""
-    if phi.space != space:
-        raise LieFoliateError("Phi subset belongs to a different space")
+    _, sigma_pos = root_subsystem(space, phi)
     rs = space.root_system
     dd = dynkin_diagram(rs)
-    _, sigma_pos = root_subsystem(space, phi)
     components = dd.connected_components(phi.indices)
     # The support of a root is connected, so each root of Sigma_Phi^+ lies in
     # the span of exactly one component: the one holding its lowest set bit.

@@ -406,16 +406,16 @@ def _check_sl_space(space: SpaceDescriptor) -> int:
     return space.rank
 
 
-def _phi_indices(phi) -> tuple[int, ...]:
-    indices = tuple(sorted(set(int(i) for i in getattr(phi, "indices", phi))))
-    return indices
+def _parabolic():
+    """``parabolic``, which decides what a Phi and a dim V are, imported on first use."""
+    from . import parabolic
+
+    return parabolic
 
 
 def phi_blocks(r: int, phi) -> list[tuple[int, ...]]:
     """Partition of {1,...,r+1} into runs joined by the chosen simple roots."""
-    indices = set(_phi_indices(phi))
-    if any(not 1 <= i <= r for i in indices):
-        raise LieFoliateError(f"Phi indices must lie in 1..{r}")
+    indices = set(_parabolic().phi_indices(r, phi))
     blocks: list[list[int]] = [[1]]
     for pos in range(2, r + 2):
         if (pos - 1) in indices:
@@ -479,7 +479,7 @@ def p_phi_subspace(r: int, phi) -> Subspace:
 def p_phi_s_subspace(r: int, phi) -> Subspace:
     """Semisimple part: a^Phi + sum of p_lambda over the subsystem of Phi."""
     n = r + 1
-    mats = [h_matrix(n, i - 1) for i in _phi_indices(phi)]
+    mats = [h_matrix(n, i - 1) for i in _parabolic().phi_indices(r, phi)]
     mats.extend(e_matrix(n, i, j) + e_matrix(n, j, i) for i, j in _same_block_pairs(r, phi))
     return subspace(mats, label="p_Phi^s", tag="p")
 
@@ -513,17 +513,15 @@ def build_s_phi_v(space: SpaceDescriptor, phi, dim_v: int) -> Subspace:
     """Basis of the foliation subalgebra (a^Phi + V + n) with one line removed
     from each root space g_alpha, alpha in Phi.
 
-    Phi must be orthogonal (no two indices adjacent) and dim_v lies in
-    0..r - |Phi|.  V is realized as the first dim_v vectors of the canonical
-    basis of a_Phi.  In the split space sl(n,R) each g_alpha is
-    one-dimensional, so the removed line is g_alpha itself.
+    Phi must be orthogonal and dim_v an int in 0..r - |Phi|, as
+    ``PhiSubset.check_foliation`` checks.  V is realized as the first dim_v
+    vectors of the canonical basis of a_Phi.  In the split space sl(n,R) each
+    g_alpha is one-dimensional, so the removed line is g_alpha itself.
     """
     r = _check_sl_space(space)
-    indices = _phi_indices(phi)
-    if any(b - a == 1 for a, b in zip(indices, indices[1:])):
-        raise LieFoliateError("Phi must be orthogonal: no two adjacent simple roots")
-    if not 0 <= dim_v <= r - len(indices):
-        raise LieFoliateError(f"dim_v must lie in 0..{r - len(indices)}")
+    subset = _parabolic().phi_subset(space, phi)
+    subset.check_foliation(dim_v)
+    indices = subset.indices
     n = r + 1
     mats = [h_matrix(n, i - 1) for i in indices]
     v_basis = a_phi_subspace(r, indices).basis
