@@ -98,6 +98,11 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
             raise LieFoliateError("multiplicity vector length must equal the rank")
         return self
 
+    @classmethod
+    def _make(cls, iterable) -> "SpaceDescriptor":
+        """Build through ``__new__``, so that ``_replace`` checks the fields too."""
+        return cls(*iterable)
+
     def m_alpha(self, index: int) -> int:
         """Multiplicity of the simple root alpha_index (1-based)."""
         if not 1 <= index <= self.rank:

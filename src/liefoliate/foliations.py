@@ -18,7 +18,9 @@ the rest off its orbit.  The ``PhiOrbit``s of a space are one table, built
 once per space, that maps each orbit's representative (its least member) to
 its ``PhiOrbit``, in (r_Phi, Phi) order; the enumeration walks it, and
 ``from_dict`` looks a record's Phi up in it, so a record read back shares
-the enumerated record's ``PhiOrbit``.  By part (iii) of the main theorem of
+the enumerated record's ``PhiOrbit``.  Which (Phi, dim V) index foliations
+is decided in ``parabolic`` (``PhiSubset.check_foliation``), which only
+``from_dict`` loads.  By part (iii) of the main theorem of
 Berndt, Diaz-Ramos and Tamaru, F_{Phi,V} and F_{Phi',V'} are congruent
 exactly when a diagram automorphism P has P(Phi) = Phi' and P_*V = V'; that
 does not make distinct V of one dimension congruent in M, so a record with
@@ -192,11 +194,13 @@ class FoliationClass(namedtuple("FoliationClass", "phi_orbit dim_v")):
     def from_dict(cls, data: dict) -> "FoliationClass":
         """Rebuild a record of ``to_dict`` from its space, phi and dim V.
 
-        The Phi orbit data are looked up in the space's table, so the record
-        shares the enumerated record's ``PhiOrbit``; phi must be an orthogonal
-        subset and its orbit's representative, dim V must lie in
-        0..r - r_Phi, and every other field, the congruence note included,
-        must be what the space gives, else LieFoliateError.
+        The space and phi are read by ``parabolic._named`` and checked with
+        dim V by ``PhiSubset.check_foliation``: phi must be an orthogonal
+        subset, and dim V an int in 0..r - r_Phi.  phi must also be its
+        orbit's representative, whose data are looked up in the space's
+        table, so the record shares the enumerated record's ``PhiOrbit``.
+        Every other field, the congruence note included, must be what the
+        space gives.  Else LieFoliateError.
         """
         return rebuilt(data, ("space", "phi", "dim_v"), _record, "foliation record")
 
@@ -245,7 +249,13 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
     only the classes of that codimension are made: one per orbit with
     r_Phi <= codim, with dim V = r - codim.  Classes are ordered by
     (r_Phi, Phi, dim V); the records of one orbit share one ``PhiOrbit``.
+    ``include_trivial`` must be a bool and ``codim`` None or an int, else
+    LieFoliateError.
     """
+    if type(include_trivial) is not bool:
+        raise LieFoliateError(f"include_trivial {include_trivial!r} is not a bool")
+    if codim is not None and type(codim) is not int:
+        raise LieFoliateError(f"codim {codim!r} is not an int")
     r = space.rank
     new = tuple.__new__  # what FoliationClass(phi_orbit, dim_v) builds, without its Python frame
     classes = []

@@ -47,6 +47,11 @@ class PhiSubset(namedtuple("PhiSubset", "space indices")):
             raise LieFoliateError("Phi indices must be strictly increasing")
         return tuple.__new__(cls, (space, indices))
 
+    @classmethod
+    def _make(cls, iterable) -> "PhiSubset":
+        """Build through ``__new__``, so that ``_replace`` checks the fields too."""
+        return cls(*iterable)
+
     @property
     def r_phi(self) -> int:
         return len(self.indices)
@@ -69,11 +74,19 @@ class PhiSubset(namedtuple("PhiSubset", "space indices")):
 
 
 def phi_indices(r: int, indices) -> tuple[int, ...]:
-    """The distinct simple-root indices of ``indices``, sorted; each must lie in 1..r."""
-    ints = tuple(sorted(set(int(i) for i in indices)))
-    if ints and not 1 <= ints[0] <= ints[-1] <= r:
-        raise LieFoliateError(f"Phi indices {list(ints)} must be ints in 1..{r}")
-    return ints
+    """The distinct simple-root indices of ``indices``, sorted.
+
+    A value is taken when it is integral (``int(i) == i``, so 3.0, True and
+    numpy integers pass) and lies in 1..r; any other raises LieFoliateError.
+    """
+    try:
+        values = list(indices)
+        ints = list(map(int, values))
+    except (TypeError, ValueError, OverflowError):  # no list of numbers, NaN, infinity
+        values, ints = indices, None
+    if ints is None or ints != values or ints and not 1 <= min(ints) <= max(ints) <= r:
+        raise LieFoliateError(f"Phi indices {values!r} must be ints in 1..{r}")
+    return tuple(sorted(set(ints)))
 
 
 def phi_subset(space: SpaceDescriptor, indices) -> PhiSubset:

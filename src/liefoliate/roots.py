@@ -86,6 +86,11 @@ class Root(namedtuple("Root", "scaled")):
             raise LieFoliateError("a root is never the zero vector")
         return tuple.__new__(cls, (scaled,))
 
+    @classmethod
+    def _make(cls, iterable) -> "Root":
+        """Build through ``__new__``, so that ``_replace`` checks the fields too."""
+        return cls(*iterable)
+
     @property
     def dim(self) -> int:
         return len(self.scaled)

@@ -8,6 +8,12 @@ orthogonal subset Phi and a Euclidean direction count, and the SL_2 action on
 the upper half plane.  Every root space is a line here, so no construction
 chooses inside one; random samples use the fixed seed DEFAULT_SEED = 1729.
 
+Phi and dim V are read and checked as everywhere else, by ``parabolic``:
+the rank-r builders take Phi in any order through ``phi_indices``, and
+``build_s_phi_v`` needs an orthogonal Phi and an int dim V in 0..r - r_Phi
+(``PhiSubset.check_foliation``).  ``parabolic`` is imported on first use,
+so the other matrix functions do not load it.
+
 Two tolerances are used throughout: TAU_ALG (1e-12) for identities that are
 exact in principle and only pick up rounding error on small integer bases,
 and TAU_NUM (1e-10) for factorization round trips on random matrices, where

@@ -18,13 +18,15 @@ from hypothesis import strategies as st
 from liefoliate.catalog import catalog_entries, catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
+    FoliationClass,
     _phi_orbits,
     enumerate_foliations,
     hyperbolic_factor,
     orthogonal_subsets,
 )
-from liefoliate.parabolic import boundary_components, horospherical, parabolic_data, phi_subset
+from liefoliate.parabolic import PhiSubset, boundary_components, horospherical, parabolic_data, phi_subset
 from liefoliate.roots import SCALE, diagram_automorphisms, dynkin_diagram, inner, reflect
+from liefoliate.slmodel import build_s_phi_v
 
 MAX_RANK = 10
 
@@ -126,6 +128,38 @@ def test_horospherical_dimensions_are_conserved(case):
     assert h.dim_N == outside
     assert h.dim_Fs + h.dim_euclidean + h.dim_N == space.dimension
     assert space.dimension == space.rank + inside + outside
+
+
+SL_SPACES = tuple(catalog_lookup(f"SL{n}") for n in range(2, 9))
+
+REFUSED = r"not an orthogonal subset|dim_v .* is not in 0\.\."
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(SL_SPACES), st.sampled_from(SPACES)).flatmap(
+    lambda space: st.tuples(st.just(space), st.sets(st.integers(1, space.rank)),
+                            st.integers(-1, space.rank + 1))))
+def test_read_back_and_sl_model_accept_exactly_the_pairs_of_the_one_rule(case):
+    # Phi is replaced by its orbit's representative, so that only the rule
+    # for (Phi, dim V) decides whether FoliationClass.from_dict accepts it.
+    space, phi, dim_v = case
+    phi = tuple(sorted(phi))
+    allowed = PhiSubset(space, phi).is_orthogonal and 0 <= dim_v <= space.rank - len(phi)
+    rep = next((rep for rep, po in _phi_orbits(space).items() if phi in po.orbit), phi)
+    if allowed:
+        (record,) = [c for c in enumerate_foliations(space, include_trivial=True)
+                     if (c.phi, c.dim_v) == (rep, dim_v)]
+        assert FoliationClass.from_dict(record.to_dict()) == record
+    else:
+        with pytest.raises(LieFoliateError, match=REFUSED):
+            FoliationClass.from_dict({"space": space.name, "phi": list(rep), "dim_v": dim_v})
+    if space.name != f"sl({space.rank + 1},R)":
+        return
+    if allowed:
+        assert build_s_phi_v(space, phi, dim_v).dim == space.dimension - (space.rank - dim_v)
+    else:
+        with pytest.raises(LieFoliateError, match=REFUSED):
+            build_s_phi_v(space, phi, dim_v)
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from liefoliate.catalog import catalog_lookup
@@ -65,6 +66,7 @@ def test_phi_subset_validation():
         with pytest.raises(LieFoliateError, match="must be ints in 1..4"):
             PhiSubset(sl5, indices)
     assert phi_subset(sl5, [3.0, True]).indices == (1, 3)
+    assert phi_subset(sl5, (i for i in [np.int64(3), 1.0])).indices == (1, 3)
 
 
 def test_phi_subset_orthogonality_flag():

@@ -16,7 +16,7 @@ from liefoliate.catalog import catalog_entries, catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import enumerate_foliations
 from liefoliate.parabolic import horospherical, parabolic_data, phi_subset
-from liefoliate.roots import RANK_RANGES, Family, build_root_system, dynkin_diagram
+from liefoliate.roots import RANK_RANGES, Family, Root, build_root_system, dynkin_diagram
 
 PACKAGE = Path(liefoliate.__file__).resolve().parent
 
@@ -119,3 +119,23 @@ def test_the_names_of_one_space_give_one_record_with_one_hash():
     assert spaces[0] is spaces[1] is spaces[2]
     assert spaces[0] == spaces[2] and len({hash(s) for s in spaces}) == 1
     assert spaces[0] == spaces[0]._replace() and hash(spaces[0]) == hash(spaces[0]._replace())
+
+
+# Class name -> (a record, a _replace edit its constructor refuses, a valid edit)
+CHECKED = {
+    "Root": (lambda: Root((2, -2)), {"scaled": [2, -2]}, {"scaled": (4, -4)}),
+    "SpaceDescriptor": (lambda: catalog_lookup("SL5"), {"rank": 9}, {"notes": ("edited",)}),
+    "PhiSubset": (lambda: phi_subset(catalog_lookup("SL5"), [1, 3]), {"indices": (9,)}, {"indices": (2,)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_replace_checks_the_fields_as_the_constructor_does(name):
+    make, bad, good = CHECKED[name]
+    record = make()
+    with pytest.raises(LieFoliateError):
+        record._replace(**bad)
+    with pytest.raises(LieFoliateError):
+        type(record)._make({**record._asdict(), **bad}.values())
+    edited = record._replace(**good)
+    assert type(edited) is type(record) and edited == type(record)(**{**record._asdict(), **good})

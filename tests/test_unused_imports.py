@@ -11,6 +11,11 @@ import liefoliate
 PACKAGE = Path(liefoliate.__file__).resolve().parent
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
+# The documented protocol of collections.namedtuple: a class built on a
+# namedtuple that defines one of these overrides inherited API, which the
+# inherited methods read (``_replace`` calls ``_make``), not a private member.
+NAMEDTUPLE_API = {"_make", "_replace", "_asdict", "_fields", "_field_defaults"}
+
 
 def _imports_in(scope: ast.AST):
     """Import statements of a scope, leaving out those of nested functions."""
@@ -65,11 +70,20 @@ def _private_names(node: ast.stmt) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
+def _builds_on_namedtuple(cls: ast.ClassDef) -> bool:
+    """A base of the class is a call of ``namedtuple`` (or ``collections.namedtuple``)."""
+    return any(isinstance(base, ast.Call) and (getattr(base.func, "id", None) == "namedtuple"
+                                               or getattr(base.func, "attr", None) == "namedtuple")
+               for base in cls.bases)
+
+
 def unread_privates(source: str) -> list[str]:
     """Private module-level names no other statement of the module reads, and
-    private class members the module never reads as an attribute."""
+    private class members the module never reads as an attribute.  A class
+    built on a namedtuple may define the names of NAMEDTUPLE_API."""
     tree = ast.parse(source)
-    members = [m for cls in tree.body if isinstance(cls, ast.ClassDef) for m in cls.body]
+    members = [m for cls in tree.body if isinstance(cls, ast.ClassDef) for m in cls.body
+               if not (_builds_on_namedtuple(cls) and set(_private_names(m)) <= NAMEDTUPLE_API)]
     loads = [n for n in ast.walk(tree)
              if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
     unread = []
@@ -98,6 +112,11 @@ def test_module_reads_every_private_name_it_defines(path):
      "        return self._m()\n", []),
     ("_T: int = 3\n__all__ = []\n", ["line 1: _T"]),
     ("import functools\n@functools.cache\ndef _f():\n    pass\ng = _f\n", []),
+    ("from collections import namedtuple\nclass P(namedtuple('P', 'x')):\n    @classmethod\n"
+     "    def _make(cls, it):\n        return cls(*it)\n", []),
+    ("import collections\nclass P(collections.namedtuple('P', 'x')):\n    def _asdict(self):\n"
+     "        return {}\n    def _m(self):\n        pass\n", ["line 5: _m"]),
+    ("class D:\n    @classmethod\n    def _make(cls, it):\n        return cls(*it)\n", ["line 3: _make"]),
 ])
 def test_unread_private_check_finds_what_it_should(source, expected):
     assert unread_privates(source) == expected
