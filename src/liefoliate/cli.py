@@ -39,14 +39,31 @@ def _parse_phi(text: str | None) -> tuple[int, ...]:
         raise LieFoliateError(f"cannot parse Phi indices from {text!r}")
 
 
-def _parse_matrix(text: str):
-    import numpy as np
-
+def _parse_json(text: str, what: str):
     try:
-        data = json.loads(text)
-        return np.array(data, dtype=float)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise LieFoliateError(f"cannot parse matrix JSON: {exc}")
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer past int()'s digit limit, or deep nesting
+        raise LieFoliateError(f"cannot parse {what} JSON: {exc}")
+
+
+def _parse_matrix(text: str) -> list[list[float]]:
+    """A square matrix given as JSON, through ``iwasawa.square_matrix``: no numpy."""
+    from .iwasawa import square_matrix
+
+    return square_matrix(_parse_json(text, "matrix"))
+
+
+def _parse_basis(text: str) -> list[list[list[float]]]:
+    """A nonempty JSON list of square matrices of one size, each read as ``_parse_matrix`` does."""
+    from .iwasawa import square_matrix
+
+    data = _parse_json(text, "basis")
+    if not isinstance(data, list) or not data:
+        raise LieFoliateError("basis must be a nonempty JSON list of square matrices")
+    mats = [square_matrix(m) for m in data]
+    if len({len(m) for m in mats}) != 1:
+        raise LieFoliateError("basis matrices must all have the same size")
+    return mats
 
 
 def _cmd_rootsys(args) -> int:
@@ -186,37 +203,29 @@ def _cmd_foliations(args) -> int:
 
 
 def _cmd_slmodel(args) -> int:
+    if args.action == "iwasawa":
+        from .iwasawa import kan
+
+        g = _parse_matrix(args.matrix)
+        if len(g) != args.rank + 1:
+            raise LieFoliateError(f"expected a {args.rank + 1}x{args.rank + 1} matrix for rank {args.rank}")
+        f = kan(g)
+        _emit_json({"k": f.k, "a": f.a, "n": f.n, "residual": f.residual})
+        return 0
+
     import numpy as np
 
-    from .slmodel import halfplane_orbit, is_lie_triple, iwasawa_group, killing_form, subspace
+    from .slmodel import halfplane_orbit, is_lie_triple, killing_form, subspace
 
-    if args.action == "iwasawa":
-        g = _parse_matrix(args.matrix)
-        n = args.rank + 1
-        if g.shape != (n, n):
-            raise LieFoliateError(f"expected a {n}x{n} matrix for rank {args.rank}")
-        f = iwasawa_group(g)
-        residual = float(np.abs(f.reassemble() - g).max())
-        _emit_json(
-            {
-                "k": f.k.tolist(),
-                "a": f.a.tolist(),
-                "n": f.n.tolist(),
-                "residual": residual,
-            }
-        )
-    elif args.action == "killing":
-        x = _parse_matrix(args.x)
-        y = _parse_matrix(args.y)
+    if args.action == "killing":
+        x = np.array(_parse_matrix(args.x))
+        y = np.array(_parse_matrix(args.y))
         value = killing_form(x, y)
         n = x.shape[0]
         closed = 2.0 * n * float(np.trace(x @ y))
         _emit_json({"killing": value, "closed_form": closed, "difference": value - closed})
     elif args.action == "check-lie-triple":
-        mats = _parse_matrix(args.basis)
-        if mats.ndim != 3:
-            raise LieFoliateError("basis must be a JSON list of square matrices")
-        result = is_lie_triple(subspace(list(mats)))
+        result = is_lie_triple(subspace(_parse_basis(args.basis)))
         _emit_json({"holds": result.holds, "residual": result.residual})
     else:  # halfplane
         base = complex(args.base_re, args.base_im)

@@ -76,9 +76,12 @@ class PhiSubset(namedtuple("PhiSubset", "space indices")):
 def phi_indices(r: int, indices) -> tuple[int, ...]:
     """The distinct simple-root indices of ``indices``, sorted.
 
-    A value is taken when it is integral (``int(i) == i``, so 3.0, True and
-    numpy integers pass) and lies in 1..r; any other raises LieFoliateError.
+    The rank r must be an int >= 1 (a bool is refused).  A value is taken
+    when it is integral (``int(i) == i``, so 3.0, True and numpy integers
+    pass) and lies in 1..r; any other raises LieFoliateError.
     """
+    if type(r) is not int or r < 1:
+        raise LieFoliateError(f"rank {r!r} must be an int >= 1")
     try:
         values = list(indices)
         ints = list(map(int, values))

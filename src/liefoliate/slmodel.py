@@ -8,16 +8,20 @@ orthogonal subset Phi and a Euclidean direction count, and the SL_2 action on
 the upper half plane.  Every root space is a line here, so no construction
 chooses inside one; random samples use the fixed seed DEFAULT_SEED = 1729.
 
+The group factorization and its determinant rule live in ``iwasawa``, which
+does not import numpy: ``iwasawa_group`` wraps the factors of ``iwasawa.kan``
+as read-only arrays, and ``moebius`` applies ``iwasawa.check_det_one``.
+
 Phi and dim V are read and checked as everywhere else, by ``parabolic``:
 the rank-r builders take Phi in any order through ``phi_indices``, and
 ``build_s_phi_v`` needs an orthogonal Phi and an int dim V in 0..r - r_Phi
 (``PhiSubset.check_foliation``).  ``parabolic`` is imported on first use,
 so the other matrix functions do not load it.
 
-Two tolerances are used throughout: TAU_ALG (1e-12) for identities that are
-exact in principle and only pick up rounding error on small integer bases,
-and TAU_NUM (1e-10) for factorization round trips on random matrices, where
-conditioning error accumulates.
+Two tolerances are used: TAU_ALG (1e-12) here, for identities that are exact
+in principle and only pick up rounding error on small integer bases, and
+``iwasawa.TAU_NUM`` (1e-10) for factorization round trips on random
+matrices, where conditioning error accumulates.
 """
 
 from __future__ import annotations
@@ -30,13 +34,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import LieFoliateError
+from .iwasawa import check_det_one, kan
 
 if TYPE_CHECKING:
     from .catalog import SpaceDescriptor
     from .roots import Root
 
 TAU_ALG = 1e-12
-TAU_NUM = 1e-10
 
 DEFAULT_SEED = 1729
 
@@ -261,45 +265,16 @@ class IwasawaFactors:
         return self.k @ self.a @ self.n
 
 
-def _require_det_one(a: np.ndarray) -> None:
-    """Reject a matrix whose determinant is not 1 within TAU_NUM.
-
-    The tolerance is relative to the Hadamard bound prod_j ||a e_j|| >= |det a|,
-    which scales with the columns as the determinant does.  A power of the
-    largest entry does not: max|a|^n let diag(1e3, 1e3, 1e3, 1e-3, 1e-3, 2e-3),
-    of determinant 2, through.
-    """
-    det = float(np.linalg.det(a))
-    hadamard = float(np.prod(np.linalg.norm(a, axis=0)))
-    if not math.isfinite(det) or abs(det - 1.0) > TAU_NUM * hadamard:
-        raise LieFoliateError(f"matrix must have determinant 1, got {det}")
-
-
 def iwasawa_group(g) -> IwasawaFactors:
-    """Factor g in SL_n(R) as k a n by orthonormalizing the columns of g.
+    """Factor g in SL_n(R) as k a n: ``iwasawa.kan``, the factors as read-only arrays.
 
-    Uses a Householder QR factorization with the signs normalized so that a
-    has a strictly positive diagonal, which makes the factors unique.
-    Rejects matrices whose determinant is not 1 (within TAU_NUM) and
-    numerically singular column sets.
+    A Householder QR factorization with the signs normalized so that a has a
+    strictly positive diagonal, which makes the factors unique.  Rejects
+    matrices whose determinant is not 1 (within TAU_NUM times the Hadamard
+    bound), numerically dependent column sets, and a failed round trip.
     """
-    a = _as_array(g)
-    _require_det_one(a)
-    q, r = np.linalg.qr(a)
-    diag = np.diag(r).copy()
-    if np.any(np.abs(diag) < 1e-13 * max(1.0, np.abs(a).max())):
-        raise LieFoliateError("columns are numerically dependent; cannot factor")
-    signs = np.sign(diag)
-    q = q * signs
-    r = r * signs[:, None]
-    diag = np.diag(r).copy()
-    n_mat = np.triu(r / diag[:, None])
-    np.fill_diagonal(n_mat, 1.0)
-    factors = IwasawaFactors(k=q, a=np.diag(diag), n=n_mat)
-    err = np.abs(factors.reassemble() - a).max()
-    if err > TAU_NUM * max(1.0, np.abs(a).max()):
-        raise LieFoliateError(f"factorization failed to reconstruct the input (error {err})")
-    return factors
+    f = kan(_as_array(g).tolist())
+    return IwasawaFactors(k=np.array(f.k), a=np.array(f.a), n=np.array(f.n))
 
 
 def random_sl(n: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -433,17 +408,19 @@ def phi_blocks(r: int, phi) -> list[tuple[int, ...]]:
 
 def q_phi_block_dimension(r: int, phi) -> int:
     """Entry count of the block upper triangular traceless matrices for Phi."""
-    n = r + 1
     sizes = [len(b) for b in phi_blocks(r, phi)]
+    n = r + 1
     return (n * n + sum(s * s for s in sizes)) // 2 - 1
 
 
 def a_subspace(r: int) -> Subspace:
+    _parabolic().phi_indices(r, ())
     n = r + 1
     return subspace([h_matrix(n, i) for i in range(r)], label="a", tag="a")
 
 
 def n_subspace(r: int) -> Subspace:
+    _parabolic().phi_indices(r, ())
     n = r + 1
     return subspace(
         [e_matrix(n, i, j) for i in range(n) for j in range(i + 1, n)], label="n", tag="n"
@@ -452,8 +429,8 @@ def n_subspace(r: int) -> Subspace:
 
 def a_phi_subspace(r: int, phi) -> Subspace:
     """The kernel of all chosen simple roots inside a: block-constant diagonals."""
-    n = r + 1
     blocks = phi_blocks(r, phi)
+    n = r + 1
     mats = []
     for t in range(len(blocks) - 1):
         d = np.zeros(n)
@@ -476,23 +453,25 @@ def _same_block_pairs(r: int, phi) -> list[tuple[int, int]]:
 
 def p_phi_subspace(r: int, phi) -> Subspace:
     """Lie triple system a + sum of p_lambda over the subsystem of Phi."""
+    pairs = _same_block_pairs(r, phi)
     n = r + 1
     mats = [h_matrix(n, i) for i in range(r)]
-    mats.extend(e_matrix(n, i, j) + e_matrix(n, j, i) for i, j in _same_block_pairs(r, phi))
+    mats.extend(e_matrix(n, i, j) + e_matrix(n, j, i) for i, j in pairs)
     return subspace(mats, label="p_Phi", tag="p")
 
 
 def p_phi_s_subspace(r: int, phi) -> Subspace:
     """Semisimple part: a^Phi + sum of p_lambda over the subsystem of Phi."""
+    indices = _parabolic().phi_indices(r, phi)
     n = r + 1
-    mats = [h_matrix(n, i - 1) for i in _parabolic().phi_indices(r, phi)]
+    mats = [h_matrix(n, i - 1) for i in indices]
     mats.extend(e_matrix(n, i, j) + e_matrix(n, j, i) for i, j in _same_block_pairs(r, phi))
     return subspace(mats, label="p_Phi^s", tag="p")
 
 
 def n_phi_subspace(r: int, phi) -> Subspace:
-    n = r + 1
     same = set(_same_block_pairs(r, phi))
+    n = r + 1
     mats = [
         e_matrix(n, i, j)
         for i in range(n)
@@ -504,8 +483,8 @@ def n_phi_subspace(r: int, phi) -> Subspace:
 
 def q_phi_subspace(r: int, phi) -> Subspace:
     """Block upper triangular realization of the parabolic subalgebra."""
-    n = r + 1
     same = set(_same_block_pairs(r, phi))
+    n = r + 1
     mats = [h_matrix(n, i) for i in range(r)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -563,14 +542,15 @@ def n_factor(u: float) -> np.ndarray:
 
 def moebius(g, z: complex) -> complex:
     """Action of g in SL_2(R) on the upper half plane: z -> (az+b)/(cz+d)."""
-    a = _as_array(g)
-    if a.shape != (2, 2):
+    m = _as_array(g)
+    if m.shape != (2, 2):
         raise LieFoliateError("moebius needs a 2x2 matrix")
-    _require_det_one(a)
+    (a, b), (c, d) = m.tolist()
+    check_det_one(a * d - b * c, math.hypot(a, c) * math.hypot(b, d))
     z = complex(z)
     if not (z.imag > 0 and math.isfinite(z.real) and math.isfinite(z.imag)):
         raise LieFoliateError("the point must lie in the upper half plane")
-    return complex((a[0, 0] * z + a[0, 1]) / (a[1, 0] * z + a[1, 1]))
+    return (a * z + b) / (c * z + d)
 
 
 def halfplane_orbit(kind: str, samples: int, base: complex = 1j) -> list[complex]:

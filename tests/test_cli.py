@@ -193,6 +193,38 @@ def test_slmodel_non_finite_is_a_domain_error(capsys, argv):
     assert "finite" in err or "upper half plane" in err
 
 
+# name -> (matrix JSON, what the error line says)
+MALFORMED_MATRICES = {
+    "string": ('[["1",0],[0,1]]', "numbers"),  # was read as the number 1
+    "bool": ("[[true,0],[0,1]]", "numbers"),  # was read as the number 1
+    "400 digits": (f"[[1{'0' * 399},0],[0,1]]", "finite"),  # crashed with an OverflowError traceback
+    "ragged": ("[[1,0],[1]]", "square"),  # gave numpy's inhomogeneous-shape message
+    "NaN": ("[[NaN,0],[0,1]]", "finite"),
+    "Infinity": ("[[Infinity,0],[0,1]]", "finite"),
+    "1e400": ("[[1e400,0],[0,1]]", "finite"),
+    "no list": ('"[[1,0],[0,1]]"', "list of rows"),
+    "empty": ("[]", "nonempty"),
+    "deep nesting": ("[" * 100_000, "cannot parse"),  # raised a RecursionError traceback
+}
+
+
+@pytest.mark.parametrize("text, says", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES.keys())
+@pytest.mark.parametrize("command", [
+    ("slmodel", "iwasawa", "--rank", "1", "--matrix"),
+    ("slmodel", "killing", "--y", "[[1,0],[0,-1]]", "--x"),
+], ids=["iwasawa", "killing"])
+def test_slmodel_malformed_matrix_is_a_domain_error(capsys, command, text, says):
+    code, out, err = run(capsys, *command, text)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and says in err and err.count("\n") == 1
+
+
+def test_slmodel_check_lie_triple_reads_each_matrix_as_the_others_do(capsys):
+    for basis in ("[]", "[[[0,1],[1,0]],[[0,0,1],[0,0,0],[1,0,0]]]", "[[[0,true],[true,0]]]"):
+        code, out, err = run(capsys, "slmodel", "check-lie-triple", "--basis", basis)
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+
 def test_slmodel_killing(capsys):
     code, out, _ = run(capsys, "slmodel", "killing",
                        "--x", "[[1,0],[0,-1]]", "--y", "[[1,0],[0,-1]]")

@@ -1,6 +1,6 @@
 """Each CLI command loads only the package modules it calls, numpy only for
-the matrix model, and ``dataclasses``, ``inspect`` and ``fractions`` for no
-structure command."""
+the matrix model past ``slmodel iwasawa``, and ``dataclasses``, ``inspect``
+and ``fractions`` for no structure command."""
 
 import os
 import subprocess
@@ -19,35 +19,36 @@ SRC = Path(liefoliate.__file__).resolve().parent.parent
 # fractions only where a Fraction is built.
 COLD_START_HEAVY = ("dataclasses", "inspect", "fractions")
 
-# Runs the CLI as ``python -m liefoliate.cli`` does, then reports the
-# package's modules that were loaded, whether numpy was, and which of
-# COLD_START_HEAVY were.  A fresh interpreter is needed: other tests load
-# every module into this one.
+# Runs the CLI as ``python -m liefoliate.cli`` does, then reports its exit
+# status, the package's modules that were loaded, whether numpy was, and
+# which of COLD_START_HEAVY were.  A fresh interpreter is needed: other tests
+# load every module into this one.
 PROBE = f"""\
 import runpy, sys
 sys.argv = ["liefoliate", *sys.argv[1:]]
+code = 0
 try:
     runpy.run_module("liefoliate.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
-    if exc.code:
-        raise
+    code = exc.code or 0
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("liefoliate."))
 heavy = [m for m in {COLD_START_HEAVY!r} if m in sys.modules]
-print(",".join(loaded), "numpy" in sys.modules, ",".join(heavy), file=sys.stderr)
+print(code, ",".join(loaded), "numpy" in sys.modules, ",".join(heavy), file=sys.stderr)
 """
 
 
-def probe(*argv: str) -> tuple[set[str], bool, set[str]]:
-    """The ``liefoliate.*`` modules, whether numpy was loaded, and the
-    modules of COLD_START_HEAVY that were.  The CLI module itself runs as
-    ``__main__`` and is not among them."""
+def probe(*argv: str) -> tuple[int, set[str], bool, set[str]]:
+    """The CLI's exit status, the ``liefoliate.*`` modules, whether numpy
+    was loaded, and the modules of COLD_START_HEAVY that were.  The CLI
+    module itself runs as ``__main__`` and is not among them."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    modules, numpy, heavy = proc.stderr.splitlines()[-1].split(" ")
-    return set(filter(None, modules.split(","))), numpy == "True", set(filter(None, heavy.split(",")))
+    code, modules, numpy, heavy = proc.stderr.splitlines()[-1].split(" ")
+    return (int(code), set(filter(None, modules.split(","))), numpy == "True",
+            set(filter(None, heavy.split(","))))
 
 
 # ``data`` is the package that holds catalog.json, read through importlib.resources.
@@ -61,14 +62,23 @@ CATALOG = {"errors", "roots", "catalog", "data"}
     (("parabolic", "--space", "SL5", "--phi", "1,3"), CATALOG | {"parabolic"}),
     (("horospherical", "--space", "su(4,2)", "--phi", "1"), CATALOG | {"parabolic"}),
     (("foliations", "enumerate", "--space", "so(5,2)"), CATALOG | {"foliations"}),
-    (("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), {"errors", "slmodel"}),
+    # the factorization and the matrix reader are plain Python
+    (("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), {"errors", "iwasawa"}),
+    (("slmodel", "killing", "--x", "[[1,0],[0,-1]]", "--y", "[[0,1],[1,0]]"),
+     {"errors", "iwasawa", "slmodel"}),
 ))
 def test_each_command_loads_only_the_modules_it_calls(argv, expected):
-    modules, numpy, heavy = probe(*argv)
+    code, modules, numpy, heavy = probe(*argv)
+    assert code == 0
     assert modules == expected
     assert numpy == ("slmodel" in expected)
     if "slmodel" not in expected:  # its records are dataclasses, and numpy dominates
         assert heavy == set()
+
+
+def test_iwasawa_error_path_loads_neither_slmodel_nor_numpy():
+    code, modules, numpy, heavy = probe("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[NaN,0],[0,1]]")
+    assert (code, modules, numpy, heavy) == (1, {"errors", "iwasawa"}, False, set())
 
 
 def test_importing_the_package_loads_no_module_and_lists_every_name():

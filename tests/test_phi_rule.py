@@ -21,8 +21,10 @@ from liefoliate.parabolic import (
 )
 from liefoliate.slmodel import (
     a_phi_subspace,
+    a_subspace,
     build_s_phi_v,
     n_phi_subspace,
+    n_subspace,
     p_phi_s_subspace,
     p_phi_subspace,
     phi_blocks,
@@ -70,6 +72,27 @@ def test_phi_that_is_no_list_is_refused(call):
     for phi in (None, 3):
         with pytest.raises(LieFoliateError, match=r"must be ints in 1\.\.4"):
             call(phi)
+
+
+@pytest.mark.parametrize("call, r", [
+    (q_phi_block_dimension, -1),  # gave -1
+    (phi_blocks, 0),  # gave [(1,)]
+    (phi_blocks, True),  # acted as rank 1
+    (phi_blocks, 2.5),  # raised a bare TypeError
+    *((f, r) for f in (a_phi_subspace, n_phi_subspace, p_phi_subspace, p_phi_s_subspace,
+                       q_phi_subspace) for r in (0, 2.5, "3")),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_a_rank_that_is_no_int_from_one_is_refused(call, r):
+    with pytest.raises(LieFoliateError, match=r"rank .* must be an int >= 1"):
+        call(r, [])
+
+
+@pytest.mark.parametrize("r", [0, -2, True, 2.0, None])
+@pytest.mark.parametrize("call", [a_subspace, n_subspace], ids=lambda f: f.__name__)
+def test_a_and_n_read_the_rank_through_the_phi_rule(call, r):
+    with pytest.raises(LieFoliateError, match=r"rank .* must be an int >= 1"):
+        call(r)
+    assert call(2).dim == {"a_subspace": 2, "n_subspace": 3}[call.__name__]
 
 
 @pytest.mark.parametrize("dim_v", [True, False, 1.0, 1.5, None, "1", -1, 4])
