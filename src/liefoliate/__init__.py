@@ -6,7 +6,7 @@ Importing the package loads none of its modules: each public name is
 imported from its module on first use (PEP 562), so a caller pays only for
 the modules it uses.  numpy, for one, loads only with the matrix model
 ``slmodel``; the group factorization g = k a n it wraps is the plain-Python
-``iwasawa.kan``, which the CLI's ``slmodel iwasawa`` calls without numpy.
+``iwasawa.factor``, which the CLI's ``slmodel iwasawa`` calls without numpy.
 """
 
 from importlib import import_module

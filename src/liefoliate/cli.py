@@ -204,12 +204,12 @@ def _cmd_foliations(args) -> int:
 
 def _cmd_slmodel(args) -> int:
     if args.action == "iwasawa":
-        from .iwasawa import kan
+        from .iwasawa import factor
 
         g = _parse_matrix(args.matrix)
         if len(g) != args.rank + 1:
             raise LieFoliateError(f"expected a {args.rank + 1}x{args.rank + 1} matrix for rank {args.rank}")
-        f = kan(g)
+        f = factor(g)
         _emit_json({"k": f.k, "a": f.a, "n": f.n, "residual": f.residual})
         return 0
 

@@ -9,8 +9,8 @@ the upper half plane.  Every root space is a line here, so no construction
 chooses inside one; random samples use the fixed seed DEFAULT_SEED = 1729.
 
 The group factorization and its determinant rule live in ``iwasawa``, which
-does not import numpy: ``iwasawa_group`` wraps the factors of ``iwasawa.kan``
-as read-only arrays, and ``moebius`` applies ``iwasawa.check_det_one``.
+does not import numpy: ``iwasawa_group`` wraps the factors of
+``iwasawa.factor`` as read-only arrays, and ``moebius`` applies ``iwasawa.check_det_one``.
 
 Phi and dim V are read and checked as everywhere else, by ``parabolic``:
 the rank-r builders take Phi in any order through ``phi_indices``, and
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import LieFoliateError
-from .iwasawa import check_det_one, kan
+from .iwasawa import check_det_one, factor
 
 if TYPE_CHECKING:
     from .catalog import SpaceDescriptor
@@ -266,14 +266,16 @@ class IwasawaFactors:
 
 
 def iwasawa_group(g) -> IwasawaFactors:
-    """Factor g in SL_n(R) as k a n: ``iwasawa.kan``, the factors as read-only arrays.
+    """Factor g in SL_n(R) as k a n: ``iwasawa.factor``, the factors as read-only arrays.
 
     A Householder QR factorization with the signs normalized so that a has a
     strictly positive diagonal, which makes the factors unique.  Rejects
     matrices whose determinant is not 1 (within TAU_NUM times the Hadamard
     bound), numerically dependent column sets, and a failed round trip.
+    ``_as_array`` is the one check of the entries: its rows of floats go to
+    ``factor`` as they are.
     """
-    f = kan(_as_array(g).tolist())
+    f = factor(_as_array(g).tolist())
     return IwasawaFactors(k=np.array(f.k), a=np.array(f.a), n=np.array(f.n))
 
 

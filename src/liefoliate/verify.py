@@ -194,12 +194,10 @@ def criterion_5_killing() -> Check:
 
 
 def criterion_6_iwasawa() -> Check:
-    """Round trip and idempotence of the group factorization ``iwasawa.kan``,
-    1000 samples per rank; the product k a n is formed here with numpy."""
+    """Round trip and idempotence of the group factorization, 1000 samples per rank."""
     import numpy as np
 
     from . import slmodel
-    from .iwasawa import kan
 
     rng = slmodel.default_rng()
     worst = 0.0
@@ -208,12 +206,15 @@ def criterion_6_iwasawa() -> Check:
         n = r + 1
         for _ in range(1000):
             g = slmodel.random_sl(n, rng)
-            factors = np.array(kan(g.tolist())[:3])
-            k, a, nn = factors
-            product = k @ a @ nn
-            worst = max(worst, float(np.abs(product - g).max()))
-            refactors = np.array(kan(product.tolist())[:3])
-            worst_refac = max(worst_refac, float(np.abs(refactors - factors).max()))
+            f = slmodel.iwasawa_group(g)
+            worst = max(worst, float(np.abs(f.reassemble() - g).max()))
+            f2 = slmodel.iwasawa_group(f.reassemble())
+            worst_refac = max(
+                worst_refac,
+                float(np.abs(f2.k - f.k).max()),
+                float(np.abs(f2.a - f.a).max()),
+                float(np.abs(f2.n - f.n).max()),
+            )
     ok = worst < 1e-10 and worst_refac < 1e-10
     return ("6 iwasawa round trip", ok, f"max residual {worst:.2e}, refactor drift {worst_refac:.2e}")
 

@@ -1,4 +1,5 @@
-"""The plain-Python Iwasawa factorization g = k a n (``iwasawa.kan``): agreement
+"""The plain-Python Iwasawa factorization g = k a n (``iwasawa.factor``, and
+``iwasawa.kan``, which reads its matrix first): agreement
 with a numpy QR reference, the shape of the factors, the input checks, the
 numpy wrapper ``slmodel.iwasawa_group`` and a time budget at n = 64."""
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from liefoliate.cli import main
 from liefoliate.errors import LieFoliateError
-from liefoliate.iwasawa import TAU_NUM, check_det_one, kan, square_matrix
+from liefoliate.iwasawa import TAU_NUM, check_det_one, factor, kan, square_matrix
 from liefoliate.slmodel import default_rng, iwasawa_group, random_sl
 
 
@@ -84,6 +85,12 @@ def test_the_cli_factors_a_64x64_matrix(capsys):
     assert len(text) < 128 * 1024
     assert main(["slmodel", "iwasawa", "--rank", "63", "--matrix", text]) == 0
     assert json.loads(capsys.readouterr().out)["residual"] < 1e-10
+
+
+def test_kan_is_factor_of_the_matrix_square_matrix_reads():
+    rows = random_sl(4, default_rng(4)).tolist()
+    copy = [list(row) for row in rows]
+    assert factor(rows) == kan(rows) and rows == copy
 
 
 def test_iwasawa_group_wraps_the_factors_of_kan_as_read_only_arrays():
