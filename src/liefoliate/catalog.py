@@ -103,19 +103,20 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
         """Build through ``__new__``, so that ``_replace`` checks the fields too."""
         return cls(*iterable)
 
+    def _simple(self, index: int) -> tuple[int, int]:
+        """(m_alpha, m_2alpha) of the simple root alpha_index, index an int (not a bool) in 1..r."""
+        if type(index) is not int or not 1 <= index <= self.rank:
+            raise LieFoliateError(f"simple root index {index!r} is not an int in range 1..{self.rank}")
+        entry = self.simple_mults[index - 1]
+        return entry if isinstance(entry, tuple) else (entry, 0)
+
     def m_alpha(self, index: int) -> int:
         """Multiplicity of the simple root alpha_index (1-based)."""
-        if not 1 <= index <= self.rank:
-            raise LieFoliateError(f"simple root index {index} out of range 1..{self.rank}")
-        entry = self.simple_mults[index - 1]
-        return entry[0] if isinstance(entry, tuple) else entry
+        return self._simple(index)[0]
 
     def m_2alpha(self, index: int) -> int:
         """Multiplicity of 2*alpha_index, zero when that is not a root."""
-        if not 1 <= index <= self.rank:
-            raise LieFoliateError(f"simple root index {index} out of range 1..{self.rank}")
-        entry = self.simple_mults[index - 1]
-        return entry[1] if isinstance(entry, tuple) else 0
+        return self._simple(index)[1]
 
     @cached_property
     def root_system(self) -> RootSystem:
@@ -419,7 +420,12 @@ def catalog_lookup(name: str) -> SpaceDescriptor:
     for pattern, handler in _PATTERNS:
         m = pattern.match(query)
         if m:
-            space = handler(m)
+            try:
+                space = handler(m)
+            except LieFoliateError:
+                raise
+            except (ValueError, OverflowError):  # int() past its digit limit, or a rank past a list's size
+                raise LieFoliateError(f"an integer in symmetric space name {name!r} is too large") from None
             if "/" in query and query not in _display_names(space.display):
                 raise LieFoliateError(f"{name!r} is not the display name of {space.name}, {space.display}")
             return space

@@ -46,26 +46,6 @@ def _parse_json(text: str, what: str):
         raise LieFoliateError(f"cannot parse {what} JSON: {exc}")
 
 
-def _parse_matrix(text: str) -> list[list[float]]:
-    """A square matrix given as JSON, through ``iwasawa.square_matrix``: no numpy."""
-    from .iwasawa import square_matrix
-
-    return square_matrix(_parse_json(text, "matrix"))
-
-
-def _parse_basis(text: str) -> list[list[list[float]]]:
-    """A nonempty JSON list of square matrices of one size, each read as ``_parse_matrix`` does."""
-    from .iwasawa import square_matrix
-
-    data = _parse_json(text, "basis")
-    if not isinstance(data, list) or not data:
-        raise LieFoliateError("basis must be a nonempty JSON list of square matrices")
-    mats = [square_matrix(m) for m in data]
-    if len({len(m) for m in mats}) != 1:
-        raise LieFoliateError("basis matrices must all have the same size")
-    return mats
-
-
 def _cmd_rootsys(args) -> int:
     from .roots import build_root_system, dynkin_diagram, format_root
 
@@ -204,9 +184,9 @@ def _cmd_foliations(args) -> int:
 
 def _cmd_slmodel(args) -> int:
     if args.action == "iwasawa":
-        from .iwasawa import factor
+        from .iwasawa import factor, square_matrix
 
-        g = _parse_matrix(args.matrix)
+        g = square_matrix(_parse_json(args.matrix, "matrix"))  # no numpy
         if len(g) != args.rank + 1:
             raise LieFoliateError(f"expected a {args.rank + 1}x{args.rank + 1} matrix for rank {args.rank}")
         f = factor(g)
@@ -218,14 +198,15 @@ def _cmd_slmodel(args) -> int:
     from .slmodel import halfplane_orbit, is_lie_triple, killing_form, subspace
 
     if args.action == "killing":
-        x = np.array(_parse_matrix(args.x))
-        y = np.array(_parse_matrix(args.y))
-        value = killing_form(x, y)
-        n = x.shape[0]
-        closed = 2.0 * n * float(np.trace(x @ y))
+        x, y = _parse_json(args.x, "matrix"), _parse_json(args.y, "matrix")
+        value = killing_form(x, y)  # reads x and y
+        closed = 2.0 * len(x) * float(np.trace(np.array(x, dtype=float) @ np.array(y, dtype=float)))
         _emit_json({"killing": value, "closed_form": closed, "difference": value - closed})
     elif args.action == "check-lie-triple":
-        result = is_lie_triple(subspace(_parse_basis(args.basis)))
+        basis = _parse_json(args.basis, "basis")
+        if not isinstance(basis, list) or not basis:
+            raise LieFoliateError("basis must be a nonempty JSON list of square matrices")
+        result = is_lie_triple(subspace(basis))  # reads each matrix
         _emit_json({"holds": result.holds, "residual": result.residual})
     else:  # halfplane
         base = complex(args.base_re, args.base_im)

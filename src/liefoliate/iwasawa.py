@@ -8,14 +8,15 @@ which makes them unique.  Nothing here imports numpy, so the CLI's
 ``slmodel iwasawa`` runs without it; ``slmodel.iwasawa_group`` calls the same
 ``factor`` and wraps its factors as read-only arrays.
 
-``square_matrix`` is the one reader of a matrix given as nested lists (the
-CLI's JSON arguments): a nonempty square matrix of finite numbers, where
-bools and strings are not numbers.  ``kan(g)`` reads g through it and calls
-``factor``; a caller that has already read its matrix (the CLI through
-``square_matrix``, ``slmodel`` through its array check) calls ``factor``
-directly, so that no entry is checked twice.  In plain Python the
-factorization is slower than LAPACK's from n = 4 up (about 130 against
-46 microseconds per call at n = 8, with the array wrapping).
+``square_matrix`` is the one statement of what a matrix argument is, for the
+CLI's JSON and for every ``slmodel`` function alike: a nonempty square list
+of rows of finite real numbers, where bools and strings are not numbers and
+numpy's integer and floating scalars are.  Each caller checks once: ``kan(g)``
+reads g through it and calls ``factor``; a caller that has already read its
+matrix (the CLI through ``square_matrix``, ``slmodel`` through its reader)
+calls ``factor`` directly, so that no entry is checked twice.  In plain
+Python the factorization is slower than LAPACK's from n = 4 up (about 130
+against 46 microseconds per call at n = 8, with the array wrapping).
 
 TAU_NUM (1e-10) is the tolerance of factorization round trips on random
 matrices, where conditioning error accumulates: the reconstruction
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import chain
+from numbers import Real
 from operator import mul, sub
 
 from .errors import LieFoliateError
@@ -46,7 +48,8 @@ def square_matrix(rows) -> list[list[float]]:
     """``rows``, a list of rows of numbers, as a new list of rows of floats.
 
     Raises LieFoliateError unless it is a nonempty square matrix whose entries
-    are ints or floats (not bools) that are finite as floats.
+    are real numbers (``numbers.Real``, so numpy's integer and floating
+    scalars too, but not bools) that are finite as floats.
     """
     if not isinstance(rows, (list, tuple)) or not set(map(type, rows)) <= {list, tuple}:
         raise LieFoliateError("expected a matrix: a list of rows")
@@ -55,7 +58,8 @@ def square_matrix(rows) -> list[list[float]]:
         raise LieFoliateError("expected a nonempty matrix")
     if set(map(len, rows)) != {size}:
         raise LieFoliateError(f"expected a square matrix, got {size} rows of lengths {list(map(len, rows))}")
-    kinds = set(map(type, chain.from_iterable(rows))) - {float, int}
+    kinds = {k for k in set(map(type, chain.from_iterable(rows))) - {float, int}
+             if k is bool or not issubclass(k, Real)}
     if kinds:
         raise LieFoliateError(f"matrix entries must be numbers, got {min(k.__name__ for k in kinds)}")
     try:

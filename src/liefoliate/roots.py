@@ -112,12 +112,18 @@ class Root(namedtuple("Root", "scaled")):
 
 
 def root_from_coords(coords) -> Root:
-    """Build a Root from plain rational coordinates (halves allowed)."""
+    """Build a Root from finite real coordinates, halves allowed; strings and bools are refused."""
     from fractions import Fraction
+    from numbers import Rational
 
     scaled = []
     for c in coords:
-        s = Fraction(c) * SCALE
+        try:
+            if isinstance(c, (str, bool)):
+                raise TypeError
+            s = Fraction(c if isinstance(c, Rational) else float(c)) * SCALE
+        except (TypeError, ValueError, OverflowError):  # not a number, NaN, infinity
+            raise LieFoliateError(f"coordinate {c!r} is not a finite number") from None
         if s.denominator != 1:
             raise LieFoliateError(f"coordinate {c} is not an integer or half-integer")
         scaled.append(int(s))

@@ -12,6 +12,10 @@ The group factorization and its determinant rule live in ``iwasawa``, which
 does not import numpy: ``iwasawa_group`` wraps the factors of
 ``iwasawa.factor`` as read-only arrays, and ``moebius`` applies ``iwasawa.check_det_one``.
 
+Each caller checks once: every matrix argument is read once per call by
+``_read``, a float ndarray in numpy (square, nonempty, finite) and anything
+else by ``iwasawa.square_matrix``, the CLI's rule, whose messages it gets.
+
 Phi and dim V are read and checked as everywhere else, by ``parabolic``:
 the rank-r builders take Phi in any order through ``phi_indices``, and
 ``build_s_phi_v`` needs an orthogonal Phi and an int dim V in 0..r - r_Phi
@@ -34,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import LieFoliateError
-from .iwasawa import check_det_one, factor
+from .iwasawa import check_det_one, factor, square_matrix
 
 if TYPE_CHECKING:
     from .catalog import SpaceDescriptor
@@ -51,15 +55,32 @@ def default_rng(seed: int = DEFAULT_SEED) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _read(x) -> np.ndarray | list[list[float]]:
+    """Matrix x (or a MatrixElement's entries) read once: a float ndarray that
+    is square, nonempty and finite as it is, anything else by ``square_matrix``,
+    which raises the CLI's message for what it refuses."""
+    x = getattr(x, "entries", x)
+    if isinstance(x, np.ndarray):
+        if x.dtype == float and x.ndim == 2 and x.shape[0] == x.shape[1] and x.size and np.isfinite(x).all():
+            return x
+        x = x.tolist()
+    return square_matrix(x)
+
+
 def _as_array(x) -> np.ndarray:
-    a = np.array(getattr(x, "entries", x), dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise LieFoliateError(f"expected a square matrix, got shape {a.shape}")
-    if a.size == 0:
-        raise LieFoliateError(f"expected a nonempty matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise LieFoliateError("matrix entries must be finite")
-    return a
+    return np.asarray(_read(x))
+
+
+def _as_rows(x) -> list[list[float]]:
+    m = _read(x)
+    return m if isinstance(m, list) else m.tolist()
+
+
+def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    a, b = _as_array(x), _as_array(y)
+    if a.shape != b.shape:
+        raise LieFoliateError(f"size mismatch: {a.shape} vs {b.shape}")
+    return a, b
 
 
 def _tolerance(a: np.ndarray) -> float:
@@ -83,7 +104,7 @@ class MatrixElement:
     tag: str | None = None
 
     def __post_init__(self) -> None:
-        a = _as_array(self.entries)
+        a = np.array(_read(self.entries))  # a copy, frozen below
         if not _is_traceless(a):
             raise LieFoliateError("matrix is not traceless")
         if self.tag is not None:
@@ -113,7 +134,7 @@ class MatrixElement:
 def as_element(x, tag: str | None = None) -> MatrixElement:
     if isinstance(x, MatrixElement) and (tag is None or tag == x.tag):
         return x
-    return MatrixElement(_as_array(x), tag)
+    return MatrixElement(x, tag)
 
 
 def e_matrix(n: int, i: int, j: int) -> np.ndarray:
@@ -166,9 +187,7 @@ def bracket(x, y) -> MatrixElement:
     removed from its diagonal: for commuting X and Y the computed result is
     rounding error alone, whose trace is not small next to its own entries.
     """
-    a, b = _as_array(x), _as_array(y)
-    if a.shape != b.shape:
-        raise LieFoliateError(f"size mismatch: {a.shape} vs {b.shape}")
+    a, b = _as_pair(x, y)
     c = a @ b - b @ a
     c[np.diag_indices_from(c)] -= np.trace(c) / c.shape[0]
     return MatrixElement(c)
@@ -176,7 +195,10 @@ def bracket(x, y) -> MatrixElement:
 
 def ad_matrix(x) -> np.ndarray:
     """Adjoint operator ad(X) as a matrix over the fixed basis of sl(n,R)."""
-    a = _as_array(x)
+    return _ad(_as_array(x))
+
+
+def _ad(a: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     stack = np.stack(sl_basis(n))
     brackets = a @ stack - stack @ a
@@ -189,13 +211,11 @@ def killing_form(x, y) -> float:
     Both arguments must lie in sl(n,R): a matrix with |tr X| above
     TAU_ALG * n * max|X_ij| is rejected, a tolerance that scales with X.
     """
-    a, b = _as_array(x), _as_array(y)
-    if a.shape != b.shape:
-        raise LieFoliateError(f"size mismatch: {a.shape} vs {b.shape}")
+    a, b = _as_pair(x, y)
     for name, m in (("X", a), ("Y", b)):
         if not _is_traceless(m):
             raise LieFoliateError(f"{name} is not in sl(n,R): its trace is not zero")
-    return float(np.trace(ad_matrix(a) @ ad_matrix(b)))
+    return float(np.trace(_ad(a) @ _ad(b)))
 
 
 def cartan_involution(x) -> MatrixElement:
@@ -214,7 +234,7 @@ def cartan_split(x) -> tuple[MatrixElement, MatrixElement]:
 
 def metric_inner(x, y) -> float:
     """The positive-definite pairing <X,Y> = -B(X, theta Y) = 2n tr(X Y^t)."""
-    a, b = _as_array(x), _as_array(y)
+    a, b = _as_pair(x, y)
     n = a.shape[0]
     return 2.0 * n * float(np.sum(a * b))
 
@@ -238,13 +258,10 @@ def restricted_root_decompose(x) -> dict[Root | None, MatrixElement]:
     out: dict[Root | None, MatrixElement] = {}
     if np.any(np.diag(a) != 0.0):
         out[None] = MatrixElement(diag, tag="a")
-    for i in range(n):
-        for j in range(n):
-            if i != j and a[i, j] != 0.0:
-                scaled = [0] * n
-                scaled[i] = 2
-                scaled[j] = -2
-                out[Root(tuple(scaled))] = MatrixElement(a[i, j] * e_matrix(n, i, j))
+    for i, j in _basis_indices(n):
+        if a[i, j] != 0.0:
+            scaled = tuple(2 if k == i else -2 if k == j else 0 for k in range(n))
+            out[Root(scaled)] = MatrixElement(a[i, j] * e_matrix(n, i, j))
     return out
 
 
@@ -272,10 +289,9 @@ def iwasawa_group(g) -> IwasawaFactors:
     strictly positive diagonal, which makes the factors unique.  Rejects
     matrices whose determinant is not 1 (within TAU_NUM times the Hadamard
     bound), numerically dependent column sets, and a failed round trip.
-    ``_as_array`` is the one check of the entries: its rows of floats go to
-    ``factor`` as they are.
+    g is read once, into the rows of floats that ``factor`` takes.
     """
-    f = factor(_as_array(g).tolist())
+    f = factor(_as_rows(g))
     return IwasawaFactors(k=np.array(f.k), a=np.array(f.a), n=np.array(f.n))
 
 
@@ -285,6 +301,8 @@ def random_sl(n: int, rng: np.random.Generator | None = None) -> np.ndarray:
     A negative determinant is fixed by flipping the first column before
     scaling, so the result is deterministic given the generator state.
     """
+    if type(n) is not int or n < 1:
+        raise LieFoliateError(f"size {n!r} must be an int >= 1")
     rng = default_rng() if rng is None else rng
     while True:
         x = rng.standard_normal((n, n))
@@ -305,6 +323,8 @@ class Subspace:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if len({b.size for b in self.basis}) > 1:
+            raise LieFoliateError("basis matrices must all have the same size")
         if self.basis:
             flat = np.stack([b.entries.ravel() for b in self.basis])
             if np.linalg.matrix_rank(flat) != len(self.basis):
@@ -421,12 +441,14 @@ def a_subspace(r: int) -> Subspace:
     return subspace([h_matrix(n, i) for i in range(r)], label="a", tag="a")
 
 
+def _upper_units(n: int, skip=frozenset()) -> list[np.ndarray]:
+    """The E_ij with i < j, row-major, but for the (i, j) in skip (0-based)."""
+    return [e_matrix(n, i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip]
+
+
 def n_subspace(r: int) -> Subspace:
     _parabolic().phi_indices(r, ())
-    n = r + 1
-    return subspace(
-        [e_matrix(n, i, j) for i in range(n) for j in range(i + 1, n)], label="n", tag="n"
-    )
+    return subspace(_upper_units(r + 1), label="n", tag="n")
 
 
 def a_phi_subspace(r: int, phi) -> Subspace:
@@ -472,15 +494,8 @@ def p_phi_s_subspace(r: int, phi) -> Subspace:
 
 
 def n_phi_subspace(r: int, phi) -> Subspace:
-    same = set(_same_block_pairs(r, phi))
-    n = r + 1
-    mats = [
-        e_matrix(n, i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (i, j) not in same
-    ]
-    return subspace(mats, label="n_Phi", tag="n")
+    same = set(_same_block_pairs(r, phi))  # checks r first
+    return subspace(_upper_units(r + 1, same), label="n_Phi", tag="n")
 
 
 def q_phi_subspace(r: int, phi) -> Subspace:
@@ -513,13 +528,7 @@ def build_s_phi_v(space: SpaceDescriptor, phi, dim_v: int) -> Subspace:
     mats = [h_matrix(n, i - 1) for i in indices]
     v_basis = a_phi_subspace(r, indices).basis
     mats.extend(b.entries for b in v_basis[:dim_v])
-    removed = {(i - 1, i) for i in indices}
-    mats.extend(
-        e_matrix(n, i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (i, j) not in removed
-    )
+    mats.extend(_upper_units(n, {(i - 1, i) for i in indices}))
     label = f"s(Phi={{{','.join(map(str, indices))}}}, dim_V={dim_v})"
     return Subspace(tuple(as_element(m) for m in mats), label)
 
@@ -544,10 +553,10 @@ def n_factor(u: float) -> np.ndarray:
 
 def moebius(g, z: complex) -> complex:
     """Action of g in SL_2(R) on the upper half plane: z -> (az+b)/(cz+d)."""
-    m = _as_array(g)
-    if m.shape != (2, 2):
+    m = _as_rows(g)
+    if len(m) != 2:
         raise LieFoliateError("moebius needs a 2x2 matrix")
-    (a, b), (c, d) = m.tolist()
+    (a, b), (c, d) = m
     check_det_one(a * d - b * c, math.hypot(a, c) * math.hypot(b, d))
     z = complex(z)
     if not (z.imag > 0 and math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -561,21 +570,13 @@ def halfplane_orbit(kind: str, samples: int, base: complex = 1j) -> list[complex
     K sweeps the rotation angle over [0, 2*pi), A the diagonal parameter over
     [-3, 3], and N the translation parameter over [-3, 3].
     """
-    if samples < 1:
-        raise LieFoliateError("need at least one sample")
-    base = complex(base)
-    if base.imag <= 0:
-        raise LieFoliateError("the base point must lie in the upper half plane")
-    kind = kind.upper()
+    if type(samples) is not int or samples < 1:
+        raise LieFoliateError(f"samples {samples!r} must be an int >= 1")
+    kind = kind.upper() if isinstance(kind, str) else None
     if kind == "K":
-        params = [2.0 * math.pi * i / samples for i in range(samples)]
-        mats = [k_factor(s) for s in params]
-    elif kind == "A":
-        params = list(np.linspace(-3.0, 3.0, samples))
-        mats = [a_factor(t) for t in params]
-    elif kind == "N":
-        params = list(np.linspace(-3.0, 3.0, samples))
-        mats = [n_factor(u) for u in params]
+        mats = [k_factor(2.0 * math.pi * i / samples) for i in range(samples)]
+    elif kind in ("A", "N"):
+        mats = list(map(a_factor if kind == "A" else n_factor, np.linspace(-3.0, 3.0, samples)))
     else:
         raise LieFoliateError("orbit kind must be one of K, A, N")
     return [moebius(m, base) for m in mats]

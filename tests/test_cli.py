@@ -98,6 +98,18 @@ def test_parabolic_unknown_space_exit_1(capsys):
     assert "error:" in err and "valid names" in err
 
 
+@pytest.mark.parametrize("command, space", [
+    ("parabolic", "SL1" + "0" * 5000),
+    ("horospherical", f"so(3,{'9' * 4400})"),
+    ("parabolic", "SL1" + "0" * 100),  # fits int(), but no list of that length
+], ids=["SL 5001 digits", "so(3,q) 4400 digits", "SL 101 digits"])
+def test_integer_too_large_in_space_name_is_a_domain_error(capsys, command, space):
+    # int() past its 4300-digit limit raised a ValueError traceback
+    code, out, err = run(capsys, command, "--space", space)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "too large" in err and err.count("\n") == 1
+
+
 def test_parabolic_invalid_phi_exit_1(capsys):
     code, _, err = run(capsys, "parabolic", "--space", "SL5", "--phi", "9")
     assert code == 1

@@ -118,9 +118,13 @@ def test_hyperbolic_factor_closed_form_matches_the_per_algebra_rules(m2):
             assert (f.algebra, f.n, f.real_dim) == expected, (m, m2)
 
 
-def test_hyperbolic_factor_index_validation():
-    with pytest.raises(LieFoliateError):
-        hyperbolic_factor(catalog_lookup("SL5"), 5)
+@pytest.mark.parametrize("index", [5, 0, True, 1.0, "1", None])
+def test_hyperbolic_factor_index_validation(index):
+    # a bool is no index: True was read as alpha_1, 1.0 and "1" raised TypeError
+    space = catalog_lookup("SL5")
+    for call in (space.m_alpha, space.m_2alpha, lambda i: hyperbolic_factor(space, i)):
+        with pytest.raises(LieFoliateError, match="simple root index"):
+            call(index)
 
 
 @pytest.mark.parametrize(

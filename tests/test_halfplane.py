@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liefoliate.errors import LieFoliateError
-from liefoliate.slmodel import a_factor, halfplane_orbit, k_factor, moebius, n_factor
+from liefoliate.slmodel import a_factor, halfplane_orbit, k_factor, moebius, n_factor, random_sl
 
 params = st.floats(-3.0, 3.0, allow_nan=False)
 upper_half = st.tuples(st.floats(-5.0, 5.0), st.floats(0.05, 10.0)).map(
@@ -83,9 +83,19 @@ def test_halfplane_orbit_kinds():
 
 
 def test_halfplane_orbit_validation():
-    with pytest.raises(LieFoliateError):
-        halfplane_orbit("Q", 5)
-    with pytest.raises(LieFoliateError):
-        halfplane_orbit("K", 0)
-    with pytest.raises(LieFoliateError):
-        halfplane_orbit("K", 5, base=1.0 - 1.0j)
+    for kind in ("Q", 5, None):  # 5 raised AttributeError
+        with pytest.raises(LieFoliateError, match="orbit kind"):
+            halfplane_orbit(kind, 5)
+    for samples in (0, -1, True, 2.5, "3", None):  # True gave [1j]; 2.5 and "3" raised TypeError
+        with pytest.raises(LieFoliateError, match="samples"):
+            halfplane_orbit("K", samples)
+    for base in (1.0 - 1.0j, 2.0, complex(math.inf, 1.0), complex(0.0, math.nan)):
+        with pytest.raises(LieFoliateError, match="upper half plane"):
+            halfplane_orbit("K", 5, base=base)
+
+
+@pytest.mark.parametrize("n", [0, -2, True, 2.0, "3"])
+def test_random_sl_size_validation(n):
+    # random_sl(0) raised ZeroDivisionError
+    with pytest.raises(LieFoliateError, match="int >= 1"):
+        random_sl(n)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +77,14 @@ def test_root_from_coords_halves():
     assert r.scaled == (1, -1)
     with pytest.raises(LieFoliateError):
         root_from_coords([Fraction(1, 3), 0])
+    assert root_from_coords([np.float32(0.5), np.int64(-1)]).scaled == (1, -2)
+
+
+@pytest.mark.parametrize("bad", ["1/2", "abc", True, None, 1j, float("nan"), float("inf")])
+def test_root_from_coords_refuses_what_is_no_finite_number(bad):
+    # strings were read by Fraction, NaN and infinity raised its ValueError
+    with pytest.raises(LieFoliateError, match="not a finite number"):
+        root_from_coords([bad, 0])
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)

@@ -1,12 +1,14 @@
 """Matrix model: bracket, Killing form, decompositions, Lie triple systems."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liefoliate import slmodel
 from liefoliate.catalog import catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.parabolic import parabolic_data, phi_subset
@@ -30,6 +32,7 @@ from liefoliate.slmodel import (
     iwasawa_group,
     killing_form,
     metric_inner,
+    moebius,
     n_phi_subspace,
     n_subspace,
     p_phi_s_subspace,
@@ -41,6 +44,7 @@ from liefoliate.slmodel import (
     sl_basis,
     subspace,
 )
+from test_cli import MALFORMED_MATRICES
 
 
 def traceless(rng, n):
@@ -101,6 +105,114 @@ def test_shifted_random_matrices_are_traceless_at_every_scale():
 def test_empty_matrix_is_a_domain_error(call):
     with pytest.raises(LieFoliateError, match="nonempty"):
         call(np.zeros((0, 0)))
+
+
+# --- reading matrix arguments -------------------------------------------------
+
+_OK = [[1.0, 0.0], [0.0, -1.0]]
+
+# Each public function, with the matrix m in one argument position.
+MATRIX_CALLS = {
+    "MatrixElement": MatrixElement,
+    "as_element": as_element,
+    "subspace": lambda m: subspace([m]),
+    "bracket x": lambda m: bracket(m, _OK),
+    "bracket y": lambda m: bracket(_OK, m),
+    "ad_matrix": ad_matrix,
+    "killing_form x": lambda m: killing_form(m, _OK),
+    "killing_form y": lambda m: killing_form(_OK, m),
+    "cartan_involution": cartan_involution,
+    "cartan_split": cartan_split,
+    "metric_inner x": lambda m: metric_inner(m, _OK),
+    "metric_inner y": lambda m: metric_inner(_OK, m),
+    "restricted_root_decompose": restricted_root_decompose,
+    "iwasawa_group": iwasawa_group,
+    "moebius": lambda m: moebius(m, 1j),
+}
+
+# The Python values of the CLI's malformed matrices, each with the fragment the
+# CLI prints for it ("deep nesting" parses to no value, so it has none), and
+# ndarrays whose dtype holds no numbers.
+MALFORMED_VALUES = {
+    name: (json.loads(text), says)
+    for name, (text, says) in MALFORMED_MATRICES.items() if says != "cannot parse"
+} | {
+    "bool dtype": (np.array([[True, False], [False, True]]), "numbers"),
+    "str dtype": (np.array([["1", "0"], ["0", "-1"]]), "numbers"),
+}
+
+
+@pytest.mark.parametrize("value, says", MALFORMED_VALUES.values(), ids=MALFORMED_VALUES.keys())
+@pytest.mark.parametrize("call", MATRIX_CALLS.values(), ids=MATRIX_CALLS.keys())
+def test_malformed_matrix_gets_the_cli_message(call, value, says):
+    # numpy's float conversion read "1" and True as 1 and raised its own ValueError for ragged rows
+    with pytest.raises(LieFoliateError, match=says):
+        call(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: bracket(np.eye(2), m),
+    lambda m: killing_form(m, np.zeros((2, 2))),
+    lambda m: metric_inner([[1.0]], m),  # broadcast to 6.0
+], ids=["bracket", "killing_form", "metric_inner"])
+def test_mixed_size_pair_is_a_size_mismatch(call):
+    with pytest.raises(LieFoliateError, match="size mismatch"):
+        call(np.zeros((3, 3)))
+
+
+def test_mixed_size_basis_is_refused_by_subspace():
+    # np.stack raised its own ValueError
+    with pytest.raises(LieFoliateError, match="same size"):
+        subspace([h_matrix(2, 0), h_matrix(3, 0)])
+
+
+@pytest.mark.parametrize("array", [
+    np.zeros((0, 0)), np.zeros((2, 0)), np.zeros(4), np.zeros((2, 3)), np.zeros((2, 2, 2)),
+    np.array(1.0), np.array([[np.nan, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, -np.inf]]),
+], ids=["0x0", "2x0", "vector", "2x3", "2x2x2", "scalar", "NaN", "-inf"])
+def test_float_array_and_its_list_get_one_message(array):
+    for call in MATRIX_CALLS.values():
+        messages = []
+        for value in (array, array.tolist()):
+            with pytest.raises(LieFoliateError) as exc:
+                call(value)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("form", [
+    lambda rows: np.array(rows, dtype=np.int64),
+    lambda rows: rows,
+    lambda rows: tuple(tuple(map(float, row)) for row in rows),
+    lambda rows: [[np.float64(rows[0][0]), np.int64(rows[0][1])], [np.float32(rows[1][0]), np.int8(rows[1][1])]],
+], ids=["int array", "int list", "float tuple", "numpy scalars"])
+def test_every_form_of_a_valid_matrix_reads_as_its_float_array(form):
+    x, g = [[1, 2], [3, -1]], [[2, 1], [1, 1]]
+    fx, fg = np.array(x, dtype=float), np.array(g, dtype=float)
+    assert np.array_equal(MatrixElement(form(x)).entries, fx)
+    assert killing_form(form(x), form(x)) == killing_form(fx, fx)
+    assert metric_inner(form(x), form(g)) == metric_inner(fx, fg)
+    assert np.array_equal(bracket(form(x), form(g)).entries, bracket(fx, fg).entries)
+    assert np.array_equal(iwasawa_group(form(g)).n, iwasawa_group(fg).n)
+    assert moebius(form(g), 1j) == moebius(fg, 1j)
+
+
+def test_each_matrix_is_read_once_per_call(monkeypatch):
+    # the reads of one call are its arguments, each once: no read of a copy made from one
+    reads = []
+    read = slmodel._read
+    monkeypatch.setattr(slmodel, "_read", lambda x: reads.append(x) or read(x))
+    g = [[2.0, 1.0], [1.0, 1.0]]
+    for name, call, mats in (
+        ("as_element", as_element, ([[1, 0], [0, -1]],)),
+        ("killing_form", killing_form, ([[1, 2], [3, -1]], np.array([[0.0, 1.0], [1.0, 0.0]]))),
+        ("subspace", lambda *m: subspace(m), ([[0, 1], [1, 0]], [[1, 0], [0, -1]])),
+        ("iwasawa_group", iwasawa_group, (g,)),
+        ("moebius", lambda m: moebius(m, 1j), (np.array(g),)),
+    ):
+        reads.clear()
+        call(*mats)
+        assert sorted(map(id, reads)) == sorted(map(id, mats)), name
 
 
 def test_matrix_element_tags_enforced():
