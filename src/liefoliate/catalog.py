@@ -1,10 +1,10 @@
 """Catalog of irreducible symmetric spaces of noncompact type.
 
-Each catalog entry records the restricted root system family, the rank, the
-multiplicities of the simple roots (and of the doubled root for the
-non-reduced family BC), and, where known, the dimension of the centralizer
-k0 of a maximal flat inside the isotropy algebra.  The entry table itself is
-shipped as ``data/catalog.json``.
+Each catalog entry records the restricted root system family, the rank and
+the multiplicities of the simple roots (and of the doubled root for the
+non-reduced family BC); the table is shipped as ``data/catalog.json``.  The
+dimension of the centralizer k0 of a maximal flat in the isotropy algebra is
+read off the multiplicities: 0 when all are 1 (a split real form), else unknown.
 
 Lookups accept either flattened ASCII identifiers such as ``sl(5,R)``,
 ``SL5``, ``SOo(5,2)``, ``su(3,1)``, ``e6(-14)`` or concrete display names
@@ -25,15 +25,21 @@ from .roots import Family, Root, RootSystem, build_root_system, inner
 
 class CatalogEntry(namedtuple("CatalogEntry", (
         "key ascii_doc display_doc ascii_fmt display_fmt family rank_doc fixed_rank mult_pattern "
-        "mult_head mult_last mult_last_double mult_explicit dim_k0 notes"))):
+        "mult_head mult_last mult_last_double mult_explicit notes"))):
     """One record of the shipped catalog table (possibly rank-parameterized).
 
-    ``fixed_rank`` and ``dim_k0`` are ints or None; ``mult_head``,
-    ``mult_last`` and ``mult_last_double`` are linear forms (a, b), meaning
-    a n + b, or None; ``mult_explicit`` is a tuple of ints or None.
+    ``fixed_rank`` is an int or None; ``mult_head``, ``mult_last`` and
+    ``mult_last_double`` are linear forms (a, b), meaning a n + b, or None;
+    ``mult_explicit`` is a tuple of ints or None.
     """
 
     __slots__ = ()
+
+    @property
+    def dim_k0(self) -> int | None:
+        """0 when every multiplicity form is the constant 1 (a split real form), else None."""
+        forms = {self.mult_head, self.mult_last, self.mult_last_double, *(self.mult_explicit or ())}
+        return 0 if forms <= {None, (0, 1), 1} else None
 
 
 def _linear(form: tuple[int, int] | None, n: int | None) -> int | None:
@@ -71,7 +77,6 @@ def catalog_entries() -> tuple[CatalogEntry, ...]:
                 mult_last=linear(m["last"]),
                 mult_last_double=linear(m["last_double"]),
                 mult_explicit=tuple(m["explicit"]) if m["explicit"] else None,
-                dim_k0=rec["dim_k0"],
                 notes=tuple(rec["notes"]),
             )
         )
@@ -252,18 +257,13 @@ def _instantiate(key: str, *, r: int | None = None, n: int | None = None, **fmt)
         mults[-1] = (mults[-1], m2)
         if m2 not in (1, 3, 7):
             raise LieFoliateError(f"{key}: doubled-root multiplicity must be 1, 3 or 7")
-    dim_k0 = entry.dim_k0
-    if dim_k0 is None and all(m == 1 for m in mults):
-        # All multiplicities one means the split real form, whose flat has a
-        # trivial centralizer in the isotropy algebra.
-        dim_k0 = 0
     return SpaceDescriptor(
         name=entry.ascii_fmt % fmt,
         display=entry.display_fmt % fmt,
         family=entry.family,
         rank=rank,
         simple_mults=tuple(mults),
-        dim_k0=dim_k0,
+        dim_k0=0 if all(m == 1 for m in mults) else None,
         entry_key=key,
         notes=entry.notes,
     )

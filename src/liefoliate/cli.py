@@ -280,10 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "foliations", help="enumerate hyperpolar foliation classes",
         description="Enumerate hyperpolar foliation classes, one record per (Phi orbit, dim V).  "
-        "Cost grows exponentially with the rank: a path diagram of rank r has F(r+2) orthogonal "
-        "subsets Phi (F the Fibonacci numbers), each giving up to r - r_Phi + 1 records.  "
+        "The full enumeration's cost grows exponentially with the rank: a path diagram of rank r "
+        "has F(r+2) orthogonal subsets Phi (F the Fibonacci numbers), each giving up to "
+        "r - r_Phi + 1 records.  A record of codimension c has r_Phi <= c, so --codim c visits "
+        "only the Phi of at most c roots: sum over k <= c of C(r-k+1, k) subsets on a path.  "
         "Measured on a 2-vCPU x86_64 VM: SL18 (rank 17) gives 28,069 records in 2.5 s and "
-        "SL22 (rank 21) 231,734 records in 23 s and 2.6 GB, with --format json.",
+        "SL22 (rank 21) 231,734 records in 23 s and 2.6 GB, with --format json; "
+        "'--space \"sl(60,R)\" --codim 1' gives 31 records in 0.4 s.",
     )
     p.add_argument("action", choices=("enumerate",))
     p.add_argument("--space", required=True)

@@ -14,13 +14,16 @@ how the records are stored: a ``PhiOrbit`` holds what every record of one
 orbit shares (the space, Phi, the orbit, the hyperbolic factors, dim N_Phi
 and the hyperbolic part of the leaf dimension) and is built once per orbit
 of each space, and a ``FoliationClass`` is only (PhiOrbit, dim V), reading
-the rest off its orbit.  The ``PhiOrbit``s of a space are one table, built
-once per space, that maps each orbit's representative (its least member) to
-its ``PhiOrbit``, in (r_Phi, Phi) order; the enumeration walks it, and
-``from_dict`` looks a record's Phi up in it, so a record read back shares
-the enumerated record's ``PhiOrbit``.  Which (Phi, dim V) index foliations
-is decided in ``parabolic`` (``PhiSubset.check_foliation``), which only
-``from_dict`` loads.  By part (iii) of the main theorem of
+the rest off its orbit.  Layer k of a diagram is its orthogonal Phi of k
+roots in lexicographic order, each Phi of layer k - 1 extended by a later
+vertex adjacent to none of its roots.  A space has one table per layer that
+maps each orbit's representative (its least member: no diagram automorphism
+maps it to a smaller tuple) to its ``PhiOrbit``; the enumeration walks the
+tables in (r_Phi, Phi) order, for codimension c up to layer c only, and
+``from_dict`` looks a record's Phi up in its layer's table, so a record read
+back shares the enumerated record's ``PhiOrbit``.  Which (Phi, dim V) index
+foliations is decided in ``parabolic`` (``PhiSubset.check_foliation``),
+which only ``from_dict`` loads.  By part (iii) of the main theorem of
 Berndt, Diaz-Ramos and Tamaru, F_{Phi,V} and F_{Phi',V'} are congruent
 exactly when a diagram automorphism P has P(Phi) = Phi' and P_*V = V'; that
 does not make distinct V of one dimension congruent in M, so a record with
@@ -68,22 +71,20 @@ def orthogonal_subsets(dd: DynkinDiagram) -> list[tuple[int, ...]]:
     """All independent sets of the diagram, in lexicographic order.
 
     The empty set is included.  For a path diagram of rank r the count is the
-    Fibonacci number F(r+2).
+    Fibonacci number F(r+2).  This is the sorted union of the layers.
     """
-    verts = [v.index for v in dd.vertices]
-    out: list[tuple[int, ...]] = []
+    return sorted(phi for k in range(dd.rank + 1) for phi in _layer(dd, k))
 
-    def extend(chosen: list[int], start: int) -> None:
-        out.append(tuple(chosen))
-        for k in range(start, len(verts)):
-            v = verts[k]
-            if not any(v in dd.neighbors(c) for c in chosen):
-                chosen.append(v)
-                extend(chosen, k + 1)
-                chosen.pop()
 
-    extend([], 0)
-    return out
+@lru_cache(maxsize=None)
+def _layer(dd: DynkinDiagram, k: int) -> tuple[tuple[int, ...], ...]:
+    """The independent sets of k vertices in lexicographic order, built once per diagram and k:
+    those of layer k - 1, each extended by a later vertex adjacent to none of its vertices."""
+    if k == 0:
+        return ((),)
+    neighbors = dd.neighbors
+    return tuple(phi + (v,) for phi in _layer(dd, k - 1)
+                 for v in range(phi[-1] + 1 if phi else 1, dd.rank + 1) if neighbors(v).isdisjoint(phi))
 
 
 class HyperbolicFactor(namedtuple("HyperbolicFactor", "alpha_index algebra n real_dim")):
@@ -210,29 +211,24 @@ def _record(name, phi, dim_v) -> FoliationClass:
 
     space, subset = _named(name, phi)
     subset.check_foliation(dim_v)
-    phi_orbit = _phi_orbits(space).get(subset.indices)
+    phi_orbit = _phi_orbits(space, len(subset.indices)).get(subset.indices)
     if phi_orbit is None:
         raise LieFoliateError(f"phi {phi} is not the representative (least member) of its orbit")
     return FoliationClass(phi_orbit, dim_v)
 
 
 @lru_cache(maxsize=None)
-def _phi_orbits(space: SpaceDescriptor) -> dict[tuple[int, ...], PhiOrbit]:
-    """Representative -> its PhiOrbit, in (r_Phi, Phi) order, built once per space.
-
-    The orthogonal subsets are visited in (r_Phi, Phi) order, so the first
-    member of an orbit met is its least one, the representative.
-    """
+def _phi_orbits(space: SpaceDescriptor, k: int) -> dict[tuple[int, ...], PhiOrbit]:
+    """Representative -> its PhiOrbit for the orbits in layer k, in Phi order, built once per space and k."""
     dd = dynkin_diagram(space.root_system)
     auts = diagram_automorphisms(dd)
+    others = auts[1:]  # the identity, auts[0], maps no Phi to a smaller tuple
     by_index = {i: hyperbolic_factor(space, i) for i in range(1, space.rank + 1)}
     dim_n_empty = space.dimension - space.rank
     table: dict[tuple[int, ...], PhiOrbit] = {}
-    seen: set[tuple[int, ...]] = set()
-    for phi in sorted(orthogonal_subsets(dd), key=lambda p: (len(p), p)):
-        if phi not in seen:
+    for phi in _layer(dd, k):
+        if all(apply_permutation(p, phi) >= phi for p in others):
             orbit = tuple(sorted({apply_permutation(p, phi) for p in auts}))
-            seen.update(orbit)
             factors = tuple(by_index[i] for i in phi)
             hyper_leaf_dim = sum(f.real_dim - 1 for f in factors)
             # dim N_Phi by the closed form above
@@ -247,10 +243,10 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
     The degenerate single-leaf class (Phi empty, V the whole Euclidean
     factor, codimension zero) is excluded unless requested.  With ``codim``
     only the classes of that codimension are made: one per orbit with
-    r_Phi <= codim, with dim V = r - codim.  Classes are ordered by
-    (r_Phi, Phi, dim V); the records of one orbit share one ``PhiOrbit``.
-    ``include_trivial`` must be a bool and ``codim`` None or an int, else
-    LieFoliateError.
+    r_Phi <= codim (layers 0..codim), with dim V = r - codim.  Classes are
+    ordered by (r_Phi, Phi, dim V); the records of one orbit share one
+    ``PhiOrbit``.  ``include_trivial`` must be a bool and ``codim`` None or an
+    int, else LieFoliateError.
     """
     if type(include_trivial) is not bool:
         raise LieFoliateError(f"include_trivial {include_trivial!r} is not a bool")
@@ -259,9 +255,13 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
     r = space.rank
     new = tuple.__new__  # what FoliationClass(phi_orbit, dim_v) builds, without its Python frame
     classes = []
-    for phi, phi_orbit in _phi_orbits(space).items():
-        # codim = r - dim V, so only Phi empty with dim V = r is trivial
-        top = r - len(phi) if phi or include_trivial else r - 1
+    # codim = r - dim V >= r_Phi, so a codimension past r has no classes
+    for k in range(r + 1 if codim is None else codim + 1 if codim <= r else 0):
+        table = _phi_orbits(space, k)
+        if not table:  # no orthogonal Phi of k roots, so none of more
+            break
+        # only Phi empty with dim V = r is trivial
+        top = r - k if k or include_trivial else r - 1
         dims = range(top + 1) if codim is None else [r - codim] if 0 <= r - codim <= top else []
-        classes += [new(FoliationClass, (phi_orbit, dim_v)) for dim_v in dims]
+        classes += [new(FoliationClass, (phi_orbit, dim_v)) for phi_orbit in table.values() for dim_v in dims]
     return classes

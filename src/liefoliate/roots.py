@@ -116,6 +116,10 @@ def root_from_coords(coords) -> Root:
     from fractions import Fraction
     from numbers import Rational
 
+    try:
+        coords = iter(coords)
+    except TypeError:
+        raise LieFoliateError(f"coordinates {coords!r} are not an iterable of numbers") from None
     scaled = []
     for c in coords:
         try:
@@ -503,6 +507,31 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults
         return {i: frozenset(j for j, x in enumerate(row, start=1) if x and j != i)
                 for i, row in enumerate(self.cartan, start=1)}
 
+    @cached_property
+    def _automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """What ``diagram_automorphisms`` returns, searched once."""
+        a = self.cartan
+        n = len(a)
+        marks = [(v.double_circle, sorted(row)) for v, row in zip(self.vertices, a)]
+        images = [[w for w in range(n) if marks[w] == marks[v]] for v in range(n)]
+        results: list[tuple[int, ...]] = []
+        perm: list[int] = []
+
+        def extend(v: int) -> None:
+            if v == n:
+                results.append(tuple(w + 1 for w in perm))
+                return
+            for w in images[v]:
+                # the latest vertices first: on a path, a wrong image fails at once
+                if w not in perm and all(a[w][perm[u]] == a[v][u] and a[perm[u]][w] == a[u][v]
+                                         for u in reversed(range(v))):
+                    perm.append(w)
+                    extend(v + 1)
+                    perm.pop()
+
+        extend(0)
+        return tuple(sorted(results))
+
     def neighbors(self, index: int) -> frozenset[int]:
         return self._adjacency[index]
 
@@ -638,29 +667,10 @@ def diagram_automorphisms(dd: DynkinDiagram) -> list[tuple[int, ...]]:
     search maps each vertex only to vertices with the same double circle and
     the same Cartan row up to order.  Permutations are returned as tuples p
     with p[k] the image of vertex k+1, sorted with the identity first.  The
-    result is closed under composition and inverses.
+    result is closed under composition and inverses.  The search runs once per
+    diagram; each call returns a new list.
     """
-    a = dd.cartan
-    n = len(a)
-    marks = [(v.double_circle, sorted(row)) for v, row in zip(dd.vertices, a)]
-    images = [[w for w in range(n) if marks[w] == marks[v]] for v in range(n)]
-    results: list[tuple[int, ...]] = []
-    perm: list[int] = []
-
-    def extend(v: int) -> None:
-        if v == n:
-            results.append(tuple(w + 1 for w in perm))
-            return
-        for w in images[v]:
-            # the latest vertices first: on a path, a wrong image fails at once
-            if w not in perm and all(a[w][perm[u]] == a[v][u] and a[perm[u]][w] == a[u][v]
-                                     for u in reversed(range(v))):
-                perm.append(w)
-                extend(v + 1)
-                perm.pop()
-
-    extend(0)
-    return sorted(results)
+    return list(dd._automorphisms)
 
 
 def apply_permutation(perm: tuple[int, ...], subset) -> tuple[int, ...]:

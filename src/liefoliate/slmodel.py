@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Number
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -340,6 +341,11 @@ class Subspace:
 
 
 def subspace(mats, label: str = "", tag: str | None = None) -> Subspace:
+    """The span of an iterable of matrices; LieFoliateError for anything else."""
+    try:
+        mats = iter(mats)
+    except TypeError:
+        raise LieFoliateError(f"subspace basis {mats!r} is not an iterable of matrices") from None
     return Subspace(tuple(as_element(m, tag) for m in mats), label)
 
 
@@ -552,7 +558,12 @@ def n_factor(u: float) -> np.ndarray:
 
 
 def moebius(g, z: complex) -> complex:
-    """Action of g in SL_2(R) on the upper half plane: z -> (az+b)/(cz+d)."""
+    """Action of g in SL_2(R) on the upper half plane: z -> (az+b)/(cz+d).
+
+    z must be a number (not a string or a bool) in the upper half plane.
+    """
+    if isinstance(z, bool) or not isinstance(z, Number):
+        raise LieFoliateError(f"the point {z!r} is not a number")
     m = _as_rows(g)
     if len(m) != 2:
         raise LieFoliateError("moebius needs a 2x2 matrix")

@@ -1,7 +1,13 @@
 """Orthogonal subsets, hyperbolic factors, and foliation class enumeration."""
 
 import itertools
+import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -226,13 +232,64 @@ def test_phi_orbits_are_built_once_per_space(name, monkeypatch):
     def refuse(*args):
         raise AssertionError("Phi orbits rebuilt")
 
-    for fn in ("diagram_automorphisms", "orthogonal_subsets", "hyperbolic_factor"):
+    for fn in ("diagram_automorphisms", "_layer", "hyperbolic_factor"):
         monkeypatch.setattr(foliations, fn, refuse)
     again = enumerate_foliations(space, include_trivial=True)
     assert again == first
     for a, b in zip(first, again):
         assert a.phi_orbit is b.phi_orbit
         assert FoliationClass.from_dict(a.to_dict()).phi_orbit is a.phi_orbit
+
+
+def _cold_caches():
+    foliations._layer.cache_clear()
+    foliations._phi_orbits.cache_clear()
+
+
+@pytest.mark.parametrize("rank", [20, 40])
+def test_enumeration_by_codim_builds_only_the_layers_up_to_codim(rank):
+    # On a path of r vertices the independent sets of k vertices number C(r - k + 1, k).
+    space = catalog_lookup(f"sl({rank + 1},R)")
+    dd = dynkin_diagram(space.root_system)
+    for codim in range(4):
+        _cold_caches()
+        records = enumerate_foliations(space, include_trivial=True, codim=codim)
+        assert records and {c.codim for c in records} == {codim}
+        built = foliations._layer.cache_info().currsize
+        assert built == codim + 1
+        assert sum(len(foliations._layer(dd, k)) for k in range(codim + 1)) == sum(
+            math.comb(rank - k + 1, k) for k in range(codim + 1))
+        assert foliations._layer.cache_info().currsize == built  # those were the cached layers
+    _cold_caches()
+    assert enumerate_foliations(space, codim=rank + 1) == []  # codim = r - dim V <= r
+    assert foliations._layer.cache_info().currsize == 0
+
+
+def test_reading_back_a_record_builds_no_layer_above_its_phi():
+    space = catalog_lookup("sl(40,R)")
+    _cold_caches()
+    data = next(c for c in enumerate_foliations(space, codim=2) if c.r_phi == 2).to_dict()
+    _cold_caches()
+    record = FoliationClass.from_dict(data)
+    assert record.r_phi == 2 and record.to_dict() == data
+    assert foliations._layer.cache_info().currsize == 3  # layers 0, 1 and 2
+    assert foliations._phi_orbits.cache_info().currsize == 1  # the table of layer 2 alone
+
+
+@pytest.mark.parametrize("space, codim, count", [("sl(60,R)", 1, 31), ("so(40,40)", 2, 744), ("sl(60,R)", 60, 0)])
+def test_enumeration_by_codim_at_high_rank_is_fast(space, codim, count):
+    # 1 + 30 orbits of A_59 under its flip; 1 + 39 + 704 orbits of D_40 under the
+    # swap of vertices 39 and 40; no class has a codimension past the rank.  The
+    # full walk of A_59 would visit F(61) subsets.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(foliations.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "liefoliate.cli", "foliations", "enumerate", "--space", space,
+                           "--codim", str(codim), "--format", "json"],
+                          env=env, capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    records = json.loads(proc.stdout)
+    assert len(records) == count
+    assert all(r["codim"] == codim for r in records)
 
 
 def test_enumerated_records_are_what_the_constructor_builds():

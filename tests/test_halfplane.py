@@ -62,6 +62,15 @@ def test_moebius_rejects_bad_inputs():
         moebius(np.eye(2), complex(math.nan, 1.0))
 
 
+@pytest.mark.parametrize("point", ["2j", "abc", True, None, [1j], object()])
+def test_moebius_and_halfplane_orbit_refuse_a_point_that_is_no_number(point):
+    # complex() read "2j" as a point, and raised ValueError or TypeError for the others
+    with pytest.raises(LieFoliateError, match="not a number"):
+        moebius(np.eye(2), point)
+    with pytest.raises(LieFoliateError, match="not a number"):
+        halfplane_orbit("K", 2, point)
+
+
 def test_kan_decomposition_of_sl2_matches_generators():
     # every K(s) A(t) N(u) product has determinant one
     for s, t, u in [(0.3, -0.5, 2.0), (1.2, 1.0, -0.7)]:

@@ -91,7 +91,12 @@ def test_records_of_one_orbit_share_one_phi_orbit(space):
     for fc in enumerate_foliations(space, include_trivial=True):
         assert shared.setdefault(fc.orbit, fc.phi_orbit) is fc.phi_orbit, (space.name, fc.phi)
     assert len({id(po) for po in shared.values()}) == len(shared)
-    assert list(map(id, shared.values())) == list(map(id, _phi_orbits(space).values()))
+    assert list(map(id, shared.values())) == list(map(id, _orbit_tables(space).values()))
+
+
+def _orbit_tables(space) -> dict:
+    """Representative -> PhiOrbit over every layer of the space, in (r_Phi, Phi) order."""
+    return {phi: po for k in range(space.rank + 1) for phi, po in _phi_orbits(space, k).items()}
 
 
 def _positive_split(space, phi):
@@ -145,7 +150,7 @@ def test_read_back_and_sl_model_accept_exactly_the_pairs_of_the_one_rule(case):
     space, phi, dim_v = case
     phi = tuple(sorted(phi))
     allowed = PhiSubset(space, phi).is_orthogonal and 0 <= dim_v <= space.rank - len(phi)
-    rep = next((rep for rep, po in _phi_orbits(space).items() if phi in po.orbit), phi)
+    rep = next((rep for rep, po in _phi_orbits(space, len(phi)).items() if phi in po.orbit), phi)
     if allowed:
         (record,) = [c for c in enumerate_foliations(space, include_trivial=True)
                      if (c.phi, c.dim_v) == (rep, dim_v)]
@@ -190,6 +195,14 @@ def test_multiplicity_agrees_with_the_fraction_length_class(space):
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+def test_dim_k0_is_zero_exactly_when_every_multiplicity_is_one(space):
+    # dim k0 is read off the multiplicities, doubled roots included, not stored
+    assert space.dim_k0 == (0 if set(space.positive_mults) == {1} else None)
+    (entry,) = [e for e in catalog_entries() if e.key == space.entry_key]
+    assert entry.dim_k0 in (0, None) and (entry.dim_k0 is None or space.dim_k0 == 0)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
 def test_per_space_multiplicities_are_aligned_and_sum_to_the_dimension(space):
     mult = space.multiplicities
     assert space.positive_mults == tuple(mult(lam) for lam in space.root_system.positive)
@@ -214,11 +227,14 @@ def test_cached_phi_orbits_equal_a_fresh_computation():
         key = (space.family, space.rank)
         if key not in brute_force:
             brute_force[key] = _brute_force_orbits(dd)
-        table = _phi_orbits(space)
+        table = _orbit_tables(space)
         assert {phi: po.orbit for phi, po in table.items()} == brute_force[key], space.name
         assert list(table) == sorted(table, key=lambda phi: (len(phi), phi))
         assert all(po.phi == phi == min(po.orbit) and po.space is space for phi, po in table.items())
-        assert _phi_orbits(space) is table
+        for k in range(space.rank + 1):
+            layer = _phi_orbits(space, k)
+            assert all(len(phi) == k for phi in layer)
+            assert _phi_orbits(space, k) is layer
 
 
 def _support_within(rs, lam, indices) -> bool:

@@ -87,6 +87,13 @@ def test_root_from_coords_refuses_what_is_no_finite_number(bad):
         root_from_coords([bad, 0])
 
 
+@pytest.mark.parametrize("bad", [5, 2.5, None])
+def test_root_from_coords_refuses_what_is_not_iterable(bad):
+    # iterating raised TypeError: 'int' object is not iterable
+    with pytest.raises(LieFoliateError, match="not an iterable of numbers"):
+        root_from_coords(bad)
+
+
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
 def test_root_counts(family, rank):
     rs = build_root_system(family, rank)

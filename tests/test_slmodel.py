@@ -160,6 +160,13 @@ def test_mixed_size_pair_is_a_size_mismatch(call):
         call(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [5, None, 1.5])
+def test_a_basis_that_is_not_iterable_is_refused_by_subspace(bad):
+    # iterating raised TypeError: 'int' object is not iterable
+    with pytest.raises(LieFoliateError, match="not an iterable of matrices"):
+        subspace(bad)
+
+
 def test_mixed_size_basis_is_refused_by_subspace():
     # np.stack raised its own ValueError
     with pytest.raises(LieFoliateError, match="same size"):
