@@ -9,27 +9,34 @@ parallel affine subspaces; the nilpotent factor N_Phi is taken whole.
 
 A record is keyed by (Phi orbit, dim V): the orbit of Phi under the diagram
 automorphism group, and the dimension of V, not V itself.  This follows the
-paper's parametrisation of the foliations by Phi together with V, and is
-how the records are stored: a ``PhiOrbit`` holds what every record of one
-orbit shares (the space, Phi, the orbit, the hyperbolic factors, dim N_Phi
-and the hyperbolic part of the leaf dimension) and is built once per orbit
-of each space, and a ``FoliationClass`` is only (PhiOrbit, dim V), reading
-the rest off its orbit.  Layer k of a diagram is its orthogonal Phi of k
-roots in lexicographic order, each Phi of layer k - 1 extended by a later
-vertex adjacent to none of its roots.  A space has one table per layer that
-maps each orbit's representative (its least member: no diagram automorphism
-maps it to a smaller tuple) to its ``PhiOrbit``; the enumeration walks the
-tables in (r_Phi, Phi) order, for codimension c up to layer c only, and
-``from_dict`` looks a record's Phi up in its layer's table, so a record read
-back shares the enumerated record's ``PhiOrbit``.  Which (Phi, dim V) index
-foliations is decided in ``parabolic`` (``PhiSubset.check_foliation``),
-which only ``from_dict`` loads.  By part (iii) of the main theorem of
-Berndt, Diaz-Ramos and Tamaru, F_{Phi,V} and F_{Phi',V'} are congruent
-exactly when a diagram automorphism P has P(Phi) = Phi' and P_*V = V'; that
-does not make distinct V of one dimension congruent in M, so a record with
-0 < dim V < r - r_Phi stands for a continuous family of foliations, not for
-one congruence class.  Whether records with different keys are always
-non-congruent is not certified here; records are labeled accordingly.
+paper's parametrisation of the foliations by Phi together with V, and is how
+the records are stored: a ``PhiOrbit`` holds what every record of one orbit
+shares (the space, Phi, the orbit, the hyperbolic factors, dim N_Phi and the
+hyperbolic part of the leaf dimension) and is built once per orbit of each
+space, and a ``FoliationClass`` is only (PhiOrbit, dim V), reading the rest
+off its orbit.  Layer k of a diagram is its orthogonal Phi of k roots in
+lexicographic order, each Phi of layer k - 1 extended by a later vertex
+adjacent to none of its roots.  An orbit's representative is its least
+member: no diagram automorphism maps it to a smaller tuple.  Each space
+keeps one ``PhiOrbit`` per representative, the table of each layer walked
+(representative -> ``PhiOrbit``, in Phi order) and the records of each
+layer, built once per (space, layer) by the first full enumeration and
+retained, at about 72 B a record with its slot in the layer's tuple (the
+28,070 records of SL18 take about 2.0 MB).  A full enumeration returns a
+new list joined from the layers' records; with codimension c it walks layers
+0..c and builds only the records of codimension c.  ``from_dict`` decides
+from Phi's images under the automorphisms whether Phi is a representative
+and builds only its ``PhiOrbit``, by the constructor the tables use, so a
+record read back shares the enumerated record's ``PhiOrbit`` and no layer is
+built.  Which (Phi, dim V) index foliations is decided in ``parabolic``
+(``PhiSubset.check_foliation``), which only ``from_dict`` loads.  By part
+(iii) of the main theorem of Berndt, Diaz-Ramos and Tamaru, F_{Phi,V} and
+F_{Phi',V'} are congruent exactly when a diagram automorphism P has
+P(Phi) = Phi' and P_*V = V'; that does not make distinct V of one dimension
+congruent in M, so a record with 0 < dim V < r - r_Phi stands for a
+continuous family of foliations, not for one congruence class.  Whether
+records with different keys are always non-congruent is not certified here;
+records are labeled accordingly.
 
 For an orthogonal Phi the dimension of N_Phi has a closed form.  The support
 of a positive root is connected in the Dynkin diagram, and no two roots of
@@ -198,10 +205,10 @@ class FoliationClass(namedtuple("FoliationClass", "phi_orbit dim_v")):
         The space and phi are read by ``parabolic._named`` and checked with
         dim V by ``PhiSubset.check_foliation``: phi must be an orthogonal
         subset, and dim V an int in 0..r - r_Phi.  phi must also be its
-        orbit's representative, whose data are looked up in the space's
-        table, so the record shares the enumerated record's ``PhiOrbit``.
-        Every other field, the congruence note included, must be what the
-        space gives.  Else LieFoliateError.
+        orbit's representative; its ``PhiOrbit`` is the space's own, shared
+        with the enumerated records, and no layer is built for it.  Every
+        other field, the congruence note included, must be what the space
+        gives.  Else LieFoliateError.
         """
         return rebuilt(data, ("space", "phi", "dim_v"), _record, "foliation record")
 
@@ -211,29 +218,66 @@ def _record(name, phi, dim_v) -> FoliationClass:
 
     space, subset = _named(name, phi)
     subset.check_foliation(dim_v)
-    phi_orbit = _phi_orbits(space, len(subset.indices)).get(subset.indices)
-    if phi_orbit is None:
+    orbits = _orbits(space)
+    orbit = orbits.orbit(subset.indices)
+    if orbit is None:
         raise LieFoliateError(f"phi {phi} is not the representative (least member) of its orbit")
-    return FoliationClass(phi_orbit, dim_v)
+    return FoliationClass(orbits.phi_orbit(subset.indices, orbit), dim_v)
 
 
-@lru_cache(maxsize=None)
-def _phi_orbits(space: SpaceDescriptor, k: int) -> dict[tuple[int, ...], PhiOrbit]:
-    """Representative -> its PhiOrbit for the orbits in layer k, in Phi order, built once per space and k."""
-    dd = dynkin_diagram(space.root_system)
-    auts = diagram_automorphisms(dd)
-    others = auts[1:]  # the identity, auts[0], maps no Phi to a smaller tuple
-    by_index = {i: hyperbolic_factor(space, i) for i in range(1, space.rank + 1)}
-    dim_n_empty = space.dimension - space.rank
-    table: dict[tuple[int, ...], PhiOrbit] = {}
-    for phi in _layer(dd, k):
-        if all(apply_permutation(p, phi) >= phi for p in others):
-            orbit = tuple(sorted({apply_permutation(p, phi) for p in auts}))
-            factors = tuple(by_index[i] for i in phi)
+class _SpaceOrbits:
+    """One space's PhiOrbit per representative (``by_rep``), layer tables and layer records.
+
+    Each is built once, on first use.  All are one ``_orbits`` entry, so
+    ``_orbits.cache_clear()`` drops the records with the PhiOrbits they hold.
+    """
+
+    __slots__ = ("space", "dd", "auts", "factors", "by_rep", "tables", "records")
+
+    def __init__(self, space: SpaceDescriptor) -> None:
+        self.space = space
+        self.dd = dynkin_diagram(space.root_system)
+        self.auts = diagram_automorphisms(self.dd)
+        self.factors = {i: hyperbolic_factor(space, i) for i in range(1, space.rank + 1)}
+        self.by_rep, self.tables, self.records = {}, {}, {}
+
+    def orbit(self, phi: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
+        """Phi's orbit in sorted order if no diagram automorphism maps phi to a smaller tuple, else None."""
+        images = {apply_permutation(p, phi) for p in self.auts[1:]}  # auts[0] is the identity
+        return None if images and min(images) < phi else tuple(sorted({phi, *images}))
+
+    def phi_orbit(self, phi: tuple[int, ...], orbit: tuple[tuple[int, ...], ...]) -> PhiOrbit:
+        """The PhiOrbit of the representative phi, whose orbit is ``orbit``."""
+        phi_orbit = self.by_rep.get(phi)
+        if phi_orbit is None:
+            space = self.space
+            factors = tuple(map(self.factors.__getitem__, phi))
             hyper_leaf_dim = sum(f.real_dim - 1 for f in factors)
             # dim N_Phi by the closed form above
-            table[phi] = PhiOrbit(space, phi, orbit, factors, dim_n_empty - hyper_leaf_dim, hyper_leaf_dim)
-    return table
+            phi_orbit = self.by_rep.setdefault(phi, PhiOrbit(  # the first one stored, under threads too
+                space, phi, orbit, factors, space.dimension - space.rank - hyper_leaf_dim, hyper_leaf_dim))
+        return phi_orbit
+
+    def table(self, k: int) -> dict[tuple[int, ...], PhiOrbit]:
+        """Representative -> PhiOrbit for the orbits in layer k, in Phi order."""
+        table = self.tables.get(k)
+        if table is None:
+            table = self.tables.setdefault(
+                k, {phi: self.phi_orbit(phi, orbit) for phi in _layer(self.dd, k) if (orbit := self.orbit(phi))})
+        return table
+
+    def layer_records(self, k: int) -> tuple[FoliationClass, ...]:
+        """The records of layer k, dim V running over 0..r - k for each orbit in Phi order."""
+        records = self.records.get(k)
+        if records is None:
+            new, dims = tuple.__new__, range(self.space.rank - k + 1)  # new: FoliationClass(...) without its frame
+            records = self.records.setdefault(
+                k, tuple([new(FoliationClass, (phi_orbit, dim_v)) for phi_orbit in self.table(k).values()
+                          for dim_v in dims]))
+        return records
+
+
+_orbits = lru_cache(maxsize=None)(_SpaceOrbits)
 
 
 def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
@@ -242,26 +286,34 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
 
     The degenerate single-leaf class (Phi empty, V the whole Euclidean
     factor, codimension zero) is excluded unless requested.  With ``codim``
-    only the classes of that codimension are made: one per orbit with
-    r_Phi <= codim (layers 0..codim), with dim V = r - codim.  Classes are
-    ordered by (r_Phi, Phi, dim V); the records of one orbit share one
-    ``PhiOrbit``.  ``include_trivial`` must be a bool and ``codim`` None or an
-    int, else LieFoliateError.
+    only the classes of that codimension are made, on each call: one per
+    orbit with r_Phi <= codim (layers 0..codim), with dim V = r - codim.
+    Without it the records are built once per (space, layer) and retained,
+    at about 72 B each (SL18's 28,070 take about 2.0 MB); each call returns a
+    new list of them.  Classes are ordered by (r_Phi, Phi, dim V); the
+    records of one orbit share one ``PhiOrbit``.  ``include_trivial`` must be
+    a bool and ``codim`` None or an int, else LieFoliateError.
     """
     if type(include_trivial) is not bool:
         raise LieFoliateError(f"include_trivial {include_trivial!r} is not a bool")
     if codim is not None and type(codim) is not int:
         raise LieFoliateError(f"codim {codim!r} is not an int")
     r = space.rank
-    new = tuple.__new__  # what FoliationClass(phi_orbit, dim_v) builds, without its Python frame
-    classes = []
-    # codim = r - dim V >= r_Phi, so a codimension past r has no classes
-    for k in range(r + 1 if codim is None else codim + 1 if codim <= r else 0):
-        table = _phi_orbits(space, k)
-        if not table:  # no orthogonal Phi of k roots, so none of more
+    orbits = _orbits(space)
+    classes: list[FoliationClass] = []
+    if codim is None:
+        for k in range(r + 1):
+            records = orbits.layer_records(k)
+            if not records:  # no orthogonal Phi of k roots, so none of more
+                break
+            # only Phi empty with dim V = r, the last record of layer 0, is trivial
+            classes += records if k or include_trivial else records[:-1]
+        return classes
+    # codim = r - dim V >= r_Phi, and only Phi empty with codim 0 is trivial
+    new = tuple.__new__
+    for k in range(codim + 1 if 0 < codim <= r or codim == 0 and include_trivial else 0):
+        table = orbits.table(k)
+        if not table:
             break
-        # only Phi empty with dim V = r is trivial
-        top = r - k if k or include_trivial else r - 1
-        dims = range(top + 1) if codim is None else [r - codim] if 0 <= r - codim <= top else []
-        classes += [new(FoliationClass, (phi_orbit, dim_v)) for phi_orbit in table.values() for dim_v in dims]
+        classes += [new(FoliationClass, (phi_orbit, r - codim)) for phi_orbit in table.values()]
     return classes

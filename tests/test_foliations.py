@@ -214,16 +214,6 @@ def test_spec_codim_examples():
     assert c.leaf_dim == (1 + 1) + 1 + 8 == 11
 
 
-@pytest.mark.parametrize("name", ["SL5", "e6(6)", "so(8,8)", "su(5,2)"])
-def test_enumeration_by_codim_equals_the_filtered_full_list(name):
-    space = catalog_lookup(name)
-    for include_trivial in (False, True):
-        full = enumerate_foliations(space, include_trivial=include_trivial)
-        for codim in range(-1, space.rank + 2):
-            expected = [c for c in full if c.codim == codim]
-            assert enumerate_foliations(space, include_trivial, codim) == expected, (include_trivial, codim)
-
-
 @pytest.mark.parametrize("name", ["SL5", "so(4,4)", "e6(-14)", "sp(3,2)"])
 def test_phi_orbits_are_built_once_per_space(name, monkeypatch):
     space = catalog_lookup(name)
@@ -243,7 +233,71 @@ def test_phi_orbits_are_built_once_per_space(name, monkeypatch):
 
 def _cold_caches():
     foliations._layer.cache_clear()
-    foliations._phi_orbits.cache_clear()
+    foliations._orbits.cache_clear()
+
+
+def test_sl14_enumeration_builds_each_hyperbolic_factor_once(monkeypatch):
+    calls = []
+
+    def counted(space, alpha_index):
+        calls.append(alpha_index)
+        return hyperbolic_factor(space, alpha_index)
+
+    monkeypatch.setattr(foliations, "hyperbolic_factor", counted)
+    _cold_caches()
+    enumerate_foliations(catalog_lookup("SL14"), include_trivial=True)
+    assert calls == list(range(1, 14))  # once per simple root, not once per layer and root
+
+
+@pytest.mark.parametrize("name", ["SL14", "sp(12,R)", "so(4,4)", "su(5,2)"])
+def test_full_enumerations_return_new_lists_of_the_same_records(name):
+    space = catalog_lookup(name)
+    first = enumerate_foliations(space)
+    again = enumerate_foliations(space)
+    assert again is not first and len(again) == len(first)
+    assert all(a is b for a, b in zip(first, again))
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    again.clear()
+    assert enumerate_foliations(space) == expected
+    with_trivial = enumerate_foliations(space, include_trivial=True)
+    (trivial,) = [c for c in with_trivial if c.trivial]
+    assert with_trivial == expected[:space.rank] + [trivial] + expected[space.rank:]
+
+
+def test_a_second_full_enumeration_builds_no_record(monkeypatch):
+    class Counted(FoliationClass):
+        __slots__ = ()
+
+    space = catalog_lookup("SL14")
+    _cold_caches()
+    enumerate_foliations(space)
+    monkeypatch.setattr(foliations, "FoliationClass", Counted)
+    for include_trivial in (False, True):
+        assert not [c for c in enumerate_foliations(space, include_trivial) if type(c) is Counted]
+
+
+@pytest.mark.parametrize("read_back_first", [False, True])
+def test_cleared_orbit_tables_leave_enumeration_and_read_back_sharing_one_phi_orbit(read_back_first):
+    space = catalog_lookup("so(4,4)")
+    data = [c.to_dict() for c in enumerate_foliations(space, include_trivial=True)]
+    foliations._orbits.cache_clear()  # drops the PhiOrbits with the tables and records that hold them
+    if read_back_first:
+        read = [FoliationClass.from_dict(d) for d in data]
+        records = enumerate_foliations(space, include_trivial=True)
+    else:
+        records = enumerate_foliations(space, include_trivial=True)
+        read = [FoliationClass.from_dict(d) for d in data]
+    assert [c.to_dict() for c in records] == data
+    assert all(a.phi_orbit is b.phi_orbit for a, b in zip(read, records))
+
+
+def test_enumeration_by_codim_builds_no_layer_records():
+    space = catalog_lookup("sl(60,R)")
+    _cold_caches()
+    assert len(enumerate_foliations(space, codim=1)) == 31
+    assert foliations._orbits(space).records == {}  # the records of its codimension only, made on the fly
 
 
 @pytest.mark.parametrize("rank", [20, 40])
@@ -272,8 +326,25 @@ def test_reading_back_a_record_builds_no_layer_above_its_phi():
     _cold_caches()
     record = FoliationClass.from_dict(data)
     assert record.r_phi == 2 and record.to_dict() == data
-    assert foliations._layer.cache_info().currsize == 3  # layers 0, 1 and 2
-    assert foliations._phi_orbits.cache_info().currsize == 1  # the table of layer 2 alone
+    assert foliations._layer.cache_info().currsize == 0  # no layer at all, not even its own
+    orbits = foliations._orbits(space)
+    assert list(orbits.by_rep) == [record.phi] and orbits.tables == {} == orbits.records
+
+
+def test_reading_back_a_record_of_twenty_roots_builds_no_layer():
+    # A_40's flip maps (1, 3, ..., 39) to (2, 4, ..., 40); the layers up to
+    # 20 roots would hold about F(42) = 2.7e8 subsets.
+    space = catalog_lookup("sl(41,R)")
+    odd, even = tuple(range(1, 40, 2)), tuple(range(2, 41, 2))
+    _cold_caches()
+    orbits = foliations._orbits(space)
+    data = FoliationClass(orbits.phi_orbit(odd, orbits.orbit(odd)), 0).to_dict()
+    assert data["orbit"] == [list(odd), list(even)] and data["leaf_dim"] == 20 + 800
+    _cold_caches()
+    assert FoliationClass.from_dict(data).to_dict() == data
+    with pytest.raises(LieFoliateError, match="not the representative"):
+        FoliationClass.from_dict(dict(data, phi=list(even), orbit=[list(odd), list(even)]))
+    assert foliations._layer.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("space, codim, count", [("sl(60,R)", 1, 31), ("so(40,40)", 2, 744), ("sl(60,R)", 60, 0)])
@@ -398,18 +469,24 @@ def test_from_dict_rejects_an_edited_record(edit, message):
 
 
 def test_sl14_enumeration_peak_memory():
-    # With the space's Phi orbits cached, 3,300 slotted (PhiOrbit, dim V)
-    # records and their list peak at 234 KiB, which the bound leaves 30%
-    # headroom over (Python 3.11, x86_64).  Rebuilding the PhiOrbits on each
-    # call peaked at 288 KiB, the same records with a per-instance __dict__
-    # at 376 KiB, and the earlier nine-field records at 543 KiB.
+    # The first full enumeration keeps its 3,301 slotted (PhiOrbit, dim V)
+    # records, the trivial one included, in one tuple per layer: 232 KiB, 72 B
+    # a record (Python 3.11, x86_64).  A later call allocates only its list of
+    # 3,300 pointers, 29 KiB at its peak.  Before the records were kept, every
+    # call peaked at 234 KiB.
     space = catalog_lookup("SL14")
-    enumerate_foliations(space)  # fills the cached Phi orbits
+    _cold_caches()
+    for k in range(space.rank + 1):
+        foliations._orbits(space).table(k)  # the PhiOrbits, outside the measurement
     tracemalloc.start()
     try:
+        enumerate_foliations(space)
+        kept, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         records = enumerate_foliations(space)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(records) == 3300
-    assert peak < 305 * 1024
+    assert kept < 3301 * 80
+    assert peak - kept < 40 * 1024

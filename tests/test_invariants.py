@@ -19,7 +19,7 @@ from liefoliate.catalog import catalog_entries, catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
     FoliationClass,
-    _phi_orbits,
+    _orbits,
     enumerate_foliations,
     hyperbolic_factor,
     orthogonal_subsets,
@@ -94,9 +94,18 @@ def test_records_of_one_orbit_share_one_phi_orbit(space):
     assert list(map(id, shared.values())) == list(map(id, _orbit_tables(space).values()))
 
 
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+def test_enumeration_by_codim_equals_the_filtered_full_list(space):
+    for include_trivial in (False, True):
+        full = enumerate_foliations(space, include_trivial=include_trivial)
+        for codim in range(-1, space.rank + 2):
+            expected = [c for c in full if c.codim == codim]
+            assert enumerate_foliations(space, include_trivial, codim) == expected, (include_trivial, codim)
+
+
 def _orbit_tables(space) -> dict:
     """Representative -> PhiOrbit over every layer of the space, in (r_Phi, Phi) order."""
-    return {phi: po for k in range(space.rank + 1) for phi, po in _phi_orbits(space, k).items()}
+    return {phi: po for k in range(space.rank + 1) for phi, po in _orbits(space).table(k).items()}
 
 
 def _positive_split(space, phi):
@@ -150,7 +159,7 @@ def test_read_back_and_sl_model_accept_exactly_the_pairs_of_the_one_rule(case):
     space, phi, dim_v = case
     phi = tuple(sorted(phi))
     allowed = PhiSubset(space, phi).is_orthogonal and 0 <= dim_v <= space.rank - len(phi)
-    rep = next((rep for rep, po in _phi_orbits(space, len(phi)).items() if phi in po.orbit), phi)
+    rep = next((rep for rep, po in _orbits(space).table(len(phi)).items() if phi in po.orbit), phi)
     if allowed:
         (record,) = [c for c in enumerate_foliations(space, include_trivial=True)
                      if (c.phi, c.dim_v) == (rep, dim_v)]
@@ -232,9 +241,9 @@ def test_cached_phi_orbits_equal_a_fresh_computation():
         assert list(table) == sorted(table, key=lambda phi: (len(phi), phi))
         assert all(po.phi == phi == min(po.orbit) and po.space is space for phi, po in table.items())
         for k in range(space.rank + 1):
-            layer = _phi_orbits(space, k)
+            layer = _orbits(space).table(k)
             assert all(len(phi) == k for phi in layer)
-            assert _phi_orbits(space, k) is layer
+            assert _orbits(space).table(k) is layer
 
 
 def _support_within(rs, lam, indices) -> bool:

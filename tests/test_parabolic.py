@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from liefoliate import parabolic
 from liefoliate.catalog import catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.parabolic import (
@@ -203,6 +204,24 @@ def test_horospherical_conservation(name):
         h = horospherical(space, phi)
         assert h.dim_Fs + h.dim_euclidean + h.dim_N == space.dimension
         assert sum(f.dim for f in h.factors) == h.dim_Fs
+
+
+def test_horospherical_scans_the_roots_once(monkeypatch):
+    calls = []
+
+    def counted(space, phi):
+        calls.append(phi)
+        return root_subsystem(space, phi)
+
+    monkeypatch.setattr(parabolic, "root_subsystem", counted)
+    space = catalog_lookup("so(24,C)")
+    phi = phi_subset(space, (1, 3) + tuple(range(7, 13)))
+    h = horospherical(space, phi)
+    assert calls == [phi]  # one Sigma_Phi for the dimensions and the factors
+    assert h.factors == tuple(boundary_components(space, phi))
+    assert (h.dim_Fs, h.dim_euclidean, h.dim_N) == (
+        parabolic_data(space, phi).dim_p_phi_s, space.rank - 8, parabolic_data(space, phi).dim_n_phi)
+    assert len(calls) == 4
 
 
 def test_boundary_components_sl5():
