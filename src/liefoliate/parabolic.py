@@ -9,12 +9,21 @@ decomposition M = F_Phi^s x E^{r - r_Phi} x N_Phi.
 Dimensions that require the centralizer dimension dim k0 are reported as
 None for catalog entries where that value is not available; the a_Phi and
 n_Phi dimensions and the whole horospherical side never need it.
+
+The support of a root is connected, so Sigma_Phi^+ is the disjoint union of
+the positive roots spanned by each connected component of Phi, and F_Phi^s
+is the product of the components' factors.  Each space keeps, per component
+asked for, the roots it spans, their multiplicity sum and its factor (its
+root sets are built when first needed), until ``_components.cache_clear()``:
+O(r^2) components on a classical diagram.  A call whose Phi has unseen
+components finds them all in one pass over the positive roots; a warm
+``horospherical`` builds no Root set and scans no root.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .catalog import SpaceDescriptor, catalog_lookup, rebuilt
 from .errors import LieFoliateError
@@ -93,24 +102,20 @@ def phi_indices(r: int, indices) -> tuple[int, ...]:
 
 
 def phi_subset(space: SpaceDescriptor, indices) -> PhiSubset:
-    return PhiSubset(space, phi_indices(space.rank, indices))
+    # phi_indices returns sorted, distinct ints in 1..r, so PhiSubset.__new__ need not check them again
+    return tuple.__new__(PhiSubset, (space, phi_indices(space.rank, indices)))
 
 
 def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Root], frozenset[Root]]:
     """(Sigma_Phi, Sigma_Phi^+): the roots lying in the rational span of Phi.
 
     A root lies in span(Phi) exactly when its expansion over the simple roots
-    is supported on Phi, so membership reduces to one test of the root's
-    support bitmask against the bits of Phi.  One pass over the positive
-    rows finds both sets, since -lambda has the support of lambda.  A Phi
-    subset of another space raises LieFoliateError.
+    is supported on Phi, and then on one connected component of Phi.  The
+    sets of a one-component Phi are that component's own; otherwise they are
+    the union of its components' sets.  A Phi subset of another space raises
+    LieFoliateError.
     """
-    if phi.space != space:
-        raise LieFoliateError("Phi subset belongs to a different space")
-    outside = ~sum(1 << (i - 1) for i in phi.indices)  # bit i-1 stands for alpha_i
-    inside = [(lam, neg) for lam, neg, mask in space.root_system.rows if not mask & outside]
-    sigma_phi_pos = frozenset(lam for lam, _ in inside)
-    return sigma_phi_pos.union(neg for _, neg in inside), sigma_phi_pos
+    return _root_sets(_components(space).of(phi))
 
 
 class ParabolicData(namedtuple("ParabolicData", (
@@ -157,15 +162,11 @@ class ParabolicData(namedtuple("ParabolicData", (
 
 def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     """Chevalley and Langlands dimension data for q_Phi."""
-    return _parabolic_data(space, phi, *root_subsystem(space, phi))
-
-
-def _parabolic_data(space: SpaceDescriptor, phi: PhiSubset, sigma_phi: frozenset[Root],
-                    sigma_phi_pos: frozenset[Root]) -> ParabolicData:
+    components = _components(space).of(phi)
+    sigma_phi, sigma_phi_pos = _root_sets(components)
     r, r_phi = space.rank, len(phi.indices)
 
-    index, mults = space.root_system.positive_index, space.positive_mults
-    sum_phi_pos = sum(mults[index[lam]] for lam in sigma_phi_pos)
+    sum_phi_pos = sum(c.sum_pos for c in components)
     sum_phi = 2 * sum_phi_pos  # m(-lam) = m(lam)
     total_pos = space.dimension - r  # dim M = r + sum of positive multiplicities
 
@@ -200,36 +201,76 @@ class BoundaryFactor(namedtuple("BoundaryFactor", "component_indices rank name d
         }
 
 
+class _Component:
+    """A connected component of some Phi: the rows of the positive roots it
+    spans, their multiplicity sum, its factor and, once asked for, its root sets."""
+
+    __slots__ = ("rows", "sum_pos", "factor", "sets")
+
+    def __init__(self, component: tuple[int, ...], rows: list, mults: list[int]) -> None:
+        rank, self.rows, self.sum_pos, self.sets = len(component), rows, sum(mults), None
+        # A_k is the only irreducible rank-k root system with k(k+1)/2 positive roots (D_3 = A_3);
+        # with every multiplicity one (a sum equal to the count) the factor is split SL.
+        split = len(rows) == self.sum_pos == rank * (rank + 1) // 2
+        name = f"SL_{rank + 1}(R)/SO_{rank + 1}" if split else f"unnamed rank-{rank} factor"
+        self.factor = BoundaryFactor(component, rank, name, rank + self.sum_pos)
+
+    def root_sets(self) -> tuple[frozenset[Root], frozenset[Root]]:
+        """(roots, positive roots) of the component's span."""
+        if self.sets is None:
+            pos = frozenset(lam for lam, _, _ in self.rows)
+            self.sets = (pos.union(neg for _, neg, _ in self.rows), pos)
+        return self.sets
+
+
+class _SpaceComponents:
+    """One space's ``_Component`` per connected component of a Phi asked for."""
+
+    __slots__ = ("space", "dd", "seen")
+
+    def __init__(self, space: SpaceDescriptor) -> None:
+        self.space, self.dd, self.seen = space, dynkin_diagram(space.root_system), {}
+
+    def of(self, phi: PhiSubset) -> list[_Component]:
+        """The components of phi in order; those not seen before are found in one pass over the rows."""
+        if phi.space != self.space:
+            raise LieFoliateError("Phi subset belongs to a different space")
+        components, seen = self.dd.connected_components(phi.indices), self.seen
+        try:
+            return [seen[c] for c in components]
+        except KeyError:
+            missing = [c for c in components if c not in seen]
+        owner = {}  # bit of alpha_i (bit i-1) -> the rows and multiplicities of its component
+        for c in missing:
+            lists = ([], [])
+            for i in c:
+                owner[1 << (i - 1)] = lists
+        outside = ~sum(owner)
+        # The support of a root is connected, so a root in the span of the
+        # missing components lies in the span of the one holding its lowest bit.
+        for row, m in zip(self.space.root_system.rows, self.space.positive_mults):
+            if not row[2] & outside:
+                rows, mults = owner[row[2] & -row[2]]
+                rows.append(row)
+                mults.append(m)
+        for c in missing:  # setdefault: the first stored, under threads too
+            seen.setdefault(c, _Component(c, *owner[1 << (c[0] - 1)]))
+        return [seen[c] for c in components]
+
+
+_components = lru_cache(maxsize=None)(_SpaceComponents)
+
+
+def _root_sets(components: list[_Component]) -> tuple[frozenset[Root], frozenset[Root]]:
+    if len(components) == 1:
+        return components[0].root_sets()
+    sets = [c.root_sets() for c in components]  # a frozenset union reuses the stored hashes
+    return frozenset().union(*(s for s, _ in sets)), frozenset().union(*(s for _, s in sets))
+
+
 def boundary_components(space: SpaceDescriptor, phi: PhiSubset) -> list[BoundaryFactor]:
     """Factors of F_Phi^s, one per connected component of Phi in the diagram."""
-    return _boundary_components(space, phi, root_subsystem(space, phi)[1])
-
-
-def _boundary_components(space: SpaceDescriptor, phi: PhiSubset, sigma_pos: frozenset[Root]) -> list[BoundaryFactor]:
-    rs = space.root_system
-    dd = dynkin_diagram(rs)
-    components = dd.connected_components(phi.indices)
-    # The support of a root is connected, so each root of Sigma_Phi^+ lies in
-    # the span of exactly one component: the one holding its lowest set bit.
-    component_of = {i: k for k, component in enumerate(components) for i in component}
-    rows, index, mults = rs.rows, rs.positive_index, space.positive_mults
-    component_mults: list[list[int]] = [[] for _ in components]
-    for lam in sigma_pos:
-        k = index[lam]
-        mask = rows[k][2]
-        component_mults[component_of[(mask & -mask).bit_length()]].append(mults[k])
-    factors = []
-    for component, comp_mults in zip(components, component_mults):
-        rank = len(component)
-        # A_k is the only irreducible rank-k root system with k(k+1)/2
-        # positive roots (D_3 = A_3); with every multiplicity one the factor
-        # is split SL.
-        if len(comp_mults) == rank * (rank + 1) // 2 and all(m == 1 for m in comp_mults):
-            name = f"SL_{rank + 1}(R)/SO_{rank + 1}"
-        else:
-            name = f"unnamed rank-{rank} factor"
-        factors.append(BoundaryFactor(component, rank, name, rank + sum(comp_mults)))
-    return factors
+    return [c.factor for c in _components(space).of(phi)]
 
 
 class HorosphericalData(namedtuple("HorosphericalData", "space phi factors dim_Fs dim_euclidean dim_N")):
@@ -266,23 +307,18 @@ def _named(name, phi) -> tuple[SpaceDescriptor, PhiSubset]:
 def horospherical(space: SpaceDescriptor, phi: PhiSubset) -> HorosphericalData:
     """Horospherical decomposition data; the dimensions always sum to dim M.
 
-    Sigma_Phi is found once, by one ``root_subsystem`` pass, for both the
-    dimensions of ``parabolic_data`` and the factors of ``boundary_components``.
+    Only the components' multiplicity sums and factors are read: no root set
+    is built.
     """
-    sigma = root_subsystem(space, phi)
-    data = _parabolic_data(space, phi, *sigma)
-    factors = tuple(_boundary_components(space, phi, sigma[1]))
-    dim_fs = data.dim_p_phi_s
+    components = _components(space).of(phi)
+    factors = tuple(c.factor for c in components)
+    r, r_phi = space.rank, len(phi.indices)
+    sum_phi_pos = sum(c.sum_pos for c in components)
+    dim_fs = r_phi + sum_phi_pos  # dim p_Phi^s
     if sum(f.dim for f in factors) != dim_fs:
         raise LieFoliateError("boundary factor dimensions do not sum to dim F_Phi^s")
-    result = HorosphericalData(
-        space=space,
-        phi=phi.indices,
-        factors=factors,
-        dim_Fs=dim_fs,
-        dim_euclidean=data.dim_a_phi,
-        dim_N=data.dim_n_phi,
-    )
+    # dim N_Phi = dim n_Phi = (dim M - r) - sum_phi_pos, as in parabolic_data
+    result = HorosphericalData(space, phi.indices, factors, dim_fs, r - r_phi, space.dimension - r - sum_phi_pos)
     if result.dim_Fs + result.dim_euclidean + result.dim_N != space.dimension:
         raise LieFoliateError("horospherical dimensions do not sum to dim M")
     return result

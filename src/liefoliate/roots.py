@@ -535,23 +535,36 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults
     def neighbors(self, index: int) -> frozenset[int]:
         return self._adjacency[index]
 
+    @cached_property
+    def _neighbor_masks(self) -> tuple[int, ...]:
+        """Bit j-1 of entry i-1 is set when vertex j is joined to vertex i."""
+        return tuple(sum(1 << (j - 1) for j in self._adjacency[i]) for i in range(1, self.rank + 1))
+
     def connected_components(self, indices) -> list[tuple[int, ...]]:
-        """Connected components of the subdiagram induced on the given vertices."""
-        pending = set(indices)
+        """Connected components of the subdiagram induced on the given vertices, in sorted order.
+
+        Each grows from the lowest pending vertex, taking a vertex's pending
+        neighbours in one bitmask operation."""
+        masks = self._neighbor_masks
+        pending = 0
+        for i in indices:
+            pending |= 1 << (i - 1)
         comps = []
         while pending:
-            seed = min(pending)
-            comp = {seed}
-            frontier = [seed]
+            frontier = pending & -pending
+            pending ^= frontier
+            comp = []
             while frontier:
-                v = frontier.pop()
-                for w in self.neighbors(v):
-                    if w in pending and w not in comp:
-                        comp.add(w)
-                        frontier.append(w)
-            pending -= comp
-            comps.append(tuple(sorted(comp)))
-        return sorted(comps)
+                low = frontier & -frontier
+                frontier ^= low
+                v = low.bit_length()
+                comp.append(v)
+                joined = masks[v - 1] & pending  # bit j-1 stands for vertex j
+                pending ^= joined
+                frontier |= joined
+            comp.sort()
+            comps.append(tuple(comp))
+        return comps
 
     def to_dict(self) -> dict:
         return {

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from liefoliate import foliations
+from liefoliate import foliations, parabolic
 from liefoliate.catalog import catalog_lookup
 from liefoliate.cli import main
 from liefoliate.foliations import FoliationClass
@@ -80,6 +80,7 @@ def test_catalog_list(capsys):
 
 
 def test_parabolic_json_round_trip(capsys):
+    parabolic._components.cache_clear()  # the command runs cold, as in a fresh process; from_dict warm
     code, out, _ = run(capsys, "parabolic", "--space", "SL5", "--phi", "1,3",
                        "--format", "json")
     assert code == 0
@@ -118,6 +119,7 @@ def test_parabolic_invalid_phi_exit_1(capsys):
 
 
 def test_horospherical_json(capsys):
+    parabolic._components.cache_clear()  # the command runs cold, as in a fresh process; from_dict warm
     code, out, _ = run(capsys, "horospherical", "--space", "SL5", "--phi", "1,2",
                        "--format", "json")
     assert code == 0

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from liefoliate import foliations
+from liefoliate import foliations, parabolic
 from liefoliate.catalog import catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
@@ -234,6 +234,7 @@ def test_phi_orbits_are_built_once_per_space(name, monkeypatch):
 def _cold_caches():
     foliations._layer.cache_clear()
     foliations._orbits.cache_clear()
+    parabolic._components.cache_clear()
 
 
 def test_sl14_enumeration_builds_each_hyperbolic_factor_once(monkeypatch):

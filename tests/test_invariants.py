@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liefoliate import parabolic
 from liefoliate.catalog import catalog_entries, catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
@@ -24,7 +25,14 @@ from liefoliate.foliations import (
     hyperbolic_factor,
     orthogonal_subsets,
 )
-from liefoliate.parabolic import PhiSubset, boundary_components, horospherical, parabolic_data, phi_subset
+from liefoliate.parabolic import (
+    PhiSubset,
+    boundary_components,
+    horospherical,
+    parabolic_data,
+    phi_subset,
+    root_subsystem,
+)
 from liefoliate.roots import SCALE, diagram_automorphisms, dynkin_diagram, inner, reflect
 from liefoliate.slmodel import build_s_phi_v
 
@@ -121,6 +129,37 @@ def _positive_split(space, phi):
     return inside, outside
 
 
+def _components_reference(space, phi) -> list[tuple[int, ...]]:
+    """Phi's connected components in the diagram, in sorted order, grown one neighbour at a time."""
+    dd, pending, components = dynkin_diagram(space.root_system), set(phi), []
+    while pending:
+        component, frontier = set(), [min(pending)]
+        while frontier:
+            v = frontier.pop()
+            if v in pending:
+                pending.discard(v)
+                component.add(v)
+                frontier.extend(dd.neighbors(v))
+        components.append(tuple(sorted(component)))
+    return components
+
+
+def _cold_then_warm(space, phi):
+    """Yield twice: right after the component cache is emptied, and once Phi's
+    components were filled by other subsets that share some of them: Phi less
+    its last component, through horospherical, which builds no root set, and
+    the last component alone, through root_subsystem, which builds its sets."""
+    parabolic._components.cache_clear()
+    yield
+    parabolic._components.cache_clear()
+    components = _components_reference(space, phi)
+    if components:
+        horospherical(space, phi_subset(space, [i for c in components[:-1] for i in c]))
+        root_subsystem(space, phi_subset(space, components[-1]))
+    assert set(parabolic._components(space).seen) == set(components)
+    yield
+
+
 @st.composite
 def space_and_phi(draw, orthogonal=False):
     space = draw(st.sampled_from(SPACES))
@@ -135,13 +174,14 @@ def space_and_phi(draw, orthogonal=False):
 @given(space_and_phi())
 def test_horospherical_dimensions_are_conserved(case):
     space, phi = case
-    h = horospherical(space, phi_subset(space, phi))
     inside, outside = _positive_split(space, phi)
-    assert h.dim_Fs == len(phi) + inside == sum(f.dim for f in h.factors)
-    assert h.dim_euclidean == space.rank - len(phi)
-    assert h.dim_N == outside
-    assert h.dim_Fs + h.dim_euclidean + h.dim_N == space.dimension
     assert space.dimension == space.rank + inside + outside
+    for _ in _cold_then_warm(space, phi):
+        h = horospherical(space, phi_subset(space, phi))
+        assert h.dim_Fs == len(phi) + inside == sum(f.dim for f in h.factors)
+        assert h.dim_euclidean == space.rank - len(phi)
+        assert h.dim_N == outside
+        assert h.dim_Fs + h.dim_euclidean + h.dim_N == space.dimension
 
 
 SL_SPACES = tuple(catalog_lookup(f"SL{n}") for n in range(2, 9))
@@ -263,23 +303,42 @@ def test_parabolic_data_matches_a_reference_from_the_expansions(case):
     outside = sum(mult(lam) for lam in rs.positive) - sum_pos
     r, r_phi, k0 = space.rank, len(phi), space.dim_k0
 
-    d = parabolic_data(space, phi_subset(space, phi))
-    assert d.sigma_phi == sigma and d.sigma_phi_pos == sigma_pos
-    assert (d.dim_a_phi, d.dim_n_phi) == (r - r_phi, outside)
-    assert (d.dim_p_phi, d.dim_p_phi_s) == (r + sum_pos, r_phi + sum_pos)
-    if k0 is None:
-        assert d.dim_g0 is d.dim_l_phi is d.dim_m_phi is d.dim_q_phi is d.dim_k_phi is None
-    else:
-        dim_l = k0 + r + sum_all
-        assert (d.dim_g0, d.dim_l_phi, d.dim_k_phi) == (k0 + r, dim_l, k0 + sum_pos)
-        assert (d.dim_m_phi, d.dim_q_phi) == (dim_l - (r - r_phi), dim_l + outside)
-    assert d.dim_g_phi == (r_phi + sum_all if k0 == 0 else None)
+    for _ in _cold_then_warm(space, phi):
+        d = parabolic_data(space, phi_subset(space, phi))
+        assert d.sigma_phi == sigma and d.sigma_phi_pos == sigma_pos
+        assert (d.dim_a_phi, d.dim_n_phi) == (r - r_phi, outside)
+        assert (d.dim_p_phi, d.dim_p_phi_s) == (r + sum_pos, r_phi + sum_pos)
+        if k0 is None:
+            assert d.dim_g0 is d.dim_l_phi is d.dim_m_phi is d.dim_q_phi is d.dim_k_phi is None
+        else:
+            dim_l = k0 + r + sum_all
+            assert (d.dim_g0, d.dim_l_phi, d.dim_k_phi) == (k0 + r, dim_l, k0 + sum_pos)
+            assert (d.dim_m_phi, d.dim_q_phi) == (dim_l - (r - r_phi), dim_l + outside)
+        assert d.dim_g_phi == (r_phi + sum_all if k0 == 0 else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(space_and_phi().filter(lambda case: case[1]))
+def test_a_warm_one_component_phi_returns_the_cached_root_sets(case):
+    space, phi = case
+    component = _components_reference(space, phi)[0]
+    rs, subset = space.root_system, phi_subset(space, component)
+    sigma = frozenset(lam for lam in rs.roots if _support_within(rs, lam, component))
+    parabolic._components.cache_clear()
+    horospherical(space, subset)  # fills the component, but not its root sets
+    cached = parabolic._components(space).seen[component]
+    assert cached.sets is None
+    d = parabolic_data(space, subset)
+    assert cached.sets == (sigma, sigma & frozenset(rs.positive))
+    assert d.sigma_phi is cached.sets[0] and d.sigma_phi_pos is cached.sets[1]
+    again = root_subsystem(space, subset)
+    assert again[0] is cached.sets[0] and again[1] is cached.sets[1]
 
 
 def _check_boundary_factors(space, phi):
     rs, mult = space.root_system, space.multiplicities
     factors = boundary_components(space, phi_subset(space, phi))
-    assert [f.component_indices for f in factors] == \
+    assert [f.component_indices for f in factors] == _components_reference(space, phi) == \
         dynkin_diagram(rs).connected_components(phi)
     for f in factors:
         k = f.rank
@@ -299,7 +358,8 @@ def _check_boundary_factors(space, phi):
 @settings(max_examples=150, deadline=None)
 @given(space_and_phi())
 def test_boundary_factors_match_a_per_component_reference(case):
-    _check_boundary_factors(*case)
+    for _ in _cold_then_warm(*case):
+        _check_boundary_factors(*case)
 
 
 @pytest.mark.parametrize("space", [s for s in SPACES if s.rank <= 6], ids=lambda s: s.name)

@@ -206,22 +206,77 @@ def test_horospherical_conservation(name):
         assert sum(f.dim for f in h.factors) == h.dim_Fs
 
 
-def test_horospherical_scans_the_roots_once(monkeypatch):
-    calls = []
+class CountedRows(tuple):
+    """A root system's rows, counting the passes over them and the rows read by index."""
 
-    def counted(space, phi):
-        calls.append(phi)
-        return root_subsystem(space, phi)
+    def __new__(cls, rows):
+        self = super().__new__(cls, rows)
+        self.passes = self.reads = 0
+        return self
 
-    monkeypatch.setattr(parabolic, "root_subsystem", counted)
-    space = catalog_lookup("so(24,C)")
-    phi = phi_subset(space, (1, 3) + tuple(range(7, 13)))
-    h = horospherical(space, phi)
-    assert calls == [phi]  # one Sigma_Phi for the dimensions and the factors
-    assert h.factors == tuple(boundary_components(space, phi))
-    assert (h.dim_Fs, h.dim_euclidean, h.dim_N) == (
-        parabolic_data(space, phi).dim_p_phi_s, space.rank - 8, parabolic_data(space, phi).dim_n_phi)
-    assert len(calls) == 4
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
+
+
+@pytest.fixture
+def counted_rows(monkeypatch):
+    """Put CountedRows in place of a space's root-system rows for the test."""
+    def install(space):
+        rs = space.root_system
+        counted = CountedRows(rs.rows)
+        monkeypatch.setitem(rs.__dict__, "rows", counted)
+        return counted
+    return install
+
+
+SO24 = catalog_lookup("so(24,C)")  # D_12: 10 is joined to 9, 11 and 12
+
+
+@pytest.mark.parametrize("call", [horospherical, parabolic_data, boundary_components, root_subsystem],
+                         ids=lambda f: f.__name__)
+def test_a_warm_call_on_seen_components_reads_no_row(call, counted_rows):
+    phi = phi_subset(SO24, (1, 3) + tuple(range(7, 13)))
+    expected = call(SO24, phi)
+    parabolic._components.cache_clear()
+    horospherical(SO24, phi_subset(SO24, (1, 3)))  # no root set is built
+    root_subsystem(SO24, phi_subset(SO24, range(7, 13)))
+    counted = counted_rows(SO24)
+    assert call(SO24, phi) == expected
+    assert (counted.passes, counted.reads) == (0, 0)
+
+
+def test_a_cold_call_finds_all_missing_components_in_one_pass(counted_rows):
+    parabolic._components.cache_clear()
+    counted = counted_rows(SO24)
+    seen = parabolic._components(SO24).seen
+    phi = phi_subset(SO24, (1, 3, 7, 8))
+    h = horospherical(SO24, phi)
+    assert (counted.passes, counted.reads) == (1, 0)
+    assert sorted(seen) == [(1,), (3,), (7, 8)]
+    parabolic_data(SO24, phi_subset(SO24, (1, 3, 5, 10, 11, 12)))  # two components seen, two not
+    assert (counted.passes, counted.reads) == (2, 0)
+    assert sorted(seen) == [(1,), (3,), (5,), (7, 8), (10, 11, 12)]
+    assert h.factors == tuple(boundary_components(SO24, phi))
+    d = parabolic_data(SO24, phi)
+    assert (h.dim_Fs, h.dim_euclidean, h.dim_N) == (d.dim_p_phi_s, d.dim_a_phi, d.dim_n_phi)
+    assert (counted.passes, counted.reads) == (2, 0)
+
+
+def test_cache_clear_empties_the_component_cache(counted_rows):
+    phi = phi_subset(SO24, (1, 3, 7, 8))
+    factors = boundary_components(SO24, phi)
+    assert parabolic._components(SO24).seen
+    parabolic._components.cache_clear()
+    assert parabolic._components.cache_info().currsize == 0
+    counted = counted_rows(SO24)
+    assert not parabolic._components(SO24).seen
+    assert boundary_components(SO24, phi) == factors
+    assert counted.passes == 1
 
 
 def test_boundary_components_sl5():
