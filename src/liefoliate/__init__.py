@@ -22,9 +22,9 @@ _EXPORTS = {
     "parabolic": ("BoundaryFactor", "HorosphericalData", "ParabolicData", "PhiSubset",
                   "boundary_components", "horospherical", "parabolic_data", "phi_subset",
                   "root_subsystem"),
-    "roots": ("DynkinDiagram", "DynkinEdge", "DynkinVertex", "Family", "Root", "RootSystem",
-              "build_root_system", "diagram_automorphisms", "dynkin_diagram", "inner", "reflect",
-              "root_from_coords"),
+    "roots": ("DynkinDiagram", "DynkinEdge", "DynkinVertex", "Family", "Root", "diagram_automorphisms",
+              "family_diagram", "inner", "reflect", "root_from_coords", "subdiagram_type"),
+    "rootsystem": ("RootSystem", "build_root_system", "dynkin_diagram"),
     "slmodel": ("IwasawaFactors", "MatrixElement", "Subspace", "bracket", "build_s_phi_v",
                 "cartan_split", "is_lie_triple", "iwasawa_group", "killing_form", "moebius",
                 "restricted_root_decompose"),

@@ -5,6 +5,10 @@ the multiplicities of the simple roots (and of the doubled root for the
 non-reduced family BC); the table is shipped as ``data/catalog.json``.  The
 dimension of the centralizer k0 of a maximal flat in the isotropy algebra is
 read off the multiplicities: 0 when all are 1 (a split real form), else unknown.
+A space's Dynkin diagram comes from its family and rank, and dim M from the
+per-type root counts of each length, so neither builds a root; the full root
+list (``root_system``) is built only for ``root_multiplicity`` and
+``positive_mults``.  No catalog space has a rank above ``roots.MAX_RANK``.
 
 Lookups accept either flattened ASCII identifiers such as ``sl(5,R)``,
 ``SL5``, ``SOo(5,2)``, ``su(3,1)``, ``e6(-14)`` or concrete display names
@@ -20,7 +24,7 @@ from functools import cached_property, lru_cache
 from importlib import resources
 
 from .errors import LieFoliateError
-from .roots import Family, Root, RootSystem, build_root_system, inner
+from .roots import MAX_RANK, POSITIVE_ROOT_COUNTS, DynkinDiagram, Family, Root, family_diagram, inner, subdiagram_type
 
 
 class CatalogEntry(namedtuple("CatalogEntry", (
@@ -125,7 +129,22 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
 
     @cached_property
     def root_system(self) -> RootSystem:
+        from .roots import build_root_system  # loads rootsystem, which only root lists need
+
         return build_root_system(self.family, self.rank)
+
+    @cached_property
+    def diagram(self) -> DynkinDiagram:
+        return family_diagram(self.family, self.rank)
+
+    def span_counts(self, component: tuple[int, ...]) -> tuple[int, int]:
+        """(positive roots, their multiplicity sum) spanned by a connected set of simple
+        roots: the per-type count of each length, times the multiplicity of a
+        simple root of that length, which is Weyl-conjugate to each of them."""
+        kind = subdiagram_type(self.diagram, component)
+        long, short, doubled = POSITIVE_ROOT_COUNTS[kind.family](kind.rank)
+        return (long + short + doubled,
+                long * self.m_alpha(kind.long) + short * self.m_alpha(kind.short) + doubled * self.m_2alpha(kind.short))
 
     @cached_property
     def multiplicities(self) -> "MultiplicityFunction":
@@ -231,8 +250,14 @@ def root_multiplicity(space: SpaceDescriptor, lam: Root) -> int:
 
 
 def space_dimension(space: SpaceDescriptor) -> int:
-    """dim M = rank + sum of the multiplicities over the positive roots."""
-    return space.rank + sum(space.positive_mults)
+    """dim M = rank + sum of the multiplicities over the positive roots, by
+    ``span_counts`` over the whole diagram.  Single edges join each length
+    class of simple roots, so the multiplicities must agree across every one
+    of them, else LieFoliateError."""
+    m = space.m_alpha
+    if any(e.lines == 1 and m(e.i) != m(e.j) for e in space.diagram.edges):
+        raise LieFoliateError(f"{space.name}: simple roots of equal length carry different multiplicities")
+    return space.rank + space.span_counts(tuple(range(1, space.rank + 1)))[1]
 
 
 # One descriptor per (key, r, n) for the life of the process, so its cached
@@ -243,6 +268,8 @@ def space_dimension(space: SpaceDescriptor) -> int:
 def _instantiate(key: str, *, r: int | None = None, n: int | None = None, **fmt) -> SpaceDescriptor:
     entry = _entry_map()[key]
     rank = entry.fixed_rank if entry.fixed_rank is not None else r
+    if rank > MAX_RANK:
+        raise LieFoliateError(f"rank {rank} is too large: catalog spaces have rank at most {MAX_RANK}")
     fmt = {"r": rank, "n": n, **fmt}
     if entry.mult_explicit is not None:
         mults: list = list(entry.mult_explicit)

@@ -57,7 +57,7 @@ from functools import lru_cache
 
 from .catalog import SpaceDescriptor, rebuilt
 from .errors import LieFoliateError
-from .roots import DynkinDiagram, apply_permutation, diagram_automorphisms, dynkin_diagram
+from .roots import DynkinDiagram, apply_permutation, diagram_automorphisms
 
 __all__ = [
     "HyperbolicFactor",
@@ -236,7 +236,7 @@ class _SpaceOrbits:
 
     def __init__(self, space: SpaceDescriptor) -> None:
         self.space = space
-        self.dd = dynkin_diagram(space.root_system)
+        self.dd = space.diagram
         self.auts = diagram_automorphisms(self.dd)
         self.factors = {i: hyperbolic_factor(space, i) for i in range(1, space.rank + 1)}
         self.by_rep, self.tables, self.records = {}, {}, {}

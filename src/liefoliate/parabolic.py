@@ -12,12 +12,13 @@ n_Phi dimensions and the whole horospherical side never need it.
 
 The support of a root is connected, so Sigma_Phi^+ is the disjoint union of
 the positive roots spanned by each connected component of Phi, and F_Phi^s
-is the product of the components' factors.  Each space keeps, per component
-asked for, the roots it spans, their multiplicity sum and its factor (its
-root sets are built when first needed), until ``_components.cache_clear()``:
-O(r^2) components on a classical diagram.  A call whose Phi has unseen
-components finds them all in one pass over the positive roots; a warm
-``horospherical`` builds no Root set and scans no root.
+is the product of the components' factors.  A component's multiplicity sum
+comes from the per-type root counts of its subdiagram
+(``SpaceDescriptor.span_counts``), and its roots, when first asked for, from
+a root-string walk over that component alone (``roots.span_roots``), so no
+call builds the space's full root list.  Each space keeps, per component
+asked for, its multiplicity sum, its factor and any root sets walked, until
+``_components.cache_clear()``: O(r^2) components on a classical diagram.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property, lru_cache
 
 from .catalog import SpaceDescriptor, catalog_lookup, rebuilt
 from .errors import LieFoliateError
-from .roots import Root, dynkin_diagram
+from .roots import Root, span_roots
 
 __all__ = [
     "PhiSubset",
@@ -68,7 +69,7 @@ class PhiSubset(namedtuple("PhiSubset", "space indices")):
     @cached_property
     def is_orthogonal(self) -> bool:
         """No two chosen vertices are adjacent in the Dynkin diagram."""
-        dd = dynkin_diagram(self.space.root_system)
+        dd = self.space.diagram
         chosen = set(self.indices)
         return all(not (dd.neighbors(i) & chosen) for i in chosen)
 
@@ -115,7 +116,7 @@ def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Ro
     the union of its components' sets.  A Phi subset of another space raises
     LieFoliateError.
     """
-    return _root_sets(_components(space).of(phi))
+    return _root_sets(space, _components(space).of(phi))
 
 
 class ParabolicData(namedtuple("ParabolicData", (
@@ -163,7 +164,7 @@ class ParabolicData(namedtuple("ParabolicData", (
 def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     """Chevalley and Langlands dimension data for q_Phi."""
     components = _components(space).of(phi)
-    sigma_phi, sigma_phi_pos = _root_sets(components)
+    sigma_phi, sigma_phi_pos = _root_sets(space, components)
     r, r_phi = space.rank, len(phi.indices)
 
     sum_phi_pos = sum(c.sum_pos for c in components)
@@ -202,24 +203,25 @@ class BoundaryFactor(namedtuple("BoundaryFactor", "component_indices rank name d
 
 
 class _Component:
-    """A connected component of some Phi: the rows of the positive roots it
-    spans, their multiplicity sum, its factor and, once asked for, its root sets."""
+    """A connected component of some Phi: the multiplicity sum of the positive
+    roots it spans, its factor and, once asked for, its root sets."""
 
-    __slots__ = ("rows", "sum_pos", "factor", "sets")
+    __slots__ = ("indices", "sum_pos", "factor", "sets")
 
-    def __init__(self, component: tuple[int, ...], rows: list, mults: list[int]) -> None:
-        rank, self.rows, self.sum_pos, self.sets = len(component), rows, sum(mults), None
+    def __init__(self, space: SpaceDescriptor, component: tuple[int, ...]) -> None:
+        count, self.sum_pos = space.span_counts(component)
+        rank, self.indices, self.sets = len(component), component, None
         # A_k is the only irreducible rank-k root system with k(k+1)/2 positive roots (D_3 = A_3);
         # with every multiplicity one (a sum equal to the count) the factor is split SL.
-        split = len(rows) == self.sum_pos == rank * (rank + 1) // 2
+        split = count == self.sum_pos == rank * (rank + 1) // 2
         name = f"SL_{rank + 1}(R)/SO_{rank + 1}" if split else f"unnamed rank-{rank} factor"
         self.factor = BoundaryFactor(component, rank, name, rank + self.sum_pos)
 
-    def root_sets(self) -> tuple[frozenset[Root], frozenset[Root]]:
-        """(roots, positive roots) of the component's span."""
+    def root_sets(self, space: SpaceDescriptor) -> tuple[frozenset[Root], frozenset[Root]]:
+        """(roots, positive roots) of the component's span, walked over the component alone."""
         if self.sets is None:
-            pos = frozenset(lam for lam, _, _ in self.rows)
-            self.sets = (pos.union(neg for _, neg, _ in self.rows), pos)
+            pos = frozenset(span_roots(space.family, space.rank, space.diagram, self.indices))
+            self.sets = (pos.union([-lam for lam in pos]), pos)
         return self.sets
 
 
@@ -229,42 +231,26 @@ class _SpaceComponents:
     __slots__ = ("space", "dd", "seen")
 
     def __init__(self, space: SpaceDescriptor) -> None:
-        self.space, self.dd, self.seen = space, dynkin_diagram(space.root_system), {}
+        self.space, self.dd, self.seen = space, space.diagram, {}
 
     def of(self, phi: PhiSubset) -> list[_Component]:
-        """The components of phi in order; those not seen before are found in one pass over the rows."""
+        """The components of phi in order, each made the first time it is met."""
         if phi.space != self.space:
             raise LieFoliateError("Phi subset belongs to a different space")
-        components, seen = self.dd.connected_components(phi.indices), self.seen
+        components, seen = self.dd._components_of(phi.indices), self.seen
         try:
             return [seen[c] for c in components]
-        except KeyError:
-            missing = [c for c in components if c not in seen]
-        owner = {}  # bit of alpha_i (bit i-1) -> the rows and multiplicities of its component
-        for c in missing:
-            lists = ([], [])
-            for i in c:
-                owner[1 << (i - 1)] = lists
-        outside = ~sum(owner)
-        # The support of a root is connected, so a root in the span of the
-        # missing components lies in the span of the one holding its lowest bit.
-        for row, m in zip(self.space.root_system.rows, self.space.positive_mults):
-            if not row[2] & outside:
-                rows, mults = owner[row[2] & -row[2]]
-                rows.append(row)
-                mults.append(m)
-        for c in missing:  # setdefault: the first stored, under threads too
-            seen.setdefault(c, _Component(c, *owner[1 << (c[0] - 1)]))
-        return [seen[c] for c in components]
+        except KeyError:  # setdefault: the first stored, under threads too
+            return [seen.get(c) or seen.setdefault(c, _Component(self.space, c)) for c in components]
 
 
 _components = lru_cache(maxsize=None)(_SpaceComponents)
 
 
-def _root_sets(components: list[_Component]) -> tuple[frozenset[Root], frozenset[Root]]:
+def _root_sets(space: SpaceDescriptor, components: list[_Component]) -> tuple[frozenset[Root], frozenset[Root]]:
     if len(components) == 1:
-        return components[0].root_sets()
-    sets = [c.root_sets() for c in components]  # a frozenset union reuses the stored hashes
+        return components[0].root_sets(space)
+    sets = [c.root_sets(space) for c in components]  # a frozenset union reuses the stored hashes
     return frozenset().union(*(s for s, _ in sets)), frozenset().union(*(s for _, s in sets))
 
 

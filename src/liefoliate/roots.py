@@ -1,4 +1,5 @@
-"""Exact restricted root systems and their Dynkin diagrams.
+"""Exact restricted roots, the simple roots of each family and their Dynkin
+diagrams, and what the diagrams give in closed form.
 
 Implements the ten families of irreducible restricted root systems occurring
 for Riemannian symmetric spaces of noncompact type: A_r, B_r, C_r, D_r, E6,
@@ -6,33 +7,47 @@ E7, E8, F4, G2 and the non-reduced family BC_r.  Every root stores doubled
 integer coordinates, so the half-integer entries of the E-series and F4 stay
 exact and every inner product is a rational number.
 
-Each family is given only by a table of its simple roots.  One generator
-walks root strings up from them in simple-root coefficients, using the
-integer Cartan matrix, and maps the roots it finds to ambient coordinates
-once, at the end; BC_r adds 2 beta for each short root beta of B_r.  The
-same walk gives every root's simple-root coefficients and support mask.
-Positive roots are ordered by height, then by their coefficients in
-descending lexicographic order, so ``positive`` begins with the simple roots
-in order.  The Dynkin diagram is read off the Cartan matrix and derives it
-back from its edges; its adjacency and automorphisms read that one table.
-``DynkinDiagram.from_dict`` accepts only edges that give such a table:
-vertices 1..n, edges of 1 to 3 lines between two of them, and an arrow on
-each multiple edge and on no other.
+Each family is given only by a table of its simple roots, each held as its
+nonzero coordinates.  ``family_diagram`` reads the Dynkin diagram off that
+table in time linear in the rank.  ``subdiagram_type`` reads the type of a
+connected subdiagram off its Cartan submatrix, and ``POSITIVE_ROOT_COUNTS``
+gives that type's positive roots per length (Bourbaki, Plates I-IX), so a
+dimension that sums multiplicities over roots needs no root.  ``span_roots``
+walks root strings up from the simple roots of one connected component only.
+The full root list, ``RootSystem`` and ``build_root_system``, lives in
+``rootsystem``; it is loaded on first use of those names here, by the
+commands that print or check every root.  ``DynkinDiagram.from_dict``
+accepts only edges that give a Cartan matrix: vertices 1..n, edges of 1 to 3
+lines between two of them, and an arrow on each multiple edge and on no
+other.
 
 The records are immutable named tuples, and ``fractions`` is imported only
-by the functions that build a Fraction, so building a root system and its
-diagram loads neither ``dataclasses`` nor ``fractions``.
+by the functions that build a Fraction, so the structure commands load
+neither ``dataclasses`` nor ``fractions``.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from operator import add
 
 from .errors import LieFoliateError
+
+_ROOT_SYSTEM_NAMES = ("RootSystem", "build_root_system", "dynkin_diagram")
+
+
+def __getattr__(name: str):
+    """The names of ``rootsystem``, loaded on first use (PEP 562)."""
+    if name not in _ROOT_SYSTEM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import rootsystem
+
+    globals().update((n, getattr(rootsystem, n)) for n in _ROOT_SYSTEM_NAMES)
+    return globals()[name]
+
 
 # All coordinates are stored multiplied by this factor.
 SCALE = 2
@@ -50,6 +65,8 @@ class Family(str, Enum):
     G2 = "G2"
     BC = "BC"
 
+
+MAX_RANK = 1000  # no family, diagram or catalog space of a larger rank
 
 # (min_rank, max_rank); None means unbounded above.
 RANK_RANGES = {
@@ -188,13 +205,17 @@ def _vector(dim: int, entries: dict[int, int]) -> tuple[int, ...]:
     return tuple(entries.get(k, 0) for k in range(dim))
 
 
-def _chain(dim: int) -> tuple[tuple[int, ...], ...]:
+def _chain(dim: int) -> tuple[dict[int, int], ...]:
     """e_1 - e_2, ..., e_{dim-1} - e_dim in doubled coordinates."""
-    return tuple(_vector(dim, {i: SCALE, i + 1: -SCALE}) for i in range(dim - 1))
+    return tuple({i: SCALE, i + 1: -SCALE} for i in range(dim - 1))
+
+
+def _sparse(rows) -> tuple[dict[int, int], ...]:
+    return tuple({k: c for k, c in enumerate(row) if c} for row in rows)
 
 
 # alpha_1, ..., alpha_8 of E8; E6 and E7 use the first six and seven.
-_E8_SIMPLE = (
+_E8_SIMPLE = _sparse((
     (1, -1, -1, -1, -1, -1, -1, 1),
     (2, 2, 0, 0, 0, 0, 0, 0),
     (-2, 2, 0, 0, 0, 0, 0, 0),
@@ -203,73 +224,26 @@ _E8_SIMPLE = (
     (0, 0, 0, -2, 2, 0, 0, 0),
     (0, 0, 0, 0, -2, 2, 0, 0),
     (0, 0, 0, 0, 0, -2, 2, 0),
-)
+))
 
-# Simple roots alpha_1, ..., alpha_r of each family at rank r, in doubled
-# coordinates (Bourbaki, Lie IV-VI, Plates I-IX).  BC_r shares those of B_r.
+# The ambient dimension and the simple roots alpha_1, ..., alpha_r of each
+# family at rank r, each as its nonzero doubled coordinates {index: entry}
+# (Bourbaki, Lie IV-VI, Plates I-IX).  BC_r shares those of B_r.
 _SIMPLE_ROOTS = {
-    Family.A: lambda r: _chain(r + 1),
-    Family.B: lambda r: _chain(r) + (_vector(r, {r - 1: SCALE}),),
-    Family.C: lambda r: _chain(r) + (_vector(r, {r - 1: 2 * SCALE}),),
-    Family.D: lambda r: _chain(r) + (_vector(r, {r - 2: SCALE, r - 1: SCALE}),),
-    Family.E6: lambda r: _E8_SIMPLE[:6],
-    Family.E7: lambda r: _E8_SIMPLE[:7],
-    Family.E8: lambda r: _E8_SIMPLE,
-    Family.F4: lambda r: ((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)),
-    Family.G2: lambda r: ((2, -2, 0), (-4, 2, 2)),
+    Family.A: lambda r: (r + 1, _chain(r + 1)),
+    Family.B: lambda r: (r, _chain(r) + ({r - 1: SCALE},)),
+    Family.C: lambda r: (r, _chain(r) + ({r - 1: 2 * SCALE},)),
+    Family.D: lambda r: (r, _chain(r) + ({r - 2: SCALE, r - 1: SCALE},)),
+    Family.E6: lambda r: (8, _E8_SIMPLE[:6]),
+    Family.E7: lambda r: (8, _E8_SIMPLE[:7]),
+    Family.E8: lambda r: (8, _E8_SIMPLE),
+    Family.F4: lambda r: (4, _sparse(((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)))),
+    Family.G2: lambda r: (3, _sparse(((2, -2, 0), (-4, 2, 2)))),
     Family.BC: lambda r: _SIMPLE_ROOTS[Family.B](r),
 }
 
 
-def _independent(vectors) -> bool:
-    """Whether integer vectors are linearly independent (fraction-free elimination)."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                rows[i] = [p[col] * a - f * b for a, b in zip(rows[i], p)]
-        rank += 1
-    return rank == len(rows)
-
-
-def _cartan_matrix(simple) -> tuple[tuple[int, ...], ...]:
-    """A_ij = 2<alpha_i, alpha_j>/<alpha_j, alpha_j> of the given simple roots.
-
-    Raises unless the simple roots are independent, every entry is an integer
-    and A_ij <= 0 for i != j, as for the simple roots of a crystallographic
-    root system.
-    """
-    if not _independent(simple):
-        raise LieFoliateError("simple roots are linearly dependent")
-    norms = [sum(a * a for a in alpha) for alpha in simple]
-    cartan = []
-    for i, a in enumerate(simple):
-        row = []
-        for j, b in enumerate(simple):
-            num = 2 * sum(x * y for x, y in zip(a, b))
-            if num % norms[j]:
-                from fractions import Fraction
-
-                raise LieFoliateError(
-                    f"Cartan entry A_{i + 1},{j + 1} = {Fraction(num, norms[j])} is not an integer"
-                )
-            if i != j and num > 0:
-                raise LieFoliateError(
-                    f"Cartan entry A_{i + 1},{j + 1} is positive: simple roots must not make an acute angle"
-                )
-            row.append(num // norms[j])
-        cartan.append(tuple(row))
-    return tuple(cartan)
-
-
-def _positive_roots(family: Family, simple, cartan) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _positive_roots(simple, cartan, doubled: bool) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(simple-root coefficients, doubled coordinates) of each positive root, in canonical order.
 
     Walks root strings up from the simple roots, one height at a time
@@ -279,8 +253,9 @@ def _positive_roots(family: Family, simple, cartan) -> list[tuple[tuple[int, ...
     root iff p - <beta, alpha_i^vee> > 0.  Every root below beta is found
     before beta's level is walked, so p is read off the roots found.  Each
     root keeps its pairings <beta, alpha_i^vee> = sum_j c_j A_ji, and
-    beta + alpha_i adds row i of the Cartan matrix to them.  BC_r adds
-    2 beta for each short root beta.  The order is by height, then by
+    beta + alpha_i adds row i of the Cartan matrix to them.  When
+    ``doubled`` (BC_r, or a part of it holding the double-circled root) it
+    adds 2 beta for each short root beta.  The order is by height, then by
     coefficients in descending lexicographic order, so the first r roots
     are the simple roots in order.
     """
@@ -311,7 +286,7 @@ def _positive_roots(family: Family, simple, cartan) -> list[tuple[tuple[int, ...
     coords = dict(zip(units, simple))
     for up, (c, i) in parents.items():
         coords[up] = tuple(map(add, coords[c], simple[i]))
-    if family is Family.BC:
+    if doubled:
         short = min(sum(a * a for a in alpha) for alpha in simple)
         for c, v in list(coords.items()):
             if sum(a * a for a in v) == short:
@@ -320,134 +295,8 @@ def _positive_roots(family: Family, simple, cartan) -> list[tuple[tuple[int, ...
     return [(c, coords[c]) for c in order]
 
 
-def _generate(family: Family, rank: int, simple) -> "RootSystem":
-    """The root system spanned by the given simple roots (doubled-integer tuples)."""
-    cartan = _cartan_matrix(simple)
-    walk = _positive_roots(family, simple, cartan)
-    positive = tuple(Root(v) for _, v in walk)
-    roots = frozenset(positive) | frozenset(-lam for lam in positive)
-    coefficients = tuple(c for c, _ in walk)
-    return RootSystem(family, rank, len(simple[0]), roots, positive, positive[:rank],
-                      cartan, coefficients)
-
-
-class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positive simple cartan coefficients")):
-    """A full root system: all roots, a choice of positives, and simple roots.
-
-    ``positive`` is in canonical order (see ``_positive_roots``) and begins
-    with ``simple``; ``cartan`` is the Cartan matrix of ``simple`` and
-    ``coefficients`` the simple-root coefficients of each positive root.
-    Both are functions of ``simple`` and ``positive``, so comparing them too
-    decides no equality differently.  No ``__slots__``: the cached
-    properties live in the instance ``__dict__``.
-    """
-
-    def __contains__(self, root: Root) -> bool:
-        return root in self.roots
-
-    def simple_coefficients(self, root: Root) -> tuple[int, ...]:
-        """Integer coefficients of a root of the system over the simple roots."""
-        k = self.positive_index.get(root)
-        if k is not None:
-            return self.coefficients[k]
-        k = self.positive_index.get(-root)
-        if k is None:
-            raise LieFoliateError(f"{root} is not a root of {self.family.value}_{self.rank}")
-        return tuple(-x for x in self.coefficients[k])
-
-    @cached_property
-    def rows(self) -> tuple[tuple[Root, Root, int], ...]:
-        """(lambda, -lambda, support mask) for each lambda of ``positive``, in order.
-
-        Bit i-1 of the mask is set when alpha_i occurs in lambda.
-
-        Both roots of a row are the system's own Root objects, so a scan over
-        the rows builds no Root.
-        """
-        own = {lam.scaled: lam for lam in self.roots}
-        return tuple(
-            (lam, own[tuple(-x for x in lam.scaled)], sum(1 << i for i, x in enumerate(c) if x))
-            for lam, c in zip(self.positive, self.coefficients)
-        )
-
-    @cached_property
-    def positive_index(self) -> dict[Root, int]:
-        """Positive root -> its position in ``positive`` (and in ``rows``)."""
-        return {lam: k for k, lam in enumerate(self.positive)}
-
-    @cached_property
-    def _dynkin_diagram(self) -> "DynkinDiagram":
-        return _build_dynkin_diagram(self)
-
-    @cached_property
-    def length_classes(self) -> dict[Fraction, tuple[Root, ...]]:
-        classes = {}
-        for root in sorted(self.roots):
-            classes.setdefault(inner(root, root), []).append(root)
-        return {k: tuple(v) for k, v in sorted(classes.items())}
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "rank": self.rank,
-            "ambient_dim": self.ambient_dim,
-            "coordinate_scale": SCALE,
-            "simple": [list(r.scaled) for r in self.simple],
-            "positive": [list(r.scaled) for r in self.positive],
-            "roots": [list(r.scaled) for r in sorted(self.roots)],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RootSystem":
-        """Generate the system from the listed simple roots and check the rest against it.
-
-        The simple roots must have the Cartan matrix of ``build_root_system``
-        for the family and rank, and the listed positive roots must be the
-        generated ones, in any order; the result lists them in canonical order.
-        """
-        if not isinstance(data, dict):
-            raise LieFoliateError(f"root system data is a {type(data).__name__}, not a dict")
-        missing = [key for key in ("family", "rank", "ambient_dim", "simple", "positive", "roots")
-                   if key not in data]
-        if missing:
-            raise LieFoliateError(f"root system data lacks {', '.join(missing)}")
-        try:
-            family, rank = Family(data["family"]), data["rank"]
-        except ValueError:
-            raise LieFoliateError(f"unknown root system family {data['family']!r}") from None
-        simple = tuple(alpha.scaled for alpha in _listed_roots(data, "simple"))
-        if len(simple) != rank or rank < 1:
-            raise LieFoliateError("number of simple roots must equal the rank, which is at least 1")
-        if any(len(alpha) != data["ambient_dim"] for alpha in simple):
-            raise LieFoliateError("simple roots must have ambient_dim coordinates")
-        rs = _generate(family, rank, simple)
-        if rs.cartan != build_root_system(family, rank).cartan:
-            raise LieFoliateError(f"simple roots do not have the Cartan matrix of {family.value}_{rank}")
-        positive = _listed_roots(data, "positive")
-        if len(positive) != len(rs.positive) or set(positive) != set(rs.positive):
-            raise LieFoliateError("positive roots are not those the simple roots generate")
-        if frozenset(_listed_roots(data, "roots")) != rs.roots:
-            raise LieFoliateError("root set is not the positive roots and their negatives")
-        return rs
-
-
-def _listed_roots(data: dict, key: str) -> list[Root]:
-    """The roots that ``data[key]`` lists as lists of doubled coordinates."""
-    listed = data[key]
-    if not isinstance(listed, list) or not all(isinstance(c, list) for c in listed):
-        raise LieFoliateError(f"{key} must be a list of lists of doubled coordinates")
-    return [Root(tuple(c)) for c in listed]
-
-
-def build_root_system(family: Family | str, rank: int) -> RootSystem:
-    """Construct the root system of the given family and rank.
-
-    Raises LieFoliateError when the rank is outside the family's validity
-    range (A: r>=1; B, C: r>=2; D: r>=3; BC: r>=1; exceptional families have
-    a fixed rank), and for an unknown family, before the cache is consulted,
-    so unhashable arguments raise LieFoliateError too.  Each system is built
-    once; ``cache_info`` and ``cache_clear`` are those of that cache.
-    """
+def _checked_family(family, rank) -> Family:
+    """The family, after checking that it is one and that the rank is valid for it and at most MAX_RANK."""
     try:
         family = Family(family)
     except ValueError:
@@ -456,16 +305,9 @@ def build_root_system(family: Family | str, rank: int) -> RootSystem:
     if type(rank) is not int or rank < lo or (hi is not None and rank > hi):
         span = f"rank = {lo}" if hi == lo else f"rank >= {lo}"
         raise LieFoliateError(f"invalid rank {rank} for family {family.value}: valid range is {span}")
-    return _built_root_system(family, rank)
-
-
-@lru_cache(maxsize=None)
-def _built_root_system(family: Family, rank: int) -> RootSystem:
-    return _generate(family, rank, _SIMPLE_ROOTS[family](rank))
-
-
-build_root_system.cache_info = _built_root_system.cache_info
-build_root_system.cache_clear = _built_root_system.cache_clear
+    if rank > MAX_RANK:
+        raise LieFoliateError(f"rank {rank} is too large: at most {MAX_RANK}")
+    return family
 
 
 class DynkinVertex(namedtuple("DynkinVertex", "index double_circle")):
@@ -481,9 +323,9 @@ class DynkinEdge(namedtuple("DynkinEdge", "i j lines arrow", defaults=(None,))):
 class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults=((),))):
     """Decorated graph on the simple roots: line counts, arrows, double circles.
 
-    Vertices and edges are stored and exported; adjacency and automorphisms
-    read the Cartan matrix ``cartan`` derived from them once, cached in the
-    instance ``__dict__``.
+    Vertices and edges are stored and exported; adjacency, automorphisms and
+    the Cartan matrix read the Cartan entries derived from the edges once,
+    cached in the instance ``__dict__``.
     """
 
     @property
@@ -491,46 +333,77 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults
         return len(self.vertices)
 
     @cached_property
-    def cartan(self) -> tuple[tuple[int, ...], ...]:
-        """The Cartan matrix read off the edges: A_ij = A_ji = -lines on an edge
-        without an arrow, A_ij = -lines and A_ji = -1 on one whose arrow runs
-        from i to j (from the longer root to the shorter)."""
-        a = [[2 * (i == j) for j in range(self.rank)] for i in range(self.rank)]
+    def _entries(self) -> dict[tuple[int, int], int]:
+        """Nonzero off-diagonal Cartan entries by 1-based (i, j): A_ij = A_ji = -lines
+        on an edge without an arrow, A_ij = -lines and A_ji = -1 on one whose
+        arrow runs from i to j (from the longer root to the shorter)."""
+        a = {}
         for e in self.edges:
             tail, head = e.arrow or (e.i, e.j)
-            a[tail - 1][head - 1] = -e.lines
-            a[head - 1][tail - 1] = -1 if e.arrow else -e.lines
-        return tuple(map(tuple, a))
+            a[tail, head] = -e.lines
+            a[head, tail] = -1 if e.arrow else -e.lines
+        return a
+
+    @cached_property
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        """The Cartan matrix, A_ii = 2 and the entries of ``_entries`` off the diagonal."""
+        a, n = self._entries, self.rank
+        return tuple(tuple(2 if i == j else a.get((i, j), 0) for j in range(1, n + 1)) for i in range(1, n + 1))
 
     @cached_property
     def _adjacency(self) -> dict[int, frozenset[int]]:
-        return {i: frozenset(j for j, x in enumerate(row, start=1) if x and j != i)
-                for i, row in enumerate(self.cartan, start=1)}
+        joined = {i: set() for i in range(1, self.rank + 1)}
+        for i, j in self._entries:
+            joined[i].add(j)
+        return {i: frozenset(js) for i, js in joined.items()}
 
     @cached_property
     def _automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """What ``diagram_automorphisms`` returns, searched once."""
-        a = self.cartan
-        n = len(a)
-        marks = [(v.double_circle, sorted(row)) for v, row in zip(self.vertices, a)]
-        images = [[w for w in range(n) if marks[w] == marks[v]] for v in range(n)]
-        results: list[tuple[int, ...]] = []
-        perm: list[int] = []
+        """What ``diagram_automorphisms`` returns, searched once, without recursion.
 
-        def extend(v: int) -> None:
-            if v == n:
-                results.append(tuple(w + 1 for w in perm))
-                return
-            for w in images[v]:
-                # the latest vertices first: on a path, a wrong image fails at once
-                if w not in perm and all(a[w][perm[u]] == a[v][u] and a[perm[u]][w] == a[u][v]
-                                         for u in reversed(range(v))):
-                    perm.append(w)
-                    extend(v + 1)
-                    perm.pop()
+        Vertices are mapped in breadth-first order, each connected part from a
+        vertex whose mark (double circle, Cartan entries to and from its
+        neighbours) the fewest share.  A vertex may only go to an unused
+        neighbour of its parent's image with its mark, checked against its
+        mapped neighbours alone: each edge is checked from its later end, so
+        the edges map onto the edges.  Near-linear in the rank on a Dynkin
+        diagram."""
+        a, adj = self._entries, self._adjacency
+        marks = {i: (v.double_circle, tuple(sorted(a[i, u] for u in adj[i])), tuple(sorted(a[u, i] for u in adj[i])))
+                 for i, v in enumerate(self.vertices, start=1)}
+        shared, order, parent = Counter(marks.values()), [], {}
+        for start in sorted(marks, key=lambda v: shared[marks[v]]):
+            if start not in parent:
+                parent[start], queue = None, [start]
+                for v in queue:  # grows while it is read
+                    for u in sorted(adj[v] - parent.keys()):
+                        parent[u] = v
+                        queue.append(u)
+                order += queue
+        image, used, results = {}, set(), []
 
-        extend(0)
-        return tuple(sorted(results))
+        def candidates(v: int):
+            """The images of v that fit the vertices mapped before it, made lazily."""
+            earlier = [u for u in adj[v] if u in image]
+            return (w for w in (marks if parent[v] is None else adj[image[parent[v]]])
+                    if w not in used and marks[w] == marks[v]
+                    and all(a.get((w, image[u])) == a[v, u] and a.get((image[u], w)) == a[u, v] for u in earlier))
+
+        choices = [candidates(order[0])] if order else []
+        while choices:
+            v = order[len(choices) - 1]
+            used.discard(image.pop(v, None))
+            w = next(choices[-1], None)
+            if w is None:
+                choices.pop()
+                continue
+            image[v] = w
+            used.add(w)
+            if len(choices) < len(order):
+                choices.append(candidates(order[len(choices)]))
+            else:
+                results.append(tuple(image[i] for i in range(1, len(order) + 1)))
+        return tuple(sorted(results)) if order else ((),)
 
     def neighbors(self, index: int) -> frozenset[int]:
         return self._adjacency[index]
@@ -541,7 +414,18 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults
         return tuple(sum(1 << (j - 1) for j in self._adjacency[i]) for i in range(1, self.rank + 1))
 
     def connected_components(self, indices) -> list[tuple[int, ...]]:
-        """Connected components of the subdiagram induced on the given vertices, in sorted order.
+        """Connected components of the subdiagram induced on the given vertices, in
+        sorted order; each must be an int (not a bool) in 1..rank, else LieFoliateError."""
+        try:
+            checked = tuple(indices)
+        except TypeError:  # not an iterable
+            checked = (None,)
+        if not all(type(i) is int and 1 <= i <= self.rank for i in checked):
+            raise LieFoliateError(f"vertex indices {indices!r} must be ints in 1..{self.rank}")
+        return self._components_of(checked)
+
+    def _components_of(self, indices) -> list[tuple[int, ...]]:
+        """``connected_components`` of indices already checked.
 
         Each grows from the lowest pending vertex, taking a vertex's pending
         neighbours in one bitmask operation."""
@@ -635,40 +519,38 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults
         return "\n".join(lines) + "\n"
 
 
-def dynkin_diagram(rs: RootSystem) -> DynkinDiagram:
-    """Dynkin diagram of a root system.
+def family_diagram(family: Family | str, rank: int) -> DynkinDiagram:
+    """The Dynkin diagram of ``build_root_system(family, rank)``, read off the simple roots alone.
 
-    Vertices are the simple roots, double-circled when the doubled root is
-    again a root.  Vertices i and j are joined by A_ij A_ji lines, read off
-    the Cartan matrix; on a multiple edge the arrow runs from i to j when
-    |A_ij| > |A_ji|, that is from the longer root to the shorter one.  The
-    diagram is built once per root system and the same immutable object is
-    returned on every call.
+    Vertices are the simple roots, double-circled when the doubled root is a
+    root (the last of BC_r).  i and j are joined by A_ij A_ji lines, with an
+    arrow from i to j when |A_ij| > |A_ji|, from the longer root to the
+    shorter.  Only roots sharing a nonzero coordinate are paired, so this is
+    linear in the rank.  Raises as ``build_root_system`` does.
     """
-    return rs._dynkin_diagram
-
-
-def _build_dynkin_diagram(rs: RootSystem) -> DynkinDiagram:
-    a = rs.cartan
-    vertices = tuple(
-        DynkinVertex(i + 1, rs.simple[i].double() in rs.roots) for i in range(rs.rank)
-    )
+    family = _checked_family(family, rank)
+    _, simple = _SIMPLE_ROOTS[family](rank)
+    norms = [sum(c * c for c in alpha.values()) for alpha in simple]
+    sharing: dict[int, list[int]] = {}
+    for i, alpha in enumerate(simple):
+        for k in alpha:
+            sharing.setdefault(k, []).append(i)
     edges = []
-    for i, j in combinations(range(rs.rank), 2):
-        if a[i][j]:
-            longer, shorter = (i + 1, j + 1) if a[i][j] < a[j][i] else (j + 1, i + 1)
-            arrow = None if a[i][j] == a[j][i] else (longer, shorter)
-            edges.append(DynkinEdge(i + 1, j + 1, a[i][j] * a[j][i], arrow))
+    for i, j in sorted({pair for roots in sharing.values() for pair in combinations(roots, 2)}):
+        dot = 2 * sum(c * simple[j].get(k, 0) for k, c in simple[i].items())
+        if dot:
+            a_ij, a_ji = dot // norms[j], dot // norms[i]
+            arrow = None if a_ij == a_ji else ((i + 1, j + 1) if a_ij < a_ji else (j + 1, i + 1))
+            edges.append(DynkinEdge(i + 1, j + 1, a_ij * a_ji, arrow))
     notes = ()
-    if rs.family is Family.BC:
-        notes = (
-            f"vertex {rs.rank} stands for the pair (root, doubled root) and is drawn double-circled",
-        )
-        if rs.rank >= 2:
+    if family is Family.BC:
+        notes = (f"vertex {rank} stands for the pair (root, doubled root) and is drawn double-circled",)
+        if rank >= 2:
             notes += (
                 "the final two-line edge is often drawn with a double-headed arrow; "
                 "here the arrow points at the short root and the double circle marks the non-reduced vertex",
             )
+    vertices = tuple(DynkinVertex(i, family is Family.BC and i == rank) for i in range(1, rank + 1))
     return DynkinDiagram(vertices, tuple(edges), notes)
 
 
@@ -678,12 +560,93 @@ def diagram_automorphisms(dd: DynkinDiagram) -> list[tuple[int, ...]]:
     A permutation p is kept when A[p(i)][p(j)] = A[i][j] for all i, j; this
     preserves line counts and arrows (Humphreys 11.4, 12.2).  A backtracking
     search maps each vertex only to vertices with the same double circle and
-    the same Cartan row up to order.  Permutations are returned as tuples p
-    with p[k] the image of vertex k+1, sorted with the identity first.  The
-    result is closed under composition and inverses.  The search runs once per
-    diagram; each call returns a new list.
+    the same Cartan entries up to order (see ``DynkinDiagram._automorphisms``).
+    Permutations are returned as tuples p with p[k] the image of vertex k+1,
+    sorted with the identity first.  The result is closed under composition
+    and inverses.  The search runs once per diagram; each call returns a new
+    list.
     """
     return list(dd._automorphisms)
+
+
+# Positive roots of each irreducible type of rank k by length: (long, short,
+# twice short), long and short those of its longest and shortest simple roots
+# (Bourbaki, Plates I-IX).  B2 and C2 give the same counts.
+POSITIVE_ROOT_COUNTS = {
+    Family.A: lambda k: (k * (k + 1) // 2, 0, 0),
+    Family.B: lambda k: (k * (k - 1), k, 0),
+    Family.C: lambda k: (k, k * (k - 1), 0),
+    Family.D: lambda k: (k * (k - 1), 0, 0),
+    Family.E6: lambda k: (36, 0, 0),
+    Family.E7: lambda k: (63, 0, 0),
+    Family.E8: lambda k: (120, 0, 0),
+    Family.F4: lambda k: (12, 12, 0),
+    Family.G2: lambda k: (3, 3, 0),
+    Family.BC: lambda k: (k * (k - 1), k, k),
+}
+
+_E_ARMS = {(1, 2, 2): Family.E6, (1, 2, 3): Family.E7, (1, 2, 4): Family.E8}
+
+
+class SubdiagramType(namedtuple("SubdiagramType", "family rank long short")):
+    """A connected subdiagram's type, one of its longest and one of its shortest simple roots."""
+
+    __slots__ = ()
+
+
+def subdiagram_type(dd: DynkinDiagram, component) -> SubdiagramType:
+    """The type of the connected subdiagram on ``component``, read off its Cartan submatrix.
+
+    A connected Dynkin diagram is a tree.  With no multiple edge it is A_k (a
+    path), D_k or E6-E8 (a branch vertex with arms of 1, 1, k - 3 or 1, 2,
+    k - 4 vertices), or BC_1 (one double-circled vertex).  With one it is a
+    path: G2 (three lines), B_k or BC_k (the arrow points at an end, which BC
+    double-circles), C_k (it leaves one) or F4 (in the middle of four).
+    ``component`` must be sorted; else, or for any other subdiagram,
+    LieFoliateError.
+    """
+    if dd.connected_components(component) != [component]:
+        raise LieFoliateError(f"vertices {component!r} are not a sorted connected subdiagram")
+    a, adj, inside, k = dd._entries, dd._adjacency, set(component), len(component)
+    degree = {v: len(adj[v] & inside) for v in component}
+    multiple = [(v, w) for v in component for w in adj[v] & inside if a[v, w] < -1]  # (longer, shorter)
+    circled = [v for v in component if dd.vertices[v - 1].double_circle]
+    branches = [v for v in component if degree[v] > 2]
+    long, short = multiple[0] if multiple else (component[0], component[0])
+    family = None
+    if sum(degree.values()) != 2 * k - 2 or len(multiple) + len(branches) > 1 or circled not in ([], [short]):
+        pass  # not a tree, or two multiple edges or branch vertices, or a double circle off its place
+    elif multiple:
+        if a[long, short] == -3:
+            family = Family.G2 if k == 2 and not circled else None
+        elif degree[short] == 1:
+            family = Family.BC if circled else Family.B
+        elif degree[long] == 1 and not circled:
+            family = Family.C
+        elif k == 4 and not circled:
+            family = Family.F4
+    elif circled:
+        family = Family.BC if k == 1 else None
+    elif branches:
+        arms = sorted(map(len, dd._components_of(inside - {branches[0]})))
+        family = Family.D if arms[:2] == [1, 1] else _E_ARMS.get(tuple(arms))
+    else:
+        family = Family.A
+    if family is None:
+        raise LieFoliateError(f"the subdiagram on {list(component)} is not a Dynkin diagram of finite type")
+    return SubdiagramType(family, k, long, short)
+
+
+def span_roots(family: Family, rank: int, dd: DynkinDiagram, component: tuple[int, ...]) -> list[Root]:
+    """The positive roots of ``build_root_system(family, rank)`` spanned by the
+    connected simple roots ``component`` of its diagram ``dd``: the walk of
+    ``_positive_roots`` on them alone, costing the size of its output."""
+    dim, simple = _SIMPLE_ROOTS[family](rank)
+    a = dd._entries
+    cartan = [[2 if i == j else a.get((i, j), 0) for j in component] for i in component]
+    doubled = any(dd.vertices[i - 1].double_circle for i in component)
+    walk = _positive_roots([_vector(dim, simple[i - 1]) for i in component], cartan, doubled)
+    return [Root(v) for _, v in walk]
 
 
 def apply_permutation(perm: tuple[int, ...], subset) -> tuple[int, ...]:

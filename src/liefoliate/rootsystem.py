@@ -1,0 +1,219 @@
+"""The full root list of a root system, for the commands that print or check it.
+
+``build_root_system`` walks root strings up from the simple roots of
+``roots._SIMPLE_ROOTS``, using the integer Cartan matrix, and maps the roots
+it finds to ambient coordinates once, at the end; BC_r adds 2 beta for each
+short root beta of B_r.  The same walk gives every root's simple-root
+coefficients and support mask.  Positive roots are ordered by height, then by
+their coefficients in descending lexicographic order, so ``positive`` begins
+with the simple roots in order.  A system holds O(r^2) roots of r
+coordinates each; the structure commands read the diagram of ``roots`` and
+its closed forms instead, and do not load this module.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from functools import cached_property, lru_cache
+
+from .errors import LieFoliateError
+from .roots import (SCALE, _SIMPLE_ROOTS, DynkinDiagram, Family, Root, _checked_family, _positive_roots, _vector,
+                    family_diagram, inner)
+
+
+def _independent(vectors) -> bool:
+    """Whether integer vectors are linearly independent (fraction-free elimination)."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [p[col] * a - f * b for a, b in zip(rows[i], p)]
+        rank += 1
+    return rank == len(rows)
+
+
+def _cartan_matrix(simple) -> tuple[tuple[int, ...], ...]:
+    """A_ij = 2<alpha_i, alpha_j>/<alpha_j, alpha_j> of the given simple roots.
+
+    Raises unless the simple roots are independent, every entry is an integer
+    and A_ij <= 0 for i != j, as for the simple roots of a crystallographic
+    root system.
+    """
+    if not _independent(simple):
+        raise LieFoliateError("simple roots are linearly dependent")
+    norms = [sum(a * a for a in alpha) for alpha in simple]
+    cartan = []
+    for i, a in enumerate(simple):
+        row = []
+        for j, b in enumerate(simple):
+            num = 2 * sum(x * y for x, y in zip(a, b))
+            if num % norms[j]:
+                from fractions import Fraction
+
+                raise LieFoliateError(
+                    f"Cartan entry A_{i + 1},{j + 1} = {Fraction(num, norms[j])} is not an integer"
+                )
+            if i != j and num > 0:
+                raise LieFoliateError(
+                    f"Cartan entry A_{i + 1},{j + 1} is positive: simple roots must not make an acute angle"
+                )
+            row.append(num // norms[j])
+        cartan.append(tuple(row))
+    return tuple(cartan)
+
+
+def _generate(family: Family, rank: int, simple) -> "RootSystem":
+    """The root system spanned by the given simple roots (doubled-integer tuples)."""
+    cartan = _cartan_matrix(simple)
+    walk = _positive_roots(simple, cartan, family is Family.BC)
+    positive = tuple(Root(v) for _, v in walk)
+    roots = frozenset(positive) | frozenset(-lam for lam in positive)
+    coefficients = tuple(c for c, _ in walk)
+    return RootSystem(family, rank, len(simple[0]), roots, positive, positive[:rank],
+                      cartan, coefficients)
+
+
+class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positive simple cartan coefficients")):
+    """A full root system: all roots, a choice of positives, and simple roots.
+
+    ``positive`` is in canonical order (see ``_positive_roots``) and begins
+    with ``simple``; ``cartan`` is the Cartan matrix of ``simple`` and
+    ``coefficients`` the simple-root coefficients of each positive root.
+    Both are functions of ``simple`` and ``positive``, so comparing them too
+    decides no equality differently.  No ``__slots__``: the cached
+    properties live in the instance ``__dict__``.
+    """
+
+    def __contains__(self, root: Root) -> bool:
+        return root in self.roots
+
+    def simple_coefficients(self, root: Root) -> tuple[int, ...]:
+        """Integer coefficients of a root of the system over the simple roots."""
+        k = self.positive_index.get(root)
+        if k is not None:
+            return self.coefficients[k]
+        k = self.positive_index.get(-root)
+        if k is None:
+            raise LieFoliateError(f"{root} is not a root of {self.family.value}_{self.rank}")
+        return tuple(-x for x in self.coefficients[k])
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Root, Root, int], ...]:
+        """(lambda, -lambda, support mask) for each lambda of ``positive``, in order.
+
+        Bit i-1 of the mask is set when alpha_i occurs in lambda.
+
+        Both roots of a row are the system's own Root objects, so a scan over
+        the rows builds no Root.
+        """
+        own = {lam.scaled: lam for lam in self.roots}
+        return tuple(
+            (lam, own[tuple(-x for x in lam.scaled)], sum(1 << i for i, x in enumerate(c) if x))
+            for lam, c in zip(self.positive, self.coefficients)
+        )
+
+    @cached_property
+    def positive_index(self) -> dict[Root, int]:
+        """Positive root -> its position in ``positive`` (and in ``rows``)."""
+        return {lam: k for k, lam in enumerate(self.positive)}
+
+    @cached_property
+    def _dynkin_diagram(self) -> "DynkinDiagram":
+        return family_diagram(self.family, self.rank)
+
+    @cached_property
+    def length_classes(self) -> dict[Fraction, tuple[Root, ...]]:
+        classes = {}
+        for root in sorted(self.roots):
+            classes.setdefault(inner(root, root), []).append(root)
+        return {k: tuple(v) for k, v in sorted(classes.items())}
+
+    def to_dict(self) -> dict:
+        return {
+            "family": self.family.value,
+            "rank": self.rank,
+            "ambient_dim": self.ambient_dim,
+            "coordinate_scale": SCALE,
+            "simple": [list(r.scaled) for r in self.simple],
+            "positive": [list(r.scaled) for r in self.positive],
+            "roots": [list(r.scaled) for r in sorted(self.roots)],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RootSystem":
+        """Generate the system from the listed simple roots and check the rest against it.
+
+        The simple roots must have the Cartan matrix of ``build_root_system``
+        for the family and rank, and the listed positive roots must be the
+        generated ones, in any order; the result lists them in canonical order.
+        """
+        if not isinstance(data, dict):
+            raise LieFoliateError(f"root system data is a {type(data).__name__}, not a dict")
+        missing = [key for key in ("family", "rank", "ambient_dim", "simple", "positive", "roots")
+                   if key not in data]
+        if missing:
+            raise LieFoliateError(f"root system data lacks {', '.join(missing)}")
+        try:
+            family, rank = Family(data["family"]), data["rank"]
+        except ValueError:
+            raise LieFoliateError(f"unknown root system family {data['family']!r}") from None
+        simple = tuple(alpha.scaled for alpha in _listed_roots(data, "simple"))
+        if len(simple) != rank or rank < 1:
+            raise LieFoliateError("number of simple roots must equal the rank, which is at least 1")
+        if any(len(alpha) != data["ambient_dim"] for alpha in simple):
+            raise LieFoliateError("simple roots must have ambient_dim coordinates")
+        rs = _generate(family, rank, simple)
+        if rs.cartan != build_root_system(family, rank).cartan:
+            raise LieFoliateError(f"simple roots do not have the Cartan matrix of {family.value}_{rank}")
+        positive = _listed_roots(data, "positive")
+        if len(positive) != len(rs.positive) or set(positive) != set(rs.positive):
+            raise LieFoliateError("positive roots are not those the simple roots generate")
+        if frozenset(_listed_roots(data, "roots")) != rs.roots:
+            raise LieFoliateError("root set is not the positive roots and their negatives")
+        return rs
+
+
+def _listed_roots(data: dict, key: str) -> list[Root]:
+    """The roots that ``data[key]`` lists as lists of doubled coordinates."""
+    listed = data[key]
+    if not isinstance(listed, list) or not all(isinstance(c, list) for c in listed):
+        raise LieFoliateError(f"{key} must be a list of lists of doubled coordinates")
+    return [Root(tuple(c)) for c in listed]
+
+
+def build_root_system(family: Family | str, rank: int) -> RootSystem:
+    """Construct the root system of the given family and rank.
+
+    Raises LieFoliateError when the rank is outside the family's validity
+    range (A: r>=1; B, C: r>=2; D: r>=3; BC: r>=1; exceptional families have
+    a fixed rank) or above MAX_RANK, and for an unknown family, before the
+    cache is consulted, so unhashable arguments raise LieFoliateError too.
+    Each system, O(r^2) roots of r coordinates, is built once;
+    ``cache_info`` and ``cache_clear`` are those of that cache.
+    """
+    return _built_root_system(_checked_family(family, rank), rank)
+
+
+@lru_cache(maxsize=None)
+def _built_root_system(family: Family, rank: int) -> RootSystem:
+    dim, simple = _SIMPLE_ROOTS[family](rank)
+    return _generate(family, rank, tuple(_vector(dim, alpha) for alpha in simple))
+
+
+build_root_system.cache_info = _built_root_system.cache_info
+build_root_system.cache_clear = _built_root_system.cache_clear
+
+
+def dynkin_diagram(rs: RootSystem) -> DynkinDiagram:
+    """Dynkin diagram of a root system: ``family_diagram`` of its family and
+    rank, which its Cartan matrix fixes.  It is made once per root system and
+    the same immutable object is returned on every call.
+    """
+    return rs._dynkin_diagram

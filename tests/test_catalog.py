@@ -1,6 +1,14 @@
 """Catalog lookups, multiplicity extension, and the dimension calculus."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import pytest
+
+import liefoliate
 
 from liefoliate.catalog import (
     SpaceDescriptor,
@@ -10,7 +18,9 @@ from liefoliate.catalog import (
     space_dimension,
 )
 from liefoliate.errors import LieFoliateError
-from liefoliate.roots import Root, inner, reflect
+from liefoliate.roots import MAX_RANK, Family, Root, build_root_system, inner, reflect
+
+SRC = Path(liefoliate.__file__).resolve().parent.parent
 
 
 def test_entry_table_is_complete():
@@ -260,3 +270,78 @@ def test_descriptor_from_dict_checks_every_field():
 def test_sl_c_typo_note_recorded():
     d = catalog_lookup("sl(3,C)")
     assert any("typo" in note for note in d.notes)
+
+
+@pytest.mark.parametrize("name", ["SL1002", "sl(1002,C)", "so(2003,C)", "so(1001,1001)", "su(1001,1001)",
+                                  "sp(1001,R)", "SL1000000000"])
+def test_ranks_above_the_ceiling_are_refused_before_anything_is_built(name):
+    tracemalloc.start()
+    try:
+        with pytest.raises(LieFoliateError, match="rank (1001|999999999) is too large"):
+            catalog_lookup(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_the_ceiling_rank_is_accepted_and_its_dimension_needs_no_root():
+    space = catalog_lookup("SL1001")
+    assert space.rank == MAX_RANK == 1000
+    assert space.dimension == 1000 * 1003 // 2  # (m - 1)(m + 2)/2
+    assert "root_system" not in space.__dict__
+
+
+@pytest.mark.parametrize("family, mults", [("A", (1, 2, 1)), ("A", (2, 2, 1)), ("B", (1, 2, 3)), ("C", (2, 1, 1))])
+def test_equal_length_simple_roots_must_carry_equal_multiplicities(family, mults):
+    space = SpaceDescriptor("made up", "made up", Family(family), 3, mults, None, "made up")
+    with pytest.raises(LieFoliateError, match="simple roots of equal length carry different multiplicities"):
+        space.dimension
+    with pytest.raises(LieFoliateError, match="simple roots of equal length carry different multiplicities"):
+        space.multiplicities
+
+
+def test_the_closed_form_dimension_weights_each_length_class():
+    # so(6,3) is B3 with 6 long roots of multiplicity 1 and 3 short ones of
+    # multiplicity 3; su(3,3) is C3 with 6 short roots of multiplicity 2 and
+    # 3 long ones of multiplicity 1.  At B2 both classes hold two roots, so
+    # so(5,2) cannot tell them apart.
+    assert catalog_lookup("so(6,3)").dimension == 3 + 6 * 1 + 3 * 3 == 18
+    assert catalog_lookup("su(3,3)").dimension == 3 + 3 * 1 + 6 * 2 == 18
+
+
+COLD_STRUCTURE = """\
+import sys
+from liefoliate import cli, roots
+for argv in (["catalog", "list"], ["catalog", "list", "--format", "json"],
+             ["horospherical", "--space", "SL300", "--phi", "1,2,5"],
+             ["parabolic", "--space", "e6(-14)", "--phi", "1,2"],
+             ["foliations", "enumerate", "--space", "so(9,4)"],
+             ["foliations", "enumerate", "--space", "SL300", "--codim", "1", "--format", "json"]):
+    assert cli.main(argv) == 0
+print(roots.build_root_system.cache_info().misses, file=sys.stderr)
+"""
+
+
+def test_structure_commands_build_no_root_system_in_a_fresh_process():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", COLD_STRUCTURE], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "0"
+
+
+def test_dimension_and_structure_calls_build_no_root_system():
+    from liefoliate import foliations, parabolic
+
+    build_root_system.cache_clear()
+    for name in ["SL12", "so(9,4)", "su(7,3)", "e8(-24)", "f4(-20)", "g2(C)", "sp(5,2)"]:
+        space = catalog_lookup(name)._replace()  # no root system cached, as in a fresh process
+        parabolic._components.cache_clear()
+        foliations._orbits.cache_clear()
+        space.dimension
+        parabolic.horospherical(space, parabolic.phi_subset(space, range(1, space.rank)))
+        foliations.enumerate_foliations(space)
+        assert "root_system" not in space.__dict__
+    assert build_root_system.cache_info().misses == 0

@@ -70,6 +70,22 @@ def test_rootsys_invalid_rank_is_domain_error(capsys):
     assert "valid range" in err
 
 
+@pytest.mark.parametrize("action, rank", [("show", 101), ("dynkin", 1001)])
+def test_rootsys_rank_past_its_ceiling_is_a_domain_error(capsys, action, rank):
+    code, out, err = run(capsys, "rootsys", action, "--family", "A", "--rank", str(rank))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "too large" in err
+
+
+def test_rootsys_dynkin_at_the_ceiling_builds_no_root(capsys):
+    from liefoliate.roots import build_root_system
+
+    build_root_system.cache_clear()
+    code, out, _ = run(capsys, "rootsys", "dynkin", "--family", "D", "--rank", "1000", "--format", "json")
+    assert code == 0 and build_root_system.cache_info().misses == 0
+    assert len(json.loads(out)["edges"]) == 999
+
+
 def test_catalog_list(capsys):
     code, out, _ = run(capsys, "catalog", "list")
     assert code == 0

@@ -12,10 +12,13 @@ from liefoliate.roots import (
     DynkinDiagram,
     DynkinEdge,
     DynkinVertex,
+    Family,
     apply_permutation,
     build_root_system,
     diagram_automorphisms,
     dynkin_diagram,
+    family_diagram,
+    subdiagram_type,
 )
 
 
@@ -237,3 +240,177 @@ def test_connected_components():
     dd4 = diagram("D", 4)
     assert dd4.connected_components((1, 3, 4)) == [(1,), (3,), (4,)]
     assert dd4.connected_components((1, 2, 3, 4)) == [(1, 2, 3, 4)]
+
+
+def _diagram_from_roots(rs):
+    """Oracle: the diagram read off the Cartan matrix of the simple roots and the full root list."""
+    a = rs.cartan
+    vertices = tuple(DynkinVertex(i + 1, rs.simple[i].double() in rs.roots) for i in range(rs.rank))
+    edges = []
+    for i, j in itertools.combinations(range(rs.rank), 2):
+        if a[i][j]:
+            longer, shorter = (i + 1, j + 1) if a[i][j] < a[j][i] else (j + 1, i + 1)
+            edges.append(DynkinEdge(i + 1, j + 1, a[i][j] * a[j][i], None if a[i][j] == a[j][i] else (longer, shorter)))
+    return vertices, tuple(edges)
+
+
+SYSTEMS_TO_20 = [(family, r) for family, (lo, hi) in RANK_RANGES.items() for r in range(lo, (hi or 20) + 1)]
+
+
+@pytest.mark.parametrize("family, rank", SYSTEMS_TO_20, ids=lambda x: getattr(x, "value", x))
+def test_family_diagram_is_the_one_read_off_the_root_system(family, rank):
+    rs = build_root_system(family, rank)
+    dd = family_diagram(family, rank)
+    assert (dd.vertices, dd.edges) == _diagram_from_roots(rs)
+    assert dd == dynkin_diagram(rs) and dd.cartan == rs.cartan
+    assert bool(dd.notes) == (family is Family.BC)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 0), ("D", 3.0), ("D", True), ("X", 3), ("A", 1001)])
+def test_family_diagram_checks_its_arguments(family, rank):
+    with pytest.raises(LieFoliateError, match="too large" if rank == 1001 else "invalid rank|unknown"):
+        family_diagram(family, rank)
+
+
+def _recursive_automorphisms(dd):
+    """Oracle: the depth-first search over Cartan rows that the package used before."""
+    a = dd.cartan
+    n = len(a)
+    marks = [(v.double_circle, sorted(row)) for v, row in zip(dd.vertices, a)]
+    images = [[w for w in range(n) if marks[w] == marks[v]] for v in range(n)]
+    results, perm = [], []
+
+    def extend(v):
+        if v == n:
+            results.append(tuple(w + 1 for w in perm))
+            return
+        for w in images[v]:
+            if w not in perm and all(a[w][perm[u]] == a[v][u] and a[perm[u]][w] == a[u][v] for u in range(v)):
+                perm.append(w)
+                extend(v + 1)
+                perm.pop()
+
+    extend(0)
+    return sorted(results)
+
+
+def _from_edges(n, edges, circled=()):
+    return DynkinDiagram.from_dict({
+        "vertices": [{"index": i, "double_circle": i in circled} for i in range(1, n + 1)],
+        "edges": [{"i": i, "j": j, "lines": lines, "arrow": arrow} for i, j, lines, arrow in edges]})
+
+
+NOT_DYNKIN = [
+    _from_edges(5, [(1, 2, 1, None), (3, 4, 1, None)]),  # two A2 and an A1: 8 automorphisms
+    _from_edges(6, [(1, 2, 2, [1, 2]), (4, 5, 2, [4, 5]), (5, 6, 1, None)]),
+    _from_edges(4, [(1, 2, 1, None), (2, 3, 1, None), (3, 1, 1, None)]),  # a cycle with a lone vertex
+    # a search that compares the Cartan entries from the new vertex only, not
+    # those towards it, keeps a permutation that is no automorphism here
+    _from_edges(5, [(1, 2, 2, [1, 2]), (1, 3, 3, [1, 3]), (1, 4, 3, [1, 4]), (1, 5, 1, None), (3, 4, 1, None),
+                    (3, 5, 3, [3, 5])]),
+]
+
+
+@pytest.mark.parametrize("dd", [family_diagram(f, r) for f, r in SYSTEMS_TO_20 if r <= 12] + NOT_DYNKIN,
+                         ids=lambda dd: f"rank{dd.rank}-edges{len(dd.edges)}")
+def test_automorphisms_equal_the_recursive_search(dd):
+    assert diagram_automorphisms(dd) == _recursive_automorphisms(dd)
+
+
+@st.composite
+def small_diagrams(draw):
+    """Any graph on up to six vertices that ``from_dict`` accepts: cycles, several parts, double circles."""
+    n = draw(st.integers(1, 6))
+    edges = []
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        lines = draw(st.sampled_from((0, 0, 1, 1, 2, 3)))
+        if lines:
+            edges.append((i, j, lines, draw(st.sampled_from(([i, j], [j, i]))) if lines > 1 else None))
+    return _from_edges(n, edges, circled=draw(st.sets(st.integers(1, n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_diagrams())
+def test_automorphisms_of_any_small_diagram_match_brute_force(dd):
+    assert diagram_automorphisms(dd) == brute_force_automorphisms(dd)
+
+
+def test_d4_triality_is_every_permutation_of_the_legs():
+    auts = diagram_automorphisms(family_diagram("D", 4))
+    assert auts == _recursive_automorphisms(family_diagram("D", 4))
+    assert {(p[0], p[2], p[3]) for p in auts} == set(itertools.permutations((1, 3, 4)))
+    assert all(p[1] == 2 for p in auts)
+
+
+def _long_path(n, last):
+    """A path on n vertices whose last vertex is a plain end (A_n), a D_n leg or a BC_n end."""
+    edges = [(i, i + 1, 1, None) for i in range(1, n - 1)]
+    if last == "D":
+        return _from_edges(n, edges + [(n - 2, n, 1, None)])
+    if last == "BC":
+        return _from_edges(n, edges + [(n - 1, n, 2, [n - 1, n])], circled=(n,))
+    return _from_edges(n, edges + [(n - 1, n, 1, None)])
+
+
+@pytest.mark.parametrize("last", ["A", "D", "BC"])
+def test_automorphisms_of_1500_vertex_diagrams_need_no_recursion(last):
+    n = 1500
+    identity = tuple(range(1, n + 1))
+    expected = {
+        "A": [identity, identity[::-1]],  # the flip
+        "D": [identity, identity[:-2] + (n, n - 1)],  # the swap of the two short legs
+        "BC": [identity],
+    }[last]
+    assert diagram_automorphisms(_long_path(n, last)) == expected
+
+
+@pytest.mark.parametrize("indices", [(0,), (-1,), (5,), (True, 2), (1.0,), ("1",), (None,), 3, None,
+                                     iter([1, 5])], ids=lambda x: "iterator" if hasattr(x, "__next__") else repr(x))
+def test_connected_components_refuses_what_is_not_a_vertex(indices):
+    with pytest.raises(LieFoliateError, match=r"vertex indices .* must be ints in 1\.\.4"):
+        diagram("A", 4).connected_components(indices)
+
+
+def test_connected_components_reads_an_iterator_once():
+    assert diagram("A", 4).connected_components(iter([4, 1, 2])) == [(1, 2), (4,)]
+
+
+def test_subdiagram_type_reads_each_family_back():
+    renamed = {("D", 3): Family.A, ("C", 2): Family.B}  # D3 = A3, and B2 = C2 is read as B2
+    for family, rank in SYSTEMS_TO_20:
+        kind = subdiagram_type(family_diagram(family, rank), tuple(range(1, rank + 1)))
+        assert (kind.family, kind.rank) == (renamed.get((family.value, rank), family), rank)
+
+
+def test_subdiagram_type_of_components_and_its_long_and_short_roots():
+    f4, bc, c = family_diagram("F4", 4), family_diagram("BC", 5), family_diagram("C", 5)
+    assert subdiagram_type(f4, (2, 3)) == (Family.B, 2, 2, 3)
+    assert subdiagram_type(f4, (1, 2, 3)) == (Family.B, 3, 2, 3)
+    assert subdiagram_type(f4, (2, 3, 4)) == (Family.C, 3, 2, 3)
+    assert subdiagram_type(bc, (5,)) == (Family.BC, 1, 5, 5)
+    assert subdiagram_type(bc, (3, 4, 5)) == (Family.BC, 3, 4, 5)
+    assert subdiagram_type(bc, (2, 3)) == (Family.A, 2, 2, 2)
+    assert subdiagram_type(c, (3, 4, 5)) == (Family.C, 3, 5, 4)
+    assert subdiagram_type(family_diagram("E8", 8), (2, 3, 4, 5)) == (Family.D, 4, 2, 2)
+    assert subdiagram_type(family_diagram("E8", 8), (1, 2, 3, 4, 5, 6)) == (Family.E6, 6, 1, 1)
+
+
+@pytest.mark.parametrize("dd, component", [
+    (_from_edges(3, [(1, 2, 1, None), (2, 3, 1, None), (3, 1, 1, None)]), (1, 2, 3)),  # a cycle
+    (_from_edges(8, [(i, i + 1, 1, None) for i in range(1, 7)] + [(4, 8, 1, None)]),
+     tuple(range(1, 9))),  # arms of 1, 3 and 3 vertices: affine E7
+    (_from_edges(6, [(1, 2, 1, None), (2, 3, 1, None), (3, 4, 1, None), (2, 5, 1, None),
+                     (3, 6, 1, None)]), tuple(range(1, 7))),  # two branch vertices
+    (_from_edges(5, [(1, 2, 1, None), (2, 3, 2, [2, 3]), (3, 4, 1, None), (4, 5, 1, None)]),
+     tuple(range(1, 6))),  # a double edge inside five vertices
+    (_from_edges(3, [(1, 2, 3, [2, 1]), (2, 3, 1, None)]), (1, 2, 3)),  # three lines on three vertices
+    (_from_edges(3, [(1, 2, 2, [1, 2]), (2, 3, 2, [3, 2])]), (1, 2, 3)),  # two double edges
+    (_from_edges(2, [(1, 2, 1, None)], circled=(2,)), (1, 2)),  # a double circle on a single edge
+    (_from_edges(3, [(1, 2, 2, [1, 2]), (2, 3, 1, None)], circled=(2,)), (1, 2, 3)),  # off the end
+    (family_diagram("A", 4), (1, 3)),  # not connected
+    (family_diagram("A", 4), (2, 1)),  # not sorted
+    (family_diagram("A", 4), ()),
+])
+def test_subdiagram_type_refuses_what_is_not_of_finite_type(dd, component):
+    with pytest.raises(LieFoliateError, match="not a Dynkin diagram of finite type|not a sorted connected"):
+        subdiagram_type(dd, component)

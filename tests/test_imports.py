@@ -1,6 +1,7 @@
-"""Each CLI command loads only the package modules it calls, numpy only for
-the matrix model past ``slmodel iwasawa``, and ``dataclasses``, ``inspect``
-and ``fractions`` for no structure command."""
+"""Each CLI command loads only the package modules it calls (``rootsystem``,
+the full root list, only for ``rootsys show``), numpy only for the matrix
+model past ``slmodel iwasawa``, and ``dataclasses``, ``inspect`` and
+``fractions`` for no structure command."""
 
 import os
 import subprocess
@@ -57,7 +58,7 @@ CATALOG = {"errors", "roots", "catalog", "data"}
 
 @pytest.mark.parametrize("argv, expected", (
     (("--version",), {"errors"}),
-    (("rootsys", "show", "--family", "E6", "--rank", "6"), {"errors", "roots"}),
+    (("rootsys", "show", "--family", "E6", "--rank", "6"), {"errors", "roots", "rootsystem"}),
     (("catalog", "list"), CATALOG),
     (("parabolic", "--space", "SL5", "--phi", "1,3"), CATALOG | {"parabolic"}),
     (("horospherical", "--space", "su(4,2)", "--phi", "1"), CATALOG | {"parabolic"}),
@@ -66,6 +67,8 @@ CATALOG = {"errors", "roots", "catalog", "data"}
     (("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), {"errors", "iwasawa"}),
     (("slmodel", "killing", "--x", "[[1,0],[0,-1]]", "--y", "[[0,1],[1,0]]"),
      {"errors", "iwasawa", "slmodel"}),
+    # the diagram is read off the simple roots: no root list
+    (("rootsys", "dynkin", "--family", "E6", "--rank", "6"), {"errors", "roots"}),
 ))
 def test_each_command_loads_only_the_modules_it_calls(argv, expected):
     code, modules, numpy, heavy = probe(*argv)

@@ -8,7 +8,9 @@ reference made here from the simple-root expansions and the multiplicity
 function.
 """
 
+import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,7 +35,16 @@ from liefoliate.parabolic import (
     phi_subset,
     root_subsystem,
 )
-from liefoliate.roots import SCALE, diagram_automorphisms, dynkin_diagram, inner, reflect
+from liefoliate.roots import (
+    POSITIVE_ROOT_COUNTS,
+    SCALE,
+    build_root_system,
+    diagram_automorphisms,
+    dynkin_diagram,
+    inner,
+    reflect,
+    subdiagram_type,
+)
 from liefoliate.slmodel import build_s_phi_v
 
 MAX_RANK = 10
@@ -249,6 +260,36 @@ def test_dim_k0_is_zero_exactly_when_every_multiplicity_is_one(space):
     assert space.dim_k0 == (0 if set(space.positive_mults) == {1} else None)
     (entry,) = [e for e in catalog_entries() if e.key == space.entry_key]
     assert entry.dim_k0 in (0, None) and (entry.dim_k0 is None or space.dim_k0 == 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _span_norms(family, rank) -> dict[tuple[int, ...], Counter]:
+    """Each connected set of simple roots -> the squared norms of the positive
+    roots in its span, counted off the full root list; once per diagram."""
+    rs = build_root_system(family, rank)
+    dd = dynkin_diagram(rs)
+    connected, grown = set(), {(v,) for v in range(1, rank + 1)}
+    while grown:
+        connected |= grown
+        grown = {tuple(sorted({*c, w})) for c in grown for v in c for w in dd.neighbors(v)} - connected
+    result = {}
+    for c in sorted(connected):
+        mask = sum(1 << (i - 1) for i in c)
+        result[c] = Counter(sum(x * x for x in lam.scaled) for lam, _, m in rs.rows if not m & ~mask)
+    return result
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+def test_span_counts_of_every_connected_subdiagram_match_the_root_list(space):
+    simple_norms = [sum(x * x for x in alpha.scaled) for alpha in build_root_system(space.family, space.rank).simple]
+    mult = space.multiplicities.table
+    for c, norms in _span_norms(space.family, space.rank).items():
+        kind = subdiagram_type(space.diagram, c)
+        long, short, doubled = POSITIVE_ROOT_COUNTS[kind.family](kind.rank)
+        by_type = Counter({simple_norms[kind.long - 1]: long})
+        by_type.update({simple_norms[kind.short - 1]: short, 4 * simple_norms[kind.short - 1]: doubled})
+        assert +by_type == norms, (space.name, c, kind)
+        assert space.span_counts(c) == (norms.total(), sum(n * mult[x] for x, n in norms.items())), (space.name, c)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)

@@ -19,7 +19,7 @@ from liefoliate.parabolic import (
     phi_subset,
     root_subsystem,
 )
-from liefoliate.roots import diagram_automorphisms, dynkin_diagram
+from liefoliate.roots import build_root_system, diagram_automorphisms, dynkin_diagram, span_roots
 
 
 def in_rational_span(vectors, target):
@@ -206,32 +206,25 @@ def test_horospherical_conservation(name):
         assert sum(f.dim for f in h.factors) == h.dim_Fs
 
 
-class CountedRows(tuple):
-    """A root system's rows, counting the passes over them and the rows read by index."""
+@pytest.fixture
+def walks(monkeypatch):
+    """The components whose roots ``parabolic`` walks during the test, in order."""
+    walked = []
 
-    def __new__(cls, rows):
-        self = super().__new__(cls, rows)
-        self.passes = self.reads = 0
-        return self
+    def counted(family, rank, dd, component):
+        walked.append(component)
+        return span_roots(family, rank, dd, component)
 
-    def __iter__(self):
-        self.passes += 1
-        return super().__iter__()
-
-    def __getitem__(self, k):
-        self.reads += 1
-        return super().__getitem__(k)
+    monkeypatch.setattr(parabolic, "span_roots", counted)
+    return walked
 
 
 @pytest.fixture
-def counted_rows(monkeypatch):
-    """Put CountedRows in place of a space's root-system rows for the test."""
-    def install(space):
-        rs = space.root_system
-        counted = CountedRows(rs.rows)
-        monkeypatch.setitem(rs.__dict__, "rows", counted)
-        return counted
-    return install
+def no_root_system():
+    """Require that the test builds no whole root system."""
+    build_root_system.cache_clear()
+    yield
+    assert build_root_system.cache_info().misses == 0
 
 
 SO24 = catalog_lookup("so(24,C)")  # D_12: 10 is joined to 9, 11 and 12
@@ -239,44 +232,44 @@ SO24 = catalog_lookup("so(24,C)")  # D_12: 10 is joined to 9, 11 and 12
 
 @pytest.mark.parametrize("call", [horospherical, parabolic_data, boundary_components, root_subsystem],
                          ids=lambda f: f.__name__)
-def test_a_warm_call_on_seen_components_reads_no_row(call, counted_rows):
+def test_a_warm_call_on_seen_components_reads_no_row(call, walks):
     phi = phi_subset(SO24, (1, 3) + tuple(range(7, 13)))
     expected = call(SO24, phi)
     parabolic._components.cache_clear()
-    horospherical(SO24, phi_subset(SO24, (1, 3)))  # no root set is built
+    parabolic_data(SO24, phi_subset(SO24, (1, 3)))
     root_subsystem(SO24, phi_subset(SO24, range(7, 13)))
-    counted = counted_rows(SO24)
+    assert walks == [(1,), (3,), tuple(range(7, 13))]
     assert call(SO24, phi) == expected
-    assert (counted.passes, counted.reads) == (0, 0)
+    assert len(walks) == 3  # the sums, factors and root sets of seen components are kept
 
 
-def test_a_cold_call_finds_all_missing_components_in_one_pass(counted_rows):
+def test_a_cold_call_walks_each_missing_component_once(walks, no_root_system):
+    fresh = SO24._replace()  # a descriptor with no root system cached, as in a fresh process
     parabolic._components.cache_clear()
-    counted = counted_rows(SO24)
-    seen = parabolic._components(SO24).seen
-    phi = phi_subset(SO24, (1, 3, 7, 8))
-    h = horospherical(SO24, phi)
-    assert (counted.passes, counted.reads) == (1, 0)
-    assert sorted(seen) == [(1,), (3,), (7, 8)]
-    parabolic_data(SO24, phi_subset(SO24, (1, 3, 5, 10, 11, 12)))  # two components seen, two not
-    assert (counted.passes, counted.reads) == (2, 0)
+    seen = parabolic._components(fresh).seen
+    phi = phi_subset(fresh, (1, 3, 7, 8))
+    h = horospherical(fresh, phi)
+    assert walks == [] and sorted(seen) == [(1,), (3,), (7, 8)]
+    parabolic_data(fresh, phi_subset(fresh, (1, 3, 5, 10, 11, 12)))  # two components seen, two not
+    assert walks == [(1,), (3,), (5,), (10, 11, 12)]
     assert sorted(seen) == [(1,), (3,), (5,), (7, 8), (10, 11, 12)]
-    assert h.factors == tuple(boundary_components(SO24, phi))
-    d = parabolic_data(SO24, phi)
+    assert h.factors == tuple(boundary_components(fresh, phi))
+    d = parabolic_data(fresh, phi)
     assert (h.dim_Fs, h.dim_euclidean, h.dim_N) == (d.dim_p_phi_s, d.dim_a_phi, d.dim_n_phi)
-    assert (counted.passes, counted.reads) == (2, 0)
+    assert walks[4:] == [(7, 8)]
+    assert d == parabolic_data(SO24, phi_subset(SO24, (1, 3, 7, 8)))
 
 
-def test_cache_clear_empties_the_component_cache(counted_rows):
+def test_cache_clear_empties_the_component_cache(walks):
     phi = phi_subset(SO24, (1, 3, 7, 8))
-    factors = boundary_components(SO24, phi)
+    sigma = root_subsystem(SO24, phi)
     assert parabolic._components(SO24).seen
     parabolic._components.cache_clear()
     assert parabolic._components.cache_info().currsize == 0
-    counted = counted_rows(SO24)
+    del walks[:]
     assert not parabolic._components(SO24).seen
-    assert boundary_components(SO24, phi) == factors
-    assert counted.passes == 1
+    assert root_subsystem(SO24, phi) == sigma
+    assert walks == [(1,), (3,), (7, 8)]
 
 
 def test_boundary_components_sl5():
