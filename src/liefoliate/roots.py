@@ -605,8 +605,9 @@ def subdiagram_type(dd: DynkinDiagram, component) -> SubdiagramType:
     ``component`` must be sorted; else, or for any other subdiagram,
     LieFoliateError.
     """
-    if dd.connected_components(component) != [component]:
+    if dd.connected_components(component) != [tuple(component)]:
         raise LieFoliateError(f"vertices {component!r} are not a sorted connected subdiagram")
+    component = tuple(component)
     a, adj, inside, k = dd._entries, dd._adjacency, set(component), len(component)
     degree = {v: len(adj[v] & inside) for v in component}
     multiple = [(v, w) for v in component for w in adj[v] & inside if a[v, w] < -1]  # (longer, shorter)

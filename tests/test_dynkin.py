@@ -393,6 +393,7 @@ def test_subdiagram_type_of_components_and_its_long_and_short_roots():
     assert subdiagram_type(c, (3, 4, 5)) == (Family.C, 3, 5, 4)
     assert subdiagram_type(family_diagram("E8", 8), (2, 3, 4, 5)) == (Family.D, 4, 2, 2)
     assert subdiagram_type(family_diagram("E8", 8), (1, 2, 3, 4, 5, 6)) == (Family.E6, 6, 1, 1)
+    assert subdiagram_type(f4, [1, 2]) == (Family.A, 2, 1, 1)
 
 
 @pytest.mark.parametrize("dd, component", [
