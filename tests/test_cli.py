@@ -77,6 +77,16 @@ def test_rootsys_rank_past_its_ceiling_is_a_domain_error(capsys, action, rank):
     assert err.startswith("error: ") and "too large" in err
 
 
+def test_rootsys_help_states_both_ceilings(capsys):
+    from liefoliate.cli import _SHOW_MAX_RANK
+    from liefoliate.roots import MAX_RANK
+
+    with pytest.raises(SystemExit):
+        main(["rootsys", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"ranks up to {_SHOW_MAX_RANK};" in text and f"ranks up to {MAX_RANK}." in text
+
+
 def test_rootsys_dynkin_at_the_ceiling_builds_no_root(capsys):
     from liefoliate.roots import build_root_system
 
