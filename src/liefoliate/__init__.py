@@ -14,8 +14,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "catalog": ("MultiplicityFunction", "SpaceDescriptor", "catalog_entries", "catalog_lookup",
-                "root_multiplicity", "space_dimension"),
+    "catalog": ("SpaceDescriptor", "catalog_entries", "catalog_lookup", "space_dimension"),
     "errors": ("LieFoliateError",),
     "foliations": ("FoliationClass", "HyperbolicFactor", "PhiOrbit", "enumerate_foliations",
                    "hyperbolic_factor", "orthogonal_subsets"),
@@ -23,8 +22,9 @@ _EXPORTS = {
                   "boundary_components", "horospherical", "parabolic_data", "phi_subset",
                   "root_subsystem"),
     "roots": ("DynkinDiagram", "DynkinEdge", "DynkinVertex", "Family", "Root", "diagram_automorphisms",
-              "family_diagram", "inner", "reflect", "root_from_coords", "subdiagram_type"),
-    "rootsystem": ("RootSystem", "build_root_system", "dynkin_diagram"),
+              "family_diagram", "subdiagram_type"),
+    "rootsystem": ("MultiplicityFunction", "RootSystem", "build_root_system", "dynkin_diagram", "inner",
+                   "reflect", "root_from_coords", "root_multiplicity"),
     "slmodel": ("IwasawaFactors", "MatrixElement", "Subspace", "bracket", "build_s_phi_v",
                 "cartan_split", "is_lie_triple", "iwasawa_group", "killing_form", "moebius",
                 "restricted_root_decompose"),

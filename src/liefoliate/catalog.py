@@ -7,8 +7,10 @@ dimension of the centralizer k0 of a maximal flat in the isotropy algebra is
 read off the multiplicities: 0 when all are 1 (a split real form), else unknown.
 A space's Dynkin diagram comes from its family and rank, and dim M from the
 per-type root counts of each length, so neither builds a root; the full root
-list (``root_system``) is built only for ``root_multiplicity`` and
-``positive_mults``.  No catalog space has a rank above ``roots.MAX_RANK``.
+list (``root_system``) is built only for ``multiplicities`` and
+``positive_mults``.  ``MultiplicityFunction`` and ``root_multiplicity`` live
+in ``rootsystem`` with that list.  No catalog space has a rank above
+``roots.MAX_RANK``.
 
 Lookups accept either flattened ASCII identifiers such as ``sl(5,R)``,
 ``SL5``, ``SOo(5,2)``, ``su(3,1)``, ``e6(-14)`` or concrete display names
@@ -18,13 +20,23 @@ such as ``SL_5(R)/SO_5`` and ``Sp_{2,2}/Sp_2 Sp_2``.
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from importlib import resources
 
 from .errors import LieFoliateError
-from .roots import MAX_RANK, POSITIVE_ROOT_COUNTS, DynkinDiagram, Family, Root, family_diagram, inner, subdiagram_type
+from .roots import MAX_RANK, POSITIVE_ROOT_COUNTS, DynkinDiagram, Family, family_diagram, subdiagram_type
+
+
+def __getattr__(name: str):
+    """``MultiplicityFunction`` and ``root_multiplicity``, which read the full
+    root list, from ``rootsystem`` on first use (PEP 562)."""
+    if name not in ("MultiplicityFunction", "root_multiplicity"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import rootsystem
+
+    return getattr(rootsystem, name)
 
 
 class CatalogEntry(namedtuple("CatalogEntry", (
@@ -57,8 +69,12 @@ def _linear(form: tuple[int, int] | None, n: int | None) -> int | None:
 
 @lru_cache(maxsize=1)
 def catalog_entries() -> tuple[CatalogEntry, ...]:
-    """All records of the shipped catalog data file, in file order."""
-    raw = json.loads(resources.files("liefoliate.data").joinpath("catalog.json").read_text())
+    """All records of the shipped catalog data file, in file order.
+
+    The file is read through this module's loader, which also reads it out
+    of a zip archive, as ``pkgutil.get_data`` does without its imports."""
+    path = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+    raw = json.loads(__spec__.loader.get_data(path))
 
     def linear(form):
         return (form["a"], form["b"]) if form else None
@@ -147,14 +163,15 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
                 long * self.m_alpha(kind.long) + short * self.m_alpha(kind.short) + doubled * self.m_2alpha(kind.short))
 
     @cached_property
-    def multiplicities(self) -> "MultiplicityFunction":
+    def multiplicities(self) -> MultiplicityFunction:
+        from .rootsystem import MultiplicityFunction
+
         return MultiplicityFunction.for_space(self)
 
     @cached_property
     def positive_mults(self) -> tuple[int, ...]:
         """m(lambda) for each lambda of ``root_system.positive``, in that order."""
-        mult = self.multiplicities
-        return tuple(mult(lam) for lam in self.root_system.positive)
+        return tuple(map(self.multiplicities, self.root_system.positive))
 
     @cached_property
     def dimension(self) -> int:
@@ -180,45 +197,6 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
         return rebuilt(data, ("name",), catalog_lookup, "space record")
 
 
-class MultiplicityFunction(namedtuple("MultiplicityFunction", "table")):
-    """Root multiplicities, constant on each length class of the root system.
-
-    The catalog provides multiplicities on the simple roots only; the value on
-    an arbitrary root is read off from its squared length (length classes and
-    Weyl orbits coincide for the ten irreducible families).  ``table`` maps
-    the integer squared norm of a root's doubled coordinates, SCALE**2 times
-    its squared length, to the multiplicity, so a call builds no Fraction.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def for_space(cls, space: SpaceDescriptor) -> "MultiplicityFunction":
-        rs = space.root_system
-        norms = {lam: sum(c * c for c in lam.scaled) for lam in rs.positive}
-        table: dict[int, int] = {}
-        for i, alpha in enumerate(rs.simple, start=1):
-            m = space.m_alpha(i)
-            if table.setdefault(norms[alpha], m) != m:
-                raise LieFoliateError(
-                    f"{space.name}: simple roots of equal length carry different multiplicities"
-                )
-        if space.family is Family.BC:
-            table[4 * norms[rs.simple[-1]]] = space.m_2alpha(space.rank)
-        missing = set(norms.values()) - set(table)
-        if missing:
-            raise LieFoliateError(f"{space.name}: no multiplicity for doubled-coordinate norms {missing}")
-        return cls(table)
-
-    def __call__(self, root: Root) -> int:
-        try:
-            return self.table[sum(c * c for c in root.scaled)]
-        except KeyError:
-            raise LieFoliateError(
-                f"no multiplicity recorded for a root of squared length {inner(root, root)}"
-            )
-
-
 def rebuilt(data: dict, keys: tuple[str, ...], build, what: str):
     """The record ``build(*values)`` that the key fields of ``data`` name.
 
@@ -240,13 +218,6 @@ def rebuilt(data: dict, keys: tuple[str, ...], build, what: str):
     if wrong:
         raise LieFoliateError(f"{what} disagrees with {expected[keys[0]]} in {', '.join(wrong)}")
     return record
-
-
-def root_multiplicity(space: SpaceDescriptor, lam: Root) -> int:
-    """Multiplicity of a root of the space's restricted root system."""
-    if lam not in space.root_system.roots:
-        raise LieFoliateError(f"{lam} is not a restricted root of {space.name}")
-    return space.multiplicities(lam)
 
 
 def space_dimension(space: SpaceDescriptor) -> int:

@@ -1,0 +1,51 @@
+"""``slmodel iwasawa``, ``killing``, ``check-lie-triple`` and ``halfplane``."""
+
+import json
+
+from ..errors import LieFoliateError
+from . import emit_json
+
+
+def _parse_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer past int()'s digit limit, or deep nesting
+        raise LieFoliateError(f"cannot parse {what} JSON: {exc}")
+
+
+def run(args) -> int:
+    if args.action == "iwasawa":
+        from ..iwasawa import factor, square_matrix
+
+        g = square_matrix(_parse_json(args.matrix, "matrix"))  # no numpy
+        if len(g) != args.rank + 1:
+            raise LieFoliateError(f"expected a {args.rank + 1}x{args.rank + 1} matrix for rank {args.rank}")
+        f = factor(g)
+        emit_json({"k": f.k, "a": f.a, "n": f.n, "residual": f.residual})
+        return 0
+
+    import numpy as np
+
+    from ..slmodel import halfplane_orbit, is_lie_triple, killing_form, subspace
+
+    if args.action == "killing":
+        x, y = _parse_json(args.x, "matrix"), _parse_json(args.y, "matrix")
+        value = killing_form(x, y)  # reads x and y
+        closed = 2.0 * len(x) * float(np.trace(np.array(x, dtype=float) @ np.array(y, dtype=float)))
+        emit_json({"killing": value, "closed_form": closed, "difference": value - closed})
+    elif args.action == "check-lie-triple":
+        basis = _parse_json(args.basis, "basis")
+        if not isinstance(basis, list) or not basis:
+            raise LieFoliateError("basis must be a nonempty JSON list of square matrices")
+        result = is_lie_triple(subspace(basis))  # reads each matrix
+        emit_json({"holds": result.holds, "residual": result.residual})
+    else:  # halfplane
+        base = complex(args.base_re, args.base_im)
+        points = halfplane_orbit(args.orbit, args.samples, base)
+        if args.format == "csv":
+            print("re,im")
+            for p in points:
+                print(f"{p.real!r},{p.imag!r}")
+        else:
+            emit_json([{"re": p.real, "im": p.imag} for p in points])
+    return 0

@@ -89,9 +89,9 @@ def _layer(dd: DynkinDiagram, k: int) -> tuple[tuple[int, ...], ...]:
     those of layer k - 1, each extended by a later vertex adjacent to none of its vertices."""
     if k == 0:
         return ((),)
-    neighbors = dd.neighbors
+    adjacency = dd._adjacency  # unchecked: every v is in 1..rank
     return tuple(phi + (v,) for phi in _layer(dd, k - 1)
-                 for v in range(phi[-1] + 1 if phi else 1, dd.rank + 1) if neighbors(v).isdisjoint(phi))
+                 for v in range(phi[-1] + 1 if phi else 1, dd.rank + 1) if adjacency[v].isdisjoint(phi))
 
 
 class HyperbolicFactor(namedtuple("HyperbolicFactor", "alpha_index algebra n real_dim")):

@@ -69,9 +69,9 @@ class PhiSubset(namedtuple("PhiSubset", "space indices")):
     @cached_property
     def is_orthogonal(self) -> bool:
         """No two chosen vertices are adjacent in the Dynkin diagram."""
-        dd = self.space.diagram
+        adjacency = self.space.diagram._adjacency  # the indices are ints in 1..r, checked when built
         chosen = set(self.indices)
-        return all(not (dd.neighbors(i) & chosen) for i in chosen)
+        return all(not (adjacency[i] & chosen) for i in chosen)
 
     def check_foliation(self, dim_v) -> None:
         """Raise unless Phi is orthogonal and dim_v is an int in 0..r - r_Phi, as F_{Phi,V} needs."""

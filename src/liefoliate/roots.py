@@ -15,11 +15,12 @@ gives that type's positive roots per length (Bourbaki, Plates I-IX), so a
 dimension that sums multiplicities over roots needs no root.  ``span_roots``
 walks root strings up from the simple roots of one connected component only.
 The full root list, ``RootSystem`` and ``build_root_system``, lives in
-``rootsystem``; it is loaded on first use of those names here, by the
-commands that print or check every root.  ``DynkinDiagram.from_dict``
-accepts only edges that give a Cartan matrix: vertices 1..n, edges of 1 to 3
-lines between two of them, and an arrow on each multiple edge and on no
-other.
+``rootsystem`` with the arithmetic on roots that only its users call
+(``inner``, ``reflect``, ``root_from_coords``, ``format_root``); it is
+loaded on first use of those names here, by the commands that print or
+check every root.  ``DynkinDiagram.from_dict`` accepts only edges that give
+a Cartan matrix: vertices 1..n, edges of 1 to 3 lines between two of them,
+and an arrow on each multiple edge and on no other.
 
 The records are immutable named tuples, and ``fractions`` is imported only
 by the functions that build a Fraction, so the structure commands load
@@ -36,7 +37,8 @@ from operator import add
 
 from .errors import LieFoliateError
 
-_ROOT_SYSTEM_NAMES = ("RootSystem", "build_root_system", "dynkin_diagram")
+_ROOT_SYSTEM_NAMES = ("RootSystem", "build_root_system", "dynkin_diagram", "format_root", "inner", "reflect",
+                      "root_from_coords")
 
 
 def __getattr__(name: str):
@@ -125,80 +127,9 @@ class Root(namedtuple("Root", "scaled")):
         return Root(tuple(2 * c for c in self.scaled))
 
     def __str__(self) -> str:
+        from .rootsystem import format_root
+
         return format_root(self)
-
-
-def root_from_coords(coords) -> Root:
-    """Build a Root from finite real coordinates, halves allowed; strings and bools are refused."""
-    from fractions import Fraction
-    from numbers import Rational
-
-    try:
-        coords = iter(coords)
-    except TypeError:
-        raise LieFoliateError(f"coordinates {coords!r} are not an iterable of numbers") from None
-    scaled = []
-    for c in coords:
-        try:
-            if isinstance(c, (str, bool)):
-                raise TypeError
-            s = Fraction(c if isinstance(c, Rational) else float(c)) * SCALE
-        except (TypeError, ValueError, OverflowError):  # not a number, NaN, infinity
-            raise LieFoliateError(f"coordinate {c!r} is not a finite number") from None
-        if s.denominator != 1:
-            raise LieFoliateError(f"coordinate {c} is not an integer or half-integer")
-        scaled.append(int(s))
-    return Root(tuple(scaled))
-
-
-def format_root(root: Root) -> str:
-    """Render a root as a combination of the ambient basis vectors e1, e2, ..."""
-    halved = any(c % 2 for c in root.scaled)
-    parts = []
-    for i, s in enumerate(root.scaled, start=1):
-        c = s if halved else s // 2
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        parts.append(f"{sign}{'' if mag == 1 else mag}e{i}")
-    body = "".join(parts)
-    return f"({body})/2" if halved else body
-
-
-def inner(lam: Root, mu: Root) -> Fraction:
-    """Exact Euclidean pairing of two roots."""
-    if lam.dim != mu.dim:
-        raise LieFoliateError(f"ambient dimension mismatch: {lam.dim} != {mu.dim}")
-    from fractions import Fraction
-
-    return Fraction(sum(a * b for a, b in zip(lam.scaled, mu.scaled)), SCALE * SCALE)
-
-
-def reflect(lam: Root, x: Root) -> Root:
-    """Reflect x in the hyperplane orthogonal to lam.
-
-    Computes x - 2 <x,lam>/<lam,lam> lam exactly.  The result must again have
-    doubled-integer coordinates, which holds whenever both vectors belong to a
-    common crystallographic root system.
-    """
-    if lam.dim != x.dim:
-        raise LieFoliateError(f"ambient dimension mismatch: {lam.dim} != {x.dim}")
-    num = 2 * sum(a * b for a, b in zip(x.scaled, lam.scaled))
-    den = sum(a * a for a in lam.scaled)
-    if num % den == 0:
-        c = num // den
-        return Root(tuple(xs - c * ls for xs, ls in zip(x.scaled, lam.scaled)))
-    from fractions import Fraction
-
-    c = Fraction(num, den)
-    scaled = []
-    for xs, ls in zip(x.scaled, lam.scaled):
-        v = xs - c * ls
-        if v.denominator != 1:
-            raise LieFoliateError("reflection image has non-(half-)integer coordinates")
-        scaled.append(int(v))
-    return Root(tuple(scaled))
 
 
 def _vector(dim: int, entries: dict[int, int]) -> tuple[int, ...]:
@@ -406,6 +337,9 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults
         return tuple(sorted(results)) if order else ((),)
 
     def neighbors(self, index: int) -> frozenset[int]:
+        """The vertices joined to vertex ``index``, an int (not a bool) in 1..rank, else LieFoliateError."""
+        if type(index) is not int or not 1 <= index <= self.rank:
+            raise LieFoliateError(f"vertex index {index!r} must be an int in 1..{self.rank}")
         return self._adjacency[index]
 
     @cached_property

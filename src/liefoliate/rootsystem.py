@@ -9,6 +9,13 @@ their coefficients in descending lexicographic order, so ``positive`` begins
 with the simple roots in order.  A system holds O(r^2) roots of r
 coordinates each; the structure commands read the diagram of ``roots`` and
 its closed forms instead, and do not load this module.
+
+The exact arithmetic on roots (``inner``, ``reflect``), reading and
+printing them (``root_from_coords``, ``format_root``), and the multiplicity
+of every root of a catalog space (``MultiplicityFunction``,
+``root_multiplicity``) live here too, since only users of the root list
+call them; ``roots`` and ``catalog`` still give these names, loading this
+module on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +25,80 @@ from functools import cached_property, lru_cache
 
 from .errors import LieFoliateError
 from .roots import (SCALE, _SIMPLE_ROOTS, DynkinDiagram, Family, Root, _checked_family, _positive_roots, _vector,
-                    family_diagram, inner)
+                    family_diagram)
+
+
+def root_from_coords(coords) -> Root:
+    """Build a Root from finite real coordinates, halves allowed; strings and bools are refused."""
+    from fractions import Fraction
+    from numbers import Rational
+
+    try:
+        coords = iter(coords)
+    except TypeError:
+        raise LieFoliateError(f"coordinates {coords!r} are not an iterable of numbers") from None
+    scaled = []
+    for c in coords:
+        try:
+            if isinstance(c, (str, bool)):
+                raise TypeError
+            s = Fraction(c if isinstance(c, Rational) else float(c)) * SCALE
+        except (TypeError, ValueError, OverflowError):  # not a number, NaN, infinity
+            raise LieFoliateError(f"coordinate {c!r} is not a finite number") from None
+        if s.denominator != 1:
+            raise LieFoliateError(f"coordinate {c} is not an integer or half-integer")
+        scaled.append(int(s))
+    return Root(tuple(scaled))
+
+
+def format_root(root: Root) -> str:
+    """Render a root as a combination of the ambient basis vectors e1, e2, ..."""
+    halved = any(c % 2 for c in root.scaled)
+    parts = []
+    for i, s in enumerate(root.scaled, start=1):
+        c = s if halved else s // 2
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        parts.append(f"{sign}{'' if mag == 1 else mag}e{i}")
+    body = "".join(parts)
+    return f"({body})/2" if halved else body
+
+
+def inner(lam: Root, mu: Root) -> Fraction:
+    """Exact Euclidean pairing of two roots."""
+    if lam.dim != mu.dim:
+        raise LieFoliateError(f"ambient dimension mismatch: {lam.dim} != {mu.dim}")
+    from fractions import Fraction
+
+    return Fraction(sum(a * b for a, b in zip(lam.scaled, mu.scaled)), SCALE * SCALE)
+
+
+def reflect(lam: Root, x: Root) -> Root:
+    """Reflect x in the hyperplane orthogonal to lam.
+
+    Computes x - 2 <x,lam>/<lam,lam> lam exactly.  The result must again have
+    doubled-integer coordinates, which holds whenever both vectors belong to a
+    common crystallographic root system.
+    """
+    if lam.dim != x.dim:
+        raise LieFoliateError(f"ambient dimension mismatch: {lam.dim} != {x.dim}")
+    num = 2 * sum(a * b for a, b in zip(x.scaled, lam.scaled))
+    den = sum(a * a for a in lam.scaled)
+    if num % den == 0:
+        c = num // den
+        return Root(tuple(xs - c * ls for xs, ls in zip(x.scaled, lam.scaled)))
+    from fractions import Fraction
+
+    c = Fraction(num, den)
+    scaled = []
+    for xs, ls in zip(x.scaled, lam.scaled):
+        v = xs - c * ls
+        if v.denominator != 1:
+            raise LieFoliateError("reflection image has non-(half-)integer coordinates")
+        scaled.append(int(v))
+    return Root(tuple(scaled))
 
 
 def _independent(vectors) -> bool:
@@ -217,3 +297,49 @@ def dynkin_diagram(rs: RootSystem) -> DynkinDiagram:
     the same immutable object is returned on every call.
     """
     return rs._dynkin_diagram
+
+
+class MultiplicityFunction(namedtuple("MultiplicityFunction", "table")):
+    """Root multiplicities, constant on each length class of the root system.
+
+    The catalog provides multiplicities on the simple roots only; the value on
+    an arbitrary root is read off from its squared length (length classes and
+    Weyl orbits coincide for the ten irreducible families).  ``table`` maps
+    the integer squared norm of a root's doubled coordinates, SCALE**2 times
+    its squared length, to the multiplicity, so a call builds no Fraction.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def for_space(cls, space: SpaceDescriptor) -> "MultiplicityFunction":
+        rs = space.root_system
+        norms = {lam: sum(c * c for c in lam.scaled) for lam in rs.positive}
+        table: dict[int, int] = {}
+        for i, alpha in enumerate(rs.simple, start=1):
+            m = space.m_alpha(i)
+            if table.setdefault(norms[alpha], m) != m:
+                raise LieFoliateError(
+                    f"{space.name}: simple roots of equal length carry different multiplicities"
+                )
+        if space.family is Family.BC:
+            table[4 * norms[rs.simple[-1]]] = space.m_2alpha(space.rank)
+        missing = set(norms.values()) - set(table)
+        if missing:
+            raise LieFoliateError(f"{space.name}: no multiplicity for doubled-coordinate norms {missing}")
+        return cls(table)
+
+    def __call__(self, root: Root) -> int:
+        try:
+            return self.table[sum(c * c for c in root.scaled)]
+        except KeyError:
+            raise LieFoliateError(
+                f"no multiplicity recorded for a root of squared length {inner(root, root)}"
+            )
+
+
+def root_multiplicity(space: SpaceDescriptor, lam: Root) -> int:
+    """Multiplicity of a root of the space's restricted root system."""
+    if lam not in space.root_system.roots:
+        raise LieFoliateError(f"{lam} is not a restricted root of {space.name}")
+    return space.multiplicities(lam)

@@ -371,6 +371,12 @@ def test_connected_components_refuses_what_is_not_a_vertex(indices):
         diagram("A", 4).connected_components(indices)
 
 
+@pytest.mark.parametrize("index", [0, 5, -1, True, 1.0, "1", None])
+def test_neighbors_refuses_what_is_not_a_vertex(index):
+    with pytest.raises(LieFoliateError, match=r"vertex index .* must be an int in 1\.\.4"):
+        diagram("A", 4).neighbors(index)
+
+
 def test_connected_components_reads_an_iterator_once():
     assert diagram("A", 4).connected_components(iter([4, 1, 2])) == [(1, 2), (4,)]
 

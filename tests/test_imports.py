@@ -1,11 +1,16 @@
-"""Each CLI command loads only the package modules it calls (``rootsystem``,
-the full root list, only for ``rootsys show``), numpy only for the matrix
-model past ``slmodel iwasawa``, and ``dataclasses``, ``inspect`` and
-``fractions`` for no structure command."""
+"""Each CLI command loads only the package modules it calls and the handler
+module of its own command (``rootsystem``, the full root list, only for
+``rootsys show``), numpy only for the matrix model past ``slmodel iwasawa``,
+``dataclasses``, ``inspect`` and ``fractions`` for no structure command, and
+none of the machinery of ``importlib.resources``.  A command compiles at
+most its share of the package's sources, and the package also runs from a
+zip archive."""
 
+import ast
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -20,10 +25,15 @@ SRC = Path(liefoliate.__file__).resolve().parent.parent
 # fractions only where a Fraction is built.
 COLD_START_HEAVY = ("dataclasses", "inspect", "fractions")
 
+# What ``importlib.resources`` loads.  catalog reads its data file through its
+# module loader instead.  A ``.pth`` file of site-packages may load these
+# before any package code runs, so they are checked without ``site``.
+RESOURCE_MACHINERY = ("importlib.resources", "pathlib", "zipfile", "tempfile", "typing")
+
 # Runs the CLI as ``python -m liefoliate.cli`` does, then reports its exit
 # status, the package's modules that were loaded, whether numpy was, and
-# which of COLD_START_HEAVY were.  A fresh interpreter is needed: other tests
-# load every module into this one.
+# which of COLD_START_HEAVY and RESOURCE_MACHINERY were.  A fresh
+# interpreter is needed: other tests load every module into this one.
 PROBE = f"""\
 import runpy, sys
 sys.argv = ["liefoliate", *sys.argv[1:]]
@@ -33,55 +43,120 @@ try:
 except SystemExit as exc:
     code = exc.code or 0
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("liefoliate."))
-heavy = [m for m in {COLD_START_HEAVY!r} if m in sys.modules]
-print(code, ",".join(loaded), "numpy" in sys.modules, ",".join(heavy), file=sys.stderr)
+watched = [m for m in {COLD_START_HEAVY + RESOURCE_MACHINERY!r} if m in sys.modules]
+print(code, ",".join(loaded), "numpy" in sys.modules, ",".join(watched), file=sys.stderr)
 """
 
 
-def probe(*argv: str) -> tuple[int, set[str], bool, set[str]]:
+def probe(*argv: str, site: bool = True) -> tuple[int, set[str], bool, set[str]]:
     """The CLI's exit status, the ``liefoliate.*`` modules, whether numpy
-    was loaded, and the modules of COLD_START_HEAVY that were.  The CLI
-    module itself runs as ``__main__`` and is not among them."""
+    was loaded, and the modules of COLD_START_HEAVY and RESOURCE_MACHINERY
+    that were.  The CLI module itself runs as ``__main__`` and is not among
+    them.  ``site=False`` runs the interpreter with ``-S``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+    flags = () if site else ("-S",)
+    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, modules, numpy, heavy = proc.stderr.splitlines()[-1].split(" ")
+    code, modules, numpy, watched = proc.stderr.splitlines()[-1].split(" ")
     return (int(code), set(filter(None, modules.split(","))), numpy == "True",
-            set(filter(None, heavy.split(","))))
+            set(filter(None, watched.split(","))))
 
 
-# ``data`` is the package that holds catalog.json, read through importlib.resources.
-CATALOG = {"errors", "roots", "catalog", "data"}
+def handler(command: str) -> set[str]:
+    """The handler package and the module of one command."""
+    return {"commands", f"commands.{command}"}
+
+
+CATALOG = {"errors", "roots", "catalog"}
 
 
 @pytest.mark.parametrize("argv, expected", (
-    (("--version",), {"errors"}),
-    (("rootsys", "show", "--family", "E6", "--rank", "6"), {"errors", "roots", "rootsystem"}),
-    (("catalog", "list"), CATALOG),
-    (("parabolic", "--space", "SL5", "--phi", "1,3"), CATALOG | {"parabolic"}),
-    (("horospherical", "--space", "su(4,2)", "--phi", "1"), CATALOG | {"parabolic"}),
-    (("foliations", "enumerate", "--space", "so(5,2)"), CATALOG | {"foliations"}),
+    (("--version",), {"errors", "commands"}),
+    (("rootsys", "show", "--family", "E6", "--rank", "6"), {"errors", "roots", "rootsystem"} | handler("rootsys")),
+    (("catalog", "list"), CATALOG | handler("catalog")),
+    (("parabolic", "--space", "SL5", "--phi", "1,3"), CATALOG | {"parabolic"} | handler("parabolic")),
+    (("horospherical", "--space", "su(4,2)", "--phi", "1"), CATALOG | {"parabolic"} | handler("horospherical")),
+    (("foliations", "enumerate", "--space", "so(5,2)"), CATALOG | {"foliations"} | handler("foliations")),
     # the factorization and the matrix reader are plain Python
-    (("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), {"errors", "iwasawa"}),
+    (("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), {"errors", "iwasawa"} | handler("slmodel")),
     (("slmodel", "killing", "--x", "[[1,0],[0,-1]]", "--y", "[[0,1],[1,0]]"),
-     {"errors", "iwasawa", "slmodel"}),
+     {"errors", "iwasawa", "slmodel"} | handler("slmodel")),
     # the diagram is read off the simple roots: no root list
-    (("rootsys", "dynkin", "--family", "E6", "--rank", "6"), {"errors", "roots"}),
+    (("rootsys", "dynkin", "--family", "E6", "--rank", "6"), {"errors", "roots"} | handler("rootsys")),
 ))
 def test_each_command_loads_only_the_modules_it_calls(argv, expected):
-    code, modules, numpy, heavy = probe(*argv)
+    code, modules, numpy, watched = probe(*argv)
     assert code == 0
     assert modules == expected
     assert numpy == ("slmodel" in expected)
     if "slmodel" not in expected:  # its records are dataclasses, and numpy dominates
-        assert heavy == set()
+        assert watched & set(COLD_START_HEAVY) == set()
 
 
 def test_iwasawa_error_path_loads_neither_slmodel_nor_numpy():
-    code, modules, numpy, heavy = probe("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[NaN,0],[0,1]]")
-    assert (code, modules, numpy, heavy) == (1, {"errors", "iwasawa"}, False, set())
+    code, modules, numpy, watched = probe("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[NaN,0],[0,1]]")
+    assert (code, modules, numpy) == (1, {"errors", "iwasawa"} | handler("slmodel"), False)
+    assert watched & set(COLD_START_HEAVY) == set()
+
+
+@pytest.mark.parametrize("command, argv", (
+    ("parabolic", ("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json")),
+    ("horospherical", ("horospherical", "--space", "SL5", "--phi", "1,2")),
+    ("foliations", ("foliations", "enumerate", "--space", "so(5,2)")),
+    ("catalog", ("catalog", "list")),
+    ("rootsys", ("rootsys", "dynkin", "--family", "E6", "--rank", "6")),
+    ("slmodel", ("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]")),
+))
+def test_without_site_a_command_loads_its_handler_and_no_resource_machinery(command, argv):
+    code, modules, numpy, watched = probe(*argv, site=False)
+    assert (code, numpy) == (0, False)
+    assert watched == set()
+    assert {m for m in modules if m.startswith("commands")} == handler(command)
+
+
+def compiled_nodes(modules: set[str]) -> int:
+    """AST nodes of the sources of these package modules, of the package and of ``cli``."""
+    package = SRC / "liefoliate"
+    total = 0
+    for name in {"", "cli", *modules}:
+        path = package.joinpath(*name.split(".")) if name else package
+        source = path.with_suffix(".py") if path.with_suffix(".py").is_file() else path / "__init__.py"
+        total += sum(1 for _ in ast.walk(ast.parse(source.read_text(encoding="utf-8"))))
+    return total
+
+
+# compile() costs about the same per AST node in every module, and a fresh
+# process without cached bytecode compiles every module it loads.
+@pytest.mark.parametrize("argv, ceiling", (
+    (("--version",), 1_600),
+    (("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json"), 11_600),
+))
+def test_a_command_compiles_at_most_its_share_of_the_package(argv, ceiling):
+    code, modules, _, _ = probe(*argv)
+    assert code == 0
+    assert compiled_nodes(modules) <= ceiling
+
+
+def _cli_stdout(pythonpath: str, cwd: Path, *argv: str) -> bytes:
+    proc = subprocess.run([sys.executable, "-m", "liefoliate.cli", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv", (
+    ("catalog", "list", "--format", "json"),
+    ("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json"),
+))
+def test_the_package_runs_from_a_zip_archive(argv, tmp_path):
+    archive = tmp_path / "liefoliate.zip"
+    with zipfile.ZipFile(archive, "w") as zf:  # directory entries too, as ``zip -r`` writes them
+        for path in sorted((SRC / "liefoliate").rglob("*")):
+            if "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(SRC).as_posix())
+    assert _cli_stdout(str(archive), tmp_path, *argv) == _cli_stdout(str(SRC), tmp_path, *argv)
 
 
 def test_importing_the_package_loads_no_module_and_lists_every_name():

@@ -97,7 +97,7 @@ def unread_privates(source: str) -> list[str]:
     return unread
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_module_reads_every_private_name_it_defines(path):
     assert unread_privates(path.read_text()) == []
 
@@ -122,7 +122,7 @@ def test_unread_private_check_finds_what_it_should(source, expected):
     assert unread_privates(source) == expected
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 
