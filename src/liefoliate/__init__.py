@@ -9,6 +9,7 @@ the modules it uses.  numpy, for one, loads only with the matrix model
 ``iwasawa.factor``, which the CLI's ``slmodel iwasawa`` calls without numpy.
 """
 
+import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -32,7 +33,18 @@ _EXPORTS = {
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [*sorted(_MODULE_OF), "__version__"]
+__all__ = [*sorted(_MODULE_OF), "__version__", "clear_caches"]
+
+
+def clear_caches() -> None:
+    """Call each ``cache_clear`` in the loaded ``liefoliate`` modules, so the next call runs as
+    in a fresh process: the interned descriptors go too, with all that is cached on them."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == __name__:
+            for value in list(vars(module).values()):
+                clear = getattr(value, "cache_clear", None)
+                if callable(clear):
+                    clear()
 
 
 def __getattr__(name: str):

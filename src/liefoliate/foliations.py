@@ -229,7 +229,7 @@ class _SpaceOrbits:
     """One space's PhiOrbit per representative (``by_rep``), layer tables and layer records.
 
     Each is built once, on first use.  All are one ``_orbits`` entry, so
-    ``_orbits.cache_clear()`` drops the records with the PhiOrbits they hold.
+    ``liefoliate.clear_caches()`` drops the records with the PhiOrbits they hold.
     """
 
     __slots__ = ("space", "dd", "auts", "factors", "by_rep", "tables", "records")

@@ -18,7 +18,7 @@ comes from the per-type root counts of its subdiagram
 a root-string walk over that component alone (``roots.span_roots``), so no
 call builds the space's full root list.  Each space keeps, per component
 asked for, its multiplicity sum, its factor and any root sets walked, until
-``_components.cache_clear()``: O(r^2) components on a classical diagram.
+``liefoliate.clear_caches()``: O(r^2) components on a classical diagram.
 """
 
 from __future__ import annotations

@@ -185,23 +185,8 @@ class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positiv
         return tuple(-x for x in self.coefficients[k])
 
     @cached_property
-    def rows(self) -> tuple[tuple[Root, Root, int], ...]:
-        """(lambda, -lambda, support mask) for each lambda of ``positive``, in order.
-
-        Bit i-1 of the mask is set when alpha_i occurs in lambda.
-
-        Both roots of a row are the system's own Root objects, so a scan over
-        the rows builds no Root.
-        """
-        own = {lam.scaled: lam for lam in self.roots}
-        return tuple(
-            (lam, own[tuple(-x for x in lam.scaled)], sum(1 << i for i, x in enumerate(c) if x))
-            for lam, c in zip(self.positive, self.coefficients)
-        )
-
-    @cached_property
     def positive_index(self) -> dict[Root, int]:
-        """Positive root -> its position in ``positive`` (and in ``rows``)."""
+        """Positive root -> its position in ``positive`` and ``coefficients``."""
         return {lam: k for k, lam in enumerate(self.positive)}
 
     @cached_property

@@ -335,13 +335,11 @@ def test_structure_commands_build_no_root_system_in_a_fresh_process():
 def test_dimension_and_structure_calls_build_no_root_system():
     from liefoliate import foliations, parabolic
 
-    build_root_system.cache_clear()
     for name in ["SL12", "so(9,4)", "su(7,3)", "e8(-24)", "f4(-20)", "g2(C)", "sp(5,2)"]:
-        space = catalog_lookup(name)._replace()  # no root system cached, as in a fresh process
-        parabolic._components.cache_clear()
-        foliations._orbits.cache_clear()
+        liefoliate.clear_caches()  # also resets the misses counted below
+        space = catalog_lookup(name)  # a new descriptor, as in a fresh process
         space.dimension
         parabolic.horospherical(space, parabolic.phi_subset(space, range(1, space.rank)))
         foliations.enumerate_foliations(space)
         assert "root_system" not in space.__dict__
-    assert build_root_system.cache_info().misses == 0
+        assert build_root_system.cache_info().misses == 0

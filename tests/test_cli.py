@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from liefoliate import foliations, parabolic
+from liefoliate import clear_caches
 from liefoliate.catalog import catalog_lookup
 from liefoliate.cli import main
 from liefoliate.foliations import FoliationClass
@@ -90,7 +90,7 @@ def test_rootsys_help_states_both_ceilings(capsys):
 def test_rootsys_dynkin_at_the_ceiling_builds_no_root(capsys):
     from liefoliate.roots import build_root_system
 
-    build_root_system.cache_clear()
+    clear_caches()
     code, out, _ = run(capsys, "rootsys", "dynkin", "--family", "D", "--rank", "1000", "--format", "json")
     assert code == 0 and build_root_system.cache_info().misses == 0
     assert len(json.loads(out)["edges"]) == 999
@@ -106,7 +106,7 @@ def test_catalog_list(capsys):
 
 
 def test_parabolic_json_round_trip(capsys):
-    parabolic._components.cache_clear()  # the command runs cold, as in a fresh process; from_dict warm
+    clear_caches()  # the command runs cold, as in a fresh process; from_dict warm
     code, out, _ = run(capsys, "parabolic", "--space", "SL5", "--phi", "1,3",
                        "--format", "json")
     assert code == 0
@@ -145,7 +145,7 @@ def test_parabolic_invalid_phi_exit_1(capsys):
 
 
 def test_horospherical_json(capsys):
-    parabolic._components.cache_clear()  # the command runs cold, as in a fresh process; from_dict warm
+    clear_caches()  # the command runs cold, as in a fresh process; from_dict warm
     code, out, _ = run(capsys, "horospherical", "--space", "SL5", "--phi", "1,2",
                        "--format", "json")
     assert code == 0
@@ -173,8 +173,7 @@ def test_foliation_records_read_back_with_a_cold_orbit_table(capsys):
     assert code == 0
     records = json.loads(out)
     assert len(records) == 3300
-    foliations._orbits.cache_clear()  # from_dict builds its PhiOrbits afresh
-    foliations._layer.cache_clear()
+    clear_caches()  # from_dict builds its PhiOrbits afresh
     assert [FoliationClass.from_dict(d).to_dict() for d in records] == records
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from liefoliate import foliations, parabolic
+from liefoliate import clear_caches, foliations
 from liefoliate.catalog import catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
@@ -231,12 +231,6 @@ def test_phi_orbits_are_built_once_per_space(name, monkeypatch):
         assert FoliationClass.from_dict(a.to_dict()).phi_orbit is a.phi_orbit
 
 
-def _cold_caches():
-    foliations._layer.cache_clear()
-    foliations._orbits.cache_clear()
-    parabolic._components.cache_clear()
-
-
 def test_sl14_enumeration_builds_each_hyperbolic_factor_once(monkeypatch):
     calls = []
 
@@ -245,7 +239,7 @@ def test_sl14_enumeration_builds_each_hyperbolic_factor_once(monkeypatch):
         return hyperbolic_factor(space, alpha_index)
 
     monkeypatch.setattr(foliations, "hyperbolic_factor", counted)
-    _cold_caches()
+    clear_caches()
     enumerate_foliations(catalog_lookup("SL14"), include_trivial=True)
     assert calls == list(range(1, 14))  # once per simple root, not once per layer and root
 
@@ -272,7 +266,7 @@ def test_a_second_full_enumeration_builds_no_record(monkeypatch):
         __slots__ = ()
 
     space = catalog_lookup("SL14")
-    _cold_caches()
+    clear_caches()
     enumerate_foliations(space)
     monkeypatch.setattr(foliations, "FoliationClass", Counted)
     for include_trivial in (False, True):
@@ -283,7 +277,7 @@ def test_a_second_full_enumeration_builds_no_record(monkeypatch):
 def test_cleared_orbit_tables_leave_enumeration_and_read_back_sharing_one_phi_orbit(read_back_first):
     space = catalog_lookup("so(4,4)")
     data = [c.to_dict() for c in enumerate_foliations(space, include_trivial=True)]
-    foliations._orbits.cache_clear()  # drops the PhiOrbits with the tables and records that hold them
+    clear_caches()  # drops the PhiOrbits with the tables and records that hold them
     if read_back_first:
         read = [FoliationClass.from_dict(d) for d in data]
         records = enumerate_foliations(space, include_trivial=True)
@@ -296,7 +290,7 @@ def test_cleared_orbit_tables_leave_enumeration_and_read_back_sharing_one_phi_or
 
 def test_enumeration_by_codim_builds_no_layer_records():
     space = catalog_lookup("sl(60,R)")
-    _cold_caches()
+    clear_caches()
     assert len(enumerate_foliations(space, codim=1)) == 31
     assert foliations._orbits(space).records == {}  # the records of its codimension only, made on the fly
 
@@ -307,7 +301,7 @@ def test_enumeration_by_codim_builds_only_the_layers_up_to_codim(rank):
     space = catalog_lookup(f"sl({rank + 1},R)")
     dd = dynkin_diagram(space.root_system)
     for codim in range(4):
-        _cold_caches()
+        clear_caches()
         records = enumerate_foliations(space, include_trivial=True, codim=codim)
         assert records and {c.codim for c in records} == {codim}
         built = foliations._layer.cache_info().currsize
@@ -315,16 +309,16 @@ def test_enumeration_by_codim_builds_only_the_layers_up_to_codim(rank):
         assert sum(len(foliations._layer(dd, k)) for k in range(codim + 1)) == sum(
             math.comb(rank - k + 1, k) for k in range(codim + 1))
         assert foliations._layer.cache_info().currsize == built  # those were the cached layers
-    _cold_caches()
+    clear_caches()
     assert enumerate_foliations(space, codim=rank + 1) == []  # codim = r - dim V <= r
     assert foliations._layer.cache_info().currsize == 0
 
 
 def test_reading_back_a_record_builds_no_layer_above_its_phi():
     space = catalog_lookup("sl(40,R)")
-    _cold_caches()
+    clear_caches()
     data = next(c for c in enumerate_foliations(space, codim=2) if c.r_phi == 2).to_dict()
-    _cold_caches()
+    clear_caches()
     record = FoliationClass.from_dict(data)
     assert record.r_phi == 2 and record.to_dict() == data
     assert foliations._layer.cache_info().currsize == 0  # no layer at all, not even its own
@@ -337,11 +331,11 @@ def test_reading_back_a_record_of_twenty_roots_builds_no_layer():
     # 20 roots would hold about F(42) = 2.7e8 subsets.
     space = catalog_lookup("sl(41,R)")
     odd, even = tuple(range(1, 40, 2)), tuple(range(2, 41, 2))
-    _cold_caches()
+    clear_caches()
     orbits = foliations._orbits(space)
     data = FoliationClass(orbits.phi_orbit(odd, orbits.orbit(odd)), 0).to_dict()
     assert data["orbit"] == [list(odd), list(even)] and data["leaf_dim"] == 20 + 800
-    _cold_caches()
+    clear_caches()
     assert FoliationClass.from_dict(data).to_dict() == data
     with pytest.raises(LieFoliateError, match="not the representative"):
         FoliationClass.from_dict(dict(data, phi=list(even), orbit=[list(odd), list(even)]))
@@ -476,7 +470,7 @@ def test_sl14_enumeration_peak_memory():
     # 3,300 pointers, 29 KiB at its peak.  Before the records were kept, every
     # call peaked at 234 KiB.
     space = catalog_lookup("SL14")
-    _cold_caches()
+    clear_caches()
     for k in range(space.rank + 1):
         foliations._orbits(space).table(k)  # the PhiOrbits, outside the measurement
     tracemalloc.start()

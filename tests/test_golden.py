@@ -1,9 +1,11 @@
 """Golden CLI outputs: the stdout of a fixed list of calls, byte for byte.
 
 ``golden/cli_digests.json`` maps each call to the sha256 and length of its
-UTF-8 stdout.  The matrix-model commands and ``verify`` are left out because
-their floating-point digits depend on the BLAS build.  After an intended
-output change, list it in CHANGES.md and rewrite the digests with
+UTF-8 stdout.  Each call is checked twice in a row: cold, right after
+``clear_caches()``, as in a fresh process, and then warm.  The matrix-model
+commands and ``verify`` are left out because their floating-point digits
+depend on the BLAS build.  After an intended output change, list it in
+CHANGES.md and rewrite the digests with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from liefoliate import clear_caches
 from liefoliate.cli import main
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "cli_digests.json"
@@ -78,9 +81,11 @@ def test_golden_file_lists_exactly_the_commands(golden):
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=_key)
 def test_cli_stdout_matches_golden_digest(golden, argv):
-    code, out = _stdout(argv)
-    assert code == 0
-    assert _digest(out) == golden[_key(argv)]
+    clear_caches()
+    for _ in ("cold", "warm"):
+        code, out = _stdout(argv)
+        assert code == 0
+        assert _digest(out) == golden[_key(argv)]
 
 
 if __name__ == "__main__":

@@ -3,10 +3,11 @@ module of its own command (``rootsystem``, the full root list, only for
 ``rootsys show``), numpy only for the matrix model past ``slmodel iwasawa``,
 ``dataclasses``, ``inspect`` and ``fractions`` for no structure command, and
 none of the machinery of ``importlib.resources``.  A command compiles at
-most its share of the package's sources, and the package also runs from a
-zip archive."""
+most its share of the package's sources, the package also runs from a zip
+archive, and ``clear_caches()`` loads nothing and empties every cache loaded."""
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import liefoliate
 from liefoliate import cli, verify
 
 SRC = Path(liefoliate.__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
 
 # Standard-library modules whose import and class-building cost a structure
 # command does without: the records are named tuples, and roots imports
@@ -53,10 +55,8 @@ def probe(*argv: str, site: bool = True) -> tuple[int, set[str], bool, set[str]]
     was loaded, and the modules of COLD_START_HEAVY and RESOURCE_MACHINERY
     that were.  The CLI module itself runs as ``__main__`` and is not among
     them.  ``site=False`` runs the interpreter with ``-S``."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     flags = () if site else ("-S",)
-    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv], env=ENV,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, modules, numpy, watched = proc.stderr.splitlines()[-1].split(" ")
@@ -161,12 +161,40 @@ def test_the_package_runs_from_a_zip_archive(argv, tmp_path):
 
 def test_importing_the_package_loads_no_module_and_lists_every_name():
     code = ("import sys, liefoliate\n"
-            "print(sorted(m for m in sys.modules if m.startswith('liefoliate.')))\n"
+            "liefoliate.clear_caches()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('liefoliate.') or m == 'numpy'))\n"
             "print(set(liefoliate.__all__) <= set(dir(liefoliate)))")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=ENV,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.splitlines() == ["[]", "True"]
+
+
+def _cache_sizes() -> dict[str, int]:
+    """``currsize`` of each ``cache_info`` in the namespaces of the loaded ``liefoliate`` modules."""
+    return {f"{name}.{key}": info().currsize for name, module in list(sys.modules.items())
+            if name.partition(".")[0] == "liefoliate" for key, value in vars(module).items()
+            if callable(info := getattr(value, "cache_info", None))}
+
+
+def test_clear_caches_empties_every_cache_of_the_loaded_modules(monkeypatch):
+    from liefoliate import catalog_lookup, clear_caches, foliations
+    from liefoliate.slmodel import sl_basis
+
+    probe_cache = functools.lru_cache(maxsize=None)(abs)  # a cache added later, registered nowhere
+    monkeypatch.setattr(foliations, "_probe", probe_cache, raising=False)
+    for argv in (("parabolic", "--space", "SL5", "--phi", "1,3"), ("foliations", "enumerate", "--space", "SL5"),
+                 ("rootsys", "show", "--family", "A", "--rank", "3")):
+        assert cli.main(list(argv)) == 0
+    sl_basis(3)
+    probe_cache(-1)
+    sl5 = catalog_lookup("SL5")
+    filled = {key for key, size in _cache_sizes().items() if size}
+    assert filled >= {f"liefoliate.{key}" for key in (
+        "catalog._instantiate", "foliations._layer", "foliations._orbits", "foliations._probe",
+        "parabolic._components", "rootsystem._built_root_system", "slmodel.sl_basis")}
+    clear_caches()
+    assert set(_cache_sizes().values()) == {0}
+    assert catalog_lookup("SL5") is not sl5  # the interned descriptor went, with all cached on it
 
 
 def test_every_public_name_resolves():

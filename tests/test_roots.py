@@ -206,7 +206,6 @@ def test_simple_expansion_uniform_sign_integers(family, rank):
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS + [("A", 31), ("C", 16)])
 def test_expansion_sums_to_the_root_and_masks_match_support(family, rank):
     rs = build_root_system(family, rank)
-    assert {lam for row in rs.rows for lam in row[:2]} == rs.roots
     for lam in rs.roots:
         coeffs = rs.simple_coefficients(lam)
         total = tuple(
@@ -214,21 +213,18 @@ def test_expansion_sums_to_the_root_and_masks_match_support(family, rank):
             for d in range(rs.ambient_dim)
         )
         assert total == lam.scaled
-    for lam, neg, mask in rs.rows:
-        coeffs = rs.simple_coefficients(lam)
-        assert rs.simple_coefficients(neg) == tuple(-c for c in coeffs)
-        assert mask == sum(1 << i for i, c in enumerate(coeffs) if c)
+    for lam, coeffs in zip(rs.positive, rs.coefficients):
+        assert rs.simple_coefficients(lam) == coeffs
+        assert rs.simple_coefficients(-lam) == tuple(-c for c in coeffs)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
 def test_rows_align_with_positive_and_reuse_the_system_roots(family, rank):
     rs = build_root_system(family, rank)
-    own = {lam: lam for lam in rs.roots}
-    assert len(rs.rows) == len(rs.positive) == len(rs.positive_index)
-    for k, (lam, neg, mask) in enumerate(rs.rows):
-        assert lam is rs.positive[k] and rs.positive_index[lam] == k
-        assert neg == -lam and own[neg] is neg
-        assert mask == sum(1 << i for i, c in enumerate(rs.coefficients[k]) if c)
+    assert len(rs.positive) == len(rs.positive_index) == len(rs.coefficients)
+    assert {*rs.positive, *(-lam for lam in rs.positive)} == rs.roots
+    for k, lam in enumerate(rs.positive):
+        assert rs.positive_index[lam] == k
 
 
 @settings(max_examples=120, deadline=None)
