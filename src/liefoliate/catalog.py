@@ -6,11 +6,11 @@ non-reduced family BC); the table is shipped as ``data/catalog.json``.  The
 dimension of the centralizer k0 of a maximal flat in the isotropy algebra is
 read off the multiplicities: 0 when all are 1 (a split real form), else unknown.
 A space's Dynkin diagram comes from its family and rank, and dim M from the
-per-type root counts of each length, so neither builds a root; the full root
-list (``root_system``) is built only for ``multiplicities`` and
-``positive_mults``.  ``MultiplicityFunction`` and ``root_multiplicity`` live
-in ``rootsystem`` with that list.  No catalog space has a rank above
-``roots.MAX_RANK``.
+per-type root counts of each length, and ``multiplicities`` from the simple
+roots, so none builds a root; the full root list (``root_system``) is built
+only for ``positive_mults`` and ``root_multiplicity``.  ``MultiplicityFunction``
+and ``root_multiplicity`` live in ``rootsystem`` with that list.  No catalog
+space has a rank above ``roots.MAX_RANK``.
 
 Lookups accept either flattened ASCII identifiers such as ``sl(5,R)``,
 ``SL5``, ``SOo(5,2)``, ``su(3,1)``, ``e6(-14)`` or concrete display names
@@ -30,8 +30,8 @@ from .roots import MAX_RANK, POSITIVE_ROOT_COUNTS, DynkinDiagram, Family, family
 
 
 def __getattr__(name: str):
-    """``MultiplicityFunction`` and ``root_multiplicity``, which read the full
-    root list, from ``rootsystem`` on first use (PEP 562)."""
+    """``MultiplicityFunction`` and ``root_multiplicity``, which users of the
+    full root list call, from ``rootsystem`` on first use (PEP 562)."""
     if name not in ("MultiplicityFunction", "root_multiplicity"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import rootsystem

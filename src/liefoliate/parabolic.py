@@ -24,7 +24,7 @@ asked for, its multiplicity sum, its factor and any root sets walked, until
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .catalog import SpaceDescriptor, catalog_lookup, rebuilt
 from .errors import LieFoliateError
@@ -44,10 +44,9 @@ __all__ = [
 
 
 class PhiSubset(namedtuple("PhiSubset", "space indices")):
-    """A subset of the simple roots, given by sorted 1-based indices.
+    """A subset of the simple roots, given by sorted 1-based indices."""
 
-    No ``__slots__``: the cached property lives in the instance ``__dict__``.
-    """
+    __slots__ = ()
 
     def __new__(cls, space: SpaceDescriptor, indices: tuple[int, ...]) -> "PhiSubset":
         r = space.rank
@@ -66,7 +65,7 @@ class PhiSubset(namedtuple("PhiSubset", "space indices")):
     def r_phi(self) -> int:
         return len(self.indices)
 
-    @cached_property
+    @property
     def is_orthogonal(self) -> bool:
         """No two chosen vertices are adjacent in the Dynkin diagram."""
         adjacency = self.space.diagram._adjacency  # the indices are ints in 1..r, checked when built

@@ -215,7 +215,7 @@ class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positiv
     def from_dict(cls, data: dict) -> "RootSystem":
         """Generate the system from the listed simple roots and check the rest against it.
 
-        The simple roots must have the Cartan matrix of ``build_root_system``
+        The simple roots must have the Cartan matrix of ``family_diagram``
         for the family and rank, and the listed positive roots must be the
         generated ones, in any order; the result lists them in canonical order.
         """
@@ -235,7 +235,7 @@ class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positiv
         if any(len(alpha) != data["ambient_dim"] for alpha in simple):
             raise LieFoliateError("simple roots must have ambient_dim coordinates")
         rs = _generate(family, rank, simple)
-        if rs.cartan != build_root_system(family, rank).cartan:
+        if rs.cartan != family_diagram(family, rank).cartan:
             raise LieFoliateError(f"simple roots do not have the Cartan matrix of {family.value}_{rank}")
         positive = _listed_roots(data, "positive")
         if len(positive) != len(rs.positive) or set(positive) != set(rs.positive):
@@ -287,31 +287,26 @@ def dynkin_diagram(rs: RootSystem) -> DynkinDiagram:
 class MultiplicityFunction(namedtuple("MultiplicityFunction", "table")):
     """Root multiplicities, constant on each length class of the root system.
 
-    The catalog provides multiplicities on the simple roots only; the value on
-    an arbitrary root is read off from its squared length (length classes and
-    Weyl orbits coincide for the ten irreducible families).  ``table`` maps
-    the integer squared norm of a root's doubled coordinates, SCALE**2 times
-    its squared length, to the multiplicity, so a call builds no Fraction.
+    The catalog provides multiplicities on the simple roots only, and the
+    table is read off them: every root is Weyl-conjugate to a simple root
+    (Humphreys 10.3), or in BC is twice a short one, so its value is that of
+    its squared length.  ``table`` maps the integer squared norm of a root's
+    doubled coordinates, SCALE**2 times its squared length, to the
+    multiplicity, so a call builds no Fraction.
     """
 
     __slots__ = ()
 
     @classmethod
     def for_space(cls, space: SpaceDescriptor) -> "MultiplicityFunction":
-        rs = space.root_system
-        norms = {lam: sum(c * c for c in lam.scaled) for lam in rs.positive}
-        table: dict[int, int] = {}
-        for i, alpha in enumerate(rs.simple, start=1):
-            m = space.m_alpha(i)
-            if table.setdefault(norms[alpha], m) != m:
-                raise LieFoliateError(
-                    f"{space.name}: simple roots of equal length carry different multiplicities"
-                )
+        """The table read off the simple roots, in O(r).  ``space.dimension`` raises
+        first when simple roots of equal length carry different multiplicities."""
+        space.dimension
+        _, simple = _SIMPLE_ROOTS[space.family](space.rank)
+        norms = [sum(c * c for c in alpha.values()) for alpha in simple]
+        table = {norm: space.m_alpha(i) for i, norm in enumerate(norms, start=1)}
         if space.family is Family.BC:
-            table[4 * norms[rs.simple[-1]]] = space.m_2alpha(space.rank)
-        missing = set(norms.values()) - set(table)
-        if missing:
-            raise LieFoliateError(f"{space.name}: no multiplicity for doubled-coordinate norms {missing}")
+            table[4 * norms[-1]] = space.m_2alpha(space.rank)
         return cls(table)
 
     def __call__(self, root: Root) -> int:

@@ -21,7 +21,7 @@ from .roots import (
     DynkinEdge,
     DynkinVertex,
     build_root_system,
-    dynkin_diagram,
+    family_diagram,
     reflect,
 )
 
@@ -103,46 +103,46 @@ def _path_diagram(r: int) -> DynkinDiagram:
 def criterion_3_dynkin_figures() -> Check:
     """Diagrams match the expected figures structurally."""
     for r in range(1, 9):
-        dd = dynkin_diagram(build_root_system("A", r))
+        dd = family_diagram("A", r)
         if dd != _path_diagram(r):
             return ("3 dynkin figures", False, f"A_{r}")
     for r in range(2, 7):
-        dd = dynkin_diagram(build_root_system("B", r))
+        dd = family_diagram("B", r)
         exp = _path_diagram(r)
         exp_edges = exp.edges[:-1] + (DynkinEdge(r - 1, r, 2, (r - 1, r)),)
         if dd != DynkinDiagram(exp.vertices, exp_edges):
             return ("3 dynkin figures", False, f"B_{r}")
-        dd = dynkin_diagram(build_root_system("C", r))
+        dd = family_diagram("C", r)
         exp_edges = exp.edges[:-1] + (DynkinEdge(r - 1, r, 2, (r, r - 1)),)
         if dd != DynkinDiagram(exp.vertices, exp_edges):
             return ("3 dynkin figures", False, f"C_{r}")
-        dd = dynkin_diagram(build_root_system("BC", r))
+        dd = family_diagram("BC", r)
         exp_verts = exp.vertices[:-1] + (DynkinVertex(r, True),)
         exp_edges = exp.edges[:-1] + (DynkinEdge(r - 1, r, 2, (r - 1, r)),)
         if (dd.vertices, dd.edges) != (exp_verts, exp_edges):
             return ("3 dynkin figures", False, f"BC_{r}")
-    dd = dynkin_diagram(build_root_system("BC", 1))
+    dd = family_diagram("BC", 1)
     if dd.vertices != (DynkinVertex(1, True),) or dd.edges:
         return ("3 dynkin figures", False, "BC_1")
     for r in range(3, 7):
-        dd = dynkin_diagram(build_root_system("D", r))
+        dd = family_diagram("D", r)
         exp_verts = tuple(DynkinVertex(i, False) for i in range(1, r + 1))
         exp_edges = tuple(DynkinEdge(i, i + 1, 1) for i in range(1, r - 1))
         exp_edges += (DynkinEdge(r - 2, r, 1),)
         if dd != DynkinDiagram(exp_verts, exp_edges):
             return ("3 dynkin figures", False, f"D_{r}")
-    f4 = dynkin_diagram(build_root_system("F4", 4))
+    f4 = family_diagram("F4", 4)
     exp = DynkinDiagram(
         tuple(DynkinVertex(i, False) for i in range(1, 5)),
         (DynkinEdge(1, 2, 1), DynkinEdge(2, 3, 2, (2, 3)), DynkinEdge(3, 4, 1)),
     )
     if f4 != exp:
         return ("3 dynkin figures", False, "F4")
-    g2 = dynkin_diagram(build_root_system("G2", 2))
+    g2 = family_diagram("G2", 2)
     if g2.edges != (DynkinEdge(1, 2, 3, (2, 1)),):
         return ("3 dynkin figures", False, "G2")
     for fam, rank in (("E6", 6), ("E7", 7), ("E8", 8)):
-        dd = dynkin_diagram(build_root_system(fam, rank))
+        dd = family_diagram(fam, rank)
         exp_edges = (DynkinEdge(1, 3, 1), DynkinEdge(2, 4, 1), DynkinEdge(3, 4, 1))
         exp_edges += tuple(DynkinEdge(i, i + 1, 1) for i in range(4, rank))
         if dd.edges != exp_edges or any(v.double_circle for v in dd.vertices):
@@ -156,7 +156,7 @@ def criterion_4_fibonacci() -> Check:
     while len(fib) < 16:
         fib.append(fib[-1] + fib[-2])
     for r in range(1, 13):
-        dd = dynkin_diagram(build_root_system("A", r))
+        dd = family_diagram("A", r)
         count = len(foliations.orthogonal_subsets(dd))
         if count != fib[r + 2]:
             return ("4 fibonacci", False, f"A_{r}: {count} != F({r+2})")

@@ -290,6 +290,8 @@ def test_the_ceiling_rank_is_accepted_and_its_dimension_needs_no_root():
     assert space.rank == MAX_RANK == 1000
     assert space.dimension == 1000 * 1003 // 2  # (m - 1)(m + 2)/2
     assert "root_system" not in space.__dict__
+    assert space.multiplicities.table == {8: 1}  # read off the simple roots, not the 500,500 positive ones
+    assert "root_system" not in space.__dict__
 
 
 @pytest.mark.parametrize("family, mults", [("A", (1, 2, 1)), ("A", (2, 2, 1)), ("B", (1, 2, 3)), ("C", (2, 1, 1))])
@@ -339,6 +341,7 @@ def test_dimension_and_structure_calls_build_no_root_system():
         liefoliate.clear_caches()  # also resets the misses counted below
         space = catalog_lookup(name)  # a new descriptor, as in a fresh process
         space.dimension
+        space.multiplicities
         parabolic.horospherical(space, parabolic.phi_subset(space, range(1, space.rank)))
         foliations.enumerate_foliations(space)
         assert "root_system" not in space.__dict__

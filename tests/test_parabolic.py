@@ -80,6 +80,10 @@ def test_phi_subset_orthogonality_flag():
     assert not phi_subset(so44, [2, 3]).is_orthogonal
 
 
+def test_phi_subset_keeps_no_instance_dict():
+    assert not hasattr(phi_subset(catalog_lookup("SL5"), [1, 3]), "__dict__")
+
+
 def test_root_subsystem_empty_phi():
     sl5 = catalog_lookup("SL5")
     sigma, sigma_pos = root_subsystem(sl5, phi_subset(sl5, []))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liefoliate import clear_caches
 from liefoliate.errors import LieFoliateError
 from liefoliate.roots import (
     RANK_RANGES,
@@ -373,6 +374,15 @@ def test_root_system_json_round_trip():
 
         again = RootSystem.from_dict(rs.to_dict())
         assert again == rs
+
+
+@pytest.mark.parametrize("family, rank", [("A", 5), ("D", 6), ("BC", 3), ("E7", 7)])
+def test_from_dict_checks_the_cartan_matrix_against_the_diagram_not_a_built_system(family, rank):
+    rs = build_root_system(family, rank)
+    data = rs.to_dict()
+    clear_caches()
+    assert RootSystem.from_dict(data) == rs
+    assert build_root_system.cache_info().misses == 0
 
 
 def test_format_root():
