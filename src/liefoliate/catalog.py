@@ -345,7 +345,7 @@ def _su_pq(p: int, q: int) -> SpaceDescriptor:
     return _instantiate("su_pq", r=q, n=p - q, p=p, q=q)
 
 
-_EXCEPTIONAL_NAME = re.compile(r"^(e6|e7|e8|f4|g2)\((c|-?\d+)\)$")
+_EXCEPTIONAL_NAME = re.compile(r"^(e6|e7|e8|f4|g2)\((c|-?\d+)\)$", re.ASCII)
 
 
 @lru_cache(maxsize=1)
@@ -364,28 +364,41 @@ def _exceptional(letter: str, tag: str) -> SpaceDescriptor:
     return _instantiate(key)
 
 
-# Patterns over the normalized query string.  Display names and flattened
-# identifiers both resolve; two-index names may be given in either order.
-# A display name is read up to "/" and then checked whole by catalog_lookup.
-_PATTERNS: list[tuple[re.Pattern, callable]] = [
-    (re.compile(r"^sl(\d+)$"), lambda m: _sl(int(m[1]), "r")),
-    (re.compile(r"^sl\((\d+),([rch])\)$"), lambda m: _sl(int(m[1]), m[2])),
-    (re.compile(r"^sl(\d+)\(([rch])\)/"), lambda m: _sl(int(m[1]), m[2])),
-    (re.compile(r"^soo?\((\d+),(\d+)\)$"), lambda m: _so_real(int(m[1]), int(m[2]))),
-    (re.compile(r"^soo(\d+),(\d+)(/|$)"), lambda m: _so_real(int(m[1]), int(m[2]))),
-    (re.compile(r"^so\((\d+),c\)$"), lambda m: _so_complex(int(m[1]))),
-    (re.compile(r"^so(\d+)\(c\)/"), lambda m: _so_complex(int(m[1]))),
-    (re.compile(r"^so\((\d+),h\)$"), lambda m: _so_quaternion(int(m[1]))),
-    (re.compile(r"^so(\d+)\(h\)/"), lambda m: _so_quaternion(int(m[1]))),
-    (re.compile(r"^sp\((\d+),([rc])\)$"), lambda m: _sp(int(m[1]), m[2])),
-    (re.compile(r"^sp(\d+)\(([rc])\)/"), lambda m: _sp(int(m[1]), m[2])),
-    (re.compile(r"^sp\((\d+),(\d+)\)$"), lambda m: _sp_pq(int(m[1]), int(m[2]))),
-    (re.compile(r"^sp(\d+),(\d+)(/|$)"), lambda m: _sp_pq(int(m[1]), int(m[2]))),
-    (re.compile(r"^su\((\d+),(\d+)\)$"), lambda m: _su_pq(int(m[1]), int(m[2]))),
-    (re.compile(r"^su(\d+),(\d+)(/|$)"), lambda m: _su_pq(int(m[1]), int(m[2]))),
-    (_EXCEPTIONAL_NAME, lambda m: _exceptional(m[1], m[2])),
-    (re.compile(r"^(e6|e7|e8|f4|g2)(c|-?\d+)(/|$)"), lambda m: _exceptional(m[1], m[2])),
-]
+# Patterns over the normalized query string, filed under the two letters
+# each one begins with, in the order they are tried; every pattern must begin
+# with its head, so that catalog_lookup tries a name only against its own.
+# Display names and flattened identifiers both resolve; two-index names may
+# be given in either order.  A display name is read up to "/" and then checked
+# whole by catalog_lookup.  Integers are ASCII digits only (re.ASCII).
+_PATTERNS_BY_HEAD: dict[str, tuple[tuple[re.Pattern, callable], ...]] = {
+    "sl": (
+        (re.compile(r"^sl(\d+)$", re.ASCII), lambda m: _sl(int(m[1]), "r")),
+        (re.compile(r"^sl\((\d+),([rch])\)$", re.ASCII), lambda m: _sl(int(m[1]), m[2])),
+        (re.compile(r"^sl(\d+)\(([rch])\)/", re.ASCII), lambda m: _sl(int(m[1]), m[2])),
+    ),
+    "so": (
+        (re.compile(r"^soo?\((\d+),(\d+)\)$", re.ASCII), lambda m: _so_real(int(m[1]), int(m[2]))),
+        (re.compile(r"^soo(\d+),(\d+)(/|$)", re.ASCII), lambda m: _so_real(int(m[1]), int(m[2]))),
+        (re.compile(r"^so\((\d+),c\)$", re.ASCII), lambda m: _so_complex(int(m[1]))),
+        (re.compile(r"^so(\d+)\(c\)/", re.ASCII), lambda m: _so_complex(int(m[1]))),
+        (re.compile(r"^so\((\d+),h\)$", re.ASCII), lambda m: _so_quaternion(int(m[1]))),
+        (re.compile(r"^so(\d+)\(h\)/", re.ASCII), lambda m: _so_quaternion(int(m[1]))),
+    ),
+    "sp": (
+        (re.compile(r"^sp\((\d+),([rc])\)$", re.ASCII), lambda m: _sp(int(m[1]), m[2])),
+        (re.compile(r"^sp(\d+)\(([rc])\)/", re.ASCII), lambda m: _sp(int(m[1]), m[2])),
+        (re.compile(r"^sp\((\d+),(\d+)\)$", re.ASCII), lambda m: _sp_pq(int(m[1]), int(m[2]))),
+        (re.compile(r"^sp(\d+),(\d+)(/|$)", re.ASCII), lambda m: _sp_pq(int(m[1]), int(m[2]))),
+    ),
+    "su": (
+        (re.compile(r"^su\((\d+),(\d+)\)$", re.ASCII), lambda m: _su_pq(int(m[1]), int(m[2]))),
+        (re.compile(r"^su(\d+),(\d+)(/|$)", re.ASCII), lambda m: _su_pq(int(m[1]), int(m[2]))),
+    ),
+    **dict.fromkeys(("e6", "e7", "e8", "f4", "g2"), (
+        (_EXCEPTIONAL_NAME, lambda m: _exceptional(m[1], m[2])),
+        (re.compile(r"^(e6|e7|e8|f4|g2)(c|-?\d+)(/|$)", re.ASCII), lambda m: _exceptional(m[1], m[2])),
+    )),
+}
 
 
 @lru_cache(maxsize=None)
@@ -415,7 +428,7 @@ def catalog_lookup(name: str) -> SpaceDescriptor:
     if not isinstance(name, str):
         raise LieFoliateError(f"symmetric space name {name!r} is not a string")
     query = _normalize(name)
-    for pattern, handler in _PATTERNS:
+    for pattern, handler in _PATTERNS_BY_HEAD.get(query[:2], ()):
         m = pattern.match(query)
         if m:
             try:

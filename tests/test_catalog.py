@@ -1,15 +1,19 @@
 """Catalog lookups, multiplicity extension, and the dimension calculus."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liefoliate
 
+from liefoliate import catalog
 from liefoliate.catalog import (
     SpaceDescriptor,
     catalog_entries,
@@ -142,6 +146,132 @@ def test_rejection_messages_are_exact(name, message):
     with pytest.raises(LieFoliateError) as excinfo:
         catalog_lookup(name)
     assert str(excinfo.value) == message
+
+
+def unknown_message(name):
+    return f"unknown symmetric space {name!r}; valid names: {catalog._GRAMMAR_HELP}"
+
+
+# Names that stop short of, or run past, the patterns of their head, and names
+# with no head at all.
+@pytest.mark.parametrize("name", ["sl5(R)", "sl(5,R)/SO_5", "soo5,2x", "e6-14x", "so(5,Q)", "su5",
+                                  "", "s", "x5", "/sl5"])
+def test_names_outside_every_pattern_are_unknown(name):
+    with pytest.raises(LieFoliateError) as excinfo:
+        catalog_lookup(name)
+    assert str(excinfo.value) == unknown_message(name)
+
+
+# \d would also match these digits (Arabic-Indic 5 and 6, fullwidth 5).
+@pytest.mark.parametrize("name", ["sl\u0665", "so(\u0665,2)", "SL_\u0665(R)/SO_\u0665", "e6(\u0666)", "SL\uff15"])
+def test_names_take_ascii_digits_only(name):
+    with pytest.raises(LieFoliateError) as excinfo:
+        catalog_lookup(name)
+    assert str(excinfo.value) == unknown_message(name)
+
+
+# Every name pattern in the order the lookup table had as one flat list.
+PATTERN_ORDER = (
+    r"^sl(\d+)$", r"^sl\((\d+),([rch])\)$", r"^sl(\d+)\(([rch])\)/",
+    r"^soo?\((\d+),(\d+)\)$", r"^soo(\d+),(\d+)(/|$)", r"^so\((\d+),c\)$", r"^so(\d+)\(c\)/",
+    r"^so\((\d+),h\)$", r"^so(\d+)\(h\)/",
+    r"^sp\((\d+),([rc])\)$", r"^sp(\d+)\(([rc])\)/", r"^sp\((\d+),(\d+)\)$", r"^sp(\d+),(\d+)(/|$)",
+    r"^su\((\d+),(\d+)\)$", r"^su(\d+),(\d+)(/|$)",
+    r"^(e6|e7|e8|f4|g2)\((c|-?\d+)\)$", r"^(e6|e7|e8|f4|g2)(c|-?\d+)(/|$)",
+)
+
+
+def literal_heads(source):
+    """The two-letter heads a query matching ``^...`` must begin with."""
+    body = source.removeprefix("^")
+    group = re.match(r"\(([a-z0-9|]+)\)", body)
+    heads = set(group[1].split("|")) if group else {body[:2]}
+    assert source.startswith("^") and all(len(h) == 2 and h.isalnum() for h in heads)
+    return heads
+
+
+def test_each_pattern_is_filed_under_exactly_its_heads_in_the_original_order():
+    table = catalog._PATTERNS_BY_HEAD
+    heads = {source: literal_heads(source) for source in PATTERN_ORDER}
+    assert set(table) == set().union(*heads.values())
+    for head, pairs in table.items():
+        assert [pattern.pattern for pattern, _ in pairs] == [s for s in PATTERN_ORDER if head in heads[s]]
+        assert all(pattern.flags & re.ASCII for pattern, _ in pairs)
+
+
+def trial_lookup(name):
+    """catalog_lookup by the ordered trial of every pattern of the table."""
+    pairs = dict.fromkeys(pair for pairs in catalog._PATTERNS_BY_HEAD.values() for pair in pairs)
+    query = catalog._normalize(name)
+    for pattern, handler in pairs:
+        m = pattern.match(query)
+        if m:
+            try:
+                space = handler(m)
+            except LieFoliateError:
+                raise
+            except (ValueError, OverflowError):
+                raise LieFoliateError(f"an integer in symmetric space name {name!r} is too large") from None
+            if "/" in query and query not in catalog._display_names(space.display):
+                raise LieFoliateError(f"{name!r} is not the display name of {space.name}, {space.display}")
+            return space
+    raise LieFoliateError(unknown_message(name))
+
+
+def outcome(lookup, name):
+    try:
+        return lookup(name)
+    except LieFoliateError as exc:
+        return str(exc)
+
+
+_HEADS = st.sampled_from(["sl", "SL", "so", "soo", "SOo", "SO^o", "sp", "Sp", "su", "SU", "e6", "E_6^", "e7", "e8",
+                          "E_8^", "f4", "F_4^", "g2", "G_2^", "s", "x", ""])
+_SMALL = st.integers(0, 12).map(str)
+_PARTS = st.one_of(_SMALL, _SMALL, st.integers(0, 1100).map(str), st.sampled_from(
+    ["r", "c", "h", "R", "C", "H", "-14", "-26", "-5", "-25", "-24", "-20", "+2", "-0", "\u0665", "1\u0666"]))
+_TAILS = st.one_of(st.just(""), st.sampled_from(["/", "/SO_5", "/SO_4", "/F_4", "/Spin_10 U_1", "/S(U_4 U_2)",
+                                                 "/Sp_2 Sp_2", "/SO_2 SO_5", "/SU_3", "/E_7 Sp_1"]),
+                   st.text(max_size=8).map("/".__add__))
+_FORMS = st.sampled_from(["({},{})", "{}({})", "{},{}", "{}"])
+_BUILT = st.builds(lambda head, form, a, b, tail: head + form.format(a, b) + tail, _HEADS, _FORMS, _PARTS, _PARTS,
+                   _TAILS)
+_KNOWN = st.sampled_from(["SL7", "sl(3,C)", "sl(3,H)", "SOo(2,7)", "so(6,1)", "so(3,3)", "so(7,C)", "so(6,C)",
+                          "so(4,H)", "so(5,H)", "sp(3,R)", "sp(2,C)", "sp(2,2)", "sp(3,1)", "su(2,2)", "su(4,1)",
+                          "e6(-14)", "e7(-25)", "e8(8)", "f4(-20)", "g2(C)"]).flatmap(
+    lambda name: st.sampled_from([name, catalog_lookup(name).name, catalog_lookup(name).display]))
+_MUTATED = st.builds(lambda name, i, ch: name[:i % len(name)] + ch + name[i % len(name) + 1:],
+                     _KNOWN, st.integers(0, 40), st.sampled_from(list("0123456789,()/_ ^{}rchRCH-") + ["", "\u0665"]))
+_NAMES = st.one_of(_BUILT, _BUILT, _KNOWN, _MUTATED, _MUTATED,
+                   st.text(alphabet="slopuecfgh2345678-(),/_{}^RCH ", max_size=14), st.text(max_size=10))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_NAMES)
+def test_lookup_by_head_agrees_with_the_trial_of_every_pattern(name):
+    expected = outcome(trial_lookup, name)
+    got = outcome(catalog_lookup, name)
+    assert got is expected if isinstance(expected, SpaceDescriptor) else got == expected
+
+
+def test_a_name_is_tried_only_against_its_heads_patterns(monkeypatch):
+    tried = []
+
+    class Counting:
+        def __init__(self, pattern):
+            self.pattern = pattern
+
+        def match(self, query):
+            tried.append(self.pattern.pattern)
+            return self.pattern.match(query)
+
+    monkeypatch.setattr(catalog, "_PATTERNS_BY_HEAD", {
+        head: tuple((Counting(p), handler) for p, handler in pairs)
+        for head, pairs in catalog._PATTERNS_BY_HEAD.items()})
+    for name, most in [("e8(-24)", 2), ("E_8^{-24}/E_7 Sp_1", 2), ("SL5", 1), ("su(4,2)", 1), ("so(7,H)", 5)]:
+        tried.clear()
+        catalog_lookup(name)
+        assert 1 <= len(tried) <= most, (name, tried)
 
 
 # Independent oracle: classical closed-form dimensions of these spaces.
