@@ -4,9 +4,10 @@ with a concrete matrix model for SL(n,R)/SO(n).
 
 Importing the package loads none of its modules: each public name is
 imported from its module on first use (PEP 562), so a caller pays only for
-the modules it uses.  numpy, for one, loads only with the matrix model
-``slmodel``; the group factorization g = k a n it wraps is the plain-Python
-``iwasawa.factor``, which the CLI's ``slmodel iwasawa`` calls without numpy.
+the modules it uses.  No module imports numpy: the matrix model ``slmodel``
+computes exactly with ints and Fractions, and its group factorization
+g = k a n is the plain-Python ``iwasawa.factor``, which the CLI's ``slmodel
+iwasawa`` calls without loading ``slmodel``.
 """
 
 import sys
@@ -26,9 +27,8 @@ _EXPORTS = {
               "family_diagram", "subdiagram_type"),
     "rootsystem": ("MultiplicityFunction", "RootSystem", "build_root_system", "dynkin_diagram", "inner",
                    "reflect", "root_from_coords", "root_multiplicity"),
-    "slmodel": ("IwasawaFactors", "MatrixElement", "Subspace", "bracket", "build_s_phi_v",
-                "cartan_split", "is_lie_triple", "iwasawa_group", "killing_form", "moebius",
-                "restricted_root_decompose"),
+    "slmodel": ("MatrixElement", "Subspace", "bracket", "build_s_phi_v", "cartan_split", "is_lie_triple",
+                "iwasawa_group", "killing_form", "moebius", "restricted_root_decompose"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

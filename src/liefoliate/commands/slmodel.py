@@ -24,14 +24,12 @@ def run(args) -> int:
         emit_json({"k": f.k, "a": f.a, "n": f.n, "residual": f.residual})
         return 0
 
-    import numpy as np
-
-    from ..slmodel import halfplane_orbit, is_lie_triple, killing_form, subspace
+    from ..slmodel import halfplane_orbit, is_lie_triple, killing_form, metric_inner, subspace
 
     if args.action == "killing":
         x, y = _parse_json(args.x, "matrix"), _parse_json(args.y, "matrix")
         value = killing_form(x, y)  # reads x and y
-        closed = 2.0 * len(x) * float(np.trace(np.array(x, dtype=float) @ np.array(y, dtype=float)))
+        closed = metric_inner(x, list(zip(*y)))  # 2n tr(XY) = <X, Y^t>, exactly
         emit_json({"killing": value, "closed_form": closed, "difference": value - closed})
     elif args.action == "check-lie-triple":
         basis = _parse_json(args.basis, "basis")

@@ -4,9 +4,8 @@ k is special orthogonal, a a positive diagonal of determinant one and n unit
 upper triangular: the decomposition G = KAN of SL_n(R), whose solvable part
 AN the foliations are built from.  The factors come from a Householder QR
 factorization of g on lists of floats, with the signs chosen so that a > 0,
-which makes them unique.  Nothing here imports numpy, so the CLI's
-``slmodel iwasawa`` runs without it; ``slmodel.iwasawa_group`` calls the same
-``factor`` and wraps its factors as read-only arrays.
+which makes them unique.  The CLI's ``slmodel iwasawa`` calls ``factor``
+without loading ``slmodel``, and ``slmodel.iwasawa_group`` returns its ``KAN``.
 
 ``square_matrix`` is the one statement of what a matrix argument is, for the
 CLI's JSON and for every ``slmodel`` function alike: a nonempty square list
@@ -16,7 +15,7 @@ reads g through it and calls ``factor``; a caller that has already read its
 matrix (the CLI through ``square_matrix``, ``slmodel`` through its reader)
 calls ``factor`` directly, so that no entry is checked twice.  In plain
 Python the factorization is slower than LAPACK's from n = 4 up (about 130
-against 46 microseconds per call at n = 8, with the array wrapping).
+against 46 microseconds per call at n = 8).
 
 TAU_NUM (1e-10) is the tolerance of factorization round trips on random
 matrices, where conditioning error accumulates: the reconstruction

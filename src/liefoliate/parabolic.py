@@ -234,8 +234,11 @@ class _SpaceComponents:
 
     def of(self, phi: PhiSubset) -> list[_Component]:
         """The components of phi in order, each made the first time it is met."""
-        if phi.space != self.space:
-            raise LieFoliateError("Phi subset belongs to a different space")
+        try:
+            if phi.space != self.space:
+                raise LieFoliateError("Phi subset belongs to a different space")
+        except AttributeError:  # a list, a tuple, a str or None: no PhiSubset
+            raise LieFoliateError(f"Phi must be a PhiSubset, as phi_subset(space, indices) makes it; got {phi!r}") from None
         components, seen = self.dd._components_of(phi.indices), self.seen
         try:
             return [seen[c] for c in components]

@@ -1,45 +1,34 @@
-"""Concrete matrix model: sl(n,R) with n = r+1 and M = SL_n(R)/SO_n.
+"""Concrete matrix model: sl(n,R) with n = r+1 and M = SL_n(R)/SO_n, in exact arithmetic.
 
-Provides the bracket, the Killing form computed from adjoint matrices over a
-fixed basis, the Cartan splitting into skew and symmetric parts, the
-restricted root space decomposition, group-level Iwasawa factorization
-g = k a n, Lie-triple-system testing, the foliation subalgebras built from an
-orthogonal subset Phi and a Euclidean direction count, and the SL_2 action on
-the upper half plane.  Every root space is a line here, so no construction
-chooses inside one; random samples use the fixed seed DEFAULT_SEED = 1729.
-
-The group factorization and its determinant rule live in ``iwasawa``, which
-does not import numpy: ``iwasawa_group`` wraps the factors of
-``iwasawa.factor`` as read-only arrays, and ``moebius`` applies ``iwasawa.check_det_one``.
-
-Each caller checks once: every matrix argument is read once per call by
-``_read``, a float ndarray in numpy (square, nonempty, finite) and anything
-else by ``iwasawa.square_matrix``, the CLI's rule, whose messages it gets.
-
-Phi and dim V are read and checked as everywhere else, by ``parabolic``:
-the rank-r builders take Phi in any order through ``phi_indices``, and
-``build_s_phi_v`` needs an orthogonal Phi and an int dim V in 0..r - r_Phi
-(``PhiSubset.check_foliation``).  ``parabolic`` is imported on first use,
-so the other matrix functions do not load it.
-
-Two tolerances are used: TAU_ALG (1e-12) here, for identities that are exact
-in principle and only pick up rounding error on small integer bases, and
-``iwasawa.TAU_NUM`` (1e-10) for factorization round trips on random
-matrices, where conditioning error accumulates.
+The bracket, the Killing form from the adjoint action over a fixed basis, the
+Cartan splitting, the restricted root space decomposition, the Iwasawa
+factorization g = k a n (``iwasawa.factor``), Lie triple systems, the
+foliation subalgebras s_{Phi,V} and the SL_2 action on the upper half plane.
+A matrix is a tuple of row tuples of ints and Fractions, with no numpy: every
+matrix argument is read once per call by ``iwasawa.square_matrix``, the CLI's
+rule, and its floats exactly.  The structure constants of sl(n) in the basis
+E_ij, h_i are integers, so independence, bracket closure and the Lie triple
+test are rank questions over Q, decided by fraction-free elimination.
+TAU_ALG (1e-12) is only for input checks: a float matrix made traceless,
+symmetric, skew, diagonal or triangular in floating point passes within
+TAU_ALG * n * max|X_ij|.  Random samples use random.Random(DEFAULT_SEED).
 """
 
 from __future__ import annotations
 
 import math
+import random
+from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain, combinations
 from numbers import Number
+from operator import mul
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import LieFoliateError
-from .iwasawa import check_det_one, factor, square_matrix
+from .iwasawa import KAN, check_det_one, factor, square_matrix
 
 if TYPE_CHECKING:
     from .catalog import SpaceDescriptor
@@ -51,85 +40,101 @@ DEFAULT_SEED = 1729
 
 VALID_TAGS = ("k", "p", "a", "n")
 
-
-def default_rng(seed: int = DEFAULT_SEED) -> np.random.Generator:
-    return np.random.default_rng(seed)
+Matrix = tuple[tuple[int | Fraction, ...], ...]
 
 
-def _read(x) -> np.ndarray | list[list[float]]:
-    """Matrix x (or a MatrixElement's entries) read once: a float ndarray that
-    is square, nonempty and finite as it is, anything else by ``square_matrix``,
-    which raises the CLI's message for what it refuses."""
-    x = getattr(x, "entries", x)
-    if isinstance(x, np.ndarray):
-        if x.dtype == float and x.ndim == 2 and x.shape[0] == x.shape[1] and x.size and np.isfinite(x).all():
-            return x
-        x = x.tolist()
-    return square_matrix(x)
+def _floats(x) -> list[list[float]]:
+    """Matrix x (a MatrixElement's entries, an ndarray's ``tolist()``) read by ``square_matrix``."""
+    x = x.entries if isinstance(x, MatrixElement) else x
+    return square_matrix(x.tolist() if hasattr(x, "tolist") and not isinstance(x, (list, tuple)) else x)
 
 
-def _as_array(x) -> np.ndarray:
-    return np.asarray(_read(x))
+def _read(x) -> tuple[tuple, int]:
+    """Matrix x read once, exactly, as integer rows over a common denominator: a
+    MatrixElement from its entries, rows of ints and Fractions as they are, and
+    anything else as the floats of ``_floats``."""
+    if isinstance(x, MatrixElement):
+        return _integral(x.entries)
+    floats = _floats(x)
+    exact = isinstance(x, (list, tuple)) and set(map(type, chain.from_iterable(x))) <= {int, Fraction}
+    return _integral(x if exact else floats)
 
 
-def _as_rows(x) -> list[list[float]]:
-    m = _read(x)
-    return m if isinstance(m, list) else m.tolist()
+def _integral(rows) -> tuple[tuple, int]:
+    """Rows of ints, Fractions and floats as integer rows over their least common denominator."""
+    n, ratios = len(rows), [v.as_integer_ratio() for v in chain.from_iterable(rows)]
+    d = math.lcm(*{q for _, q in ratios})
+    flat = [p * (d // q) for p, q in ratios]
+    return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)), d
 
 
-def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    a, b = _as_array(x), _as_array(y)
-    if a.shape != b.shape:
-        raise LieFoliateError(f"size mismatch: {a.shape} vs {b.shape}")
+def _read_pair(x, y) -> tuple[tuple[tuple, int], tuple[tuple, int]]:
+    a, b = _read(x), _read(y)
+    if len(a[0]) != len(b[0]):
+        raise LieFoliateError(f"size mismatch: {(len(a[0]),) * 2} vs {(len(b[0]),) * 2}")
     return a, b
 
 
-def _tolerance(a: np.ndarray) -> float:
-    """TAU_ALG * n * max|A_ij|: a tolerance that scales with A."""
-    return TAU_ALG * a.shape[0] * np.abs(a).max()
+def _exact(rows, d: int) -> Matrix:
+    """Integer rows over the denominator d as a matrix of ints and Fractions."""
+    return tuple(map(tuple, rows)) if d == 1 else tuple(tuple(Fraction(v, d) for v in row) for row in rows)
 
 
-def _is_traceless(a: np.ndarray) -> bool:
-    return abs(np.trace(a)) <= _tolerance(a)
+def _ratio(num: int, den: int) -> float:
+    """num / den rounded once; LieFoliateError past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        raise LieFoliateError("the result is not finite as a float") from None
+
+
+def _negligible(deviation: int, entries, n: int) -> bool:
+    """deviation <= TAU_ALG * n * max|entries|: the input checks' rule, relative to the entries."""
+    return not deviation or deviation / (n * max(map(abs, entries))) <= TAU_ALG
+
+
+def _trace_ok(a) -> bool:
+    return _negligible(abs(sum(row[i] for i, row in enumerate(a))), chain.from_iterable(a), len(a))
+
+
+_SHAPES = {  # tag: what it requires, and the entry of A that its shape forbids at (i, j)
+    "k": ("a skew-symmetric", lambda a, i, j: a[i][j] + a[j][i]),
+    "p": ("a symmetric", lambda a, i, j: a[i][j] - a[j][i]),
+    "a": ("a diagonal", lambda a, i, j: a[i][j] if i != j else 0),
+    "n": ("a strictly upper triangular", lambda a, i, j: a[i][j] if i >= j else 0),
+}
 
 
 @dataclass(frozen=True, eq=False)
 class MatrixElement:
-    """A traceless real matrix, optionally tagged with a membership claim.
+    """A traceless real matrix, exactly, optionally tagged with a membership claim:
+    k is skew-symmetric, p symmetric, a diagonal, n strictly upper triangular."""
 
-    Tags assert a shape: k is skew-symmetric, p symmetric, a diagonal, n
-    strictly upper triangular.  Entries are frozen after construction.
-    """
-
-    entries: np.ndarray
+    entries: Matrix
     tag: str | None = None
 
     def __post_init__(self) -> None:
-        a = np.array(_read(self.entries))  # a copy, frozen below
-        if not _is_traceless(a):
+        a, d = _read(self.entries)
+        n = len(a)
+        if not _trace_ok(a):
             raise LieFoliateError("matrix is not traceless")
         if self.tag is not None:
             if self.tag not in VALID_TAGS:
                 raise LieFoliateError(f"unknown tag {self.tag!r}; valid tags: {VALID_TAGS}")
-            tol = _tolerance(a)
-            if self.tag == "k" and np.abs(a + a.T).max() > tol:
-                raise LieFoliateError("tag k requires a skew-symmetric matrix")
-            if self.tag == "p" and np.abs(a - a.T).max() > tol:
-                raise LieFoliateError("tag p requires a symmetric matrix")
-            if self.tag == "a" and np.abs(a - np.diag(np.diag(a))).max() > tol:
-                raise LieFoliateError("tag a requires a diagonal matrix")
-            if self.tag == "n" and np.abs(np.tril(a)).max() > tol:
-                raise LieFoliateError("tag n requires a strictly upper triangular matrix")
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
+            shape, forbidden = _SHAPES[self.tag]
+            deviation = max(abs(forbidden(a, i, j)) for i in range(n) for j in range(n))
+            if not _negligible(deviation, chain.from_iterable(a), n):
+                raise LieFoliateError(f"tag {self.tag} requires {shape} matrix")
+        object.__setattr__(self, "entries", _exact(a, d))
+        object.__setattr__(self, "_vector", _sparse(a))  # a multiple of the entries, for elimination
 
     @property
     def size(self) -> int:
-        return self.entries.shape[0]
+        return len(self.entries)
 
     def __repr__(self) -> str:
         tag = f", tag={self.tag!r}" if self.tag else ""
-        return f"MatrixElement({self.entries.tolist()}{tag})"
+        return f"MatrixElement({[list(row) for row in self.entries]}{tag})"
 
 
 def as_element(x, tag: str | None = None) -> MatrixElement:
@@ -138,19 +143,30 @@ def as_element(x, tag: str | None = None) -> MatrixElement:
     return MatrixElement(x, tag)
 
 
-def e_matrix(n: int, i: int, j: int) -> np.ndarray:
+def _matrix(n: int, entries: dict[tuple[int, int], int]) -> Matrix:
+    """The n x n matrix with these entries (0-based positions) and zeros elsewhere."""
+    return tuple(tuple(entries.get((i, j), 0) for j in range(n)) for i in range(n))
+
+
+def e_matrix(n: int, i: int, j: int) -> Matrix:
     """Matrix unit E_ij (0-based indices)."""
-    m = np.zeros((n, n))
-    m[i, j] = 1.0
-    return m
+    return _matrix(n, {(i, j): 1})
 
 
-def h_matrix(n: int, i: int) -> np.ndarray:
+def h_matrix(n: int, i: int) -> Matrix:
     """Diagonal basis element E_ii - E_{i+1,i+1} (0-based index, i < n-1)."""
-    m = np.zeros((n, n))
-    m[i, i] = 1.0
-    m[i + 1, i + 1] = -1.0
-    return m
+    return _matrix(n, {(i, i): 1, (i + 1, i + 1): -1})
+
+
+@lru_cache(maxsize=None)
+def _element(n: int, tag: str | None, *entries: tuple[int, int, int]) -> MatrixElement:
+    """The element with these (i, j, value) entries, built once per process:
+    the builders' E_ij, h_i and E_ij + E_ji."""
+    return MatrixElement(_matrix(n, {(i, j): v for i, j, v in entries}), tag)
+
+
+def _h(n: int, i: int, tag: str | None) -> MatrixElement:
+    return _element(n, tag, (i, i, 1), (i + 1, i + 1, -1))
 
 
 @lru_cache(maxsize=None)
@@ -159,161 +175,190 @@ def _basis_indices(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def sl_basis(n: int) -> tuple[np.ndarray, ...]:
-    """Fixed ordered basis of sl(n,R): E_ij (i != j, row-major), then the h_i.
-
-    The order is part of the contract; adjoint matrices and all coordinates
-    refer to it.
-    """
-    mats = [e_matrix(n, i, j) for i, j in _basis_indices(n)]
-    mats.extend(h_matrix(n, i) for i in range(n - 1))
-    for m in mats:
-        m.flags.writeable = False
-    return tuple(mats)
+def sl_basis(n: int) -> tuple[Matrix, ...]:
+    """Fixed ordered basis of sl(n,R): E_ij (i != j, row-major), then the h_i, to which
+    adjoint matrices and all coordinates refer.  The coordinate of E_ij is the
+    (i, j) entry, and that of h_i the sum of the first i + 1 diagonal entries."""
+    return tuple(e_matrix(n, i, j) for i, j in _basis_indices(n)) + tuple(h_matrix(n, i) for i in range(n - 1))
 
 
-def _coords_stack(stack: np.ndarray) -> np.ndarray:
-    # Coordinates over sl_basis(n) of a stack of traceless matrices (k, n, n) -> (k, n*n-1).
-    k, n, _ = stack.shape
-    idx = _basis_indices(n)
-    off = stack[:, [i for i, _ in idx], [j for _, j in idx]]
-    diag = np.cumsum(stack[:, range(n), range(n)], axis=1)[:, : n - 1]
-    return np.concatenate([off, diag], axis=1)
+# --- sparse integer matrices {(i, j): nonzero int}, and their span ------------
+
+
+def _sparse(rows) -> dict[tuple[int, int], int]:
+    return {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+
+
+def _commutator(x: dict, y: dict) -> dict:
+    """[X, Y] = XY - YX of sparse matrices."""
+    out: dict = {}
+    for left, right, sign in ((x, y, 1), (y, x, -1)):
+        rows: dict = {}
+        for (k, j), v in right.items():
+            rows.setdefault(k, []).append((j, sign * v))
+        for (i, k), u in left.items():
+            for j, v in rows.get(k, ()):
+                out[i, j] = out.get((i, j), 0) + u * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _combine(a: int, x: dict, b: int, y: dict) -> dict:
+    """a x + b y, without its zeros and divided by the gcd of its entries."""
+    out = {key: a * v for key, v in x.items()}
+    for key, v in y.items():
+        out[key] = out.get(key, 0) + b * v
+    out = {key: v for key, v in out.items() if v}
+    g = math.gcd(*out.values())
+    return {key: v // g for key, v in out.items()} if g > 1 else out
+
+
+def _dot(x: dict, y: dict) -> int:
+    """The pairing sum X_ij Y_ij."""
+    return sum(v * y.get(key, 0) for key, v in x.items())
+
+
+def _residue(span: dict, v: dict) -> dict:
+    """v less a combination of the span's rows, up to a nonzero factor: empty exactly
+    when v lies in the span.  The span is a fraction-free reduced echelon form, each
+    row filed under its pivot, where every other row is zero."""
+    for key in [key for key in v if key in span]:
+        row = span[key]
+        v = _combine(row[key], v, -v[key], row)
+    return v
+
+
+def _extend(span: dict, v: dict) -> bool:
+    """Add v to the span; False, with no change, when it already lies there."""
+    r = _residue(span, v)
+    if r:
+        pivot = next(iter(r))
+        for key, row in span.items():
+            if pivot in row:
+                span[key] = _combine(r[pivot], row, -row[pivot], r)
+        span[pivot] = r
+    return bool(r)
 
 
 def bracket(x, y) -> MatrixElement:
-    """Commutator [X, Y] = XY - YX.
-
-    A commutator is traceless, so the trace it picks up in rounding is
-    removed from its diagonal: for commuting X and Y the computed result is
-    rounding error alone, whose trace is not small next to its own entries.
-    """
-    a, b = _as_pair(x, y)
-    c = a @ b - b @ a
-    c[np.diag_indices_from(c)] -= np.trace(c) / c.shape[0]
-    return MatrixElement(c)
+    """Commutator [X, Y] = XY - YX, exactly."""
+    (a, da), (b, db) = _read_pair(x, y)
+    c = _commutator(_sparse(a), _sparse(b))
+    return MatrixElement(_exact(_matrix(len(a), c), da * db))
 
 
-def ad_matrix(x) -> np.ndarray:
-    """Adjoint operator ad(X) as a matrix over the fixed basis of sl(n,R)."""
-    return _ad(_as_array(x))
+def ad_matrix(x) -> Matrix:
+    """Adjoint operator ad(X) as a matrix over the fixed basis of sl(n,R), exactly."""
+    a, d = _read(x)
+    n, xs = len(a), _sparse(a)
+    columns = []
+    for b in sl_basis(n):
+        m = _commutator(xs, _sparse(b))
+        diagonal = accumulate(m.get((i, i), 0) for i in range(n - 1))
+        columns.append([m.get(ij, 0) for ij in _basis_indices(n)] + list(diagonal))
+    return _exact(zip(*columns), d)
 
 
-def _ad(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    stack = np.stack(sl_basis(n))
-    brackets = a @ stack - stack @ a
-    return _coords_stack(brackets).T
+@lru_cache(maxsize=None)
+def _killing_terms(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(p, q, r, c, w): the element b of sl_basis(n) has entry w_b at (p, q), and b's
+    coordinate reads entry (r, c) with weight w_c; w = w_b w_c.  r == p exactly when q == c."""
+    # h_i = E_ii - E_i+1,i+1, whose coordinate sums the diagonal entries k <= i
+    h_terms = [(p, p, k, k, w) for i in range(n - 1) for k in range(i + 1) for p, w in ((i, 1), (i + 1, -1))]
+    return tuple((i, j, i, j, 1) for i, j in _basis_indices(n)) + tuple(h_terms)
 
 
 def killing_form(x, y) -> float:
-    """Killing form B(X,Y) = tr(ad X o ad Y) on sl(n,R), computed from adjoint matrices.
+    """Killing form B(X,Y) = tr(ad X o ad Y) on sl(n,R), computed exactly and rounded once.
 
-    Both arguments must lie in sl(n,R): a matrix with |tr X| above
-    TAU_ALG * n * max|X_ij| is rejected, a tolerance that scales with X.
+    For each b of sl_basis(n) only b's own coordinate of [X, [Y, b]] is read, in
+    integers: entry (r, c) of [X, [Y, E_pq]] is (XY)_rp [q = c] - X_rp Y_qc -
+    Y_rp X_qc + (YX)_qc [r = p], and r = p exactly when q = c here, so only the
+    diagonals of XY and YX enter.  An argument with |tr X| above
+    TAU_ALG * n * max|X_ij| is rejected.
     """
-    a, b = _as_pair(x, y)
+    (a, da), (b, db) = _read_pair(x, y)
     for name, m in (("X", a), ("Y", b)):
-        if not _is_traceless(m):
+        if not _trace_ok(m):
             raise LieFoliateError(f"{name} is not in sl(n,R): its trace is not zero")
-    return float(np.trace(_ad(a) @ _ad(b)))
+    xy = [sum(map(mul, row, col)) for row, col in zip(a, zip(*b))]
+    yx = [sum(map(mul, row, col)) for row, col in zip(b, zip(*a))]
+    total = 0
+    for p, q, r, c, w in _killing_terms(len(a)):
+        t = a[r][p] * b[q][c] + b[r][p] * a[q][c]
+        total += w * (xy[p] + yx[q] - t if r == p else -t)
+    return _ratio(total, da * db)
 
 
 def cartan_involution(x) -> MatrixElement:
     """theta(X) = -X^t."""
-    return MatrixElement(-_as_array(x).T)
+    a, d = _read(x)
+    return MatrixElement(_exact([[-v for v in col] for col in zip(*a)], d))
 
 
 def cartan_split(x) -> tuple[MatrixElement, MatrixElement]:
     """Split X into its skew-symmetric and symmetric parts (k part, p part)."""
-    a = _as_array(x)
-    return (
-        MatrixElement((a - a.T) / 2.0, tag="k"),
-        MatrixElement((a + a.T) / 2.0, tag="p"),
-    )
+    a, d = _read(x)
+    skew = [[u - v for u, v in zip(row, col)] for row, col in zip(a, zip(*a))]
+    symmetric = [[u + v for u, v in zip(row, col)] for row, col in zip(a, zip(*a))]
+    return MatrixElement(_exact(skew, 2 * d), tag="k"), MatrixElement(_exact(symmetric, 2 * d), tag="p")
 
 
 def metric_inner(x, y) -> float:
-    """The positive-definite pairing <X,Y> = -B(X, theta Y) = 2n tr(X Y^t)."""
-    a, b = _as_pair(x, y)
-    n = a.shape[0]
-    return 2.0 * n * float(np.sum(a * b))
+    """The positive-definite pairing <X,Y> = -B(X, theta Y) = 2n tr(X Y^t), exactly and rounded once."""
+    (a, da), (b, db) = _read_pair(x, y)
+    return _ratio(2 * len(a) * sum(sum(map(mul, u, v)) for u, v in zip(a, b)), da * db)
 
 
 def restricted_root_decompose(x) -> dict[Root | None, MatrixElement]:
-    """Split X into its diagonal part (key None) and root-space components.
-
-    The component at the root e_i* - e_j* is the single entry X[i,j] E_ij;
-    zero components are omitted.  Summing all values reassembles X exactly.
-    The trace is tested on the diagonal part, which is returned as an element
-    of a and so must be traceless relative to its own entries; that test
-    implies the one relative to X.
-    """
+    """Split X into its diagonal part (key None) and root-space components: at the root
+    e_i* - e_j* the single entry X[i,j] E_ij, zero components omitted; they sum to X.
+    The diagonal part, an element of a, must be traceless relative to its own entries."""
     from .roots import Root
 
-    a = _as_array(x)
-    n = a.shape[0]
-    diag = np.diag(np.diag(a))
-    if not _is_traceless(diag):
+    a, d = _read(x)
+    n = len(a)
+    diag = {(i, i): a[i][i] for i in range(n) if a[i][i]}
+    if not _negligible(abs(sum(diag.values())), diag.values(), n):
         raise LieFoliateError("matrix is not traceless")
-    out: dict[Root | None, MatrixElement] = {}
-    if np.any(np.diag(a) != 0.0):
-        out[None] = MatrixElement(diag, tag="a")
+    out = {None: MatrixElement(_exact(_matrix(n, diag), d), tag="a")} if diag else {}
     for i, j in _basis_indices(n):
-        if a[i, j] != 0.0:
+        if a[i][j]:
             scaled = tuple(2 if k == i else -2 if k == j else 0 for k in range(n))
-            out[Root(scaled)] = MatrixElement(a[i, j] * e_matrix(n, i, j))
+            out[Root(scaled)] = MatrixElement(_exact(_matrix(n, {(i, j): a[i][j]}), d))
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class IwasawaFactors:
-    """Factors of g = k a n: k special orthogonal, a positive diagonal with
-    determinant one, n unit upper triangular."""
-
-    k: np.ndarray
-    a: np.ndarray
-    n: np.ndarray
-
-    def __post_init__(self) -> None:
-        for m in (self.k, self.a, self.n):
-            m.flags.writeable = False
-
-    def reassemble(self) -> np.ndarray:
-        return self.k @ self.a @ self.n
+def iwasawa_group(g) -> KAN:
+    """Factor g in SL_n(R) as k a n, unique with a > 0: ``iwasawa.factor`` of g read as
+    floats, which refuses a determinant other than 1, dependent columns and a failed
+    round trip."""
+    return factor(_floats(g))
 
 
-def iwasawa_group(g) -> IwasawaFactors:
-    """Factor g in SL_n(R) as k a n: ``iwasawa.factor``, the factors as read-only arrays.
+def _det(rows: list[list[float]]) -> float:
+    """Determinant by Gaussian elimination with partial pivoting."""
+    a, det = [list(row) for row in rows], 1.0
+    for j in range(len(a)):
+        p = max(range(j, len(a)), key=lambda i: abs(a[i][j]))
+        a[j], a[p], det = a[p], a[j], det * a[p][j] * (1.0 if p == j else -1.0)
+        if not det:
+            return 0.0
+        a[j + 1:] = [[u - row[j] / a[j][j] * v for u, v in zip(row, a[j])] for row in a[j + 1:]]
+    return det
 
-    A Householder QR factorization with the signs normalized so that a has a
-    strictly positive diagonal, which makes the factors unique.  Rejects
-    matrices whose determinant is not 1 (within TAU_NUM times the Hadamard
-    bound), numerically dependent column sets, and a failed round trip.
-    g is read once, into the rows of floats that ``factor`` takes.
-    """
-    f = factor(_as_rows(g))
-    return IwasawaFactors(k=np.array(f.k), a=np.array(f.a), n=np.array(f.n))
 
-
-def random_sl(n: int, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Random SL_n(R) sample: i.i.d. standard normal entries scaled to det 1.
-
-    A negative determinant is fixed by flipping the first column before
-    scaling, so the result is deterministic given the generator state.
-    """
+def random_sl(n: int, rng: random.Random | None = None) -> Matrix:
+    """Random SL_n(R) sample from rng (by default random.Random(DEFAULT_SEED)):
+    i.i.d. standard normal entries, the first column flipped if det < 0, scaled to det 1."""
     if type(n) is not int or n < 1:
         raise LieFoliateError(f"size {n!r} must be an int >= 1")
-    rng = default_rng() if rng is None else rng
-    while True:
-        x = rng.standard_normal((n, n))
-        det = float(np.linalg.det(x))
-        if abs(det) > 1e-8:
-            break
-    if det < 0:
-        x[:, 0] = -x[:, 0]
-        det = -det
-    return x / det ** (1.0 / n)
+    rng = random.Random(DEFAULT_SEED) if rng is None else rng
+    x, det = [], 0.0
+    while abs(det) <= 1e-8:  # draw again when numerically singular
+        x = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)]
+        det = _det(x)
+    sign, root = math.copysign(1.0, det), abs(det) ** (1.0 / n)
+    return tuple((sign * row[0] / root, *(v / root for v in row[1:])) for row in x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,10 +371,10 @@ class Subspace:
     def __post_init__(self) -> None:
         if len({b.size for b in self.basis}) > 1:
             raise LieFoliateError("basis matrices must all have the same size")
-        if self.basis:
-            flat = np.stack([b.entries.ravel() for b in self.basis])
-            if np.linalg.matrix_rank(flat) != len(self.basis):
-                raise LieFoliateError(f"basis of {self.label or 'subspace'} is linearly dependent")
+        span: dict = {}
+        if not all(_extend(span, b._vector) for b in self.basis):
+            raise LieFoliateError(f"basis of {self.label or 'subspace'} is linearly dependent")
+        object.__setattr__(self, "_span", span)
 
     @property
     def dim(self) -> int:
@@ -349,68 +394,61 @@ def subspace(mats, label: str = "", tag: str | None = None) -> Subspace:
     return Subspace(tuple(as_element(m, tag) for m in mats), label)
 
 
-@dataclass(frozen=True)
-class LieTripleResult:
-    holds: bool
-    residual: float
+LieTripleResult = namedtuple("LieTripleResult", "holds residual")
 
 
-def _basis_brackets(s: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """The basis of S stacked (k, n, n), each element scaled to unit metric norm
-    so that no residual depends on the scale of the given basis, and the
-    brackets [B_i, B_j] of its pairs (k, k, n, n)."""
-    stack = np.stack([b.entries for b in s.basis])
-    stack = stack / np.abs(stack).max(axis=(1, 2), keepdims=True)  # no under- or overflow below
-    stack = stack / np.sqrt(2.0 * s.size * np.sum(stack * stack, axis=(1, 2), keepdims=True))
-    pair = np.einsum("iab,jbc->ijac", stack, stack) - np.einsum("jab,ibc->ijac", stack, stack)
-    return stack, pair
-
-
-def _residual_outside_span(s: Subspace, mats: np.ndarray) -> float:
-    """Largest metric norm, over the matrices of the stack mats, of their part outside span(S)."""
-    n = s.size
-    flat = mats.reshape(-1, n * n)
-    span = np.stack([b.entries.ravel() for b in s.basis], axis=1)
-    q, _ = np.linalg.qr(span)
-    resid = flat - (flat @ q) @ q.T
-    norms = np.sqrt(np.maximum(np.sum(resid * resid, axis=1), 0.0) * 2.0 * n)
-    return float(norms.max())
+def _residual(s: Subspace, items) -> float:
+    """Largest metric norm outside span(S) of the items (M, factors), M a bracket of the
+    basis elements at factors, scaled to unit norm; 0.0 exactly when each M lies in
+    span(S).  Its square is exact: ||M||^2 less the projections on an orthogonal basis
+    of span(S), over the factors' squared norms."""
+    if not items:
+        return 0.0
+    ortho = []  # Gram-Schmidt over the integers
+    for b in s.basis:
+        v = b._vector
+        for q, qq in ortho:
+            v = _combine(qq, v, -_dot(v, q), q)
+        ortho.append((v, _dot(v, v)))
+    two_n = 2 * s.size  # the metric is 2n times the pairing sum X_ij Y_ij
+    norms = [two_n * _dot(b._vector, b._vector) for b in s.basis]
+    return math.sqrt(max(
+        two_n * (_dot(m, m) - sum(Fraction(_dot(m, q) ** 2, qq) for q, qq in ortho))
+        / math.prod(norms[f] for f in factors) for m, factors in items))
 
 
 def is_lie_triple(s: Subspace) -> LieTripleResult:
-    """Test [[S,S],S] inside span(S) for a subspace S of symmetric matrices.
-
-    For every triple of basis elements the double bracket is projected onto
-    the orthogonal complement of span(S) under the pairing -B(., theta .);
-    the subspace is a Lie triple system when the largest residual norm, for
-    the basis scaled to unit norm, stays below TAU_ALG.  Each basis element
-    must be symmetric to within TAU_ALG * n * max|entry|.
-    """
+    """Test [[S,S],S] inside span(S) for a subspace S of symmetric matrices, exactly:
+    a basis of [S,S], found once among the brackets of pairs, is bracketed with S.
+    The residual is the largest metric norm outside span(S) of a [[B_i,B_j],B_k],
+    the basis scaled to unit norm: 0.0 when the test holds.  Each basis element
+    must be symmetric to within TAU_ALG * n * max|entry|."""
     for b in s.basis:
-        if np.abs(b.entries - b.entries.T).max() > _tolerance(b.entries):
+        v = b._vector
+        if not _negligible(max(abs(x - v.get((j, i), 0)) for (i, j), x in v.items()), v.values(), s.size):
             raise LieFoliateError("Lie-triple test requires symmetric basis elements")
-    if s.dim == 0:
+    vectors = [b._vector for b in s.basis]
+    pairs = {(i, j): _commutator(vectors[i], vectors[j]) for i, j in combinations(range(s.dim), 2)}
+    span: dict = {}
+    derived = [c for c in pairs.values() if _extend(span, c)]
+    if not any(_residue(s._span, _commutator(c, v)) for c in derived for v in vectors):
         return LieTripleResult(True, 0.0)
-    stack, pair = _basis_brackets(s)
-    triple = np.einsum("ijab,kbc->ijkac", pair, stack) - np.einsum("kab,ijbc->ijkac", stack, pair)
-    residual = _residual_outside_span(s, triple)
-    return LieTripleResult(residual <= TAU_ALG, residual)
+    triples = [(_commutator(c, vectors[k]), (i, j, k)) for (i, j), c in pairs.items() for k in range(s.dim)]
+    return LieTripleResult(False, _residual(s, triples))
 
 
 def bracket_closure_residual(s: Subspace) -> float:
     """Largest metric-norm residual of [X,Y] outside span(S) over pairs of the
-    basis scaled to unit norm."""
-    if s.dim == 0:
-        return 0.0
-    return _residual_outside_span(s, _basis_brackets(s)[1])
+    basis scaled to unit norm, exactly: 0.0 when S is closed under the bracket."""
+    vectors = [b._vector for b in s.basis]
+    pairs = ((_commutator(vectors[i], vectors[j]), (i, j)) for i, j in combinations(range(s.dim), 2))
+    return _residual(s, [(m, factors) for m, factors in pairs if _residue(s._span, m)])
 
 
 def _check_sl_space(space: SpaceDescriptor) -> int:
     from .roots import Family
 
-    if space.family is not Family.A or any(
-        space.m_alpha(i) != 1 for i in range(1, space.rank + 1)
-    ):
+    if space.family is not Family.A or any(space.m_alpha(i) != 1 for i in range(1, space.rank + 1)):
         raise LieFoliateError("the matrix model applies to the split A-family entry sl(n,R) only")
     return space.rank
 
@@ -427,144 +465,114 @@ def phi_blocks(r: int, phi) -> list[tuple[int, ...]]:
     indices = set(_parabolic().phi_indices(r, phi))
     blocks: list[list[int]] = [[1]]
     for pos in range(2, r + 2):
-        if (pos - 1) in indices:
-            blocks[-1].append(pos)
-        else:
-            blocks.append([pos])
+        blocks[-1].append(pos) if pos - 1 in indices else blocks.append([pos])
     return [tuple(b) for b in blocks]
 
 
 def q_phi_block_dimension(r: int, phi) -> int:
     """Entry count of the block upper triangular traceless matrices for Phi."""
-    sizes = [len(b) for b in phi_blocks(r, phi)]
-    n = r + 1
-    return (n * n + sum(s * s for s in sizes)) // 2 - 1
+    return ((r + 1) ** 2 + sum(len(b) ** 2 for b in phi_blocks(r, phi))) // 2 - 1
 
 
 def a_subspace(r: int) -> Subspace:
     _parabolic().phi_indices(r, ())
-    n = r + 1
-    return subspace([h_matrix(n, i) for i in range(r)], label="a", tag="a")
+    return Subspace(tuple(_h(r + 1, i, "a") for i in range(r)), label="a")
 
 
-def _upper_units(n: int, skip=frozenset()) -> list[np.ndarray]:
+def _upper_units(n: int, skip=frozenset(), tag: str | None = None) -> list[MatrixElement]:
     """The E_ij with i < j, row-major, but for the (i, j) in skip (0-based)."""
-    return [e_matrix(n, i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip]
+    return [_element(n, tag, (i, j, 1)) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip]
 
 
 def n_subspace(r: int) -> Subspace:
     _parabolic().phi_indices(r, ())
-    return subspace(_upper_units(r + 1), label="n", tag="n")
+    return Subspace(tuple(_upper_units(r + 1, tag="n")), label="n")
 
 
 def a_phi_subspace(r: int, phi) -> Subspace:
     """The kernel of all chosen simple roots inside a: block-constant diagonals."""
     blocks = phi_blocks(r, phi)
-    n = r + 1
     mats = []
-    for t in range(len(blocks) - 1):
-        d = np.zeros(n)
-        for pos in blocks[t]:
-            d[pos - 1] = len(blocks[t + 1])
-        for pos in blocks[t + 1]:
-            d[pos - 1] = -len(blocks[t])
-        mats.append(np.diag(d))
+    for left, right in zip(blocks, blocks[1:]):
+        diag = {(pos - 1, pos - 1): len(right) for pos in left}
+        diag.update({(pos - 1, pos - 1): -len(left) for pos in right})
+        mats.append(_matrix(r + 1, diag))
     return subspace(mats, label="a_Phi", tag="a")
 
 
 def _same_block_pairs(r: int, phi) -> list[tuple[int, int]]:
-    pairs = []
-    for block in phi_blocks(r, phi):
-        for ii in range(len(block)):
-            for jj in range(ii + 1, len(block)):
-                pairs.append((block[ii] - 1, block[jj] - 1))
-    return sorted(pairs)
+    return sorted((i - 1, j - 1) for block in phi_blocks(r, phi) for i, j in combinations(block, 2))
 
 
 def p_phi_subspace(r: int, phi) -> Subspace:
     """Lie triple system a + sum of p_lambda over the subsystem of Phi."""
     pairs = _same_block_pairs(r, phi)
-    n = r + 1
-    mats = [h_matrix(n, i) for i in range(r)]
-    mats.extend(e_matrix(n, i, j) + e_matrix(n, j, i) for i, j in pairs)
-    return subspace(mats, label="p_Phi", tag="p")
+    mats = [_h(r + 1, i, "p") for i in range(r)] + [_element(r + 1, "p", (i, j, 1), (j, i, 1)) for i, j in pairs]
+    return Subspace(tuple(mats), label="p_Phi")
 
 
 def p_phi_s_subspace(r: int, phi) -> Subspace:
     """Semisimple part: a^Phi + sum of p_lambda over the subsystem of Phi."""
-    indices = _parabolic().phi_indices(r, phi)
-    n = r + 1
-    mats = [h_matrix(n, i - 1) for i in indices]
-    mats.extend(e_matrix(n, i, j) + e_matrix(n, j, i) for i, j in _same_block_pairs(r, phi))
-    return subspace(mats, label="p_Phi^s", tag="p")
+    mats = [_h(r + 1, i - 1, "p") for i in _parabolic().phi_indices(r, phi)]
+    mats.extend(_element(r + 1, "p", (i, j, 1), (j, i, 1)) for i, j in _same_block_pairs(r, phi))
+    return Subspace(tuple(mats), label="p_Phi^s")
 
 
 def n_phi_subspace(r: int, phi) -> Subspace:
     same = set(_same_block_pairs(r, phi))  # checks r first
-    return subspace(_upper_units(r + 1, same), label="n_Phi", tag="n")
+    return Subspace(tuple(_upper_units(r + 1, same, "n")), label="n_Phi")
 
 
 def q_phi_subspace(r: int, phi) -> Subspace:
     """Block upper triangular realization of the parabolic subalgebra."""
     same = set(_same_block_pairs(r, phi))
-    n = r + 1
-    mats = [h_matrix(n, i) for i in range(r)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            mats.append(e_matrix(n, i, j))
-            if (i, j) in same:
-                mats.append(e_matrix(n, j, i))
-    return subspace(mats, label="q_Phi")
+    mats = [_h(r + 1, i, None) for i in range(r)]
+    for i, j in combinations(range(r + 1), 2):
+        mats += [_element(r + 1, None, (i, j, 1))] + [_element(r + 1, None, (j, i, 1))] * ((i, j) in same)
+    return Subspace(tuple(mats), label="q_Phi")
 
 
 def build_s_phi_v(space: SpaceDescriptor, phi, dim_v: int) -> Subspace:
-    """Basis of the foliation subalgebra (a^Phi + V + n) with one line removed
-    from each root space g_alpha, alpha in Phi.
-
-    Phi must be orthogonal and dim_v an int in 0..r - |Phi|, as
-    ``PhiSubset.check_foliation`` checks.  V is realized as the first dim_v
-    vectors of the canonical basis of a_Phi.  In the split space sl(n,R) each
-    g_alpha is one-dimensional, so the removed line is g_alpha itself.
-    """
+    """Basis of the foliation subalgebra (a^Phi + V + n) with one line removed from each
+    root space g_alpha, alpha in Phi, as ``PhiSubset.check_foliation`` admits them.  V is
+    the first dim_v vectors of the canonical basis of a_Phi.  In sl(n,R) each g_alpha
+    is a line, so the removed line is g_alpha itself."""
     r = _check_sl_space(space)
     subset = _parabolic().phi_subset(space, phi)
     subset.check_foliation(dim_v)
     indices = subset.indices
     n = r + 1
-    mats = [h_matrix(n, i - 1) for i in indices]
-    v_basis = a_phi_subspace(r, indices).basis
-    mats.extend(b.entries for b in v_basis[:dim_v])
+    mats = [_h(n, i - 1, None) for i in indices]
+    mats.extend(a_phi_subspace(r, indices).basis[:dim_v])
     mats.extend(_upper_units(n, {(i - 1, i) for i in indices}))
     label = f"s(Phi={{{','.join(map(str, indices))}}}, dim_V={dim_v})"
-    return Subspace(tuple(as_element(m) for m in mats), label)
+    return Subspace(tuple(mats), label)
 
 
 # --- the SL_2 action on the upper half plane ---------------------------------
 
 
-def k_factor(s: float) -> np.ndarray:
+def k_factor(s: float) -> Matrix:
     """Rotation factor of the Iwasawa decomposition of SL_2(R)."""
-    return np.array([[math.cos(s), math.sin(s)], [-math.sin(s), math.cos(s)]])
+    return ((math.cos(s), math.sin(s)), (-math.sin(s), math.cos(s)))
 
 
-def a_factor(t: float) -> np.ndarray:
+def a_factor(t: float) -> Matrix:
     """Diagonal factor diag(e^t, e^-t)."""
-    return np.array([[math.exp(t), 0.0], [0.0, math.exp(-t)]])
+    return ((math.exp(t), 0.0), (0.0, math.exp(-t)))
 
 
-def n_factor(u: float) -> np.ndarray:
+def n_factor(u: float) -> Matrix:
     """Unipotent factor with upper entry u."""
-    return np.array([[1.0, u], [0.0, 1.0]])
+    return ((1.0, u), (0.0, 1.0))
 
 
 def moebius(g, z: complex) -> complex:
-    """Action of g in SL_2(R) on the upper half plane: z -> (az+b)/(cz+d).
-
-    z must be a number (not a string or a bool) in the upper half plane.
-    """
+    """Action of g in SL_2(R) on the upper half plane: z -> (az+b)/(cz+d), for a number z
+    (not a string or a bool) in the upper half plane."""
     if isinstance(z, bool) or not isinstance(z, Number):
         raise LieFoliateError(f"the point {z!r} is not a number")
-    m = _as_rows(g)
+    m = _floats(g)
     if len(m) != 2:
         raise LieFoliateError("moebius needs a 2x2 matrix")
     (a, b), (c, d) = m
@@ -575,19 +583,22 @@ def moebius(g, z: complex) -> complex:
     return (a * z + b) / (c * z + d)
 
 
-def halfplane_orbit(kind: str, samples: int, base: complex = 1j) -> list[complex]:
-    """Sample points on a K, A or N orbit through the base point.
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """num values from start to stop, both included, as ``numpy.linspace`` spaces them."""
+    step = (stop - start) / max(num - 1, 1)
+    return [i * step + start for i in range(num - 1)] + [stop if num > 1 else start]
 
-    K sweeps the rotation angle over [0, 2*pi), A the diagonal parameter over
-    [-3, 3], and N the translation parameter over [-3, 3].
-    """
+
+def halfplane_orbit(kind: str, samples: int, base: complex = 1j) -> list[complex]:
+    """Sample points on a K, A or N orbit through the base point: K sweeps the angle
+    over [0, 2*pi), A the diagonal and N the translation parameter over [-3, 3]."""
     if type(samples) is not int or samples < 1:
         raise LieFoliateError(f"samples {samples!r} must be an int >= 1")
     kind = kind.upper() if isinstance(kind, str) else None
     if kind == "K":
         mats = [k_factor(2.0 * math.pi * i / samples) for i in range(samples)]
     elif kind in ("A", "N"):
-        mats = list(map(a_factor if kind == "A" else n_factor, np.linspace(-3.0, 3.0, samples)))
+        mats = list(map(a_factor if kind == "A" else n_factor, linspace(-3.0, 3.0, samples)))
     else:
         raise LieFoliateError("orbit kind must be one of K, A, N")
     return [moebius(m, base) for m in mats]

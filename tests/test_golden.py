@@ -2,10 +2,13 @@
 
 ``golden/cli_digests.json`` maps each call to the sha256 and length of its
 UTF-8 stdout.  Each call is checked twice in a row: cold, right after
-``clear_caches()``, as in a fresh process, and then warm.  The matrix-model
-commands and ``verify`` are left out because their floating-point digits
-depend on the BLAS build.  After an intended output change, list it in
-CHANGES.md and rewrite the digests with
+``clear_caches()``, as in a fresh process, and then warm.  The matrix model
+computes ``killing`` and ``check-lie-triple`` exactly and rounds once, so
+their digits depend on no library; ``slmodel iwasawa``, ``halfplane`` and
+``verify`` are left out because they go through libm's ``sqrt``, ``hypot``,
+``exp`` and trigonometric functions, whose last digits may vary between
+platforms.  After an intended output change, list it in CHANGES.md and
+rewrite the digests with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -52,6 +55,11 @@ COMMANDS = (
       for fam, r in _ROOT_SYSTEMS for f in ("table", "json")),
     *(("rootsys", "dynkin", "--family", fam, "--rank", str(r), "--format", f)
       for fam, r in _ROOT_SYSTEMS for f in ("table", "json", "dot")),
+    # the README's examples, and the sl(3) non-example of verify's criterion 9
+    ("slmodel", "killing", "--x", "[[1,0],[0,-1]]", "--y", "[[1,0],[0,-1]]"),
+    ("slmodel", "check-lie-triple", "--basis", "[[[0,0.5,0],[0.5,0,0],[0,0,0]],[[0,0,0.5],[0,0,0],[0.5,0,0]]]"),
+    ("slmodel", "check-lie-triple", "--basis",
+     "[[[0,0.5,0],[0.5,0,0],[0,0,0]],[[0,0,0.5],[0,0,0],[0.5,0,0]],[[0,0,0],[0,0,0.5],[0,0.5,0]]]"),
 )
 
 

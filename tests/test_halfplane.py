@@ -2,13 +2,13 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from matrices import diag, eye, matmul, scale
 
 from liefoliate.errors import LieFoliateError
-from liefoliate.slmodel import a_factor, halfplane_orbit, k_factor, moebius, n_factor, random_sl
+from liefoliate.slmodel import _det, a_factor, halfplane_orbit, k_factor, linspace, moebius, n_factor, random_sl
 
 params = st.floats(-3.0, 3.0, allow_nan=False)
 upper_half = st.tuples(st.floats(-5.0, 5.0), st.floats(0.05, 10.0)).map(
@@ -17,24 +17,24 @@ upper_half = st.tuples(st.floats(-5.0, 5.0), st.floats(0.05, 10.0)).map(
 
 
 def test_k_fixes_i():
-    for s in np.linspace(0.0, 2.0 * math.pi, 17):
+    for s in linspace(0.0, 2.0 * math.pi, 17):
         assert abs(moebius(k_factor(s), 1j) - 1j) < 1e-12
 
 
 def test_a_orbit_is_the_exponential_geodesic():
-    for t in np.linspace(-3.0, 3.0, 13):
+    for t in linspace(-3.0, 3.0, 13):
         assert abs(moebius(a_factor(t), 1j) - math.exp(2.0 * t) * 1j) < 1e-12
 
 
 def test_n_translates_horizontally():
     z = 0.4 + 2.5j
-    for u in np.linspace(-3.0, 3.0, 13):
+    for u in linspace(-3.0, 3.0, 13):
         w = moebius(n_factor(u), z)
         assert abs(w - (z + u)) < 1e-12
 
 
 def test_moebius_preserves_upper_half_plane():
-    g = k_factor(0.7) @ a_factor(0.4) @ n_factor(-1.2)
+    g = matmul(matmul(k_factor(0.7), a_factor(0.4)), n_factor(-1.2))
     z = -1.5 + 0.25j
     assert moebius(g, z).imag > 0
 
@@ -42,31 +42,31 @@ def test_moebius_preserves_upper_half_plane():
 @given(params, params, params, upper_half)
 @settings(max_examples=60, deadline=None)
 def test_moebius_group_action(s, t, u, z):
-    g1 = k_factor(s) @ a_factor(t)
+    g1 = matmul(k_factor(s), a_factor(t))
     g2 = n_factor(u)
-    lhs = moebius(g1 @ g2, z)
+    lhs = moebius(matmul(g1, g2), z)
     rhs = moebius(g1, moebius(g2, z))
     assert abs(lhs - rhs) < 1e-9
 
 
 def test_moebius_rejects_bad_inputs():
     with pytest.raises(LieFoliateError, match="determinant"):
-        moebius(np.eye(2) * 2.0, 1j)
+        moebius(scale(2.0, eye(2)), 1j)
     with pytest.raises(LieFoliateError, match="upper half plane"):
-        moebius(np.eye(2), 1.0 - 1j)
+        moebius(eye(2), 1.0 - 1j)
     with pytest.raises(LieFoliateError, match="2x2"):
-        moebius(np.eye(3), 1j)
+        moebius(eye(3), 1j)
     with pytest.raises(LieFoliateError, match="determinant"):
-        moebius(np.diag([1e6, 2e-6]), 1j)
+        moebius(diag([1e6, 2e-6]), 1j)
     with pytest.raises(LieFoliateError, match="upper half plane"):
-        moebius(np.eye(2), complex(math.nan, 1.0))
+        moebius(eye(2), complex(math.nan, 1.0))
 
 
 @pytest.mark.parametrize("point", ["2j", "abc", True, None, [1j], object()])
 def test_moebius_and_halfplane_orbit_refuse_a_point_that_is_no_number(point):
     # complex() read "2j" as a point, and raised ValueError or TypeError for the others
     with pytest.raises(LieFoliateError, match="not a number"):
-        moebius(np.eye(2), point)
+        moebius(eye(2), point)
     with pytest.raises(LieFoliateError, match="not a number"):
         halfplane_orbit("K", 2, point)
 
@@ -74,8 +74,8 @@ def test_moebius_and_halfplane_orbit_refuse_a_point_that_is_no_number(point):
 def test_kan_decomposition_of_sl2_matches_generators():
     # every K(s) A(t) N(u) product has determinant one
     for s, t, u in [(0.3, -0.5, 2.0), (1.2, 1.0, -0.7)]:
-        g = k_factor(s) @ a_factor(t) @ n_factor(u)
-        assert np.linalg.det(g) == pytest.approx(1.0, abs=1e-12)
+        g = matmul(matmul(k_factor(s), a_factor(t)), n_factor(u))
+        assert _det(g) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_halfplane_orbit_kinds():
@@ -101,6 +101,14 @@ def test_halfplane_orbit_validation():
     for base in (1.0 - 1.0j, 2.0, complex(math.inf, 1.0), complex(0.0, math.nan)):
         with pytest.raises(LieFoliateError, match="upper half plane"):
             halfplane_orbit("K", 5, base=base)
+
+
+def test_linspace_spaces_as_numpy_does():
+    assert linspace(-3.0, 3.0, 1) == [-3.0]
+    assert linspace(-3.0, 3.0, 5) == [-3.0, -1.5, 0.0, 1.5, 3.0]
+    np = pytest.importorskip("numpy")
+    for num in (2, 3, 13, 25, 64):
+        assert linspace(0.0, 2.0 * math.pi, num) == np.linspace(0.0, 2.0 * math.pi, num).tolist()
 
 
 @pytest.mark.parametrize("n", [0, -2, True, 2.0, "3"])

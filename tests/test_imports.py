@@ -1,14 +1,15 @@
 """Each CLI command loads only the package modules it calls and the handler
 module of its own command (``rootsystem``, the full root list, only for
-``rootsys show``), numpy only for the matrix model past ``slmodel iwasawa``,
-``dataclasses``, ``inspect`` and ``fractions`` for no structure command, and
-none of the machinery of ``importlib.resources``.  A command compiles at
+``rootsys show``), numpy never, not even for ``verify``, whose criteria run
+with numpy unimportable, ``dataclasses``, ``inspect`` and ``fractions`` for
+no structure command, and none of the machinery of ``importlib.resources``.  A command compiles at
 most its share of the package's sources, the package also runs from a zip
 archive, and ``clear_caches()`` loads nothing and empties every cache loaded."""
 
 import ast
 import functools
 import os
+import shlex
 import subprocess
 import sys
 import zipfile
@@ -85,14 +86,30 @@ CATALOG = {"errors", "roots", "catalog"}
      {"errors", "iwasawa", "slmodel"} | handler("slmodel")),
     # the diagram is read off the simple roots: no root list
     (("rootsys", "dynkin", "--family", "E6", "--rank", "6"), {"errors", "roots"} | handler("rootsys")),
+    (("slmodel", "check-lie-triple", "--basis", "[[[1,0],[0,-1]]]"), {"errors", "iwasawa", "slmodel"} | handler("slmodel")),
+    (("slmodel", "halfplane", "--orbit", "N"), {"errors", "iwasawa", "slmodel"} | handler("slmodel")),
 ))
 def test_each_command_loads_only_the_modules_it_calls(argv, expected):
     code, modules, numpy, watched = probe(*argv)
     assert code == 0
     assert modules == expected
-    assert numpy == ("slmodel" in expected)
-    if "slmodel" not in expected:  # its records are dataclasses, and numpy dominates
+    assert not numpy
+    if "slmodel" not in expected:  # its records are dataclasses, and it computes with Fractions
         assert watched & set(COLD_START_HEAVY) == set()
+
+
+def test_verify_and_the_readme_slmodel_lines_run_with_numpy_unimportable():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    lines = [shlex.split(line)[1:] for line in readme.splitlines() if line.startswith("liefoliate slmodel ")]
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None  # import numpy raises ImportError\n"
+            "from liefoliate.cli import main\n"
+            f"codes = [main(argv) for argv in [['verify', '--suite', 'all'], *{lines!r}]]\n"
+            "print(codes, sys.modules['numpy'], file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=300)
+    assert len(lines) == 4 and proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{[0] * 5} None"
+    assert proc.stdout.count("PASS") == 11
 
 
 def test_iwasawa_error_path_loads_neither_slmodel_nor_numpy():

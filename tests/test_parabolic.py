@@ -3,7 +3,6 @@
 import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from liefoliate import clear_caches, parabolic
@@ -67,6 +66,11 @@ def test_phi_subset_validation():
         with pytest.raises(LieFoliateError, match="must be ints in 1..4"):
             PhiSubset(sl5, indices)
     assert phi_subset(sl5, [3.0, True]).indices == (1, 3)
+
+
+def test_phi_subset_reads_numpy_integers():
+    np = pytest.importorskip("numpy")
+    sl5 = catalog_lookup("SL5")
     assert phi_subset(sl5, (i for i in [np.int64(3), 1.0])).indices == (1, 3)
 
 
@@ -330,3 +334,11 @@ def test_from_dict_rejects_a_record_the_space_does_not_give(record_type, build):
     for phi in ([3, 1], [0], "13", None):
         with pytest.raises(LieFoliateError):
             record_type.from_dict({**data, "phi": phi})
+
+
+@pytest.mark.parametrize("phi", [[1, 3], (1, 3), "1,3", None], ids=["list", "tuple", "str", "None"])
+@pytest.mark.parametrize("call", [parabolic_data, horospherical, boundary_components, root_subsystem])
+def test_a_phi_that_is_no_phi_subset_is_a_domain_error(call, phi):
+    # each raised AttributeError: '<type>' object has no attribute 'space'
+    with pytest.raises(LieFoliateError, match="phi_subset"):
+        call(catalog_lookup("SL5"), phi)

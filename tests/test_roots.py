@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,6 +77,10 @@ def test_root_from_coords_halves():
     assert r.scaled == (1, -1)
     with pytest.raises(LieFoliateError):
         root_from_coords([Fraction(1, 3), 0])
+
+
+def test_root_from_coords_reads_numpy_scalars():
+    np = pytest.importorskip("numpy")
     assert root_from_coords([np.float32(0.5), np.int64(-1)]).scaled == (1, -2)
 
 
