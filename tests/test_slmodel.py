@@ -415,6 +415,12 @@ def test_killing_definiteness_on_standard_bases():
         assert killing_form(p, p) > 0
 
 
+def test_sl1_is_the_zero_algebra():
+    # numpy's stack of the empty basis raised ValueError
+    assert killing_form([[0]], [[0]]) == 0.0 and ad_matrix([[0]]) == ()
+    assert bracket([[0]], [[0]]).entries == ((0,),)
+
+
 def test_ad_matrix_dimensions_and_zero_on_center_directions():
     n = 3
     d = n * n - 1
