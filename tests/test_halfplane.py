@@ -5,10 +5,10 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from matrices import diag, eye, matmul, scale
 
 from liefoliate.errors import LieFoliateError
 from liefoliate.slmodel import _det, a_factor, halfplane_orbit, k_factor, linspace, moebius, n_factor, random_sl
+from matrices import diag, eye, matmul, scale
 
 params = st.floats(-3.0, 3.0, allow_nan=False)
 upper_half = st.tuples(st.floats(-5.0, 5.0), st.floats(0.05, 10.0)).map(

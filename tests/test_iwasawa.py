@@ -11,12 +11,12 @@ import time
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from matrices import add, diag, eye, matmul, max_abs, scale, transpose
 
 from liefoliate.cli import main
 from liefoliate.errors import LieFoliateError
 from liefoliate.iwasawa import KAN, TAU_NUM, check_det_one, factor, kan, square_matrix
 from liefoliate.slmodel import _det, iwasawa_group, random_sl
+from matrices import add, diag, eye, matmul, max_abs, scale, transpose
 
 
 @pytest.mark.parametrize("size", range(2, 9))

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from matrices import add, diag, eye, matmul, max_abs, scale, trace, traceless, transpose
 
 from liefoliate import slmodel
 from liefoliate.catalog import catalog_lookup
@@ -45,6 +44,7 @@ from liefoliate.slmodel import (
     sl_basis,
     subspace,
 )
+from matrices import add, diag, eye, matmul, max_abs, scale, trace, traceless, transpose
 from test_cli import MALFORMED_MATRICES
 
 
