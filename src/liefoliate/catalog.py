@@ -24,6 +24,7 @@ import os
 import re
 from collections import namedtuple
 from functools import cached_property, lru_cache
+from itertools import groupby
 
 from .errors import LieFoliateError
 from .roots import MAX_RANK, POSITIVE_ROOT_COUNTS, DynkinDiagram, Family, family_diagram, subdiagram_type
@@ -345,14 +346,40 @@ def _su_pq(p: int, q: int) -> SpaceDescriptor:
     return _instantiate("su_pq", r=q, n=p - q, p=p, q=q)
 
 
-_EXCEPTIONAL_NAME = re.compile(r"^(e6|e7|e8|f4|g2)\((c|-?\d+)\)$", re.ASCII)
+# The names catalog_lookup accepts, over the normalized query: a classical
+# head, then the flattened form "(m,q)" or "(m,f)", f a field letter, or a
+# display name read up to "/": "m(f)/...", "m,q" (then "/..." or the end) or
+# "m" alone; or an exceptional letter, then "(tag)" or, as a display name,
+# "tag".  Two-index names may be given in either order, and catalog_lookup
+# checks a display name whole.  Integers are ASCII digits only (re.ASCII).
+_NAME = re.compile(
+    r"(?P<head>sl|soo?|sp|su)(?:\((?P<m>\d+),(?:(?P<q>\d+)|(?P<f>[rch]))\)$"
+    r"|(?P<dm>\d+)(?:\((?P<df>[rch])\)/|,(?P<dq>\d+)(?:/|$)|$))"
+    r"|(?P<letter>e6|e7|e8|f4|g2)(?:\((?P<tag>c|-?\d+)\)$|(?P<dtag>c|-?\d+)(?:/|$))",
+    re.ASCII)
+
+# The handler of each classical name, by its head and then its field letter
+# or else the group that ends it: "q" or "dq" after a pair, "dm" after SL<m>
+# alone.  It is called with the name's first integer and then its letter or
+# its second integer, if it has one.
+_CLASSICAL = {
+    "sl dm": lambda m: _sl(m, "r"),
+    "sl r": _sl, "sl c": _sl, "sl h": _sl,
+    "so c": lambda m, _: _so_complex(m),
+    "so h": lambda m, _: _so_quaternion(m),
+    "sp r": _sp, "sp c": _sp,
+    "so q": _so_real, "soo q": _so_real, "soo dq": _so_real,
+    "sp q": _sp_pq, "sp dq": _sp_pq,
+    "su q": _su_pq, "su dq": _su_pq,
+}
 
 
 @lru_cache(maxsize=1)
 def _exceptional_keys() -> dict[tuple[str, str], str]:
-    """(letter, tag) -> entry key of the 17 exceptional spaces, read off their flattened names."""
-    names = ((_EXCEPTIONAL_NAME.match(_normalize(e.ascii_fmt)), e.key) for e in catalog_entries())
-    return {(m[1], m[2]): key for m, key in names if m}
+    """(letter, tag) -> entry key of the 17 exceptional spaces, read off their
+    flattened names; no other entry's name matches, as each holds a format."""
+    return {(m["letter"], m["tag"]): e.key for e in catalog_entries()
+            if (m := _NAME.match(_normalize(e.ascii_fmt)))}
 
 
 def _exceptional(letter: str, tag: str) -> SpaceDescriptor:
@@ -364,41 +391,17 @@ def _exceptional(letter: str, tag: str) -> SpaceDescriptor:
     return _instantiate(key)
 
 
-# Patterns over the normalized query string, filed under the two letters
-# each one begins with, in the order they are tried; every pattern must begin
-# with its head, so that catalog_lookup tries a name only against its own.
-# Display names and flattened identifiers both resolve; two-index names may
-# be given in either order.  A display name is read up to "/" and then checked
-# whole by catalog_lookup.  Integers are ASCII digits only (re.ASCII).
-_PATTERNS_BY_HEAD: dict[str, tuple[tuple[re.Pattern, callable], ...]] = {
-    "sl": (
-        (re.compile(r"^sl(\d+)$", re.ASCII), lambda m: _sl(int(m[1]), "r")),
-        (re.compile(r"^sl\((\d+),([rch])\)$", re.ASCII), lambda m: _sl(int(m[1]), m[2])),
-        (re.compile(r"^sl(\d+)\(([rch])\)/", re.ASCII), lambda m: _sl(int(m[1]), m[2])),
-    ),
-    "so": (
-        (re.compile(r"^soo?\((\d+),(\d+)\)$", re.ASCII), lambda m: _so_real(int(m[1]), int(m[2]))),
-        (re.compile(r"^soo(\d+),(\d+)(/|$)", re.ASCII), lambda m: _so_real(int(m[1]), int(m[2]))),
-        (re.compile(r"^so\((\d+),c\)$", re.ASCII), lambda m: _so_complex(int(m[1]))),
-        (re.compile(r"^so(\d+)\(c\)/", re.ASCII), lambda m: _so_complex(int(m[1]))),
-        (re.compile(r"^so\((\d+),h\)$", re.ASCII), lambda m: _so_quaternion(int(m[1]))),
-        (re.compile(r"^so(\d+)\(h\)/", re.ASCII), lambda m: _so_quaternion(int(m[1]))),
-    ),
-    "sp": (
-        (re.compile(r"^sp\((\d+),([rc])\)$", re.ASCII), lambda m: _sp(int(m[1]), m[2])),
-        (re.compile(r"^sp(\d+)\(([rc])\)/", re.ASCII), lambda m: _sp(int(m[1]), m[2])),
-        (re.compile(r"^sp\((\d+),(\d+)\)$", re.ASCII), lambda m: _sp_pq(int(m[1]), int(m[2]))),
-        (re.compile(r"^sp(\d+),(\d+)(/|$)", re.ASCII), lambda m: _sp_pq(int(m[1]), int(m[2]))),
-    ),
-    "su": (
-        (re.compile(r"^su\((\d+),(\d+)\)$", re.ASCII), lambda m: _su_pq(int(m[1]), int(m[2]))),
-        (re.compile(r"^su(\d+),(\d+)(/|$)", re.ASCII), lambda m: _su_pq(int(m[1]), int(m[2]))),
-    ),
-    **dict.fromkeys(("e6", "e7", "e8", "f4", "g2"), (
-        (_EXCEPTIONAL_NAME, lambda m: _exceptional(m[1], m[2])),
-        (re.compile(r"^(e6|e7|e8|f4|g2)(c|-?\d+)(/|$)", re.ASCII), lambda m: _exceptional(m[1], m[2])),
-    )),
-}
+def _space(m: re.Match) -> SpaceDescriptor | None:
+    """The space a match of ``_NAME`` names, or None when its head does not take its form."""
+    head, first, q, f, dm, df, dq, letter, tag, dtag = m.groups()
+    if letter:
+        return _exceptional(letter, tag or dtag)
+    f, q = f or df, q or dq
+    handler = _CLASSICAL.get(f"{head} {f or m.lastgroup}")
+    if handler is None:
+        return None
+    n = int(first or dm)
+    return handler(n, f) if f else handler(n, int(q)) if q else handler(n)
 
 
 @lru_cache(maxsize=None)
@@ -406,9 +409,9 @@ def _display_names(display: str) -> tuple[str, str]:
     """A display name normalized, and the same with p and q swapped throughout
     for so(p,q), su(p,q) and sp(p,q) (else unchanged); computed once per space."""
     name = _normalize(display)
-    pair = re.match(r"(?:soo|su|sp)(\d+),(\d+)/", name)
-    swap = {pair[1]: pair[2], pair[2]: pair[1]} if pair else {}
-    return name, re.sub(r"\d+", lambda t: swap.get(t[0], t[0]), name)
+    m = _NAME.match(name)
+    swap = {m["dm"]: m["dq"], m["dq"]: m["dm"]} if m and m["dq"] else {}
+    return name, "".join(swap.get(run, run) for run in ("".join(g) for _, g in groupby(name, str.isdecimal)))
 
 
 _GRAMMAR_HELP = (
@@ -428,16 +431,15 @@ def catalog_lookup(name: str) -> SpaceDescriptor:
     if not isinstance(name, str):
         raise LieFoliateError(f"symmetric space name {name!r} is not a string")
     query = _normalize(name)
-    for pattern, handler in _PATTERNS_BY_HEAD.get(query[:2], ()):
-        m = pattern.match(query)
-        if m:
-            try:
-                space = handler(m)
-            except LieFoliateError:
-                raise
-            except (ValueError, OverflowError):  # int() past its digit limit, or a rank past a list's size
-                raise LieFoliateError(f"an integer in symmetric space name {name!r} is too large") from None
-            if "/" in query and query not in _display_names(space.display):
-                raise LieFoliateError(f"{name!r} is not the display name of {space.name}, {space.display}")
-            return space
-    raise LieFoliateError(f"unknown symmetric space {name!r}; valid names: {_GRAMMAR_HELP}")
+    m = _NAME.match(query)
+    try:
+        space = m and _space(m)
+    except LieFoliateError:
+        raise
+    except (ValueError, OverflowError):  # int() past its digit limit, or a rank past a list's size
+        raise LieFoliateError(f"an integer in symmetric space name {name!r} is too large") from None
+    if space is None:
+        raise LieFoliateError(f"unknown symmetric space {name!r}; valid names: {_GRAMMAR_HELP}")
+    if "/" in query and query not in _display_names(space.display):
+        raise LieFoliateError(f"{name!r} is not the display name of {space.name}, {space.display}")
+    return space

@@ -1,21 +1,19 @@
-"""The CLI's command handlers, one module per subcommand.
+"""The CLI's commands, one module per subcommand.
 
-``cli.main`` imports only the module of the parsed command and calls its
-``run(args)``, so a process compiles no other handler.  This package holds
-what the handlers share with each other and with ``cli.build_parser``; the
-handlers import none of it from ``cli``, which runs as ``__main__`` under
-``python -m liefoliate.cli`` and would be compiled a second time.  Each
-handler imports the library inside its body, so a tracer that replaces
-``catalog.catalog_lookup`` and the like sees its calls.
+Each module ``commands.<subcommand>`` has ``add_arguments(parser)``, which
+gives the subcommand's parser its description and arguments, and
+``run(args)``.  ``cli.main`` imports only the module of the command that
+argv names, and uses it for both, so a process compiles no other command's
+code and parses no other command's arguments.  This package holds what the
+commands share; they import nothing from ``cli``, which runs as
+``__main__`` under ``python -m liefoliate.cli`` and would be compiled a
+second time.  Each ``run`` imports the library inside its body, so a tracer
+that replaces ``catalog.catalog_lookup`` and the like sees its calls.
 """
 
 import json
 
 from ..errors import LieFoliateError
-
-# 'rootsys show' lists about r^2 roots of r coordinates each: A100 takes
-# about 0.7 s and 160 MB, and the cost grows like r^3.
-SHOW_MAX_RANK = 100
 
 
 def emit_json(obj) -> None:
@@ -27,9 +25,13 @@ def emit_json(obj) -> None:
 
 
 def parse_phi(text: str | None) -> tuple[int, ...]:
+    """The indices of a comma-separated list of ASCII integers; ``int`` alone
+    would also take any other Unicode digit."""
     if not text:
         return ()
-    try:
-        return tuple(int(p) for p in text.replace(" ", "").split(",") if p != "")
-    except ValueError:
-        raise LieFoliateError(f"cannot parse Phi indices from {text!r}")
+    if text.isascii():
+        try:
+            return tuple(int(p) for p in text.replace(" ", "").split(",") if p != "")
+        except ValueError:
+            pass
+    raise LieFoliateError(f"cannot parse Phi indices from {text!r}")

@@ -3,6 +3,12 @@
 from . import emit_json, parse_phi
 
 
+def add_arguments(parser) -> None:
+    parser.add_argument("--space", required=True)
+    parser.add_argument("--phi", default="", help="comma-separated simple root indices, e.g. 1,3")
+    parser.add_argument("--format", default="table", choices=("table", "json"))
+
+
 def run(args) -> int:
     from ..catalog import catalog_lookup
     from ..parabolic import parabolic_data, phi_subset

@@ -2,6 +2,15 @@
 
 import sys
 
+# The keys of verify.SUITES, sorted.  Importing verify for them would load
+# catalog, parabolic and foliations to parse the arguments; a test checks
+# that the two agree.
+_SUITES = ("all", "catalog", "foliations", "parabolic", "rootsys", "slmodel")
+
+
+def add_arguments(parser) -> None:
+    parser.add_argument("--suite", default="all", choices=_SUITES)
+
 
 def run(args) -> int:
     from ..verify import timed_suite

@@ -18,9 +18,10 @@ The full root list, ``RootSystem`` and ``build_root_system``, lives in
 ``rootsystem`` with the arithmetic on roots that only its users call
 (``inner``, ``reflect``, ``root_from_coords``, ``format_root``); it is
 loaded on first use of those names here, by the commands that print or
-check every root.  ``DynkinDiagram.from_dict`` accepts only edges that give
-a Cartan matrix: vertices 1..n, edges of 1 to 3 lines between two of them,
-and an arrow on each multiple edge and on no other.
+check every root.  In the same way ``diagrams`` holds what only some
+callers do with a diagram: its dict and Graphviz forms (``to_dict``,
+``from_dict``, ``to_dot``) and the search for its automorphisms, with
+``apply_permutation``.
 
 The records are immutable named tuples, and ``fractions`` is imported only
 by the functions that build a Fraction, so the structure commands load
@@ -29,7 +30,7 @@ neither ``dataclasses`` nor ``fractions``.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
@@ -37,18 +38,25 @@ from operator import add
 
 from .errors import LieFoliateError
 
-_ROOT_SYSTEM_NAMES = ("RootSystem", "build_root_system", "dynkin_diagram", "format_root", "inner", "reflect",
-                      "root_from_coords")
+# Names served from the module that holds them, loaded on first use: the full
+# root list and the arithmetic on roots, and what acts on a diagram's
+# automorphisms.
+_LOADED_ON_USE = {
+    **dict.fromkeys(("RootSystem", "build_root_system", "dynkin_diagram", "format_root", "inner", "reflect",
+                     "root_from_coords"), "rootsystem"),
+    "apply_permutation": "diagrams",
+}
 
 
 def __getattr__(name: str):
-    """The names of ``rootsystem``, loaded on first use (PEP 562)."""
-    if name not in _ROOT_SYSTEM_NAMES:
+    """A name of ``rootsystem`` or ``diagrams``, loaded on first use (PEP 562)."""
+    module = _LOADED_ON_USE.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import rootsystem
+    from importlib import import_module
 
-    globals().update((n, getattr(rootsystem, n)) for n in _ROOT_SYSTEM_NAMES)
-    return globals()[name]
+    globals()[name] = value = getattr(import_module(f".{module}", __package__), name)
+    return value
 
 
 # All coordinates are stored multiplied by this factor.
@@ -290,51 +298,10 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults
 
     @cached_property
     def _automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """What ``diagram_automorphisms`` returns, searched once, without recursion.
+        """What ``diagram_automorphisms`` returns, searched once (``diagrams.automorphisms``)."""
+        from .diagrams import automorphisms
 
-        Vertices are mapped in breadth-first order, each connected part from a
-        vertex whose mark (double circle, Cartan entries to and from its
-        neighbours) the fewest share.  A vertex may only go to an unused
-        neighbour of its parent's image with its mark, checked against its
-        mapped neighbours alone: each edge is checked from its later end, so
-        the edges map onto the edges.  Near-linear in the rank on a Dynkin
-        diagram."""
-        a, adj = self._entries, self._adjacency
-        marks = {i: (v.double_circle, tuple(sorted(a[i, u] for u in adj[i])), tuple(sorted(a[u, i] for u in adj[i])))
-                 for i, v in enumerate(self.vertices, start=1)}
-        shared, order, parent = Counter(marks.values()), [], {}
-        for start in sorted(marks, key=lambda v: shared[marks[v]]):
-            if start not in parent:
-                parent[start], queue = None, [start]
-                for v in queue:  # grows while it is read
-                    for u in sorted(adj[v] - parent.keys()):
-                        parent[u] = v
-                        queue.append(u)
-                order += queue
-        image, used, results = {}, set(), []
-
-        def candidates(v: int):
-            """The images of v that fit the vertices mapped before it, made lazily."""
-            earlier = [u for u in adj[v] if u in image]
-            return (w for w in (marks if parent[v] is None else adj[image[parent[v]]])
-                    if w not in used and marks[w] == marks[v]
-                    and all(a.get((w, image[u])) == a[v, u] and a.get((image[u], w)) == a[u, v] for u in earlier))
-
-        choices = [candidates(order[0])] if order else []
-        while choices:
-            v = order[len(choices) - 1]
-            used.discard(image.pop(v, None))
-            w = next(choices[-1], None)
-            if w is None:
-                choices.pop()
-                continue
-            image[v] = w
-            used.add(w)
-            if len(choices) < len(order):
-                choices.append(candidates(order[len(choices)]))
-            else:
-                results.append(tuple(image[i] for i in range(1, len(order) + 1)))
-        return tuple(sorted(results)) if order else ((),)
+        return automorphisms(self)
 
     def neighbors(self, index: int) -> frozenset[int]:
         """The vertices joined to vertex ``index``, an int (not a bool) in 1..rank, else LieFoliateError."""
@@ -385,72 +352,22 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults
         return comps
 
     def to_dict(self) -> dict:
-        return {
-            "vertices": [
-                {"index": v.index, "double_circle": v.double_circle} for v in self.vertices
-            ],
-            "edges": [
-                {
-                    "i": e.i,
-                    "j": e.j,
-                    "lines": e.lines,
-                    "arrow": list(e.arrow) if e.arrow else None,
-                }
-                for e in self.edges
-            ],
-            "notes": list(self.notes),
-        }
+        from .diagrams import to_dict
+
+        return to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DynkinDiagram":
-        """Rebuild a diagram of ``to_dict``, checking that it is one.
+        """Rebuild a diagram of ``to_dict``, checking that it is one (``diagrams.from_dict``)."""
+        from .diagrams import from_dict
 
-        Raises LieFoliateError for a missing key, vertices not indexed 1..n in
-        order, an edge that is a loop, repeats a pair or leaves the vertices,
-        a line count outside 1..3, and an arrow that is not (i, j) or (j, i)
-        of its own multiple edge; a single edge carries no arrow.
-        """
-        try:
-            vertices = tuple(DynkinVertex(v["index"], v["double_circle"]) for v in data["vertices"])
-            edges = tuple(DynkinEdge(e["i"], e["j"], e["lines"],
-                                     tuple(e["arrow"]) if e.get("arrow") else None) for e in data["edges"])
-        except KeyError as exc:
-            raise LieFoliateError(f"Dynkin diagram data lacks {exc}") from None
-        except TypeError as exc:
-            raise LieFoliateError(f"malformed Dynkin diagram data: {exc}") from None
-        n = len(vertices)
-        if [(type(v.index), v.index) for v in vertices] != [(int, i) for i in range(1, n + 1)]:
-            raise LieFoliateError(f"diagram vertices must be indexed 1..{n} in order")
-        pairs = set()
-        for e in edges:
-            ends = frozenset((e.i, e.j))
-            if any(type(x) is not int for x in (e.i, e.j, e.lines)) or not ends <= set(range(1, n + 1)):
-                raise LieFoliateError(f"edge {e.i}-{e.j} must join two of the vertices 1..{n}")
-            if len(ends) == 1 or ends in pairs:
-                raise LieFoliateError(f"edge {e.i}-{e.j} is a loop or joins a pair twice")
-            pairs.add(ends)
-            if not 1 <= e.lines <= 3:
-                raise LieFoliateError(f"edge {e.i}-{e.j} has {e.lines} lines, not 1, 2 or 3")
-            if e.arrow not in (((e.i, e.j), (e.j, e.i)) if e.lines > 1 else (None,)):
-                raise LieFoliateError(f"edge {e.i}-{e.j} of {e.lines} lines cannot carry the arrow {e.arrow}")
-        return cls(vertices, edges, tuple(data.get("notes", ())))
+        return from_dict(cls, data)
 
     def to_dot(self, name: str = "dynkin") -> str:
         """Graphviz rendering; double circles become peripheries=2."""
-        lines = [f"digraph {name} {{", "  rankdir=LR;", '  node [shape=circle, fixedsize=true, width=0.3];']
-        for note in self.notes:
-            lines.append(f"  // {note}")
-        for v in self.vertices:
-            extra = ", peripheries=2" if v.double_circle else ""
-            lines.append(f'  a{v.index} [label="{v.index}"{extra}];')
-        for e in self.edges:
-            if e.arrow is None:
-                lines.append(f'  a{e.i} -> a{e.j} [label="{e.lines}", dir=none];')
-            else:
-                tail, head = e.arrow
-                lines.append(f'  a{tail} -> a{head} [label="{e.lines}", dir=forward];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        from .diagrams import to_dot
+
+        return to_dot(self, name)
 
 
 def family_diagram(family: Family | str, rank: int) -> DynkinDiagram:
@@ -494,7 +411,7 @@ def diagram_automorphisms(dd: DynkinDiagram) -> list[tuple[int, ...]]:
     A permutation p is kept when A[p(i)][p(j)] = A[i][j] for all i, j; this
     preserves line counts and arrows (Humphreys 11.4, 12.2).  A backtracking
     search maps each vertex only to vertices with the same double circle and
-    the same Cartan entries up to order (see ``DynkinDiagram._automorphisms``).
+    the same Cartan entries up to order (see ``diagrams.automorphisms``).
     Permutations are returned as tuples p with p[k] the image of vertex k+1,
     sorted with the identity first.  The result is closed under composition
     and inverses.  The search runs once per diagram; each call returns a new
@@ -583,7 +500,3 @@ def span_roots(family: Family, rank: int, dd: DynkinDiagram, component: tuple[in
     walk = _positive_roots([_vector(dim, simple[i - 1]) for i in component], cartan, doubled)
     return [Root(v) for _, v in walk]
 
-
-def apply_permutation(perm: tuple[int, ...], subset) -> tuple[int, ...]:
-    """Image of a set of 1-based vertex indices under a permutation tuple."""
-    return tuple(sorted(perm[i - 1] for i in subset))

@@ -1,8 +1,14 @@
 """Command-line interface behavior: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import liefoliate
 
 from liefoliate import clear_caches
 from liefoliate.catalog import catalog_lookup
@@ -10,6 +16,10 @@ from liefoliate.cli import main
 from liefoliate.foliations import FoliationClass
 from liefoliate.parabolic import HorosphericalData, ParabolicData
 from liefoliate.roots import DynkinDiagram, RootSystem
+
+
+SRC = Path(liefoliate.__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
 
 
 def run(capsys, *argv):
@@ -77,7 +87,7 @@ def test_rootsys_rank_past_its_ceiling_is_a_domain_error(capsys, action, rank):
 
 
 def test_rootsys_help_states_both_ceilings(capsys):
-    from liefoliate.commands import SHOW_MAX_RANK
+    from liefoliate.commands.rootsys import SHOW_MAX_RANK
     from liefoliate.roots import MAX_RANK
 
     with pytest.raises(SystemExit):
@@ -141,6 +151,27 @@ def test_parabolic_invalid_phi_exit_1(capsys):
     assert code == 1
     code, _, err = run(capsys, "parabolic", "--space", "SL5", "--phi", "x,y")
     assert code == 1
+
+
+# int() would read these as 1 and 3 (Arabic-Indic and fullwidth digits), as
+# space names once read their Unicode digits.
+@pytest.mark.parametrize("command", ["parabolic", "horospherical"])
+@pytest.mark.parametrize("phi", ["\u0661,\u0663", "1,\uff13", "\u0661"])
+def test_phi_takes_ascii_digits_only(capsys, command, phi):
+    code, out, err = run(capsys, command, "--space", "SL5", "--phi", phi, "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot parse Phi indices from {phi!r}\n"
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # The JSON of SL12's foliations fills the pipe many times over, so the
+    # CLI is still writing when the reader closes its end.
+    argv = [sys.executable, "-m", "liefoliate.cli", "foliations", "enumerate", "--space", "SL12", "--format", "json"]
+    with subprocess.Popen(argv, env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 def test_horospherical_json(capsys):

@@ -7,8 +7,13 @@ computes ``killing`` and ``check-lie-triple`` exactly and rounds once, so
 their digits depend on no library; ``slmodel iwasawa``, ``halfplane`` and
 ``verify`` are left out because they go through libm's ``sqrt``, ``hypot``,
 ``exp`` and trigonometric functions, whose last digits may vary between
-platforms.  After an intended output change, list it in CHANGES.md and
-rewrite the digests with
+platforms.
+
+``golden/cli_usage_digests.json`` holds, for the help, version and usage
+error calls of ``USAGE``, the exit status and the digests of stdout and
+stderr.  argparse wraps its text to the terminal's width, so these run with
+``COLUMNS=80``.  After an intended output change, list it in CHANGES.md and
+rewrite both files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,8 +22,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -26,6 +33,7 @@ from liefoliate import clear_caches
 from liefoliate.cli import main
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "cli_digests.json"
+USAGE_DIGESTS = DIGESTS.with_name("cli_usage_digests.json")
 
 _FOLIATION_SPACES = (
     "SL5", "SL12", "e8(8)", "e6(-14)", "f4(-20)", "su(7,3)", "sp(4,2)",
@@ -63,6 +71,24 @@ COMMANDS = (
 )
 
 
+_SUBCOMMANDS = ("rootsys", "catalog", "parabolic", "horospherical", "foliations", "slmodel", "verify")
+
+USAGE = (
+    ("--help",),
+    ("--version",),
+    *((command, "--help") for command in _SUBCOMMANDS),
+    *(("slmodel", action, "--help") for action in ("iwasawa", "killing", "check-lie-triple", "halfplane")),
+    # usage errors: no command, an unknown one, a missing required option, an invalid choice
+    (),
+    ("bogus",),
+    ("parabolic",),
+    ("rootsys", "show", "--family", "Z", "--rank", "3"),
+    # arguments before the command that argparse takes as the command and refuses
+    ("--", "parabolic", "--space", "SL5"),
+    ("-5", "parabolic", "--space", "SL5"),
+)
+
+
 def _key(argv) -> str:
     return " ".join(argv)
 
@@ -76,6 +102,18 @@ def _stdout(argv) -> tuple[int, bytes]:
 
 def _digest(out: bytes) -> dict:
     return {"sha256": hashlib.sha256(out).hexdigest(), "bytes": len(out)}
+
+
+def _usage(argv) -> dict:
+    """Exit status and the digests of stdout and stderr of ``liefoliate argv``, at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "stdout": _digest(out.getvalue().encode("utf-8")),
+            "stderr": _digest(err.getvalue().encode("utf-8"))}
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +134,15 @@ def test_cli_stdout_matches_golden_digest(golden, argv):
         assert _digest(out) == golden[_key(argv)]
 
 
+def test_usage_golden_file_lists_exactly_the_calls():
+    assert sorted(json.loads(USAGE_DIGESTS.read_text())) == sorted(_key(("liefoliate", *argv)) for argv in USAGE)
+
+
+@pytest.mark.parametrize("argv", USAGE, ids=lambda argv: _key(("liefoliate", *argv)))
+def test_help_version_and_usage_errors_match_golden_digests(argv):
+    assert _usage(argv) == json.loads(USAGE_DIGESTS.read_text())[_key(("liefoliate", *argv))]
+
+
 if __name__ == "__main__":
     table = {}
     for argv in COMMANDS:
@@ -105,3 +152,6 @@ if __name__ == "__main__":
         table[_key(argv)] = _digest(out)
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} digests to {DIGESTS}")
+    usage = {_key(("liefoliate", *argv)): _usage(argv) for argv in USAGE}
+    USAGE_DIGESTS.write_text(json.dumps(usage, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(usage)} digests to {USAGE_DIGESTS}")

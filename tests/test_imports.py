@@ -1,10 +1,13 @@
 """Each CLI command loads only the package modules it calls and the handler
 module of its own command (``rootsystem``, the full root list, only for
-``rootsys show``), numpy never, not even for ``verify``, whose criteria run
-with numpy unimportable, ``dataclasses``, ``inspect`` and ``fractions`` for
-no structure command, and none of the machinery of ``importlib.resources``.  A command compiles at
-most its share of the package's sources, the package also runs from a zip
-archive, and ``clear_caches()`` loads nothing and empties every cache loaded."""
+``rootsys show``; ``diagrams`` only for the commands that print a diagram
+or group by its automorphisms), numpy never, not even for ``verify``, whose
+criteria run with numpy unimportable, ``dataclasses``, ``inspect`` and
+``fractions`` for no structure command, and none of the machinery of
+``importlib.resources``.  A command compiles at most its share of the
+package's sources, importing the catalog compiles one pattern, the package
+also runs from a zip archive, and ``clear_caches()`` loads nothing and
+empties every cache loaded."""
 
 import ast
 import functools
@@ -74,12 +77,13 @@ CATALOG = {"errors", "roots", "catalog"}
 
 
 @pytest.mark.parametrize("argv, expected", (
-    (("--version",), {"errors", "commands"}),
+    (("--version",), {"errors"}),
     (("rootsys", "show", "--family", "E6", "--rank", "6"), {"errors", "roots", "rootsystem"} | handler("rootsys")),
     (("catalog", "list"), CATALOG | handler("catalog")),
     (("parabolic", "--space", "SL5", "--phi", "1,3"), CATALOG | {"parabolic"} | handler("parabolic")),
     (("horospherical", "--space", "su(4,2)", "--phi", "1"), CATALOG | {"parabolic"} | handler("horospherical")),
-    (("foliations", "enumerate", "--space", "so(5,2)"), CATALOG | {"foliations"} | handler("foliations")),
+    # the automorphisms group the subsets Phi
+    (("foliations", "enumerate", "--space", "so(5,2)"), CATALOG | {"foliations", "diagrams"} | handler("foliations")),
     # the factorization and the matrix reader are plain Python
     (("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), {"errors", "iwasawa"} | handler("slmodel")),
     (("slmodel", "killing", "--x", "[[1,0],[0,-1]]", "--y", "[[0,1],[1,0]]"),
@@ -88,6 +92,9 @@ CATALOG = {"errors", "roots", "catalog"}
     (("rootsys", "dynkin", "--family", "E6", "--rank", "6"), {"errors", "roots"} | handler("rootsys")),
     (("slmodel", "check-lie-triple", "--basis", "[[[1,0],[0,-1]]]"), {"errors", "iwasawa", "slmodel"} | handler("slmodel")),
     (("slmodel", "halfplane", "--orbit", "N"), {"errors", "iwasawa", "slmodel"} | handler("slmodel")),
+    # the Graphviz form is written by diagrams
+    (("rootsys", "dynkin", "--family", "E6", "--rank", "6", "--format", "dot"),
+     {"errors", "roots", "diagrams"} | handler("rootsys")),
 ))
 def test_each_command_loads_only_the_modules_it_calls(argv, expected):
     code, modules, numpy, watched = probe(*argv)
@@ -145,15 +152,36 @@ def compiled_nodes(modules: set[str]) -> int:
 
 
 # compile() costs about the same per AST node in every module, and a fresh
-# process without cached bytecode compiles every module it loads.
+# process without cached bytecode compiles every module it loads.  Each
+# ceiling is about 3% above the command's count, and none above what the
+# command compiled before the diagram I/O, the symmetry search and all but
+# its own command's arguments left its path.
 @pytest.mark.parametrize("argv, ceiling", (
-    (("--version",), 1_600),
-    (("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json"), 11_600),
+    (("--version",), 605),
+    (("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json"), 9_500),
+    (("horospherical", "--space", "su(4,2)", "--phi", "1"), 9_700),
+    (("foliations", "enumerate", "--space", "so(5,2)"), 10_750),
+    (("catalog", "list"), 7_730),
+    (("rootsys", "dynkin", "--family", "D", "--rank", "5", "--format", "dot"), 6_460),
+    (("rootsys", "show", "--family", "E6", "--rank", "6"), 7_475),
+    (("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), 2_485),
 ))
 def test_a_command_compiles_at_most_its_share_of_the_package(argv, ceiling):
     code, modules, _, _ = probe(*argv)
     assert code == 0
     assert compiled_nodes(modules) <= ceiling
+
+
+def test_importing_the_catalog_compiles_one_pattern():
+    code = ("import json, re\n"
+            "compiled = []\n"
+            "compile_ = re._compile\n"
+            "re._compile = lambda pattern, flags: compiled.append(pattern) or compile_(pattern, flags)\n"
+            "import liefoliate.catalog\n"
+            "print(compiled == [liefoliate.catalog._NAME.pattern])\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 def _cli_stdout(pythonpath: str, cwd: Path, *argv: str) -> bytes:
@@ -225,4 +253,6 @@ def test_every_public_name_resolves():
 
 
 def test_cli_suite_choices_are_the_verify_suites():
-    assert cli._SUITES == tuple(sorted(verify.SUITES))
+    from liefoliate.commands.verify import _SUITES
+
+    assert _SUITES == tuple(sorted(verify.SUITES))
