@@ -29,7 +29,7 @@ from unittest import mock
 
 import pytest
 
-from liefoliate import clear_caches
+from liefoliate import cli, clear_caches
 from liefoliate.cli import main
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "cli_digests.json"
@@ -71,12 +71,10 @@ COMMANDS = (
 )
 
 
-_SUBCOMMANDS = ("rootsys", "catalog", "parabolic", "horospherical", "foliations", "slmodel", "verify")
-
 USAGE = (
     ("--help",),
     ("--version",),
-    *((command, "--help") for command in _SUBCOMMANDS),
+    *((command, "--help") for command in cli.COMMANDS),
     *(("slmodel", action, "--help") for action in ("iwasawa", "killing", "check-lie-triple", "halfplane")),
     # usage errors: no command, an unknown one, a missing required option, an invalid choice
     (),
