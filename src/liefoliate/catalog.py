@@ -234,15 +234,17 @@ def space_dimension(space: SpaceDescriptor) -> int:
 
 # One descriptor per (key, r, n) for the life of the process, so its cached
 # multiplicities and dimension are computed once.  Each key has one call site,
-# whose display parameters in fmt are functions of (r, n).  A call that raises
-# is not cached and raises again.
+# whose display parameters m, p and q are functions of (r, n); it passes them
+# all by position, as keywords would cost the cache key about 0.4 µs.  A call
+# that raises is not cached and raises again.
 @lru_cache(maxsize=None)
-def _instantiate(key: str, *, r: int | None = None, n: int | None = None, **fmt) -> SpaceDescriptor:
+def _instantiate(key: str, r: int | None = None, n: int | None = None, m: int | None = None, p: int | None = None,
+                 q: int | None = None) -> SpaceDescriptor:
     entry = _entry_map()[key]
     rank = entry.fixed_rank if entry.fixed_rank is not None else r
     if rank > MAX_RANK:
         raise LieFoliateError(f"rank {rank} is too large: catalog spaces have rank at most {MAX_RANK}")
-    fmt = {"r": rank, "n": n, **fmt}
+    fmt = {"r": rank, "n": n, "m": m, "p": p, "q": q}
     if entry.mult_explicit is not None:
         mults: list = list(entry.mult_explicit)
     else:
@@ -269,21 +271,20 @@ def _instantiate(key: str, *, r: int | None = None, n: int | None = None, **fmt)
 
 
 def _normalize(name: str) -> str:
-    out = name.lower()
-    for ch in (" ", "_", "{", "}", "\\", "^", "\t"):
-        out = out.replace(ch, "")
-    return out
+    # one call per character: a loop over them took about 0.2 µs more
+    return (name.lower().replace(" ", "").replace("_", "").replace("{", "").replace("}", "").replace("\\", "")
+            .replace("^", "").replace("\t", ""))
 
 
 def _sl(m: int, letter: str) -> SpaceDescriptor:
     if m < 2:
         raise LieFoliateError(f"sl({m},{letter.upper()}): valid for m >= 2")
-    key = {"r": "sl_R", "c": "sl_C", "h": "sl_H"}[letter]
-    return _instantiate(key, r=m - 1, m=m)
+    return _instantiate("sl_" + letter.upper(), m - 1, None, m)
 
 
 def _so_real(p: int, q: int) -> SpaceDescriptor:
-    p, q = max(p, q), min(p, q)
+    if p < q:
+        p, q = q, p
     if q < 1:
         raise LieFoliateError("so(p,q): indices must be positive")
     if q == 1:
@@ -291,59 +292,57 @@ def _so_real(p: int, q: int) -> SpaceDescriptor:
             raise LieFoliateError(
                 "so(p,1): valid for p >= 3 (the hyperbolic plane so(2,1) is carried by sl(2,R))"
             )
-        return _instantiate("so_hyp", n=p - 1, m=p)
+        return _instantiate("so_hyp", None, p - 1, p)
     if p == q:
         if p < 3:
             raise LieFoliateError("so(r,r): valid for r >= 3")
-        return _instantiate("so_rr", r=p)
+        return _instantiate("so_rr", p)
     if q < 2:
         raise LieFoliateError("so(p,q): valid for p > q >= 2, p = q >= 3, or q = 1 with p >= 3")
-    return _instantiate("so_pq", r=q, n=p - q, p=p, q=q)
+    return _instantiate("so_pq", q, p - q, None, p, q)
 
 
 def _so_complex(m: int) -> SpaceDescriptor:
     if m < 5:
         raise LieFoliateError("so(m,C): valid for m >= 5 (so(3,C) and so(4,C) reduce to other entries)")
-    if m % 2:
-        return _instantiate("so_C_odd", r=(m - 1) // 2, m=m)
-    return _instantiate("so_C_even", r=m // 2, m=m)
+    return _instantiate("so_C_odd" if m % 2 else "so_C_even", m // 2, None, m)
 
 
 def _so_quaternion(m: int) -> SpaceDescriptor:
     if m < 3:
         raise LieFoliateError("so(m,H): valid for m >= 3")
-    if m % 2:
-        return _instantiate("so_H_odd", r=(m - 1) // 2, m=m)
-    return _instantiate("so_H_even", r=m // 2, m=m)
+    return _instantiate("so_H_odd" if m % 2 else "so_H_even", m // 2, None, m)
 
 
 def _sp(r: int, letter: str) -> SpaceDescriptor:
     if r < 2:
         f = letter.upper()
         raise LieFoliateError(f"sp(r,{f}): valid for r >= 2 (sp(1,{f}) is carried by sl(2,{f}))")
-    return _instantiate({"r": "sp_R", "c": "sp_C"}[letter], r=r)
+    return _instantiate("sp_" + letter.upper(), r)
 
 
 def _sp_pq(p: int, q: int) -> SpaceDescriptor:
-    p, q = max(p, q), min(p, q)
+    if p < q:
+        p, q = q, p
     if p == q:
         if p < 2:
             raise LieFoliateError("sp(p,q): valid for p = q >= 2 or p > q >= 1")
-        return _instantiate("sp_rr", r=p)
+        return _instantiate("sp_rr", p)
     if q < 1:
         raise LieFoliateError("sp(p,q): indices must be positive")
-    return _instantiate("sp_pq", r=q, n=p - q, p=p, q=q)
+    return _instantiate("sp_pq", q, p - q, None, p, q)
 
 
 def _su_pq(p: int, q: int) -> SpaceDescriptor:
-    p, q = max(p, q), min(p, q)
+    if p < q:
+        p, q = q, p
     if p == q:
         if p < 2:
             raise LieFoliateError("su(p,q): valid for p = q >= 2 or p > q >= 1 (su(1,1) is carried by sl(2,R))")
-        return _instantiate("su_rr", r=p)
+        return _instantiate("su_rr", p)
     if q < 1:
         raise LieFoliateError("su(p,q): indices must be positive")
-    return _instantiate("su_pq", r=q, n=p - q, p=p, q=q)
+    return _instantiate("su_pq", q, p - q, None, p, q)
 
 
 # The names catalog_lookup accepts, over the normalized query: a classical
@@ -361,16 +360,13 @@ _NAME = re.compile(
 # The handler of each classical name, by its head and then its field letter
 # or else the group that ends it: "q" or "dq" after a pair, "dm" after SL<m>
 # alone.  It is called with the name's first integer and then its letter or
-# its second integer, if it has one.
+# the integer that ends it.
 _CLASSICAL = {
-    "sl dm": lambda m: _sl(m, "r"),
-    "sl r": _sl, "sl c": _sl, "sl h": _sl,
-    "so c": lambda m, _: _so_complex(m),
-    "so h": lambda m, _: _so_quaternion(m),
-    "sp r": _sp, "sp c": _sp,
-    "so q": _so_real, "soo q": _so_real, "soo dq": _so_real,
-    "sp q": _sp_pq, "sp dq": _sp_pq,
-    "su q": _su_pq, "su dq": _su_pq,
+    "sl": {"dm": lambda m, _: _sl(m, "r"), "r": _sl, "c": _sl, "h": _sl},
+    "so": {"c": lambda m, _: _so_complex(m), "h": lambda m, _: _so_quaternion(m), "q": _so_real},
+    "soo": {"q": _so_real, "dq": _so_real},
+    "sp": {"r": _sp, "c": _sp, "q": _sp_pq, "dq": _sp_pq},
+    "su": {"q": _su_pq, "dq": _su_pq},
 }
 
 
@@ -392,16 +388,17 @@ def _exceptional(letter: str, tag: str) -> SpaceDescriptor:
 
 
 def _space(m: re.Match) -> SpaceDescriptor | None:
-    """The space a match of ``_NAME`` names, or None when its head does not take its form."""
-    head, first, q, f, dm, df, dq, letter, tag, dtag = m.groups()
-    if letter:
-        return _exceptional(letter, tag or dtag)
-    f, q = f or df, q or dq
-    handler = _CLASSICAL.get(f"{head} {f or m.lastgroup}")
-    if handler is None:
-        return None
-    n = int(first or dm)
-    return handler(n, f) if f else handler(n, int(q)) if q else handler(n)
+    """The space a match of ``_NAME`` names, or None when its head does not take its form.
+
+    The group that ends the match holds the exceptional tag, the field
+    letter ("f", "df") or the last integer."""
+    last = m.lastgroup
+    if last in ("tag", "dtag"):
+        return _exceptional(m["letter"], m[last])
+    value = m[last]
+    letter = last in ("f", "df")
+    handler = _CLASSICAL[m["head"]].get(value if letter else last)
+    return handler and handler(int(m["m"] or m["dm"]), value if letter else int(value))
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,6 @@
 """``foliations enumerate``."""
 
-from . import emit_json
+import json
 
 
 def add_arguments(parser) -> None:
@@ -28,7 +28,7 @@ def run(args) -> int:
     space = catalog_lookup(args.space)
     classes = enumerate_foliations(space, include_trivial=args.include_trivial, codim=args.codim)
     if args.format == "json":
-        emit_json([c.to_dict() for c in classes])
+        print(json_records(classes))
     else:
         print(f"{len(classes)} foliation class(es) on {space.name} ({space.display})")
         for c in classes:
@@ -38,3 +38,23 @@ def run(args) -> int:
                 f"leaf dim {c.leaf_dim:>3}  codim {c.codim:>2}  factors: {factors}"
             )
     return 0
+
+
+def json_records(classes) -> str:
+    """``json.dumps([c.to_dict() for c in classes], indent=2, ensure_ascii=False)``, encoded once per orbit.
+
+    Every field of a record but dim_v, leaf_dim, codim and trivial belongs
+    to its ``PhiOrbit``, so each orbit's first record is encoded whole and
+    cut around those four, which are spliced into each record of the orbit.
+    A raw newline occurs in the encoded text only between fields.
+    """
+    parts, orbit = [], None
+    for c in classes:
+        if c.phi_orbit is not orbit:
+            orbit = c.phi_orbit
+            text = json.dumps([c.to_dict()], indent=2, ensure_ascii=False)[2:-2]  # one record, without "[\n", "\n]"
+            head = text[:text.index('\n    "dim_v": ') + 14]
+            tail = text[text.index(',\n    "factors": '):]
+        parts.append(f'{head}{c.dim_v},\n    "leaf_dim": {c.leaf_dim},\n    "codim": {c.codim},\n'
+                     f'    "trivial": {"true" if c.trivial else "false"}{tail}')
+    return "[\n" + ",\n".join(parts) + "\n]" if parts else "[]"

@@ -87,7 +87,8 @@ def phi_indices(r: int, indices) -> tuple[int, ...]:
 
     The rank r must be an int >= 1 (a bool is refused).  A value is taken
     when it is integral (``int(i) == i``, so 3.0, True and numpy integers
-    pass) and lies in 1..r; any other raises LieFoliateError.
+    pass) and lies in 1..r; any other raises LieFoliateError.  The two ends
+    of the sorted distinct values give the range check.
     """
     if type(r) is not int or r < 1:
         raise LieFoliateError(f"rank {r!r} must be an int >= 1")
@@ -96,9 +97,9 @@ def phi_indices(r: int, indices) -> tuple[int, ...]:
         ints = list(map(int, values))
     except (TypeError, ValueError, OverflowError):  # no list of numbers, NaN, infinity
         values, ints = indices, None
-    if ints is None or ints != values or ints and not 1 <= min(ints) <= max(ints) <= r:
+    if ints is None or ints != values or (phi := sorted(set(ints))) and (phi[0] < 1 or phi[-1] > r):
         raise LieFoliateError(f"Phi indices {values!r} must be ints in 1..{r}")
-    return tuple(sorted(set(ints)))
+    return tuple(phi)
 
 
 def phi_subset(space: SpaceDescriptor, indices) -> PhiSubset:
@@ -140,17 +141,7 @@ class ParabolicData(namedtuple("ParabolicData", (
             "phi": list(self.phi),
             "sigma_phi": [list(r.scaled) for r in sorted(self.sigma_phi)],
             "sigma_phi_pos": [list(r.scaled) for r in sorted(self.sigma_phi_pos)],
-            "dim_a_phi": self.dim_a_phi,
-            "dim_n_phi": self.dim_n_phi,
-            "dim_g0": self.dim_g0,
-            "dim_l_phi": self.dim_l_phi,
-            "dim_m_phi": self.dim_m_phi,
-            "dim_q_phi": self.dim_q_phi,
-            "dim_p_phi": self.dim_p_phi,
-            "dim_p_phi_s": self.dim_p_phi_s,
-            "dim_k_phi": self.dim_k_phi,
-            "dim_g_phi": self.dim_g_phi,
-            "dim_z_phi": self.dim_z_phi,
+            **dict(zip(self._fields[4:], self[4:])),  # dim_a_phi to dim_z_phi, in field order
         }
 
     @classmethod
@@ -166,7 +157,7 @@ def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     sigma_phi, sigma_phi_pos = _root_sets(space, components)
     r, r_phi = space.rank, len(phi.indices)
 
-    sum_phi_pos = sum(c.sum_pos for c in components)
+    sum_phi_pos = sum([c.sum_pos for c in components])
     sum_phi = 2 * sum_phi_pos  # m(-lam) = m(lam)
     total_pos = space.dimension - r  # dim M = r + sum of positive multiplicities
 
@@ -182,9 +173,10 @@ def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     dim_g_phi = r_phi + sum_phi if k0 == 0 else None
     dim_z_phi = 0 if k0 == 0 else None
 
-    # positional, in field order: fifteen keywords took about 0.3 µs more per call
-    return ParabolicData(space, phi.indices, sigma_phi, sigma_phi_pos, dim_a_phi, dim_n_phi, dim_g0, dim_l, dim_m,
-                         dim_q, r + sum_phi_pos, r_phi + sum_phi_pos, dim_k_phi, dim_g_phi, dim_z_phi)
+    # in field order, without the frame of ParabolicData.__new__
+    return tuple.__new__(ParabolicData, (space, phi.indices, sigma_phi, sigma_phi_pos, dim_a_phi, dim_n_phi, dim_g0,
+                                         dim_l, dim_m, dim_q, r + sum_phi_pos, r_phi + sum_phi_pos, dim_k_phi,
+                                         dim_g_phi, dim_z_phi))
 
 
 class BoundaryFactor(namedtuple("BoundaryFactor", "component_indices rank name dim")):
@@ -234,16 +226,19 @@ class _SpaceComponents:
 
     def of(self, phi: PhiSubset) -> list[_Component]:
         """The components of phi in order, each made the first time it is met."""
-        try:
-            if phi.space != self.space:
-                raise LieFoliateError("Phi subset belongs to a different space")
-        except AttributeError:  # a list, a tuple, a str or None: no PhiSubset
-            raise LieFoliateError(f"Phi must be a PhiSubset, as phi_subset(space, indices) makes it; got {phi!r}") from None
-        components, seen = self.dd._components_of(phi.indices), self.seen
-        try:
-            return [seen[c] for c in components]
-        except KeyError:  # setdefault: the first stored, under threads too
-            return [seen.get(c) or seen.setdefault(c, _Component(self.space, c)) for c in components]
+        if not isinstance(phi, PhiSubset):  # a list, a tuple, a str or None
+            raise LieFoliateError(f"Phi must be a PhiSubset, as phi_subset(space, indices) makes it; got {phi!r}")
+        space, indices = phi
+        if space is not self.space and space != self.space:
+            raise LieFoliateError("Phi subset belongs to a different space")
+        seen = self.seen
+        component = seen.get(indices)  # a connected Phi met before is its one component
+        if component is not None:
+            return [component]
+        # a Phi of at most one root is its one component or none
+        components = self.dd._components_of(indices) if len(indices) > 1 else (indices,) * len(indices)
+        # setdefault: the first stored, under threads too
+        return [seen.get(c) or seen.setdefault(c, _Component(self.space, c)) for c in components]
 
 
 _components = lru_cache(maxsize=None)(_SpaceComponents)
@@ -252,8 +247,11 @@ _components = lru_cache(maxsize=None)(_SpaceComponents)
 def _root_sets(space: SpaceDescriptor, components: list[_Component]) -> tuple[frozenset[Root], frozenset[Root]]:
     if len(components) == 1:
         return components[0].root_sets(space)
-    sets = [c.root_sets(space) for c in components]  # a frozenset union reuses the stored hashes
-    return frozenset().union(*(s for s, _ in sets)), frozenset().union(*(s for _, s in sets))
+    sigma = sigma_pos = frozenset()
+    for c in components:  # a frozenset union reuses the stored hashes
+        c_sigma, c_pos = c.root_sets(space)
+        sigma, sigma_pos = sigma | c_sigma, sigma_pos | c_pos
+    return sigma, sigma_pos
 
 
 def boundary_components(space: SpaceDescriptor, phi: PhiSubset) -> list[BoundaryFactor]:
@@ -299,14 +297,15 @@ def horospherical(space: SpaceDescriptor, phi: PhiSubset) -> HorosphericalData:
     is built.
     """
     components = _components(space).of(phi)
-    factors = tuple(c.factor for c in components)
+    factors = tuple([c.factor for c in components])
     r, r_phi = space.rank, len(phi.indices)
-    sum_phi_pos = sum(c.sum_pos for c in components)
+    sum_phi_pos = sum([c.sum_pos for c in components])
     dim_fs = r_phi + sum_phi_pos  # dim p_Phi^s
-    if sum(f.dim for f in factors) != dim_fs:
+    if sum([f.dim for f in factors]) != dim_fs:
         raise LieFoliateError("boundary factor dimensions do not sum to dim F_Phi^s")
     # dim N_Phi = dim n_Phi = (dim M - r) - sum_phi_pos, as in parabolic_data
-    result = HorosphericalData(space, phi.indices, factors, dim_fs, r - r_phi, space.dimension - r - sum_phi_pos)
+    result = tuple.__new__(HorosphericalData,
+                           (space, phi.indices, factors, dim_fs, r - r_phi, space.dimension - r - sum_phi_pos))
     if result.dim_Fs + result.dim_euclidean + result.dim_N != space.dimension:
         raise LieFoliateError("horospherical dimensions do not sum to dim M")
     return result

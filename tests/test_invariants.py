@@ -10,6 +10,7 @@ function.
 
 import functools
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from liefoliate import clear_caches, parabolic
 from liefoliate.catalog import catalog_entries, catalog_lookup
+from liefoliate.commands.foliations import json_records
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
     FoliationClass,
@@ -408,6 +410,17 @@ def test_every_boundary_factor_up_to_rank_6_matches_the_reference(space):
     for k in range(space.rank + 1):
         for phi in itertools.combinations(range(1, space.rank + 1), k):
             _check_boundary_factors(space, phi)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+def test_the_json_writer_gives_the_bytes_of_json_dumps(space):
+    # codim r has dim V = 0 in every record and codim 0 only the trivial one, so four
+    # fields spliced out of order differ from to_dict on some option
+    for include_trivial in (False, True):
+        for codim in (None, 0, 1, space.rank):
+            classes = enumerate_foliations(space, include_trivial=include_trivial, codim=codim)
+            expected = json.dumps([c.to_dict() for c in classes], indent=2, ensure_ascii=False)
+            assert json_records(classes) == expected, (include_trivial, codim)
 
 
 @settings(max_examples=60, deadline=None)

@@ -336,7 +336,11 @@ def test_from_dict_rejects_a_record_the_space_does_not_give(record_type, build):
             record_type.from_dict({**data, "phi": phi})
 
 
-@pytest.mark.parametrize("phi", [[1, 3], (1, 3), "1,3", None], ids=["list", "tuple", "str", "None"])
+# A record of the same space has a ``space`` attribute too, and raised AttributeError on ``indices``.
+_RECORD = parabolic_data(catalog_lookup("SL5"), phi_subset(catalog_lookup("SL5"), [1, 3]))
+
+
+@pytest.mark.parametrize("phi", [[1, 3], (1, 3), "1,3", None, _RECORD], ids=["list", "tuple", "str", "None", "record"])
 @pytest.mark.parametrize("call", [parabolic_data, horospherical, boundary_components, root_subsystem])
 def test_a_phi_that_is_no_phi_subset_is_a_domain_error(call, phi):
     # each raised AttributeError: '<type>' object has no attribute 'space'

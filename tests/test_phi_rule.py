@@ -7,6 +7,8 @@ LieFoliateError for a value the rule refuses."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liefoliate.catalog import catalog_lookup
 from liefoliate.errors import LieFoliateError
@@ -16,6 +18,7 @@ from liefoliate.parabolic import (
     boundary_components,
     horospherical,
     parabolic_data,
+    phi_indices,
     phi_subset,
     root_subsystem,
 )
@@ -119,3 +122,56 @@ def test_enumeration_refuses_a_codim_that_is_no_int(codim):
 def test_enumeration_refuses_an_include_trivial_that_is_no_bool(include_trivial):
     with pytest.raises(LieFoliateError, match="include_trivial"):
         enumerate_foliations(SL5, include_trivial=include_trivial)
+
+
+def reference_phi_indices(r, indices):
+    """``phi_indices`` with its range check made by separate ``min`` and
+    ``max`` passes before the sort: the reference that the reading by one
+    ``sorted(set(...))`` must agree with."""
+    if type(r) is not int or r < 1:
+        raise LieFoliateError(f"rank {r!r} must be an int >= 1")
+    try:
+        values = list(indices)
+        ints = list(map(int, values))
+    except (TypeError, ValueError, OverflowError):  # no list of numbers, NaN, infinity
+        values, ints = indices, None
+    if ints is None or ints != values or ints and not 1 <= min(ints) <= max(ints) <= r:
+        raise LieFoliateError(f"Phi indices {values!r} must be ints in 1..{r}")
+    return tuple(sorted(set(ints)))
+
+
+def _outcome(read, r, indices):
+    """The tuple read, or the message of the LieFoliateError raised."""
+    try:
+        return read(r, indices)
+    except LieFoliateError as exc:
+        return str(exc)
+
+
+# In range, out of range, integral and not, and no number at all.
+_INDEX = st.one_of(
+    st.integers(-2, 11), st.integers(-2, 11), st.integers(-2**70, 2**70),
+    st.sampled_from([2.7, 3.0, 1.0, 0.0, 9.5, -1.0, math.nan, math.inf, -math.inf, True, False,
+                     "3", "", "1,3", None, b"3", 1 + 0j]),
+    st.floats(), st.lists(st.integers(0, 5), max_size=2), st.lists(st.lists(st.integers(1, 3), max_size=2), max_size=2))
+# Lists and tuples of indices, in any order and with repeats, and Phi that is no list.
+_PHI = st.one_of(st.lists(_INDEX, max_size=7), st.lists(_INDEX, max_size=7).map(tuple),
+                 st.lists(st.integers(1, 9), max_size=7), st.lists(st.integers(1, 9), max_size=7).map(tuple),
+                 _INDEX, st.text(alphabet="0123456789, ", max_size=5))
+_RANK = st.one_of(st.integers(1, 10), st.integers(1, 10), st.sampled_from([0, -1, True, 2.0, None, "4"]))
+
+
+@settings(max_examples=800, deadline=None)
+@given(_RANK, _PHI)
+def test_phi_indices_agrees_with_the_reference(r, indices):
+    assert _outcome(phi_indices, r, indices) == _outcome(reference_phi_indices, r, indices)
+
+
+def test_phi_indices_reads_numpy_values_as_the_reference_does():
+    np = pytest.importorskip("numpy")
+    values = [np.int64(3), np.int32(1), np.int8(0), np.uint16(9), np.int64(4), np.float64(2.0), np.float64(2.5),
+              np.float64("nan"), np.float64("inf"), np.bool_(True)]
+    cases = [[v] for v in values] + [values[:2], [values[4], values[1], values[4]], values[:5], values]
+    for r in (4, 9):
+        for indices in cases + [tuple(c) for c in cases] + [np.array(values[:2]), np.array([3.0, 1.0])]:
+            assert _outcome(phi_indices, r, indices) == _outcome(reference_phi_indices, r, indices), indices
