@@ -8,8 +8,8 @@ read off the multiplicities: 0 when all are 1 (a split real form), else unknown.
 A space's Dynkin diagram comes from its family and rank, and dim M from the
 per-type root counts of each length, and ``multiplicities`` from the simple
 roots, so none builds a root; the full root list (``root_system``) is built
-only for ``positive_mults`` and ``root_multiplicity``.  ``MultiplicityFunction``
-and ``root_multiplicity`` live in ``rootsystem`` with that list.  No catalog
+only for ``root_multiplicity``.  ``MultiplicityFunction`` and
+``root_multiplicity`` live in ``rootsystem`` with that list.  No catalog
 space has a rank above ``roots.MAX_RANK``.
 
 Lookups accept either flattened ASCII identifiers such as ``sl(5,R)``,
@@ -170,11 +170,6 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
         return MultiplicityFunction.for_space(self)
 
     @cached_property
-    def positive_mults(self) -> tuple[int, ...]:
-        """m(lambda) for each lambda of ``root_system.positive``, in that order."""
-        return tuple(map(self.multiplicities, self.root_system.positive))
-
-    @cached_property
     def dimension(self) -> int:
         return space_dimension(self)
 
@@ -297,8 +292,6 @@ def _so_real(p: int, q: int) -> SpaceDescriptor:
         if p < 3:
             raise LieFoliateError("so(r,r): valid for r >= 3")
         return _instantiate("so_rr", p)
-    if q < 2:
-        raise LieFoliateError("so(p,q): valid for p > q >= 2, p = q >= 3, or q = 1 with p >= 3")
     return _instantiate("so_pq", q, p - q, None, p, q)
 
 

@@ -15,8 +15,7 @@ def add_arguments(parser) -> None:
         "Root systems and Dynkin diagrams.  'show' lists every root, and |Sigma+| grows "
         "like r^2 (r(r+1)/2 for A_r, about r^2 for B, C, D, BC), so it accepts ranks up to "
         f"{SHOW_MAX_RANK}; 'dynkin' reads the diagram off the simple roots alone and accepts ranks up "
-        "to 1000.  Measured on a 2-vCPU x86_64 VM: 'show --family A --rank 31 --format json' prints "
-        "496 positive roots in 0.15 s, import included."
+        "to 1000."
     )
     parser.add_argument("action", choices=("show", "dynkin"))
     parser.add_argument("--family", required=True,

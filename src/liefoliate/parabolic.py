@@ -300,12 +300,7 @@ def horospherical(space: SpaceDescriptor, phi: PhiSubset) -> HorosphericalData:
     factors = tuple([c.factor for c in components])
     r, r_phi = space.rank, len(phi.indices)
     sum_phi_pos = sum([c.sum_pos for c in components])
-    dim_fs = r_phi + sum_phi_pos  # dim p_Phi^s
-    if sum([f.dim for f in factors]) != dim_fs:
-        raise LieFoliateError("boundary factor dimensions do not sum to dim F_Phi^s")
+    # dim F_Phi^s = dim p_Phi^s = r_Phi + sum_phi_pos, the sum of the factors' dims, and
     # dim N_Phi = dim n_Phi = (dim M - r) - sum_phi_pos, as in parabolic_data
-    result = tuple.__new__(HorosphericalData,
-                           (space, phi.indices, factors, dim_fs, r - r_phi, space.dimension - r - sum_phi_pos))
-    if result.dim_Fs + result.dim_euclidean + result.dim_N != space.dimension:
-        raise LieFoliateError("horospherical dimensions do not sum to dim M")
-    return result
+    return tuple.__new__(HorosphericalData, (space, phi.indices, factors, r_phi + sum_phi_pos, r - r_phi,
+                                             space.dimension - r - sum_phi_pos))

@@ -1,14 +1,16 @@
 """The full root list of a root system, for the commands that print or check it.
 
 ``build_root_system`` walks root strings up from the simple roots of
-``roots._SIMPLE_ROOTS``, using the integer Cartan matrix, and maps the roots
-it finds to ambient coordinates once, at the end; BC_r adds 2 beta for each
-short root beta of B_r.  The same walk gives every root's simple-root
-coefficients and support mask.  Positive roots are ordered by height, then by
-their coefficients in descending lexicographic order, so ``positive`` begins
-with the simple roots in order.  A system holds O(r^2) roots of r
-coordinates each; the structure commands read the diagram of ``roots`` and
-its closed forms instead, and do not load this module.
+``roots._SIMPLE_ROOTS``, using the Cartan matrix of ``family_diagram``, and
+maps the roots it finds to ambient coordinates once, at the end; BC_r adds
+2 beta for each short root beta of B_r.  The same walk gives every root's
+simple-root coefficients and support mask.  Positive roots are ordered by
+height, then by their coefficients in descending lexicographic order, so
+``positive`` begins with the simple roots in order.  A system holds O(r^2)
+roots of r coordinates each; the structure commands read the diagram of
+``roots`` and its closed forms instead, and do not load this module.
+``RootSystem.from_dict`` checks listed simple roots against the same
+diagram's Cartan matrix before it walks any root.
 
 The exact arithmetic on roots (``inner``, ``reflect``), reading and
 printing them (``root_from_coords``, ``format_root``), and the multiplicity
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
+from operator import mul
 
 from .errors import LieFoliateError
 from .roots import (SCALE, _SIMPLE_ROOTS, DynkinDiagram, Family, Root, _checked_family, _positive_roots, _vector,
@@ -101,57 +104,8 @@ def reflect(lam: Root, x: Root) -> Root:
     return Root(tuple(scaled))
 
 
-def _independent(vectors) -> bool:
-    """Whether integer vectors are linearly independent (fraction-free elimination)."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                rows[i] = [p[col] * a - f * b for a, b in zip(rows[i], p)]
-        rank += 1
-    return rank == len(rows)
-
-
-def _cartan_matrix(simple) -> tuple[tuple[int, ...], ...]:
-    """A_ij = 2<alpha_i, alpha_j>/<alpha_j, alpha_j> of the given simple roots.
-
-    Raises unless the simple roots are independent, every entry is an integer
-    and A_ij <= 0 for i != j, as for the simple roots of a crystallographic
-    root system.
-    """
-    if not _independent(simple):
-        raise LieFoliateError("simple roots are linearly dependent")
-    norms = [sum(a * a for a in alpha) for alpha in simple]
-    cartan = []
-    for i, a in enumerate(simple):
-        row = []
-        for j, b in enumerate(simple):
-            num = 2 * sum(x * y for x, y in zip(a, b))
-            if num % norms[j]:
-                from fractions import Fraction
-
-                raise LieFoliateError(
-                    f"Cartan entry A_{i + 1},{j + 1} = {Fraction(num, norms[j])} is not an integer"
-                )
-            if i != j and num > 0:
-                raise LieFoliateError(
-                    f"Cartan entry A_{i + 1},{j + 1} is positive: simple roots must not make an acute angle"
-                )
-            row.append(num // norms[j])
-        cartan.append(tuple(row))
-    return tuple(cartan)
-
-
-def _generate(family: Family, rank: int, simple) -> "RootSystem":
-    """The root system spanned by the given simple roots (doubled-integer tuples)."""
-    cartan = _cartan_matrix(simple)
+def _generate(family: Family, rank: int, simple, cartan) -> "RootSystem":
+    """The root system spanned by the given simple roots (doubled-integer tuples) of Cartan matrix ``cartan``."""
     walk = _positive_roots(simple, cartan, family is Family.BC)
     positive = tuple(Root(v) for _, v in walk)
     roots = frozenset(positive) | frozenset(-lam for lam in positive)
@@ -164,11 +118,11 @@ class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positiv
     """A full root system: all roots, a choice of positives, and simple roots.
 
     ``positive`` is in canonical order (see ``_positive_roots``) and begins
-    with ``simple``; ``cartan`` is the Cartan matrix of ``simple`` and
-    ``coefficients`` the simple-root coefficients of each positive root.
-    Both are functions of ``simple`` and ``positive``, so comparing them too
-    decides no equality differently.  No ``__slots__``: the cached
-    properties live in the instance ``__dict__``.
+    with ``simple``; ``cartan`` is the Cartan matrix of the family's diagram,
+    which ``simple`` has, and ``coefficients`` the simple-root coefficients
+    of each positive root.  Both are functions of the other fields, so
+    comparing them too decides no equality differently.  No ``__slots__``:
+    the cached properties live in the instance ``__dict__``.
     """
 
     def __contains__(self, root: Root) -> bool:
@@ -234,9 +188,15 @@ class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positiv
             raise LieFoliateError("number of simple roots must equal the rank, which is at least 1")
         if any(len(alpha) != data["ambient_dim"] for alpha in simple):
             raise LieFoliateError("simple roots must have ambient_dim coordinates")
-        rs = _generate(family, rank, simple)
-        if rs.cartan != family_diagram(family, rank).cartan:
+        # A Cartan matrix of finite type is integral, nonsingular and <= 0 off the
+        # diagonal, so nonzero roots with 2<alpha_i, alpha_j> = A_ij <alpha_j, alpha_j>
+        # are linearly independent and make no acute angle.
+        cartan = family_diagram(family, rank).cartan
+        norms = [sum(c * c for c in alpha) for alpha in simple]
+        if any(2 * sum(map(mul, alpha, beta)) != a_ij * norm
+               for alpha, row in zip(simple, cartan) for beta, a_ij, norm in zip(simple, row, norms)):
             raise LieFoliateError(f"simple roots do not have the Cartan matrix of {family.value}_{rank}")
+        rs = _generate(family, rank, simple, cartan)
         positive = _listed_roots(data, "positive")
         if len(positive) != len(rs.positive) or set(positive) != set(rs.positive):
             raise LieFoliateError("positive roots are not those the simple roots generate")
@@ -269,7 +229,7 @@ def build_root_system(family: Family | str, rank: int) -> RootSystem:
 @lru_cache(maxsize=None)
 def _built_root_system(family: Family, rank: int) -> RootSystem:
     dim, simple = _SIMPLE_ROOTS[family](rank)
-    return _generate(family, rank, tuple(_vector(dim, alpha) for alpha in simple))
+    return _generate(family, rank, tuple(_vector(dim, alpha) for alpha in simple), family_diagram(family, rank).cartan)
 
 
 build_root_system.cache_info = _built_root_system.cache_info

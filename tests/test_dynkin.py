@@ -1,6 +1,7 @@
 """Dynkin diagram structure, automorphism groups, and exports."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -209,7 +210,7 @@ SYSTEMS_TO_16 = [
 def test_diagram_cartan_matrix_is_the_root_systems(case):
     rs = build_root_system(*case)
     dd = dynkin_diagram(rs)
-    assert dd.cartan == rs.cartan
+    assert dd.cartan == rs.cartan == _cartan_of(rs.simple)
     assert DynkinDiagram.from_dict(dd.to_dict()).cartan == rs.cartan
 
 
@@ -242,9 +243,17 @@ def test_connected_components():
     assert dd4.connected_components((1, 2, 3, 4)) == [(1, 2, 3, 4)]
 
 
+def _cartan_of(simple):
+    """A_ij = 2<alpha_i, alpha_j>/<alpha_j, alpha_j>, from the coordinates of the simple roots."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a.scaled, b.scaled))
+
+    return tuple(tuple(Fraction(2 * dot(a, b), dot(b, b)) for b in simple) for a in simple)
+
+
 def _diagram_from_roots(rs):
     """Oracle: the diagram read off the Cartan matrix of the simple roots and the full root list."""
-    a = rs.cartan
+    a = _cartan_of(rs.simple)
     vertices = tuple(DynkinVertex(i + 1, rs.simple[i].double() in rs.roots) for i in range(rs.rank))
     edges = []
     for i, j in itertools.combinations(range(rs.rank), 2):

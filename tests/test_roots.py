@@ -13,7 +13,9 @@ from liefoliate.roots import (
     Family,
     Root,
     RootSystem,
+    _positive_roots,
     build_root_system,
+    family_diagram,
     inner,
     reflect,
     root_from_coords,
@@ -294,8 +296,8 @@ def _positive_key_missing(data):
         (_left_out, "not those the simple roots generate"),
         (_emptied, "which is at least 1"),
         (_relabelled, "do not have the Cartan matrix of B_3"),
-        (_alpha2_negated, "A_1,2 is positive"),
-        (_alpha2_doubled, "A_1,2 = -1/2 is not an integer"),
+        (_alpha2_negated, "do not have the Cartan matrix of A_3"),
+        (_alpha2_doubled, "do not have the Cartan matrix of A_3"),
         (_unknown_family, "unknown root system family 'Z'"),
         (_positive_key_missing, "lacks positive"),
     ],
@@ -314,8 +316,142 @@ def test_from_dict_rejects_dependent_simple_roots():
     data = rs.to_dict()
     alpha1, alpha2, _ = rs.simple
     data["simple"][2] = [a + b for a, b in zip(alpha1.scaled, alpha2.scaled)]
-    with pytest.raises(LieFoliateError, match="linearly dependent"):
+    with pytest.raises(LieFoliateError, match="do not have the Cartan matrix of A_3"):
         RootSystem.from_dict(data)
+
+
+# The reference for the test below: the check that ``RootSystem.from_dict``
+# made while it derived the Cartan matrix from the coordinates of the listed
+# simple roots, before it compared that matrix with the diagram's.
+
+
+def _reference_independent(vectors) -> bool:
+    """Whether integer vectors are linearly independent (fraction-free elimination)."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [p[col] * a - f * b for a, b in zip(rows[i], p)]
+        rank += 1
+    return rank == len(rows)
+
+
+def _reference_cartan_matrix(simple) -> tuple[tuple[int, ...], ...]:
+    """A_ij = 2<alpha_i, alpha_j>/<alpha_j, alpha_j>; raises unless the simple roots
+    are independent, every entry is an integer and A_ij <= 0 for i != j."""
+    if not _reference_independent(simple):
+        raise LieFoliateError("simple roots are linearly dependent")
+    norms = [sum(a * a for a in alpha) for alpha in simple]
+    cartan = []
+    for i, a in enumerate(simple):
+        row = []
+        for j, b in enumerate(simple):
+            num = 2 * sum(x * y for x, y in zip(a, b))
+            if num % norms[j]:
+                raise LieFoliateError(
+                    f"Cartan entry A_{i + 1},{j + 1} = {Fraction(num, norms[j])} is not an integer"
+                )
+            if i != j and num > 0:
+                raise LieFoliateError(
+                    f"Cartan entry A_{i + 1},{j + 1} is positive: simple roots must not make an acute angle"
+                )
+            row.append(num // norms[j])
+        cartan.append(tuple(row))
+    return tuple(cartan)
+
+
+def _reference_from_dict(data):
+    """The system that the reference accepts, or the message it refuses with,
+    for a well-formed record whose simple roots may be anything."""
+    family, rank = Family(data["family"]), data["rank"]
+    try:
+        simple = tuple(Root(tuple(c)).scaled for c in data["simple"])
+        cartan = _reference_cartan_matrix(simple)
+    except LieFoliateError as exc:
+        return str(exc)
+    if cartan != family_diagram(family, rank).cartan:
+        return f"simple roots do not have the Cartan matrix of {family.value}_{rank}"
+    walk = _positive_roots(simple, cartan, family is Family.BC)
+    positive = tuple(Root(v) for _, v in walk)
+    roots = frozenset(positive) | frozenset(-lam for lam in positive)
+    listed = [Root(tuple(c)) for c in data["positive"]]
+    if len(listed) != len(positive) or set(listed) != set(positive):
+        return "positive roots are not those the simple roots generate"
+    if frozenset(Root(tuple(c)) for c in data["roots"]) != roots:
+        return "root set is not the positive roots and their negatives"
+    return RootSystem(family, rank, len(simple[0]), roots, positive, positive[:rank], cartan,
+                      tuple(c for c, _ in walk))
+
+
+# The three refusals of the reference that now share the Cartan-matrix message.
+_OLD_CARTAN_MESSAGES = ("simple roots are linearly dependent", "is not an integer", "must not make an acute angle")
+_EDITED_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("BC", 2), ("D", 4), ("F4", 4), ("G2", 2)]
+
+
+@st.composite
+def _edited_records(draw):
+    """A record of one of ``_EDITED_SYSTEMS`` with one to three edits of its
+    simple roots, and its coordinates then permuted the same way in every list."""
+    family, rank = draw(st.sampled_from(_EDITED_SYSTEMS))
+    data = build_root_system(family, rank).to_dict()
+    simple = data["simple"]
+    index = st.integers(0, rank - 1)
+    small = st.integers(-3, 3)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(index), draw(index)
+        kind = draw(st.sampled_from(("add", "scale", "negate", "swap", "dependent")))
+        if kind == "add" and i != j:
+            k = draw(small)
+            simple[i] = [a + k * b for a, b in zip(simple[i], simple[j])]
+        elif kind == "scale":
+            k = draw(small)
+            simple[i] = [k * a for a in simple[i]]
+        elif kind == "negate":
+            simple[i] = [-a for a in simple[i]]
+        elif kind == "swap":
+            simple[i], simple[j] = simple[j], simple[i]
+        elif kind == "dependent":
+            ks = [draw(small) for _ in range(rank)]
+            others = [[k * a for a in alpha] for n, (k, alpha) in enumerate(zip(ks, simple)) if n != i]
+            simple[i] = [sum(column) for column in zip(*others)]
+    order = draw(st.permutations(range(data["ambient_dim"])))
+    for key in ("simple", "positive", "roots"):
+        data[key] = [[v[c] for c in order] for v in data[key]]
+    return data
+
+
+def _outcome(read, data):
+    try:
+        return read(data)
+    except LieFoliateError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_records())
+def test_from_dict_refuses_an_edited_record_exactly_when_the_reference_does(data):
+    want = _reference_from_dict(data)
+    if isinstance(want, str) and any(old in want for old in _OLD_CARTAN_MESSAGES):
+        want = f"simple roots do not have the Cartan matrix of {data['family']}_{data['rank']}"
+    assert _outcome(RootSystem.from_dict, data) == want
+
+
+@pytest.mark.parametrize("family, rank", _EDITED_SYSTEMS)
+def test_from_dict_accepts_a_record_with_its_coordinates_permuted(family, rank):
+    data = build_root_system(family, rank).to_dict()
+    order = list(range(data["ambient_dim"]))[::-1]
+    for key in ("simple", "positive", "roots"):
+        data[key] = [[v[c] for c in order] for v in data[key]]
+    rs = RootSystem.from_dict(data)
+    assert rs == _reference_from_dict(data)
+    assert [list(alpha.scaled) for alpha in rs.simple] == data["simple"]
 
 
 def test_simple_coefficients_rejects_non_roots():
