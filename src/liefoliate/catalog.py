@@ -259,7 +259,7 @@ def _instantiate(key: str, r: int | None = None, n: int | None = None, m: int | 
         family=entry.family,
         rank=rank,
         simple_mults=tuple(mults),
-        dim_k0=0 if all(m == 1 for m in mults) else None,
+        dim_k0=0 if mults.count(1) == rank else None,
         entry_key=key,
         notes=entry.notes,
     )
@@ -394,14 +394,11 @@ def _space(m: re.Match) -> SpaceDescriptor | None:
     return handler and handler(int(m["m"] or m["dm"]), value if letter else int(value))
 
 
-@lru_cache(maxsize=None)
-def _display_names(display: str) -> tuple[str, str]:
-    """A display name normalized, and the same with p and q swapped throughout
-    for so(p,q), su(p,q) and sp(p,q) (else unchanged); computed once per space."""
-    name = _normalize(display)
-    m = _NAME.match(name)
-    swap = {m["dm"]: m["dq"], m["dq"]: m["dm"]} if m and m["dq"] else {}
-    return name, "".join(swap.get(run, run) for run in ("".join(g) for _, g in groupby(name, str.isdecimal)))
+def _pq_swapped(query: str, m: re.Match) -> str:
+    """The normalized display name ``query``, matched as ``m``, with its p and q
+    swapped throughout for so(p,q), su(p,q) and sp(p,q) (else unchanged)."""
+    swap = {m["dm"]: m["dq"], m["dq"]: m["dm"]} if m["dq"] else {}
+    return "".join(swap.get(run, run) for run in ("".join(g) for _, g in groupby(query, str.isdecimal)))
 
 
 _GRAMMAR_HELP = (
@@ -417,9 +414,20 @@ def catalog_lookup(name: str) -> SpaceDescriptor:
 
     A name containing "/" must be the display name of the space it resolves
     to.  Unknown names are rejected with a summary of the valid grammar.
+    Each accepted spelling is kept with its descriptor for the life of the
+    process, or until ``liefoliate.clear_caches()``.
     """
-    if not isinstance(name, str):
-        raise LieFoliateError(f"symmetric space name {name!r} is not a string")
+    if type(name) is not str:
+        if not isinstance(name, str):
+            raise LieFoliateError(f"symmetric space name {name!r} is not a string")
+        name = str.__str__(name)  # a str subclass may hash as it likes; the memo keys plain strings
+    return _lookup(name)
+
+
+# One entry per accepted spelling, keyed by the exact string, so a repeated
+# name skips the grammar; a refused name raises and is not kept.
+@lru_cache(maxsize=None)
+def _lookup(name: str) -> SpaceDescriptor:
     query = _normalize(name)
     m = _NAME.match(query)
     try:
@@ -430,6 +438,6 @@ def catalog_lookup(name: str) -> SpaceDescriptor:
         raise LieFoliateError(f"an integer in symmetric space name {name!r} is too large") from None
     if space is None:
         raise LieFoliateError(f"unknown symmetric space {name!r}; valid names: {_GRAMMAR_HELP}")
-    if "/" in query and query not in _display_names(space.display):
+    if "/" in query and _normalize(space.display) not in (query, _pq_swapped(query, m)):
         raise LieFoliateError(f"{name!r} is not the display name of {space.name}, {space.display}")
     return space

@@ -104,14 +104,16 @@ def reflect(lam: Root, x: Root) -> Root:
     return Root(tuple(scaled))
 
 
-def _generate(family: Family, rank: int, simple, cartan) -> "RootSystem":
-    """The root system spanned by the given simple roots (doubled-integer tuples) of Cartan matrix ``cartan``."""
-    walk = _positive_roots(simple, cartan, family is Family.BC)
+def _generate(family: Family, rank: int, simple, diagram: DynkinDiagram) -> "RootSystem":
+    """The root system spanned by the given simple roots (doubled-integer tuples) of the
+    Cartan matrix of ``diagram``, which the system keeps as its Dynkin diagram."""
+    walk = _positive_roots(simple, diagram.cartan, family is Family.BC)
     positive = tuple(Root(v) for _, v in walk)
     roots = frozenset(positive) | frozenset(-lam for lam in positive)
     coefficients = tuple(c for c, _ in walk)
-    return RootSystem(family, rank, len(simple[0]), roots, positive, positive[:rank],
-                      cartan, coefficients)
+    rs = RootSystem(family, rank, len(simple[0]), roots, positive, positive[:rank], diagram.cartan, coefficients)
+    rs.__dict__["_dynkin_diagram"] = diagram
+    return rs
 
 
 class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positive simple cartan coefficients")):
@@ -145,6 +147,7 @@ class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positiv
 
     @cached_property
     def _dynkin_diagram(self) -> "DynkinDiagram":
+        """Set by ``_generate``, which built it for the Cartan matrix; made here for a system built by hand."""
         return family_diagram(self.family, self.rank)
 
     @cached_property
@@ -191,12 +194,12 @@ class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positiv
         # A Cartan matrix of finite type is integral, nonsingular and <= 0 off the
         # diagonal, so nonzero roots with 2<alpha_i, alpha_j> = A_ij <alpha_j, alpha_j>
         # are linearly independent and make no acute angle.
-        cartan = family_diagram(family, rank).cartan
+        diagram = family_diagram(family, rank)
         norms = [sum(c * c for c in alpha) for alpha in simple]
         if any(2 * sum(map(mul, alpha, beta)) != a_ij * norm
-               for alpha, row in zip(simple, cartan) for beta, a_ij, norm in zip(simple, row, norms)):
+               for alpha, row in zip(simple, diagram.cartan) for beta, a_ij, norm in zip(simple, row, norms)):
             raise LieFoliateError(f"simple roots do not have the Cartan matrix of {family.value}_{rank}")
-        rs = _generate(family, rank, simple, cartan)
+        rs = _generate(family, rank, simple, diagram)
         positive = _listed_roots(data, "positive")
         if len(positive) != len(rs.positive) or set(positive) != set(rs.positive):
             raise LieFoliateError("positive roots are not those the simple roots generate")
@@ -229,7 +232,7 @@ def build_root_system(family: Family | str, rank: int) -> RootSystem:
 @lru_cache(maxsize=None)
 def _built_root_system(family: Family, rank: int) -> RootSystem:
     dim, simple = _SIMPLE_ROOTS[family](rank)
-    return _generate(family, rank, tuple(_vector(dim, alpha) for alpha in simple), family_diagram(family, rank).cartan)
+    return _generate(family, rank, tuple(_vector(dim, alpha) for alpha in simple), family_diagram(family, rank))
 
 
 build_root_system.cache_info = _built_root_system.cache_info

@@ -100,11 +100,16 @@ def test_lookup_returns_one_descriptor_per_space():
     assert catalog_lookup("so(7,2)") != catalog_lookup("so(8,2)")
 
 
-@pytest.mark.parametrize("name", ["sl(5,Q)", "so(2,1)", "e6(5)", "sp(1,R)", None, 5])
+@pytest.mark.parametrize("name", ["sl(5,Q)", "so(2,1)", "e6(5)", "sp(1,R)", None, 5, "", "SL1002",
+                                  pytest.param("SL" + "9" * 5000, id="SL9...9"), "SL_5(R)/SO_7",
+                                  "SU_{2,4}/S(U_4 U_2)", pytest.param(b"SL5", id="bytes"),
+                                  pytest.param(["SL5"], id="list"), pytest.param({}, id="dict")])
 def test_invalid_name_raises_on_every_call(name):
-    for _ in range(3):
-        with pytest.raises(LieFoliateError):
-            catalog_lookup(name)
+    catalog_lookup("SL5")
+    kept = catalog._lookup.cache_info().currsize
+    messages = {outcome(catalog_lookup, name) for _ in range(3)}  # a TypeError from hashing would escape
+    assert len(messages) == 1 and isinstance(messages.pop(), str)
+    assert catalog._lookup.cache_info().currsize == kept  # a refused name is not kept
 
 
 @pytest.mark.parametrize(
@@ -253,9 +258,11 @@ def test_lookup_by_head_agrees_with_the_trial_of_every_pattern(name):
 
 
 def test_a_lookup_makes_one_match(monkeypatch):
-    names = ["e8(-24)", "E_8^{-24}/E_7 Sp_1", "SL5", "su(4,2)", "SU_{2,4}/S(U_2 U_4)", "so(7,H)", "sl(5,Q)", ""]
-    for name in names:  # the display names and exceptional tags, read once per process
+    names = ["e8(-24)", "E_8^{-24}/E_7 Sp_1", "SL5", "su(4,2)", "SU_{2,4}/S(U_2 U_4)", "so(7,H)"]
+    refused = ["sl(5,Q)", "", "SU_{2,4}/S(U_4 U_2)"]
+    for name in names + refused:  # the catalog file and exceptional tags, read once per process
         outcome(catalog_lookup, name)
+    catalog._lookup.cache_clear()
     matched = []
 
     class Counting:
@@ -267,8 +274,59 @@ def test_a_lookup_makes_one_match(monkeypatch):
     monkeypatch.setattr(catalog, "_NAME", Counting())
     for name in names:
         matched.clear()
-        outcome(catalog_lookup, name)
+        catalog_lookup(name)
         assert matched == [catalog._normalize(name)], name
+        matched.clear()
+        catalog_lookup(name)
+        assert matched == [], name
+    for name in refused:
+        for _ in range(2):
+            matched.clear()
+            outcome(catalog_lookup, name)
+            assert matched == [catalog._normalize(name)], name
+
+
+def _spellings(space):
+    """The ASCII name, the SL<m> or SOo alias where the space has one, its display
+    name and the display name with p and q swapped throughout."""
+    spellings = [space.name, space.display]
+    if alias := re.fullmatch(r"sl\((\d+),R\)", space.name):
+        spellings.append(f"SL{alias[1]}")
+    if alias := re.fullmatch(r"so(\(\d+,\d+\))", space.name):
+        spellings.append(f"SOo{alias[1]}")
+    if pair := re.match(r"(?:SO\^o|SU|Sp)_\{(\d+),(\d+)\}/", space.display):
+        p, q = pair[1], pair[2]
+        spellings.append(re.sub(r"\d+", lambda t: {p: q, q: p}.get(t[0], t[0]), space.display))
+    return spellings
+
+
+def test_every_spelling_of_every_instance_returns_the_one_descriptor():
+    from test_invariants import SPACES
+
+    for space in SPACES:
+        interned = catalog_lookup(space.name)
+        assert interned == space
+        for spelling in _spellings(space):
+            assert catalog_lookup(spelling) is interned, spelling
+    assert {len(_spellings(space)) for space in SPACES} == {2, 3, 4}
+
+
+def test_clear_caches_makes_the_next_lookup_build_a_new_equal_descriptor():
+    before = catalog_lookup("SU_{2,4}/S(U_2 U_4)")
+    liefoliate.clear_caches()
+    assert catalog._lookup.cache_info().currsize == 0
+    after = catalog_lookup("SU_{2,4}/S(U_2 U_4)")
+    assert after is not before and after == before
+    assert catalog_lookup("su(4,2)") is after
+
+
+def test_a_str_subclass_is_looked_up_by_its_plain_value():
+    class Unhashable(str):
+        __hash__ = None
+
+    assert catalog_lookup(Unhashable("SL_5(R)/SO_5")) is catalog_lookup("SL5")
+    with pytest.raises(LieFoliateError, match="unknown symmetric space 'sl5q'"):
+        catalog_lookup(Unhashable("sl5q"))
 
 
 # Independent oracle: classical closed-form dimensions of these spaces.

@@ -235,7 +235,7 @@ def test_clear_caches_empties_every_cache_of_the_loaded_modules(monkeypatch):
     sl5 = catalog_lookup("SL5")
     filled = {key for key, size in _cache_sizes().items() if size}
     assert filled >= {f"liefoliate.{key}" for key in (
-        "catalog._instantiate", "foliations._layer", "foliations._orbits", "foliations._probe",
+        "catalog._instantiate", "catalog._lookup", "foliations._layer", "foliations._orbits", "foliations._probe",
         "parabolic._components", "rootsystem._built_root_system", "slmodel.sl_basis")}
     clear_caches()
     assert set(_cache_sizes().values()) == {0}

@@ -524,6 +524,26 @@ def test_from_dict_checks_the_cartan_matrix_against_the_diagram_not_a_built_syst
     assert build_root_system.cache_info().misses == 0
 
 
+def test_a_built_system_keeps_the_diagram_of_its_cartan_matrix(monkeypatch):
+    from liefoliate import rootsystem
+
+    calls = []
+
+    def counting(family, rank):
+        calls.append((family, rank))
+        return family_diagram(family, rank)
+
+    monkeypatch.setattr(rootsystem, "family_diagram", counting)
+    clear_caches()
+    rs = build_root_system("E6", 6)
+    assert rootsystem.dynkin_diagram(rs) is rootsystem.dynkin_diagram(rs) == family_diagram("E6", 6)
+    assert len(calls) == 1
+    again = RootSystem.from_dict(rs.to_dict())
+    assert rootsystem.dynkin_diagram(again) == rootsystem.dynkin_diagram(rs)
+    assert len(calls) == 2
+    assert rootsystem.dynkin_diagram(again._replace()) == rootsystem.dynkin_diagram(rs)  # built by hand: made on use
+
+
 def test_format_root():
     from liefoliate.roots import format_root
 
