@@ -396,9 +396,16 @@ def _space(m: re.Match) -> SpaceDescriptor | None:
 
 def _pq_swapped(query: str, m: re.Match) -> str:
     """The normalized display name ``query``, matched as ``m``, with its p and q
-    swapped throughout for so(p,q), su(p,q) and sp(p,q) (else unchanged)."""
-    swap = {m["dm"]: m["dq"], m["dq"]: m["dm"]} if m["dq"] else {}
-    return "".join(swap.get(run, run) for run in ("".join(g) for _, g in groupby(query, str.isdecimal)))
+    swapped for so(p,q), su(p,q) and sp(p,q) (else unchanged): in the pair, and
+    after "/" where both are named there.  The display name SO^o_{p,1}/SO_p of
+    so(p,1) omits the trivial SO_1, so its swap is SO^o_{1,p}/SO_p."""
+    p, q = m["dm"], m["dq"]
+    if not q:
+        return query
+    runs = ["".join(g) for _, g in groupby(query[m.end():], str.isdecimal)]  # m ends with the "/"
+    if p in runs and q in runs:
+        runs = [{p: q, q: p}.get(run, run) for run in runs]
+    return f"{query[:m.start('dm')]}{q},{p}/{''.join(runs)}"
 
 
 _GRAMMAR_HELP = (

@@ -50,11 +50,9 @@ class PhiSubset(namedtuple("PhiSubset", "space indices")):
 
     def __new__(cls, space: SpaceDescriptor, indices: tuple[int, ...]) -> "PhiSubset":
         r = space.rank
-        if any(type(i) is not int or not 1 <= i <= r for i in indices):
-            raise LieFoliateError(f"Phi indices {indices!r} must be ints in 1..{r}")
-        if list(indices) != sorted(set(indices)):
-            raise LieFoliateError("Phi indices must be strictly increasing")
-        return tuple.__new__(cls, (space, indices))
+        if not _is_canonical(r, indices):
+            raise LieFoliateError(f"Phi indices {indices!r} must be ints in 1..{r}, strictly increasing")
+        return tuple.__new__(cls, (space, tuple(indices)))
 
     @classmethod
     def _make(cls, iterable) -> "PhiSubset":
@@ -82,16 +80,35 @@ class PhiSubset(namedtuple("PhiSubset", "space indices")):
             raise LieFoliateError(f"dim_v {dim_v!r} is not in 0..{top}")
 
 
+def _is_canonical(r: int, indices) -> bool:
+    """Whether ``indices`` is a tuple or a list of ints (no bool, no numpy
+    integer) that strictly increase from at least 1 to at most r: one pass, no
+    copy, stopping at the first item that fails."""
+    if type(indices) is not tuple and type(indices) is not list:
+        return False
+    last = 0
+    for i in indices:
+        if type(i) is not int or i <= last:
+            return False
+        last = i
+    return last <= r
+
+
 def phi_indices(r: int, indices) -> tuple[int, ...]:
     """The distinct simple-root indices of ``indices``, sorted.
 
-    The rank r must be an int >= 1 (a bool is refused).  A value is taken
-    when it is integral (``int(i) == i``, so 3.0, True and numpy integers
-    pass) and lies in 1..r; any other raises LieFoliateError.  The two ends
-    of the sorted distinct values give the range check.
+    The rank r must be an int >= 1 (a bool is refused).  A Phi that is
+    already canonical, a tuple or a list of ints strictly increasing within
+    1..r, is read in one pass and returned as ``tuple(indices)``: a tuple is
+    returned as it is.  Any other input is copied and sorted: a value is
+    taken when it is integral (``int(i) == i``, so 3.0, True and numpy
+    integers pass) and lies in 1..r, and any other raises LieFoliateError;
+    there the two ends of the sorted distinct values give the range check.
     """
     if type(r) is not int or r < 1:
         raise LieFoliateError(f"rank {r!r} must be an int >= 1")
+    if _is_canonical(r, indices):
+        return tuple(indices)
     try:
         values = list(indices)
         ints = list(map(int, values))

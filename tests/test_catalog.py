@@ -82,6 +82,10 @@ def test_display_name_indices_may_be_swapped_throughout():
     assert catalog_lookup("Sp_{1,3}/Sp_1 Sp_3") is catalog_lookup("sp(3,1)")
     with pytest.raises(LieFoliateError):
         catalog_lookup("SU_{2,4}/S(U_4 U_2)")
+    # so(p,1)'s display name omits the trivial SO_1, so only the pair is swapped
+    assert catalog_lookup("SO^o_{1,3}/SO_3") is catalog_lookup("so(3,1)")
+    with pytest.raises(LieFoliateError, match="not the display name of so\\(3,1\\)"):
+        catalog_lookup("SO^o_{1,3}/SO_1")
 
 
 def test_unknown_name_lists_grammar():
@@ -102,7 +106,7 @@ def test_lookup_returns_one_descriptor_per_space():
 
 @pytest.mark.parametrize("name", ["sl(5,Q)", "so(2,1)", "e6(5)", "sp(1,R)", None, 5, "", "SL1002",
                                   pytest.param("SL" + "9" * 5000, id="SL9...9"), "SL_5(R)/SO_7",
-                                  "SU_{2,4}/S(U_4 U_2)", pytest.param(b"SL5", id="bytes"),
+                                  "SU_{2,4}/S(U_4 U_2)", "SO^o_{1,3}/SO_1", pytest.param(b"SL5", id="bytes"),
                                   pytest.param(["SL5"], id="list"), pytest.param({}, id="dict")])
 def test_invalid_name_raises_on_every_call(name):
     catalog_lookup("SL5")
@@ -196,11 +200,16 @@ REFERENCE = tuple((re.compile(source, re.ASCII), handler) for source, handler in
 
 
 def reference_display_names(display):
-    """A display name normalized, and the same with p and q swapped for so(p,q), su(p,q) and sp(p,q)."""
+    """A display name normalized, and the same with p and q swapped for so(p,q), su(p,q) and sp(p,q):
+    throughout, but for so(p,1), whose display name omits the trivial SO_1 and swaps its pair alone."""
     name = catalog._normalize(display)
-    pair = re.match(r"(?:soo|su|sp)(\d+),(\d+)/", name)
-    swap = {pair[1]: pair[2], pair[2]: pair[1]} if pair else {}
-    return name, re.sub(r"\d+", lambda t: swap.get(t[0], t[0]), name)
+    pair = re.match(r"(soo|su|sp)(\d+),(\d+)/(.*)", name)
+    if not pair:
+        return name, name
+    head, p, q, rest = pair.groups()
+    if (head, q) != ("soo", "1"):
+        rest = re.sub(r"\d+", lambda t: {p: q, q: p}.get(t[0], t[0]), rest)
+    return name, f"{head}{q},{p}/{rest}"
 
 
 def trial_lookup(name):
@@ -288,15 +297,18 @@ def test_a_lookup_makes_one_match(monkeypatch):
 
 def _spellings(space):
     """The ASCII name, the SL<m> or SOo alias where the space has one, its display
-    name and the display name with p and q swapped throughout."""
+    name and the display name with p and q swapped: throughout, but for so(p,1),
+    whose display name SO^o_{p,1}/SO_p omits the trivial SO_1 and swaps its pair alone."""
     spellings = [space.name, space.display]
     if alias := re.fullmatch(r"sl\((\d+),R\)", space.name):
         spellings.append(f"SL{alias[1]}")
     if alias := re.fullmatch(r"so(\(\d+,\d+\))", space.name):
         spellings.append(f"SOo{alias[1]}")
-    if pair := re.match(r"(?:SO\^o|SU|Sp)_\{(\d+),(\d+)\}/", space.display):
-        p, q = pair[1], pair[2]
-        spellings.append(re.sub(r"\d+", lambda t: {p: q, q: p}.get(t[0], t[0]), space.display))
+    if pair := re.match(r"(SO\^o|SU|Sp)_\{(\d+),(\d+)\}/(.*)", space.display):
+        head, p, q, rest = pair.groups()
+        if (head, q) != ("SO^o", "1"):
+            rest = re.sub(r"\d+", lambda t: {p: q, q: p}.get(t[0], t[0]), rest)
+        spellings.append(f"{head}_{{{q},{p}}}/{rest}")
     return spellings
 
 

@@ -10,6 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+try:
+    import numpy
+except ImportError:  # the numpy mutants are then left out
+    numpy = None
+
 from liefoliate.catalog import catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import FoliationClass, enumerate_foliations
@@ -175,3 +180,46 @@ def test_phi_indices_reads_numpy_values_as_the_reference_does():
     for r in (4, 9):
         for indices in cases + [tuple(c) for c in cases] + [np.array(values[:2]), np.array([3.0, 1.0])]:
             assert _outcome(phi_indices, r, indices) == _outcome(reference_phi_indices, r, indices), indices
+
+
+# Canonical Phi for r in 1..10: ints strictly increasing within 1..r, each
+# index chosen with even odds, as a tuple or as a list.
+_CANONICAL = st.integers(1, 10).flatmap(lambda r: st.tuples(
+    st.just(r), st.lists(st.booleans(), min_size=r, max_size=r).flatmap(
+        lambda chosen: st.sampled_from([tuple, list]).map(
+            lambda kind: kind(i for i, c in enumerate(chosen, 1) if c)))))
+
+
+class _Indices(tuple):
+    pass
+
+
+def _mutants(r, phi):
+    """The one-edit mutants of a canonical Phi, none of them canonical: 0 at the
+    front or r + 1 at the end, an item repeated next to itself, an item as a
+    float or as a numpy integer, True in place of a 1, and a tuple subclass."""
+    items = list(phi)
+    edits = [[0, *items], [*items, r + 1]]
+    edits += [items[:k] + [i] + items[k:] for k, i in enumerate(items)]
+    edits += [items[:k] + [float(i)] + items[k + 1:] for k, i in enumerate(items)]
+    if numpy is not None:
+        edits += [items[:k] + [numpy.int64(i)] + items[k + 1:] for k, i in enumerate(items)]
+    if items[:1] == [1]:
+        edits.append([True, *items[1:]])
+    return [type(phi)(edit) for edit in edits] + [_Indices(items)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CANONICAL)
+def test_a_canonical_phi_and_its_one_edit_mutants_are_read_as_the_reference_reads_them(case):
+    r, phi = case
+    space = catalog_lookup(f"SL{r + 1}")
+    mutants = _mutants(r, phi)
+    for indices in [phi, *mutants]:
+        assert _outcome(phi_indices, r, indices) == _outcome(reference_phi_indices, r, indices), indices
+    if type(phi) is tuple:
+        assert phi_subset(space, phi).indices is phi  # a canonical tuple is kept, not copied
+    assert PhiSubset(space, phi).indices == tuple(phi)
+    for mutant in mutants:
+        with pytest.raises(LieFoliateError, match=rf"must be ints in 1\.\.{r}, strictly increasing"):
+            PhiSubset(space, mutant)
