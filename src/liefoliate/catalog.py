@@ -190,30 +190,9 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
     @classmethod
     def from_dict(cls, data: dict) -> "SpaceDescriptor":
         """Look the record's name up in the catalog, checking every other field."""
+        from .readback import rebuilt
+
         return rebuilt(data, ("name",), catalog_lookup, "space record")
-
-
-def rebuilt(data: dict, keys: tuple[str, ...], build, what: str):
-    """The record ``build(*values)`` that the key fields of ``data`` name.
-
-    ``data`` must be a dict holding the key fields, the first of which names
-    the space, and every key of the rebuilt record's ``to_dict`` with the
-    same value; else LieFoliateError, whose message begins with ``what``.
-    """
-    if not isinstance(data, dict):
-        raise LieFoliateError(f"{what} is a {type(data).__name__}, not a dict")
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise LieFoliateError(f"{what} lacks {', '.join(missing)}")
-    record = build(*(data[key] for key in keys))
-    expected = record.to_dict()
-    missing = [key for key in expected if key not in data]
-    if missing:
-        raise LieFoliateError(f"{what} lacks {', '.join(missing)}")
-    wrong = [key for key in expected if data[key] != expected[key]]
-    if wrong:
-        raise LieFoliateError(f"{what} disagrees with {expected[keys[0]]} in {', '.join(wrong)}")
-    return record
 
 
 def space_dimension(space: SpaceDescriptor) -> int:

@@ -19,12 +19,13 @@ lexicographic order, each Phi of layer k - 1 extended by a later vertex
 adjacent to none of its roots.  An orbit's representative is its least
 member: no diagram automorphism maps it to a smaller tuple.  Each space
 keeps one ``PhiOrbit`` per representative, the table of each layer walked
-(representative -> ``PhiOrbit``, in Phi order) and the records of each
-layer, built once per (space, layer) by the first full enumeration and
-retained, at about 72 B a record with its slot in the layer's tuple (the
-28,070 records of SL18 take about 2.0 MB).  A full enumeration returns a
-new list joined from the layers' records; with codimension c it walks layers
-0..c and builds only the records of codimension c.  ``from_dict`` decides
+(representative -> ``PhiOrbit``, in Phi order) and one list of all its
+records, the trivial one included, built layer by layer by the first full
+enumeration and retained, at about 73 B a record with its slot in the list
+(the 28,070 records of SL18 take about 2.0 MB).  A full enumeration returns
+a copy of that list, less the trivial record unless asked for; with
+codimension c it walks layers 0..c and builds only the records of
+codimension c.  ``from_dict`` decides
 from Phi's images under the automorphisms whether Phi is a representative
 and builds only its ``PhiOrbit``, by the constructor the tables use, so a
 record read back shares the enumerated record's ``PhiOrbit`` and no layer is
@@ -55,7 +56,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .catalog import SpaceDescriptor, rebuilt
+from .catalog import SpaceDescriptor
 from .errors import LieFoliateError
 from .roots import DynkinDiagram, apply_permutation, diagram_automorphisms
 
@@ -202,7 +203,7 @@ class FoliationClass(namedtuple("FoliationClass", "phi_orbit dim_v")):
     def from_dict(cls, data: dict) -> "FoliationClass":
         """Rebuild a record of ``to_dict`` from its space, phi and dim V.
 
-        The space and phi are read by ``parabolic._named`` and checked with
+        The space and phi are read by ``readback.named`` and checked with
         dim V by ``PhiSubset.check_foliation``: phi must be an orthogonal
         subset, and dim V an int in 0..r - r_Phi.  phi must also be its
         orbit's representative; its ``PhiOrbit`` is the space's own, shared
@@ -210,13 +211,15 @@ class FoliationClass(namedtuple("FoliationClass", "phi_orbit dim_v")):
         other field, the congruence note included, must be what the space
         gives.  Else LieFoliateError.
         """
+        from .readback import rebuilt
+
         return rebuilt(data, ("space", "phi", "dim_v"), _record, "foliation record")
 
 
 def _record(name, phi, dim_v) -> FoliationClass:
-    from .parabolic import _named
+    from .readback import named
 
-    space, subset = _named(name, phi)
+    space, subset = named(name, phi)
     subset.check_foliation(dim_v)
     orbits = _orbits(space)
     orbit = orbits.orbit(subset.indices)
@@ -226,7 +229,7 @@ def _record(name, phi, dim_v) -> FoliationClass:
 
 
 class _SpaceOrbits:
-    """One space's PhiOrbit per representative (``by_rep``), layer tables and layer records.
+    """One space's PhiOrbit per representative (``by_rep``), layer tables and record list.
 
     Each is built once, on first use.  All are one ``_orbits`` entry, so
     ``liefoliate.clear_caches()`` drops the records with the PhiOrbits they hold.
@@ -239,7 +242,7 @@ class _SpaceOrbits:
         self.dd = space.diagram
         self.auts = diagram_automorphisms(self.dd)
         self.factors = {i: hyperbolic_factor(space, i) for i in range(1, space.rank + 1)}
-        self.by_rep, self.tables, self.records = {}, {}, {}
+        self.by_rep, self.tables, self.records = {}, {}, None
 
     def orbit(self, phi: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
         """Phi's orbit in sorted order if no diagram automorphism maps phi to a smaller tuple, else None."""
@@ -266,14 +269,23 @@ class _SpaceOrbits:
                 k, {phi: self.phi_orbit(phi, orbit) for phi in _layer(self.dd, k) if (orbit := self.orbit(phi))})
         return table
 
-    def layer_records(self, k: int) -> tuple[FoliationClass, ...]:
-        """The records of layer k, dim V running over 0..r - k for each orbit in Phi order."""
-        records = self.records.get(k)
+    def all_records(self) -> list[FoliationClass]:
+        """Every record, the trivial one included, in (r_Phi, Phi, dim V) order: built on the
+        first call from the layers up to the first empty one, and kept."""
+        records = self.records
         if records is None:
-            new, dims = tuple.__new__, range(self.space.rank - k + 1)  # new: FoliationClass(...) without its frame
-            records = self.records.setdefault(
-                k, tuple([new(FoliationClass, (phi_orbit, dim_v)) for phi_orbit in self.table(k).values()
-                          for dim_v in dims]))
+            r, layers = self.space.rank, []
+            for k in range(r + 1):
+                table = self.table(k)
+                if not table:  # no orthogonal Phi of k roots, so none of more
+                    break
+                layers.append((table.values(), range(r - k + 1)))
+            new = tuple.__new__  # FoliationClass(...) without its frame
+            # one comprehension over all layers: no list per layer to join
+            records = [new(FoliationClass, (phi_orbit, dim_v)) for phi_orbits, dims in layers
+                       for phi_orbit in phi_orbits for dim_v in dims]
+            # two threads that race here store equal records over the same PhiOrbits
+            self.records = records
         return records
 
 
@@ -288,9 +300,9 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
     factor, codimension zero) is excluded unless requested.  With ``codim``
     only the classes of that codimension are made, on each call: one per
     orbit with r_Phi <= codim (layers 0..codim), with dim V = r - codim.
-    Without it the records are built once per (space, layer) and retained,
-    at about 72 B each (SL18's 28,070 take about 2.0 MB); each call returns a
-    new list of them.  Classes are ordered by (r_Phi, Phi, dim V); the
+    Without it the records are built once per space, in one list, and
+    retained at about 73 B each (SL18's 28,070 take about 2.0 MB); each call
+    returns a copy of the list.  Classes are ordered by (r_Phi, Phi, dim V); the
     records of one orbit share one ``PhiOrbit``.  ``include_trivial`` must be
     a bool and ``codim`` None or an int, else LieFoliateError.
     """
@@ -300,15 +312,12 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
         raise LieFoliateError(f"codim {codim!r} is not an int")
     r = space.rank
     orbits = _orbits(space)
-    classes: list[FoliationClass] = []
     if codim is None:
-        for k in range(r + 1):
-            records = orbits.layer_records(k)
-            if not records:  # no orthogonal Phi of k roots, so none of more
-                break
-            # only Phi empty with dim V = r, the last record of layer 0, is trivial
-            classes += records if k or include_trivial else records[:-1]
+        classes = (orbits.records or orbits.all_records()).copy()
+        if not include_trivial:
+            del classes[r]  # Phi empty with dim V = r, the last record of layer 0
         return classes
+    classes: list[FoliationClass] = []
     # codim = r - dim V >= r_Phi, and only Phi empty with codim 0 is trivial
     new = tuple.__new__
     for k in range(codim + 1 if 0 < codim <= r or codim == 0 and include_trivial else 0):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .catalog import SpaceDescriptor, catalog_lookup, rebuilt
+from .catalog import SpaceDescriptor
 from .errors import LieFoliateError
 from .roots import Root, span_roots
 
@@ -164,17 +164,25 @@ class ParabolicData(namedtuple("ParabolicData", (
     @classmethod
     def from_dict(cls, data: dict) -> "ParabolicData":
         """Rebuild a record of ``to_dict`` from its space and phi, checking every other field."""
-        return rebuilt(data, ("space", "phi"), lambda name, phi: parabolic_data(*_named(name, phi)),
+        from .readback import named, rebuilt
+
+        return rebuilt(data, ("space", "phi"), lambda name, phi: parabolic_data(*named(name, phi)),
                        "parabolic record")
 
 
 def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     """Chevalley and Langlands dimension data for q_Phi."""
     components = _components(space).of(phi)
-    sigma_phi, sigma_phi_pos = _root_sets(space, components)
+    if len(components) == 1:  # read off the component, which keeps its root sets
+        component = components[0]
+        sigma_phi, sigma_phi_pos = component.sets or component.root_sets(space)
+        sum_phi_pos = component.sum_pos
+    else:
+        sigma_phi, sigma_phi_pos = _root_sets(space, components)
+        sum_phi_pos = 0
+        for c in components:
+            sum_phi_pos += c.sum_pos
     r, r_phi = space.rank, len(phi.indices)
-
-    sum_phi_pos = sum([c.sum_pos for c in components])
     sum_phi = 2 * sum_phi_pos  # m(-lam) = m(lam)
     total_pos = space.dimension - r  # dim M = r + sum of positive multiplicities
 
@@ -254,8 +262,13 @@ class _SpaceComponents:
             return [component]
         # a Phi of at most one root is its one component or none
         components = self.dd._components_of(indices) if len(indices) > 1 else (indices,) * len(indices)
-        # setdefault: the first stored, under threads too
-        return [seen.get(c) or seen.setdefault(c, _Component(self.space, c)) for c in components]
+        found = []
+        for c in components:
+            component = seen.get(c)
+            if component is None:  # setdefault: the first stored, under threads too
+                component = seen.setdefault(c, _Component(self.space, c))
+            found.append(component)
+        return found
 
 
 _components = lru_cache(maxsize=None)(_SpaceComponents)
@@ -295,16 +308,10 @@ class HorosphericalData(namedtuple("HorosphericalData", "space phi factors dim_F
     @classmethod
     def from_dict(cls, data: dict) -> "HorosphericalData":
         """Rebuild a record of ``to_dict`` from its space and phi, checking every other field."""
-        return rebuilt(data, ("space", "phi"), lambda name, phi: horospherical(*_named(name, phi)),
+        from .readback import named, rebuilt
+
+        return rebuilt(data, ("space", "phi"), lambda name, phi: horospherical(*named(name, phi)),
                        "horospherical record")
-
-
-def _named(name, phi) -> tuple[SpaceDescriptor, PhiSubset]:
-    """The space and the Phi subset a record names."""
-    if not isinstance(phi, list):
-        raise LieFoliateError(f"phi {phi!r} is not a list of simple-root indices")
-    space = catalog_lookup(name)
-    return space, PhiSubset(space, tuple(phi))
 
 
 def horospherical(space: SpaceDescriptor, phi: PhiSubset) -> HorosphericalData:
@@ -314,9 +321,16 @@ def horospherical(space: SpaceDescriptor, phi: PhiSubset) -> HorosphericalData:
     is built.
     """
     components = _components(space).of(phi)
-    factors = tuple([c.factor for c in components])
+    if len(components) == 1:  # read off the component
+        component = components[0]
+        factors, sum_phi_pos = (component.factor,), component.sum_pos
+    else:
+        factors, sum_phi_pos = [], 0
+        for c in components:
+            factors.append(c.factor)
+            sum_phi_pos += c.sum_pos
+        factors = tuple(factors)
     r, r_phi = space.rank, len(phi.indices)
-    sum_phi_pos = sum([c.sum_pos for c in components])
     # dim F_Phi^s = dim p_Phi^s = r_Phi + sum_phi_pos, the sum of the factors' dims, and
     # dim N_Phi = dim n_Phi = (dim M - r) - sum_phi_pos, as in parabolic_data
     return tuple.__new__(HorosphericalData, (space, phi.indices, factors, r_phi + sum_phi_pos, r - r_phi,

@@ -292,7 +292,7 @@ def test_enumeration_by_codim_builds_no_layer_records():
     space = catalog_lookup("sl(60,R)")
     clear_caches()
     assert len(enumerate_foliations(space, codim=1)) == 31
-    assert foliations._orbits(space).records == {}  # the records of its codimension only, made on the fly
+    assert foliations._orbits(space).records is None  # the records of its codimension only, made on the fly
 
 
 @pytest.mark.parametrize("rank", [20, 40])
@@ -323,7 +323,7 @@ def test_reading_back_a_record_builds_no_layer_above_its_phi():
     assert record.r_phi == 2 and record.to_dict() == data
     assert foliations._layer.cache_info().currsize == 0  # no layer at all, not even its own
     orbits = foliations._orbits(space)
-    assert list(orbits.by_rep) == [record.phi] and orbits.tables == {} == orbits.records
+    assert list(orbits.by_rep) == [record.phi] and orbits.tables == {} and orbits.records is None
 
 
 def test_reading_back_a_record_of_twenty_roots_builds_no_layer():
@@ -465,10 +465,10 @@ def test_from_dict_rejects_an_edited_record(edit, message):
 
 def test_sl14_enumeration_peak_memory():
     # The first full enumeration keeps its 3,301 slotted (PhiOrbit, dim V)
-    # records, the trivial one included, in one tuple per layer: 232 KiB, 72 B
-    # a record (Python 3.11, x86_64).  A later call allocates only its list of
-    # 3,300 pointers, 29 KiB at its peak.  Before the records were kept, every
-    # call peaked at 234 KiB.
+    # records, the trivial one included, in one list: 235 KiB, 73 B a record
+    # (Python 3.11, x86_64).  A later call allocates only its copy of the
+    # list, 26 KiB at its peak.  Before the records were kept, every call
+    # peaked at 234 KiB.
     space = catalog_lookup("SL14")
     clear_caches()
     for k in range(space.rank + 1):

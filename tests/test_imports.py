@@ -1,7 +1,8 @@
 """Each CLI command loads only the package modules it calls and the handler
 module of its own command (``rootsystem``, the full root list, only for
 ``rootsys show``; ``diagrams`` only for the commands that print a diagram
-or group by its automorphisms), numpy never, not even for ``verify``, whose
+or group by its automorphisms; ``readback`` for none, only for a record's
+``from_dict``), numpy never, not even for ``verify``, whose
 criteria run with numpy unimportable, ``dataclasses``, ``inspect`` and
 ``fractions`` for no structure command, and none of the machinery of
 ``importlib.resources``.  A command compiles at most its share of the
@@ -112,11 +113,33 @@ def test_verify_and_the_readme_slmodel_lines_run_with_numpy_unimportable():
             "sys.modules['numpy'] = None  # import numpy raises ImportError\n"
             "from liefoliate.cli import main\n"
             f"codes = [main(argv) for argv in [['verify', '--suite', 'all'], *{lines!r}]]\n"
-            "print(codes, sys.modules['numpy'], file=sys.stderr)\n")
+            "print(codes, sys.modules['numpy'], 'liefoliate.readback' in sys.modules, file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=300)
     assert len(lines) == 4 and proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == f"{[0] * 5} None"
+    assert proc.stderr.splitlines()[-1] == f"{[0] * 5} None False"  # nor does verify read a record back
     assert proc.stdout.count("PASS") == 11
+
+
+def test_readback_is_loaded_by_from_dict_alone():
+    # Each record is made and written out, then read back, in a fresh
+    # interpreter; readback is unloaded after each read.  The commands above
+    # load exact module sets without it, and so does verify (checked above).
+    code = ("import sys, liefoliate\n"
+            "from liefoliate import catalog_lookup, enumerate_foliations, horospherical, parabolic_data, phi_subset\n"
+            "space = catalog_lookup('SL5')\n"
+            "phi = phi_subset(space, (1, 2, 4))\n"
+            "loaded = []\n"
+            "for record in (space, parabolic_data(space, phi), horospherical(space, phi), enumerate_foliations(space)[5]):\n"
+            "    data = record.to_dict()\n"
+            "    before = 'liefoliate.readback' in sys.modules\n"
+            "    same = type(record).from_dict(data) == record\n"
+            "    loaded.append((type(record).__name__, before, sys.modules.pop('liefoliate.readback', None) is not None, same))\n"
+            "    vars(liefoliate).pop('readback', None)\n"
+            "print(loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == str([(name, False, True, True) for name in (
+        "SpaceDescriptor", "ParabolicData", "HorosphericalData", "FoliationClass")]) + "\n"
 
 
 def test_iwasawa_error_path_loads_neither_slmodel_nor_numpy():
@@ -159,11 +182,11 @@ def compiled_nodes(modules: set[str]) -> int:
 @pytest.mark.parametrize("argv, ceiling", (
     (("--version",), 605),
     (("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json"), 9_500),
-    (("horospherical", "--space", "su(4,2)", "--phi", "1"), 9_700),
-    (("foliations", "enumerate", "--space", "so(5,2)"), 10_750),
-    (("catalog", "list"), 7_730),
+    (("horospherical", "--space", "su(4,2)", "--phi", "1"), 9_550),
+    (("foliations", "enumerate", "--space", "so(5,2)"), 10_670),
+    (("catalog", "list"), 7_490),
     (("rootsys", "dynkin", "--family", "D", "--rank", "5", "--format", "dot"), 6_460),
-    (("rootsys", "show", "--family", "E6", "--rank", "6"), 7_475),
+    (("rootsys", "show", "--family", "E6", "--rank", "6"), 7_130),
     (("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), 2_485),
 ))
 def test_a_command_compiles_at_most_its_share_of_the_package(argv, ceiling):

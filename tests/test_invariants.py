@@ -377,6 +377,42 @@ def test_a_warm_one_component_phi_returns_the_cached_root_sets(case):
     assert again[0] is cached.sets[0] and again[1] is cached.sets[1]
 
 
+@st.composite
+def phi_of_components(draw, count):
+    """A space and a Phi of no component (count 0), of one, grown from a vertex
+    one neighbour at a time (count 1), or of at least two (count 2)."""
+    space = draw(st.sampled_from([s for s in SPACES if s.rank >= 2 * count - 1]))
+    if count == 0:
+        return space, ()
+    if count == 1:
+        component = {draw(st.integers(1, space.rank))}
+        for _ in range(draw(st.integers(0, space.rank - 1))):
+            component.add(draw(st.sampled_from(sorted({w for v in component
+                                                       for w in space.diagram.neighbors(v)} - component or component))))
+        return space, tuple(sorted(component))
+    phi = draw(st.sets(st.integers(1, space.rank), min_size=2).map(sorted).filter(
+        lambda phi: len(_components_reference(space, phi)) >= 2))
+    return space, tuple(phi)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_warm_call_equals_a_cold_one(count, data):
+    # Warm: once the other call filled Phi's components (horospherical builds no
+    # root set, parabolic_data does), and once more with everything in place.
+    space, phi = data.draw(phi_of_components(count))
+    assert min(len(_components_reference(space, phi)), 2) == count
+    for fn, other in ((parabolic_data, horospherical), (horospherical, parabolic_data)):
+        clear_caches()
+        cold = fn(space, phi_subset(space, phi))
+        clear_caches()
+        other(space, phi_subset(space, phi))
+        warm = fn(space, phi_subset(space, phi))
+        again = fn(space, phi_subset(space, phi))
+        assert cold == warm == again, (space.name, phi, fn.__name__)
+
+
 def _check_boundary_factors(space, phi):
     rs, mult = space.root_system, space.multiplicities
     factors = boundary_components(space, phi_subset(space, phi))
