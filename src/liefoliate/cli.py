@@ -5,17 +5,17 @@ foliations enumerate, slmodel {iwasawa|killing|check-lie-triple|halfplane},
 verify.  Structured output is UTF-8 JSON, one document per invocation; data
 goes to stdout and diagnostics to stderr.  Exit status 0 on success, 1 on
 domain errors and when the reader of stdout goes away, 2 on usage errors.
-Each subcommand's module ``commands.<subcommand>`` adds its arguments
-(``add_arguments``) and runs it (``run``), and a process imports only the
-module of the command that argv names.
+Each subcommand's module ``commands.<subcommand>`` declares its arguments
+and runs the command (``run``), and a process imports only the module of the
+command that argv names.  ``commands.match`` reads a well-formed call
+without argparse; argparse, built from the same declarations, reads every
+other argv and writes help, the version and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from importlib import import_module
 
 from . import __version__
 from .errors import LieFoliateError
@@ -34,8 +34,10 @@ COMMANDS = {
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand's name.  The subparser of ``command``
-    alone gets arguments: its module ``commands.<command>`` adds them, and
-    its ``run`` becomes the parsed arguments' ``run``."""
+    alone gets the arguments that its module ``commands.<command>`` declares,
+    and its ``run`` becomes the parsed arguments' ``run``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="liefoliate",
         description="Restricted root systems, parabolic data, and hyperpolar foliation classes "
@@ -49,20 +51,27 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, text in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         if name == command:
-            handler = import_module(f".commands.{name}", __package__)
-            handler.add_arguments(p)
-            p.set_defaults(run=handler.run)
+            from .commands import add_arguments
+
+            add_arguments(p, name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # The top-level options take no value, so the command is the first
-    # argument that is not an option.  argparse also takes "--", "-", "-1" or
-    # "-a b" as the command, and refuses it: no command's arguments are needed.
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
     try:
-        args = build_parser(command).parse_args(argv)
+        args = None
+        if argv and argv[0] in COMMANDS:
+            from .commands import match
+
+            args = match(argv)
+        if args is None:
+            # The top-level options take no value, so the command is the first
+            # argument that is not an option.  argparse also takes "--", "-",
+            # "-1" or "-a b" as the command, and refuses it: no command's
+            # arguments are needed.
+            command = next((arg for arg in argv if not arg.startswith("-")), None)
+            args = build_parser(command).parse_args(argv)
         return args.run(args)
     except LieFoliateError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,9 +3,8 @@
 from . import emit_json
 
 
-def add_arguments(parser) -> None:
-    parser.add_argument("action", choices=("list",))
-    parser.add_argument("--format", default="table", choices=("table", "json"))
+ACTIONS = ("list",)
+OPTIONS = {"--format": {"default": "table", "choices": ("table", "json")}}
 
 
 def run(args) -> int:

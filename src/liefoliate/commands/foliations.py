@@ -3,21 +3,22 @@
 import json
 
 
-def add_arguments(parser) -> None:
-    parser.description = (
-        "Enumerate hyperpolar foliation classes, one record per (Phi orbit, dim V).  "
-        "The full enumeration's cost grows exponentially with the rank: a path diagram of rank r "
-        "has F(r+2) orthogonal subsets Phi (F the Fibonacci numbers), each giving up to "
-        "r - r_Phi + 1 records.  A record of codimension c has r_Phi <= c, so --codim c visits "
-        "only the Phi of at most c roots: sum over k <= c of C(r-k+1, k) subsets on a path.  "
-        "SL18 (rank 17) gives 28,069 records and SL22 (rank 21) 231,734; "
-        "'--space \"sl(60,R)\" --codim 1' gives 31 records."
-    )
-    parser.add_argument("action", choices=("enumerate",))
-    parser.add_argument("--space", required=True)
-    parser.add_argument("--include-trivial", action="store_true")
-    parser.add_argument("--codim", type=int, default=None)
-    parser.add_argument("--format", default="table", choices=("table", "json"))
+DESCRIPTION = (
+    "Enumerate hyperpolar foliation classes, one record per (Phi orbit, dim V).  "
+    "The full enumeration's cost grows exponentially with the rank: a path diagram of rank r "
+    "has F(r+2) orthogonal subsets Phi (F the Fibonacci numbers), each giving up to "
+    "r - r_Phi + 1 records.  A record of codimension c has r_Phi <= c, so --codim c visits "
+    "only the Phi of at most c roots: sum over k <= c of C(r-k+1, k) subsets on a path.  "
+    "SL18 (rank 17) gives 28,069 records and SL22 (rank 21) 231,734; "
+    "'--space \"sl(60,R)\" --codim 1' gives 31 records."
+)
+ACTIONS = ("enumerate",)
+OPTIONS = {
+    "--space": {"required": True},
+    "--include-trivial": {"action": "store_true"},
+    "--codim": {"type": int, "default": None},
+    "--format": {"default": "table", "choices": ("table", "json")},
+}
 
 
 def run(args) -> int:

@@ -3,10 +3,11 @@
 from . import emit_json, parse_phi
 
 
-def add_arguments(parser) -> None:
-    parser.add_argument("--space", required=True)
-    parser.add_argument("--phi", default="", help="comma-separated simple root indices, e.g. 1,3")
-    parser.add_argument("--format", default="table", choices=("table", "json"))
+OPTIONS = {
+    "--space": {"required": True},
+    "--phi": {"default": "", "help": "comma-separated simple root indices, e.g. 1,3"},
+    "--format": {"default": "table", "choices": ("table", "json")},
+}
 
 
 def run(args) -> int:

@@ -10,18 +10,18 @@ from . import emit_json
 SHOW_MAX_RANK = 100
 
 
-def add_arguments(parser) -> None:
-    parser.description = (
-        "Root systems and Dynkin diagrams.  'show' lists every root, and |Sigma+| grows "
-        "like r^2 (r(r+1)/2 for A_r, about r^2 for B, C, D, BC), so it accepts ranks up to "
-        f"{SHOW_MAX_RANK}; 'dynkin' reads the diagram off the simple roots alone and accepts ranks up "
-        "to 1000."
-    )
-    parser.add_argument("action", choices=("show", "dynkin"))
-    parser.add_argument("--family", required=True,
-                        choices=("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2", "BC"))
-    parser.add_argument("--rank", required=True, type=int)
-    parser.add_argument("--format", default="table", choices=("table", "json", "dot"))
+DESCRIPTION = (
+    "Root systems and Dynkin diagrams.  'show' lists every root, and |Sigma+| grows "
+    "like r^2 (r(r+1)/2 for A_r, about r^2 for B, C, D, BC), so it accepts ranks up to "
+    f"{SHOW_MAX_RANK}; 'dynkin' reads the diagram off the simple roots alone and accepts ranks up "
+    "to 1000."
+)
+ACTIONS = ("show", "dynkin")
+OPTIONS = {
+    "--family": {"required": True, "choices": ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2", "BC")},
+    "--rank": {"required": True, "type": int},
+    "--format": {"default": "table", "choices": ("table", "json", "dot")},
+}
 
 
 def run(args) -> int:

@@ -13,22 +13,27 @@ def _parse_json(text: str, what: str):
         raise LieFoliateError(f"cannot parse {what} JSON: {exc}")
 
 
-def add_arguments(parser) -> None:
-    actions = parser.add_subparsers(dest="action", required=True)
-    p = actions.add_parser("iwasawa", help="factor g = k a n")
-    p.add_argument("--rank", required=True, type=int)
-    p.add_argument("--matrix", required=True, help="JSON nested list, row-major")
-    p = actions.add_parser("killing", help="Killing form of two traceless matrices")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p = actions.add_parser("check-lie-triple", help="test [[S,S],S] in span(S)")
-    p.add_argument("--basis", required=True, help="JSON list of symmetric matrices")
-    p = actions.add_parser("halfplane", help="sample K/A/N orbit points on the upper half plane")
-    p.add_argument("--orbit", required=True, choices=("K", "A", "N"))
-    p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--base-re", type=float, default=0.0)
-    p.add_argument("--base-im", type=float, default=1.0)
-    p.add_argument("--format", default="json", choices=("json", "csv"))
+# Each action: its help, and its options.
+ACTIONS = {
+    "iwasawa": ("factor g = k a n", {
+        "--rank": {"required": True, "type": int},
+        "--matrix": {"required": True, "help": "JSON nested list, row-major"},
+    }),
+    "killing": ("Killing form of two traceless matrices", {
+        "--x": {"required": True},
+        "--y": {"required": True},
+    }),
+    "check-lie-triple": ("test [[S,S],S] in span(S)", {
+        "--basis": {"required": True, "help": "JSON list of symmetric matrices"},
+    }),
+    "halfplane": ("sample K/A/N orbit points on the upper half plane", {
+        "--orbit": {"required": True, "choices": ("K", "A", "N")},
+        "--samples": {"type": int, "default": 25},
+        "--base-re": {"type": float, "default": 0.0},
+        "--base-im": {"type": float, "default": 1.0},
+        "--format": {"default": "json", "choices": ("json", "csv")},
+    }),
+}
 
 
 def run(args) -> int:

@@ -8,8 +8,7 @@ import sys
 _SUITES = ("all", "catalog", "foliations", "parabolic", "rootsys", "slmodel")
 
 
-def add_arguments(parser) -> None:
-    parser.add_argument("--suite", default="all", choices=_SUITES)
+OPTIONS = {"--suite": {"default": "all", "choices": _SUITES}}
 
 
 def run(args) -> int:

@@ -304,12 +304,15 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
     retained at about 73 B each (SL18's 28,070 take about 2.0 MB); each call
     returns a copy of the list.  Classes are ordered by (r_Phi, Phi, dim V); the
     records of one orbit share one ``PhiOrbit``.  ``include_trivial`` must be
-    a bool and ``codim`` None or an int, else LieFoliateError.
+    a bool and ``codim`` None or an int of at least 0, else LieFoliateError;
+    a codim above the rank has no class.
     """
     if type(include_trivial) is not bool:
         raise LieFoliateError(f"include_trivial {include_trivial!r} is not a bool")
     if codim is not None and type(codim) is not int:
         raise LieFoliateError(f"codim {codim!r} is not an int")
+    if codim is not None and codim < 0:
+        raise LieFoliateError(f"codim {codim} is negative")
     r = space.rank
     orbits = _orbits(space)
     if codim is None:

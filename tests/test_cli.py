@@ -1,18 +1,24 @@
 """Command-line interface behavior: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import liefoliate
 
-from liefoliate import clear_caches
+from liefoliate import cli, clear_caches
 from liefoliate.catalog import catalog_lookup
 from liefoliate.cli import main
+from liefoliate.commands import match
 from liefoliate.foliations import FoliationClass
 from liefoliate.parabolic import HorosphericalData, ParabolicData
 from liefoliate.roots import DynkinDiagram, RootSystem
@@ -216,6 +222,15 @@ def test_foliations_codim_filter(capsys):
     ]
 
 
+def test_foliations_negative_codim_is_a_domain_error(capsys):
+    # it printed "0 foliation class(es)" and exited 0
+    code, out, err = run(capsys, "foliations", "enumerate", "--space", "SL5", "--codim", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: codim -1 is negative\n"
+    code, out, _ = run(capsys, "foliations", "enumerate", "--space", "SL5", "--codim", "5")
+    assert (code, out) == (0, "0 foliation class(es) on sl(5,R) (SL_5(R)/SO_5)\n")  # codim = r - dim V <= r
+
+
 def test_foliations_table(capsys):
     code, out, _ = run(capsys, "foliations", "enumerate", "--space", "su(3,1)")
     assert code == 0
@@ -369,3 +384,109 @@ def test_verify_writes_each_criterion_seconds_to_stderr(capsys):
     assert [" ".join(t[2:]) for t in timings] == names
     assert all(t[1] == "s" and float(t[0]) >= 0 for t in timings)
     assert " s " not in out
+
+
+def _declared(command: str) -> tuple:
+    """The command's ``ACTIONS`` (empty if it takes none) and its options per
+    action (None for a command without actions)."""
+    module = import_module(f"liefoliate.commands.{command}")
+    actions = getattr(module, "ACTIONS", ())
+    if isinstance(actions, dict):
+        return tuple(actions), {action: options for action, (_, options) in actions.items()}
+    return actions, {action: module.OPTIONS for action in actions or (None,)}
+
+
+_DECLARED = {command: _declared(command) for command in cli.COMMANDS}
+_ALL_FLAGS = sorted({flag for _, per_action in _DECLARED.values() for options in per_action.values()
+                     for flag in options} | {"--bogus"})
+# values outside the choices, not numbers, empty, starting with "-" (which
+# argparse reads as an option or a negative number) and Unicode digits
+# (which int() and float() take)
+_ODD_VALUES = ("", "x", "1.5", "1e3", "-1", "-x", "-", " -1", " 7", "\u0661\u0662", "\uff13", "nan", "inf",
+               "Z", "JSON", "--", "-h", "--space")
+_SPECIAL = ("-h", "--help", "--version", "--", "-5")
+_MUTATIONS = ("omit", "repeat", "abbreviate", "equals", "odd value", "unknown option", "drop", "special",
+              "action", "option before action")
+
+
+def _value(spec: dict):
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    if spec.get("type") is int:
+        return st.integers(-3, 40).map(str)
+    if spec.get("type") is float:
+        return st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+    return st.text(max_size=6)
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A well-formed call to a command, or an unknown one, then a few of
+    _MUTATIONS applied to it."""
+    command = draw(st.sampled_from((*cli.COMMANDS, "bogus", "Parabolic")))
+    actions, per_action = _DECLARED.get(command, ((), {None: {"--space": {}}}))
+    action = draw(st.sampled_from(actions)) if actions else None
+    pairs = []
+    for flag, spec in per_action[action].items():
+        if spec.get("required") or draw(st.booleans()):
+            pairs.append([flag] if "action" in spec else [flag, draw(_value(spec))])
+    pairs = draw(st.permutations(pairs))
+    head = [command, *([action] if action else [])]
+    mutations = draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3))
+    for mutation in mutations:
+        with_value = [pair for pair in pairs if len(pair) == 2]
+        if mutation == "omit" and pairs:
+            del pairs[draw(st.integers(0, len(pairs) - 1))]
+        elif mutation == "repeat" and pairs:
+            pairs.insert(draw(st.integers(0, len(pairs))), list(draw(st.sampled_from(pairs))))
+        elif mutation == "abbreviate" and pairs:
+            pair = draw(st.sampled_from(pairs))
+            pair[0] = pair[0][:draw(st.integers(2, max(2, len(pair[0]) - 1)))]
+        elif mutation == "equals" and with_value:
+            pair = draw(st.sampled_from(with_value))
+            pair[:] = [f"{pair[0]}={pair[1]}"]
+        elif mutation == "odd value" and with_value:
+            draw(st.sampled_from(with_value))[1] = draw(st.sampled_from(_ODD_VALUES))
+        elif mutation == "unknown option":
+            pairs.append([draw(st.sampled_from(_ALL_FLAGS)), draw(st.sampled_from(("1", "SL5", "json", "A")))])
+        elif mutation == "action":
+            head[1:] = [draw(st.sampled_from(("show", "list", "enumerate", "iwasawa", "halfplane", "bogus")))]
+        elif mutation == "option before action" and pairs and len(head) == 2:
+            head.insert(1, pairs.pop(0))
+    argv = [*head[:1], *(token for item in head[1:] for token in ([item] if isinstance(item, str) else item)),
+            *(token for pair in pairs for token in pair)]
+    if "drop" in mutations and len(argv) > 1:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    if "special" in mutations:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_SPECIAL)))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argv())
+def test_what_the_matcher_reads_argparse_reads_alike(argv):
+    # main asks the matcher only when argv starts with a command
+    args = match(argv) if argv[0] in cli.COMMANDS else None
+    event("read by the matcher" if args else "left to argparse")
+    if args is None:
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            parsed = cli.build_parser(argv[0]).parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv}: {err.getvalue()}")
+    assert vars(args) == vars(parsed)
+
+
+def test_the_matcher_reads_every_golden_call_and_readme_line():
+    from test_golden import ARGPARSE_ONLY, COMMANDS
+    from test_readme import CLI_LINES
+
+    calls = [list(argv) for argv in COMMANDS if argv not in ARGPARSE_ONLY]
+    calls += [shlex.split(line)[1:] for line in CLI_LINES]
+    assert len(calls) == len(COMMANDS) - len(ARGPARSE_ONLY) + 11
+    for argv in calls:
+        assert match(argv) is not None, argv
+    for argv in ARGPARSE_ONLY:
+        assert match(list(argv)) is None, argv

@@ -314,6 +314,13 @@ def test_enumeration_by_codim_builds_only_the_layers_up_to_codim(rank):
     assert foliations._layer.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("codim", [-1, -2, -10**30])
+def test_a_negative_codim_is_refused(codim):
+    # codim = r - dim V is never negative; an empty list would read as "no class"
+    with pytest.raises(LieFoliateError, match="negative"):
+        enumerate_foliations(catalog_lookup("SL5"), codim=codim)
+
+
 def test_reading_back_a_record_builds_no_layer_above_its_phi():
     space = catalog_lookup("sl(40,R)")
     clear_caches()

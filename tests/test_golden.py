@@ -48,6 +48,16 @@ _ROOT_SYSTEMS = (
     ("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2),
 )
 
+# Calls that argparse reads and the CLI's own matcher (``commands.match``)
+# declines: an abbreviated option, the "=" form, a repeated option (the last
+# wins), an option before the action.
+ARGPARSE_ONLY = (
+    ("parabolic", "--spa", "SL5", "--phi", "1"),
+    ("parabolic", "--space=SL5", "--phi", "1"),
+    ("parabolic", "--space", "SL5", "--format", "table", "--format", "json"),
+    ("rootsys", "--family", "A", "show", "--rank", "3"),
+)
+
 COMMANDS = (
     *(("foliations", "enumerate", "--space", s, "--format", f)
       for s in _FOLIATION_SPACES for f in ("table", "json")),
@@ -68,6 +78,7 @@ COMMANDS = (
     ("slmodel", "check-lie-triple", "--basis", "[[[0,0.5,0],[0.5,0,0],[0,0,0]],[[0,0,0.5],[0,0,0],[0.5,0,0]]]"),
     ("slmodel", "check-lie-triple", "--basis",
      "[[[0,0.5,0],[0.5,0,0],[0,0,0]],[[0,0,0.5],[0,0,0],[0.5,0,0]],[[0,0,0],[0,0,0.5],[0,0.5,0]]]"),
+    *ARGPARSE_ONLY,
 )
 
 
@@ -84,6 +95,10 @@ USAGE = (
     # arguments before the command that argparse takes as the command and refuses
     ("--", "parabolic", "--space", "SL5"),
     ("-5", "parabolic", "--space", "SL5"),
+    # an unknown option, and --version after the command, which the matcher
+    # declines and argparse refuses
+    ("parabolic", "--space", "SL5", "--bogus", "x"),
+    ("parabolic", "--space", "SL5", "--version"),
 )
 
 

@@ -4,8 +4,8 @@ module of its own command (``rootsystem``, the full root list, only for
 or group by its automorphisms; ``readback`` for none, only for a record's
 ``from_dict``), numpy never, not even for ``verify``, whose
 criteria run with numpy unimportable, ``dataclasses``, ``inspect`` and
-``fractions`` for no structure command, and none of the machinery of
-``importlib.resources``.  A command compiles at most its share of the
+``fractions`` for no structure command, none of the machinery of
+``importlib.resources``, and no ``argparse`` for a well-formed call.  A command compiles at most its share of the
 package's sources, importing the catalog compiles one pattern, the package
 also runs from a zip archive, and ``clear_caches()`` loads nothing and
 empties every cache loaded."""
@@ -37,9 +37,14 @@ COLD_START_HEAVY = ("dataclasses", "inspect", "fractions")
 # before any package code runs, so they are checked without ``site``.
 RESOURCE_MACHINERY = ("importlib.resources", "pathlib", "zipfile", "tempfile", "typing")
 
+# What argparse loads: its first gettext lookup imports locale.  The CLI
+# reads a well-formed call without it, and builds its parser only for help,
+# --version and the argv its matcher declines.
+ARGPARSE = ("argparse", "gettext", "locale")
+
 # Runs the CLI as ``python -m liefoliate.cli`` does, then reports its exit
 # status, the package's modules that were loaded, whether numpy was, and
-# which of COLD_START_HEAVY and RESOURCE_MACHINERY were.  A fresh
+# which of COLD_START_HEAVY, RESOURCE_MACHINERY and ARGPARSE were.  A fresh
 # interpreter is needed: other tests load every module into this one.
 PROBE = f"""\
 import runpy, sys
@@ -50,15 +55,15 @@ try:
 except SystemExit as exc:
     code = exc.code or 0
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("liefoliate."))
-watched = [m for m in {COLD_START_HEAVY + RESOURCE_MACHINERY!r} if m in sys.modules]
+watched = [m for m in {COLD_START_HEAVY + RESOURCE_MACHINERY + ARGPARSE!r} if m in sys.modules]
 print(code, ",".join(loaded), "numpy" in sys.modules, ",".join(watched), file=sys.stderr)
 """
 
 
 def probe(*argv: str, site: bool = True) -> tuple[int, set[str], bool, set[str]]:
     """The CLI's exit status, the ``liefoliate.*`` modules, whether numpy
-    was loaded, and the modules of COLD_START_HEAVY and RESOURCE_MACHINERY
-    that were.  The CLI module itself runs as ``__main__`` and is not among
+    was loaded, and the modules of COLD_START_HEAVY, RESOURCE_MACHINERY and
+    ARGPARSE that were.  The CLI module itself runs as ``__main__`` and is not among
     them.  ``site=False`` runs the interpreter with ``-S``."""
     flags = () if site else ("-S",)
     proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv], env=ENV,
@@ -77,7 +82,8 @@ def handler(command: str) -> set[str]:
 CATALOG = {"errors", "roots", "catalog"}
 
 
-@pytest.mark.parametrize("argv, expected", (
+# Each call, and the package modules it loads.
+CALLS = (
     (("--version",), {"errors"}),
     (("rootsys", "show", "--family", "E6", "--rank", "6"), {"errors", "roots", "rootsystem"} | handler("rootsys")),
     (("catalog", "list"), CATALOG | handler("catalog")),
@@ -96,7 +102,10 @@ CATALOG = {"errors", "roots", "catalog"}
     # the Graphviz form is written by diagrams
     (("rootsys", "dynkin", "--family", "E6", "--rank", "6", "--format", "dot"),
      {"errors", "roots", "diagrams"} | handler("rootsys")),
-))
+)
+
+
+@pytest.mark.parametrize("argv, expected", CALLS)
 def test_each_command_loads_only_the_modules_it_calls(argv, expected):
     code, modules, numpy, watched = probe(*argv)
     assert code == 0
@@ -104,6 +113,27 @@ def test_each_command_loads_only_the_modules_it_calls(argv, expected):
     assert not numpy
     if "slmodel" not in expected:  # its records are dataclasses, and it computes with Fractions
         assert watched & set(COLD_START_HEAVY) == set()
+    if argv != ("--version",):  # a well-formed call is read without argparse
+        assert watched & set(ARGPARSE) == set()
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in CALLS if argv != ("--version",)], ids=" ".join)
+def test_without_site_a_well_formed_call_loads_no_argparse(argv):
+    code, _, _, watched = probe(*argv, site=False)
+    assert code == 0
+    assert watched & set(ARGPARSE) == set()
+
+
+@pytest.mark.parametrize("argv, code", (
+    (("--help",), 0),
+    (("--version",), 0),
+    (("parabolic",), 2),  # no --space
+    (("rootsys", "show", "--family", "Z", "--rank", "3"), 2),  # Z is no family
+))
+def test_help_version_and_usage_errors_go_through_argparse(argv, code):
+    got, modules, _, watched = probe(*argv)
+    assert got == code
+    assert "argparse" in watched
 
 
 def test_verify_and_the_readme_slmodel_lines_run_with_numpy_unimportable():
@@ -176,9 +206,17 @@ def compiled_nodes(modules: set[str]) -> int:
 
 # compile() costs about the same per AST node in every module, and a fresh
 # process without cached bytecode compiles every module it loads.  Each
-# ceiling is about 3% above the command's count, and none above what the
-# command compiled before the diagram I/O, the symmetry search and all but
-# its own command's arguments left its path.
+# ceiling is about 3% above the command's count before the CLI read argv
+# without argparse, and none above what the command compiled before the
+# diagram I/O, the symmetry search and all but its own command's arguments
+# left its path.  Every command but --version also compiles ARGV_READER
+# nodes more: the matcher and the builder of ``commands`` less what the
+# declarations of arguments save on that path (413 to 495 nodes, so 410 is
+# below each), for the about 4.8 ms that importing argparse and building
+# its parsers took.
+ARGV_READER = 410
+
+
 @pytest.mark.parametrize("argv, ceiling", (
     (("--version",), 605),
     (("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json"), 9_500),
@@ -192,7 +230,7 @@ def compiled_nodes(modules: set[str]) -> int:
 def test_a_command_compiles_at_most_its_share_of_the_package(argv, ceiling):
     code, modules, _, _ = probe(*argv)
     assert code == 0
-    assert compiled_nodes(modules) <= ceiling
+    assert compiled_nodes(modules) <= ceiling + (ARGV_READER if "commands" in modules else 0)
 
 
 def test_importing_the_catalog_compiles_one_pattern():

@@ -119,9 +119,11 @@ def test_records_of_one_orbit_share_one_phi_orbit(space):
 def test_enumeration_by_codim_equals_the_filtered_full_list(space):
     for include_trivial in (False, True):
         full = enumerate_foliations(space, include_trivial=include_trivial)
-        for codim in range(-1, space.rank + 2):
+        for codim in range(space.rank + 2):
             expected = [c for c in full if c.codim == codim]
             assert enumerate_foliations(space, include_trivial, codim) == expected, (include_trivial, codim)
+        with pytest.raises(LieFoliateError):  # no class has a negative codimension
+            enumerate_foliations(space, include_trivial, -1)
 
 
 def _orbit_tables(space) -> dict:
