@@ -5,10 +5,10 @@ or group by its automorphisms; ``readback`` for none, only for a record's
 ``from_dict``), numpy never, not even for ``verify``, whose
 criteria run with numpy unimportable, ``dataclasses``, ``inspect`` and
 ``fractions`` for no structure command, none of the machinery of
-``importlib.resources``, and no ``argparse`` for a well-formed call.  A command compiles at most its share of the
-package's sources, importing the catalog compiles one pattern, the package
-also runs from a zip archive, and ``clear_caches()`` loads nothing and
-empties every cache loaded."""
+``importlib.resources``, and no ``argparse`` for a well-formed call.  A
+command compiles at most its share of the package's sources, importing the
+catalog compiles one pattern, the package also runs from a zip archive, and
+``clear_caches()`` loads nothing and empties every cache loaded."""
 
 import ast
 import functools
@@ -63,8 +63,8 @@ print(code, ",".join(loaded), "numpy" in sys.modules, ",".join(watched), file=sy
 def probe(*argv: str, site: bool = True) -> tuple[int, set[str], bool, set[str]]:
     """The CLI's exit status, the ``liefoliate.*`` modules, whether numpy
     was loaded, and the modules of COLD_START_HEAVY, RESOURCE_MACHINERY and
-    ARGPARSE that were.  The CLI module itself runs as ``__main__`` and is not among
-    them.  ``site=False`` runs the interpreter with ``-S``."""
+    ARGPARSE that were.  The CLI module itself runs as ``__main__`` and is
+    not among them.  ``site=False`` runs the interpreter with ``-S``."""
     flags = () if site else ("-S",)
     proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv], env=ENV,
                           capture_output=True, text=True, timeout=120)
