@@ -164,6 +164,13 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
                 long * self.m_alpha(kind.long) + short * self.m_alpha(kind.short) + doubled * self.m_2alpha(kind.short))
 
     @cached_property
+    def components(self) -> SpaceComponents:
+        """What ``parabolic`` keeps of this space: one entry per connected component of a Phi asked for."""
+        from .parabolic import SpaceComponents
+
+        return SpaceComponents(self)
+
+    @cached_property
     def multiplicities(self) -> MultiplicityFunction:
         from .rootsystem import MultiplicityFunction
 

@@ -51,7 +51,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, text in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         if name == command:
-            from .commands import add_arguments
+            from .commands.argparser import add_arguments
 
             add_arguments(p, name)
     return parser

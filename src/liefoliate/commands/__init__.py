@@ -14,14 +14,15 @@ and has ``run(args)``:
 
 ``match`` reads a well-formed argv straight into the namespace that argparse
 would make of it, so such a call never loads argparse; ``cli.build_parser``
-gives argparse the same declarations through ``add_arguments``, for help,
-``--version`` and every argv that ``match`` declines.  Both import only the
-module of the command that argv names, so a process compiles no other
-command's code.  This package holds what the commands share; they import
-nothing from ``cli``, which runs as ``__main__`` under ``python -m
-liefoliate.cli`` and would be compiled a second time.  Each ``run`` imports
-the library inside its body, so a tracer that replaces
-``catalog.catalog_lookup`` and the like sees its calls.
+gives argparse the same declarations through ``argparser.add_arguments``,
+for help, ``--version`` and every argv that ``match`` declines, and only
+that path compiles ``argparser``.  Both import only the module of the
+command that argv names, so a process compiles no other command's code.
+This package holds what the commands share; they import nothing from
+``cli``, which runs as ``__main__`` under ``python -m liefoliate.cli`` and
+would be compiled a second time.  Each ``run`` imports the library inside
+its body, so a tracer that replaces ``catalog.catalog_lookup`` and the like
+sees its calls.
 """
 
 import json
@@ -29,25 +30,6 @@ from importlib import import_module
 from types import SimpleNamespace
 
 from ..errors import LieFoliateError
-
-
-def add_arguments(parser, command: str) -> None:
-    """Give argparse's parser of ``command`` its declared description,
-    action and options, and the command's ``run``."""
-    module = import_module(f".{command}", __name__)
-    parser.description = getattr(module, "DESCRIPTION", None)
-    parser.set_defaults(run=module.run)
-    actions = getattr(module, "ACTIONS", ())
-    if isinstance(actions, dict):
-        sub = parser.add_subparsers(dest="action", required=True)
-        groups = [(sub.add_parser(action, help=text), options) for action, (text, options) in actions.items()]
-    else:
-        if actions:
-            parser.add_argument("action", choices=actions)
-        groups = [(parser, module.OPTIONS)]
-    for p, options in groups:
-        for flag, spec in options.items():
-            p.add_argument(flag, **spec)
 
 
 def match(argv: list[str]) -> SimpleNamespace | None:
@@ -91,6 +73,18 @@ def match(argv: list[str]) -> SimpleNamespace | None:
         default = spec.get("default", False if "action" in spec else None)
         setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
     return args
+
+
+def ascii_int(text: str) -> int:
+    """The ``type`` of each int option: ``int`` of ASCII text alone, since
+    ``int`` would also take any other Unicode digit, which ``--phi`` and
+    space names refuse too."""
+    if not text.isascii():
+        raise ValueError(text)
+    return int(text)
+
+
+ascii_int.__name__ = "int"  # argparse's usage error names the type: "invalid int value"
 
 
 def emit_json(obj) -> None:

@@ -2,6 +2,8 @@
 
 import json
 
+from . import ascii_int
+
 
 DESCRIPTION = (
     "Enumerate hyperpolar foliation classes, one record per (Phi orbit, dim V).  "
@@ -16,7 +18,7 @@ ACTIONS = ("enumerate",)
 OPTIONS = {
     "--space": {"required": True},
     "--include-trivial": {"action": "store_true"},
-    "--codim": {"type": int, "default": None},
+    "--codim": {"type": ascii_int, "default": None},
     "--format": {"default": "table", "choices": ("table", "json")},
 }
 

@@ -3,7 +3,7 @@
 import sys
 
 from ..errors import LieFoliateError
-from . import emit_json
+from . import ascii_int, emit_json
 
 # 'rootsys show' lists about r^2 roots of r coordinates each: A100 takes
 # about 0.7 s and 160 MB, and the cost grows like r^3.
@@ -19,7 +19,7 @@ DESCRIPTION = (
 ACTIONS = ("show", "dynkin")
 OPTIONS = {
     "--family": {"required": True, "choices": ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2", "BC")},
-    "--rank": {"required": True, "type": int},
+    "--rank": {"required": True, "type": ascii_int},
     "--format": {"default": "table", "choices": ("table", "json", "dot")},
 }
 

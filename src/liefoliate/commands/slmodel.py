@@ -3,7 +3,7 @@
 import json
 
 from ..errors import LieFoliateError
-from . import emit_json
+from . import ascii_int, emit_json
 
 
 def _parse_json(text: str, what: str):
@@ -16,7 +16,7 @@ def _parse_json(text: str, what: str):
 # Each action: its help, and its options.
 ACTIONS = {
     "iwasawa": ("factor g = k a n", {
-        "--rank": {"required": True, "type": int},
+        "--rank": {"required": True, "type": ascii_int},
         "--matrix": {"required": True, "help": "JSON nested list, row-major"},
     }),
     "killing": ("Killing form of two traceless matrices", {
@@ -28,7 +28,7 @@ ACTIONS = {
     }),
     "halfplane": ("sample K/A/N orbit points on the upper half plane", {
         "--orbit": {"required": True, "choices": ("K", "A", "N")},
-        "--samples": {"type": int, "default": 25},
+        "--samples": {"type": ascii_int, "default": 25},
         "--base-re": {"type": float, "default": 0.0},
         "--base-im": {"type": float, "default": 1.0},
         "--format": {"default": "json", "choices": ("json", "csv")},

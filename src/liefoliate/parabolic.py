@@ -16,15 +16,18 @@ is the product of the components' factors.  A component's multiplicity sum
 comes from the per-type root counts of its subdiagram
 (``SpaceDescriptor.span_counts``), and its roots, when first asked for, from
 a root-string walk over that component alone (``roots.span_roots``), so no
-call builds the space's full root list.  Each space keeps, per component
-asked for, its multiplicity sum, its factor and any root sets walked, until
-``liefoliate.clear_caches()``: O(r^2) components on a classical diagram.
+call builds the space's full root list.  On a path diagram, whose edges are
+(i, i + 1) alone (A, B, C, BC, F4, G2), the components of Phi are its runs
+of consecutive indices; on D and E they are grown through the neighbours.
+Each space keeps, on its descriptor, per component asked for, its
+multiplicity sum, its factor and any root sets walked, until
+``liefoliate.clear_caches()`` drops the interned descriptors: O(r^2)
+components on a classical diagram.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .catalog import SpaceDescriptor
 from .errors import LieFoliateError
@@ -120,8 +123,13 @@ def phi_indices(r: int, indices) -> tuple[int, ...]:
 
 
 def phi_subset(space: SpaceDescriptor, indices) -> PhiSubset:
-    # phi_indices returns sorted, distinct ints in 1..r, so PhiSubset.__new__ need not check them again
-    return tuple.__new__(PhiSubset, (space, phi_indices(space.rank, indices)))
+    # A canonical Phi is read here in one pass, any other by phi_indices, which makes every
+    # refusal; either way the indices are sorted, distinct ints in 1..r, so PhiSubset.__new__
+    # need not check them again.
+    r = space.rank
+    if type(r) is int and r > 0 and _is_canonical(r, indices):
+        return tuple.__new__(PhiSubset, (space, tuple(indices)))
+    return tuple.__new__(PhiSubset, (space, phi_indices(r, indices)))
 
 
 def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Root], frozenset[Root]]:
@@ -133,7 +141,7 @@ def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Ro
     the union of its components' sets.  A Phi subset of another space raises
     LieFoliateError.
     """
-    return _root_sets(space, _components(space).of(phi))
+    return _root_sets(space, space.components.of(phi))
 
 
 class ParabolicData(namedtuple("ParabolicData", (
@@ -172,7 +180,7 @@ class ParabolicData(namedtuple("ParabolicData", (
 
 def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     """Chevalley and Langlands dimension data for q_Phi."""
-    components = _components(space).of(phi)
+    components = space.components.of(phi)
     if len(components) == 1:  # read off the component, which keeps its root sets
         component = components[0]
         sigma_phi, sigma_phi_pos = component.sets or component.root_sets(space)
@@ -241,13 +249,32 @@ class _Component:
         return self.sets
 
 
-class _SpaceComponents:
-    """One space's ``_Component`` per connected component of a Phi asked for."""
+def _runs(indices: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The runs of consecutive indices of a sorted tuple, one slice each: the
+    connected components of a Phi on a path diagram.  Along a run, an index
+    less its position is constant."""
+    runs, start, k = [], 0, 0
+    shift = indices[0] if indices else 0
+    for i in indices:
+        if i != shift + k:
+            runs.append(indices[start:k])
+            start, shift = k, i - k
+        k += 1
+    if indices:
+        runs.append(indices[start:])
+    return runs
 
-    __slots__ = ("space", "dd", "seen")
+
+class SpaceComponents:
+    """One space's ``_Component`` per connected component of a Phi asked for;
+    the descriptor keeps it (``SpaceDescriptor.components``)."""
+
+    __slots__ = ("space", "split", "seen")
 
     def __init__(self, space: SpaceDescriptor) -> None:
-        self.space, self.dd, self.seen = space, space.diagram, {}
+        dd = space.diagram
+        path = {(e.i, e.j) for e in dd.edges} == {(i, i + 1) for i in range(1, dd.rank)}
+        self.space, self.split, self.seen = space, _runs if path else dd._components_of, {}
 
     def of(self, phi: PhiSubset) -> list[_Component]:
         """The components of phi in order, each made the first time it is met."""
@@ -260,18 +287,13 @@ class _SpaceComponents:
         component = seen.get(indices)  # a connected Phi met before is its one component
         if component is not None:
             return [component]
-        # a Phi of at most one root is its one component or none
-        components = self.dd._components_of(indices) if len(indices) > 1 else (indices,) * len(indices)
         found = []
-        for c in components:
+        for c in self.split(indices):
             component = seen.get(c)
             if component is None:  # setdefault: the first stored, under threads too
                 component = seen.setdefault(c, _Component(self.space, c))
             found.append(component)
         return found
-
-
-_components = lru_cache(maxsize=None)(_SpaceComponents)
 
 
 def _root_sets(space: SpaceDescriptor, components: list[_Component]) -> tuple[frozenset[Root], frozenset[Root]]:
@@ -286,7 +308,7 @@ def _root_sets(space: SpaceDescriptor, components: list[_Component]) -> tuple[fr
 
 def boundary_components(space: SpaceDescriptor, phi: PhiSubset) -> list[BoundaryFactor]:
     """Factors of F_Phi^s, one per connected component of Phi in the diagram."""
-    return [c.factor for c in _components(space).of(phi)]
+    return [c.factor for c in space.components.of(phi)]
 
 
 class HorosphericalData(namedtuple("HorosphericalData", "space phi factors dim_Fs dim_euclidean dim_N")):
@@ -320,7 +342,7 @@ def horospherical(space: SpaceDescriptor, phi: PhiSubset) -> HorosphericalData:
     Only the components' multiplicity sums and factors are read: no root set
     is built.
     """
-    components = _components(space).of(phi)
+    components = space.components.of(phi)
     if len(components) == 1:  # read off the component
         component = components[0]
         factors, sum_phi_pos = (component.factor,), component.sum_pos

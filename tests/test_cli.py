@@ -18,7 +18,7 @@ import liefoliate
 from liefoliate import cli, clear_caches
 from liefoliate.catalog import catalog_lookup
 from liefoliate.cli import main
-from liefoliate.commands import match
+from liefoliate.commands import ascii_int, match
 from liefoliate.foliations import FoliationClass
 from liefoliate.parabolic import HorosphericalData, ParabolicData
 from liefoliate.roots import DynkinDiagram, RootSystem
@@ -369,6 +369,27 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+# int() would read these as 3, 1 and 12 (Arabic-Indic and fullwidth digits);
+# each int option takes ASCII digits only, as --phi and space names do, and
+# refuses the others as it refuses "x".
+@pytest.mark.parametrize("argv", [
+    ("rootsys", "dynkin", "--family", "A", "--rank", "\u0663"),
+    ("rootsys", "show", "--family", "A", "--rank", "\uff13"),
+    ("foliations", "enumerate", "--space", "SL5", "--codim", "\u0661"),
+    ("slmodel", "iwasawa", "--matrix", "[[1,0],[1,1]]", "--rank", "\u0661"),
+    ("slmodel", "halfplane", "--orbit", "K", "--samples", "\u0661\u0662"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_int_options_take_ascii_digits_only(capsys, argv):
+    assert match(list(argv)) is None
+    *head, flag, value = argv
+    for given in (value, "x"):
+        with pytest.raises(SystemExit) as exc:
+            main([*head, flag, given])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: invalid int value: {given!r}\n")
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "catalog")
     assert code == 0
@@ -412,7 +433,7 @@ _MUTATIONS = ("omit", "repeat", "abbreviate", "equals", "odd value", "unknown op
 def _value(spec: dict):
     if "choices" in spec:
         return st.sampled_from(spec["choices"])
-    if spec.get("type") is int:
+    if spec.get("type") is ascii_int:
         return st.integers(-3, 40).map(str)
     if spec.get("type") is float:
         return st.floats(-1e6, 1e6, allow_nan=False).map(repr)

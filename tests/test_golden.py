@@ -99,6 +99,8 @@ USAGE = (
     # declines and argparse refuses
     ("parabolic", "--space", "SL5", "--bogus", "x"),
     ("parabolic", "--space", "SL5", "--version"),
+    # an int option given no integer, as it is given a non-ASCII digit
+    ("rootsys", "dynkin", "--family", "A", "--rank", "x"),
 )
 
 

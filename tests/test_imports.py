@@ -134,6 +134,8 @@ def test_help_version_and_usage_errors_go_through_argparse(argv, code):
     got, modules, _, watched = probe(*argv)
     assert got == code
     assert "argparse" in watched
+    # the declarations reach argparse only for a named command
+    assert ("commands.argparser" in modules) == (argv[0] in cli.COMMANDS)
 
 
 def test_verify_and_the_readme_slmodel_lines_run_with_numpy_unimportable():
@@ -210,22 +212,24 @@ def compiled_nodes(modules: set[str]) -> int:
 # without argparse, and none above what the command compiled before the
 # diagram I/O, the symmetry search and all but its own command's arguments
 # left its path.  Every command but --version also compiles ARGV_READER
-# nodes more: the matcher and the builder of ``commands`` less what the
-# declarations of arguments save on that path (413 to 495 nodes, so 410 is
-# below each), for the about 4.8 ms that importing argparse and building
-# its parsers took.
+# nodes more: the matcher of ``commands`` less what the declarations of
+# arguments save on that path, for the about 4.8 ms that importing argparse
+# and building its parsers took.  The builder of argparse's parsers
+# (``commands.argparser``) is not on that path: only help, --version and
+# the argv the matcher declines compile it.
 ARGV_READER = 410
 
 
 @pytest.mark.parametrize("argv, ceiling", (
-    (("--version",), 605),
-    (("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json"), 9_500),
-    (("horospherical", "--space", "su(4,2)", "--phi", "1"), 9_550),
-    (("foliations", "enumerate", "--space", "so(5,2)"), 10_670),
-    (("catalog", "list"), 7_490),
-    (("rootsys", "dynkin", "--family", "D", "--rank", "5", "--format", "dot"), 6_460),
-    (("rootsys", "show", "--family", "E6", "--rank", "6"), 7_130),
-    (("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), 2_485),
+    pytest.param(("--version",), 605, id="--version"),
+    pytest.param(("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json"), 9_500, id="parabolic"),
+    pytest.param(("horospherical", "--space", "su(4,2)", "--phi", "1"), 9_550, id="horospherical"),
+    pytest.param(("foliations", "enumerate", "--space", "so(5,2)"), 10_670, id="foliations-enumerate"),
+    pytest.param(("catalog", "list"), 7_490, id="catalog-list"),
+    pytest.param(("rootsys", "dynkin", "--family", "D", "--rank", "5", "--format", "dot"), 6_460,
+                 id="rootsys-dynkin"),
+    pytest.param(("rootsys", "show", "--family", "E6", "--rank", "6"), 7_130, id="rootsys-show"),
+    pytest.param(("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), 2_485, id="slmodel-iwasawa"),
 ))
 def test_a_command_compiles_at_most_its_share_of_the_package(argv, ceiling):
     code, modules, _, _ = probe(*argv)
@@ -297,10 +301,24 @@ def test_clear_caches_empties_every_cache_of_the_loaded_modules(monkeypatch):
     filled = {key for key, size in _cache_sizes().items() if size}
     assert filled >= {f"liefoliate.{key}" for key in (
         "catalog._instantiate", "catalog._lookup", "foliations._layer", "foliations._orbits", "foliations._probe",
-        "parabolic._components", "rootsystem._built_root_system", "slmodel.sl_basis")}
+        "rootsystem._built_root_system", "slmodel.sl_basis")}
     clear_caches()
     assert set(_cache_sizes().values()) == {0}
     assert catalog_lookup("SL5") is not sl5  # the interned descriptor went, with all cached on it
+
+
+def test_clear_caches_leaves_a_fresh_descriptor_with_fresh_components():
+    from liefoliate import catalog_lookup, clear_caches, horospherical, phi_subset
+
+    sl5 = catalog_lookup("SL5")
+    horospherical(sl5, phi_subset(sl5, (1, 2, 4)))
+    kept = sl5.components
+    assert {(1, 2), (4,)} <= set(kept.seen)
+    clear_caches()
+    fresh = catalog_lookup("SL5")
+    assert fresh is not sl5 and "components" not in vars(fresh)
+    horospherical(fresh, phi_subset(fresh, (1,)))
+    assert fresh.components is not kept and list(fresh.components.seen) == [(1,)]
 
 
 def test_every_public_name_resolves():

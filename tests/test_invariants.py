@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liefoliate import clear_caches, parabolic
+from liefoliate import clear_caches
 from liefoliate.catalog import catalog_entries, catalog_lookup
 from liefoliate.commands.foliations import json_records
 from liefoliate.errors import LieFoliateError
@@ -160,19 +160,22 @@ def _components_reference(space, phi) -> list[tuple[int, ...]]:
 
 
 def _cold_then_warm(space, phi):
-    """Yield twice: right after the component cache is emptied, and once Phi's
-    components were filled by other subsets that share some of them: Phi less
-    its last component, through horospherical, which builds no root set, and
-    the last component alone, through root_subsystem, which builds its sets."""
+    """Yield the space twice, each time as the descriptor that the catalog gives
+    right after its caches are emptied, so with nothing kept on it, as in a
+    fresh process: once as it is, and once Phi's components were filled by
+    other subsets that share some of them: Phi less its last component,
+    through horospherical, which builds no root set, and the last component
+    alone, through root_subsystem, which builds its sets."""
     clear_caches()
-    yield
+    yield catalog_lookup(space.name)
     clear_caches()
+    space = catalog_lookup(space.name)
     components = _components_reference(space, phi)
     if components:
         horospherical(space, phi_subset(space, [i for c in components[:-1] for i in c]))
         root_subsystem(space, phi_subset(space, components[-1]))
-    assert set(parabolic._components(space).seen) == set(components)
-    yield
+    assert set(space.components.seen) == set(components)
+    yield space
 
 
 @st.composite
@@ -191,7 +194,7 @@ def test_horospherical_dimensions_are_conserved(case):
     space, phi = case
     inside, outside = _positive_split(space, phi)
     assert space.dimension == space.rank + inside + outside
-    for _ in _cold_then_warm(space, phi):
+    for space in _cold_then_warm(space, phi):
         h = horospherical(space, phi_subset(space, phi))
         assert h.dim_Fs == len(phi) + inside == sum(f.dim for f in h.factors)
         assert h.dim_euclidean == space.rank - len(phi)
@@ -347,7 +350,7 @@ def test_parabolic_data_matches_a_reference_from_the_expansions(case):
     outside = sum(mult(lam) for lam in rs.positive) - sum_pos
     r, r_phi, k0 = space.rank, len(phi), space.dim_k0
 
-    for _ in _cold_then_warm(space, phi):
+    for space in _cold_then_warm(space, phi):
         d = parabolic_data(space, phi_subset(space, phi))
         assert d.sigma_phi == sigma and d.sigma_phi_pos == sigma_pos
         assert (d.dim_a_phi, d.dim_n_phi) == (r - r_phi, outside)
@@ -366,11 +369,13 @@ def test_parabolic_data_matches_a_reference_from_the_expansions(case):
 def test_a_warm_one_component_phi_returns_the_cached_root_sets(case):
     space, phi = case
     component = _components_reference(space, phi)[0]
-    rs, subset = space.root_system, phi_subset(space, component)
+    rs = space.root_system
     sigma = frozenset(lam for lam in rs.roots if _support_within(rs, lam, component))
     clear_caches()
+    space = catalog_lookup(space.name)  # with nothing kept on it
+    subset = phi_subset(space, component)
     horospherical(space, subset)  # fills the component, but not its root sets
-    cached = parabolic._components(space).seen[component]
+    cached = space.components.seen[component]
     assert cached.sets is None
     d = parabolic_data(space, subset)
     assert cached.sets == (sigma, sigma & frozenset(rs.positive))
@@ -407,8 +412,9 @@ def test_a_warm_call_equals_a_cold_one(count, data):
     assert min(len(_components_reference(space, phi)), 2) == count
     for fn, other in ((parabolic_data, horospherical), (horospherical, parabolic_data)):
         clear_caches()
-        cold = fn(space, phi_subset(space, phi))
+        cold = fn(catalog_lookup(space.name), phi_subset(space, phi))
         clear_caches()
+        space = catalog_lookup(space.name)  # with nothing kept on it
         other(space, phi_subset(space, phi))
         warm = fn(space, phi_subset(space, phi))
         again = fn(space, phi_subset(space, phi))
@@ -438,8 +444,8 @@ def _check_boundary_factors(space, phi):
 @settings(max_examples=150, deadline=None)
 @given(space_and_phi())
 def test_boundary_factors_match_a_per_component_reference(case):
-    for _ in _cold_then_warm(*case):
-        _check_boundary_factors(*case)
+    for space in _cold_then_warm(*case):
+        _check_boundary_factors(space, case[1])
 
 
 @pytest.mark.parametrize("space", [s for s in SPACES if s.rank <= 6], ids=lambda s: s.name)

@@ -4,9 +4,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liefoliate import clear_caches, parabolic
-from liefoliate.catalog import catalog_lookup
+from liefoliate.catalog import SpaceDescriptor, catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.parabolic import (
     HorosphericalData,
@@ -18,7 +20,7 @@ from liefoliate.parabolic import (
     phi_subset,
     root_subsystem,
 )
-from liefoliate.roots import build_root_system, diagram_automorphisms, dynkin_diagram, span_roots
+from liefoliate.roots import MAX_RANK, Family, build_root_system, diagram_automorphisms, dynkin_diagram, span_roots
 
 
 def in_rational_span(vectors, target):
@@ -233,20 +235,22 @@ SO24 = catalog_lookup("so(24,C)")  # D_12: 10 is joined to 9, 11 and 12
 @pytest.mark.parametrize("call", [horospherical, parabolic_data, boundary_components, root_subsystem],
                          ids=lambda f: f.__name__)
 def test_a_warm_call_on_seen_components_reads_no_row(call, walks):
-    phi = phi_subset(SO24, (1, 3) + tuple(range(7, 13)))
-    expected = call(SO24, phi)
+    phi = (1, 3) + tuple(range(7, 13))
+    expected = call(SO24, phi_subset(SO24, phi))
     clear_caches()
-    parabolic_data(SO24, phi_subset(SO24, (1, 3)))
-    root_subsystem(SO24, phi_subset(SO24, range(7, 13)))
+    walks.clear()  # what the expected call walked
+    so24 = catalog_lookup("so(24,C)")  # with nothing kept on it, as in a fresh process
+    parabolic_data(so24, phi_subset(so24, (1, 3)))
+    root_subsystem(so24, phi_subset(so24, range(7, 13)))
     assert walks == [(1,), (3,), tuple(range(7, 13))]
-    assert call(SO24, phi) == expected
+    assert call(so24, phi_subset(so24, phi)) == expected
     assert len(walks) == 3  # the sums, factors and root sets of seen components are kept
 
 
 def test_a_cold_call_walks_each_missing_component_once(walks):
     clear_caches()
     fresh = SO24._replace()  # a descriptor with nothing cached, as in a fresh process
-    seen = parabolic._components(fresh).seen
+    seen = fresh.components.seen
     phi = phi_subset(fresh, (1, 3, 7, 8))
     h = horospherical(fresh, phi)
     assert walks == [] and sorted(seen) == [(1,), (3,), (7, 8)]
@@ -346,3 +350,54 @@ def test_a_phi_that_is_no_phi_subset_is_a_domain_error(call, phi):
     # each raised AttributeError: '<type>' object has no attribute 'space'
     with pytest.raises(LieFoliateError, match="phi_subset"):
         call(catalog_lookup("SL5"), phi)
+
+
+# The families whose diagram is a path, edges (i, i + 1) alone, those of one
+# rank, and the least rank of each family.
+PATHS = {Family.A, Family.B, Family.C, Family.BC, Family.F4, Family.G2}
+FIXED = {Family.E6, Family.E7, Family.E8, Family.F4, Family.G2}
+LEAST_RANK = {Family.A: 1, Family.B: 2, Family.C: 2, Family.D: 3, Family.BC: 1,
+              Family.E6: 6, Family.E7: 7, Family.E8: 8, Family.F4: 4, Family.G2: 2}
+
+
+def hand_built(family: Family, rank: int) -> SpaceDescriptor:
+    """A descriptor of the family's diagram made without the catalog, every multiplicity 1."""
+    mults = (1,) * (rank - 1) + (((1, 1),) if family is Family.BC else (1,))
+    return SpaceDescriptor(f"{family.value}{rank}", f"{family.value}{rank}", family, rank, mults, 0, "hand")
+
+
+@pytest.mark.parametrize("family, rank", [(f, r) for f, least in LEAST_RANK.items()
+                                          for r in range(least, (least if f in FIXED else 10) + 1)],
+                         ids=lambda x: str(getattr(x, "value", x)))
+def test_the_split_of_every_phi_is_its_connected_components(family, rank):
+    space = hand_built(family, rank)
+    split, dd = space.components.split, space.diagram
+    assert (split is parabolic._runs) == (family in PATHS)
+    for mask in range(1 << rank):
+        phi = tuple(i for i in range(1, rank + 1) if mask >> (i - 1) & 1)
+        assert split(phi) == dd.connected_components(phi), phi
+
+
+@st.composite
+def large_phi(draw):
+    family = draw(st.sampled_from([Family.A, Family.B, Family.C, Family.BC, Family.D, Family.E6, Family.E7,
+                                   Family.E8]))
+    least = LEAST_RANK[family]
+    rank = draw(st.integers(least, least if family in FIXED else MAX_RANK))
+    # runs of chosen and skipped vertices, so that long components come up
+    phi, i = [], 1
+    while i <= rank:
+        length = draw(st.integers(1, max(1, rank // 4)))
+        if draw(st.booleans()):
+            phi += range(i, min(i + length, rank + 1))
+        i += length
+    return hand_built(family, rank), tuple(phi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_phi())
+def test_the_components_of_a_phi_up_to_rank_1000_are_its_connected_components(case):
+    space, phi = case
+    components = space.components.of(phi_subset(space, phi))
+    assert [c.indices for c in components] == space.diagram.connected_components(phi)
+    assert space.components.of(phi_subset(space, phi)) == components  # warm: the same components

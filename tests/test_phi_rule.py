@@ -15,7 +15,7 @@ try:
 except ImportError:  # the numpy mutants are then left out
     numpy = None
 
-from liefoliate.catalog import catalog_lookup
+from liefoliate.catalog import SpaceDescriptor, catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import FoliationClass, enumerate_foliations
 from liefoliate.parabolic import (
@@ -27,6 +27,7 @@ from liefoliate.parabolic import (
     phi_subset,
     root_subsystem,
 )
+from liefoliate.roots import Family
 from liefoliate.slmodel import (
     a_phi_subspace,
     a_subspace,
@@ -170,6 +171,25 @@ _RANK = st.one_of(st.integers(1, 10), st.integers(1, 10), st.sampled_from([0, -1
 @given(_RANK, _PHI)
 def test_phi_indices_agrees_with_the_reference(r, indices):
     assert _outcome(phi_indices, r, indices) == _outcome(reference_phi_indices, r, indices)
+
+
+# Ranks a descriptor made by hand may carry: SpaceDescriptor checks only that
+# it equals the number of multiplicities.
+_HAND_RANK = st.one_of(st.integers(0, 10), st.sampled_from([0, True, False, 2.0]))
+
+
+@settings(max_examples=800, deadline=None)
+@given(_HAND_RANK, _PHI)
+def test_phi_subset_refuses_what_phi_indices_refuses(r, indices):
+    space = SpaceDescriptor("hand", "hand", Family.A, r, (1,) * int(r), 0, "hand")
+    assert _outcome(lambda _, phi: phi_subset(space, phi).indices, r, indices) == _outcome(phi_indices, r, indices)
+
+
+def test_phi_subset_refuses_every_phi_of_a_rank_0_descriptor():
+    space = SpaceDescriptor("hand", "hand", Family.A, 0, (), 0, "hand")
+    for indices in [(), [], (1,), [0]]:
+        with pytest.raises(LieFoliateError, match="rank 0 must be an int >= 1"):
+            phi_subset(space, indices)
 
 
 def test_phi_indices_reads_numpy_values_as_the_reference_does():
