@@ -4,8 +4,13 @@ k is special orthogonal, a a positive diagonal of determinant one and n unit
 upper triangular: the decomposition G = KAN of SL_n(R), whose solvable part
 AN the foliations are built from.  The factors come from a Householder QR
 factorization of g on lists of floats, with the signs chosen so that a > 0,
-which makes them unique.  The CLI's ``slmodel iwasawa`` calls ``factor``
-without loading ``slmodel``, and ``slmodel.iwasawa_group`` returns its ``KAN``.
+which makes them unique.  Its pivots have absolute errors of about
+eps max|g_ij|, so a pivot small against g would carry a large relative error
+into a and n (and prod a_ii, which is |det g|): below _EXACT_BELOW of
+max(1, max|g_ij|), at up to _EXACT_MAX_SIZE rows, the factors are computed
+exactly from the rational entries of g by ``exactkan`` and rounded once.
+The CLI's ``slmodel iwasawa`` calls ``factor`` without loading ``slmodel``,
+and ``slmodel.iwasawa_group`` returns its ``KAN``.
 
 ``square_matrix`` is the one statement of what a matrix argument is, for the
 CLI's JSON and for every ``slmodel`` function alike: a nonempty square list
@@ -37,6 +42,13 @@ TAU_NUM = 1e-10
 
 # A pivot below this times max(1, max|g_ij|) means numerically dependent columns.
 _PIVOT_FLOOR = 1e-13
+
+# Householder gives a pivot to within about eps max|g_ij| absolutely.  Below this
+# times max(1, max|g_ij|) that error is more than about 1e-13 of the pivot, and the
+# factors of a matrix of at most _EXACT_MAX_SIZE rows come from ``exactkan``
+# instead, which takes about 10 ms at that size and seconds at 64.
+_EXACT_BELOW = 1e-3
+_EXACT_MAX_SIZE = 16
 
 KAN = namedtuple("KAN", "k a n residual")
 KAN.__doc__ = """Factors of g = k a n as lists of rows of floats, and
@@ -103,7 +115,8 @@ def factor(rows: list[list[float]]) -> KAN:
     Householder QR on the columns of g gives g = Q R; each reflection has
     determinant -1, so det g = (-1)^(reflections) prod R_jj with no second
     pass.  With S the signs of diag R, k = Q S, a = |diag R| and
-    n = diag(R)^-1 R.  Raises LieFoliateError unless g has determinant 1
+    n = diag(R)^-1 R, unless a pivot is small enough for ``exactkan`` to
+    give the factors instead.  Raises LieFoliateError unless g has determinant 1
     (``check_det_one``) and columns that are not numerically dependent, and
     unless the factors reassemble g to within TAU_NUM * max(1, max|g_ij|).
     """
@@ -129,18 +142,24 @@ def factor(rows: list[list[float]]) -> KAN:
         reflectors.append((j, v, tau))
     diag = [cols[j][j] for j in range(size)]
     check_det_one(math.prod(diag) * (-1.0) ** len(reflectors), hadamard)
-    if min(map(abs, diag)) < _PIVOT_FLOOR * scale:
+    smallest = min(map(abs, diag))
+    if smallest < _PIVOT_FLOOR * scale:
         raise LieFoliateError("columns are numerically dependent; cannot factor")
-    # k = H_0 H_1 ... S, its columns built from those of S, the last reflection first;
-    # H_j fixes the columns c < j, which are still those of S.
-    k_cols = [[0.0] * c + [math.copysign(1.0, d)] + [0.0] * (size - c - 1) for c, d in enumerate(diag)]
-    for j, v, tau in reversed(reflectors):
-        _reflect(v, tau, k_cols[j:], j)
-    a_diag = [abs(d) for d in diag]
+    if smallest < _EXACT_BELOW * scale and size <= _EXACT_MAX_SIZE:
+        from .exactkan import exact_kan
+
+        k, a_diag, n = exact_kan(rows)
+    else:
+        # k = H_0 H_1 ... S, its columns built from those of S, the last reflection first;
+        # H_j fixes the columns c < j, which are still those of S.
+        k_cols = [[0.0] * c + [math.copysign(1.0, d)] + [0.0] * (size - c - 1) for c, d in enumerate(diag)]
+        for j, v, tau in reversed(reflectors):
+            _reflect(v, tau, k_cols[j:], j)
+        k = [list(row) for row in zip(*k_cols)]
+        a_diag = [abs(d) for d in diag]
+        n = [[0.0] * j + [1.0] + [cols[m][j] / diag[j] for m in range(j + 1, size)]
+             for j in range(size)]
     a = [[0.0] * j + [d] + [0.0] * (size - j - 1) for j, d in enumerate(a_diag)]
-    n = [[0.0] * j + [1.0] + [cols[m][j] / diag[j] for m in range(j + 1, size)]
-         for j in range(size)]
-    k = [list(row) for row in zip(*k_cols)]
     # k (a n), with the sums over l <= m only, since n is upper triangular
     an_cols = [[d * row[m] for d, row in zip(a_diag, n[:m + 1])] for m in range(size)]
     residual = max(max(map(abs, map(sub, [sum(map(mul, k_row, col)) for col in an_cols], g_row)))

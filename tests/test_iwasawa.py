@@ -7,6 +7,7 @@ import json
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -61,6 +62,73 @@ def test_factors_lie_in_k_a_and_n(g):
     residual = max_abs(add(matmul(matmul(k, a), n), scale(-1, g)))
     assert residual <= TAU_NUM * bound
     assert f.residual == pytest.approx(residual, abs=1e-14 * bound)
+
+
+def _exact_det(g) -> Fraction:
+    m, det = [[Fraction(x) for x in row] for row in g], Fraction(1)
+    for j in range(len(m)):
+        p = next((i for i in range(j, len(m)) if m[i][j]), None)
+        if p is None:
+            return Fraction(0)
+        m[j], m[p], det = m[p], m[j], det * (m[p][j] if p == j else -m[p][j])
+        m[j + 1:] = [[u - row[j] / m[j][j] * v for u, v in zip(row, m[j])] for row in m[j + 1:]]
+    return det
+
+
+def test_a_small_pivot_leaves_the_product_of_a_at_the_determinant():
+    # Hypothesis's counterexample: Householder QR gave prod a_ii = 1.0000000016044395.
+    g = [[-0.0, 0.0, 0.0, 28.03363267057955, 0.0, 0.0],
+         [-0.0, 0.0, 0.0, 0.0, 18.689088447053035, 9.344544223526517],
+         [-0.0, 0.0, 12.459392298035356, 0.0, 0.0, 0.0],
+         [-0.0, 3.114848074508839, 0.0, 0.0, 0.0, 3.114848074508839],
+         [-0.0, 3.1578529287455836e-06, 0.0, 0.0, 0.0, 0.0],
+         [-15.574240372544194, 0.0, 0.0, 0.0, 0.0, 0.0]]
+    f = kan(g)
+    assert math.prod(f.a[i][i] for i in range(6)) == pytest.approx(float(abs(_exact_det(g))), rel=1e-15)
+    assert f.a[5][5] == pytest.approx(3.1578529287439607e-06, rel=1e-15)
+    assert f.residual <= 1e-14
+
+
+@st.composite
+def ill_conditioned_sl(draw) -> list[list[float]]:
+    """u diag(d) v: u, v the k of random_sl matrices, d of product one whose
+    largest entry is at most 10^6 times its smallest."""
+    size = draw(st.integers(2, 6))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    u, v = (kan(random_sl(size, rng)).k for _ in range(2))
+    logs = [draw(st.floats(-3.0, 3.0)) for _ in range(size)]
+    d = [10.0 ** (x - math.fsum(logs) / size) for x in logs]
+    return matmul(matmul(u, diag(d)), v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ill_conditioned_sl())
+def test_the_product_of_a_is_the_exact_determinant_of_an_ill_conditioned_matrix(g):
+    f = kan(g)
+    size = len(g)
+    assert math.prod(f.a[i][i] for i in range(size)) == pytest.approx(float(abs(_exact_det(g))), rel=1e-14)
+    assert max_abs(add(matmul(transpose(f.k), f.k), scale(-1, eye(size)))) <= 1e-12
+    assert f.residual <= 1e-12 * max_abs(g)
+
+
+def test_the_exact_factors_agree_with_householder_where_it_is_accurate():
+    from liefoliate.exactkan import exact_kan
+
+    rng = random.Random(7)
+    for size in range(1, 9):
+        g = [list(row) for row in random_sl(size, rng)]
+        f = kan(g)
+        k, a, n = exact_kan(g)
+        assert max_abs(add(k, scale(-1, f.k))) <= 1e-13
+        assert max(abs(x / f.a[i][i] - 1.0) for i, x in enumerate(a)) <= 1e-13
+        assert max_abs(add(n, scale(-1, f.n))) <= 1e-13
+
+
+def test_exact_factors_refuse_dependent_columns():
+    from liefoliate.exactkan import exact_kan
+
+    with pytest.raises(LieFoliateError, match="dependent"):
+        exact_kan([[1.0, 2.0], [2.0, 4.0]])
 
 
 def test_a_64x64_factorization_takes_under_half_a_second():
