@@ -171,6 +171,13 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
         return SpaceComponents(self)
 
     @cached_property
+    def orbits(self) -> SpaceOrbits:
+        """What ``foliations`` keeps of this space: its PhiOrbits, layer tables and records."""
+        from .foliations import SpaceOrbits
+
+        return SpaceOrbits(self)
+
+    @cached_property
     def multiplicities(self) -> MultiplicityFunction:
         from .rootsystem import MultiplicityFunction
 

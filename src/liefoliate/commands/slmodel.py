@@ -13,6 +13,18 @@ def _parse_json(text: str, what: str):
         raise LieFoliateError(f"cannot parse {what} JSON: {exc}")
 
 
+def ascii_float(text: str) -> float:
+    """The ``type`` of the float options: ``float`` of ASCII text alone, as
+    ``ascii_int`` is ``int``'s, since ``float`` would also take any other
+    Unicode digit."""
+    if not text.isascii():
+        raise ValueError(text)
+    return float(text)
+
+
+ascii_float.__name__ = "float"  # argparse's usage error names the type: "invalid float value"
+
+
 # Each action: its help, and its options.
 ACTIONS = {
     "iwasawa": ("factor g = k a n", {
@@ -29,8 +41,8 @@ ACTIONS = {
     "halfplane": ("sample K/A/N orbit points on the upper half plane", {
         "--orbit": {"required": True, "choices": ("K", "A", "N")},
         "--samples": {"type": ascii_int, "default": 25},
-        "--base-re": {"type": float, "default": 0.0},
-        "--base-im": {"type": float, "default": 1.0},
+        "--base-re": {"type": ascii_float, "default": 0.0},
+        "--base-im": {"type": ascii_float, "default": 1.0},
         "--format": {"default": "json", "choices": ("json", "csv")},
     }),
 }

@@ -16,13 +16,16 @@ hyperbolic part of the leaf dimension) and is built once per orbit of each
 space, and a ``FoliationClass`` is only (PhiOrbit, dim V), reading the rest
 off its orbit.  Layer k of a diagram is its orthogonal Phi of k roots in
 lexicographic order, each Phi of layer k - 1 extended by a later vertex
-adjacent to none of its roots.  An orbit's representative is its least
-member: no diagram automorphism maps it to a smaller tuple.  Each space
-keeps one ``PhiOrbit`` per representative, the table of each layer walked
-(representative -> ``PhiOrbit``, in Phi order) and one list of all its
-records, the trivial one included, built layer by layer by the first full
-enumeration and retained, at about 73 B a record with its slot in the list
-(the 28,070 records of SL18 take about 2.0 MB).  A full enumeration returns
+adjacent to none of its roots; each space walks its own layers and keeps
+none.  An orbit's representative is its least member: no diagram
+automorphism maps it to a smaller tuple.  Each space keeps, on its
+descriptor (``SpaceDescriptor.orbits``) until ``liefoliate.clear_caches()``
+drops the interned descriptors, one ``PhiOrbit`` per representative, the
+table of each layer walked (its ``PhiOrbit``s, in Phi order) and one list
+of all its records, the trivial one included, built layer by layer by the
+first full enumeration and retained, at about 73 B a record with its slot
+in the list (the 28,070 records of SL18 take about 2.0 MB).  A descriptor a
+caller holds keeps them across ``clear_caches()``.  A full enumeration returns
 a copy of that list, less the trivial record unless asked for; with
 codimension c it walks layers 0..c and builds only the records of
 codimension c.  ``from_dict`` decides
@@ -54,7 +57,6 @@ builds anyway and never scans the roots.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .catalog import SpaceDescriptor
 from .errors import LieFoliateError
@@ -81,18 +83,20 @@ def orthogonal_subsets(dd: DynkinDiagram) -> list[tuple[int, ...]]:
     The empty set is included.  For a path diagram of rank r the count is the
     Fibonacci number F(r+2).  This is the sorted union of the layers.
     """
-    return sorted(phi for k in range(dd.rank + 1) for phi in _layer(dd, k))
+    return sorted(phi for layer in _layers(dd) for phi in layer)
 
 
-@lru_cache(maxsize=None)
-def _layer(dd: DynkinDiagram, k: int) -> tuple[tuple[int, ...], ...]:
-    """The independent sets of k vertices in lexicographic order, built once per diagram and k:
-    those of layer k - 1, each extended by a later vertex adjacent to none of its vertices."""
-    if k == 0:
-        return ((),)
-    adjacency = dd._adjacency  # unchecked: every v is in 1..rank
-    return tuple(phi + (v,) for phi in _layer(dd, k - 1)
-                 for v in range(phi[-1] + 1 if phi else 1, dd.rank + 1) if adjacency[v].isdisjoint(phi))
+def _layers(dd: DynkinDiagram):
+    """The independent sets of 0, 1, 2, ... vertices, one layer at a time in lexicographic order,
+    up to the first empty layer, which is the last: layer k is those of layer k - 1, each extended
+    by a later vertex adjacent to none of its vertices.  A layer is made only when asked for."""
+    adjacency, rank, layer = dd._adjacency, dd.rank, ((),)  # unchecked: every v is in 1..rank
+    while True:
+        yield layer
+        if not layer:
+            return
+        layer = tuple(phi + (v,) for phi in layer
+                      for v in range(phi[-1] + 1 if phi else 1, rank + 1) if adjacency[v].isdisjoint(phi))
 
 
 class HyperbolicFactor(namedtuple("HyperbolicFactor", "alpha_index algebra n real_dim")):
@@ -221,28 +225,29 @@ def _record(name, phi, dim_v) -> FoliationClass:
 
     space, subset = named(name, phi)
     subset.check_foliation(dim_v)
-    orbits = _orbits(space)
+    orbits = space.orbits
     orbit = orbits.orbit(subset.indices)
     if orbit is None:
         raise LieFoliateError(f"phi {phi} is not the representative (least member) of its orbit")
     return FoliationClass(orbits.phi_orbit(subset.indices, orbit), dim_v)
 
 
-class _SpaceOrbits:
-    """One space's PhiOrbit per representative (``by_rep``), layer tables and record list.
+class SpaceOrbits:
+    """One space's PhiOrbit per representative (``by_rep``), layer tables and record list;
+    the descriptor keeps it (``SpaceDescriptor.orbits``).
 
-    Each is built once, on first use.  All are one ``_orbits`` entry, so
-    ``liefoliate.clear_caches()`` drops the records with the PhiOrbits they hold.
+    Each is built once, on first use.  ``tables`` holds the tables of the
+    layers walked so far, layer k's PhiOrbits in Phi order, and ends with an
+    empty table once every layer is walked.  No layer of subsets is kept.
     """
 
-    __slots__ = ("space", "dd", "auts", "factors", "by_rep", "tables", "records")
+    __slots__ = ("space", "auts", "factors", "by_rep", "tables", "records")
 
     def __init__(self, space: SpaceDescriptor) -> None:
         self.space = space
-        self.dd = space.diagram
-        self.auts = diagram_automorphisms(self.dd)
+        self.auts = diagram_automorphisms(space.diagram)
         self.factors = {i: hyperbolic_factor(space, i) for i in range(1, space.rank + 1)}
-        self.by_rep, self.tables, self.records = {}, {}, None
+        self.by_rep, self.tables, self.records = {}, (), None
 
     def orbit(self, phi: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
         """Phi's orbit in sorted order if no diagram automorphism maps phi to a smaller tuple, else None."""
@@ -261,25 +266,28 @@ class _SpaceOrbits:
                 space, phi, orbit, factors, space.dimension - space.rank - hyper_leaf_dim, hyper_leaf_dim))
         return phi_orbit
 
-    def table(self, k: int) -> dict[tuple[int, ...], PhiOrbit]:
-        """Representative -> PhiOrbit for the orbits in layer k, in Phi order."""
-        table = self.tables.get(k)
-        if table is None:
-            table = self.tables.setdefault(
-                k, {phi: self.phi_orbit(phi, orbit) for phi in _layer(self.dd, k) if (orbit := self.orbit(phi))})
-        return table
+    def tables_to(self, k: int) -> tuple[tuple[PhiOrbit, ...], ...]:
+        """The tables of layers 0..k, fewer if a layer up to k is empty: on the first call that reaches
+        past the tables built, the layers are walked from layer 0 to layer k, reusing the tables built."""
+        tables = self.tables
+        if len(tables) <= k and (not tables or tables[-1]):
+            built = []
+            for j, layer in enumerate(_layers(self.space.diagram)):
+                built.append(tables[j] if j < len(tables) else
+                             tuple(self.phi_orbit(phi, orbit) for phi in layer if (orbit := self.orbit(phi))))
+                if j == k:
+                    break
+            # two threads that race here store equal tables, each whole
+            self.tables = tables = tuple(built)
+        return tables[:k + 1]
 
     def all_records(self) -> list[FoliationClass]:
         """Every record, the trivial one included, in (r_Phi, Phi, dim V) order: built on the
-        first call from the layers up to the first empty one, and kept."""
+        first call from every layer, and kept."""
         records = self.records
         if records is None:
-            r, layers = self.space.rank, []
-            for k in range(r + 1):
-                table = self.table(k)
-                if not table:  # no orthogonal Phi of k roots, so none of more
-                    break
-                layers.append((table.values(), range(r - k + 1)))
+            r = self.space.rank
+            layers = [(phi_orbits, range(r - k + 1)) for k, phi_orbits in enumerate(self.tables_to(r))]
             new = tuple.__new__  # FoliationClass(...) without its frame
             # one comprehension over all layers: no list per layer to join
             records = [new(FoliationClass, (phi_orbit, dim_v)) for phi_orbits, dims in layers
@@ -287,9 +295,6 @@ class _SpaceOrbits:
             # two threads that race here store equal records over the same PhiOrbits
             self.records = records
         return records
-
-
-_orbits = lru_cache(maxsize=None)(_SpaceOrbits)
 
 
 def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
@@ -314,7 +319,7 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
     if codim is not None and codim < 0:
         raise LieFoliateError(f"codim {codim} is negative")
     r = space.rank
-    orbits = _orbits(space)
+    orbits = space.orbits
     if codim is None:
         classes = (orbits.records or orbits.all_records()).copy()
         if not include_trivial:
@@ -323,9 +328,6 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
     classes: list[FoliationClass] = []
     # codim = r - dim V >= r_Phi, and only Phi empty with codim 0 is trivial
     new = tuple.__new__
-    for k in range(codim + 1 if 0 < codim <= r or codim == 0 and include_trivial else 0):
-        table = orbits.table(k)
-        if not table:
-            break
-        classes += [new(FoliationClass, (phi_orbit, r - codim)) for phi_orbit in table.values()]
+    for phi_orbits in orbits.tables_to(codim if 0 < codim <= r or codim == 0 and include_trivial else -1):
+        classes += [new(FoliationClass, (phi_orbit, r - codim)) for phi_orbit in phi_orbits]
     return classes

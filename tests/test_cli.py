@@ -19,6 +19,7 @@ from liefoliate import cli, clear_caches
 from liefoliate.catalog import catalog_lookup
 from liefoliate.cli import main
 from liefoliate.commands import ascii_int, match
+from liefoliate.commands.slmodel import ascii_float
 from liefoliate.foliations import FoliationClass
 from liefoliate.parabolic import HorosphericalData, ParabolicData
 from liefoliate.roots import DynkinDiagram, RootSystem
@@ -390,6 +391,22 @@ def test_int_options_take_ascii_digits_only(capsys, argv):
         assert err.endswith(f"error: argument {flag}: invalid int value: {given!r}\n")
 
 
+# float() would read these as 2 and 2.5; each float option takes ASCII text
+# only and refuses the others as it refuses "x".
+@pytest.mark.parametrize("flag", ["--base-re", "--base-im"])
+@pytest.mark.parametrize("value", ["\u0662", "\uff12", "\u0662.\u0665"])
+def test_float_options_take_ascii_digits_only(capsys, flag, value):
+    head = ["slmodel", "halfplane", "--orbit", "K", "--samples", "2"]
+    assert match([*head, flag, value]) is None
+    assert match([*head, flag, "2"]).__dict__[flag[2:].replace("-", "_")] == 2.0
+    for given in (value, "x"):
+        with pytest.raises(SystemExit) as exc:
+            main([*head, flag, given])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: invalid float value: {given!r}\n")
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "catalog")
     assert code == 0
@@ -435,7 +452,7 @@ def _value(spec: dict):
         return st.sampled_from(spec["choices"])
     if spec.get("type") is ascii_int:
         return st.integers(-3, 40).map(str)
-    if spec.get("type") is float:
+    if spec.get("type") is ascii_float:
         return st.floats(-1e6, 1e6, allow_nan=False).map(repr)
     return st.text(max_size=6)
 

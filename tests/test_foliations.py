@@ -222,7 +222,7 @@ def test_phi_orbits_are_built_once_per_space(name, monkeypatch):
     def refuse(*args):
         raise AssertionError("Phi orbits rebuilt")
 
-    for fn in ("diagram_automorphisms", "_layer", "hyperbolic_factor"):
+    for fn in ("diagram_automorphisms", "_layers", "hyperbolic_factor"):
         monkeypatch.setattr(foliations, fn, refuse)
     again = enumerate_foliations(space, include_trivial=True)
     assert again == first
@@ -265,8 +265,8 @@ def test_a_second_full_enumeration_builds_no_record(monkeypatch):
     class Counted(FoliationClass):
         __slots__ = ()
 
-    space = catalog_lookup("SL14")
     clear_caches()
+    space = catalog_lookup("SL14")
     enumerate_foliations(space)
     monkeypatch.setattr(foliations, "FoliationClass", Counted)
     for include_trivial in (False, True):
@@ -276,42 +276,84 @@ def test_a_second_full_enumeration_builds_no_record(monkeypatch):
 @pytest.mark.parametrize("read_back_first", [False, True])
 def test_cleared_orbit_tables_leave_enumeration_and_read_back_sharing_one_phi_orbit(read_back_first):
     space = catalog_lookup("so(4,4)")
-    data = [c.to_dict() for c in enumerate_foliations(space, include_trivial=True)]
-    clear_caches()  # drops the PhiOrbits with the tables and records that hold them
+    held = enumerate_foliations(space, include_trivial=True)
+    data = [c.to_dict() for c in held]
+    clear_caches()  # drops the interned descriptor, with the PhiOrbits, tables and records on it
+    fresh = catalog_lookup("so(4,4)")
     if read_back_first:
         read = [FoliationClass.from_dict(d) for d in data]
-        records = enumerate_foliations(space, include_trivial=True)
+        records = enumerate_foliations(fresh, include_trivial=True)
     else:
-        records = enumerate_foliations(space, include_trivial=True)
+        records = enumerate_foliations(fresh, include_trivial=True)
         read = [FoliationClass.from_dict(d) for d in data]
     assert [c.to_dict() for c in records] == data
     assert all(a.phi_orbit is b.phi_orbit for a, b in zip(read, records))
+    # the descriptor held across the clear keeps its own PhiOrbits: equal, not the fresh ones
+    kept = enumerate_foliations(space, include_trivial=True)
+    assert kept == records and all(a is b for a, b in zip(kept, held))
+    assert all(a.phi_orbit == b.phi_orbit and a.phi_orbit is not b.phi_orbit for a, b in zip(kept, records))
+
+
+def test_a_held_descriptor_keeps_its_orbits():
+    space = catalog_lookup("SL8")
+    records = enumerate_foliations(space)
+    orbits = space.orbits
+    clear_caches()
+    assert space.orbits is orbits and orbits.space is space
+    again = enumerate_foliations(space)
+    assert again == records and all(a is b for a, b in zip(again, records))
+    assert catalog_lookup("SL8").orbits is not orbits
+
+
+def test_spaces_on_one_diagram_build_separate_stores_of_equal_records():
+    clear_caches()
+    spaces = [catalog_lookup(name) for name in ("SL14", "sl(14,C)", "sl(14,H)")]
+    assert spaces[0].diagram == spaces[1].diagram == spaces[2].diagram  # one A13 diagram
+    keys = [[(c.phi, c.orbit, c.dim_v) for c in enumerate_foliations(space, include_trivial=True)]
+            for space in spaces]
+    assert keys[0] == keys[1] == keys[2] and len(keys[0]) == 3301
+    stores = [space.orbits for space in spaces]
+    assert len(set(map(id, stores))) == 3 and all(s.space is space for s, space in zip(stores, spaces))
+    for a, b in itertools.combinations(stores, 2):
+        assert not set(map(id, a.by_rep.values())) & set(map(id, b.by_rep.values()))
 
 
 def test_enumeration_by_codim_builds_no_layer_records():
-    space = catalog_lookup("sl(60,R)")
     clear_caches()
+    space = catalog_lookup("sl(60,R)")
     assert len(enumerate_foliations(space, codim=1)) == 31
-    assert foliations._orbits(space).records is None  # the records of its codimension only, made on the fly
+    assert space.orbits.records is None  # the records of its codimension only, made on the fly
 
 
 @pytest.mark.parametrize("rank", [20, 40])
-def test_enumeration_by_codim_builds_only_the_layers_up_to_codim(rank):
+def test_enumeration_by_codim_builds_only_the_layers_up_to_codim(rank, monkeypatch):
     # On a path of r vertices the independent sets of k vertices number C(r - k + 1, k).
-    space = catalog_lookup(f"sl({rank + 1},R)")
-    dd = dynkin_diagram(space.root_system)
+    walked, layers = [], foliations._layers
+
+    def counted(dd):
+        for layer in layers(dd):
+            walked.append(len(layer))
+            yield layer
+
+    monkeypatch.setattr(foliations, "_layers", counted)
     for codim in range(4):
         clear_caches()
+        space = catalog_lookup(f"sl({rank + 1},R)")
+        walked.clear()
         records = enumerate_foliations(space, include_trivial=True, codim=codim)
         assert records and {c.codim for c in records} == {codim}
-        built = foliations._layer.cache_info().currsize
-        assert built == codim + 1
-        assert sum(len(foliations._layer(dd, k)) for k in range(codim + 1)) == sum(
-            math.comb(rank - k + 1, k) for k in range(codim + 1))
-        assert foliations._layer.cache_info().currsize == built  # those were the cached layers
+        assert walked == [math.comb(rank - k + 1, k) for k in range(codim + 1)]
+        tables = space.orbits.tables
+        assert len(tables) == codim + 1  # the orbits of a layer partition its subsets
+        assert [sum(len(po.orbit) for po in table) for table in tables] == walked
+        walked.clear()
+        assert enumerate_foliations(space, include_trivial=True, codim=codim) == records
+        assert walked == [] and space.orbits.tables is tables  # the tables walked are kept
     clear_caches()
+    space = catalog_lookup(f"sl({rank + 1},R)")
+    walked.clear()
     assert enumerate_foliations(space, codim=rank + 1) == []  # codim = r - dim V <= r
-    assert foliations._layer.cache_info().currsize == 0
+    assert walked == [] and space.orbits.tables == ()
 
 
 @pytest.mark.parametrize("codim", [-1, -2, -10**30])
@@ -321,32 +363,38 @@ def test_a_negative_codim_is_refused(codim):
         enumerate_foliations(catalog_lookup("SL5"), codim=codim)
 
 
-def test_reading_back_a_record_builds_no_layer_above_its_phi():
+def refuse_layers(dd):
+    raise AssertionError("a layer of subsets was walked")
+
+
+def test_reading_back_a_record_builds_no_layer_above_its_phi(monkeypatch):
     space = catalog_lookup("sl(40,R)")
     clear_caches()
     data = next(c for c in enumerate_foliations(space, codim=2) if c.r_phi == 2).to_dict()
     clear_caches()
+    monkeypatch.setattr(foliations, "_layers", refuse_layers)  # no layer at all, not even its own
     record = FoliationClass.from_dict(data)
     assert record.r_phi == 2 and record.to_dict() == data
-    assert foliations._layer.cache_info().currsize == 0  # no layer at all, not even its own
-    orbits = foliations._orbits(space)
-    assert list(orbits.by_rep) == [record.phi] and orbits.tables == {} and orbits.records is None
+    orbits = catalog_lookup("sl(40,R)").orbits
+    assert orbits.space is record.space
+    assert list(orbits.by_rep) == [record.phi] and orbits.tables == () and orbits.records is None
 
 
-def test_reading_back_a_record_of_twenty_roots_builds_no_layer():
+def test_reading_back_a_record_of_twenty_roots_builds_no_layer(monkeypatch):
     # A_40's flip maps (1, 3, ..., 39) to (2, 4, ..., 40); the layers up to
     # 20 roots would hold about F(42) = 2.7e8 subsets.
-    space = catalog_lookup("sl(41,R)")
     odd, even = tuple(range(1, 40, 2)), tuple(range(2, 41, 2))
+    monkeypatch.setattr(foliations, "_layers", refuse_layers)
     clear_caches()
-    orbits = foliations._orbits(space)
+    orbits = catalog_lookup("sl(41,R)").orbits
     data = FoliationClass(orbits.phi_orbit(odd, orbits.orbit(odd)), 0).to_dict()
     assert data["orbit"] == [list(odd), list(even)] and data["leaf_dim"] == 20 + 800
     clear_caches()
-    assert FoliationClass.from_dict(data).to_dict() == data
+    record = FoliationClass.from_dict(data)
+    assert record.to_dict() == data
     with pytest.raises(LieFoliateError, match="not the representative"):
         FoliationClass.from_dict(dict(data, phi=list(even), orbit=[list(odd), list(even)]))
-    assert foliations._layer.cache_info().currsize == 0
+    assert record.space.orbits.tables == () and list(record.space.orbits.by_rep) == [odd]
 
 
 @pytest.mark.parametrize("space, codim, count", [("sl(60,R)", 1, 31), ("so(40,40)", 2, 744), ("sl(60,R)", 60, 0)])
@@ -476,10 +524,9 @@ def test_sl14_enumeration_peak_memory():
     # (Python 3.11, x86_64).  A later call allocates only its copy of the
     # list, 26 KiB at its peak.  Before the records were kept, every call
     # peaked at 234 KiB.
-    space = catalog_lookup("SL14")
     clear_caches()
-    for k in range(space.rank + 1):
-        foliations._orbits(space).table(k)  # the PhiOrbits, outside the measurement
+    space = catalog_lookup("SL14")
+    space.orbits.tables_to(space.rank)  # the PhiOrbits, outside the measurement
     tracemalloc.start()
     try:
         enumerate_foliations(space)

@@ -300,7 +300,7 @@ def test_clear_caches_empties_every_cache_of_the_loaded_modules(monkeypatch):
     sl5 = catalog_lookup("SL5")
     filled = {key for key, size in _cache_sizes().items() if size}
     assert filled >= {f"liefoliate.{key}" for key in (
-        "catalog._instantiate", "catalog._lookup", "foliations._layer", "foliations._orbits", "foliations._probe",
+        "catalog._instantiate", "catalog._lookup", "foliations._probe",
         "rootsystem._built_root_system", "slmodel.sl_basis")}
     clear_caches()
     assert set(_cache_sizes().values()) == {0}
@@ -319,6 +319,19 @@ def test_clear_caches_leaves_a_fresh_descriptor_with_fresh_components():
     assert fresh is not sl5 and "components" not in vars(fresh)
     horospherical(fresh, phi_subset(fresh, (1,)))
     assert fresh.components is not kept and list(fresh.components.seen) == [(1,)]
+
+
+def test_clear_caches_leaves_a_fresh_descriptor_without_orbits():
+    from liefoliate import catalog_lookup, clear_caches, enumerate_foliations
+
+    sl5 = catalog_lookup("SL5")
+    records = enumerate_foliations(sl5)
+    kept = sl5.orbits
+    assert kept.records is not None
+    clear_caches()
+    fresh = catalog_lookup("SL5")
+    assert fresh is not sl5 and "orbits" not in vars(fresh)
+    assert enumerate_foliations(fresh) == records and fresh.orbits is not kept and sl5.orbits is kept
 
 
 def test_every_public_name_resolves():

@@ -24,7 +24,6 @@ from liefoliate.commands.foliations import json_records
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
     FoliationClass,
-    _orbits,
     enumerate_foliations,
     hyperbolic_factor,
     orthogonal_subsets,
@@ -128,7 +127,7 @@ def test_enumeration_by_codim_equals_the_filtered_full_list(space):
 
 def _orbit_tables(space) -> dict:
     """Representative -> PhiOrbit over every layer of the space, in (r_Phi, Phi) order."""
-    return {phi: po for k in range(space.rank + 1) for phi, po in _orbits(space).table(k).items()}
+    return {po.phi: po for table in space.orbits.tables_to(space.rank) for po in table}
 
 
 def _positive_split(space, phi):
@@ -217,7 +216,7 @@ def test_read_back_and_sl_model_accept_exactly_the_pairs_of_the_one_rule(case):
     space, phi, dim_v = case
     phi = tuple(sorted(phi))
     allowed = PhiSubset(space, phi).is_orthogonal and 0 <= dim_v <= space.rank - len(phi)
-    rep = next((rep for rep, po in _orbits(space).table(len(phi)).items() if phi in po.orbit), phi)
+    rep = next((po.phi for table in space.orbits.tables_to(len(phi)) for po in table if phi in po.orbit), phi)
     if allowed:
         (record,) = [c for c in enumerate_foliations(space, include_trivial=True)
                      if (c.phi, c.dim_v) == (rep, dim_v)]
@@ -327,10 +326,9 @@ def test_cached_phi_orbits_equal_a_fresh_computation():
         assert {phi: po.orbit for phi, po in table.items()} == brute_force[key], space.name
         assert list(table) == sorted(table, key=lambda phi: (len(phi), phi))
         assert all(po.phi == phi == min(po.orbit) and po.space is space for phi, po in table.items())
-        for k in range(space.rank + 1):
-            layer = _orbits(space).table(k)
-            assert all(len(phi) == k for phi in layer)
-            assert _orbits(space).table(k) is layer
+        tables = space.orbits.tables_to(space.rank)
+        assert all(len(po.phi) == k for k, table in enumerate(tables) for po in table)
+        assert all(a is b for a, b in zip(space.orbits.tables_to(space.rank), tables))
 
 
 def _support_within(rs, lam, indices) -> bool:
