@@ -23,7 +23,7 @@ import json
 import os
 import re
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import groupby
 
 from .errors import LieFoliateError
@@ -270,34 +270,13 @@ def _sl(m: int, letter: str) -> SpaceDescriptor:
     return _instantiate("sl_" + letter.upper(), m - 1, None, m)
 
 
-def _so_real(p: int, q: int) -> SpaceDescriptor:
-    if p < q:
-        p, q = q, p
-    if q < 1:
-        raise LieFoliateError("so(p,q): indices must be positive")
-    if q == 1:
-        if p < 3:
-            raise LieFoliateError(
-                "so(p,1): valid for p >= 3 (the hyperbolic plane so(2,1) is carried by sl(2,R))"
-            )
-        return _instantiate("so_hyp", None, p - 1, p)
-    if p == q:
-        if p < 3:
-            raise LieFoliateError("so(r,r): valid for r >= 3")
-        return _instantiate("so_rr", p)
-    return _instantiate("so_pq", q, p - q, None, p, q)
-
-
-def _so_complex(m: int) -> SpaceDescriptor:
-    if m < 5:
+def _so_field(m: int, letter: str) -> SpaceDescriptor:
+    """so(m,C) or so(m,H), by its field letter "c" or "h"."""
+    if letter == "c" and m < 5:
         raise LieFoliateError("so(m,C): valid for m >= 5 (so(3,C) and so(4,C) reduce to other entries)")
-    return _instantiate("so_C_odd" if m % 2 else "so_C_even", m // 2, None, m)
-
-
-def _so_quaternion(m: int) -> SpaceDescriptor:
     if m < 3:
         raise LieFoliateError("so(m,H): valid for m >= 3")
-    return _instantiate("so_H_odd" if m % 2 else "so_H_even", m // 2, None, m)
+    return _instantiate(f"so_{letter.upper()}_{'odd' if m % 2 else 'even'}", m // 2, None, m)
 
 
 def _sp(r: int, letter: str) -> SpaceDescriptor:
@@ -307,28 +286,35 @@ def _sp(r: int, letter: str) -> SpaceDescriptor:
     return _instantiate("sp_" + letter.upper(), r)
 
 
-def _sp_pq(p: int, q: int) -> SpaceDescriptor:
-    if p < q:
-        p, q = q, p
-    if p == q:
-        if p < 2:
-            raise LieFoliateError("sp(p,q): valid for p = q >= 2 or p > q >= 1")
-        return _instantiate("sp_rr", p)
-    if q < 1:
-        raise LieFoliateError("sp(p,q): indices must be positive")
-    return _instantiate("sp_pq", q, p - q, None, p, q)
+# The refusal of a too small r,r form, by head: so(r,r) starts at r = 3, sp(r,r) and su(r,r) at 2.
+_RR_REFUSALS = {
+    "so": "so(r,r): valid for r >= 3",
+    "sp": "sp(p,q): valid for p = q >= 2 or p > q >= 1",
+    "su": "su(p,q): valid for p = q >= 2 or p > q >= 1 (su(1,1) is carried by sl(2,R))",
+}
 
 
-def _su_pq(p: int, q: int) -> SpaceDescriptor:
+def _pair(head: str, p: int, q: int) -> SpaceDescriptor:
+    """so(p,q), sp(p,q) or su(p,q), in either order, by its head "so", "sp" or "su".
+
+    so refuses q < 1 before it looks at p = q, sp and su after; only so
+    takes q = 1 apart, as the real hyperbolic space so(p,1)."""
     if p < q:
         p, q = q, p
+    so = head == "so"
+    if q < 1 and (so or p > q):
+        raise LieFoliateError(f"{head}(p,q): indices must be positive")
+    if so and q == 1:
+        if p < 3:
+            raise LieFoliateError(
+                "so(p,1): valid for p >= 3 (the hyperbolic plane so(2,1) is carried by sl(2,R))"
+            )
+        return _instantiate("so_hyp", None, p - 1, p)
     if p == q:
-        if p < 2:
-            raise LieFoliateError("su(p,q): valid for p = q >= 2 or p > q >= 1 (su(1,1) is carried by sl(2,R))")
-        return _instantiate("su_rr", p)
-    if q < 1:
-        raise LieFoliateError("su(p,q): indices must be positive")
-    return _instantiate("su_pq", q, p - q, None, p, q)
+        if p < (3 if so else 2):
+            raise LieFoliateError(_RR_REFUSALS[head])
+        return _instantiate(head + "_rr", p)
+    return _instantiate(head + "_pq", q, p - q, None, p, q)
 
 
 # The names catalog_lookup accepts, over the normalized query: a classical
@@ -346,13 +332,14 @@ _NAME = re.compile(
 # The handler of each classical name, by its head and then its field letter
 # or else the group that ends it: "q" or "dq" after a pair, "dm" after SL<m>
 # alone.  It is called with the name's first integer and then its letter or
-# the integer that ends it.
+# the integer that ends it.  The pairs of so (also spelled SOo), sp and su all
+# go to _pair, told their head; so(m,C) and so(m,H) go to _so_field.
 _CLASSICAL = {
     "sl": {"dm": lambda m, _: _sl(m, "r"), "r": _sl, "c": _sl, "h": _sl},
-    "so": {"c": lambda m, _: _so_complex(m), "h": lambda m, _: _so_quaternion(m), "q": _so_real},
-    "soo": {"q": _so_real, "dq": _so_real},
-    "sp": {"r": _sp, "c": _sp, "q": _sp_pq, "dq": _sp_pq},
-    "su": {"q": _su_pq, "dq": _su_pq},
+    "so": {"c": _so_field, "h": _so_field, "q": partial(_pair, "so")},
+    "soo": dict.fromkeys(("q", "dq"), partial(_pair, "so")),
+    "sp": {"r": _sp, "c": _sp, "q": partial(_pair, "sp"), "dq": partial(_pair, "sp")},
+    "su": dict.fromkeys(("q", "dq"), partial(_pair, "su")),
 }
 
 

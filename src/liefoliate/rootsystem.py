@@ -81,9 +81,10 @@ def inner(lam: Root, mu: Root) -> Fraction:
 def reflect(lam: Root, x: Root) -> Root:
     """Reflect x in the hyperplane orthogonal to lam.
 
-    Computes x - 2 <x,lam>/<lam,lam> lam exactly.  The result must again have
+    Computes x - num/den lam exactly in integers, with num = 2 <x,lam> and
+    den = <lam,lam> over the doubled coordinates.  The result must again have
     doubled-integer coordinates, which holds whenever both vectors belong to a
-    common crystallographic root system.
+    common crystallographic root system, where den divides num.
     """
     if lam.dim != x.dim:
         raise LieFoliateError(f"ambient dimension mismatch: {lam.dim} != {x.dim}")
@@ -92,16 +93,10 @@ def reflect(lam: Root, x: Root) -> Root:
     if num % den == 0:
         c = num // den
         return Root(tuple(xs - c * ls for xs, ls in zip(x.scaled, lam.scaled)))
-    from fractions import Fraction
-
-    c = Fraction(num, den)
-    scaled = []
-    for xs, ls in zip(x.scaled, lam.scaled):
-        v = xs - c * ls
-        if v.denominator != 1:
-            raise LieFoliateError("reflection image has non-(half-)integer coordinates")
-        scaled.append(int(v))
-    return Root(tuple(scaled))
+    scaled = [den * xs - num * ls for xs, ls in zip(x.scaled, lam.scaled)]  # den times the image
+    if any(v % den for v in scaled):
+        raise LieFoliateError("reflection image has non-(half-)integer coordinates")
+    return Root(tuple(v // den for v in scaled))
 
 
 def _generate(family: Family, rank: int, simple, diagram: DynkinDiagram) -> "RootSystem":

@@ -569,7 +569,7 @@ def n_factor(u: float) -> Matrix:
 
 def moebius(g, z: complex) -> complex:
     """Action of g in SL_2(R) on the upper half plane: z -> (az+b)/(cz+d), for a number z
-    (not a string or a bool) in the upper half plane."""
+    (not a string or a bool) in the upper half plane, whose image must be finite too."""
     if isinstance(z, bool) or not isinstance(z, Number):
         raise LieFoliateError(f"the point {z!r} is not a number")
     m = _floats(g)
@@ -580,7 +580,10 @@ def moebius(g, z: complex) -> complex:
     z = complex(z)
     if not (z.imag > 0 and math.isfinite(z.real) and math.isfinite(z.imag)):
         raise LieFoliateError("the point must lie in the upper half plane")
-    return (a * z + b) / (c * z + d)
+    w = (a * z + b) / (c * z + d)
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):  # a float overflowed
+        raise LieFoliateError(f"the image {w!r} of the point {z!r} is not finite")
+    return w
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:

@@ -191,10 +191,10 @@ PATTERN_ORDER = (
 )
 _HANDLERS = (
     lambda m: catalog._sl(int(m[1]), "r"), *[lambda m: catalog._sl(int(m[1]), m[2])] * 2,
-    *[lambda m: catalog._so_real(int(m[1]), int(m[2]))] * 2,
-    *[lambda m: catalog._so_complex(int(m[1]))] * 2, *[lambda m: catalog._so_quaternion(int(m[1]))] * 2,
-    *[lambda m: catalog._sp(int(m[1]), m[2])] * 2, *[lambda m: catalog._sp_pq(int(m[1]), int(m[2]))] * 2,
-    *[lambda m: catalog._su_pq(int(m[1]), int(m[2]))] * 2, *[lambda m: catalog._exceptional(m[1], m[2])] * 2,
+    *[lambda m: catalog._pair("so", int(m[1]), int(m[2]))] * 2,
+    *[lambda m: catalog._so_field(int(m[1]), "c")] * 2, *[lambda m: catalog._so_field(int(m[1]), "h")] * 2,
+    *[lambda m: catalog._sp(int(m[1]), m[2])] * 2, *[lambda m: catalog._pair("sp", int(m[1]), int(m[2]))] * 2,
+    *[lambda m: catalog._pair("su", int(m[1]), int(m[2]))] * 2, *[lambda m: catalog._exceptional(m[1], m[2])] * 2,
 )
 REFERENCE = tuple((re.compile(source, re.ASCII), handler) for source, handler in zip(PATTERN_ORDER, _HANDLERS))
 
@@ -489,6 +489,11 @@ def test_the_ceiling_rank_is_accepted_and_its_dimension_needs_no_root():
     assert "root_system" not in space.__dict__
     assert space.multiplicities.table == {8: 1}  # read off the simple roots, not the 500,500 positive ones
     assert "root_system" not in space.__dict__
+
+
+def test_multiplicities_refuse_a_vector_of_no_root_length():
+    with pytest.raises(LieFoliateError, match="no multiplicity recorded for a root of squared length 1"):
+        catalog_lookup("SL4").multiplicities(Root((2, 0, 0, 0)))
 
 
 @pytest.mark.parametrize("family, mults", [("A", (1, 2, 1)), ("A", (2, 2, 1)), ("B", (1, 2, 3)), ("C", (2, 1, 1))])

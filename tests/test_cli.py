@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -18,8 +19,9 @@ import liefoliate
 from liefoliate import cli, clear_caches
 from liefoliate.catalog import catalog_lookup
 from liefoliate.cli import main
-from liefoliate.commands import ascii_int, match
+from liefoliate.commands import ascii_int, emit_json, match
 from liefoliate.commands.slmodel import ascii_float
+from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import FoliationClass
 from liefoliate.parabolic import HorosphericalData, ParabolicData
 from liefoliate.roots import DynkinDiagram, RootSystem
@@ -271,10 +273,14 @@ def test_slmodel_iwasawa(capsys):
     # finite input whose result overflows
     ("slmodel", "killing", "--x", "[[1e300,0],[0,-1e300]]", "--y", "[[1e300,0],[0,-1e300]]"),
     ("slmodel", "halfplane", "--orbit", "K", "--base-re", "nan"),
+    # finite input whose orbit points overflow; csv printed "nan,inf" and exited 0
+    *(("slmodel", "halfplane", "--orbit", "A", "--samples", "2", "--base-im", "1e308", "--format", f)
+      for f in ("json", "csv")),
 ))
 def test_slmodel_non_finite_is_a_domain_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "finite" in err or "upper half plane" in err
 
 
@@ -361,6 +367,13 @@ def test_slmodel_halfplane(capsys):
     assert values[1] == (0.0, 1.0)  # t = 0 fixes the base point i
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, [1.0, -math.inf]])
+def test_emit_json_refuses_a_value_that_is_not_finite(capsys, value):
+    with pytest.raises(LieFoliateError, match="result is not finite"):
+        emit_json({"value": value})
+    assert capsys.readouterr().out == ""
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rootsys", "show", "--family", "Z", "--rank", "2"])
@@ -411,6 +424,19 @@ def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "catalog")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_exits_1_when_a_criterion_fails(capsys, monkeypatch):
+    from liefoliate import verify
+
+    criteria = list(verify._CRITERIA)
+    criteria[6] = lambda: ("7 parabolic blocks", False, "made to fail")
+    monkeypatch.setattr(verify, "_CRITERIA", tuple(criteria))
+    code, out, err = run(capsys, "verify", "--suite", "parabolic")
+    first, second = out.splitlines()
+    assert code == 1
+    assert first == "FAIL  7 parabolic blocks: made to fail" and second.startswith("PASS  8 horospherical")
+    assert err.endswith("1 criterion/criteria failed\n")
 
 
 def test_verify_writes_each_criterion_seconds_to_stderr(capsys):

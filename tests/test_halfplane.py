@@ -60,6 +60,9 @@ def test_moebius_rejects_bad_inputs():
         moebius(diag([1e6, 2e-6]), 1j)
     with pytest.raises(LieFoliateError, match="upper half plane"):
         moebius(eye(2), complex(math.nan, 1.0))
+    # a_factor(3) scales by e^6, past the largest float: the image was nan+infj
+    with pytest.raises(LieFoliateError, match=r"the image \(nan\+infj\) of the point 1e\+308j is not finite"):
+        moebius(a_factor(3.0), 1e308j)
 
 
 @pytest.mark.parametrize("point", ["2j", "abc", True, None, [1j], object()])
@@ -101,6 +104,8 @@ def test_halfplane_orbit_validation():
     for base in (1.0 - 1.0j, 2.0, complex(math.inf, 1.0), complex(0.0, math.nan)):
         with pytest.raises(LieFoliateError, match="upper half plane"):
             halfplane_orbit("K", 5, base=base)
+    with pytest.raises(LieFoliateError, match="is not finite"):  # gave [nan+infj, ...]
+        halfplane_orbit("A", 2, base=1e308j)
 
 
 def test_linspace_spaces_as_numpy_does():

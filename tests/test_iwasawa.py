@@ -200,6 +200,7 @@ def test_determinant_rule_is_relative_to_the_hadamard_bound():
     ([[-1.0, 0.0], [0.0, 1.0]], "determinant"),
     ([[1.0, 2.0], [2.0, 4.0]], "determinant"),
     ([[1.0, 1e20], [0.0, 1.0]], "dependent"),
+    ([[0.0, 1.0], [0.0, 1.0]], "determinant 1, got 0.0"),  # a zero column: no reflection, a zero pivot
 ])
 def test_kan_refuses_what_is_no_well_conditioned_element_of_sl_n(g, says):
     with pytest.raises(LieFoliateError, match=says):

@@ -125,6 +125,7 @@ def test_parabolic_sl5_spec_values():
     assert (d.dim_a_phi, d.dim_n_phi, d.dim_q_phi) == (4, 10, 14)
     d = parabolic_data(sl5, phi_subset(sl5, [1, 3]))
     assert (d.dim_n_phi, d.dim_l_phi, d.dim_m_phi, d.dim_q_phi) == (8, 8, 6, 16)
+    assert d.r_phi == 2
     d = parabolic_data(sl5, phi_subset(sl5, [1, 2, 3, 4]))
     assert d.dim_q_phi == 24  # all of sl_5
     assert d.dim_a_phi == 0 and d.dim_n_phi == 0

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liefoliate import clear_caches
@@ -57,6 +57,11 @@ SYSTEMS_TO_16 = [
 def test_root_rejects_zero_vector():
     with pytest.raises(LieFoliateError):
         Root((0, 0, 0))
+
+
+def test_root_rejects_an_empty_tuple():
+    with pytest.raises(LieFoliateError, match="at least one coordinate"):
+        Root(())
 
 
 def test_root_rejects_non_integer_scaled():
@@ -180,6 +185,45 @@ def test_reflect_examples():
     assert image.scaled == tuple(x + y for x, y in zip(al1.scaled, al2.scaled))
 
 
+def test_reflect_dimension_mismatch():
+    with pytest.raises(LieFoliateError, match="dimension mismatch"):
+        reflect(Root((2, -2)), Root((2, -2, 0)))
+
+
+def test_reflect_in_vectors_of_no_common_root_system():
+    # 2 <x,lam>/<lam,lam> = 1/2 is no integer, yet the image is integral
+    assert reflect(Root((4, 4)), Root((2, 0))) == Root((0, -2))
+    # 2 <x,lam>/<lam,lam> = 2/5 leaves fifths in the image
+    with pytest.raises(LieFoliateError, match=r"non-\(half-\)integer coordinates"):
+        reflect(Root((2, 4)), Root((2, 0)))
+
+
+def _reflect_by_fractions(lam, x):
+    """x - 2 <x,lam>/<lam,lam> lam in Fractions, or None when a coordinate is no integer."""
+    c = Fraction(2 * sum(a * b for a, b in zip(x.scaled, lam.scaled)), sum(a * a for a in lam.scaled))
+    image = [xs - c * ls for xs, ls in zip(x.scaled, lam.scaled)]
+    return None if any(v.denominator != 1 for v in image) else Root(tuple(int(v) for v in image))
+
+
+_COORDS = st.integers(1, 4).flatmap(lambda n: st.tuples(*[st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+                                                            .filter(any).map(tuple)] * 2))
+
+
+@given(_COORDS)
+@example(((4, 4), (2, 0)))
+@settings(max_examples=300, deadline=None)
+def test_reflect_agrees_with_fraction_arithmetic(pair):
+    # most pairs share no crystallographic root system; the integer rule must refuse exactly the images
+    # that Fractions leave non-integral
+    lam, x = map(Root, pair)
+    want = _reflect_by_fractions(lam, x)
+    if want is None:
+        with pytest.raises(LieFoliateError, match=r"non-\(half-\)integer coordinates"):
+            reflect(lam, x)
+    else:
+        assert reflect(lam, x) == want
+
+
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
 def test_reflect_involutive(family, rank):
     rs = build_root_system(family, rank)
@@ -290,6 +334,14 @@ def _positive_key_missing(data):
     del data["positive"]
 
 
+def _ambient_dim_shrunk(data):
+    data["ambient_dim"] = 3
+
+
+def _root_set_without_a_negative(data):
+    data["roots"].remove([-c for c in data["positive"][0]])
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
@@ -300,9 +352,12 @@ def _positive_key_missing(data):
         (_alpha2_doubled, "do not have the Cartan matrix of A_3"),
         (_unknown_family, "unknown root system family 'Z'"),
         (_positive_key_missing, "lacks positive"),
+        (_ambient_dim_shrunk, "must have ambient_dim coordinates"),
+        (_root_set_without_a_negative, "root set is not the positive roots and their negatives"),
     ],
     ids=["positive-root-left-out", "no-simple-roots", "family-relabelled",
-         "acute-simple-pair", "non-integral-cartan-entry", "unknown-family", "key-missing"],
+         "acute-simple-pair", "non-integral-cartan-entry", "unknown-family", "key-missing",
+         "ambient-dim-shrunk", "negative-root-left-out"],
 )
 def test_from_dict_rejects_an_edited_system(edit, message):
     data = build_root_system("A", 3).to_dict()
@@ -452,6 +507,12 @@ def test_from_dict_accepts_a_record_with_its_coordinates_permuted(family, rank):
     rs = RootSystem.from_dict(data)
     assert rs == _reference_from_dict(data)
     assert [list(alpha.scaled) for alpha in rs.simple] == data["simple"]
+
+
+def test_membership_is_membership_of_the_root_set():
+    rs = build_root_system("B", 2)
+    assert all(lam in rs for lam in rs.roots)
+    assert Root((4, 0)) not in rs and Root((2, 2, 0)) not in rs
 
 
 def test_simple_coefficients_rejects_non_roots():
