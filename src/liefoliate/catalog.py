@@ -172,7 +172,7 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
 
     @cached_property
     def orbits(self) -> SpaceOrbits:
-        """What ``foliations`` keeps of this space: its PhiOrbits, layer tables and records."""
+        """What ``foliations`` keeps of this space: its PhiOrbits and records."""
         from .foliations import SpaceOrbits
 
         return SpaceOrbits(self)

@@ -20,19 +20,19 @@ adjacent to none of its roots; each space walks its own layers and keeps
 none.  An orbit's representative is its least member: no diagram
 automorphism maps it to a smaller tuple.  Each space keeps, on its
 descriptor (``SpaceDescriptor.orbits``) until ``liefoliate.clear_caches()``
-drops the interned descriptors, one ``PhiOrbit`` per representative, the
-table of each layer walked (its ``PhiOrbit``s, in Phi order) and one list
-of all its records, the trivial one included, built layer by layer by the
-first full enumeration and retained, at about 73 B a record with its slot
-in the list (the 28,070 records of SL18 take about 2.0 MB).  A descriptor a
-caller holds keeps them across ``clear_caches()``.  A full enumeration returns
-a copy of that list, less the trivial record unless asked for; with
-codimension c it walks layers 0..c and builds only the records of
-codimension c.  ``from_dict`` decides
-from Phi's images under the automorphisms whether Phi is a representative
-and builds only its ``PhiOrbit``, by the constructor the tables use, so a
-record read back shares the enumerated record's ``PhiOrbit`` and no layer is
-built.  Which (Phi, dim V) index foliations is decided in ``parabolic``
+drops the interned descriptors, one ``PhiOrbit`` per representative and one
+list of all its records, the trivial one included, built layer by layer by
+the first full enumeration and retained, at about 73 B a record with its
+slot in the list (the 28,070 records of SL18 take about 2.0 MB).  Each
+walk of the layers (``SpaceOrbits.layers``) looks up the ``PhiOrbit`` of
+each representative it meets.  A descriptor a caller holds keeps them
+across ``clear_caches()``.  A full enumeration returns a copy of that list,
+less the trivial record unless asked for; with codimension c it walks
+layers 0..c, on each call, and builds only the records of codimension c.
+``from_dict`` makes the one lookup the walk makes (``SpaceOrbits.phi_orbit``),
+which decides from Phi's images under the automorphisms whether Phi is a
+representative, so a record read back shares the enumerated record's
+``PhiOrbit`` and no layer is built.  Which (Phi, dim V) index foliations is decided in ``parabolic``
 (``PhiSubset.check_foliation``), which only ``from_dict`` loads.  By part
 (iii) of the main theorem of Berndt, Diaz-Ramos and Tamaru, F_{Phi,V} and
 F_{Phi',V'} are congruent exactly when a diagram automorphism P has
@@ -57,6 +57,7 @@ builds anyway and never scans the roots.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 
 from .catalog import SpaceDescriptor
 from .errors import LieFoliateError
@@ -77,24 +78,29 @@ CONGRUENCE_NOTE = "orbit representative; pairwise non-congruence of distinct rec
 _ALGEBRA = {1: "R", 2: "C", 4: "H", 8: "O"}  # real dimension -> division algebra
 
 
+def _expect(value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise LieFoliateError(f"expected a {kind.__name__}, not a {type(value).__name__}")
+
+
 def orthogonal_subsets(dd: DynkinDiagram) -> list[tuple[int, ...]]:
     """All independent sets of the diagram, in lexicographic order.
 
     The empty set is included.  For a path diagram of rank r the count is the
     Fibonacci number F(r+2).  This is the sorted union of the layers.
+    ``dd`` must be a DynkinDiagram, else LieFoliateError.
     """
+    _expect(dd, DynkinDiagram)
     return sorted(phi for layer in _layers(dd) for phi in layer)
 
 
 def _layers(dd: DynkinDiagram):
     """The independent sets of 0, 1, 2, ... vertices, one layer at a time in lexicographic order,
-    up to the first empty layer, which is the last: layer k is those of layer k - 1, each extended
+    up to the first empty layer, which is not yielded: layer k is those of layer k - 1, each extended
     by a later vertex adjacent to none of its vertices.  A layer is made only when asked for."""
     adjacency, rank, layer = dd._adjacency, dd.rank, ((),)  # unchecked: every v is in 1..rank
-    while True:
+    while layer:
         yield layer
-        if not layer:
-            return
         layer = tuple(phi + (v,) for phi in layer
                       for v in range(phi[-1] + 1 if phi else 1, rank + 1) if adjacency[v].isdisjoint(phi))
 
@@ -124,7 +130,9 @@ def hyperbolic_factor(space: SpaceDescriptor, alpha_index: int) -> HyperbolicFac
     The base algebra F is R, C, H or O as d = m_2alpha + 1 is 1, 2, 4 or 8,
     and F H^n has m_alpha = (n - 1) d, so n = m_alpha / d + 1 and the real
     dimension is n d; over O only n = 2 occurs, so m_alpha must be 8.
+    ``space`` must be a SpaceDescriptor, else LieFoliateError.
     """
+    _expect(space, SpaceDescriptor)
     m = space.m_alpha(alpha_index)
     d = space.m_2alpha(alpha_index) + 1
     algebra = _ALGEBRA.get(d)
@@ -225,73 +233,60 @@ def _record(name, phi, dim_v) -> FoliationClass:
 
     space, subset = named(name, phi)
     subset.check_foliation(dim_v)
-    orbits = space.orbits
-    orbit = orbits.orbit(subset.indices)
-    if orbit is None:
+    phi_orbit = space.orbits.phi_orbit(subset.indices)
+    if phi_orbit is None:
         raise LieFoliateError(f"phi {phi} is not the representative (least member) of its orbit")
-    return FoliationClass(orbits.phi_orbit(subset.indices, orbit), dim_v)
+    return FoliationClass(phi_orbit, dim_v)
 
 
 class SpaceOrbits:
-    """One space's PhiOrbit per representative (``by_rep``), layer tables and record list;
-    the descriptor keeps it (``SpaceDescriptor.orbits``).
+    """One space's PhiOrbit per representative (``by_rep``) and record list; the descriptor
+    keeps it (``SpaceDescriptor.orbits``).
 
-    Each is built once, on first use.  ``tables`` holds the tables of the
-    layers walked so far, layer k's PhiOrbits in Phi order, and ends with an
-    empty table once every layer is walked.  No layer of subsets is kept.
+    Each is built once, on first use.  No layer is kept: ``layers`` walks them
+    anew on each call, and a PhiOrbit met before is looked up, not rebuilt.
     """
 
-    __slots__ = ("space", "auts", "factors", "by_rep", "tables", "records")
+    __slots__ = ("space", "auts", "factors", "by_rep", "records")
 
     def __init__(self, space: SpaceDescriptor) -> None:
         self.space = space
         self.auts = diagram_automorphisms(space.diagram)
         self.factors = {i: hyperbolic_factor(space, i) for i in range(1, space.rank + 1)}
-        self.by_rep, self.tables, self.records = {}, (), None
+        self.by_rep, self.records = {}, None
 
-    def orbit(self, phi: tuple[int, ...]) -> tuple[tuple[int, ...], ...] | None:
-        """Phi's orbit in sorted order if no diagram automorphism maps phi to a smaller tuple, else None."""
-        images = {apply_permutation(p, phi) for p in self.auts[1:]}  # auts[0] is the identity
-        return None if images and min(images) < phi else tuple(sorted({phi, *images}))
-
-    def phi_orbit(self, phi: tuple[int, ...], orbit: tuple[tuple[int, ...], ...]) -> PhiOrbit:
-        """The PhiOrbit of the representative phi, whose orbit is ``orbit``."""
+    def phi_orbit(self, phi: tuple[int, ...]) -> PhiOrbit | None:
+        """The PhiOrbit of phi, built on first use, if phi is its orbit's representative;
+        None if a diagram automorphism maps phi to a smaller tuple."""
         phi_orbit = self.by_rep.get(phi)
         if phi_orbit is None:
+            images = {apply_permutation(p, phi) for p in self.auts[1:]}  # auts[0] is the identity
+            if images and min(images) < phi:
+                return None
             space = self.space
             factors = tuple(map(self.factors.__getitem__, phi))
             hyper_leaf_dim = sum(f.real_dim - 1 for f in factors)
             # dim N_Phi by the closed form above
             phi_orbit = self.by_rep.setdefault(phi, PhiOrbit(  # the first one stored, under threads too
-                space, phi, orbit, factors, space.dimension - space.rank - hyper_leaf_dim, hyper_leaf_dim))
+                space, phi, tuple(sorted({phi, *images})), factors,
+                space.dimension - space.rank - hyper_leaf_dim, hyper_leaf_dim))
         return phi_orbit
 
-    def tables_to(self, k: int) -> tuple[tuple[PhiOrbit, ...], ...]:
-        """The tables of layers 0..k, fewer if a layer up to k is empty: on the first call that reaches
-        past the tables built, the layers are walked from layer 0 to layer k, reusing the tables built."""
-        tables = self.tables
-        if len(tables) <= k and (not tables or tables[-1]):
-            built = []
-            for j, layer in enumerate(_layers(self.space.diagram)):
-                built.append(tables[j] if j < len(tables) else
-                             tuple(self.phi_orbit(phi, orbit) for phi in layer if (orbit := self.orbit(phi))))
-                if j == k:
-                    break
-            # two threads that race here store equal tables, each whole
-            self.tables = tables = tuple(built)
-        return tables[:k + 1]
+    def layers(self):
+        """The PhiOrbits of layers 0, 1, ..., one tuple per layer in Phi order, each walked when
+        asked for, up to the first empty layer."""
+        for layer in _layers(self.space.diagram):
+            yield tuple(filter(None, map(self.phi_orbit, layer)))
 
     def all_records(self) -> list[FoliationClass]:
         """Every record, the trivial one included, in (r_Phi, Phi, dim V) order: built on the
         first call from every layer, and kept."""
         records = self.records
         if records is None:
-            r = self.space.rank
-            layers = [(phi_orbits, range(r - k + 1)) for k, phi_orbits in enumerate(self.tables_to(r))]
-            new = tuple.__new__  # FoliationClass(...) without its frame
+            r, new = self.space.rank, tuple.__new__  # FoliationClass(...) without its frame
             # one comprehension over all layers: no list per layer to join
-            records = [new(FoliationClass, (phi_orbit, dim_v)) for phi_orbits, dims in layers
-                       for phi_orbit in phi_orbits for dim_v in dims]
+            records = [new(FoliationClass, (phi_orbit, dim_v)) for k, phi_orbits in enumerate(self.layers())
+                       for phi_orbit in phi_orbits for dim_v in range(r - k + 1)]
             # two threads that race here store equal records over the same PhiOrbits
             self.records = records
         return records
@@ -304,14 +299,16 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
     The degenerate single-leaf class (Phi empty, V the whole Euclidean
     factor, codimension zero) is excluded unless requested.  With ``codim``
     only the classes of that codimension are made, on each call: one per
-    orbit with r_Phi <= codim (layers 0..codim), with dim V = r - codim.
+    orbit with r_Phi <= codim, with dim V = r - codim, from a walk of layers
+    0..codim that builds only the PhiOrbits no earlier call built.
     Without it the records are built once per space, in one list, and
     retained at about 73 B each (SL18's 28,070 take about 2.0 MB); each call
     returns a copy of the list.  Classes are ordered by (r_Phi, Phi, dim V); the
-    records of one orbit share one ``PhiOrbit``.  ``include_trivial`` must be
-    a bool and ``codim`` None or an int of at least 0, else LieFoliateError;
-    a codim above the rank has no class.
+    records of one orbit share one ``PhiOrbit``.  ``space`` must be a
+    SpaceDescriptor, ``include_trivial`` a bool and ``codim`` None or an int
+    of at least 0, else LieFoliateError; a codim above the rank has no class.
     """
+    _expect(space, SpaceDescriptor)
     if type(include_trivial) is not bool:
         raise LieFoliateError(f"include_trivial {include_trivial!r} is not a bool")
     if codim is not None and type(codim) is not int:
@@ -325,9 +322,8 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
         if not include_trivial:
             del classes[r]  # Phi empty with dim V = r, the last record of layer 0
         return classes
-    classes: list[FoliationClass] = []
     # codim = r - dim V >= r_Phi, and only Phi empty with codim 0 is trivial
+    walked = codim + 1 if 0 < codim <= r or codim == 0 and include_trivial else 0
     new = tuple.__new__
-    for phi_orbits in orbits.tables_to(codim if 0 < codim <= r or codim == 0 and include_trivial else -1):
-        classes += [new(FoliationClass, (phi_orbit, r - codim)) for phi_orbit in phi_orbits]
-    return classes
+    return [new(FoliationClass, (phi_orbit, r - codim)) for phi_orbits in islice(orbits.layers(), walked)
+            for phi_orbit in phi_orbits]

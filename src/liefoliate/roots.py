@@ -415,8 +415,10 @@ def diagram_automorphisms(dd: DynkinDiagram) -> list[tuple[int, ...]]:
     Permutations are returned as tuples p with p[k] the image of vertex k+1,
     sorted with the identity first.  The result is closed under composition
     and inverses.  The search runs once per diagram; each call returns a new
-    list.
+    list.  ``dd`` must be a DynkinDiagram, else LieFoliateError.
     """
+    if not isinstance(dd, DynkinDiagram):
+        raise LieFoliateError(f"expected a DynkinDiagram, not a {type(dd).__name__}")
     return list(dd._automorphisms)
 
 

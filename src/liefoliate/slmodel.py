@@ -108,7 +108,9 @@ _SHAPES = {  # tag: what it requires, and the entry of A that its shape forbids 
 @dataclass(frozen=True, eq=False)
 class MatrixElement:
     """A traceless real matrix, exactly, optionally tagged with a membership claim:
-    k is skew-symmetric, p symmetric, a diagonal, n strictly upper triangular."""
+    k is skew-symmetric, p symmetric, a diagonal, n strictly upper triangular.
+    Entries traceless only within TAU_ALG are kept as read; span, brackets and the
+    Lie triple test use their exact projection X - tr(X)/n I onto sl(n)."""
 
     entries: Matrix
     tag: str | None = None
@@ -126,7 +128,10 @@ class MatrixElement:
             if not _negligible(deviation, chain.from_iterable(a), n):
                 raise LieFoliateError(f"tag {self.tag} requires {shape} matrix")
         object.__setattr__(self, "entries", _exact(a, d))
-        object.__setattr__(self, "_vector", _sparse(a))  # a multiple of the entries, for elimination
+        t = sum(row[i] for i, row in enumerate(a))
+        if t:  # traceless within TAU_ALG only: decide on the exact projection n A - t I onto sl(n)
+            a = [[n * v - (t if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(a)]
+        object.__setattr__(self, "_vector", _sparse(a))  # a multiple of that projection, for elimination
 
     @property
     def size(self) -> int:

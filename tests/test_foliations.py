@@ -16,6 +16,7 @@ from liefoliate.catalog import catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
     FoliationClass,
+    PhiOrbit,
     enumerate_foliations,
     hyperbolic_factor,
     orthogonal_subsets,
@@ -343,17 +344,72 @@ def test_enumeration_by_codim_builds_only_the_layers_up_to_codim(rank, monkeypat
         records = enumerate_foliations(space, include_trivial=True, codim=codim)
         assert records and {c.codim for c in records} == {codim}
         assert walked == [math.comb(rank - k + 1, k) for k in range(codim + 1)]
-        tables = space.orbits.tables
-        assert len(tables) == codim + 1  # the orbits of a layer partition its subsets
-        assert [sum(len(po.orbit) for po in table) for table in tables] == walked
+        built = list(space.orbits.by_rep.values())
+        # the orbits of a layer partition its subsets, and no PhiOrbit is built above layer codim
+        assert [sum(len(po.orbit) for po in built if len(po.phi) == k) for k in range(codim + 1)] == walked
+        assert len(built) == sum(1 for po in built if len(po.phi) <= codim)
         walked.clear()
-        assert enumerate_foliations(space, include_trivial=True, codim=codim) == records
-        assert walked == [] and space.orbits.tables is tables  # the tables walked are kept
+        again = enumerate_foliations(space, include_trivial=True, codim=codim)
+        assert again == records and all(a.phi_orbit is b.phi_orbit for a, b in zip(again, records))
+        assert walked == [math.comb(rank - k + 1, k) for k in range(codim + 1)]  # walked anew, no layer kept
+        assert list(space.orbits.by_rep.values()) == built
     clear_caches()
     space = catalog_lookup(f"sl({rank + 1},R)")
     walked.clear()
     assert enumerate_foliations(space, codim=rank + 1) == []  # codim = r - dim V <= r
-    assert walked == [] and space.orbits.tables == ()
+    assert walked == [] and space.orbits.by_rep == {}
+
+
+def test_a_second_codim_enumeration_builds_no_phi_orbit(monkeypatch):
+    built = []
+
+    def counted(*fields):
+        built.append(fields[1])
+        return PhiOrbit(*fields)
+
+    monkeypatch.setattr(foliations, "PhiOrbit", counted)
+    clear_caches()
+    space = catalog_lookup("SL18")
+    first = enumerate_foliations(space, codim=3)
+    assert len(built) == len(space.orbits.by_rep) and max(map(len, built)) == 3
+    built.clear()
+    again = enumerate_foliations(space, codim=3)
+    assert built == [] and again == first
+    assert all(a.phi_orbit is b.phi_orbit for a, b in zip(again, first))
+
+
+def test_phi_orbit_of_a_non_representative_is_none_and_stores_nothing():
+    # A_4's flip maps (4,) to (1,) and (2, 4) to (1, 3)
+    clear_caches()
+    orbits = catalog_lookup("SL5").orbits
+    assert orbits.phi_orbit((4,)) is None and orbits.by_rep == {}
+    enumerate_foliations(orbits.space)
+    stored = dict(orbits.by_rep)
+    assert orbits.phi_orbit((2, 4)) is None and orbits.phi_orbit((4,)) is None
+    assert orbits.by_rep == stored and all(a is b for a, b in zip(orbits.by_rep.values(), stored.values()))
+    assert orbits.phi_orbit((1, 3)) is stored[(1, 3)] and orbits.phi_orbit((1, 3)).orbit == ((1, 3), (2, 4))
+
+
+def test_the_store_keeps_its_phi_orbits_and_records_and_no_layer():
+    assert foliations.SpaceOrbits.__slots__ == ("space", "auts", "factors", "by_rep", "records")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_foliations(None),
+    lambda: enumerate_foliations("SL5"),
+    lambda: enumerate_foliations(catalog_lookup("SL5").diagram),
+    lambda: hyperbolic_factor("SL5", 1),
+    lambda: hyperbolic_factor(None, 1),
+    lambda: orthogonal_subsets(catalog_lookup("SL5")),  # a descriptor in place of its diagram
+    lambda: orthogonal_subsets(None),
+    lambda: diagram_automorphisms(None),
+    lambda: diagram_automorphisms(catalog_lookup("SL5")),
+    lambda: foliations.diagram_automorphisms("A4"),
+], ids=["enumerate-None", "enumerate-str", "enumerate-diagram", "factor-str", "factor-None",
+        "subsets-descriptor", "subsets-None", "automorphisms-None", "automorphisms-descriptor", "automorphisms-str"])
+def test_entry_points_refuse_a_wrong_object(call):
+    with pytest.raises(LieFoliateError, match=r"^expected a (SpaceDescriptor|DynkinDiagram), not a \w+$"):
+        call()
 
 
 @pytest.mark.parametrize("codim", [-1, -2, -10**30])
@@ -377,7 +433,7 @@ def test_reading_back_a_record_builds_no_layer_above_its_phi(monkeypatch):
     assert record.r_phi == 2 and record.to_dict() == data
     orbits = catalog_lookup("sl(40,R)").orbits
     assert orbits.space is record.space
-    assert list(orbits.by_rep) == [record.phi] and orbits.tables == () and orbits.records is None
+    assert list(orbits.by_rep) == [record.phi] and orbits.records is None
 
 
 def test_reading_back_a_record_of_twenty_roots_builds_no_layer(monkeypatch):
@@ -387,14 +443,14 @@ def test_reading_back_a_record_of_twenty_roots_builds_no_layer(monkeypatch):
     monkeypatch.setattr(foliations, "_layers", refuse_layers)
     clear_caches()
     orbits = catalog_lookup("sl(41,R)").orbits
-    data = FoliationClass(orbits.phi_orbit(odd, orbits.orbit(odd)), 0).to_dict()
+    data = FoliationClass(orbits.phi_orbit(odd), 0).to_dict()
     assert data["orbit"] == [list(odd), list(even)] and data["leaf_dim"] == 20 + 800
     clear_caches()
     record = FoliationClass.from_dict(data)
     assert record.to_dict() == data
     with pytest.raises(LieFoliateError, match="not the representative"):
         FoliationClass.from_dict(dict(data, phi=list(even), orbit=[list(odd), list(even)]))
-    assert record.space.orbits.tables == () and list(record.space.orbits.by_rep) == [odd]
+    assert list(record.space.orbits.by_rep) == [odd] and record.space.orbits.records is None
 
 
 @pytest.mark.parametrize("space, codim, count", [("sl(60,R)", 1, 31), ("so(40,40)", 2, 744), ("sl(60,R)", 60, 0)])
@@ -526,7 +582,8 @@ def test_sl14_enumeration_peak_memory():
     # peaked at 234 KiB.
     clear_caches()
     space = catalog_lookup("SL14")
-    space.orbits.tables_to(space.rank)  # the PhiOrbits, outside the measurement
+    for _ in space.orbits.layers():  # the PhiOrbits, outside the measurement
+        pass
     tracemalloc.start()
     try:
         enumerate_foliations(space)

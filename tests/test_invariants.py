@@ -111,7 +111,8 @@ def test_records_of_one_orbit_share_one_phi_orbit(space):
     for fc in enumerate_foliations(space, include_trivial=True):
         assert shared.setdefault(fc.orbit, fc.phi_orbit) is fc.phi_orbit, (space.name, fc.phi)
     assert len({id(po) for po in shared.values()}) == len(shared)
-    assert list(map(id, shared.values())) == list(map(id, _orbit_tables(space).values()))
+    assert list(map(id, shared.values())) == list(map(id, _phi_orbits(space).values()))
+    assert set(map(id, space.orbits.by_rep.values())) == set(map(id, shared.values()))
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
@@ -125,9 +126,9 @@ def test_enumeration_by_codim_equals_the_filtered_full_list(space):
             enumerate_foliations(space, include_trivial, -1)
 
 
-def _orbit_tables(space) -> dict:
+def _phi_orbits(space) -> dict:
     """Representative -> PhiOrbit over every layer of the space, in (r_Phi, Phi) order."""
-    return {po.phi: po for table in space.orbits.tables_to(space.rank) for po in table}
+    return {po.phi: po for layer in space.orbits.layers() for po in layer}
 
 
 def _positive_split(space, phi):
@@ -216,7 +217,8 @@ def test_read_back_and_sl_model_accept_exactly_the_pairs_of_the_one_rule(case):
     space, phi, dim_v = case
     phi = tuple(sorted(phi))
     allowed = PhiSubset(space, phi).is_orthogonal and 0 <= dim_v <= space.rank - len(phi)
-    rep = next((po.phi for table in space.orbits.tables_to(len(phi)) for po in table if phi in po.orbit), phi)
+    layers = itertools.islice(space.orbits.layers(), len(phi) + 1)
+    rep = next((po.phi for layer in layers for po in layer if phi in po.orbit), phi)
     if allowed:
         (record,) = [c for c in enumerate_foliations(space, include_trivial=True)
                      if (c.phi, c.dim_v) == (rep, dim_v)]
@@ -322,13 +324,15 @@ def test_cached_phi_orbits_equal_a_fresh_computation():
         key = (space.family, space.rank)
         if key not in brute_force:
             brute_force[key] = _brute_force_orbits(dd)
-        table = _orbit_tables(space)
+        table = _phi_orbits(space)
         assert {phi: po.orbit for phi, po in table.items()} == brute_force[key], space.name
         assert list(table) == sorted(table, key=lambda phi: (len(phi), phi))
         assert all(po.phi == phi == min(po.orbit) and po.space is space for phi, po in table.items())
-        tables = space.orbits.tables_to(space.rank)
-        assert all(len(po.phi) == k for k, table in enumerate(tables) for po in table)
-        assert all(a is b for a, b in zip(space.orbits.tables_to(space.rank), tables))
+        layers = list(space.orbits.layers())
+        assert all(len(po.phi) == k for k, layer in enumerate(layers) for po in layer)
+        # a second walk looks each PhiOrbit up: the same objects, not equal copies
+        assert [id(po) for layer in layers for po in layer] == list(map(id, table.values()))
+        assert set(map(id, space.orbits.by_rep.values())) == set(map(id, table.values()))
 
 
 def _support_within(rs, lam, indices) -> bool:
