@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import groupby
 
 from .errors import LieFoliateError
-from .roots import MAX_RANK, POSITIVE_ROOT_COUNTS, DynkinDiagram, Family, family_diagram, subdiagram_type
+from .roots import MAX_RANK, POSITIVE_ROOT_COUNTS, DynkinDiagram, Family, expect, family_diagram, subdiagram_type
 
 
 def __getattr__(name: str):
@@ -102,11 +102,6 @@ def catalog_entries() -> tuple[CatalogEntry, ...]:
             )
         )
     return tuple(entries)
-
-
-@lru_cache(maxsize=1)
-def _entry_map() -> dict[str, CatalogEntry]:
-    return {e.key: e for e in catalog_entries()}
 
 
 class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank simple_mults dim_k0 entry_key notes",
@@ -214,21 +209,24 @@ def space_dimension(space: SpaceDescriptor) -> int:
     ``span_counts`` over the whole diagram.  Single edges join each length
     class of simple roots, so the multiplicities must agree across every one
     of them, else LieFoliateError."""
-    m = space.m_alpha
+    try:
+        m = space.m_alpha
+    except AttributeError:
+        expect(space, SpaceDescriptor)
+        raise
     if any(e.lines == 1 and m(e.i) != m(e.j) for e in space.diagram.edges):
         raise LieFoliateError(f"{space.name}: simple roots of equal length carry different multiplicities")
     return space.rank + space.span_counts(tuple(range(1, space.rank + 1)))[1]
 
 
-# One descriptor per (key, r, n) for the life of the process, so its cached
-# multiplicities and dimension are computed once.  Each key has one call site,
-# whose display parameters m, p and q are functions of (r, n); it passes them
-# all by position, as keywords would cost the cache key about 0.4 µs.  A call
+# One descriptor per (key, r, n) for the life of the process, shared by every
+# spelling of the space with all that is cached on it.  Each key has one call
+# site, whose display parameters m, p and q are functions of (r, n).  A call
 # that raises is not cached and raises again.
 @lru_cache(maxsize=None)
 def _instantiate(key: str, r: int | None = None, n: int | None = None, m: int | None = None, p: int | None = None,
                  q: int | None = None) -> SpaceDescriptor:
-    entry = _entry_map()[key]
+    entry = next(e for e in catalog_entries() if e.key == key)
     rank = entry.fixed_rank if entry.fixed_rank is not None else r
     if rank > MAX_RANK:
         raise LieFoliateError(f"rank {rank} is too large: catalog spaces have rank at most {MAX_RANK}")
@@ -343,19 +341,12 @@ _CLASSICAL = {
 }
 
 
-@lru_cache(maxsize=1)
-def _exceptional_keys() -> dict[tuple[str, str], str]:
-    """(letter, tag) -> entry key of the 17 exceptional spaces, read off their
-    flattened names; no other entry's name matches, as each holds a format."""
-    return {(m["letter"], m["tag"]): e.key for e in catalog_entries()
-            if (m := _NAME.match(_normalize(e.ascii_fmt)))}
-
-
 def _exceptional(letter: str, tag: str) -> SpaceDescriptor:
-    keys = _exceptional_keys()
-    key = keys.get((letter, tag))
+    # the 17 exceptional spaces are the entries whose flattened name, such as "e6(-14)", holds no format
+    keys = {e.ascii_fmt.lower(): e.key for e in catalog_entries() if "%" not in e.ascii_fmt}
+    key = keys.get(f"{letter}({tag})")
     if key is None:
-        valid = sorted(t for (l, t) in keys if l == letter)
+        valid = sorted(name[3:-1] for name in keys if name.startswith(letter))  # each letter has two characters
         raise LieFoliateError(f"{letter}({tag}): valid tags are {', '.join(valid)}")
     return _instantiate(key)
 

@@ -18,22 +18,14 @@ off its orbit.  Layer k of a diagram is its orthogonal Phi of k roots in
 lexicographic order, each Phi of layer k - 1 extended by a later vertex
 adjacent to none of its roots; each space walks its own layers and keeps
 none.  An orbit's representative is its least member: no diagram
-automorphism maps it to a smaller tuple.  Each space keeps, on its
-descriptor (``SpaceDescriptor.orbits``) until ``liefoliate.clear_caches()``
-drops the interned descriptors, one ``PhiOrbit`` per representative and one
-list of all its records, the trivial one included, built layer by layer by
-the first full enumeration and retained, at about 73 B a record with its
-slot in the list (the 28,070 records of SL18 take about 2.0 MB).  Each
-walk of the layers (``SpaceOrbits.layers``) looks up the ``PhiOrbit`` of
-each representative it meets.  A descriptor a caller holds keeps them
-across ``clear_caches()``.  A full enumeration returns a copy of that list,
-less the trivial record unless asked for; with codimension c it walks
-layers 0..c, on each call, and builds only the records of codimension c.
-``from_dict`` makes the one lookup the walk makes (``SpaceOrbits.phi_orbit``),
-which decides from Phi's images under the automorphisms whether Phi is a
-representative, so a record read back shares the enumerated record's
-``PhiOrbit`` and no layer is built.  Which (Phi, dim V) index foliations is decided in ``parabolic``
-(``PhiSubset.check_foliation``), which only ``from_dict`` loads.  By part
+automorphism maps it to a smaller tuple.  Each space keeps its
+``PhiOrbit``s, one per representative, and the list of its records on its
+descriptor (``SpaceDescriptor.orbits``); README's list of caches gives their
+size and who reads them.  ``from_dict`` makes the one lookup a walk of the
+layers makes (``SpaceOrbits.phi_orbit``), so a record read back shares the
+enumerated record's ``PhiOrbit`` and no layer is built.  Which (Phi, dim V)
+index foliations is decided in ``parabolic`` (``PhiSubset.check_foliation``),
+which only ``from_dict`` loads.  By part
 (iii) of the main theorem of Berndt, Diaz-Ramos and Tamaru, F_{Phi,V} and
 F_{Phi',V'} are congruent exactly when a diagram automorphism P has
 P(Phi) = Phi' and P_*V = V'; that does not make distinct V of one dimension
@@ -61,7 +53,7 @@ from itertools import islice
 
 from .catalog import SpaceDescriptor
 from .errors import LieFoliateError
-from .roots import DynkinDiagram, apply_permutation, diagram_automorphisms
+from .roots import DynkinDiagram, apply_permutation, diagram_automorphisms, expect
 
 __all__ = [
     "HyperbolicFactor",
@@ -78,11 +70,6 @@ CONGRUENCE_NOTE = "orbit representative; pairwise non-congruence of distinct rec
 _ALGEBRA = {1: "R", 2: "C", 4: "H", 8: "O"}  # real dimension -> division algebra
 
 
-def _expect(value, kind: type) -> None:
-    if not isinstance(value, kind):
-        raise LieFoliateError(f"expected a {kind.__name__}, not a {type(value).__name__}")
-
-
 def orthogonal_subsets(dd: DynkinDiagram) -> list[tuple[int, ...]]:
     """All independent sets of the diagram, in lexicographic order.
 
@@ -90,7 +77,7 @@ def orthogonal_subsets(dd: DynkinDiagram) -> list[tuple[int, ...]]:
     Fibonacci number F(r+2).  This is the sorted union of the layers.
     ``dd`` must be a DynkinDiagram, else LieFoliateError.
     """
-    _expect(dd, DynkinDiagram)
+    expect(dd, DynkinDiagram)
     return sorted(phi for layer in _layers(dd) for phi in layer)
 
 
@@ -132,7 +119,7 @@ def hyperbolic_factor(space: SpaceDescriptor, alpha_index: int) -> HyperbolicFac
     dimension is n d; over O only n = 2 occurs, so m_alpha must be 8.
     ``space`` must be a SpaceDescriptor, else LieFoliateError.
     """
-    _expect(space, SpaceDescriptor)
+    expect(space, SpaceDescriptor)
     m = space.m_alpha(alpha_index)
     d = space.m_2alpha(alpha_index) + 1
     algebra = _ALGEBRA.get(d)
@@ -240,12 +227,9 @@ def _record(name, phi, dim_v) -> FoliationClass:
 
 
 class SpaceOrbits:
-    """One space's PhiOrbit per representative (``by_rep``) and record list; the descriptor
-    keeps it (``SpaceDescriptor.orbits``).
-
-    Each is built once, on first use.  No layer is kept: ``layers`` walks them
-    anew on each call, and a PhiOrbit met before is looked up, not rebuilt.
-    """
+    """One space's PhiOrbit per representative (``by_rep``) and the list of its records, which
+    the first full ``enumerate_foliations`` builds; the descriptor keeps it
+    (``SpaceDescriptor.orbits``).  No layer is kept: ``layers`` walks them anew on each call."""
 
     __slots__ = ("space", "auts", "factors", "by_rep", "records")
 
@@ -278,19 +262,6 @@ class SpaceOrbits:
         for layer in _layers(self.space.diagram):
             yield tuple(filter(None, map(self.phi_orbit, layer)))
 
-    def all_records(self) -> list[FoliationClass]:
-        """Every record, the trivial one included, in (r_Phi, Phi, dim V) order: built on the
-        first call from every layer, and kept."""
-        records = self.records
-        if records is None:
-            r, new = self.space.rank, tuple.__new__  # FoliationClass(...) without its frame
-            # one comprehension over all layers: no list per layer to join
-            records = [new(FoliationClass, (phi_orbit, dim_v)) for k, phi_orbits in enumerate(self.layers())
-                       for phi_orbit in phi_orbits for dim_v in range(r - k + 1)]
-            # two threads that race here store equal records over the same PhiOrbits
-            self.records = records
-        return records
-
 
 def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
                          codim: int | None = None) -> list[FoliationClass]:
@@ -301,14 +272,13 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
     only the classes of that codimension are made, on each call: one per
     orbit with r_Phi <= codim, with dim V = r - codim, from a walk of layers
     0..codim that builds only the PhiOrbits no earlier call built.
-    Without it the records are built once per space, in one list, and
-    retained at about 73 B each (SL18's 28,070 take about 2.0 MB); each call
-    returns a copy of the list.  Classes are ordered by (r_Phi, Phi, dim V); the
+    Without it the records are built once per space, in one list, and kept;
+    each call returns a copy of the list.  Classes are ordered by (r_Phi, Phi, dim V); the
     records of one orbit share one ``PhiOrbit``.  ``space`` must be a
     SpaceDescriptor, ``include_trivial`` a bool and ``codim`` None or an int
     of at least 0, else LieFoliateError; a codim above the rank has no class.
     """
-    _expect(space, SpaceDescriptor)
+    expect(space, SpaceDescriptor)
     if type(include_trivial) is not bool:
         raise LieFoliateError(f"include_trivial {include_trivial!r} is not a bool")
     if codim is not None and type(codim) is not int:
@@ -316,14 +286,17 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
     if codim is not None and codim < 0:
         raise LieFoliateError(f"codim {codim} is negative")
     r = space.rank
-    orbits = space.orbits
+    orbits, new = space.orbits, tuple.__new__  # new: FoliationClass(...) without its frame
     if codim is None:
-        classes = (orbits.records or orbits.all_records()).copy()
+        if orbits.records is None:  # every record, the trivial one included, in one comprehension;
+            # two threads that race here store equal records over the same PhiOrbits
+            orbits.records = [new(FoliationClass, (phi_orbit, dim_v)) for k, phi_orbits in enumerate(orbits.layers())
+                              for phi_orbit in phi_orbits for dim_v in range(r - k + 1)]
+        classes = orbits.records.copy()
         if not include_trivial:
             del classes[r]  # Phi empty with dim V = r, the last record of layer 0
         return classes
     # codim = r - dim V >= r_Phi, and only Phi empty with codim 0 is trivial
     walked = codim + 1 if 0 < codim <= r or codim == 0 and include_trivial else 0
-    new = tuple.__new__
     return [new(FoliationClass, (phi_orbit, r - codim)) for phi_orbits in islice(orbits.layers(), walked)
             for phi_orbit in phi_orbits]

@@ -19,10 +19,8 @@ a root-string walk over that component alone (``roots.span_roots``), so no
 call builds the space's full root list.  On a path diagram, whose edges are
 (i, i + 1) alone (A, B, C, BC, F4, G2), the components of Phi are its runs
 of consecutive indices; on D and E they are grown through the neighbours.
-Each space keeps, on its descriptor, per component asked for, its
-multiplicity sum, its factor and any root sets walked, until
-``liefoliate.clear_caches()`` drops the interned descriptors: O(r^2)
-components on a classical diagram.
+Each space keeps its components asked for on its descriptor
+(``SpaceDescriptor.components``), O(r^2) of them on a classical diagram.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from collections import namedtuple
 
 from .catalog import SpaceDescriptor
 from .errors import LieFoliateError
-from .roots import Root, span_roots
+from .roots import Root, expect, span_roots
 
 __all__ = [
     "PhiSubset",
@@ -123,13 +121,13 @@ def phi_indices(r: int, indices) -> tuple[int, ...]:
 
 
 def phi_subset(space: SpaceDescriptor, indices) -> PhiSubset:
-    # A canonical Phi is read here in one pass, any other by phi_indices, which makes every
-    # refusal; either way the indices are sorted, distinct ints in 1..r, so PhiSubset.__new__
-    # need not check them again.
-    r = space.rank
-    if type(r) is int and r > 0 and _is_canonical(r, indices):
-        return tuple.__new__(PhiSubset, (space, tuple(indices)))
-    return tuple.__new__(PhiSubset, (space, phi_indices(r, indices)))
+    # phi_indices makes every refusal and gives sorted, distinct ints in 1..r, so
+    # PhiSubset.__new__ need not check them again
+    try:
+        return tuple.__new__(PhiSubset, (space, phi_indices(space.rank, indices)))
+    except AttributeError:
+        expect(space, SpaceDescriptor)
+        raise
 
 
 def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Root], frozenset[Root]]:
@@ -141,7 +139,7 @@ def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Ro
     the union of its components' sets.  A Phi subset of another space raises
     LieFoliateError.
     """
-    return _root_sets(space, space.components.of(phi))
+    return _root_sets(space, _components(space, phi))
 
 
 class ParabolicData(namedtuple("ParabolicData", (
@@ -180,10 +178,10 @@ class ParabolicData(namedtuple("ParabolicData", (
 
 def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     """Chevalley and Langlands dimension data for q_Phi."""
-    components = space.components.of(phi)
+    components = _components(space, phi)
     if len(components) == 1:  # read off the component, which keeps its root sets
         component = components[0]
-        sigma_phi, sigma_phi_pos = component.sets or component.root_sets(space)
+        sigma_phi, sigma_phi_pos = component.root_sets(space)
         sum_phi_pos = component.sum_pos
     else:
         sigma_phi, sigma_phi_pos = _root_sets(space, components)
@@ -266,38 +264,45 @@ def _runs(indices: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 class SpaceComponents:
-    """One space's ``_Component`` per connected component of a Phi asked for;
-    the descriptor keeps it (``SpaceDescriptor.components``)."""
+    """One space's ``_Component`` per connected component of a Phi asked for
+    (``seen``), and the split of a Phi into its components; the descriptor
+    keeps it (``SpaceDescriptor.components``)."""
 
-    __slots__ = ("space", "split", "seen")
+    __slots__ = ("split", "seen")
 
     def __init__(self, space: SpaceDescriptor) -> None:
         dd = space.diagram
         path = {(e.i, e.j) for e in dd.edges} == {(i, i + 1) for i in range(1, dd.rank)}
-        self.space, self.split, self.seen = space, _runs if path else dd._components_of, {}
+        self.split, self.seen = _runs if path else dd._components_of, {}
 
-    def of(self, phi: PhiSubset) -> list[_Component]:
-        """The components of phi in order, each made the first time it is met."""
-        if not isinstance(phi, PhiSubset):  # a list, a tuple, a str or None
-            raise LieFoliateError(f"Phi must be a PhiSubset, as phi_subset(space, indices) makes it; got {phi!r}")
-        space, indices = phi
-        if space is not self.space and space != self.space:
-            raise LieFoliateError("Phi subset belongs to a different space")
-        seen = self.seen
-        component = seen.get(indices)  # a connected Phi met before is its one component
-        if component is not None:
-            return [component]
-        found = []
-        for c in self.split(indices):
-            component = seen.get(c)
-            if component is None:  # setdefault: the first stored, under threads too
-                component = seen.setdefault(c, _Component(self.space, c))
-            found.append(component)
-        return found
+
+def _components(space: SpaceDescriptor, phi: PhiSubset) -> list[_Component]:
+    """The components of phi in order, each made the first time the space meets it."""
+    try:
+        store = space.components
+    except AttributeError:
+        expect(space, SpaceDescriptor)
+        raise
+    if not isinstance(phi, PhiSubset):  # a list, a tuple, a str or None
+        raise LieFoliateError(f"Phi must be a PhiSubset, as phi_subset(space, indices) makes it; got {phi!r}")
+    phi_space, indices = phi
+    if phi_space is not space and phi_space != space:
+        raise LieFoliateError("Phi subset belongs to a different space")
+    seen = store.seen
+    component = seen.get(indices)  # a connected Phi met before is its one component
+    if component is not None:
+        return [component]
+    found = []
+    for c in store.split(indices):
+        component = seen.get(c)
+        if component is None:  # setdefault: the first stored, under threads too
+            component = seen.setdefault(c, _Component(space, c))
+        found.append(component)
+    return found
 
 
 def _root_sets(space: SpaceDescriptor, components: list[_Component]) -> tuple[frozenset[Root], frozenset[Root]]:
-    if len(components) == 1:
+    if len(components) == 1:  # root_subsystem gives a one-component Phi that component's own sets
         return components[0].root_sets(space)
     sigma = sigma_pos = frozenset()
     for c in components:  # a frozenset union reuses the stored hashes
@@ -308,7 +313,7 @@ def _root_sets(space: SpaceDescriptor, components: list[_Component]) -> tuple[fr
 
 def boundary_components(space: SpaceDescriptor, phi: PhiSubset) -> list[BoundaryFactor]:
     """Factors of F_Phi^s, one per connected component of Phi in the diagram."""
-    return [c.factor for c in space.components.of(phi)]
+    return [c.factor for c in _components(space, phi)]
 
 
 class HorosphericalData(namedtuple("HorosphericalData", "space phi factors dim_Fs dim_euclidean dim_N")):
@@ -342,7 +347,7 @@ def horospherical(space: SpaceDescriptor, phi: PhiSubset) -> HorosphericalData:
     Only the components' multiplicity sums and factors are read: no root set
     is built.
     """
-    components = space.components.of(phi)
+    components = _components(space, phi)
     if len(components) == 1:  # read off the component
         component = components[0]
         factors, sum_phi_pos = (component.factor,), component.sum_pos

@@ -234,6 +234,12 @@ def _positive_roots(simple, cartan, doubled: bool) -> list[tuple[tuple[int, ...]
     return [(c, coords[c]) for c in order]
 
 
+def expect(value, kind: type) -> None:
+    """LieFoliateError unless ``value`` is a ``kind``; a warm entry point calls it only once reading fails."""
+    if not isinstance(value, kind):
+        raise LieFoliateError(f"expected a {kind.__name__}, not a {type(value).__name__}") from None
+
+
 def _checked_family(family, rank) -> Family:
     """The family, after checking that it is one and that the rank is valid for it and at most MAX_RANK."""
     try:
@@ -417,8 +423,7 @@ def diagram_automorphisms(dd: DynkinDiagram) -> list[tuple[int, ...]]:
     and inverses.  The search runs once per diagram; each call returns a new
     list.  ``dd`` must be a DynkinDiagram, else LieFoliateError.
     """
-    if not isinstance(dd, DynkinDiagram):
-        raise LieFoliateError(f"expected a DynkinDiagram, not a {type(dd).__name__}")
+    expect(dd, DynkinDiagram)
     return list(dd._automorphisms)
 
 

@@ -28,7 +28,7 @@ from operator import mul
 
 from .errors import LieFoliateError
 from .roots import (SCALE, _SIMPLE_ROOTS, DynkinDiagram, Family, Root, _checked_family, _positive_roots, _vector,
-                    family_diagram)
+                    expect, family_diagram)
 
 
 def root_from_coords(coords) -> Root:
@@ -69,13 +69,23 @@ def format_root(root: Root) -> str:
     return f"({body})/2" if halved else body
 
 
+def _dot(lam: Root, mu: Root) -> int:
+    """The pairing of the doubled coordinates of two Roots of one ambient dimension."""
+    try:
+        if lam.dim == mu.dim:
+            return sum(a * b for a, b in zip(lam.scaled, mu.scaled))
+    except AttributeError:
+        expect(lam, Root)
+        expect(mu, Root)
+        raise
+    raise LieFoliateError(f"ambient dimension mismatch: {lam.dim} != {mu.dim}")
+
+
 def inner(lam: Root, mu: Root) -> Fraction:
     """Exact Euclidean pairing of two roots."""
-    if lam.dim != mu.dim:
-        raise LieFoliateError(f"ambient dimension mismatch: {lam.dim} != {mu.dim}")
     from fractions import Fraction
 
-    return Fraction(sum(a * b for a, b in zip(lam.scaled, mu.scaled)), SCALE * SCALE)
+    return Fraction(_dot(lam, mu), SCALE * SCALE)
 
 
 def reflect(lam: Root, x: Root) -> Root:
@@ -86,9 +96,7 @@ def reflect(lam: Root, x: Root) -> Root:
     doubled-integer coordinates, which holds whenever both vectors belong to a
     common crystallographic root system, where den divides num.
     """
-    if lam.dim != x.dim:
-        raise LieFoliateError(f"ambient dimension mismatch: {lam.dim} != {x.dim}")
-    num = 2 * sum(a * b for a, b in zip(x.scaled, lam.scaled))
+    num = 2 * _dot(lam, x)
     den = sum(a * a for a in lam.scaled)
     if num % den == 0:
         c = num // den
@@ -144,13 +152,6 @@ class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positiv
     def _dynkin_diagram(self) -> "DynkinDiagram":
         """Set by ``_generate``, which built it for the Cartan matrix; made here for a system built by hand."""
         return family_diagram(self.family, self.rank)
-
-    @cached_property
-    def length_classes(self) -> dict[Fraction, tuple[Root, ...]]:
-        classes = {}
-        for root in sorted(self.roots):
-            classes.setdefault(inner(root, root), []).append(root)
-        return {k: tuple(v) for k, v in sorted(classes.items())}
 
     def to_dict(self) -> dict:
         return {
@@ -239,7 +240,11 @@ def dynkin_diagram(rs: RootSystem) -> DynkinDiagram:
     rank, which its Cartan matrix fixes.  It is made once per root system and
     the same immutable object is returned on every call.
     """
-    return rs._dynkin_diagram
+    try:
+        return rs._dynkin_diagram
+    except AttributeError:
+        expect(rs, RootSystem)
+        raise
 
 
 class MultiplicityFunction(namedtuple("MultiplicityFunction", "table")):
@@ -278,6 +283,13 @@ class MultiplicityFunction(namedtuple("MultiplicityFunction", "table")):
 
 def root_multiplicity(space: SpaceDescriptor, lam: Root) -> int:
     """Multiplicity of a root of the space's restricted root system."""
-    if lam not in space.root_system.roots:
+    try:
+        roots = space.root_system.roots
+    except AttributeError:
+        from .catalog import SpaceDescriptor
+
+        expect(space, SpaceDescriptor)
+        raise
+    if lam not in roots:
         raise LieFoliateError(f"{lam} is not a restricted root of {space.name}")
     return space.multiplicities(lam)

@@ -93,10 +93,6 @@ def _negligible(deviation: int, entries, n: int) -> bool:
     return not deviation or deviation / (n * max(map(abs, entries))) <= TAU_ALG
 
 
-def _trace_ok(a) -> bool:
-    return _negligible(abs(sum(row[i] for i, row in enumerate(a))), chain.from_iterable(a), len(a))
-
-
 _SHAPES = {  # tag: what it requires, and the entry of A that its shape forbids at (i, j)
     "k": ("a skew-symmetric", lambda a, i, j: a[i][j] + a[j][i]),
     "p": ("a symmetric", lambda a, i, j: a[i][j] - a[j][i]),
@@ -117,8 +113,8 @@ class MatrixElement:
 
     def __post_init__(self) -> None:
         a, d = _read(self.entries)
-        n = len(a)
-        if not _trace_ok(a):
+        n, t = len(a), sum(row[i] for i, row in enumerate(a))
+        if not _negligible(abs(t), chain.from_iterable(a), n):
             raise LieFoliateError("matrix is not traceless")
         if self.tag is not None:
             if self.tag not in VALID_TAGS:
@@ -128,7 +124,6 @@ class MatrixElement:
             if not _negligible(deviation, chain.from_iterable(a), n):
                 raise LieFoliateError(f"tag {self.tag} requires {shape} matrix")
         object.__setattr__(self, "entries", _exact(a, d))
-        t = sum(row[i] for i, row in enumerate(a))
         if t:  # traceless within TAU_ALG only: decide on the exact projection n A - t I onto sl(n)
             a = [[n * v - (t if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(a)]
         object.__setattr__(self, "_vector", _sparse(a))  # a multiple of that projection, for elimination
@@ -174,12 +169,10 @@ def _h(n: int, i: int, tag: str | None) -> MatrixElement:
     return _element(n, tag, (i, i, 1), (i + 1, i + 1, -1))
 
 
-@lru_cache(maxsize=None)
 def _basis_indices(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(n) if i != j)
 
 
-@lru_cache(maxsize=None)
 def sl_basis(n: int) -> tuple[Matrix, ...]:
     """Fixed ordered basis of sl(n,R): E_ij (i != j, row-major), then the h_i, to which
     adjoint matrices and all coordinates refer.  The coordinate of E_ij is the
@@ -255,11 +248,11 @@ def ad_matrix(x) -> Matrix:
     """Adjoint operator ad(X) as a matrix over the fixed basis of sl(n,R), exactly."""
     a, d = _read(x)
     n, xs = len(a), _sparse(a)
-    columns = []
+    columns, indices = [], _basis_indices(n)
     for b in sl_basis(n):
         m = _commutator(xs, _sparse(b))
         diagonal = accumulate(m.get((i, i), 0) for i in range(n - 1))
-        columns.append([m.get(ij, 0) for ij in _basis_indices(n)] + list(diagonal))
+        columns.append([m.get(ij, 0) for ij in indices] + list(diagonal))
     return _exact(zip(*columns), d)
 
 
@@ -283,7 +276,7 @@ def killing_form(x, y) -> float:
     """
     (a, da), (b, db) = _read_pair(x, y)
     for name, m in (("X", a), ("Y", b)):
-        if not _trace_ok(m):
+        if not _negligible(abs(sum(row[i] for i, row in enumerate(m))), chain.from_iterable(m), len(m)):
             raise LieFoliateError(f"{name} is not in sl(n,R): its trace is not zero")
     xy = [sum(map(mul, row, col)) for row, col in zip(a, zip(*b))]
     yx = [sum(map(mul, row, col)) for row, col in zip(b, zip(*a))]
@@ -402,21 +395,32 @@ def subspace(mats, label: str = "", tag: str | None = None) -> Subspace:
 LieTripleResult = namedtuple("LieTripleResult", "holds residual")
 
 
-def _residual(s: Subspace, items) -> float:
-    """Largest metric norm outside span(S) of the items (M, factors), M a bracket of the
-    basis elements at factors, scaled to unit norm; 0.0 exactly when each M lies in
-    span(S).  Its square is exact: ||M||^2 less the projections on an orthogonal basis
-    of span(S), over the factors' squared norms."""
+def _vectors(s: Subspace) -> list[dict]:
+    """The sparse vectors of the basis of s; LieFoliateError when s is no Subspace."""
+    try:
+        return [b._vector for b in s.basis]
+    except AttributeError:
+        from .roots import expect
+
+        expect(s, Subspace)
+        raise
+
+
+def _residual(vectors: list[dict], size: int, items) -> float:
+    """Largest metric norm outside the span of the n x n vectors (n = size) of the items
+    (M, factors), M a bracket of the vectors at factors, scaled to unit norm; 0.0 exactly
+    when each M lies in that span.  Its square is exact: ||M||^2 less the projections on
+    an orthogonal basis of the span, over the factors' squared norms."""
     if not items:
         return 0.0
     ortho = []  # Gram-Schmidt over the integers
-    for b in s.basis:
-        v = b._vector
+    for v in vectors:
         for q, qq in ortho:
             v = _combine(qq, v, -_dot(v, q), q)
-        ortho.append((v, _dot(v, v)))
-    two_n = 2 * s.size  # the metric is 2n times the pairing sum X_ij Y_ij
-    norms = [two_n * _dot(b._vector, b._vector) for b in s.basis]
+        if v:
+            ortho.append((v, _dot(v, v)))
+    two_n = 2 * size  # the metric is 2n times the pairing sum X_ij Y_ij
+    norms = [two_n * _dot(v, v) for v in vectors]
     return math.sqrt(max(
         two_n * (_dot(m, m) - sum(Fraction(_dot(m, q) ** 2, qq) for q, qq in ortho))
         / math.prod(norms[f] for f in factors) for m, factors in items))
@@ -427,27 +431,33 @@ def is_lie_triple(s: Subspace) -> LieTripleResult:
     a basis of [S,S], found once among the brackets of pairs, is bracketed with S.
     The residual is the largest metric norm outside span(S) of a [[B_i,B_j],B_k],
     the basis scaled to unit norm: 0.0 when the test holds.  Each basis element
-    must be symmetric to within TAU_ALG * n * max|entry|."""
-    for b in s.basis:
-        v = b._vector
-        if not _negligible(max(abs(x - v.get((j, i), 0)) for (i, j), x in v.items()), v.values(), s.size):
+    must be symmetric to within TAU_ALG * n * max|entry|; one symmetric only within
+    it is replaced by X + X^t, twice its exact symmetric part, before the test."""
+    vectors, span = _vectors(s), s._span
+    for k, v in enumerate(vectors):
+        skew = max(abs(x - v.get((j, i), 0)) for (i, j), x in v.items())
+        if not _negligible(skew, v.values(), s.size):
             raise LieFoliateError("Lie-triple test requires symmetric basis elements")
-    vectors = [b._vector for b in s.basis]
+        if skew:
+            vectors[k], span = _combine(1, v, 1, {(j, i): x for (i, j), x in v.items()}), {}
+    if not span:  # some element was replaced: the span of the symmetric parts
+        for v in vectors:
+            _extend(span, v)
     pairs = {(i, j): _commutator(vectors[i], vectors[j]) for i, j in combinations(range(s.dim), 2)}
-    span: dict = {}
-    derived = [c for c in pairs.values() if _extend(span, c)]
-    if not any(_residue(s._span, _commutator(c, v)) for c in derived for v in vectors):
+    derived_span = {}
+    derived = [c for c in pairs.values() if _extend(derived_span, c)]
+    if not any(_residue(span, _commutator(c, v)) for c in derived for v in vectors):
         return LieTripleResult(True, 0.0)
     triples = [(_commutator(c, vectors[k]), (i, j, k)) for (i, j), c in pairs.items() for k in range(s.dim)]
-    return LieTripleResult(False, _residual(s, triples))
+    return LieTripleResult(False, _residual(vectors, s.size, triples))
 
 
 def bracket_closure_residual(s: Subspace) -> float:
     """Largest metric-norm residual of [X,Y] outside span(S) over pairs of the
     basis scaled to unit norm, exactly: 0.0 when S is closed under the bracket."""
-    vectors = [b._vector for b in s.basis]
+    vectors = _vectors(s)
     pairs = ((_commutator(vectors[i], vectors[j]), (i, j)) for i, j in combinations(range(s.dim), 2))
-    return _residual(s, [(m, factors) for m, factors in pairs if _residue(s._span, m)])
+    return _residual(vectors, s.size, [(m, factors) for m, factors in pairs if _residue(s._span, m)])
 
 
 def _check_sl_space(space: SpaceDescriptor) -> int:

@@ -288,20 +288,20 @@ def _cache_sizes() -> dict[str, int]:
 
 def test_clear_caches_empties_every_cache_of_the_loaded_modules(monkeypatch):
     from liefoliate import catalog_lookup, clear_caches, foliations
-    from liefoliate.slmodel import sl_basis
+    from liefoliate.slmodel import killing_form
 
     probe_cache = functools.lru_cache(maxsize=None)(abs)  # a cache added later, registered nowhere
     monkeypatch.setattr(foliations, "_probe", probe_cache, raising=False)
     for argv in (("parabolic", "--space", "SL5", "--phi", "1,3"), ("foliations", "enumerate", "--space", "SL5"),
                  ("rootsys", "show", "--family", "A", "--rank", "3")):
         assert cli.main(list(argv)) == 0
-    sl_basis(3)
+    killing_form(((1, 0), (0, -1)), ((0, 1), (1, 0)))
     probe_cache(-1)
     sl5 = catalog_lookup("SL5")
     filled = {key for key, size in _cache_sizes().items() if size}
     assert filled >= {f"liefoliate.{key}" for key in (
         "catalog._instantiate", "catalog._lookup", "foliations._probe",
-        "rootsystem._built_root_system", "slmodel.sl_basis")}
+        "rootsystem._built_root_system", "slmodel._killing_terms")}
     clear_caches()
     assert set(_cache_sizes().values()) == {0}
     assert catalog_lookup("SL5") is not sl5  # the interned descriptor went, with all cached on it

@@ -399,6 +399,6 @@ def large_phi(draw):
 @given(large_phi())
 def test_the_components_of_a_phi_up_to_rank_1000_are_its_connected_components(case):
     space, phi = case
-    components = space.components.of(phi_subset(space, phi))
+    components = parabolic._components(space, phi_subset(space, phi))
     assert [c.indices for c in components] == space.diagram.connected_components(phi)
-    assert space.components.of(phi_subset(space, phi)) == components  # warm: the same components
+    assert parabolic._components(space, phi_subset(space, phi)) == components  # warm: the same components

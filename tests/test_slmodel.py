@@ -667,16 +667,32 @@ def test_lie_triple_two_plane_closes():
     assert res.holds and res.residual == 0.0
 
 
-def test_a_float_basis_of_p_traceless_only_to_rounding_is_a_lie_triple_system():
-    # 20 random symmetric 6x6 matrices, made traceless in floats as x - tr(x)/6 I: each
-    # is traceless only to rounding, and together they span p, a Lie triple system.
+def _float_basis_of_p_in_sl6():
+    """20 random symmetric 6x6 matrices, made traceless in floats as x - tr(x)/6 I: each
+    is traceless only to rounding, and together they span p, a Lie triple system."""
     rng = random.Random(3)
     basis = []
     for _ in range(20):
         a = [[rng.gauss(0.0, 1.0) for _ in range(6)] for _ in range(6)]
         x = scale(0.5, add(a, transpose(a)))
         basis.append(add(x, scale(-trace(x) / 6, eye(6))))
+    return basis
+
+
+def test_a_float_basis_of_p_traceless_only_to_rounding_is_a_lie_triple_system():
+    basis = _float_basis_of_p_in_sl6()
     assert sum(1 for b in basis if sum(Fraction(b[i][i]) for i in range(6))) > 10  # not exactly traceless
+    s = subspace(basis)
+    assert [rows(b.entries) for b in s.basis] == basis  # the entries are kept as read
+    assert is_lie_triple(s) == (True, 0.0)
+
+
+def test_a_float_basis_of_p_symmetric_only_to_rounding_is_a_lie_triple_system():
+    # one entry moved by one ulp: the basis element is symmetric only within TAU_ALG, and
+    # the test decides on its exact symmetric part, so the span is still p
+    basis = _float_basis_of_p_in_sl6()
+    basis[0][0][1] = math.nextafter(basis[0][0][1], math.inf)
+    assert basis[0][0][1] != basis[0][1][0]
     s = subspace(basis)
     assert [rows(b.entries) for b in s.basis] == basis  # the entries are kept as read
     assert is_lie_triple(s) == (True, 0.0)
