@@ -21,7 +21,7 @@ def run(args) -> int:
         emit_json(data.to_dict())
     else:
         print(f"space {space.name} ({space.display}), Phi = {list(phi.indices)}")
-        print(f"|Sigma_Phi| = {len(data.sigma_phi)}, |Sigma_Phi+| = {len(data.sigma_phi_pos)}")
+        print(f"|Sigma_Phi| = {data.n_sigma_phi}, |Sigma_Phi+| = {data.n_sigma_phi_pos}")
         for label, value in (
             ("dim a_Phi", data.dim_a_phi),
             ("dim n_Phi", data.dim_n_phi),

@@ -4,11 +4,13 @@ k is special orthogonal, a a positive diagonal of determinant one and n unit
 upper triangular: the decomposition G = KAN of SL_n(R), whose solvable part
 AN the foliations are built from.  The factors come from a Householder QR
 factorization of g on lists of floats, with the signs chosen so that a > 0,
-which makes them unique.  Its pivots have absolute errors of about
-eps max|g_ij|, so a pivot small against g would carry a large relative error
-into a and n (and prod a_ii, which is |det g|): below _EXACT_BELOW of
-max(1, max|g_ij|), at up to _EXACT_MAX_SIZE rows, the factors are computed
-exactly from the rational entries of g by ``exactkan`` and rounded once.
+which makes them unique.  Its backward error is columnwise, about
+eps ||g e_j|| in column j, so the relative error of prod a_ii = |det g| (and
+of every leading product a_11 ... a_jj) is at most about
+eps sum_j ||g e_j|| ||e_j^t R^-1||, which a small pivot, or an ill-conditioned
+g with no small pivot, makes large: above _EXACT_ABOVE eps, at up to
+_EXACT_MAX_SIZE rows, the factors are computed exactly from the rational
+entries of g by ``exactkan`` and rounded once.
 The CLI's ``slmodel iwasawa`` calls ``factor`` without loading ``slmodel``,
 and ``slmodel.iwasawa_group`` returns its ``KAN``.
 
@@ -43,11 +45,12 @@ TAU_NUM = 1e-10
 # A pivot below this times max(1, max|g_ij|) means numerically dependent columns.
 _PIVOT_FLOOR = 1e-13
 
-# Householder gives a pivot to within about eps max|g_ij| absolutely.  Below this
-# times max(1, max|g_ij|) that error is more than about 1e-13 of the pivot, and the
-# factors of a matrix of at most _EXACT_MAX_SIZE rows come from ``exactkan``
-# instead, which takes about 10 ms at that size and seconds at 64.
-_EXACT_BELOW = 1e-3
+# Where the bound on the relative error of prod a_ii that ``factor`` computes is
+# above this many eps = 2^-52 (about 1e-13), the factors of a matrix of at most
+# _EXACT_MAX_SIZE rows come from ``exactkan`` instead, which takes about 10 ms at
+# that size and seconds at 64.  The bound was at least 1.1 times the error met on
+# u diag(d) v (d spread up to 10^6).
+_EXACT_ABOVE = 450.0
 _EXACT_MAX_SIZE = 16
 
 KAN = namedtuple("KAN", "k a n residual")
@@ -115,15 +118,16 @@ def factor(rows: list[list[float]]) -> KAN:
     Householder QR on the columns of g gives g = Q R; each reflection has
     determinant -1, so det g = (-1)^(reflections) prod R_jj with no second
     pass.  With S the signs of diag R, k = Q S, a = |diag R| and
-    n = diag(R)^-1 R, unless a pivot is small enough for ``exactkan`` to
-    give the factors instead.  Raises LieFoliateError unless g has determinant 1
-    (``check_det_one``) and columns that are not numerically dependent, and
+    n = diag(R)^-1 R, unless Householder's error bound is above _EXACT_ABOVE
+    and ``exactkan`` gives the factors instead.  Raises LieFoliateError unless g
+    has determinant 1 (``check_det_one``) and columns that are not numerically dependent, and
     unless the factors reassemble g to within TAU_NUM * max(1, max|g_ij|).
     """
     size = len(rows)
     scale = max(1.0, max(map(abs, chain.from_iterable(rows))))
     cols = [list(c) for c in zip(*rows)]  # become R, on and above the diagonal
-    hadamard = math.prod(math.hypot(*c) for c in cols)
+    norms = [math.hypot(*c) for c in cols]
+    hadamard = math.prod(norms)
     reflectors: list[tuple[int, list[float], float]] = []
     for j in range(size - 1):
         x = cols[j][j:]
@@ -142,10 +146,19 @@ def factor(rows: list[list[float]]) -> KAN:
         reflectors.append((j, v, tau))
     diag = [cols[j][j] for j in range(size)]
     check_det_one(math.prod(diag) * (-1.0) ** len(reflectors), hadamard)
-    smallest = min(map(abs, diag))
-    if smallest < _PIVOT_FLOOR * scale:
+    if min(map(abs, diag)) < _PIVOT_FLOOR * scale:
         raise LieFoliateError("columns are numerically dependent; cannot factor")
-    if smallest < _EXACT_BELOW * scale and size <= _EXACT_MAX_SIZE:
+    # The rows of g^-1 = R^-1 Q^t have the lengths of those of R^-1, so a change of
+    # eps ||g e_j|| in each column j changes det g by at most eps * bound of it, to
+    # first order: bound = sum_j ||g e_j|| ||e_j^t R^-1||, left 0 above
+    # _EXACT_MAX_SIZE rows, where Householder's factors stand.
+    bound = 0.0
+    for j in range(size if size <= _EXACT_MAX_SIZE else 0):
+        row = [1.0 / diag[j]]  # e_j^t R^-1 from its entry j on, by forward substitution
+        for m in range(j + 1, size):
+            row.append(-sum(map(mul, row, cols[m][j:m])) / diag[m])
+        bound += norms[j] * math.hypot(*row)
+    if bound > _EXACT_ABOVE:
         from .exactkan import exact_kan
 
         k, a_diag, n = exact_kan(rows)

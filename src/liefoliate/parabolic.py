@@ -12,15 +12,17 @@ n_Phi dimensions and the whole horospherical side never need it.
 
 The support of a root is connected, so Sigma_Phi^+ is the disjoint union of
 the positive roots spanned by each connected component of Phi, and F_Phi^s
-is the product of the components' factors.  A component's multiplicity sum
-comes from the per-type root counts of its subdiagram
-(``SpaceDescriptor.span_counts``), and its roots, when first asked for, from
-a root-string walk over that component alone (``roots.span_roots``), so no
-call builds the space's full root list.  On a path diagram, whose edges are
-(i, i + 1) alone (A, B, C, BC, F4, G2), the components of Phi are its runs
-of consecutive indices; on D and E they are grown through the neighbours.
-Each space keeps its components asked for on its descriptor
-(``SpaceDescriptor.components``), O(r^2) of them on a classical diagram.
+is the product of the components' factors.  A component's count of positive
+roots and their multiplicity sum come from the per-type root counts of its
+subdiagram (``SpaceDescriptor.span_counts``), so ``parabolic_data`` and
+``horospherical`` walk no root.  Its roots, when ``root_subsystem`` first
+asks for them, come from a root-string walk over that component alone
+(``roots.span_roots``), so no call builds the space's full root list.  On a
+path diagram, whose edges are (i, i + 1) alone (A, B, C, BC, F4, G2), the
+components of Phi are its runs of consecutive indices; on D and E they are
+grown through the neighbours.  Each space keeps its components asked for on
+its descriptor (``SpaceDescriptor.components``), O(r^2) of them on a
+classical diagram.
 """
 
 from __future__ import annotations
@@ -50,7 +52,11 @@ class PhiSubset(namedtuple("PhiSubset", "space indices")):
     __slots__ = ()
 
     def __new__(cls, space: SpaceDescriptor, indices: tuple[int, ...]) -> "PhiSubset":
-        r = space.rank
+        try:
+            r = space.rank
+        except AttributeError:
+            expect(space, SpaceDescriptor)
+            raise
         if not _is_canonical(r, indices):
             raise LieFoliateError(f"Phi indices {indices!r} must be ints in 1..{r}, strictly increasing")
         return tuple.__new__(cls, (space, tuple(indices)))
@@ -136,17 +142,27 @@ def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Ro
     A root lies in span(Phi) exactly when its expansion over the simple roots
     is supported on Phi, and then on one connected component of Phi.  The
     sets of a one-component Phi are that component's own; otherwise they are
-    the union of its components' sets.  A Phi subset of another space raises
-    LieFoliateError.
+    the union of its components' sets, made on each call.  A Phi subset of
+    another space raises LieFoliateError.
     """
-    return _root_sets(space, _components(space, phi))
+    components = _components(space, phi)
+    if len(components) == 1:
+        return components[0].root_sets(space)
+    sigma = sigma_pos = frozenset()
+    for c in components:  # a frozenset union reuses the stored hashes
+        c_sigma, c_pos = c.root_sets(space)
+        sigma, sigma_pos = sigma | c_sigma, sigma_pos | c_pos
+    return sigma, sigma_pos
 
 
 class ParabolicData(namedtuple("ParabolicData", (
-        "space phi sigma_phi sigma_phi_pos dim_a_phi dim_n_phi dim_g0 dim_l_phi dim_m_phi dim_q_phi "
+        "space phi n_sigma_phi n_sigma_phi_pos dim_a_phi dim_n_phi dim_g0 dim_l_phi dim_m_phi dim_q_phi "
         "dim_p_phi dim_p_phi_s dim_k_phi dim_g_phi dim_z_phi"))):
     """Dimension data of the parabolic subalgebra attached to Phi.
 
+    ``n_sigma_phi`` and ``n_sigma_phi_pos`` are |Sigma_Phi| and
+    |Sigma_Phi^+|; the root sets themselves are ``sigma_phi`` and
+    ``sigma_phi_pos``, read through ``root_subsystem`` and not stored.
     Fields whose value requires dim k0 are None when the catalog does not
     provide it.  dim_g_phi and dim_z_phi are only reported for spaces with
     k0 = 0, where the center z_Phi is forced to vanish.
@@ -158,12 +174,25 @@ class ParabolicData(namedtuple("ParabolicData", (
     def r_phi(self) -> int:
         return len(self.phi)
 
+    def _root_sets(self) -> tuple[frozenset[Root], frozenset[Root]]:
+        """``root_subsystem`` of the record's space and Phi."""
+        return root_subsystem(self.space, phi_subset(*self[:2]))
+
+    @property
+    def sigma_phi(self) -> frozenset[Root]:
+        return self._root_sets()[0]
+
+    @property
+    def sigma_phi_pos(self) -> frozenset[Root]:
+        return self._root_sets()[1]
+
     def to_dict(self) -> dict:
+        sigma_phi, sigma_phi_pos = self._root_sets()
         return {
             "space": self.space.name,
             "phi": list(self.phi),
-            "sigma_phi": [list(r.scaled) for r in sorted(self.sigma_phi)],
-            "sigma_phi_pos": [list(r.scaled) for r in sorted(self.sigma_phi_pos)],
+            "sigma_phi": [list(r.scaled) for r in sorted(sigma_phi)],
+            "sigma_phi_pos": [list(r.scaled) for r in sorted(sigma_phi_pos)],
             **dict(zip(self._fields[4:], self[4:])),  # dim_a_phi to dim_z_phi, in field order
         }
 
@@ -177,16 +206,16 @@ class ParabolicData(namedtuple("ParabolicData", (
 
 
 def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
-    """Chevalley and Langlands dimension data for q_Phi."""
+    """Chevalley and Langlands dimension data for q_Phi, from the components'
+    counts alone: no root is walked."""
     components = _components(space, phi)
-    if len(components) == 1:  # read off the component, which keeps its root sets
+    if len(components) == 1:  # read off the component
         component = components[0]
-        sigma_phi, sigma_phi_pos = component.root_sets(space)
-        sum_phi_pos = component.sum_pos
+        count, sum_phi_pos = component.count, component.sum_pos
     else:
-        sigma_phi, sigma_phi_pos = _root_sets(space, components)
-        sum_phi_pos = 0
+        count = sum_phi_pos = 0
         for c in components:
+            count += c.count
             sum_phi_pos += c.sum_pos
     r, r_phi = space.rank, len(phi.indices)
     sum_phi = 2 * sum_phi_pos  # m(-lam) = m(lam)
@@ -205,7 +234,7 @@ def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     dim_z_phi = 0 if k0 == 0 else None
 
     # in field order, without the frame of ParabolicData.__new__
-    return tuple.__new__(ParabolicData, (space, phi.indices, sigma_phi, sigma_phi_pos, dim_a_phi, dim_n_phi, dim_g0,
+    return tuple.__new__(ParabolicData, (space, phi.indices, 2 * count, count, dim_a_phi, dim_n_phi, dim_g0,
                                          dim_l, dim_m, dim_q, r + sum_phi_pos, r_phi + sum_phi_pos, dim_k_phi,
                                          dim_g_phi, dim_z_phi))
 
@@ -225,19 +254,21 @@ class BoundaryFactor(namedtuple("BoundaryFactor", "component_indices rank name d
 
 
 class _Component:
-    """A connected component of some Phi: the multiplicity sum of the positive
-    roots it spans, its factor and, once asked for, its root sets."""
+    """A connected component of some Phi: the number and the multiplicity sum
+    of the positive roots it spans, its factor and, once ``root_subsystem``
+    asks for them, its root sets."""
 
-    __slots__ = ("indices", "sum_pos", "factor", "sets")
+    __slots__ = ("indices", "count", "sum_pos", "factor", "sets")
 
     def __init__(self, space: SpaceDescriptor, component: tuple[int, ...]) -> None:
-        count, self.sum_pos = space.span_counts(component)
-        rank, self.indices, self.sets = len(component), component, None
+        count, sum_pos = space.span_counts(component)
+        self.indices, self.count, self.sum_pos, self.sets = component, count, sum_pos, None
+        rank = len(component)
         # A_k is the only irreducible rank-k root system with k(k+1)/2 positive roots (D_3 = A_3);
         # with every multiplicity one (a sum equal to the count) the factor is split SL.
-        split = count == self.sum_pos == rank * (rank + 1) // 2
+        split = count == sum_pos == rank * (rank + 1) // 2
         name = f"SL_{rank + 1}(R)/SO_{rank + 1}" if split else f"unnamed rank-{rank} factor"
-        self.factor = BoundaryFactor(component, rank, name, rank + self.sum_pos)
+        self.factor = BoundaryFactor(component, rank, name, rank + sum_pos)
 
     def root_sets(self, space: SpaceDescriptor) -> tuple[frozenset[Root], frozenset[Root]]:
         """(roots, positive roots) of the component's span, walked over the component alone."""
@@ -299,16 +330,6 @@ def _components(space: SpaceDescriptor, phi: PhiSubset) -> list[_Component]:
             component = seen.setdefault(c, _Component(space, c))
         found.append(component)
     return found
-
-
-def _root_sets(space: SpaceDescriptor, components: list[_Component]) -> tuple[frozenset[Root], frozenset[Root]]:
-    if len(components) == 1:  # root_subsystem gives a one-component Phi that component's own sets
-        return components[0].root_sets(space)
-    sigma = sigma_pos = frozenset()
-    for c in components:  # a frozenset union reuses the stored hashes
-        c_sigma, c_pos = c.root_sets(space)
-        sigma, sigma_pos = sigma | c_sigma, sigma_pos | c_pos
-    return sigma, sigma_pos
 
 
 def boundary_components(space: SpaceDescriptor, phi: PhiSubset) -> list[BoundaryFactor]:

@@ -96,7 +96,9 @@ RANK_RANGES = {
 class Root(namedtuple("Root", "scaled")):
     """A nonzero vector with rational coordinates, stored doubled as integers.
 
-    ``scaled`` must be a non-empty tuple of ints (not bools), not all zero.
+    ``scaled`` must be a non-empty tuple of ints (not bools), not all zero;
+    ``Root(...)`` checks it.  Roots the package makes itself (the walk of
+    ``span_roots``, negation) are built by ``tuple.__new__`` without the check.
     Roots order by ``scaled``.
     """
 
@@ -129,7 +131,7 @@ class Root(namedtuple("Root", "scaled")):
         return tuple(Fraction(c, SCALE) for c in self.scaled)
 
     def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.scaled))
+        return tuple.__new__(Root, (tuple(-c for c in self.scaled),))
 
     def double(self) -> "Root":
         return Root(tuple(2 * c for c in self.scaled))
@@ -505,5 +507,5 @@ def span_roots(family: Family, rank: int, dd: DynkinDiagram, component: tuple[in
     cartan = [[2 if i == j else a.get((i, j), 0) for j in component] for i in component]
     doubled = any(dd.vertices[i - 1].double_circle for i in component)
     walk = _positive_roots([_vector(dim, simple[i - 1]) for i in component], cartan, doubled)
-    return [Root(v) for _, v in walk]
+    return [tuple.__new__(Root, (v,)) for _, v in walk]
 

@@ -279,6 +279,9 @@ class MultiplicityFunction(namedtuple("MultiplicityFunction", "table")):
             raise LieFoliateError(
                 f"no multiplicity recorded for a root of squared length {inner(root, root)}"
             )
+        except AttributeError:
+            expect(root, Root)
+            raise
 
 
 def root_multiplicity(space: SpaceDescriptor, lam: Root) -> int:
@@ -290,6 +293,7 @@ def root_multiplicity(space: SpaceDescriptor, lam: Root) -> int:
 
         expect(space, SpaceDescriptor)
         raise
+    expect(lam, Root)
     if lam not in roots:
         raise LieFoliateError(f"{lam} is not a restricted root of {space.name}")
     return space.multiplicities(lam)

@@ -137,6 +137,37 @@ def test_parabolic_json_round_trip(capsys):
     assert parsed == parabolic_data(sl5, phi_subset(sl5, [1, 3]))
 
 
+def test_the_parabolic_table_builds_no_root(capsys, monkeypatch):
+    from liefoliate import parabolic
+    from liefoliate.roots import Root, span_roots
+
+    walks, made = [], []  # the components walked, and the roots made otherwise
+
+    def walked(family, rank, dd, component):
+        walks.append(component)
+        return span_roots(family, rank, dd, component)
+
+    def checked(cls, scaled):
+        made.append(scaled)
+        return tuple.__new__(cls, (scaled,))
+
+    def negated(root):
+        made.append(root)
+        return tuple.__new__(Root, (tuple(-c for c in root.scaled),))
+
+    monkeypatch.setattr(parabolic, "span_roots", walked)
+    monkeypatch.setattr(Root, "__new__", staticmethod(checked))
+    monkeypatch.setattr(Root, "__neg__", negated)
+    clear_caches()  # as in a fresh process
+    argv = ("parabolic", "--space", "SL8", "--phi", "1,2,4,5,6")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "|Sigma_Phi| = 18, |Sigma_Phi+| = 9" in out.splitlines()
+    assert walks == made == []
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and len(json.loads(out)["sigma_phi"]) == 18
+    assert walks == [(1, 2), (4, 5, 6)] and len(made) == 9  # A_2 and A_3, and the negatives of their roots
+
+
 def test_parabolic_unknown_space_exit_1(capsys):
     code, _, err = run(capsys, "parabolic", "--space", "nope", "--phi", "1")
     assert code == 1

@@ -14,12 +14,17 @@ from liefoliate.errors import LieFoliateError
     pytest.param(lambda: rootsystem.dynkin_diagram(None), "RootSystem, not a NoneType", id="dynkin_diagram"),
     pytest.param(lambda: rootsystem.root_multiplicity(None, None), "SpaceDescriptor, not a NoneType",
                  id="root_multiplicity"),
+    pytest.param(lambda: rootsystem.root_multiplicity(catalog.catalog_lookup("SL5"), [1, 2]), "Root, not a list",
+                 id="root_multiplicity-root"),
+    pytest.param(lambda: catalog.catalog_lookup("SL5").multiplicities((2, -2, 0, 0, 0)), "Root, not a tuple",
+                 id="MultiplicityFunction"),
     pytest.param(lambda: rootsystem.inner((2, 0), (0, 2)), "Root, not a tuple", id="inner"),
     pytest.param(lambda: rootsystem.reflect((2, 0), (0, 2)), "Root, not a tuple", id="reflect"),
     pytest.param(lambda: slmodel.is_lie_triple([[1]]), "Subspace, not a list", id="is_lie_triple"),
     pytest.param(lambda: slmodel.bracket_closure_residual([[1]]), "Subspace, not a list",
                  id="bracket_closure_residual"),
     pytest.param(lambda: parabolic.phi_subset("SL5", (1,)), "SpaceDescriptor, not a str", id="phi_subset"),
+    pytest.param(lambda: parabolic.PhiSubset(None, (1,)), "SpaceDescriptor, not a NoneType", id="PhiSubset"),
     pytest.param(lambda: parabolic.parabolic_data(None, None), "SpaceDescriptor, not a NoneType",
                  id="parabolic_data"),
     pytest.param(lambda: parabolic.root_subsystem(None, None), "SpaceDescriptor, not a NoneType",

@@ -355,6 +355,7 @@ def test_parabolic_data_matches_a_reference_from_the_expansions(case):
     for space in _cold_then_warm(space, phi):
         d = parabolic_data(space, phi_subset(space, phi))
         assert d.sigma_phi == sigma and d.sigma_phi_pos == sigma_pos
+        assert (d.n_sigma_phi, d.n_sigma_phi_pos) == (len(sigma), len(sigma_pos))
         assert (d.dim_a_phi, d.dim_n_phi) == (r - r_phi, outside)
         assert (d.dim_p_phi, d.dim_p_phi_s) == (r + sum_pos, r_phi + sum_pos)
         if k0 is None:
@@ -373,17 +374,36 @@ def test_a_warm_one_component_phi_returns_the_cached_root_sets(case):
     component = _components_reference(space, phi)[0]
     rs = space.root_system
     sigma = frozenset(lam for lam in rs.roots if _support_within(rs, lam, component))
+    sigma_pos = sigma & frozenset(rs.positive)
     clear_caches()
     space = catalog_lookup(space.name)  # with nothing kept on it
     subset = phi_subset(space, component)
     horospherical(space, subset)  # fills the component, but not its root sets
+    d = parabolic_data(space, subset)  # nor does parabolic_data: it reads the counts
     cached = space.components.seen[component]
-    assert cached.sets is None
-    d = parabolic_data(space, subset)
-    assert cached.sets == (sigma, sigma & frozenset(rs.positive))
+    assert cached.sets is None and (d.n_sigma_phi, d.n_sigma_phi_pos) == (len(sigma), len(sigma_pos))
+    first = root_subsystem(space, subset)
+    assert cached.sets == (sigma, sigma_pos)
+    assert first[0] is cached.sets[0] and first[1] is cached.sets[1]
     assert d.sigma_phi is cached.sets[0] and d.sigma_phi_pos is cached.sets[1]
     again = root_subsystem(space, subset)
     assert again[0] is cached.sets[0] and again[1] is cached.sets[1]
+
+
+def _phi_near_the_ends(r: int):
+    """Every Phi of at most two vertices, and every Phi that omits at most two."""
+    everything = range(1, r + 1)
+    for k in sorted({0, 1, 2, r - 2, r - 1, r} & set(range(r + 1))):
+        yield from itertools.combinations(everything, k)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+def test_the_record_counts_equal_the_sizes_of_the_root_sets(space):
+    for phi in _phi_near_the_ends(space.rank):
+        subset = phi_subset(space, phi)
+        d = parabolic_data(space, subset)
+        sigma, sigma_pos = root_subsystem(space, subset)
+        assert (d.n_sigma_phi, d.n_sigma_phi_pos) == (len(sigma), len(sigma_pos)), (space.name, phi)
 
 
 @st.composite

@@ -111,6 +111,18 @@ def test_the_product_of_a_is_the_exact_determinant_of_an_ill_conditioned_matrix(
     assert f.residual <= 1e-12 * max_abs(g)
 
 
+def test_an_ill_conditioned_matrix_without_a_small_pivot_gets_the_exact_determinant():
+    # Hypothesis's counterexample: its smallest Householder pivot is above 1e-3 of
+    # max|g_ij|, and Householder QR gave prod a_ii = 1.0000000000019307.
+    g = [[-4.680328509323912, 2.2019160030437894, -5.05867942815081, -5.406471300937904, -1.0472893350170551],
+         [1.4845702097962374, 2.7916059164225686, 1.637400474489028, 3.477377715641186, 1.9666230683412935],
+         [-0.2661349938676961, -0.9286038130331733, 1.4918246139708164, 2.0118356816816894, -0.5107756105760664],
+         [1.81231280652713, -0.6040581139534908, 7.169577899178544, 10.552837018191967, -1.5223959325811887],
+         [3.918268099927162, -6.143977900918805, 20.7462470781903, 28.59886552025071, 6.597632624269398]]
+    f = kan(g)
+    assert math.prod(f.a[i][i] for i in range(5)) == pytest.approx(float(abs(_exact_det(g))), rel=1e-15, abs=0)
+
+
 def test_the_exact_factors_agree_with_householder_where_it_is_accurate():
     from liefoliate.exactkan import exact_kan
 

@@ -238,14 +238,22 @@ SO24 = catalog_lookup("so(24,C)")  # D_12: 10 is joined to 9, 11 and 12
 def test_a_warm_call_on_seen_components_reads_no_row(call, walks):
     phi = (1, 3) + tuple(range(7, 13))
     expected = call(SO24, phi_subset(SO24, phi))
+    expected_roots = expected.to_dict() if call is parabolic_data else None  # walked before the count starts
     clear_caches()
     walks.clear()  # what the expected call walked
     so24 = catalog_lookup("so(24,C)")  # with nothing kept on it, as in a fresh process
-    parabolic_data(so24, phi_subset(so24, (1, 3)))
+    parabolic_data(so24, phi_subset(so24, phi))  # the components' counts alone
+    assert walks == [] and all(c.sets is None for c in so24.components.seen.values())
+    root_subsystem(so24, phi_subset(so24, (1, 3)))
     root_subsystem(so24, phi_subset(so24, range(7, 13)))
     assert walks == [(1,), (3,), tuple(range(7, 13))]
-    assert call(so24, phi_subset(so24, phi)) == expected
-    assert len(walks) == 3  # the sums, factors and root sets of seen components are kept
+    sets = [c.sets for c in so24.components.seen.values()]
+    got = call(so24, phi_subset(so24, phi))
+    assert got == expected
+    if expected_roots is not None:
+        assert got.to_dict() == expected_roots
+    assert len(walks) == 3  # the counts, factors and root sets of seen components are kept
+    assert all(a is b for a, b in zip(sets, (c.sets for c in so24.components.seen.values())))
 
 
 def test_a_cold_call_walks_each_missing_component_once(walks):
@@ -255,12 +263,22 @@ def test_a_cold_call_walks_each_missing_component_once(walks):
     phi = phi_subset(fresh, (1, 3, 7, 8))
     h = horospherical(fresh, phi)
     assert walks == [] and sorted(seen) == [(1,), (3,), (7, 8)]
-    parabolic_data(fresh, phi_subset(fresh, (1, 3, 5, 10, 11, 12)))  # two components seen, two not
+    wide = phi_subset(fresh, (1, 3, 5, 10, 11, 12))
+    d = parabolic_data(fresh, wide)  # counts alone: no component is walked
+    assert walks == [] and sorted(seen) == [(1,), (3,), (5,), (7, 8), (10, 11, 12)]
+    assert all(c.sets is None for c in seen.values())
+    data = d.to_dict()  # walks the four components, the two seen and the two not, once each
     assert walks == [(1,), (3,), (5,), (10, 11, 12)]
-    assert sorted(seen) == [(1,), (3,), (5,), (7, 8), (10, 11, 12)]
+    sets = {c: seen[c].sets for c in walks}
+    sigma, sigma_pos = root_subsystem(fresh, wide)  # reuses the components' frozensets
+    assert walks == [(1,), (3,), (5,), (10, 11, 12)] and all(seen[c].sets is sets[c] for c in walks)
+    assert (len(sigma), len(sigma_pos)) == (d.n_sigma_phi, d.n_sigma_phi_pos) == \
+        (len(data["sigma_phi"]), len(data["sigma_phi_pos"]))
     assert h.factors == tuple(boundary_components(fresh, phi))
     d = parabolic_data(fresh, phi)
     assert (h.dim_Fs, h.dim_euclidean, h.dim_N) == (d.dim_p_phi_s, d.dim_a_phi, d.dim_n_phi)
+    assert walks[4:] == []
+    assert len(d.sigma_phi_pos) == d.n_sigma_phi_pos  # reading the roots walks (7, 8) alone
     assert walks[4:] == [(7, 8)]
     assert d == parabolic_data(SO24, phi_subset(SO24, (1, 3, 7, 8)))
     assert build_root_system.cache_info().misses == 0  # no whole root system was built
