@@ -19,7 +19,7 @@ _EXPORTS = {
     "catalog": ("SpaceDescriptor", "catalog_entries", "catalog_lookup", "space_dimension"),
     "errors": ("LieFoliateError",),
     "foliations": ("FoliationClass", "HyperbolicFactor", "PhiOrbit", "enumerate_foliations",
-                   "hyperbolic_factor", "orthogonal_subsets"),
+                   "hyperbolic_factor", "iter_foliations", "orthogonal_subsets"),
     "parabolic": ("BoundaryFactor", "HorosphericalData", "ParabolicData", "PhiSubset",
                   "boundary_components", "horospherical", "parabolic_data", "phi_subset",
                   "root_subsystem"),

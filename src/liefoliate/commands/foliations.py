@@ -1,6 +1,7 @@
 """``foliations enumerate``."""
 
 import json
+import sys
 
 from . import ascii_int
 
@@ -25,38 +26,40 @@ OPTIONS = {
 
 def run(args) -> int:
     from ..catalog import catalog_lookup
-    from ..foliations import enumerate_foliations
+    from ..foliations import enumerate_foliations, iter_foliations
 
     space = catalog_lookup(args.space)
-    classes = enumerate_foliations(space, include_trivial=args.include_trivial, codim=args.codim)
     if args.format == "json":
-        print(json_records(classes))
-    else:
-        print(f"{len(classes)} foliation class(es) on {space.name} ({space.display})")
-        for c in classes:
-            factors = ", ".join(f"{f.algebra}H^{f.n}" for f in c.factors) or "-"
-            print(
-                f"  Phi {str(list(c.phi)):<12} orbit size {len(c.orbit)}  dim V {c.dim_v}  "
-                f"leaf dim {c.leaf_dim:>3}  codim {c.codim:>2}  factors: {factors}"
-            )
+        write_json(iter_foliations(space, include_trivial=args.include_trivial, codim=args.codim))
+        return 0
+    classes = enumerate_foliations(space, include_trivial=args.include_trivial, codim=args.codim)
+    print(f"{len(classes)} foliation class(es) on {space.name} ({space.display})")
+    for c in classes:
+        factors = ", ".join(f"{f.algebra}H^{f.n}" for f in c.factors) or "-"
+        print(
+            f"  Phi {str(list(c.phi)):<12} orbit size {len(c.orbit)}  dim V {c.dim_v}  "
+            f"leaf dim {c.leaf_dim:>3}  codim {c.codim:>2}  factors: {factors}"
+        )
     return 0
 
 
-def json_records(classes) -> str:
-    """``json.dumps([c.to_dict() for c in classes], indent=2, ensure_ascii=False)``, encoded once per orbit.
+def write_json(classes) -> None:
+    """Write ``json.dumps([c.to_dict() for c in classes], indent=2, ensure_ascii=False)`` and a
+    newline to stdout, each record as ``classes`` yields it, keeping none.
 
     Every field of a record but dim_v, leaf_dim, codim and trivial belongs
     to its ``PhiOrbit``, so each orbit's first record is encoded whole and
     cut around those four, which are spliced into each record of the orbit.
     A raw newline occurs in the encoded text only between fields.
     """
-    parts, orbit = [], None
+    write, orbit, sep = sys.stdout.write, None, "[\n"
     for c in classes:
         if c.phi_orbit is not orbit:
             orbit = c.phi_orbit
             text = json.dumps([c.to_dict()], indent=2, ensure_ascii=False)[2:-2]  # one record, without "[\n", "\n]"
             head = text[:text.index('\n    "dim_v": ') + 14]
             tail = text[text.index(',\n    "factors": '):]
-        parts.append(f'{head}{c.dim_v},\n    "leaf_dim": {c.leaf_dim},\n    "codim": {c.codim},\n'
-                     f'    "trivial": {"true" if c.trivial else "false"}{tail}')
-    return "[\n" + ",\n".join(parts) + "\n]" if parts else "[]"
+        write(f'{sep}{head}{c.dim_v},\n    "leaf_dim": {c.leaf_dim},\n    "codim": {c.codim},\n'
+              f'    "trivial": {"true" if c.trivial else "false"}{tail}')
+        sep = ",\n"
+    write("[]\n" if orbit is None else "\n]\n")

@@ -19,11 +19,13 @@ lexicographic order, each Phi of layer k - 1 extended by a later vertex
 adjacent to none of its roots; each space walks its own layers and keeps
 none.  An orbit's representative is its least member: no diagram
 automorphism maps it to a smaller tuple.  Each space keeps its
-``PhiOrbit``s, one per representative, and the list of its records on its
-descriptor (``SpaceDescriptor.orbits``); README's list of caches gives their
-size and who reads them.  ``from_dict`` makes the one lookup a walk of the
-layers makes (``SpaceOrbits.phi_orbit``), so a record read back shares the
-enumerated record's ``PhiOrbit`` and no layer is built.  Which (Phi, dim V)
+``PhiOrbit``s, one per representative, and the tuple of its records that
+the first full enumeration builds, on its descriptor
+(``SpaceDescriptor.orbits``); README's list of caches gives their size and
+who reads them.  ``iter_foliations`` makes records one at a time from a
+walk of the layers and keeps none.  ``from_dict`` makes the one lookup a
+walk of the layers makes (``SpaceOrbits.phi_orbit``), so a record read back
+shares the enumerated record's ``PhiOrbit`` and no layer is built.  Which (Phi, dim V)
 index foliations is decided in ``parabolic`` (``PhiSubset.check_foliation``),
 which only ``from_dict`` loads.  By part
 (iii) of the main theorem of Berndt, Diaz-Ramos and Tamaru, F_{Phi,V} and
@@ -49,7 +51,7 @@ builds anyway and never scans the roots.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice
+from itertools import chain, islice, product, repeat
 
 from .catalog import SpaceDescriptor
 from .errors import LieFoliateError
@@ -62,6 +64,7 @@ __all__ = [
     "orthogonal_subsets",
     "hyperbolic_factor",
     "enumerate_foliations",
+    "iter_foliations",
     "CONGRUENCE_NOTE",
 ]
 
@@ -227,17 +230,19 @@ def _record(name, phi, dim_v) -> FoliationClass:
 
 
 class SpaceOrbits:
-    """One space's PhiOrbit per representative (``by_rep``) and the list of its records, which
-    the first full ``enumerate_foliations`` builds; the descriptor keeps it
-    (``SpaceDescriptor.orbits``).  No layer is kept: ``layers`` walks them anew on each call."""
+    """One space's PhiOrbit per representative (``by_rep``), and the tuple of its nontrivial
+    records with its trivial record on its own, which the first full ``enumerate_foliations``
+    builds and every later one returns as it is; the descriptor keeps the store
+    (``SpaceDescriptor.orbits``).  ``iter_foliations`` adds PhiOrbits and keeps no record.
+    No layer is kept: ``layers`` walks them anew on each call."""
 
-    __slots__ = ("space", "auts", "factors", "by_rep", "records")
+    __slots__ = ("space", "auts", "factors", "by_rep", "records", "trivial")
 
     def __init__(self, space: SpaceDescriptor) -> None:
         self.space = space
         self.auts = diagram_automorphisms(space.diagram)
         self.factors = {i: hyperbolic_factor(space, i) for i in range(1, space.rank + 1)}
-        self.by_rep, self.records = {}, None
+        self.by_rep, self.records, self.trivial = {}, None, None
 
     def phi_orbit(self, phi: tuple[int, ...]) -> PhiOrbit | None:
         """The PhiOrbit of phi, built on first use, if phi is its orbit's representative;
@@ -263,21 +268,16 @@ class SpaceOrbits:
             yield tuple(filter(None, map(self.phi_orbit, layer)))
 
 
-def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
-                         codim: int | None = None) -> list[FoliationClass]:
-    """All foliation classes of the space, one per (Phi orbit, dim V).
+def iter_foliations(space: SpaceDescriptor, include_trivial: bool = False, codim: int | None = None):
+    """The records of ``enumerate_foliations`` with the same arguments, in its order, made one at a
+    time as they are read and kept nowhere.  The arguments are checked, and the space's store made,
+    when it is called, before any record is made."""
+    _check(space, include_trivial, codim)
+    return _walk(space, include_trivial, codim)
 
-    The degenerate single-leaf class (Phi empty, V the whole Euclidean
-    factor, codimension zero) is excluded unless requested.  With ``codim``
-    only the classes of that codimension are made, on each call: one per
-    orbit with r_Phi <= codim, with dim V = r - codim, from a walk of layers
-    0..codim that builds only the PhiOrbits no earlier call built.
-    Without it the records are built once per space, in one list, and kept;
-    each call returns a copy of the list.  Classes are ordered by (r_Phi, Phi, dim V); the
-    records of one orbit share one ``PhiOrbit``.  ``space`` must be a
-    SpaceDescriptor, ``include_trivial`` a bool and ``codim`` None or an int
-    of at least 0, else LieFoliateError; a codim above the rank has no class.
-    """
+
+def _check(space, include_trivial, codim) -> None:
+    """LieFoliateError unless the arguments are those ``enumerate_foliations`` takes."""
     expect(space, SpaceDescriptor)
     if type(include_trivial) is not bool:
         raise LieFoliateError(f"include_trivial {include_trivial!r} is not a bool")
@@ -285,18 +285,50 @@ def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
         raise LieFoliateError(f"codim {codim!r} is not an int")
     if codim is not None and codim < 0:
         raise LieFoliateError(f"codim {codim} is negative")
-    r = space.rank
-    orbits, new = space.orbits, tuple.__new__  # new: FoliationClass(...) without its frame
+
+
+def _walk(space, include_trivial, codim):
+    """An iterator over the records, pairing each PhiOrbit of a walk of the layers with each of its
+    dim V: 0..r - k in layer k, whose last in layer 0 is the trivial record, or r - codim alone."""
+    r, layers = space.rank, space.orbits.layers()
     if codim is None:
-        if orbits.records is None:  # every record, the trivial one included, in one comprehension;
-            # two threads that race here store equal records over the same PhiOrbits
-            orbits.records = [new(FoliationClass, (phi_orbit, dim_v)) for k, phi_orbits in enumerate(orbits.layers())
-                              for phi_orbit in phi_orbits for dim_v in range(r - k + 1)]
-        classes = orbits.records.copy()
-        if not include_trivial:
-            del classes[r]  # Phi empty with dim V = r, the last record of layer 0
-        return classes
-    # codim = r - dim V >= r_Phi, and only Phi empty with codim 0 is trivial
-    walked = codim + 1 if 0 < codim <= r or codim == 0 and include_trivial else 0
-    return [new(FoliationClass, (phi_orbit, r - codim)) for phi_orbits in islice(orbits.layers(), walked)
-            for phi_orbit in phi_orbits]
+        runs = (product(phi_orbits, range(r - k + 1 if k else r + include_trivial))
+                for k, phi_orbits in enumerate(layers))
+    else:  # codim = r - dim V >= r_Phi, and only Phi empty with codim 0 is trivial
+        walked = codim + 1 if 0 < codim <= r or codim == 0 and include_trivial else 0
+        runs = (product(phi_orbits, (r - codim,)) for phi_orbits in islice(layers, walked))
+    # FoliationClass(phi_orbit, dim_v) for each pair, built in C without its frame
+    return map(tuple.__new__, repeat(FoliationClass), chain.from_iterable(runs))
+
+
+def enumerate_foliations(space: SpaceDescriptor, include_trivial: bool = False,
+                         codim: int | None = None) -> tuple[FoliationClass, ...]:
+    """All foliation classes of the space, one per (Phi orbit, dim V), as a tuple.
+
+    The degenerate single-leaf class (Phi empty, V the whole Euclidean
+    factor, codimension zero) is excluded unless requested.  With ``codim``
+    only the classes of that codimension are made, on each call: one per
+    orbit with r_Phi <= codim, with dim V = r - codim, from a walk of layers
+    0..codim that builds only the PhiOrbits no earlier call built.
+    Without it the first call builds the space's nontrivial records once, in
+    one tuple that the space keeps with its trivial record, and every later
+    call returns that same tuple; with ``include_trivial`` a call returns a
+    new tuple, the trivial record put back at index r, after layer 0's
+    others.  Classes are ordered by (r_Phi, Phi, dim V); the records of one
+    orbit share one ``PhiOrbit``.  ``iter_foliations`` makes the same records
+    one at a time and keeps none.  ``space`` must be a SpaceDescriptor,
+    ``include_trivial`` a bool and ``codim`` None or an int of at least 0,
+    else LieFoliateError; a codim above the rank has no class.
+    """
+    _check(space, include_trivial, codim)
+    if codim is not None:
+        return tuple(_walk(space, include_trivial, codim))
+    orbits = space.orbits
+    if orbits.records is None:  # two threads that race here store equal records over the same PhiOrbits
+        records = tuple(_walk(space, False, None))
+        orbits.trivial = tuple.__new__(FoliationClass, (orbits.by_rep[()], space.rank))
+        orbits.records = records
+    if include_trivial:
+        r = space.rank
+        return orbits.records[:r] + (orbits.trivial,) + orbits.records[r:]
+    return orbits.records

@@ -10,7 +10,8 @@ of every leading product a_11 ... a_jj) is at most about
 eps sum_j ||g e_j|| ||e_j^t R^-1||, which a small pivot, or an ill-conditioned
 g with no small pivot, makes large: above _EXACT_ABOVE eps, at up to
 _EXACT_MAX_SIZE rows, the factors are computed exactly from the rational
-entries of g by ``exactkan`` and rounded once.
+entries of g by ``exactkan`` and rounded once; above that size, where the
+exact factors cost seconds, a bound above TAU_NUM is refused.
 The CLI's ``slmodel iwasawa`` calls ``factor`` without loading ``slmodel``,
 and ``slmodel.iwasawa_group`` returns its ``KAN``.
 
@@ -120,15 +121,16 @@ def factor(rows: list[list[float]]) -> KAN:
     pass.  With S the signs of diag R, k = Q S, a = |diag R| and
     n = diag(R)^-1 R, unless Householder's error bound is above _EXACT_ABOVE
     and ``exactkan`` gives the factors instead.  Raises LieFoliateError unless g
-    has determinant 1 (``check_det_one``) and columns that are not numerically dependent, and
-    unless the factors reassemble g to within TAU_NUM * max(1, max|g_ij|).
+    has determinant 1 (``check_det_one``) and columns that are not numerically dependent,
+    unless the factors reassemble g to within TAU_NUM * max(1, max|g_ij|), and,
+    above _EXACT_MAX_SIZE rows, unless the relative error bound is at most TAU_NUM.
     """
     size = len(rows)
     scale = max(1.0, max(map(abs, chain.from_iterable(rows))))
     cols = [list(c) for c in zip(*rows)]  # become R, on and above the diagonal
     norms = [math.hypot(*c) for c in cols]
     hadamard = math.prod(norms)
-    reflectors: list[tuple[int, list[float], float]] = []
+    reflectors = []  # (j, v, tau) of each reflection
     for j in range(size - 1):
         x = cols[j][j:]
         norm = math.hypot(*x)
@@ -150,18 +152,20 @@ def factor(rows: list[list[float]]) -> KAN:
         raise LieFoliateError("columns are numerically dependent; cannot factor")
     # The rows of g^-1 = R^-1 Q^t have the lengths of those of R^-1, so a change of
     # eps ||g e_j|| in each column j changes det g by at most eps * bound of it, to
-    # first order: bound = sum_j ||g e_j|| ||e_j^t R^-1||, left 0 above
-    # _EXACT_MAX_SIZE rows, where Householder's factors stand.
+    # first order: bound = sum_j ||g e_j|| ||e_j^t R^-1||.
     bound = 0.0
-    for j in range(size if size <= _EXACT_MAX_SIZE else 0):
+    for j in range(size):
         row = [1.0 / diag[j]]  # e_j^t R^-1 from its entry j on, by forward substitution
         for m in range(j + 1, size):
             row.append(-sum(map(mul, row, cols[m][j:m])) / diag[m])
         bound += norms[j] * math.hypot(*row)
-    if bound > _EXACT_ABOVE:
+    if bound > _EXACT_ABOVE and size <= _EXACT_MAX_SIZE:
         from .exactkan import exact_kan
 
         k, a_diag, n = exact_kan(rows)
+    elif bound > TAU_NUM * 2.0 ** 52:  # eps * bound > TAU_NUM, above _EXACT_MAX_SIZE rows
+        raise LieFoliateError(f"a {size}-row matrix is too ill-conditioned to factor accurately: "
+                              f"its relative error bound {bound / 2.0 ** 52:.1e} is above {TAU_NUM}")
     else:
         # k = H_0 H_1 ... S, its columns built from those of S, the last reflection first;
         # H_j fixes the columns c < j, which are still those of S.

@@ -27,7 +27,7 @@ CACHE_READERS = {
     "catalog.SpaceDescriptor.root_system": "root_multiplicity: skips the family check and the cache key",
     "catalog.SpaceDescriptor.diagram": "structure_warm: every parabolic, horospherical and foliations call",
     "catalog.SpaceDescriptor.components": "structure_warm: parabolic_data and horospherical on components met before",
-    "catalog.SpaceDescriptor.orbits": "structure_warm: a full enumeration copies the kept records",
+    "catalog.SpaceDescriptor.orbits": "structure_warm: a full enumeration returns the kept records",
     "catalog.SpaceDescriptor.multiplicities": "root_multiplicity: the table per squared length, O(r) to read",
     "catalog.SpaceDescriptor.dimension": "structure_warm: every parabolic_data and horospherical call, and dimension",
     "rootsystem.RootSystem.positive_index": "simple_coefficients, which verify criterion 2 calls for every root",

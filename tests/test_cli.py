@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -245,6 +246,18 @@ def test_foliation_records_read_back_with_a_cold_orbit_table(capsys):
     assert len(records) == 3300
     clear_caches()  # from_dict builds its PhiOrbits afresh
     assert [FoliationClass.from_dict(d).to_dict() for d in records] == records
+
+
+def test_a_json_enumeration_keeps_no_record(capsys):
+    # the JSON is written record by record from iter_foliations; the table, which
+    # heads its lines with the count, reads the kept tuple
+    clear_caches()
+    code, out, _ = run(capsys, "foliations", "enumerate", "--space", "SL8", "--format", "json")
+    assert code == 0 and len(json.loads(out)) == 123
+    space = catalog_lookup("SL8")
+    assert space.orbits.records is None and space.orbits.by_rep
+    code, out, _ = run(capsys, "foliations", "enumerate", "--space", "SL8")
+    assert out.startswith("123 foliation class(es)") and len(space.orbits.records) == 123
 
 
 def test_foliations_codim_filter(capsys):
@@ -584,3 +597,83 @@ def test_the_matcher_reads_every_golden_call_and_readme_line():
         assert match(argv) is not None, argv
     for argv in ARGPARSE_ONLY:
         assert match(list(argv)) is None, argv
+
+
+_MATRICES = ("[[1,0],[1,1]]", "[[2,0],[0,0.5]]", "[[1,0],[0,-1]]", "[[0,1],[1,0]]", "[[1]]", "[[1,2],[3,4]]",
+             "[[1e308,0],[0,1e-308]]", "[[NaN]]", "[[1,0],[0]]", "[]", "{}", "[[true]]", "[[1,0],[1,1]")
+# Valid and malformed values for the options the structure commands share, and
+# for ranks and matrices.
+_CONTRACT_VALUES = {
+    "--space": ("SL5", "sl(4,C)", "so(4,4)", "su(4,2)", "sp(3,R)", "e6(-14)", "g2(2)", "so(5,2)", "SL2", "SL12",
+                "SL_5(R)/SO_5", "SL1", "sl(0,R)", "sl(5,X)", "e9(1)", "so(2,0)", "SL99999999999999999999",
+                "sl(٥,R)", "", "SL 5"),
+    "--phi": ("", "1", "2", "1,3", "1,4", "1,2", "3,1", "1,1", "0", "9", "1,,3", " 1, 3", "a", "١", "1,3,5",
+              "-1", "2,4,6"),
+    "--codim": ("0", "1", "2", "3", "4", "7", "50", "-1", "x", "1.0", "３"),
+    "--format": ("json", "table", "dot", "csv", "jsonl", "JSON"),
+    "--rank": ("1", "2", "3", "0", "23", "-1"),
+    "--matrix": _MATRICES,
+    "--x": _MATRICES,
+    "--y": _MATRICES,
+    "--basis": ("[[[0,1],[1,0]]]", "[[[1,0],[0,-1]]]", "[[[0,0.5,0],[0.5,0,0],[0,0,0]]]", "[[[0,1],[0,0]]]",
+                "[]", "[[[1]]]", "[[[NaN]]]", "[[0,1],[1,0]]"),
+}
+
+
+@st.composite
+def _structure_call(draw) -> list[str]:
+    """A call of parabolic, horospherical or foliations enumerate on values from _CONTRACT_VALUES."""
+    command = draw(st.sampled_from((["parabolic"], ["horospherical"], ["foliations", "enumerate"])))
+    argv = [*command, "--space", draw(st.sampled_from(_CONTRACT_VALUES["--space"]))]
+    for flag in ("--codim" if command[0] == "foliations" else "--phi", "--format"):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(_CONTRACT_VALUES[flag]))]
+    if command[0] == "foliations" and draw(st.booleans()):
+        argv.append("--include-trivial")
+    return argv
+
+
+@st.composite
+def _contract_argv(draw) -> list[str]:
+    """A call of the grammar above, with some values of its options replaced by
+    ones from _CONTRACT_VALUES, or a structure call on those values.  No call runs ``verify``, whose suite takes seconds: it
+    becomes ``catalog``.  Its exit statuses have tests of their own."""
+    if draw(st.booleans()):
+        return draw(_structure_call())
+    argv = ["catalog" if token == "verify" else token for token in draw(_argv())]
+    for i, token in enumerate(argv[:-1]):
+        if token in _CONTRACT_VALUES and draw(st.booleans()):
+            argv[i + 1] = draw(st.sampled_from(_CONTRACT_VALUES[token]))
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in the output")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_contract_argv())
+def test_every_call_answers_fails_cleanly_or_is_a_usage_error(argv):
+    # Aim 3 for the CLI: exit 0 with output that parses and is finite, exit 1
+    # with "error: ..." and nothing on stdout (so no stream starts and then
+    # fails), or a usage error, exit 2.
+    clear_caches()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: help and --version (0) or a usage error (2)
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, out[:200], err)
+    elif code == 2:
+        assert out == "" and "usage" in err, (argv, out[:200], err)
+    elif out[:1] in ("[", "{"):
+        json.loads(out, parse_constant=_reject_constant)
+    elif out.startswith("re,im\n"):
+        assert all(math.isfinite(float(x)) for line in out.splitlines()[1:] for x in line.split(",")), argv
+    else:
+        assert out.endswith("\n") and not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), argv

@@ -1,5 +1,6 @@
 """Orthogonal subsets, hyperbolic factors, and foliation class enumeration."""
 
+import contextlib
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 
 from liefoliate import clear_caches, foliations
 from liefoliate.catalog import catalog_lookup
+from liefoliate.commands.foliations import write_json
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
     FoliationClass,
@@ -246,20 +248,17 @@ def test_sl14_enumeration_builds_each_hyperbolic_factor_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["SL14", "sp(12,R)", "so(4,4)", "su(5,2)"])
-def test_full_enumerations_return_new_lists_of_the_same_records(name):
+def test_full_enumerations_return_the_kept_tuple(name):
     space = catalog_lookup(name)
     first = enumerate_foliations(space)
     again = enumerate_foliations(space)
-    assert again is not first and len(again) == len(first)
-    assert all(a is b for a, b in zip(first, again))
-    expected = list(first)
-    first.reverse()
-    first.append(first[0])
-    again.clear()
-    assert enumerate_foliations(space) == expected
+    assert type(first) is tuple and again is first and first is space.orbits.records
     with_trivial = enumerate_foliations(space, include_trivial=True)
-    (trivial,) = [c for c in with_trivial if c.trivial]
-    assert with_trivial == expected[:space.rank] + [trivial] + expected[space.rank:]
+    assert type(with_trivial) is tuple and len(with_trivial) == len(first) + 1
+    assert with_trivial == first[:space.rank] + (space.orbits.trivial,) + first[space.rank:]
+    assert space.orbits.trivial.trivial and with_trivial[space.rank] is space.orbits.trivial
+    assert enumerate_foliations(space, include_trivial=True) == with_trivial
+    assert enumerate_foliations(space) is first
 
 
 def test_a_second_full_enumeration_builds_no_record(monkeypatch):
@@ -268,10 +267,14 @@ def test_a_second_full_enumeration_builds_no_record(monkeypatch):
 
     clear_caches()
     space = catalog_lookup("SL14")
-    enumerate_foliations(space)
+    records = enumerate_foliations(space)
+    # the records are built as tuple.__new__(FoliationClass, ...), the class read on each call
     monkeypatch.setattr(foliations, "FoliationClass", Counted)
+    assert enumerate_foliations(space) is records
     for include_trivial in (False, True):
         assert not [c for c in enumerate_foliations(space, include_trivial) if type(c) is Counted]
+    built = enumerate_foliations(space, codim=2)  # a walk does build with the patched class
+    assert built and all(type(c) is Counted for c in built)
 
 
 @pytest.mark.parametrize("read_back_first", [False, True])
@@ -356,7 +359,7 @@ def test_enumeration_by_codim_builds_only_the_layers_up_to_codim(rank, monkeypat
     clear_caches()
     space = catalog_lookup(f"sl({rank + 1},R)")
     walked.clear()
-    assert enumerate_foliations(space, codim=rank + 1) == []  # codim = r - dim V <= r
+    assert enumerate_foliations(space, codim=rank + 1) == ()  # codim = r - dim V <= r
     assert walked == [] and space.orbits.by_rep == {}
 
 
@@ -391,7 +394,7 @@ def test_phi_orbit_of_a_non_representative_is_none_and_stores_nothing():
 
 
 def test_the_store_keeps_its_phi_orbits_and_records_and_no_layer():
-    assert foliations.SpaceOrbits.__slots__ == ("space", "auts", "factors", "by_rep", "records")
+    assert foliations.SpaceOrbits.__slots__ == ("space", "auts", "factors", "by_rep", "records", "trivial")
 
 
 @pytest.mark.parametrize("call", [
@@ -575,11 +578,10 @@ def test_from_dict_rejects_an_edited_record(edit, message):
 
 
 def test_sl14_enumeration_peak_memory():
-    # The first full enumeration keeps its 3,301 slotted (PhiOrbit, dim V)
-    # records, the trivial one included, in one list: 235 KiB, 73 B a record
-    # (Python 3.11, x86_64).  A later call allocates only its copy of the
-    # list, 26 KiB at its peak.  Before the records were kept, every call
-    # peaked at 234 KiB.
+    # The first full enumeration keeps its 3,300 nontrivial slotted (PhiOrbit,
+    # dim V) records in one tuple, and the trivial one apart: 232 KiB, 72 B a
+    # record (Python 3.11, x86_64).  A later call returns that tuple and
+    # allocates nothing.
     clear_caches()
     space = catalog_lookup("SL14")
     for _ in space.orbits.layers():  # the PhiOrbits, outside the measurement
@@ -595,4 +597,33 @@ def test_sl14_enumeration_peak_memory():
         tracemalloc.stop()
     assert len(records) == 3300
     assert kept < 3301 * 80
-    assert peak - kept < 40 * 1024
+    assert peak - kept < 1024
+
+
+def test_a_streamed_sl16_json_enumeration_keeps_no_record():
+    # SL16's 9,663 records are 8.4 MB of JSON.  The writer holds one orbit's
+    # encoding and the layer being walked, never the records or their text:
+    # its traced peak was 174 KiB (Python 3.11, x86_64), mostly the JSON
+    # encoder's reference cycles awaiting the collector.
+    class Sink:
+        writes = chars = 0
+
+        def write(self, text):
+            self.writes += 1
+            self.chars += len(text)
+
+    clear_caches()
+    space = catalog_lookup("SL16")
+    for _ in space.orbits.layers():  # the PhiOrbits, outside the measurement
+        pass
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            write_json(foliations.iter_foliations(space))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.writes == 9663 + 1 and sink.chars == 8446502
+    assert peak < 512 * 1024
+    assert space.orbits.records is None

@@ -8,7 +8,9 @@ reference made here from the simple-root expansions and the multiplicity
 function.
 """
 
+import contextlib
 import functools
+import io
 import itertools
 import json
 from collections import Counter
@@ -20,12 +22,13 @@ from hypothesis import strategies as st
 
 from liefoliate import clear_caches
 from liefoliate.catalog import catalog_entries, catalog_lookup
-from liefoliate.commands.foliations import json_records
+from liefoliate.commands.foliations import write_json
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import (
     FoliationClass,
     enumerate_foliations,
     hyperbolic_factor,
+    iter_foliations,
     orthogonal_subsets,
 )
 from liefoliate.parabolic import (
@@ -120,7 +123,7 @@ def test_enumeration_by_codim_equals_the_filtered_full_list(space):
     for include_trivial in (False, True):
         full = enumerate_foliations(space, include_trivial=include_trivial)
         for codim in range(space.rank + 2):
-            expected = [c for c in full if c.codim == codim]
+            expected = tuple(c for c in full if c.codim == codim)
             assert enumerate_foliations(space, include_trivial, codim) == expected, (include_trivial, codim)
         with pytest.raises(LieFoliateError):  # no class has a negative codimension
             enumerate_foliations(space, include_trivial, -1)
@@ -484,8 +487,21 @@ def test_the_json_writer_gives_the_bytes_of_json_dumps(space):
     for include_trivial in (False, True):
         for codim in (None, 0, 1, space.rank):
             classes = enumerate_foliations(space, include_trivial=include_trivial, codim=codim)
-            expected = json.dumps([c.to_dict() for c in classes], indent=2, ensure_ascii=False)
-            assert json_records(classes) == expected, (include_trivial, codim)
+            expected = json.dumps([c.to_dict() for c in classes], indent=2, ensure_ascii=False) + "\n"
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                write_json(iter_foliations(space, include_trivial=include_trivial, codim=codim))
+            assert out.getvalue() == expected, (include_trivial, codim)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.name)
+def test_the_trivial_record_is_put_back_at_index_r(space):
+    records = enumerate_foliations(space)
+    assert type(records) is tuple and enumerate_foliations(space) is records
+    with_trivial = enumerate_foliations(space, include_trivial=True)
+    r = space.rank
+    assert with_trivial == records[:r] + (with_trivial[r],) + records[r:]
+    assert with_trivial[r].trivial and (with_trivial[r].phi, with_trivial[r].dim_v) == ((), r)
+    assert tuple(iter_foliations(space, include_trivial=True)) == with_trivial
 
 
 @settings(max_examples=60, deadline=None)

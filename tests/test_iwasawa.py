@@ -159,6 +159,46 @@ def test_the_cli_factors_a_64x64_matrix(capsys):
     assert json.loads(capsys.readouterr().out)["residual"] < 1e-10
 
 
+def reflections(rng, size):
+    """A product of ``size`` reflections I - 2 w w^t / (w^t w), each w of standard normal entries."""
+    m = eye(size)
+    for _ in range(size):
+        w = [rng.gauss(0, 1) for _ in range(size)]
+        ww = sum(x * x for x in w)
+        m = matmul(m, [[(i == j) - 2 * w[i] * w[j] / ww for j in range(size)] for i in range(size)])
+    return m
+
+
+def ill_conditioned_24():
+    """u diag(d) v with 24 rows: each of d_1 ... d_23 is 1e-2, 1 or 1e2, d_24 = 1 / prod d_i,
+    and u, v are random orthogonal.  Its max|g_ij| is 1.5e11, and Householder's smallest
+    pivot is 1e-13 of that: Householder's a_ii carry relative errors of about 1e-3."""
+    rng = random.Random(8)
+    d = [rng.choice((0.01, 1.0, 100.0)) for _ in range(23)]
+    d.append(1 / math.prod(d))
+    u = reflections(rng, 24)
+    return matmul(matmul(u, diag(d)), reflections(rng, 24))
+
+
+def test_an_ill_conditioned_matrix_above_sixteen_rows_is_refused(capsys):
+    # Householder's factors gave prod a_ii = 1.000689 and a worst relative error
+    # in an a_ii of 1.3e-3, with exit 0, when only 16 rows or fewer had a bound.
+    g = ill_conditioned_24()
+    with pytest.raises(LieFoliateError, match=r"^a 24-row matrix is too ill-conditioned to factor accurately: "
+                                              r"its relative error bound 5\.6e-02 is above 1e-10$"):
+        kan(g)
+    assert main(["slmodel", "iwasawa", "--rank", "23", "--matrix", json.dumps(g)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: a 24-row matrix is too ill-conditioned")
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(17, 64), st.integers(0, 2 ** 32))
+def test_well_conditioned_matrices_above_sixteen_rows_are_factored(size, seed):
+    f = kan(random_sl(size, random.Random(seed)))
+    assert f.residual < 1e-12
+
+
 def test_kan_is_factor_of_the_matrix_square_matrix_reads():
     rows = [list(row) for row in random_sl(4, random.Random(4))]
     copy = [list(row) for row in rows]
