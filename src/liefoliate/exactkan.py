@@ -39,7 +39,8 @@ def exact_kan(rows: list[list[float]]) -> tuple[list[list[float]], list[float], 
     """k (a list of rows), the diagonal of a and n (a list of rows) of
     g = k a n, for rows a nonempty square list of rows of finite floats.
 
-    Raises LieFoliateError if the columns of g are linearly dependent.
+    Raises LieFoliateError if the columns of g are linearly dependent, or if
+    an entry of a or n is beyond the float range.
     """
     size = len(rows)
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
@@ -58,8 +59,11 @@ def exact_kan(rows: list[list[float]]) -> tuple[list[list[float]], list[float], 
             f = row[j]
             row[j + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[j + 1:], pivot_row[j + 1:])]
         minors.append(pivot)
-    a_diag = [_sqrt_ratio(minors[j + 1], minors[j] * denom * denom) for j in range(size)]
-    n = [[0.0] * j + [1.0] + [x / b[j][j] for x in b[j][j + 1:size]] for j in range(size)]
+    try:  # an int quotient beyond the float range raises; |k_ij| <= 1 cannot
+        a_diag = [_sqrt_ratio(minors[j + 1], minors[j] * denom * denom) for j in range(size)]
+        n = [[0.0] * j + [1.0] + [x / b[j][j] for x in b[j][j + 1:size]] for j in range(size)]
+    except OverflowError:
+        raise LieFoliateError("a factor of the matrix is beyond the float range; cannot factor") from None
     k_cols = []
     for j in range(size):
         # k_ij = x / sqrt(p), as (x 2^e) / isqrt(p 4^e) with the root at least 64 bits long

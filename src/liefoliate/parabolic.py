@@ -15,12 +15,13 @@ the positive roots spanned by each connected component of Phi, and F_Phi^s
 is the product of the components' factors.  A component's count of positive
 roots and their multiplicity sum come from the per-type root counts of its
 subdiagram (``SpaceDescriptor.span_counts``), so ``parabolic_data`` and
-``horospherical`` walk no root.  Its roots, when ``root_subsystem`` first
-asks for them, come from a root-string walk over that component alone
-(``roots.span_roots``), so no call builds the space's full root list.  On a
-path diagram, whose edges are (i, i + 1) alone (A, B, C, BC, F4, G2), the
-components of Phi are its runs of consecutive indices; on D and E they are
-grown through the neighbours.  Each space keeps its components asked for on
+``horospherical`` walk no root.  The roots themselves come, on each
+``root_subsystem`` call, from a root-string walk over each component alone
+(``roots.span_roots``), and are not kept: no call builds the space's full
+root list, and nothing reads them twice.  On a path diagram, whose edges are
+(i, i + 1) alone (A, B, C, BC, F4, G2), the components of Phi are its runs
+of consecutive indices; on D and E they are grown through the neighbours.
+Each space keeps its components asked for, with their counts and factors, on
 its descriptor (``SpaceDescriptor.components``), O(r^2) of them on a
 classical diagram.
 """
@@ -28,6 +29,7 @@ classical diagram.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 
 from .catalog import SpaceDescriptor
 from .errors import LieFoliateError
@@ -140,19 +142,14 @@ def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Ro
     """(Sigma_Phi, Sigma_Phi^+): the roots lying in the rational span of Phi.
 
     A root lies in span(Phi) exactly when its expansion over the simple roots
-    is supported on Phi, and then on one connected component of Phi.  The
-    sets of a one-component Phi are that component's own; otherwise they are
-    the union of its components' sets, made on each call.  A Phi subset of
-    another space raises LieFoliateError.
+    is supported on Phi, and then on one connected component of Phi, so each
+    component is walked once per call, over itself alone; nothing is kept.  A
+    Phi subset of another space raises LieFoliateError.
     """
-    components = _components(space, phi)
-    if len(components) == 1:
-        return components[0].root_sets(space)
-    sigma = sigma_pos = frozenset()
-    for c in components:  # a frozenset union reuses the stored hashes
-        c_sigma, c_pos = c.root_sets(space)
-        sigma, sigma_pos = sigma | c_sigma, sigma_pos | c_pos
-    return sigma, sigma_pos
+    components = _components(space, phi)  # which checks space and phi first
+    family, rank, dd = space.family, space.rank, space.diagram
+    pos = frozenset(chain.from_iterable(span_roots(family, rank, dd, c.indices) for c in components))
+    return pos.union([-lam for lam in pos]), pos
 
 
 class ParabolicData(namedtuple("ParabolicData", (
@@ -255,27 +252,20 @@ class BoundaryFactor(namedtuple("BoundaryFactor", "component_indices rank name d
 
 class _Component:
     """A connected component of some Phi: the number and the multiplicity sum
-    of the positive roots it spans, its factor and, once ``root_subsystem``
-    asks for them, its root sets."""
+    of the positive roots it spans, and its factor.  Its roots are not kept:
+    ``root_subsystem`` walks them on each call."""
 
-    __slots__ = ("indices", "count", "sum_pos", "factor", "sets")
+    __slots__ = ("indices", "count", "sum_pos", "factor")
 
     def __init__(self, space: SpaceDescriptor, component: tuple[int, ...]) -> None:
         count, sum_pos = space.span_counts(component)
-        self.indices, self.count, self.sum_pos, self.sets = component, count, sum_pos, None
+        self.indices, self.count, self.sum_pos = component, count, sum_pos
         rank = len(component)
         # A_k is the only irreducible rank-k root system with k(k+1)/2 positive roots (D_3 = A_3);
         # with every multiplicity one (a sum equal to the count) the factor is split SL.
         split = count == sum_pos == rank * (rank + 1) // 2
         name = f"SL_{rank + 1}(R)/SO_{rank + 1}" if split else f"unnamed rank-{rank} factor"
         self.factor = BoundaryFactor(component, rank, name, rank + sum_pos)
-
-    def root_sets(self, space: SpaceDescriptor) -> tuple[frozenset[Root], frozenset[Root]]:
-        """(roots, positive roots) of the component's span, walked over the component alone."""
-        if self.sets is None:
-            pos = frozenset(span_roots(space.family, space.rank, space.diagram, self.indices))
-            self.sets = (pos.union([-lam for lam in pos]), pos)
-        return self.sets
 
 
 def _runs(indices: tuple[int, ...]) -> list[tuple[int, ...]]:

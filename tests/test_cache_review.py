@@ -2,8 +2,11 @@
 
 Each ``lru_cache`` and ``cached_property`` under ``src/liefoliate`` is listed
 here with its reader, as the review of ROADMAP item 15 found it (README's
-list of derived data gives the numbers).  A cache added without an entry, or
-an entry whose cache is gone, fails the test: a new cache is reviewed first.
+list of derived data gives the numbers), and so is each slot of a class with
+a nonempty ``__slots__``: such a class is a store that a descriptor keeps, and
+a slot of it outlives the call that filled it as a cache does.  A cache or a
+slot added without an entry, or an entry whose cache or slot is gone, fails
+the test: a new store is reviewed first.
 """
 
 import ast
@@ -39,6 +42,22 @@ CACHE_READERS = {
     "roots.DynkinDiagram._neighbor_masks": "structure_warm: the components of a Phi on a D or E diagram",
 }
 
+SLOT_READERS = {
+    "foliations.SpaceOrbits.space": "SpaceOrbits.phi_orbit and layers: the space a new PhiOrbit is built on",
+    "foliations.SpaceOrbits.auts": "SpaceOrbits.phi_orbit: the images of a Phi met for the first time",
+    "foliations.SpaceOrbits.factors": "SpaceOrbits.phi_orbit: the hyperbolic factors of each new PhiOrbit",
+    "foliations.SpaceOrbits.by_rep": "structure_warm: every enumeration, with or without codim, and read-back",
+    "foliations.SpaceOrbits.records": "structure_warm: a full enumeration returns the kept tuple",
+    "foliations.SpaceOrbits.trivial": "enumerate_foliations(include_trivial=True), which puts it back at index r",
+    "parabolic.SpaceComponents.split": "structure_warm: the components of a Phi not met as one component",
+    "parabolic.SpaceComponents.seen": "structure_warm: every parabolic_data, horospherical, boundary_components "
+                                      "and root_subsystem call",
+    "parabolic._Component.indices": "root_subsystem: the span_roots walk of each component, on every call",
+    "parabolic._Component.count": "structure_warm: parabolic_data, the number of positive roots of Sigma_Phi",
+    "parabolic._Component.sum_pos": "structure_warm: parabolic_data and horospherical, the multiplicity sums",
+    "parabolic._Component.factor": "structure_warm: horospherical and boundary_components, the factors of F_Phi^s",
+}
+
 CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
 
 
@@ -70,3 +89,24 @@ def test_every_cache_is_listed_with_its_reader():
     assert found == set(CACHE_READERS)
     assert mentions == len(found)  # no cache is made but by a decorator, such as lru_cache()(f)
     assert all(CACHE_READERS.values())
+
+
+def _slots() -> set[str]:
+    """The qualified names of the slots of every class whose ``__slots__`` names any."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__"
+                                                            for t in node.targets):
+                        slots = ast.literal_eval(node.value)
+                        found.update(f"{module}.{cls.name}.{slot}"
+                                     for slot in ((slots,) if isinstance(slots, str) else slots))
+    return found
+
+
+def test_every_slot_of_a_store_is_listed_with_its_reader():
+    assert _slots() == set(SLOT_READERS)
+    assert all(SLOT_READERS.values())

@@ -15,12 +15,13 @@ import itertools
 import json
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liefoliate import clear_caches
+from liefoliate import clear_caches, parabolic
 from liefoliate.catalog import catalog_entries, catalog_lookup
 from liefoliate.commands.foliations import write_json
 from liefoliate.errors import LieFoliateError
@@ -47,6 +48,7 @@ from liefoliate.roots import (
     dynkin_diagram,
     inner,
     reflect,
+    span_roots,
     subdiagram_type,
 )
 from liefoliate.slmodel import build_s_phi_v
@@ -372,7 +374,7 @@ def test_parabolic_data_matches_a_reference_from_the_expansions(case):
 
 @settings(max_examples=100, deadline=None)
 @given(space_and_phi().filter(lambda case: case[1]))
-def test_a_warm_one_component_phi_returns_the_cached_root_sets(case):
+def test_a_one_component_phi_is_walked_on_each_root_subsystem_call_and_kept_nowhere(case):
     space, phi = case
     component = _components_reference(space, phi)[0]
     rs = space.root_system
@@ -381,16 +383,25 @@ def test_a_warm_one_component_phi_returns_the_cached_root_sets(case):
     clear_caches()
     space = catalog_lookup(space.name)  # with nothing kept on it
     subset = phi_subset(space, component)
-    horospherical(space, subset)  # fills the component, but not its root sets
-    d = parabolic_data(space, subset)  # nor does parabolic_data: it reads the counts
-    cached = space.components.seen[component]
-    assert cached.sets is None and (d.n_sigma_phi, d.n_sigma_phi_pos) == (len(sigma), len(sigma_pos))
-    first = root_subsystem(space, subset)
-    assert cached.sets == (sigma, sigma_pos)
-    assert first[0] is cached.sets[0] and first[1] is cached.sets[1]
-    assert d.sigma_phi is cached.sets[0] and d.sigma_phi_pos is cached.sets[1]
-    again = root_subsystem(space, subset)
-    assert again[0] is cached.sets[0] and again[1] is cached.sets[1]
+    walked = []
+
+    def counted(family, rank, dd, indices):
+        walked.append(indices)
+        return span_roots(family, rank, dd, indices)
+
+    with mock.patch.object(parabolic, "span_roots", counted):
+        horospherical(space, subset)  # fills the component with its counts and factor
+        d = parabolic_data(space, subset)  # reads the counts
+        assert walked == [] and (d.n_sigma_phi, d.n_sigma_phi_pos) == (len(sigma), len(sigma_pos))
+        first = root_subsystem(space, subset)
+        assert first == (sigma, sigma_pos) and walked == [component]
+        assert (d.sigma_phi, d.sigma_phi_pos) == (sigma, sigma_pos) and walked == [component] * 3
+        again = root_subsystem(space, subset)  # walked again: no set was kept
+        assert again == first and again[0] is not first[0] and walked == [component] * 4
+        data = d.to_dict()
+        assert walked == [component] * 5
+    assert data["sigma_phi"] == [list(lam.scaled) for lam in sorted(sigma)]
+    assert data["sigma_phi_pos"] == [list(lam.scaled) for lam in sorted(sigma_pos)]
 
 
 def _phi_near_the_ends(r: int):

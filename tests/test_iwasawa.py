@@ -251,12 +251,36 @@ def test_determinant_rule_is_relative_to_the_hadamard_bound():
     ([[2.0, 0.0], [0.0, 1.0]], "determinant"),
     ([[-1.0, 0.0], [0.0, 1.0]], "determinant"),
     ([[1.0, 2.0], [2.0, 4.0]], "determinant"),
-    ([[1.0, 1e20], [0.0, 1.0]], "dependent"),
+    # det 0 is 1 within TAU_NUM times its Hadamard bound 2e12: exactkan finds the columns dependent
+    ([[1e6, 1e6], [1e6, 1e6]], "dependent"),
     ([[0.0, 1.0], [0.0, 1.0]], "determinant 1, got 0.0"),  # a zero column: no reflection, a zero pivot
+    ([[1.0] * 17 for _ in range(17)], "too ill-conditioned"),  # a zero pivot above 16 rows: no exactkan
+    ([[1e-300, 1e10], [0.0, 1e300]], "beyond the float range"),  # n_12 = 1e310
 ])
-def test_kan_refuses_what_is_no_well_conditioned_element_of_sl_n(g, says):
+def test_kan_refuses_what_is_no_well_conditioned_element_of_sl_n(g, says, capsys):
     with pytest.raises(LieFoliateError, match=says):
         kan(g)
+    assert main(["slmodel", "iwasawa", "--rank", str(len(g) - 1), "--matrix", json.dumps(g)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and says in err
+
+
+@pytest.mark.parametrize("k, a, n", [
+    (eye(2), diag([1e-14, 1e14]), eye(2)),
+    (eye(2), diag([1e-200, 1e200]), eye(2)),
+    (eye(3), diag([1e-7, 1e-7, 1e14]), eye(3)),
+    (eye(2), eye(2), [[1.0, 2e13], [0.0, 1.0]]),
+    (eye(2), eye(2), [[1.0, 1e20], [0.0, 1.0]]),
+    ([[0, 1], [-1, 0]], diag([1e14, 1e-14]), eye(2)),
+    (eye(17), diag([1e-14, 1e14] + [1.0] * 15), eye(17)),  # 17 rows: Householder, with a bound of 17
+], ids=["a-1e14", "a-1e200", "a-3-rows", "n-2e13", "n-1e20", "k-a", "a-17-rows"])
+def test_elements_of_a_n_and_k_a_factor_exactly_however_far_apart_their_entries(k, a, n, capsys):
+    # Entries far apart are no reason to refuse: Householder's error bound is at
+    # most 17 on the diagonal ones, and exactkan factors the others exactly.
+    g = matmul(matmul(k, a), n)
+    assert kan(g) == (k, a, n, 0.0)
+    assert main(["slmodel", "iwasawa", "--rank", str(len(g) - 1), "--matrix", json.dumps(g)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"k": k, "a": a, "n": n, "residual": 0.0}
 
 
 def test_kan_of_a_one_by_one_matrix_and_of_a_negative_pivot():

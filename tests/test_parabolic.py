@@ -1,6 +1,8 @@
 """Root subsystems, parabolic dimension data, horospherical decompositions."""
 
+import gc
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -236,24 +238,25 @@ SO24 = catalog_lookup("so(24,C)")  # D_12: 10 is joined to 9, 11 and 12
 @pytest.mark.parametrize("call", [horospherical, parabolic_data, boundary_components, root_subsystem],
                          ids=lambda f: f.__name__)
 def test_a_warm_call_on_seen_components_reads_no_row(call, walks):
+    # On components met before, the counts and factors are read off the store and
+    # no root is walked; root_subsystem and to_dict walk each component once, as
+    # on every call, since no root set is kept.
     phi = (1, 3) + tuple(range(7, 13))
+    components = [(1,), (3,), tuple(range(7, 13))]
     expected = call(SO24, phi_subset(SO24, phi))
     expected_roots = expected.to_dict() if call is parabolic_data else None  # walked before the count starts
     clear_caches()
     walks.clear()  # what the expected call walked
     so24 = catalog_lookup("so(24,C)")  # with nothing kept on it, as in a fresh process
     parabolic_data(so24, phi_subset(so24, phi))  # the components' counts alone
-    assert walks == [] and all(c.sets is None for c in so24.components.seen.values())
-    root_subsystem(so24, phi_subset(so24, (1, 3)))
-    root_subsystem(so24, phi_subset(so24, range(7, 13)))
-    assert walks == [(1,), (3,), tuple(range(7, 13))]
-    sets = [c.sets for c in so24.components.seen.values()]
-    got = call(so24, phi_subset(so24, phi))
-    assert got == expected
+    assert walks == [] and sorted(so24.components.seen) == sorted(components)
+    for calls in (1, 2):
+        got = call(so24, phi_subset(so24, phi))
+        assert got == expected
+        assert walks == (components * calls if call is root_subsystem else [])
     if expected_roots is not None:
         assert got.to_dict() == expected_roots
-    assert len(walks) == 3  # the counts, factors and root sets of seen components are kept
-    assert all(a is b for a, b in zip(sets, (c.sets for c in so24.components.seen.values())))
+        assert walks == components
 
 
 def test_a_cold_call_walks_each_missing_component_once(walks):
@@ -266,22 +269,37 @@ def test_a_cold_call_walks_each_missing_component_once(walks):
     wide = phi_subset(fresh, (1, 3, 5, 10, 11, 12))
     d = parabolic_data(fresh, wide)  # counts alone: no component is walked
     assert walks == [] and sorted(seen) == [(1,), (3,), (5,), (7, 8), (10, 11, 12)]
-    assert all(c.sets is None for c in seen.values())
     data = d.to_dict()  # walks the four components, the two seen and the two not, once each
     assert walks == [(1,), (3,), (5,), (10, 11, 12)]
-    sets = {c: seen[c].sets for c in walks}
-    sigma, sigma_pos = root_subsystem(fresh, wide)  # reuses the components' frozensets
-    assert walks == [(1,), (3,), (5,), (10, 11, 12)] and all(seen[c].sets is sets[c] for c in walks)
+    sigma, sigma_pos = root_subsystem(fresh, wide)  # walks them once each again: no root set is kept
+    assert walks[4:] == [(1,), (3,), (5,), (10, 11, 12)]
     assert (len(sigma), len(sigma_pos)) == (d.n_sigma_phi, d.n_sigma_phi_pos) == \
         (len(data["sigma_phi"]), len(data["sigma_phi_pos"]))
     assert h.factors == tuple(boundary_components(fresh, phi))
     d = parabolic_data(fresh, phi)
     assert (h.dim_Fs, h.dim_euclidean, h.dim_N) == (d.dim_p_phi_s, d.dim_a_phi, d.dim_n_phi)
-    assert walks[4:] == []
-    assert len(d.sigma_phi_pos) == d.n_sigma_phi_pos  # reading the roots walks (7, 8) alone
-    assert walks[4:] == [(7, 8)]
+    assert walks[8:] == []
+    assert len(d.sigma_phi_pos) == d.n_sigma_phi_pos  # reading the roots walks each component once
+    assert walks[8:] == [(1,), (3,), (7, 8)]
     assert d == parabolic_data(SO24, phi_subset(SO24, (1, 3, 7, 8)))
     assert build_root_system.cache_info().misses == 0  # no whole root system was built
+
+
+def test_a_dropped_record_of_a_large_phi_leaves_no_root_set_allocated():
+    # Phi = 1..100 but 50 of SL101 spans A_49 + A_50, 2,500 positive roots of 101
+    # coordinates: kept on the space, their frozensets hold 4.8 MiB.
+    sl101 = catalog_lookup("SL101")
+    phi = phi_subset(sl101, [i for i in range(1, 101) if i != 50])
+    tracemalloc.start()
+    try:
+        data = parabolic_data(sl101, phi).to_dict()
+        assert len(data["sigma_phi_pos"]) == 49 * 50 // 2 + 50 * 51 // 2
+        del data
+        gc.collect()  # which empties the interpreter's free lists of tuples and dicts too
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
 
 
 def test_boundary_components_sl5():
