@@ -115,8 +115,8 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
 
     def __new__(cls, *args, **kwargs) -> "SpaceDescriptor":
         self = super().__new__(cls, *args, **kwargs)
-        if len(self.simple_mults) != self.rank:
-            raise LieFoliateError("multiplicity vector length must equal the rank")
+        if not isinstance(self.simple_mults, tuple) or len(self.simple_mults) != self.rank:
+            raise LieFoliateError("the multiplicity vector must be a tuple whose length is the rank")
         return self
 
     @classmethod
@@ -159,11 +159,14 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
                 long * self.m_alpha(kind.long) + short * self.m_alpha(kind.short) + doubled * self.m_2alpha(kind.short))
 
     @cached_property
-    def components(self) -> SpaceComponents:
-        """What ``parabolic`` keeps of this space: one entry per connected component of a Phi asked for."""
-        from .parabolic import SpaceComponents
+    def diagram_is_path(self) -> bool:
+        """Whether the diagram's edges are (i, i + 1) alone (A, B, C, BC, F4, G2)."""
+        return {(e.i, e.j) for e in self.diagram.edges} == {(i, i + 1) for i in range(1, self.rank)}
 
-        return SpaceComponents(self)
+    @cached_property
+    def components(self) -> dict:
+        """What ``parabolic`` keeps of this space: its ``_Component`` per connected component of a Phi met."""
+        return {}
 
     @cached_property
     def orbits(self) -> SpaceOrbits:

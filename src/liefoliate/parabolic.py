@@ -19,11 +19,11 @@ subdiagram (``SpaceDescriptor.span_counts``), so ``parabolic_data`` and
 ``root_subsystem`` call, from a root-string walk over each component alone
 (``roots.span_roots``), and are not kept: no call builds the space's full
 root list, and nothing reads them twice.  On a path diagram, whose edges are
-(i, i + 1) alone (A, B, C, BC, F4, G2), the components of Phi are its runs
-of consecutive indices; on D and E they are grown through the neighbours.
-Each space keeps its components asked for, with their counts and factors, on
-its descriptor (``SpaceDescriptor.components``), O(r^2) of them on a
-classical diagram.
+(i, i + 1) alone (A, B, C, BC, F4, G2; ``SpaceDescriptor.diagram_is_path``),
+the components of Phi are its runs of consecutive indices; on D and E they
+are grown through the neighbours.  Each space keeps its components asked for,
+with their counts and factors, in a plain dict on its descriptor
+(``SpaceDescriptor.components``), O(r^2) of them on a classical diagram.
 """
 
 from __future__ import annotations
@@ -284,23 +284,11 @@ def _runs(indices: tuple[int, ...]) -> list[tuple[int, ...]]:
     return runs
 
 
-class SpaceComponents:
-    """One space's ``_Component`` per connected component of a Phi asked for
-    (``seen``), and the split of a Phi into its components; the descriptor
-    keeps it (``SpaceDescriptor.components``)."""
-
-    __slots__ = ("split", "seen")
-
-    def __init__(self, space: SpaceDescriptor) -> None:
-        dd = space.diagram
-        path = {(e.i, e.j) for e in dd.edges} == {(i, i + 1) for i in range(1, dd.rank)}
-        self.split, self.seen = _runs if path else dd._components_of, {}
-
-
 def _components(space: SpaceDescriptor, phi: PhiSubset) -> list[_Component]:
-    """The components of phi in order, each made the first time the space meets it."""
+    """The components of phi in order, its runs on a path diagram, each made the
+    first time the space meets it and kept in the dict ``space.components``."""
     try:
-        store = space.components
+        seen = space.components
     except AttributeError:
         expect(space, SpaceDescriptor)
         raise
@@ -309,12 +297,11 @@ def _components(space: SpaceDescriptor, phi: PhiSubset) -> list[_Component]:
     phi_space, indices = phi
     if phi_space is not space and phi_space != space:
         raise LieFoliateError("Phi subset belongs to a different space")
-    seen = store.seen
     component = seen.get(indices)  # a connected Phi met before is its one component
     if component is not None:
         return [component]
     found = []
-    for c in store.split(indices):
+    for c in _runs(indices) if space.diagram_is_path else space.diagram._components_of(indices):
         component = seen.get(c)
         if component is None:  # setdefault: the first stored, under threads too
             component = seen.setdefault(c, _Component(space, c))

@@ -465,7 +465,12 @@ def subdiagram_type(dd: DynkinDiagram, component) -> SubdiagramType:
     ``component`` must be sorted; else, or for any other subdiagram,
     LieFoliateError.
     """
-    if dd.connected_components(component) != [tuple(component)]:
+    try:
+        components = dd.connected_components(component)
+    except AttributeError:
+        expect(dd, DynkinDiagram)
+        raise
+    if components != [tuple(component)]:
         raise LieFoliateError(f"vertices {component!r} are not a sorted connected subdiagram")
     component = tuple(component)
     a, adj, inside, k = dd._entries, dd._adjacency, set(component), len(component)

@@ -367,7 +367,11 @@ class Subspace:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if len({b.size for b in self.basis}) > 1:
+        try:
+            sizes = {b.size for b in self.basis}
+        except (TypeError, AttributeError):  # not an iterable, or an item with no size
+            raise LieFoliateError(f"basis {self.basis!r} is not a tuple of MatrixElements") from None
+        if len(sizes) > 1:
             raise LieFoliateError("basis matrices must all have the same size")
         span: dict = {}
         if not all(_extend(span, b._vector) for b in self.basis):
@@ -552,8 +556,8 @@ def build_s_phi_v(space: SpaceDescriptor, phi, dim_v: int) -> Subspace:
     root space g_alpha, alpha in Phi, as ``PhiSubset.check_foliation`` admits them.  V is
     the first dim_v vectors of the canonical basis of a_Phi.  In sl(n,R) each g_alpha
     is a line, so the removed line is g_alpha itself."""
+    subset = _parabolic().phi_subset(space, phi)  # which checks that space is a SpaceDescriptor
     r = _check_sl_space(space)
-    subset = _parabolic().phi_subset(space, phi)
     subset.check_foliation(dim_v)
     indices = subset.indices
     n = r + 1

@@ -313,12 +313,20 @@ def test_clear_caches_leaves_a_fresh_descriptor_with_fresh_components():
     sl5 = catalog_lookup("SL5")
     horospherical(sl5, phi_subset(sl5, (1, 2, 4)))
     kept = sl5.components
-    assert {(1, 2), (4,)} <= set(kept.seen)
+    assert {(1, 2), (4,)} <= set(kept)
     clear_caches()
     fresh = catalog_lookup("SL5")
     assert fresh is not sl5 and "components" not in vars(fresh)
     horospherical(fresh, phi_subset(fresh, (1,)))
-    assert fresh.components is not kept and list(fresh.components.seen) == [(1,)]
+    assert fresh.components is not kept and list(fresh.components) == [(1,)]
+
+
+def test_a_descriptor_keeps_its_components_in_a_plain_dict_without_loading_parabolic():
+    # a fresh interpreter, since other tests load every module into this one
+    script = ("import sys; from liefoliate import catalog_lookup; "
+              "print(catalog_lookup('SL5').components, 'liefoliate.parabolic' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "{} False\n"), proc.stderr
 
 
 def test_clear_caches_leaves_a_fresh_descriptor_without_orbits():

@@ -179,7 +179,7 @@ def _cold_then_warm(space, phi):
     if components:
         horospherical(space, phi_subset(space, [i for c in components[:-1] for i in c]))
         root_subsystem(space, phi_subset(space, components[-1]))
-    assert set(space.components.seen) == set(components)
+    assert set(space.components) == set(components)
     yield space
 
 

@@ -249,7 +249,7 @@ def test_a_warm_call_on_seen_components_reads_no_row(call, walks):
     walks.clear()  # what the expected call walked
     so24 = catalog_lookup("so(24,C)")  # with nothing kept on it, as in a fresh process
     parabolic_data(so24, phi_subset(so24, phi))  # the components' counts alone
-    assert walks == [] and sorted(so24.components.seen) == sorted(components)
+    assert walks == [] and sorted(so24.components) == sorted(components)
     for calls in (1, 2):
         got = call(so24, phi_subset(so24, phi))
         assert got == expected
@@ -262,7 +262,7 @@ def test_a_warm_call_on_seen_components_reads_no_row(call, walks):
 def test_a_cold_call_walks_each_missing_component_once(walks):
     clear_caches()
     fresh = SO24._replace()  # a descriptor with nothing cached, as in a fresh process
-    seen = fresh.components.seen
+    seen = fresh.components
     phi = phi_subset(fresh, (1, 3, 7, 8))
     h = horospherical(fresh, phi)
     assert walks == [] and sorted(seen) == [(1,), (3,), (7, 8)]
@@ -408,11 +408,12 @@ def hand_built(family: Family, rank: int) -> SpaceDescriptor:
                          ids=lambda x: str(getattr(x, "value", x)))
 def test_the_split_of_every_phi_is_its_connected_components(family, rank):
     space = hand_built(family, rank)
-    split, dd = space.components.split, space.diagram
-    assert (split is parabolic._runs) == (family in PATHS)
+    dd = space.diagram
+    assert space.diagram_is_path == (family in PATHS)
     for mask in range(1 << rank):
         phi = tuple(i for i in range(1, rank + 1) if mask >> (i - 1) & 1)
-        assert split(phi) == dd.connected_components(phi), phi
+        components = parabolic._components(space, phi_subset(space, phi))
+        assert [c.indices for c in components] == dd.connected_components(phi), phi
 
 
 @st.composite
