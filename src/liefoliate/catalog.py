@@ -139,9 +139,9 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
         """Multiplicity of 2*alpha_index, zero when that is not a root."""
         return self._simple(index)[1]
 
-    @cached_property
+    @property
     def root_system(self) -> RootSystem:
-        from .roots import build_root_system  # loads rootsystem, which only root lists need
+        from .roots import build_root_system  # loads rootsystem, which only root lists need and whose cache keeps them
 
         return build_root_system(self.family, self.rank)
 

@@ -55,8 +55,7 @@ def run(args) -> int:
         g = square_matrix(_parse_json(args.matrix, "matrix"))  # no numpy
         if len(g) != args.rank + 1:
             raise LieFoliateError(f"expected a {args.rank + 1}x{args.rank + 1} matrix for rank {args.rank}")
-        f = factor(g)
-        emit_json({"k": f.k, "a": f.a, "n": f.n, "residual": f.residual})
+        emit_json(factor(g)._asdict())  # {"k": ..., "a": ..., "n": ..., "residual": ...}
         return 0
 
     from ..slmodel import halfplane_orbit, is_lie_triple, killing_form, metric_inner, subspace

@@ -119,8 +119,8 @@ def factor(rows: list[list[float]]) -> KAN:
     pass.  With S the signs of diag R, k = Q S, a = |diag R| and
     n = diag(R)^-1 R, unless Householder's error bound is above _EXACT_ABOVE
     and ``exactkan`` gives the factors instead.  Raises LieFoliateError unless g
-    has determinant 1 (``check_det_one``), if ``exactkan`` refuses it
-    (dependent columns, or a factor beyond the float range), unless the
+    has determinant 1 (``check_det_one``), if a factor is beyond the float
+    range, if ``exactkan`` finds dependent columns, unless the
     factors reassemble g to within TAU_NUM * max(1, max|g_ij|), and, above
     _EXACT_MAX_SIZE rows, unless the relative error bound is at most TAU_NUM.
     """
@@ -154,10 +154,11 @@ def factor(rows: list[list[float]]) -> KAN:
     if all(diag):
         bound = 0.0
         for j in range(size):
-            row = [1.0 / diag[j]]  # e_j^t R^-1 from its entry j on, by forward substitution
+            # diag[j] e_j^t R^-1 from entry j on, by forward substitution from 1, not 1/diag[j] (inf below 5.6e-309)
+            row = [1.0]
             for m in range(j + 1, size):
                 row.append(-sum(map(mul, row, cols[m][j:m])) / diag[m])
-            bound += norms[j] * math.hypot(*row)
+            bound += norms[j] / abs(diag[j]) * math.hypot(*row)
     # "not <=": a NaN bound (inf - inf past a tiny pivot) goes where an infinite one does
     if not bound <= _EXACT_ABOVE and size <= _EXACT_MAX_SIZE:
         from .exactkan import exact_kan
@@ -176,6 +177,8 @@ def factor(rows: list[list[float]]) -> KAN:
         a_diag = [abs(d) for d in diag]
         n = [[0.0] * j + [1.0] + [cols[m][j] / diag[j] for m in range(j + 1, size)]
              for j in range(size)]
+        if not all(map(math.isfinite, chain.from_iterable(n))):
+            raise LieFoliateError("a factor of the matrix is beyond the float range; cannot factor")
     a = [[0.0] * j + [d] + [0.0] * (size - j - 1) for j, d in enumerate(a_diag)]
     # k (a n), with the sums over l <= m only, since n is upper triangular
     an_cols = [[d * row[m] for d, row in zip(a_diag, n[:m + 1])] for m in range(size)]

@@ -16,7 +16,7 @@ is the product of the components' factors.  A component's count of positive
 roots and their multiplicity sum come from the per-type root counts of its
 subdiagram (``SpaceDescriptor.span_counts``), so ``parabolic_data`` and
 ``horospherical`` walk no root.  The roots themselves come, on each
-``root_subsystem`` call, from a root-string walk over each component alone
+``root_subsystem`` call, from the raising reflections of each component alone
 (``roots.span_roots``), and are not kept: no call builds the space's full
 root list, and nothing reads them twice.  On a path diagram, whose edges are
 (i, i + 1) alone (A, B, C, BC, F4, G2; ``SpaceDescriptor.diagram_is_path``),

@@ -13,7 +13,8 @@ table in time linear in the rank.  ``subdiagram_type`` reads the type of a
 connected subdiagram off its Cartan submatrix, and ``POSITIVE_ROOT_COUNTS``
 gives that type's positive roots per length (Bourbaki, Plates I-IX), so a
 dimension that sums multiplicities over roots needs no root.  ``span_roots``
-walks root strings up from the simple roots of one connected component only.
+lists the positive roots spanned by one connected component only: the
+closure of its simple roots under the simple reflections that raise height.
 The full root list, ``RootSystem`` and ``build_root_system``, lives in
 ``rootsystem`` with the arithmetic on roots that only its users call
 (``inner``, ``reflect``, ``root_from_coords``, ``format_root``); it is
@@ -34,7 +35,6 @@ from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from operator import add
 
 from .errors import LieFoliateError
 
@@ -98,7 +98,8 @@ class Root(namedtuple("Root", "scaled")):
 
     ``scaled`` must be a non-empty tuple of ints (not bools), not all zero;
     ``Root(...)`` checks it.  Roots the package makes itself (the walk of
-    ``span_roots``, negation) are built by ``tuple.__new__`` without the check.
+    ``build_root_system`` and ``span_roots``, negation) are built by
+    ``tuple.__new__`` without the check.
     Roots order by ``scaled``.
     """
 
@@ -184,55 +185,47 @@ _SIMPLE_ROOTS = {
 }
 
 
+def _less(vector: tuple[int, ...], k: int, entries) -> tuple[int, ...]:
+    """vector - k w, for w given by its nonzero entries as pairs (index, value)."""
+    out = list(vector)
+    for j, a in entries:
+        out[j] -= k * a
+    return tuple(out)
+
+
 def _positive_roots(simple, cartan, doubled: bool) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(simple-root coefficients, doubled coordinates) of each positive root, in canonical order.
 
-    Walks root strings up from the simple roots, one height at a time
-    (Humphreys, Intro. to Lie Algebras, 9.4 and 10.2).  If the alpha_i-string
-    through a positive root beta starts at beta - p alpha_i, it ends at
-    beta + q alpha_i with q = p - <beta, alpha_i^vee>, so beta + alpha_i is a
-    root iff p - <beta, alpha_i^vee> > 0.  Every root below beta is found
-    before beta's level is walked, so p is read off the roots found.  Each
-    root keeps its pairings <beta, alpha_i^vee> = sum_j c_j A_ji, and
-    beta + alpha_i adds row i of the Cartan matrix to them.  When
-    ``doubled`` (BC_r, or a part of it holding the double-circled root) it
-    adds 2 beta for each short root beta.  The order is by height, then by
-    coefficients in descending lexicographic order, so the first r roots
-    are the simple roots in order.
+    Every positive root is reached from a simple root by simple reflections
+    that raise its height (Humphreys, Intro. to Lie Algebras, 10.2 and
+    10.3): a root beta other than alpha_i with k = <beta, alpha_i^vee> < 0
+    has s_i beta = beta - k alpha_i, whose pairings <., alpha_j^vee> are
+    those of beta less k times row i of the Cartan matrix.  So the positive
+    roots are the closure of the simple roots under these raising
+    reflections.  When ``doubled`` (BC_r, or a part of it holding the
+    double-circled root) it adds 2 beta for each short root beta.  The order
+    is by height, then by coefficients in descending lexicographic order, so
+    the first r roots are the simple roots in order.
     """
     r = len(simple)
-    units = [tuple(int(j == i) for j in range(r)) for i in range(r)]
-    pairings = dict(zip(units, cartan))
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-    level = units
-    while level:
-        above: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        for c in level:
-            n = pairings[c]
-            for i in range(r):
-                p, down = 0, c
-                while down[i]:
-                    down = down[:i] + (down[i] - 1,) + down[i + 1:]
-                    if down not in pairings:
-                        break
-                    p += 1
-                if p - n[i] > 0:
-                    above.setdefault(c[:i] + (c[i] + 1,) + c[i + 1:], (c, i))
-        for up, (c, i) in above.items():
-            pairings[up] = tuple(map(add, pairings[c], cartan[i]))
-        parents.update(above)
-        level = list(above)
-    # Parents are listed before their children, so each root's coordinates
-    # are one vector sum away from its parent's.
-    coords = dict(zip(units, simple))
-    for up, (c, i) in parents.items():
-        coords[up] = tuple(map(add, coords[c], simple[i]))
+    found = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    pairings, coords = dict(zip(found, cartan)), dict(zip(found, simple))
+    # the nonzero entries of each row of the Cartan matrix and of each simple root
+    rows, alphas = ([[(j, a) for j, a in enumerate(row) if a] for row in m] for m in (cartan, simple))
+    for c in found:  # grows as it is walked; a root's pairings are dropped once read
+        n = pairings.pop(c)
+        for i, k in enumerate(n):
+            if k < 0:
+                up = c[:i] + (c[i] - k,) + c[i + 1:]
+                if up not in coords:
+                    pairings[up], coords[up] = _less(n, k, rows[i]), _less(coords[c], k, alphas[i])
+                    found.append(up)
     if doubled:
         short = min(sum(a * a for a in alpha) for alpha in simple)
         for c, v in list(coords.items()):
             if sum(a * a for a in v) == short:
                 coords[tuple(2 * x for x in c)] = tuple(2 * a for a in v)
-    order = sorted(coords, key=lambda c: (sum(c), [-x for x in c]))
+    order = sorted(coords, key=lambda c: (-sum(c), c), reverse=True)  # height up, then coefficients down
     return [(c, coords[c]) for c in order]
 
 

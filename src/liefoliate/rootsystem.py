@@ -1,10 +1,10 @@
 """The full root list of a root system, for the commands that print or check it.
 
-``build_root_system`` walks root strings up from the simple roots of
-``roots._SIMPLE_ROOTS``, using the Cartan matrix of ``family_diagram``, and
-maps the roots it finds to ambient coordinates once, at the end; BC_r adds
-2 beta for each short root beta of B_r.  The same walk gives every root's
-simple-root coefficients and support mask.  Positive roots are ordered by
+``build_root_system`` reaches every positive root from the simple roots of
+``roots._SIMPLE_ROOTS`` by simple reflections that raise its height, reading
+the pairings off the Cartan matrix of ``family_diagram``; BC_r adds 2 beta
+for each short root beta of B_r.  The same walk gives every root's
+simple-root coefficients.  Positive roots are ordered by
 height, then by their coefficients in descending lexicographic order, so
 ``positive`` begins with the simple roots in order.  A system holds O(r^2)
 roots of r coordinates each; the structure commands read the diagram of
@@ -111,7 +111,7 @@ def _generate(family: Family, rank: int, simple, diagram: DynkinDiagram) -> "Roo
     """The root system spanned by the given simple roots (doubled-integer tuples) of the
     Cartan matrix of ``diagram``, which the system keeps as its Dynkin diagram."""
     walk = _positive_roots(simple, diagram.cartan, family is Family.BC)
-    positive = tuple(Root(v) for _, v in walk)
+    positive = tuple([tuple.__new__(Root, (v,)) for _, v in walk])
     roots = frozenset(positive) | frozenset(-lam for lam in positive)
     coefficients = tuple(c for c, _ in walk)
     rs = RootSystem(family, rank, len(simple[0]), roots, positive, positive[:rank], diagram.cartan, coefficients)

@@ -368,13 +368,15 @@ class Subspace:
 
     def __post_init__(self) -> None:
         try:
-            sizes = {b.size for b in self.basis}
+            basis = tuple(self.basis)  # read once, so that an iterator gives the subspace of its items
+            sizes = {b.size for b in basis}
         except (TypeError, AttributeError):  # not an iterable, or an item with no size
             raise LieFoliateError(f"basis {self.basis!r} is not a tuple of MatrixElements") from None
+        object.__setattr__(self, "basis", basis)
         if len(sizes) > 1:
             raise LieFoliateError("basis matrices must all have the same size")
         span: dict = {}
-        if not all(_extend(span, b._vector) for b in self.basis):
+        if not all(_extend(span, b._vector) for b in basis):
             raise LieFoliateError(f"basis of {self.label or 'subspace'} is linearly dependent")
         object.__setattr__(self, "_span", span)
 

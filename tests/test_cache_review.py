@@ -27,7 +27,6 @@ CACHE_READERS = {
     "slmodel._element": "verify --suite all: the subspace builders make the same E_ij, h_i and E_ij + E_ji again",
     "slmodel._killing_terms": "killing_form on one size again, as verify criterion 5 makes it",
     # cached_property
-    "catalog.SpaceDescriptor.root_system": "root_multiplicity: skips the family check and the cache key",
     "catalog.SpaceDescriptor.diagram": "structure_warm: every parabolic, horospherical and foliations call",
     "catalog.SpaceDescriptor.diagram_is_path": "structure_warm: the components of a Phi not met as one component",
     "catalog.SpaceDescriptor.components": "structure_warm: every parabolic_data, horospherical, boundary_components "

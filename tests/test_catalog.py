@@ -483,12 +483,22 @@ def test_ranks_above_the_ceiling_are_refused_before_anything_is_built(name):
 
 
 def test_the_ceiling_rank_is_accepted_and_its_dimension_needs_no_root():
-    space = catalog_lookup("SL1001")
+    space, built = catalog_lookup("SL1001"), build_root_system.cache_info().misses
     assert space.rank == MAX_RANK == 1000
     assert space.dimension == 1000 * 1003 // 2  # (m - 1)(m + 2)/2
-    assert "root_system" not in space.__dict__
     assert space.multiplicities.table == {8: 1}  # read off the simple roots, not the 500,500 positive ones
-    assert "root_system" not in space.__dict__
+    assert build_root_system.cache_info().misses == built
+
+
+def test_a_descriptor_keeps_no_root_system_of_its_own():
+    # The system lives once, in build_root_system's cache; the descriptor
+    # held a second reference, which outlived clear_caches().
+    space = catalog_lookup("so(5,2)")
+    assert space.root_system is build_root_system(space.family, space.rank)
+    assert "root_system" not in vars(space)
+    liefoliate.clear_caches()
+    assert space.root_system is build_root_system(space.family, space.rank)
+    assert root_multiplicity(space, space.root_system.simple[1]) == space.m_alpha(2)
 
 
 def test_multiplicities_refuse_a_vector_of_no_root_length():
@@ -546,5 +556,4 @@ def test_dimension_and_structure_calls_build_no_root_system():
         space.multiplicities
         parabolic.horospherical(space, parabolic.phi_subset(space, range(1, space.rank)))
         foliations.enumerate_foliations(space)
-        assert "root_system" not in space.__dict__
         assert build_root_system.cache_info().misses == 0

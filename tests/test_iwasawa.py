@@ -273,7 +273,9 @@ def test_kan_refuses_what_is_no_well_conditioned_element_of_sl_n(g, says, capsys
     (eye(2), eye(2), [[1.0, 1e20], [0.0, 1.0]]),
     ([[0, 1], [-1, 0]], diag([1e14, 1e-14]), eye(2)),
     (eye(17), diag([1e-14, 1e14] + [1.0] * 15), eye(17)),  # 17 rows: Householder, with a bound of 17
-], ids=["a-1e14", "a-1e200", "a-3-rows", "n-2e13", "n-1e20", "k-a", "a-17-rows"])
+    # a pivot whose reciprocal overflows: the bound is still 17, where it was inf and refused
+    (eye(17), diag([1e-310, 1e155, 1e155] + [1.0] * 14), eye(17)),
+], ids=["a-1e14", "a-1e200", "a-3-rows", "n-2e13", "n-1e20", "k-a", "a-17-rows", "a-1e-310-17-rows"])
 def test_elements_of_a_n_and_k_a_factor_exactly_however_far_apart_their_entries(k, a, n, capsys):
     # Entries far apart are no reason to refuse: Householder's error bound is at
     # most 17 on the diagonal ones, and exactkan factors the others exactly.

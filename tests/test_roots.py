@@ -1,6 +1,8 @@
 """Root construction, pairing, reflection, and system invariants."""
 
 from fractions import Fraction
+from itertools import compress
+from operator import lt
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 from liefoliate import clear_caches
 from liefoliate.errors import LieFoliateError
 from liefoliate.roots import (
+    _SIMPLE_ROOTS,
+    POSITIVE_ROOT_COUNTS,
     RANK_RANGES,
     Family,
     Root,
     RootSystem,
     _positive_roots,
+    _vector,
     build_root_system,
     family_diagram,
     inner,
@@ -292,6 +297,58 @@ def test_generated_system_is_closed_counted_and_canonically_ordered(case):
     # lexicographically.
     assert coeffs == sorted(coeffs, key=lambda cs: (sum(cs), [-c for c in cs]))
     assert rs.positive[:rank] == rs.simple
+
+
+WALKED_SYSTEMS = [(family, r) for family, (lo, hi) in RANK_RANGES.items() for r in range(lo, min(hi or 30, 30) + 1)]
+WALKED_SYSTEMS += [(Family.A, r) for r in range(31, 61)]
+
+
+def _column_sum(terms, size: int) -> list[int]:
+    """The sum of a * column over the pairs (a, column) of ``terms``, entry by entry; ``size`` zeros if none."""
+    total = None
+    for a, column in terms:
+        total = [a * x for x in column] if total is None else [t + a * x for t, x in zip(total, column)]
+    return [0] * size if total is None else total
+
+
+@pytest.mark.parametrize("family, rank", WALKED_SYSTEMS, ids=[f"{f.value}{r}" for f, r in WALKED_SYSTEMS])
+def test_the_walk_gives_each_positive_root_once_in_canonical_order_closed_under_simple_reflections(family, rank):
+    dim, sparse = _SIMPLE_ROOTS[family](rank)
+    simple = [_vector(dim, alpha) for alpha in sparse]
+    walk = _positive_roots(simple, family_diagram(family, rank).cartan, family is Family.BC)
+    size = len(walk)
+    assert size == sum(POSITIVE_ROOT_COUNTS[family](rank))
+    assert walk[:rank] == [(tuple(int(j == i) for j in range(rank)), alpha) for i, alpha in enumerate(simple)]
+    coefficients, roots = zip(*walk)
+    # By height, then by coefficients descending, and no root twice: for each
+    # root c and the next one d, (height c, d) < (height d, c).
+    heights = list(map(sum, coefficients))
+    assert all(map(lt, zip(heights, coefficients[1:]), zip(heights[1:], coefficients)))
+    # The checks below run over all roots at once: by_simple[i] holds every
+    # root's c_i, and by_coordinate[k] its coordinate k.
+    by_simple, by_coordinate = list(zip(*coefficients)), list(zip(*roots))
+    for k, coordinate in enumerate(by_coordinate):  # v = sum_i c_i alpha_i
+        assert list(coordinate) == _column_sum(((alpha[k], by_simple[i]) for i, alpha in enumerate(sparse)
+                                                if k in alpha), size)
+    assert min(map(min, coefficients)) >= 0  # so no root is -alpha_i or -2 alpha_i
+    listed = set(roots)
+    for alpha, alpha_v in zip(sparse, simple):
+        norm = sum(a * a for a in alpha.values())
+        dots = _column_sum(((2 * a, by_coordinate[k]) for k, a in alpha.items()), size)  # 2 (v, alpha)
+        # s_alpha v = v - <v, alpha^vee> alpha is v where the pairing is 0.  It takes
+        # the roots of negative pairing one to one to roots of positive pairing other
+        # than alpha and 2 alpha; as many of each make it swap the two sets.
+        raising = [n for n in compress(range(size), dots) if dots[n] < 0]
+        own = {alpha_v, tuple(2 * a for a in alpha_v)} & listed
+        assert len(raising) == size - dots.count(0) - len(raising) - len(own)
+        assert all(dots[n] % norm == 0 for n in raising)  # integral pairings
+        images = []
+        for n in raising:
+            image = list(roots[n])
+            for k, a in alpha.items():
+                image[k] -= dots[n] // norm * a
+            images.append(tuple(image))
+        assert listed.issuperset(images)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("BC", 2), ("E6", 6), ("G2", 2)])

@@ -178,6 +178,18 @@ def test_mixed_size_basis_is_refused_by_subspace():
         subspace([h_matrix(2, 0), h_matrix(3, 0)])
 
 
+def test_an_iterator_basis_gives_the_subspace_of_its_items():
+    # The size check consumed the iterator, so the independence check saw no
+    # element: the subspace had an empty span, and its dim raised TypeError.
+    symmetric = [add(e_matrix(3, 0, k), e_matrix(3, k, 0)) for k in (1, 2)]
+    x, y = map(as_element, symmetric)
+    from_iterator = slmodel.Subspace(iter([x, y]))
+    assert from_iterator.dim == 2 and from_iterator.basis == (x, y)
+    assert is_lie_triple(from_iterator) == is_lie_triple(slmodel.Subspace((x, y)))
+    with pytest.raises(LieFoliateError, match="linearly dependent"):
+        slmodel.Subspace(iter([x, as_element(scale(2, symmetric[0]))]))
+
+
 ARRAYS = {
     "0x0": lambda np: np.zeros((0, 0)), "2x0": lambda np: np.zeros((2, 0)), "vector": lambda np: np.zeros(4),
     "2x3": lambda np: np.zeros((2, 3)), "2x2x2": lambda np: np.zeros((2, 2, 2)), "scalar": lambda np: np.array(1.0),
