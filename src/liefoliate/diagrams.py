@@ -6,7 +6,7 @@ forms, and the search for its automorphisms.
 ``DynkinDiagram.from_dict``; the structure commands do none of these.  So
 the methods of ``roots.DynkinDiagram`` that give the two forms and keep the
 automorphisms load this module on first use, as ``Root.__str__`` loads
-``rootsystem``, and ``roots`` serves ``apply_permutation`` the same way.
+``rootsystem``.
 ``DynkinDiagram.from_dict`` accepts only edges that give a Cartan matrix:
 vertices 1..n, edges of 1 to 3 lines between two of them, and an arrow on
 each multiple edge and on no other.
@@ -138,8 +138,3 @@ def automorphisms(dd: DynkinDiagram) -> tuple[tuple[int, ...], ...]:
         else:
             results.append(tuple(image[i] for i in range(1, len(order) + 1)))
     return tuple(sorted(results)) if order else ((),)
-
-
-def apply_permutation(perm: tuple[int, ...], subset) -> tuple[int, ...]:
-    """Image of a set of 1-based vertex indices under a permutation tuple."""
-    return tuple(sorted(perm[i - 1] for i in subset))

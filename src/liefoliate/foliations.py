@@ -55,7 +55,7 @@ from itertools import chain, islice, product, repeat
 
 from .catalog import SpaceDescriptor
 from .errors import LieFoliateError
-from .roots import DynkinDiagram, apply_permutation, diagram_automorphisms, expect
+from .roots import DynkinDiagram, diagram_automorphisms, expect
 
 __all__ = [
     "HyperbolicFactor",
@@ -249,7 +249,7 @@ class SpaceOrbits:
         None if a diagram automorphism maps phi to a smaller tuple."""
         phi_orbit = self.by_rep.get(phi)
         if phi_orbit is None:
-            images = {apply_permutation(p, phi) for p in self.auts[1:]}  # auts[0] is the identity
+            images = {tuple(sorted(p[i - 1] for i in phi)) for p in self.auts[1:]}  # auts[0] is the identity
             if images and min(images) < phi:
                 return None
             space = self.space

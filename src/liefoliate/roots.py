@@ -21,8 +21,7 @@ The full root list, ``RootSystem`` and ``build_root_system``, lives in
 loaded on first use of those names here, by the commands that print or
 check every root.  In the same way ``diagrams`` holds what only some
 callers do with a diagram: its dict and Graphviz forms (``to_dict``,
-``from_dict``, ``to_dot``) and the search for its automorphisms, with
-``apply_permutation``.
+``from_dict``, ``to_dot``) and the search for its automorphisms.
 
 The records are immutable named tuples, and ``fractions`` is imported only
 by the functions that build a Fraction, so the structure commands load
@@ -38,24 +37,19 @@ from itertools import combinations
 
 from .errors import LieFoliateError
 
-# Names served from the module that holds them, loaded on first use: the full
-# root list and the arithmetic on roots, and what acts on a diagram's
-# automorphisms.
-_LOADED_ON_USE = {
-    **dict.fromkeys(("RootSystem", "build_root_system", "dynkin_diagram", "format_root", "inner", "reflect",
-                     "root_from_coords"), "rootsystem"),
-    "apply_permutation": "diagrams",
-}
+# The full root list and the arithmetic on roots, served from ``rootsystem``
+# and loaded on first use.
+_LOADED_ON_USE = frozenset(("RootSystem", "build_root_system", "dynkin_diagram", "format_root", "inner", "reflect",
+                            "root_from_coords"))
 
 
 def __getattr__(name: str):
-    """A name of ``rootsystem`` or ``diagrams``, loaded on first use (PEP 562)."""
-    module = _LOADED_ON_USE.get(name)
-    if module is None:
+    """A name of ``rootsystem``, loaded on first use (PEP 562)."""
+    if name not in _LOADED_ON_USE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
+    from . import rootsystem
 
-    globals()[name] = value = getattr(import_module(f".{module}", __package__), name)
+    globals()[name] = value = getattr(rootsystem, name)
     return value
 
 

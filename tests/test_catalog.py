@@ -325,11 +325,15 @@ def test_every_spelling_of_every_instance_returns_the_one_descriptor():
 
 def test_clear_caches_makes_the_next_lookup_build_a_new_equal_descriptor():
     before = catalog_lookup("SU_{2,4}/S(U_2 U_4)")
+    sl5 = [catalog_lookup(name) for name in ("SL5", "sl(5,R)", "SL_5(R)/SO_5")]
+    assert sl5[0] is sl5[1] is sl5[2]
     liefoliate.clear_caches()
     assert catalog._lookup.cache_info().currsize == 0
     after = catalog_lookup("SU_{2,4}/S(U_2 U_4)")
     assert after is not before and after == before
     assert catalog_lookup("su(4,2)") is after
+    again = catalog_lookup("SL5")
+    assert again is not sl5[0] and again == sl5[0]
 
 
 def test_a_str_subclass_is_looked_up_by_its_plain_value():

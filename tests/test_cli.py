@@ -204,6 +204,26 @@ def test_phi_takes_ascii_digits_only(capsys, command, phi):
     assert err == f"error: cannot parse Phi indices from {phi!r}\n"
 
 
+@pytest.mark.parametrize("argv, space", [
+    (("parabolic", "--space", "E_6^{-14}/Spin_10 U_1", "--phi", "1"), "e6(-14)"),
+    (("horospherical", "--space", "SO^o_{1,3}/SO_3", "--phi", "1"), "so(3,1)"),
+    *((("parabolic", "--space", name), None) for name in ("so(7,2)", "SOo(2,7)", "sp(3,3)", "su(2,4)")),
+], ids=["E6", "SO_3", "so(7,2)", "SOo(2,7)", "sp(3,3)", "su(2,4)"])
+def test_a_space_is_found_by_each_of_its_names(capsys, argv, space):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and space in (None, json.loads(out)["space"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("SO^o_{1,3}/SO_1", "--phi", "1"), "'SO^o_{1,3}/SO_1' is not the display name of so(3,1), SO^o_{3,1}/SO_3"),
+    (("so(2,2)",), "so(r,r): valid for r >= 3"),
+    (("su(1,1)",), "su(p,q): valid for p = q >= 2 or p > q >= 1 (su(1,1) is carried by sl(2,R))"),
+    (("sp(3,0)",), "sp(p,q): indices must be positive"),
+], ids=["SO_1", "so(2,2)", "su(1,1)", "sp(3,0)"])
+def test_a_refused_space_exits_1_with_its_message_alone(capsys, argv, message):
+    assert run(capsys, "parabolic", "--space", *argv) == (1, "", f"error: {message}\n")
+
+
 def test_a_closed_stdout_exits_1_without_a_traceback():
     # The JSON of SL12's foliations fills the pipe many times over, so the
     # CLI is still writing when the reader closes its end.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liefoliate.catalog import catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.roots import (
     RANK_RANGES,
@@ -14,7 +15,6 @@ from liefoliate.roots import (
     DynkinEdge,
     DynkinVertex,
     Family,
-    apply_permutation,
     build_root_system,
     diagram_automorphisms,
     dynkin_diagram,
@@ -152,10 +152,11 @@ def test_automorphisms_form_a_group():
                 assert composed in auts
 
 
-def test_apply_permutation():
-    reversal = (4, 3, 2, 1)
-    assert apply_permutation(reversal, (1, 3)) == (2, 4)
-    assert apply_permutation(reversal, ()) == ()
+def test_a_phi_orbit_holds_the_images_of_phi_under_the_automorphisms():
+    orbits = catalog_lookup("SL5").orbits  # A4: the identity and the reversal (4, 3, 2, 1)
+    assert orbits.phi_orbit((1, 3)).orbit == ((1, 3), (2, 4))
+    assert orbits.phi_orbit((2, 4)) is None  # the reversal maps it to the smaller (1, 3)
+    assert orbits.phi_orbit(()).orbit == ((),)
 
 
 def test_diagram_json_round_trip():

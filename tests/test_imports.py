@@ -102,6 +102,7 @@ CALLS = (
     # the Graphviz form is written by diagrams
     (("rootsys", "dynkin", "--family", "E6", "--rank", "6", "--format", "dot"),
      {"errors", "roots", "diagrams"} | handler("rootsys")),
+    (("parabolic", "--space", "SL5", "--phi", "1", "--format", "json"), CATALOG | {"parabolic"} | handler("parabolic")),
 )
 
 

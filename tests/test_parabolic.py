@@ -70,6 +70,9 @@ def test_phi_subset_validation():
         with pytest.raises(LieFoliateError, match="must be ints in 1..4"):
             PhiSubset(sl5, indices)
     assert phi_subset(sl5, [3.0, True]).indices == (1, 3)
+    assert phi_subset(sl5, [3, 1.0]).indices == (1, 3)
+    t = (1, 3)
+    assert phi_subset(sl5, t).indices is t  # a canonical tuple is kept, not copied
 
 
 def test_phi_subset_reads_numpy_integers():
