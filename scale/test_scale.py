@@ -1,9 +1,10 @@
 """Checks at scale, each in a fresh process that must finish within the
 timeout written beside it: A299's positive roots, SL1001's parabolic and
 horospherical data, the foliation records of SL18 and SL20, the exact edge
-cases of the matrix model, and ``verify --suite all``.  Outside tier-1's
-collection; run with ``PYTHONPATH=src python -m pytest scale -q``.  A new
-check at scale belongs here, not in the CI workflow.
+cases of the matrix model, a determinant refused at 64 rows, and ``verify
+--suite all``.  Outside tier-1's collection; run with
+``PYTHONPATH=src python -m pytest scale -q``.  A new check at scale belongs
+here, not in the CI workflow.
 """
 
 import json
@@ -193,3 +194,14 @@ def test_iwasawa_factors_each_case_exactly():
     d = cli("slmodel", "iwasawa", "--rank", "16", "--matrix",
             json.dumps([[diag[i] if i == j else 0.0 for j in range(17)] for i in range(17)]), timeout=20)
     assert (d["a"][0][0], d["residual"]) == (1e-310, 0.0)
+
+
+def test_a_64_row_matrix_of_determinant_2_is_refused_within_a_second():
+    # random_sl(64) with its first column doubled: well conditioned, on Householder's path.
+    matrix = output("-c", "import json; from liefoliate.slmodel import random_sl\n"
+                    "print(json.dumps([[2 * row[0], *row[1:]] for row in random_sl(64)]))", timeout=20)
+    proc = subprocess.run([sys.executable, "-m", "liefoliate.cli", "slmodel", "iwasawa", "--rank", "63",
+                           "--matrix", matrix.decode()], stdin=subprocess.DEVNULL, capture_output=True, env=ENV,
+                          timeout=1)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.startswith(b"error: matrix must have determinant 1, got 2.0000000000000")

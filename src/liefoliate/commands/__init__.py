@@ -75,16 +75,20 @@ def match(argv: list[str]) -> SimpleNamespace | None:
     return args
 
 
-def ascii_int(text: str) -> int:
-    """The ``type`` of each int option: ``int`` of ASCII text alone, since
-    ``int`` would also take any other Unicode digit, which ``--phi`` and
-    space names refuse too."""
-    if not text.isascii():
-        raise ValueError(text)
-    return int(text)
+def _ascii(kind):
+    """The ``type`` of each option that ``kind`` (``int`` or ``float``) reads:
+    ``kind`` of ASCII text alone, since ``kind`` would also take any other
+    Unicode digit, which ``--phi`` and space names refuse too."""
+    def read(text: str):
+        if not text.isascii():
+            raise ValueError(text)
+        return kind(text)
+
+    read.__name__ = kind.__name__  # argparse's usage error names the type: "invalid int value"
+    return read
 
 
-ascii_int.__name__ = "int"  # argparse's usage error names the type: "invalid int value"
+ascii_int, ascii_float = _ascii(int), _ascii(float)
 
 
 def emit_json(obj) -> None:

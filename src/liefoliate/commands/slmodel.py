@@ -3,7 +3,7 @@
 import json
 
 from ..errors import LieFoliateError
-from . import ascii_int, emit_json
+from . import ascii_float, ascii_int, emit_json
 
 
 def _parse_json(text: str, what: str):
@@ -11,18 +11,6 @@ def _parse_json(text: str, what: str):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an integer past int()'s digit limit, or deep nesting
         raise LieFoliateError(f"cannot parse {what} JSON: {exc}")
-
-
-def ascii_float(text: str) -> float:
-    """The ``type`` of the float options: ``float`` of ASCII text alone, as
-    ``ascii_int`` is ``int``'s, since ``float`` would also take any other
-    Unicode digit."""
-    if not text.isascii():
-        raise ValueError(text)
-    return float(text)
-
-
-ascii_float.__name__ = "float"  # argparse's usage error names the type: "invalid float value"
 
 
 # Each action: its help, and its options.

@@ -10,26 +10,31 @@ of every leading product a_11 ... a_jj) is at most about
 eps sum_j ||g e_j|| ||e_j^t R^-1||, which a small pivot, or an ill-conditioned
 g with no small pivot, makes large, and a zero pivot infinite.  That bound
 is the one rule: above _EXACT_ABOVE eps, at up to _EXACT_MAX_SIZE rows, the
-factors are computed exactly from the rational entries of g by ``exactkan``,
-which refuses dependent columns, and rounded once; above that size, where
-the exact factors cost seconds, a bound above TAU_NUM is refused.
+factors are computed exactly from the rational entries of g by ``exactkan``
+and rounded once; above that size, where the exact factors cost seconds, a
+bound above TAU_NUM is refused.
 The CLI's ``slmodel iwasawa`` calls ``factor`` without loading ``slmodel``,
 and ``slmodel.iwasawa_group`` returns its ``KAN``.
 
 ``square_matrix`` is the one statement of what a matrix argument is, for the
 CLI's JSON and for every ``slmodel`` function alike: a nonempty square list
 of rows of finite real numbers, where bools and strings are not numbers and
-numpy's integer and floating scalars are.  Each caller checks once: ``kan(g)``
-reads g through it and calls ``factor``; a caller that has already read its
-matrix (the CLI through ``square_matrix``, ``slmodel`` through its reader)
-calls ``factor`` directly, so that no entry is checked twice.  In plain
+numpy's integer and floating scalars are.  Each caller reads its matrix once
+through it and then calls ``factor``, which checks no entry again.  In plain
 Python the factorization is slower than LAPACK's (about 0.17 against
 0.016 ms per call at n = 8 on a 2-vCPU Xeon).
 
 TAU_NUM (1e-10) is the tolerance of factorization round trips on random
 matrices, where conditioning error accumulates: the reconstruction
-max|k a n - g| must stay below TAU_NUM * max(1, max|g_ij|), and det g must be
-1 within TAU_NUM times the Hadamard bound prod_j ||g e_j||.
+max|k a n - g| must stay below TAU_NUM * max(1, max|g_ij|).  det g must be
+1 within TAU_NUM times a condition number of det g, never times a size of g:
+to first order, the most that changes of TAU_NUM relative to each column
+move it, on Householder's path, where the number is the bound above and the
+determinant Householder's; and the most that changes of TAU_NUM relative to
+each entry move it, on the exact path, where the number is sum |g_ij C_ij|
+over the cofactors C of g and the determinant exact (``exactkan``).  The
+bound also counts changes of the entries that are exactly 0, and
+[[1, 1e30], [0, 5]], whose bound is about 4e29, has sum |g_ij C_ij| = 10.
 """
 
 from __future__ import annotations
@@ -84,30 +89,12 @@ def square_matrix(rows) -> list[list[float]]:
     return out
 
 
-def check_det_one(det: float, hadamard: float) -> None:
-    """Raise unless det is 1 within TAU_NUM times the Hadamard bound
-    hadamard = prod_j ||g e_j|| >= |det g|.
-
-    The bound scales with the columns as the determinant does.  A power of
-    the largest entry does not: max|g|^n lets diag(1e3, 1e3, 1e3, 1e-3, 1e-3,
-    2e-3), of determinant 2, through.
-    """
-    if not math.isfinite(det) or abs(det - 1.0) > TAU_NUM * hadamard:
-        raise LieFoliateError(f"matrix must have determinant 1, got {det}")
-
-
 def _reflect(v: list[float], tau: float, cols: list[list[float]], start: int) -> None:
     """Apply I - tau v v^t, acting on rows start.., to each of cols in place."""
     for col in cols:
         tail = col[start:]
         s = tau * sum(map(mul, v, tail))
         col[start:] = [t - s * vi for t, vi in zip(tail, v)]
-
-
-def kan(g) -> KAN:
-    """Factor g in SL_n(R), a list of rows, as k a n: ``factor`` of g read by
-    ``square_matrix``."""
-    return factor(square_matrix(g))
 
 
 def factor(rows: list[list[float]]) -> KAN:
@@ -119,16 +106,16 @@ def factor(rows: list[list[float]]) -> KAN:
     pass.  With S the signs of diag R, k = Q S, a = |diag R| and
     n = diag(R)^-1 R, unless Householder's error bound is above _EXACT_ABOVE
     and ``exactkan`` gives the factors instead.  Raises LieFoliateError unless g
-    has determinant 1 (``check_det_one``), if a factor is beyond the float
-    range, if ``exactkan`` finds dependent columns, unless the
-    factors reassemble g to within TAU_NUM * max(1, max|g_ij|), and, above
-    _EXACT_MAX_SIZE rows, unless the relative error bound is at most TAU_NUM.
+    has determinant 1: Householder's within TAU_NUM times the bound, or the
+    exact one within ``exactkan``'s rule.  Raises it too if a factor is beyond
+    the float range, unless the factors reassemble g to within
+    TAU_NUM * max(1, max|g_ij|), and, above _EXACT_MAX_SIZE rows, unless the
+    relative error bound is at most TAU_NUM.
     """
     size = len(rows)
     scale = max(1.0, max(map(abs, chain.from_iterable(rows))))
     cols = [list(c) for c in zip(*rows)]  # become R, on and above the diagonal
     norms = [math.hypot(*c) for c in cols]
-    hadamard = math.prod(norms)
     reflectors = []  # (j, v, tau) of each reflection
     for j in range(size - 1):
         x = cols[j][j:]
@@ -146,7 +133,6 @@ def factor(rows: list[list[float]]) -> KAN:
         _reflect(v, tau, cols[j + 1:], j)
         reflectors.append((j, v, tau))
     diag = [cols[j][j] for j in range(size)]
-    check_det_one(math.prod(diag) * (-1.0) ** len(reflectors), hadamard)
     # The rows of g^-1 = R^-1 Q^t have the lengths of those of R^-1, so a change of
     # eps ||g e_j|| in each column j changes det g by at most eps * bound of it, to
     # first order: bound = sum_j ||g e_j|| ||e_j^t R^-1||, infinite at a zero pivot.
@@ -168,6 +154,9 @@ def factor(rows: list[list[float]]) -> KAN:
         raise LieFoliateError(f"a {size}-row matrix is too ill-conditioned to factor accurately: "
                               f"its relative error bound {bound / 2.0 ** 52:.1e} is above {TAU_NUM}")
     else:
+        det = math.prod(diag) * (-1.0) ** len(reflectors)
+        if not abs(det - 1.0) <= TAU_NUM * bound:  # also refuses an infinite or NaN det
+            raise LieFoliateError(f"matrix must have determinant 1, got {det}")
         # k = H_0 H_1 ... S, its columns built from those of S, the last reflection first;
         # H_j fixes the columns c < j, which are still those of S.
         k_cols = [[0.0] * c + [math.copysign(1.0, d)] + [0.0] * (size - c - 1) for c, d in enumerate(diag)]

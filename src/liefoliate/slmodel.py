@@ -28,7 +28,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import LieFoliateError
-from .iwasawa import KAN, check_det_one, factor, square_matrix
+from .iwasawa import KAN, TAU_NUM, factor, square_matrix
 
 if TYPE_CHECKING:
     from .catalog import SpaceDescriptor
@@ -328,8 +328,8 @@ def restricted_root_decompose(x) -> dict[Root | None, MatrixElement]:
 
 def iwasawa_group(g) -> KAN:
     """Factor g in SL_n(R) as k a n, unique with a > 0: ``iwasawa.factor`` of g read as
-    floats, which refuses a determinant other than 1, dependent columns and a failed
-    round trip."""
+    floats, which refuses a determinant other than 1, an ill-conditioned g above 16
+    rows and a failed round trip."""
     return factor(_floats(g))
 
 
@@ -590,14 +590,20 @@ def n_factor(u: float) -> Matrix:
 
 def moebius(g, z: complex) -> complex:
     """Action of g in SL_2(R) on the upper half plane: z -> (az+b)/(cz+d), for a number z
-    (not a string or a bool) in the upper half plane, whose image must be finite too."""
+    (not a string or a bool) in the upper half plane, whose image must be finite too.
+
+    det g must be 1 within TAU_NUM times the Hadamard bound
+    ||g e_1|| ||g e_2|| >= |det g|, which scales with the columns as the
+    determinant does."""
     if isinstance(z, bool) or not isinstance(z, Number):
         raise LieFoliateError(f"the point {z!r} is not a number")
     m = _floats(g)
     if len(m) != 2:
         raise LieFoliateError("moebius needs a 2x2 matrix")
     (a, b), (c, d) = m
-    check_det_one(a * d - b * c, math.hypot(a, c) * math.hypot(b, d))
+    det = a * d - b * c
+    if not math.isfinite(det) or abs(det - 1.0) > TAU_NUM * math.hypot(a, c) * math.hypot(b, d):
+        raise LieFoliateError(f"matrix must have determinant 1, got {det}")
     z = complex(z)
     if not (z.imag > 0 and math.isfinite(z.real) and math.isfinite(z.imag)):
         raise LieFoliateError("the point must lie in the upper half plane")

@@ -346,7 +346,3 @@ def timed_suite(suite: str = "all") -> Iterator[tuple[Check, float]]:
         start = perf_counter()
         check = _CRITERIA[i]()
         yield check, perf_counter() - start
-
-
-def run_suite(suite: str = "all") -> list[Check]:
-    return [check for check, _ in timed_suite(suite)]

@@ -20,8 +20,7 @@ import liefoliate
 from liefoliate import cli, clear_caches
 from liefoliate.catalog import catalog_lookup
 from liefoliate.cli import main
-from liefoliate.commands import ascii_int, emit_json, match
-from liefoliate.commands.slmodel import ascii_float
+from liefoliate.commands import ascii_float, ascii_int, emit_json, match
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import FoliationClass
 from liefoliate.parabolic import HorosphericalData, ParabolicData

@@ -1,7 +1,8 @@
-"""The plain-Python Iwasawa factorization g = k a n (``iwasawa.factor``, and
-``iwasawa.kan``, which reads its matrix first): agreement with a numpy QR
-reference where numpy is installed, the shape of the factors, the input
-checks, ``slmodel.iwasawa_group`` and a time budget at n = 64."""
+"""The plain-Python Iwasawa factorization g = k a n (``iwasawa.factor`` of the
+matrix that ``iwasawa.square_matrix`` reads, as the CLI calls it): agreement
+with a numpy QR reference where numpy is installed, the shape of the factors,
+the input checks, the determinant rule, ``slmodel.iwasawa_group`` and a time
+budget at n = 64."""
 
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from liefoliate.cli import main
 from liefoliate.errors import LieFoliateError
-from liefoliate.iwasawa import KAN, TAU_NUM, check_det_one, factor, kan, square_matrix
+from liefoliate.iwasawa import KAN, TAU_NUM, factor, square_matrix
 from liefoliate.slmodel import _det, iwasawa_group, random_sl
 from matrices import add, diag, eye, matmul, max_abs, scale, transpose
 
@@ -29,7 +30,7 @@ def test_kan_agrees_with_a_numpy_qr_reference(size):
         q, r = np.linalg.qr(np.array(g))  # with the signs normalized so that a > 0
         signs = np.sign(np.diag(r))
         q, r = q * signs, r * signs[:, None]
-        for mine, ref in zip(kan(g)[:3], (q, np.diag(np.diag(r)), r / np.diag(r)[:, None])):
+        for mine, ref in zip(factor(square_matrix(g))[:3], (q, np.diag(np.diag(r)), r / np.diag(r)[:, None])):
             assert np.abs(np.array(mine) - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
@@ -50,7 +51,7 @@ def sl_matrices(draw) -> list[list[float]]:
 @settings(max_examples=300, deadline=None)
 @given(sl_matrices())
 def test_factors_lie_in_k_a_and_n(g):
-    f = kan(g)
+    f = factor(square_matrix(g))
     k, a, n = f[:3]
     size = len(g)
     assert max_abs(add(matmul(transpose(k), k), scale(-1, eye(size)))) <= 1e-12
@@ -83,7 +84,7 @@ def test_a_small_pivot_leaves_the_product_of_a_at_the_determinant():
          [-0.0, 3.114848074508839, 0.0, 0.0, 0.0, 3.114848074508839],
          [-0.0, 3.1578529287455836e-06, 0.0, 0.0, 0.0, 0.0],
          [-15.574240372544194, 0.0, 0.0, 0.0, 0.0, 0.0]]
-    f = kan(g)
+    f = factor(square_matrix(g))
     assert math.prod(f.a[i][i] for i in range(6)) == pytest.approx(float(abs(_exact_det(g))), rel=1e-15)
     assert f.a[5][5] == pytest.approx(3.1578529287439607e-06, rel=1e-15)
     assert f.residual <= 1e-14
@@ -95,7 +96,7 @@ def ill_conditioned_sl(draw) -> list[list[float]]:
     largest entry is at most 10^6 times its smallest."""
     size = draw(st.integers(2, 6))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    u, v = (kan(random_sl(size, rng)).k for _ in range(2))
+    u, v = (factor(square_matrix(random_sl(size, rng))).k for _ in range(2))
     logs = [draw(st.floats(-3.0, 3.0)) for _ in range(size)]
     d = [10.0 ** (x - math.fsum(logs) / size) for x in logs]
     return matmul(matmul(u, diag(d)), v)
@@ -104,7 +105,7 @@ def ill_conditioned_sl(draw) -> list[list[float]]:
 @settings(max_examples=100, deadline=None)
 @given(ill_conditioned_sl())
 def test_the_product_of_a_is_the_exact_determinant_of_an_ill_conditioned_matrix(g):
-    f = kan(g)
+    f = factor(square_matrix(g))
     size = len(g)
     assert math.prod(f.a[i][i] for i in range(size)) == pytest.approx(float(abs(_exact_det(g))), rel=1e-14)
     assert max_abs(add(matmul(transpose(f.k), f.k), scale(-1, eye(size)))) <= 1e-12
@@ -119,7 +120,7 @@ def test_an_ill_conditioned_matrix_without_a_small_pivot_gets_the_exact_determin
          [-0.2661349938676961, -0.9286038130331733, 1.4918246139708164, 2.0118356816816894, -0.5107756105760664],
          [1.81231280652713, -0.6040581139534908, 7.169577899178544, 10.552837018191967, -1.5223959325811887],
          [3.918268099927162, -6.143977900918805, 20.7462470781903, 28.59886552025071, 6.597632624269398]]
-    f = kan(g)
+    f = factor(square_matrix(g))
     assert math.prod(f.a[i][i] for i in range(5)) == pytest.approx(float(abs(_exact_det(g))), rel=1e-15, abs=0)
 
 
@@ -129,24 +130,24 @@ def test_the_exact_factors_agree_with_householder_where_it_is_accurate():
     rng = random.Random(7)
     for size in range(1, 9):
         g = [list(row) for row in random_sl(size, rng)]
-        f = kan(g)
+        f = factor(square_matrix(g))
         k, a, n = exact_kan(g)
         assert max_abs(add(k, scale(-1, f.k))) <= 1e-13
         assert max(abs(x / f.a[i][i] - 1.0) for i, x in enumerate(a)) <= 1e-13
         assert max_abs(add(n, scale(-1, f.n))) <= 1e-13
 
 
-def test_exact_factors_refuse_dependent_columns():
+def test_exact_factors_refuse_a_singular_matrix():
     from liefoliate.exactkan import exact_kan
 
-    with pytest.raises(LieFoliateError, match="dependent"):
+    with pytest.raises(LieFoliateError, match=r"^matrix must have determinant 1, got 0\.0$"):
         exact_kan([[1.0, 2.0], [2.0, 4.0]])
 
 
 def test_a_64x64_factorization_takes_under_half_a_second():
     g = random_sl(64, random.Random(64))
     start = time.perf_counter()
-    f = kan(g)
+    f = factor(square_matrix(g))
     seconds = time.perf_counter() - start
     assert f.residual < 1e-12 and seconds < 0.5
 
@@ -186,7 +187,7 @@ def test_an_ill_conditioned_matrix_above_sixteen_rows_is_refused(capsys):
     g = ill_conditioned_24()
     with pytest.raises(LieFoliateError, match=r"^a 24-row matrix is too ill-conditioned to factor accurately: "
                                               r"its relative error bound 5\.6e-02 is above 1e-10$"):
-        kan(g)
+        factor(square_matrix(g))
     assert main(["slmodel", "iwasawa", "--rank", "23", "--matrix", json.dumps(g)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: a 24-row matrix is too ill-conditioned")
@@ -195,20 +196,14 @@ def test_an_ill_conditioned_matrix_above_sixteen_rows_is_refused(capsys):
 @settings(max_examples=12, deadline=None)
 @given(st.integers(17, 64), st.integers(0, 2 ** 32))
 def test_well_conditioned_matrices_above_sixteen_rows_are_factored(size, seed):
-    f = kan(random_sl(size, random.Random(seed)))
+    f = factor(square_matrix(random_sl(size, random.Random(seed))))
     assert f.residual < 1e-12
-
-
-def test_kan_is_factor_of_the_matrix_square_matrix_reads():
-    rows = [list(row) for row in random_sl(4, random.Random(4))]
-    copy = [list(row) for row in rows]
-    assert factor(rows) == kan(rows) and rows == copy
 
 
 def test_iwasawa_group_returns_the_kan_of_the_matrix():
     g = random_sl(5, random.Random(5))
     f = iwasawa_group(g)
-    assert type(f) is KAN and f == kan(g)
+    assert type(f) is KAN and f == factor(square_matrix(g))
 
 
 @pytest.mark.parametrize("value, says", [
@@ -227,8 +222,6 @@ def test_iwasawa_group_returns_the_kan_of_the_matrix():
 def test_square_matrix_refuses_what_is_no_finite_square_matrix(value, says):
     with pytest.raises(LieFoliateError, match=says):
         square_matrix(value)
-    with pytest.raises(LieFoliateError, match=says):
-        kan(value)
 
 
 def test_square_matrix_gives_new_rows_of_floats():
@@ -238,31 +231,44 @@ def test_square_matrix_gives_new_rows_of_floats():
     assert out[0] is not rows[0]
 
 
-def test_determinant_rule_is_relative_to_the_hadamard_bound():
-    check_det_one(1.0 + 0.5 * TAU_NUM, 1.0)
-    check_det_one(1.0 + 50 * TAU_NUM, 100.0)
-    for det, hadamard in ((1.0 + 2 * TAU_NUM, 1.0), (2.0, 1e6), (float("inf"), float("inf")),
-                          (float("nan"), 1.0)):
-        with pytest.raises(LieFoliateError, match="determinant 1"):
-            check_det_one(det, hadamard)
-
-
 @pytest.mark.parametrize("g, says", [
     ([[2.0, 0.0], [0.0, 1.0]], "determinant"),
     ([[-1.0, 0.0], [0.0, 1.0]], "determinant"),
     ([[1.0, 2.0], [2.0, 4.0]], "determinant"),
-    # det 0 is 1 within TAU_NUM times its Hadamard bound 2e12: exactkan finds the columns dependent
-    ([[1e6, 1e6], [1e6, 1e6]], "dependent"),
+    ([[1e6, 1e6], [1e6, 1e6]], "determinant 1, got 0.0"),  # singular: refused by its exact determinant
     ([[0.0, 1.0], [0.0, 1.0]], "determinant 1, got 0.0"),  # a zero column: no reflection, a zero pivot
     ([[1.0] * 17 for _ in range(17)], "too ill-conditioned"),  # a zero pivot above 16 rows: no exactkan
     ([[1e-300, 1e10], [0.0, 1e300]], "beyond the float range"),  # n_12 = 1e310
+    # on the exact path, with the exact determinant and a tolerance of TAU_NUM sum |g_ij C_ij|,
+    # where TAU_NUM prod_j ||g e_j|| (1e5, 1, 1e20 and 1e5) let each through
+    ([[1.0, 1e15], [0.0, 2.0]], "determinant 1, got 2.0"),
+    ([[1e5, 1e5], [0.0, 2e-5]], "determinant 1, got 2.0"),  # no small pivot
+    ([[1.0, 1e30], [0.0, 5.0]], "determinant 1, got 5.0"),  # sum |g_ij C_ij| = 10, Householder's bound 4e29
+    ([[-1.0, 1e15], [0.0, 1.0]], "determinant 1, got -1.0"),
 ])
 def test_kan_refuses_what_is_no_well_conditioned_element_of_sl_n(g, says, capsys):
     with pytest.raises(LieFoliateError, match=says):
-        kan(g)
+        factor(square_matrix(g))
     assert main(["slmodel", "iwasawa", "--rank", str(len(g) - 1), "--matrix", json.dumps(g)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and says in err
+
+
+@pytest.mark.parametrize("g, accepted", [
+    # Householder's path, bound 2: det g must be 1 within 2 TAU_NUM
+    ([[1.0 + 1.5 * TAU_NUM, 0.0], [0.0, 1.0]], True),
+    ([[1.0 + 3.0 * TAU_NUM, 0.0], [0.0, 1.0]], False),
+    # the exact path, Householder's bound 2e15: within TAU_NUM sum |g_ij C_ij|, about 2 TAU_NUM
+    ([[1.0, 1e15], [0.0, 1.0 + 1.5 * TAU_NUM]], True),
+    ([[1.0, 1e15], [0.0, 1.0 + 3.0 * TAU_NUM]], False),
+], ids=["householder-in", "householder-out", "exact-in", "exact-out"])
+def test_the_determinant_tolerance_is_tau_num_times_a_condition_number(g, accepted):
+    if accepted:
+        f = factor(square_matrix(g))
+        assert f.a[0][0] * f.a[1][1] == pytest.approx(g[0][0] * g[1][1], rel=1e-15)
+    else:
+        with pytest.raises(LieFoliateError, match="determinant 1"):
+            factor(square_matrix(g))
 
 
 @pytest.mark.parametrize("k, a, n", [
@@ -280,12 +286,12 @@ def test_elements_of_a_n_and_k_a_factor_exactly_however_far_apart_their_entries(
     # Entries far apart are no reason to refuse: Householder's error bound is at
     # most 17 on the diagonal ones, and exactkan factors the others exactly.
     g = matmul(matmul(k, a), n)
-    assert kan(g) == (k, a, n, 0.0)
+    assert factor(square_matrix(g)) == (k, a, n, 0.0)
     assert main(["slmodel", "iwasawa", "--rank", str(len(g) - 1), "--matrix", json.dumps(g)]) == 0
     assert json.loads(capsys.readouterr().out) == {"k": k, "a": a, "n": n, "residual": 0.0}
 
 
 def test_kan_of_a_one_by_one_matrix_and_of_a_negative_pivot():
-    assert kan([[1.0]])[:3] == ([[1.0]], [[1.0]], [[1.0]])
-    f = kan([[-1.0, 0.0], [0.0, -1.0]])  # rotation by pi: k = g, a = n = 1
+    assert factor(square_matrix([[1.0]]))[:3] == ([[1.0]], [[1.0]], [[1.0]])
+    f = factor(square_matrix([[-1.0, 0.0], [0.0, -1.0]]))  # rotation by pi: k = g, a = n = 1
     assert f[:3] == ([[-1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from liefoliate import slmodel
 from liefoliate.catalog import catalog_lookup
 from liefoliate.errors import LieFoliateError
+from liefoliate.iwasawa import TAU_NUM
 from liefoliate.parabolic import parabolic_data, phi_subset
 from liefoliate.roots import Root
 from liefoliate.slmodel import (
@@ -572,6 +573,16 @@ def test_iwasawa_determinant_tolerance_does_not_grow_with_the_entries():
         iwasawa_group(diag([1e3, 1e3, 1e3, 1e-3, 1e-3, 2e-3]))
     f = iwasawa_group(diag([1e3, 1e3, 1e3, 1e-3, 1e-3, 1e-3]))
     assert [f.a[i][i] for i in range(6)] == pytest.approx([1e3, 1e3, 1e3, 1e-3, 1e-3, 1e-3])
+
+
+def test_moebius_determinant_rule_is_relative_to_the_hadamard_bound():
+    # det g must be 1 within TAU_NUM ||g e_1|| ||g e_2||: about TAU_NUM, then about 100 TAU_NUM
+    for g in ([[1.0 + 0.5 * TAU_NUM, 0.0], [0.0, 1.0]], [[1.0, 100.0], [0.0, 1.0 + 50 * TAU_NUM]]):
+        assert moebius(g, 1j) == (g[0][0] * 1j + g[0][1]) / g[1][1]
+    for g in ([[1.0 + 2 * TAU_NUM, 0.0], [0.0, 1.0]], [[1.0, 1e6], [0.0, 2.0]],
+              [[1e200, 0.0], [0.0, 1e200]], [[1e200, 1e200], [1e200, 1e200]]):  # det 1 + 2 TAU_NUM, 2, inf, nan
+        with pytest.raises(LieFoliateError, match="determinant 1"):
+            moebius(g, 1j)
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))

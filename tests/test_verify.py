@@ -4,19 +4,19 @@ import pytest
 
 import liefoliate
 from liefoliate.roots import build_root_system
-from liefoliate.verify import SUITES, criterion_3_dynkin_figures, criterion_4_fibonacci, run_suite
+from liefoliate.verify import SUITES, criterion_3_dynkin_figures, criterion_4_fibonacci, timed_suite
 
 
 def test_suite_names():
     assert "all" in SUITES
     assert set(SUITES["all"]) == set(range(11))
     with pytest.raises(KeyError, match="unknown suite"):
-        run_suite("bogus")
+        next(timed_suite("bogus"))
 
 
 def test_fast_suites_pass():
     for suite in ("catalog", "parabolic"):
-        for name, ok, detail in run_suite(suite):
+        for (name, ok, detail), _ in timed_suite(suite):
             assert ok, f"{name}: {detail}"
             assert isinstance(detail, str) and detail
 
