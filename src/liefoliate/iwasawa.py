@@ -13,8 +13,8 @@ is the one rule: above _EXACT_ABOVE eps, at up to _EXACT_MAX_SIZE rows, the
 factors are computed exactly from the rational entries of g by ``exactkan``
 and rounded once; above that size, where the exact factors cost seconds, a
 bound above TAU_NUM is refused.
-The CLI's ``slmodel iwasawa`` calls ``factor`` without loading ``slmodel``,
-and ``slmodel.iwasawa_group`` returns its ``KAN``.
+``factor`` is the one rule for "g is in SL_n(R)": the CLI calls it without loading
+``slmodel``, and ``slmodel``'s ``iwasawa_group``, ``moebius`` and ``random_sl`` rest on it.
 
 ``square_matrix`` is the one statement of what a matrix argument is, for the
 CLI's JSON and for every ``slmodel`` function alike: a nonempty square list
@@ -97,27 +97,12 @@ def _reflect(v: list[float], tau: float, cols: list[list[float]], start: int) ->
         col[start:] = [t - s * vi for t, vi in zip(tail, v)]
 
 
-def factor(rows: list[list[float]]) -> KAN:
-    """Factor g in SL_n(R) as k a n, g given as ``square_matrix`` returns it: a
-    nonempty square list of rows of finite floats, which is not checked again.
-
-    Householder QR on the columns of g gives g = Q R; each reflection has
-    determinant -1, so det g = (-1)^(reflections) prod R_jj with no second
-    pass.  With S the signs of diag R, k = Q S, a = |diag R| and
-    n = diag(R)^-1 R, unless Householder's error bound is above _EXACT_ABOVE
-    and ``exactkan`` gives the factors instead.  Raises LieFoliateError unless g
-    has determinant 1: Householder's within TAU_NUM times the bound, or the
-    exact one within ``exactkan``'s rule.  Raises it too if a factor is beyond
-    the float range, unless the factors reassemble g to within
-    TAU_NUM * max(1, max|g_ij|), and, above _EXACT_MAX_SIZE rows, unless the
-    relative error bound is at most TAU_NUM.
-    """
-    size = len(rows)
-    scale = max(1.0, max(map(abs, chain.from_iterable(rows))))
-    cols = [list(c) for c in zip(*rows)]  # become R, on and above the diagonal
-    norms = [math.hypot(*c) for c in cols]
-    reflectors = []  # (j, v, tau) of each reflection
-    for j in range(size - 1):
+def _householder(cols: list[list[float]]) -> tuple:
+    """Householder QR g = Q R on the columns of g, which become those of R on and above
+    the diagonal: the reflections (j, v, tau) whose product is Q, diag R, and
+    det g = (-1)^(reflections) prod R_jj, as each reflection has determinant -1."""
+    reflectors = []
+    for j in range(len(cols) - 1):
         x = cols[j][j:]
         norm = math.hypot(*x)
         if norm == 0.0:  # nothing to reflect: a zero pivot, whose bound is infinite
@@ -132,7 +117,28 @@ def factor(rows: list[list[float]]) -> KAN:
         cols[j][j] = beta
         _reflect(v, tau, cols[j + 1:], j)
         reflectors.append((j, v, tau))
-    diag = [cols[j][j] for j in range(size)]
+    diag = [c[j] for j, c in enumerate(cols)]
+    return reflectors, diag, math.prod(diag) * (-1.0) ** len(reflectors)
+
+
+def factor(rows: list[list[float]]) -> KAN:
+    """Factor g in SL_n(R) as k a n, g given as ``square_matrix`` returns it: a
+    nonempty square list of rows of finite floats, which is not checked again.
+
+    Householder QR gives g = Q R and det g (``_householder``); with S the signs
+    of diag R, k = Q S, a = |diag R| and n = diag(R)^-1 R, unless Householder's
+    error bound is above _EXACT_ABOVE and ``exactkan`` gives the factors.
+    Raises LieFoliateError unless g has determinant 1: Householder's within
+    TAU_NUM times the bound, or the exact one within ``exactkan``'s rule; if a
+    factor is beyond the float range; unless the factors reassemble g to within
+    TAU_NUM * max(1, max|g_ij|); and, above _EXACT_MAX_SIZE rows, unless the
+    relative error bound is at most TAU_NUM.
+    """
+    size = len(rows)
+    scale = max(1.0, max(map(abs, chain.from_iterable(rows))))
+    cols = [list(c) for c in zip(*rows)]  # become R, on and above the diagonal
+    norms = [math.hypot(*c) for c in cols]
+    reflectors, diag, det = _householder(cols)
     # The rows of g^-1 = R^-1 Q^t have the lengths of those of R^-1, so a change of
     # eps ||g e_j|| in each column j changes det g by at most eps * bound of it, to
     # first order: bound = sum_j ||g e_j|| ||e_j^t R^-1||, infinite at a zero pivot.
@@ -154,7 +160,6 @@ def factor(rows: list[list[float]]) -> KAN:
         raise LieFoliateError(f"a {size}-row matrix is too ill-conditioned to factor accurately: "
                               f"its relative error bound {bound / 2.0 ** 52:.1e} is above {TAU_NUM}")
     else:
-        det = math.prod(diag) * (-1.0) ** len(reflectors)
         if not abs(det - 1.0) <= TAU_NUM * bound:  # also refuses an infinite or NaN det
             raise LieFoliateError(f"matrix must have determinant 1, got {det}")
         # k = H_0 H_1 ... S, its columns built from those of S, the last reflection first;

@@ -28,7 +28,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import LieFoliateError
-from .iwasawa import KAN, TAU_NUM, factor, square_matrix
+from .iwasawa import KAN, _householder, factor, square_matrix
 
 if TYPE_CHECKING:
     from .catalog import SpaceDescriptor
@@ -328,33 +328,20 @@ def restricted_root_decompose(x) -> dict[Root | None, MatrixElement]:
 
 def iwasawa_group(g) -> KAN:
     """Factor g in SL_n(R) as k a n, unique with a > 0: ``iwasawa.factor`` of g read as
-    floats, which refuses a determinant other than 1, an ill-conditioned g above 16
-    rows and a failed round trip."""
+    floats, which raises LieFoliateError for a g it does not factor."""
     return factor(_floats(g))
 
 
-def _det(rows: list[list[float]]) -> float:
-    """Determinant by Gaussian elimination with partial pivoting."""
-    a, det = [list(row) for row in rows], 1.0
-    for j in range(len(a)):
-        p = max(range(j, len(a)), key=lambda i: abs(a[i][j]))
-        a[j], a[p], det = a[p], a[j], det * a[p][j] * (1.0 if p == j else -1.0)
-        if not det:
-            return 0.0
-        a[j + 1:] = [[u - row[j] / a[j][j] * v for u, v in zip(row, a[j])] for row in a[j + 1:]]
-    return det
-
-
 def random_sl(n: int, rng: random.Random | None = None) -> Matrix:
-    """Random SL_n(R) sample from rng (by default random.Random(DEFAULT_SEED)):
-    i.i.d. standard normal entries, the first column flipped if det < 0, scaled to det 1."""
+    """Random SL_n(R) sample from rng (by default random.Random(DEFAULT_SEED)): i.i.d. standard normal
+    entries, the first column flipped if det < 0, scaled to det 1 as ``iwasawa.factor`` computes det."""
     if type(n) is not int or n < 1:
         raise LieFoliateError(f"size {n!r} must be an int >= 1")
     rng = random.Random(DEFAULT_SEED) if rng is None else rng
     x, det = [], 0.0
     while abs(det) <= 1e-8:  # draw again when numerically singular
         x = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(n)]
-        det = _det(x)
+        det = _householder([list(c) for c in zip(*x)])[2]
     sign, root = math.copysign(1.0, det), abs(det) ** (1.0 / n)
     return tuple((sign * row[0] / root, *(v / root for v in row[1:])) for row in x)
 
@@ -588,35 +575,42 @@ def n_factor(u: float) -> Matrix:
     return ((1.0, u), (0.0, 1.0))
 
 
-def moebius(g, z: complex) -> complex:
-    """Action of g in SL_2(R) on the upper half plane: z -> (az+b)/(cz+d), for a number z
-    (not a string or a bool) in the upper half plane, whose image must be finite too.
-
-    det g must be 1 within TAU_NUM times the Hadamard bound
-    ||g e_1|| ||g e_2|| >= |det g|, which scales with the columns as the
-    determinant does."""
+def _point(z) -> complex:
+    """z, a number (not a string or a bool) in the upper half plane, as a complex."""
     if isinstance(z, bool) or not isinstance(z, Number):
         raise LieFoliateError(f"the point {z!r} is not a number")
-    m = _floats(g)
-    if len(m) != 2:
-        raise LieFoliateError("moebius needs a 2x2 matrix")
-    (a, b), (c, d) = m
-    det = a * d - b * c
-    if not math.isfinite(det) or abs(det - 1.0) > TAU_NUM * math.hypot(a, c) * math.hypot(b, d):
-        raise LieFoliateError(f"matrix must have determinant 1, got {det}")
     z = complex(z)
     if not (z.imag > 0 and math.isfinite(z.real) and math.isfinite(z.imag)):
         raise LieFoliateError("the point must lie in the upper half plane")
-    w = (a * z + b) / (c * z + d)
+    return z
+
+
+def _act(g, z: complex) -> complex:
+    """(az+b)/(cz+d) for g = ((a, b), (c, d)); LieFoliateError unless it is finite."""
+    (a, b), (c, d) = g
+    w = (a * z + b) / den if (den := c * z + d) else complex(math.inf)  # den is 0 by underflow only
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):  # a float overflowed
         raise LieFoliateError(f"the image {w!r} of the point {z!r} is not finite")
     return w
 
 
+def moebius(g, z: complex) -> complex:
+    """Action z -> (az+b)/(cz+d) of g in SL_2(R), accepted exactly when ``iwasawa.factor`` factors
+    it, on a number z (not a string or a bool) in the upper half plane, to a finite image."""
+    z = _point(z)
+    m = _floats(g)
+    if len(m) != 2:
+        raise LieFoliateError("moebius needs a 2x2 matrix")
+    factor(m)
+    return _act(m, z)
+
+
 def linspace(start: float, stop: float, num: int) -> list[float]:
     """num values from start to stop, both included, as ``numpy.linspace`` spaces them."""
+    if type(num) is not int or num < 0:
+        raise LieFoliateError(f"count {num!r} must be an int >= 0")
     step = (stop - start) / max(num - 1, 1)
-    return [i * step + start for i in range(num - 1)] + [stop if num > 1 else start]
+    return [i * step + start for i in range(num - 1)] + [stop if num > 1 else start] * (num > 0)
 
 
 def halfplane_orbit(kind: str, samples: int, base: complex = 1j) -> list[complex]:
@@ -631,4 +625,5 @@ def halfplane_orbit(kind: str, samples: int, base: complex = 1j) -> list[complex
         mats = list(map(a_factor if kind == "A" else n_factor, linspace(-3.0, 3.0, samples)))
     else:
         raise LieFoliateError("orbit kind must be one of K, A, N")
-    return [moebius(m, base) for m in mats]
+    base = _point(base)  # checked once: the k, a and n matrices are in SL_2(R) by construction
+    return [_act(m, base) for m in mats]

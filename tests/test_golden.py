@@ -4,10 +4,11 @@
 UTF-8 stdout.  Each call is checked twice in a row: cold, right after
 ``clear_caches()``, as in a fresh process, and then warm.  The matrix model
 computes ``killing`` and ``check-lie-triple`` exactly and rounds once, so
-their digits depend on no library; ``slmodel iwasawa``, ``halfplane`` and
-``verify`` are left out because they go through libm's ``sqrt``, ``hypot``,
-``exp`` and trigonometric functions, whose last digits may vary between
-platforms.
+their digits depend on no library; ``slmodel iwasawa``, ``verify`` and the
+K and A orbits of ``halfplane`` are left out because they go through libm's
+``sqrt``, ``hypot``, ``exp`` and trigonometric functions, whose last digits
+may vary between platforms.  The N orbit, z + u for u spaced as
+``numpy.linspace`` spaces them, is plain arithmetic.
 
 ``golden/cli_usage_digests.json`` holds, for the help, version and usage
 error calls of ``USAGE``, the exit status and the digests of stdout and
@@ -78,6 +79,8 @@ COMMANDS = (
     ("slmodel", "check-lie-triple", "--basis", "[[[0,0.5,0],[0.5,0,0],[0,0,0]],[[0,0,0.5],[0,0,0],[0.5,0,0]]]"),
     ("slmodel", "check-lie-triple", "--basis",
      "[[[0,0.5,0],[0.5,0,0],[0,0,0]],[[0,0,0.5],[0,0,0],[0.5,0,0]],[[0,0,0],[0,0,0.5],[0,0.5,0]]]"),
+    *(("slmodel", "halfplane", "--orbit", "N", "--samples", "7", "--base-re", "0.3", "--base-im", "1.7",
+       "--format", f) for f in ("json", "csv")),
     *ARGPARSE_ONLY,
 )
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liefoliate.errors import LieFoliateError
-from liefoliate.slmodel import _det, a_factor, halfplane_orbit, k_factor, linspace, moebius, n_factor, random_sl
+from liefoliate.slmodel import a_factor, halfplane_orbit, k_factor, linspace, moebius, n_factor, random_sl
 from matrices import diag, eye, matmul, scale
 
 params = st.floats(-3.0, 3.0, allow_nan=False)
@@ -63,6 +63,17 @@ def test_moebius_rejects_bad_inputs():
     # a_factor(3) scales by e^6, past the largest float: the image was nan+infj
     with pytest.raises(LieFoliateError, match=r"the image \(nan\+infj\) of the point 1e\+308j is not finite"):
         moebius(a_factor(3.0), 1e308j)
+    # cz+d = 1e-300 * 1e-300j underflows to 0: raised ZeroDivisionError
+    with pytest.raises(LieFoliateError, match=r"^the image \(inf\+0j\) of the point 1e-300j is not finite$"):
+        moebius([[0.0, -1e300], [1e-300, 0.0]], 1e-300j)
+
+
+def test_moebius_reads_the_point_before_the_matrix():
+    # the point's "upper half plane" came after the matrix's checks
+    with pytest.raises(LieFoliateError, match="upper half plane"):
+        moebius(eye(3), 1.0 - 1j)
+    with pytest.raises(LieFoliateError, match="upper half plane"):
+        moebius(scale(2.0, eye(2)), 1.0 - 1j)
 
 
 @pytest.mark.parametrize("point", ["2j", "abc", True, None, [1j], object()])
@@ -78,7 +89,7 @@ def test_kan_decomposition_of_sl2_matches_generators():
     # every K(s) A(t) N(u) product has determinant one
     for s, t, u in [(0.3, -0.5, 2.0), (1.2, 1.0, -0.7)]:
         g = matmul(matmul(k_factor(s), a_factor(t)), n_factor(u))
-        assert _det(g) == pytest.approx(1.0, abs=1e-12)
+        assert g[0][0] * g[1][1] - g[0][1] * g[1][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_halfplane_orbit_kinds():
@@ -109,11 +120,19 @@ def test_halfplane_orbit_validation():
 
 
 def test_linspace_spaces_as_numpy_does():
+    assert linspace(-3.0, 3.0, 0) == []  # was [-3.0]
     assert linspace(-3.0, 3.0, 1) == [-3.0]
     assert linspace(-3.0, 3.0, 5) == [-3.0, -1.5, 0.0, 1.5, 3.0]
     np = pytest.importorskip("numpy")
-    for num in (2, 3, 13, 25, 64):
+    for num in (0, 2, 3, 13, 25, 64):
         assert linspace(0.0, 2.0 * math.pi, num) == np.linspace(0.0, 2.0 * math.pi, num).tolist()
+
+
+@pytest.mark.parametrize("num", [-1, -5, 2.5, "3", True, None])
+def test_linspace_refuses_a_count_that_is_negative_or_no_int(num):
+    # a negative count gave [0.0], and 2.5 and "3" raised TypeError
+    with pytest.raises(LieFoliateError, match=r"must be an int >= 0"):
+        linspace(0.0, 1.0, num)
 
 
 @pytest.mark.parametrize("n", [0, -2, True, 2.0, "3"])

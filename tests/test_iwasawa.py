@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from liefoliate.cli import main
 from liefoliate.errors import LieFoliateError
 from liefoliate.iwasawa import KAN, TAU_NUM, factor, square_matrix
-from liefoliate.slmodel import _det, iwasawa_group, random_sl
+from liefoliate.slmodel import iwasawa_group, random_sl
 from matrices import add, diag, eye, matmul, max_abs, scale, transpose
 
 
@@ -37,34 +37,6 @@ def test_kan_agrees_with_a_numpy_qr_reference(size):
 entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def sl_matrices(draw) -> list[list[float]]:
-    """A matrix of determinant one: drawn entries, one column negated if the
-    determinant is negative, then scaled."""
-    size = draw(st.integers(1, 6))
-    g = draw(st.lists(st.lists(entries, min_size=size, max_size=size), min_size=size, max_size=size))
-    det = _det(g)
-    assume(abs(det) > 1e-3)
-    return [[math.copysign(1.0, det) * row[0], *row[1:]] for row in scale(abs(det) ** (-1.0 / size), g)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(sl_matrices())
-def test_factors_lie_in_k_a_and_n(g):
-    f = factor(square_matrix(g))
-    k, a, n = f[:3]
-    size = len(g)
-    assert max_abs(add(matmul(transpose(k), k), scale(-1, eye(size)))) <= 1e-12
-    assert _det(k) == pytest.approx(1.0, abs=1e-12)
-    assert a == diag([a[i][i] for i in range(size)]) and all(a[i][i] > 0 for i in range(size))
-    assert math.prod(a[i][i] for i in range(size)) == pytest.approx(1.0, rel=1e-9)
-    assert all(n[i][j] == (i == j) for i in range(size) for j in range(i + 1))
-    bound = max(1.0, max_abs(g))
-    residual = max_abs(add(matmul(matmul(k, a), n), scale(-1, g)))
-    assert residual <= TAU_NUM * bound
-    assert f.residual == pytest.approx(residual, abs=1e-14 * bound)
-
-
 def _exact_det(g) -> Fraction:
     m, det = [[Fraction(x) for x in row] for row in g], Fraction(1)
     for j in range(len(m)):
@@ -74,6 +46,34 @@ def _exact_det(g) -> Fraction:
         m[j], m[p], det = m[p], m[j], det * (m[p][j] if p == j else -m[p][j])
         m[j + 1:] = [[u - row[j] / m[j][j] * v for u, v in zip(row, m[j])] for row in m[j + 1:]]
     return det
+
+
+@st.composite
+def sl_matrices(draw) -> list[list[float]]:
+    """A matrix of determinant one: drawn entries, one column negated if the
+    determinant is negative, then scaled by the exact determinant."""
+    size = draw(st.integers(1, 6))
+    g = draw(st.lists(st.lists(entries, min_size=size, max_size=size), min_size=size, max_size=size))
+    det = _exact_det(g)
+    assume(abs(det) > 1e-3)
+    return [[math.copysign(1.0, det) * row[0], *row[1:]] for row in scale(float(abs(det)) ** (-1.0 / size), g)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sl_matrices())
+def test_factors_lie_in_k_a_and_n(g):
+    f = factor(square_matrix(g))
+    k, a, n = f[:3]
+    size = len(g)
+    assert max_abs(add(matmul(transpose(k), k), scale(-1, eye(size)))) <= 1e-12
+    assert float(_exact_det(k)) == pytest.approx(1.0, abs=1e-12)
+    assert a == diag([a[i][i] for i in range(size)]) and all(a[i][i] > 0 for i in range(size))
+    assert math.prod(a[i][i] for i in range(size)) == pytest.approx(1.0, rel=1e-9)
+    assert all(n[i][j] == (i == j) for i in range(size) for j in range(i + 1))
+    bound = max(1.0, max_abs(g))
+    residual = max_abs(add(matmul(matmul(k, a), n), scale(-1, g)))
+    assert residual <= TAU_NUM * bound
+    assert f.residual == pytest.approx(residual, abs=1e-14 * bound)
 
 
 def test_a_small_pivot_leaves_the_product_of_a_at_the_determinant():

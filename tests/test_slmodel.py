@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from liefoliate import slmodel
 from liefoliate.catalog import catalog_lookup
 from liefoliate.errors import LieFoliateError
-from liefoliate.iwasawa import TAU_NUM
+from liefoliate.iwasawa import TAU_NUM, factor, square_matrix
 from liefoliate.parabolic import parabolic_data, phi_subset
 from liefoliate.roots import Root
 from liefoliate.slmodel import (
     MatrixElement,
+    a_factor,
     a_phi_subspace,
     a_subspace,
     ad_matrix,
@@ -31,9 +32,11 @@ from liefoliate.slmodel import (
     h_matrix,
     is_lie_triple,
     iwasawa_group,
+    k_factor,
     killing_form,
     metric_inner,
     moebius,
+    n_factor,
     n_phi_subspace,
     n_subspace,
     p_phi_s_subspace,
@@ -575,14 +578,40 @@ def test_iwasawa_determinant_tolerance_does_not_grow_with_the_entries():
     assert [f.a[i][i] for i in range(6)] == pytest.approx([1e3, 1e3, 1e3, 1e-3, 1e-3, 1e-3])
 
 
-def test_moebius_determinant_rule_is_relative_to_the_hadamard_bound():
-    # det g must be 1 within TAU_NUM ||g e_1|| ||g e_2||: about TAU_NUM, then about 100 TAU_NUM
-    for g in ([[1.0 + 0.5 * TAU_NUM, 0.0], [0.0, 1.0]], [[1.0, 100.0], [0.0, 1.0 + 50 * TAU_NUM]]):
-        assert moebius(g, 1j) == (g[0][0] * 1j + g[0][1]) / g[1][1]
-    for g in ([[1.0 + 2 * TAU_NUM, 0.0], [0.0, 1.0]], [[1.0, 1e6], [0.0, 2.0]],
-              [[1e200, 0.0], [0.0, 1e200]], [[1e200, 1e200], [1e200, 1e200]]):  # det 1 + 2 TAU_NUM, 2, inf, nan
-        with pytest.raises(LieFoliateError, match="determinant 1"):
+@pytest.mark.parametrize("g, det", [([[1.0, 1e15], [0.0, 2.0]], "2.0"), ([[1.0, 1e30], [0.0, 5.0]], "5.0")])
+def test_moebius_refuses_a_determinant_other_than_1_beside_a_large_entry(g, det):
+    # moebius's own rule, det g = 1 within TAU_NUM ||g e_1|| ||g e_2||, gave (5e14+0.5j) and (2e29+0.2j)
+    with pytest.raises(LieFoliateError, match=rf"^matrix must have determinant 1, got {det}$"):
+        moebius(g, 1j)
+
+
+def _kan(s, t, u):
+    return matmul(matmul(k_factor(s), a_factor(t)), n_factor(u))
+
+
+KAN_PRODUCTS = {f"kan({s}, {t}, {u})": _kan(s, t, u)
+                for s in (0.0, 0.7, 2.5) for t in (-18.0, 0.0, 3.0) for u in (-1e6, 0.0, 1.2)}
+NEAR_SL2 = {f"det 1{j:+d}e-10 of {name}": scale(math.sqrt(1.0 + j * 1e-10), g)
+            for name, g in list(KAN_PRODUCTS.items())[::4] for j in (-30, -3, -2, -1, 1, 2, 3, 30)}
+OTHER_2X2 = {  # the cases of moebius's former rule, and the defect's two
+    "1+0.5tau": [[1.0 + 0.5 * TAU_NUM, 0.0], [0.0, 1.0]], "1+2tau": [[1.0 + 2 * TAU_NUM, 0.0], [0.0, 1.0]],
+    "n-100": [[1.0, 100.0], [0.0, 1.0 + 50 * TAU_NUM]], "n-1e6-det-2": [[1.0, 1e6], [0.0, 2.0]],
+    "det-inf": [[1e200, 0.0], [0.0, 1e200]], "singular-1e200": [[1e200, 1e200], [1e200, 1e200]],
+    "n-1e15-det-2": [[1.0, 1e15], [0.0, 2.0]], "n-1e30-det-5": [[1.0, 1e30], [0.0, 5.0]],
+}
+SL2_CASES = KAN_PRODUCTS | NEAR_SL2 | OTHER_2X2
+
+
+@pytest.mark.parametrize("g", SL2_CASES.values(), ids=SL2_CASES.keys())
+def test_moebius_accepts_g_exactly_when_factor_factors_it(g):
+    try:
+        factor(square_matrix(g))
+    except LieFoliateError as exc:
+        with pytest.raises(LieFoliateError) as refused:
             moebius(g, 1j)
+        assert str(refused.value) == str(exc)
+    else:
+        assert moebius(g, 1j) == (g[0][0] * 1j + g[0][1]) / (g[1][0] * 1j + g[1][1])
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
