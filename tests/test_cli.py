@@ -347,6 +347,14 @@ def test_slmodel_non_finite_is_a_domain_error(capsys, argv):
     assert "finite" in err or "upper half plane" in err
 
 
+def test_slmodel_halfplane_refuses_samples_above_the_ceiling(capsys):
+    from liefoliate.slmodel import MAX_ORBIT_SAMPLES
+
+    code, out, err = run(capsys, "slmodel", "halfplane", "--orbit", "N", "--samples", str(MAX_ORBIT_SAMPLES + 1))
+    assert (code, out) == (1, "")
+    assert err == f"error: samples {MAX_ORBIT_SAMPLES + 1} is above the ceiling MAX_ORBIT_SAMPLES = {MAX_ORBIT_SAMPLES}\n"
+
+
 # name -> (matrix JSON, what the error line says)
 MALFORMED_MATRICES = {
     "string": ('[["1",0],[0,1]]', "numbers"),  # was read as the number 1

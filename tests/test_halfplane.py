@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liefoliate import slmodel
 from liefoliate.errors import LieFoliateError
-from liefoliate.slmodel import a_factor, halfplane_orbit, k_factor, linspace, moebius, n_factor, random_sl
+from liefoliate.slmodel import MAX_ORBIT_SAMPLES, a_factor, halfplane_orbit, k_factor, linspace, moebius, n_factor, random_sl
 from matrices import diag, eye, matmul, scale
 
 params = st.floats(-3.0, 3.0, allow_nan=False)
@@ -117,6 +118,19 @@ def test_halfplane_orbit_validation():
             halfplane_orbit("K", 5, base=base)
     with pytest.raises(LieFoliateError, match="is not finite"):  # gave [nan+infj, ...]
         halfplane_orbit("A", 2, base=1e308j)
+
+
+@pytest.mark.parametrize("kind", ["K", "A", "N"])
+def test_halfplane_orbit_refuses_samples_above_its_ceiling_before_building_a_matrix(monkeypatch, kind):
+    assert len(halfplane_orbit(kind, MAX_ORBIT_SAMPLES)) == MAX_ORBIT_SAMPLES
+
+    def built(*args):
+        raise AssertionError("a matrix was built")
+
+    for name in ("k_factor", "a_factor", "n_factor", "linspace"):
+        monkeypatch.setattr(slmodel, name, built)
+    with pytest.raises(LieFoliateError, match=f"ceiling MAX_ORBIT_SAMPLES = {MAX_ORBIT_SAMPLES}"):
+        halfplane_orbit(kind, MAX_ORBIT_SAMPLES + 1)
 
 
 def test_linspace_spaces_as_numpy_does():

@@ -30,10 +30,8 @@ from liefoliate.parabolic import (
 from liefoliate.roots import Family
 from liefoliate.slmodel import (
     a_phi_subspace,
-    a_subspace,
     build_s_phi_v,
     n_phi_subspace,
-    n_subspace,
     p_phi_s_subspace,
     p_phi_subspace,
     phi_blocks,
@@ -97,11 +95,11 @@ def test_a_rank_that_is_no_int_from_one_is_refused(call, r):
 
 
 @pytest.mark.parametrize("r", [0, -2, True, 2.0, None])
-@pytest.mark.parametrize("call", [a_subspace, n_subspace], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("call", [a_phi_subspace, n_phi_subspace], ids=lambda f: f.__name__)
 def test_a_and_n_read_the_rank_through_the_phi_rule(call, r):
     with pytest.raises(LieFoliateError, match=r"rank .* must be an int >= 1"):
-        call(r)
-    assert call(2).dim == {"a_subspace": 2, "n_subspace": 3}[call.__name__]
+        call(r, ())
+    assert call(2, ()).dim == {"a_phi_subspace": 2, "n_phi_subspace": 3}[call.__name__]
 
 
 @pytest.mark.parametrize("dim_v", [True, False, 1.0, 1.5, None, "1", -1, 4])

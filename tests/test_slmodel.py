@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liefoliate import slmodel
@@ -20,7 +20,6 @@ from liefoliate.slmodel import (
     MatrixElement,
     a_factor,
     a_phi_subspace,
-    a_subspace,
     ad_matrix,
     as_element,
     bracket,
@@ -38,7 +37,6 @@ from liefoliate.slmodel import (
     moebius,
     n_factor,
     n_phi_subspace,
-    n_subspace,
     p_phi_s_subspace,
     p_phi_subspace,
     q_phi_block_dimension,
@@ -643,8 +641,8 @@ def test_default_seed_is_fixed_whatever_the_environment(monkeypatch, env_seed):
 
 def test_derived_algebra_of_a_plus_n_is_n():
     r = 3
-    a_basis = [b.entries for b in a_subspace(r).basis]
-    n_basis = [b.entries for b in n_subspace(r).basis]
+    a_basis = [b.entries for b in a_phi_subspace(r, ()).basis]
+    n_basis = [b.entries for b in n_phi_subspace(r, ()).basis]
     brackets = [bracket(x, y).entries for x in a_basis + n_basis for y in a_basis + n_basis]
     # every bracket is strictly upper triangular, and each E_ij of n is [h, E_ij] for some h
     assert all(m[i][j] == 0 for m in brackets for i in range(r + 1) for j in range(i + 1))
@@ -658,8 +656,8 @@ def test_subspace_rejects_dependent_basis():
 
 
 def test_subspace_dims():
-    assert a_subspace(4).dim == 4
-    assert n_subspace(4).dim == 10
+    assert a_phi_subspace(4, ()).dim == 4
+    assert n_phi_subspace(4, ()).dim == 10
     assert a_phi_subspace(4, [1, 3]).dim == 2
     assert n_phi_subspace(4, [1, 3]).dim == 8
     assert p_phi_subspace(4, [1, 3]).dim == 4 + 2
@@ -671,7 +669,7 @@ def test_subspace_dims():
 
 
 def test_lie_triple_a_is_abelian():
-    res = is_lie_triple(a_subspace(5))
+    res = is_lie_triple(a_phi_subspace(5, ()))
     assert res.holds and res.residual == 0.0
 
 
@@ -764,6 +762,85 @@ def test_lie_triple_non_example_all_offdiagonal():
 def test_lie_triple_rejects_non_symmetric_basis():
     with pytest.raises(LieFoliateError, match="symmetric"):
         is_lie_triple(subspace([e_matrix(3, 0, 1)]))
+
+
+# Small rational entries, four in nine of them 0, so that some bases hold and some fail.
+_ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def _small_bases(draw, symmetric):
+    """1 to 5 linearly independent traceless rational n x n matrices, n <= 4, symmetric or not."""
+    n = draw(st.integers(2, 4))
+    dim = n * (n + 1) // 2 - 1 if symmetric else n * n - 1
+    basis = []
+    for _ in range(draw(st.integers(1, min(5, dim)))):
+        x = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+        if symmetric:
+            x = [[x[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        x[n - 1][n - 1] -= trace(x)
+        basis.append(x)
+    assume(len(_orthogonal(basis)) == len(basis))
+    return basis
+
+
+def _pairing(x, y):
+    return sum(u * v for row_x, row_y in zip(x, y) for u, v in zip(row_x, row_y))
+
+
+def _orthogonal(basis):
+    """An orthogonal basis of span(basis), by Gram-Schmidt in Fractions."""
+    ortho = []
+    for v in basis:
+        for q in ortho:
+            v = add(v, scale(-Fraction(_pairing(v, q), _pairing(q, q)), q))
+        if _pairing(v, v):
+            ortho.append(v)
+    return ortho
+
+
+def _reference_residuals(basis, brackets):
+    """The metric norm outside span(basis) of each bracket M, over the product of its factors'
+    metric norms, from M's exact projection onto the span: (factors, residual) in the given order."""
+    n, ortho = len(basis[0]), _orthogonal(basis)
+    out = []
+    for factors, m in brackets:
+        outside = _pairing(m, m) - sum(Fraction(_pairing(m, q) ** 2, _pairing(q, q)) for q in ortho)
+        norms = math.prod(2 * n * _pairing(basis[f], basis[f]) for f in factors)
+        out.append((factors, math.sqrt(2 * n * outside / norms)))
+    return out
+
+
+def _commute(x, y):
+    return add(matmul(x, y), scale(-1, matmul(y, x)))
+
+
+def _check_against_reference(residual, holds, reference):
+    failing = [res for _, res in reference if res > 0.0]
+    assert holds == (not failing)
+    if holds:
+        assert residual == 0.0
+    else:  # the first failing bracket in lexicographic order, which the maximum bounds
+        assert residual == failing[0] > 0.0
+        assert residual <= max(failing)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_bases(symmetric=True))
+def test_lie_triple_residual_is_that_of_the_first_double_bracket_outside_the_span(basis):
+    d = len(basis)
+    triples = [((i, j, k), _commute(_commute(basis[i], basis[j]), basis[k]))
+               for i, j in itertools.combinations(range(d), 2) for k in range(d)]
+    res = is_lie_triple(subspace(basis))
+    _check_against_reference(res.residual, res.holds, _reference_residuals(basis, triples))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_bases(symmetric=False))
+def test_closure_residual_is_that_of_the_first_bracket_outside_the_span(basis):
+    pairs = [((i, j), _commute(basis[i], basis[j])) for i, j in itertools.combinations(range(len(basis)), 2)]
+    residual = bracket_closure_residual(subspace(basis))
+    _check_against_reference(residual, residual == 0.0, _reference_residuals(basis, pairs))
 
 
 # --- foliation subalgebras --------------------------------------------------------
