@@ -174,12 +174,15 @@ def test_parabolic_table_at_rank_1000_counts_by_the_closed_form():
 
 
 def test_horospherical_on_a_d_diagram_at_rank_300():
-    # D is no path, so Phi's components are grown through the neighbours; 297-300 is one D_4.
-    d = cli("horospherical", "--space", "so(300,300)", "--phi", f"{seq(1, 297, 2)},298,299,300", "--format", "json",
-            timeout=20)
-    f = d["factors"]
-    assert (len(f), f[-1]["component_indices"], f[-1]["dim"]) == (149, [297, 298, 299, 300], 16)
-    assert dim_m(d) == (90000, 90000)
+    # Phi's runs of consecutive indices are cut where (r - 1, r) is no edge and joined
+    # across the edge (r - 2, r): each odd vertex up to r - 3 is one factor, and
+    # r - 3, ..., r is one D_4.  The same Phi at rank 1000 follows.
+    for rank, factors in ((300, 149), (1000, 499)):
+        phi = f"{seq(1, rank - 3, 2)},{seq(rank - 2, rank)}"
+        d = cli("horospherical", "--space", f"so({rank},{rank})", "--phi", phi, "--format", "json", timeout=20)
+        f = d["factors"]
+        assert (len(f), f[-1]["component_indices"], f[-1]["dim"]) == (factors, [rank - 3, rank - 2, rank - 1, rank], 16)
+        assert dim_m(d) == (rank * rank, rank * rank)
 
 
 def test_horospherical_on_a_path_diagram_at_rank_1000():

@@ -159,11 +159,6 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
                 long * self.m_alpha(kind.long) + short * self.m_alpha(kind.short) + doubled * self.m_2alpha(kind.short))
 
     @cached_property
-    def diagram_is_path(self) -> bool:
-        """Whether the diagram's edges are (i, i + 1) alone (A, B, C, BC, F4, G2)."""
-        return {(e.i, e.j) for e in self.diagram.edges} == {(i, i + 1) for i in range(1, self.rank)}
-
-    @cached_property
     def components(self) -> dict:
         """What ``parabolic`` keeps of this space: its ``_Component`` per connected component of a Phi met."""
         return {}

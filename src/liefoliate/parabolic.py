@@ -18,10 +18,10 @@ subdiagram (``SpaceDescriptor.span_counts``), so ``parabolic_data`` and
 ``horospherical`` walk no root.  The roots themselves come, on each
 ``root_subsystem`` call, from the raising reflections of each component alone
 (``roots.span_roots``), and are not kept: no call builds the space's full
-root list, and nothing reads them twice.  On a path diagram, whose edges are
-(i, i + 1) alone (A, B, C, BC, F4, G2; ``SpaceDescriptor.diagram_is_path``),
-the components of Phi are its runs of consecutive indices; on D and E they
-are grown through the neighbours.  Each space keeps its components asked for,
+root list, and nothing reads them twice.  The components of Phi are its runs
+of consecutive indices, cut where (i, i + 1) is no edge and joined across the
+edges (i, j) with j > i + 1, which only D and E have
+(``DynkinDiagram._components_of``).  Each space keeps its components asked for,
 with their counts and factors, in a plain dict on its descriptor
 (``SpaceDescriptor.components``), O(r^2) of them on a classical diagram.
 """
@@ -33,7 +33,7 @@ from itertools import chain
 
 from .catalog import SpaceDescriptor
 from .errors import LieFoliateError
-from .roots import Root, expect, span_roots
+from .roots import DynkinDiagram, Root, expect, span_roots
 
 __all__ = [
     "PhiSubset",
@@ -74,10 +74,8 @@ class PhiSubset(namedtuple("PhiSubset", "space indices")):
 
     @property
     def is_orthogonal(self) -> bool:
-        """No two chosen vertices are adjacent in the Dynkin diagram."""
-        adjacency = self.space.diagram._adjacency  # the indices are ints in 1..r, checked when built
-        chosen = set(self.indices)
-        return all(not (adjacency[i] & chosen) for i in chosen)
+        """No two chosen vertices are adjacent in the Dynkin diagram: each component is one vertex."""
+        return len(self.space.diagram._components_of(self.indices)) == len(self.indices)
 
     def check_foliation(self, dim_v) -> None:
         """Raise unless Phi is orthogonal and dim_v is an int in 0..r - r_Phi, as F_{Phi,V} needs."""
@@ -268,25 +266,9 @@ class _Component:
         self.factor = BoundaryFactor(component, rank, name, rank + sum_pos)
 
 
-def _runs(indices: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The runs of consecutive indices of a sorted tuple, one slice each: the
-    connected components of a Phi on a path diagram.  Along a run, an index
-    less its position is constant."""
-    runs, start, k = [], 0, 0
-    shift = indices[0] if indices else 0
-    for i in indices:
-        if i != shift + k:
-            runs.append(indices[start:k])
-            start, shift = k, i - k
-        k += 1
-    if indices:
-        runs.append(indices[start:])
-    return runs
-
-
 def _components(space: SpaceDescriptor, phi: PhiSubset) -> list[_Component]:
-    """The components of phi in order, its runs on a path diagram, each made the
-    first time the space meets it and kept in the dict ``space.components``."""
+    """The components of phi in order (``DynkinDiagram._components_of``), each made
+    the first time the space meets it and kept in the dict ``space.components``."""
     try:
         seen = space.components
     except AttributeError:
@@ -301,7 +283,8 @@ def _components(space: SpaceDescriptor, phi: PhiSubset) -> list[_Component]:
     if component is not None:
         return [component]
     found = []
-    for c in _runs(indices) if space.diagram_is_path else space.diagram._components_of(indices):
+    # through the class: binding a method to a tuple subclass costs about 0.1 µs a call
+    for c in DynkinDiagram._components_of(space.diagram, indices):
         component = seen.get(c)
         if component is None:  # setdefault: the first stored, under threads too
             component = seen.setdefault(c, _Component(space, c))

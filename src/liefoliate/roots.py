@@ -15,7 +15,9 @@ gives that type's positive roots per length (Bourbaki, Plates I-IX), so a
 dimension that sums multiplicities over roots needs no root.  ``span_roots``
 lists the positive roots spanned by one connected component only: the
 closure of its simple roots under the simple reflections that raise height.
-The full root list, ``RootSystem`` and ``build_root_system``, lives in
+``DynkinDiagram.connected_components`` splits a set of vertices into its runs
+of consecutive indices, cut and joined where the diagram leaves the path
+1 - 2 - ... - r, on D and E alone.  The full root list, ``RootSystem`` and ``build_root_system``, lives in
 ``rootsystem`` with the arithmetic on roots that only its users call
 (``inner``, ``reflect``, ``root_from_coords``, ``format_root``); it is
 loaded on first use of those names here, by the commands that print or
@@ -257,9 +259,11 @@ class DynkinEdge(namedtuple("DynkinEdge", "i j lines arrow", defaults=(None,))):
 class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults=((),))):
     """Decorated graph on the simple roots: line counts, arrows, double circles.
 
-    Vertices and edges are stored and exported; adjacency, automorphisms and
-    the Cartan matrix read the Cartan entries derived from the edges once,
-    cached in the instance ``__dict__``.
+    Vertices and edges are stored and exported; adjacency, automorphisms,
+    the Cartan matrix and where the diagram leaves the path 1 - 2 - ... - r
+    (``_off_path``, read by the one walk over the components of a set of
+    vertices) read the Cartan entries derived from the edges once, cached in
+    the instance ``__dict__``.
     """
 
     @property
@@ -304,11 +308,6 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults
             raise LieFoliateError(f"vertex index {index!r} must be an int in 1..{self.rank}")
         return self._adjacency[index]
 
-    @cached_property
-    def _neighbor_masks(self) -> tuple[int, ...]:
-        """Bit j-1 of entry i-1 is set when vertex j is joined to vertex i."""
-        return tuple(sum(1 << (j - 1) for j in self._adjacency[i]) for i in range(1, self.rank + 1))
-
     def connected_components(self, indices) -> list[tuple[int, ...]]:
         """Connected components of the subdiagram induced on the given vertices, in
         sorted order; each must be an int (not a bool) in 1..rank, else LieFoliateError."""
@@ -318,33 +317,52 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults
             checked = (None,)
         if not all(type(i) is int and 1 <= i <= self.rank for i in checked):
             raise LieFoliateError(f"vertex indices {indices!r} must be ints in 1..{self.rank}")
-        return self._components_of(checked)
+        return self._components_of(tuple(sorted(set(checked))))
+
+    @cached_property
+    def _off_path(self) -> list[tuple[int, int]] | None:
+        """Where the diagram leaves the path 1 - 2 - ... - rank, or None on a path
+        diagram (A, B, C, BC, F4, G2): the pairs (i, i + 1) that are no edge, then
+        the edges (i, j) with j > i + 1.  [(r - 1, r), (r - 2, r)] on D_r, and
+        [(1, 2), (2, 3), (1, 3), (2, 4)] on E."""
+        a = self._entries
+        cuts = [(i, i + 1) for i in range(1, self.rank) if (i, i + 1) not in a]
+        return cuts + [e for e in a if e[1] > e[0] + 1] or None
 
     def _components_of(self, indices) -> list[tuple[int, ...]]:
-        """``connected_components`` of indices already checked.
+        """``connected_components`` of a sorted tuple of distinct vertices, already checked.
 
-        Each grows from the lowest pending vertex, taking a vertex's pending
-        neighbours in one bitmask operation."""
-        masks = self._neighbor_masks
-        pending = 0
+        Its runs of consecutive indices, one slice each, are the components on a
+        path diagram: along a run, an index less its position is constant.  Off
+        a path (``_off_path``), a run is cut where (i, i + 1) is no edge, and
+        then the runs holding the two ends of each other edge are joined; the
+        runs stay in order of their least vertex.  No comprehension reads the
+        walk's variables: it would make them cells, which are slower to read."""
+        runs, start, k = [], 0, 0
+        shift = indices[0] if indices else 0
         for i in indices:
-            pending |= 1 << (i - 1)
-        comps = []
-        while pending:
-            frontier = pending & -pending
-            pending ^= frontier
-            comp = []
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                v = low.bit_length()
-                comp.append(v)
-                joined = masks[v - 1] & pending  # bit j-1 stands for vertex j
-                pending ^= joined
-                frontier |= joined
-            comp.sort()
-            comps.append(tuple(comp))
-        return comps
+            if i != shift + k:
+                runs.append(indices[start:k])
+                start, shift = k, i - k
+            k += 1
+        if indices:
+            runs.append(indices[start:])
+        off_path = self._off_path
+        if off_path is None:
+            return runs
+        for i, j in off_path:
+            if i in indices and j in indices:
+                first = None
+                for n, run in enumerate(runs):
+                    if i in run or j in run:
+                        if j == i + 1:  # no edge: cut the run holding both, still a run as the cuts come first
+                            runs[n:n + 1] = run[:j - run[0]], run[j - run[0]:]
+                            break
+                        if first is not None:  # an edge: join the two runs holding its ends
+                            runs[first] = tuple(sorted(runs[first] + runs.pop(n)))
+                            break
+                        first = n
+        return runs
 
     def to_dict(self) -> dict:
         from .diagrams import to_dict
@@ -481,7 +499,7 @@ def subdiagram_type(dd: DynkinDiagram, component) -> SubdiagramType:
     elif circled:
         family = Family.BC if k == 1 else None
     elif branches:
-        arms = sorted(map(len, dd._components_of(inside - {branches[0]})))
+        arms = sorted(map(len, dd._components_of(tuple(sorted(inside - {branches[0]})))))
         family = Family.D if arms[:2] == [1, 1] else _E_ARMS.get(tuple(arms))
     else:
         family = Family.A

@@ -28,7 +28,6 @@ CACHE_READERS = {
     "slmodel._killing_terms": "killing_form on one size again, as verify criterion 5 makes it",
     # cached_property
     "catalog.SpaceDescriptor.diagram": "structure_warm: every parabolic, horospherical and foliations call",
-    "catalog.SpaceDescriptor.diagram_is_path": "structure_warm: the components of a Phi not met as one component",
     "catalog.SpaceDescriptor.components": "structure_warm: every parabolic_data, horospherical, boundary_components "
                                           "and root_subsystem call",
     "catalog.SpaceDescriptor.orbits": "structure_warm: a full enumeration returns the kept records",
@@ -38,9 +37,11 @@ CACHE_READERS = {
     "rootsystem.RootSystem._dynkin_diagram": "dynkin_diagram: the diagram the build made, the same on every call",
     "roots.DynkinDiagram._entries": "cli_cold: each new component's subdiagram_type and span_roots",
     "roots.DynkinDiagram.cartan": "RootSystem.from_dict, which reads it twice, and every root-list build",
-    "roots.DynkinDiagram._adjacency": "structure_warm: PhiSubset.is_orthogonal and each walk of the layers",
+    "roots.DynkinDiagram._adjacency": "structure_warm: each walk of the layers, subdiagram_type and "
+                                      "diagrams.automorphisms",
     "roots.DynkinDiagram._automorphisms": "structure_warm: the spaces on one diagram share one search",
-    "roots.DynkinDiagram._neighbor_masks": "structure_warm: the components of a Phi on a D or E diagram",
+    "roots.DynkinDiagram._off_path": "structure_warm: the components of a Phi not met as one component, on every "
+                                     "diagram, and PhiSubset.is_orthogonal",
 }
 
 SLOT_READERS = {

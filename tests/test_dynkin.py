@@ -244,6 +244,31 @@ def test_connected_components():
     assert dd4.connected_components((1, 2, 3, 4)) == [(1, 2, 3, 4)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] < e[1])),
+    st.lists(st.integers(1, n)))))
+def test_connected_components_of_any_graph_on_the_vertices(case):
+    # A diagram made by hand or read back from a dict may have cycles, several
+    # components and any number of edges off the path 1 - 2 - ... - n; Phi may
+    # repeat a vertex and be unsorted.  The reference grows each component from
+    # its least vertex one neighbour at a time.
+    n, edges, phi = case
+    dd = DynkinDiagram(tuple(DynkinVertex(i, False) for i in range(1, n + 1)),
+                       tuple(DynkinEdge(i, j, 1) for i, j in sorted(edges)))
+    pending, expected = set(phi), []
+    while pending:
+        component, frontier = set(), [min(pending)]
+        while frontier:
+            v = frontier.pop()
+            if v in pending:
+                pending.discard(v)
+                component.add(v)
+                frontier.extend(dd.neighbors(v))
+        expected.append(tuple(sorted(component)))
+    assert dd.connected_components(phi) == expected
+
+
 def _cartan_of(simple):
     """A_ij = 2<alpha_i, alpha_j>/<alpha_j, alpha_j>, from the coordinates of the simple roots."""
     def dot(a, b):

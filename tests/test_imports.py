@@ -223,8 +223,8 @@ ARGV_READER = 410
 
 @pytest.mark.parametrize("argv, ceiling", (
     pytest.param(("--version",), 605, id="--version"),
-    pytest.param(("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json"), 9_500, id="parabolic"),
-    pytest.param(("horospherical", "--space", "su(4,2)", "--phi", "1"), 9_550, id="horospherical"),
+    pytest.param(("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json"), 9_475, id="parabolic"),
+    pytest.param(("horospherical", "--space", "su(4,2)", "--phi", "1"), 9_525, id="horospherical"),
     pytest.param(("foliations", "enumerate", "--space", "so(5,2)"), 10_670, id="foliations-enumerate"),
     pytest.param(("catalog", "list"), 7_490, id="catalog-list"),
     pytest.param(("rootsys", "dynkin", "--family", "D", "--rank", "5", "--format", "dot"), 6_460,

@@ -392,9 +392,7 @@ def test_a_phi_that_is_no_phi_subset_is_a_domain_error(call, phi):
         call(catalog_lookup("SL5"), phi)
 
 
-# The families whose diagram is a path, edges (i, i + 1) alone, those of one
-# rank, and the least rank of each family.
-PATHS = {Family.A, Family.B, Family.C, Family.BC, Family.F4, Family.G2}
+# The families of one rank, and the least rank of each family.
 FIXED = {Family.E6, Family.E7, Family.E8, Family.F4, Family.G2}
 LEAST_RANK = {Family.A: 1, Family.B: 2, Family.C: 2, Family.D: 3, Family.BC: 1,
               Family.E6: 6, Family.E7: 7, Family.E8: 8, Family.F4: 4, Family.G2: 2}
@@ -406,17 +404,60 @@ def hand_built(family: Family, rank: int) -> SpaceDescriptor:
     return SpaceDescriptor(f"{family.value}{rank}", f"{family.value}{rank}", family, rank, mults, 0, "hand")
 
 
+def components_reference(dd, phi) -> list[tuple[int, ...]]:
+    """Phi's connected components in sorted order, each grown from its least vertex one
+    neighbour at a time over ``DynkinDiagram.neighbors``: no runs, cuts or joins."""
+    pending, components = set(phi), []
+    while pending:
+        component, frontier = set(), [min(pending)]
+        while frontier:
+            v = frontier.pop()
+            if v in pending:
+                pending.discard(v)
+                component.add(v)
+                frontier.extend(dd.neighbors(v))
+        components.append(tuple(sorted(component)))
+    return components
+
+
+def assert_components(space, phi, expected) -> None:
+    """The components of Phi, by ``parabolic``, by the diagram and as ``is_orthogonal`` counts them."""
+    subset = phi_subset(space, phi)
+    assert [c.indices for c in parabolic._components(space, subset)] == expected, phi
+    assert space.diagram.connected_components(phi) == expected, phi
+    assert subset.is_orthogonal == (len(expected) == len(phi)), phi
+
+
 @pytest.mark.parametrize("family, rank", [(f, r) for f, least in LEAST_RANK.items()
                                           for r in range(least, (least if f in FIXED else 10) + 1)],
                          ids=lambda x: str(getattr(x, "value", x)))
 def test_the_split_of_every_phi_is_its_connected_components(family, rank):
     space = hand_built(family, rank)
-    dd = space.diagram
-    assert space.diagram_is_path == (family in PATHS)
     for mask in range(1 << rank):
         phi = tuple(i for i in range(1, rank + 1) if mask >> (i - 1) & 1)
-        components = parabolic._components(space, phi_subset(space, phi))
-        assert [c.indices for c in components] == dd.connected_components(phi), phi
+        assert_components(space, phi, components_reference(space.diagram, phi))
+
+
+# Off the path 1 - 2 - ... - r: D_r joins r - 2 to r and not r - 1 to r; E joins
+# 1 to 3 and 2 to 4, and neither 1 to 2 nor 2 to 3.  A walk without the cuts or
+# without the joins fails some of these.
+OFF_PATH_CASES = [
+    *((Family.D, r, (r - 2, r), [(r - 2, r)]) for r in (3, 4, 5, 12, MAX_RANK)),
+    *((Family.D, r, (r - 1, r), [(r - 1,), (r,)]) for r in (3, 4, 5, 12, MAX_RANK)),
+    *((Family.D, r, (r - 3, r - 2, r - 1, r), [(r - 3, r - 2, r - 1, r)]) for r in (4, 12, MAX_RANK)),
+    *((e, e_rank, phi, expected) for e, e_rank in ((Family.E6, 6), (Family.E7, 7), (Family.E8, 8))
+      for phi, expected in (((1, 2), [(1,), (2,)]), ((2, 3), [(2,), (3,)]), ((1, 3), [(1, 3)]), ((2, 4), [(2, 4)]),
+                            ((1, 2, 3), [(1, 3), (2,)]), ((1, 2, 3, 4), [(1, 2, 3, 4)]),
+                            ((1, 2, 5, 6), [(1,), (2,), (5, 6)]))),
+]
+
+
+@pytest.mark.parametrize("family, rank, phi, expected", OFF_PATH_CASES,
+                         ids=lambda x: str(getattr(x, "value", x)).replace(" ", ""))
+def test_the_components_off_the_path_are_cut_and_joined(family, rank, phi, expected):
+    space = hand_built(family, rank)
+    assert components_reference(space.diagram, phi) == expected
+    assert_components(space, phi, expected)
 
 
 @st.composite
@@ -440,5 +481,6 @@ def large_phi(draw):
 def test_the_components_of_a_phi_up_to_rank_1000_are_its_connected_components(case):
     space, phi = case
     components = parabolic._components(space, phi_subset(space, phi))
-    assert [c.indices for c in components] == space.diagram.connected_components(phi)
+    assert [c.indices for c in components] == components_reference(space.diagram, phi)
+    assert space.diagram.connected_components(phi) == [c.indices for c in components]
     assert parabolic._components(space, phi_subset(space, phi)) == components  # warm: the same components
