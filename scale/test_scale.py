@@ -1,10 +1,10 @@
 """Checks at scale, each in a fresh process that must finish within the
 timeout written beside it: A299's positive roots, SL1001's parabolic and
-horospherical data, the foliation records of SL18 and SL20, the exact edge
-cases of the matrix model, a determinant refused at 64 rows, and ``verify
---suite all``.  Outside tier-1's collection; run with
-``PYTHONPATH=src python -m pytest scale -q``.  A new check at scale belongs
-here, not in the CI workflow.
+horospherical data and a short parabolic record of it refused, the foliation
+records of SL18 and SL20, the exact edge cases of the matrix model, a
+determinant refused at 64 rows, and ``verify --suite all``.  Outside
+tier-1's collection; run with ``PYTHONPATH=src python -m pytest scale -q``.
+A new check at scale belongs here, not in the CI workflow.
 """
 
 import json
@@ -58,6 +58,15 @@ def test_a63_json_is_read_back_in_a_fresh_process():
 data = json.load(sys.stdin)
 print(json.dumps([len(data["positive"]), RootSystem.from_dict(data) == build_root_system("A", 63)]))""",
                   stdin=data, timeout=60) == [2016, True]
+
+
+def test_a_short_sl1001_record_is_refused_within_2_s():
+    # Building Sigma_Phi for Phi = 1..1000 (500,500 roots of 1001 coordinates) would take minutes.
+    assert python("""from liefoliate import LieFoliateError, ParabolicData
+try:
+    ParabolicData.from_dict({"space": "SL1001", "phi": list(range(1, 1001))})
+except LieFoliateError as exc:
+    print(json.dumps(str(exc)))""", timeout=2) == "parabolic record lacks sigma_phi, sigma_phi_pos"
 
 
 def test_a299_root_list_starts_with_the_simple_roots():

@@ -2,11 +2,11 @@
 forms, and the search for its automorphisms.
 
 ``rootsys dynkin`` prints the two forms, ``foliations`` groups the subsets
-Φ by the automorphisms, and library users read diagrams back with
-``DynkinDiagram.from_dict``; the structure commands do none of these.  So
-the methods of ``roots.DynkinDiagram`` that give the two forms and keep the
-automorphisms load this module on first use, as ``Root.__str__`` loads
-``rootsystem``.
+Φ by the automorphisms, and library users read diagrams back, or build them
+by hand, with ``DynkinDiagram.from_dict``; the structure commands do none of
+these.  So the methods of ``roots.DynkinDiagram`` that give the two forms and
+keep the automorphisms load this module on first use, as ``Root.__str__``
+loads ``rootsystem``.
 ``DynkinDiagram.from_dict`` accepts only edges that give a Cartan matrix:
 vertices 1..n, edges of 1 to 3 lines between two of them, and an arrow on
 each multiple edge and on no other.

@@ -193,11 +193,18 @@ class ParabolicData(namedtuple("ParabolicData", (
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParabolicData":
-        """Rebuild a record of ``to_dict`` from its space and phi, checking every other field."""
+        """Rebuild a record of ``to_dict`` from its space and phi, checking every other field;
+        the lengths of its root lists first, against the record's counts, before any root is walked."""
         from .readback import named, rebuilt
 
-        return rebuilt(data, ("space", "phi"), lambda name, phi: parabolic_data(*named(name, phi)),
-                       "parabolic record")
+        def build(name, phi):
+            return parabolic_data(*named(name, phi))
+
+        def sizes(name, phi):
+            record = build(name, phi)
+            return {"sigma_phi": record.n_sigma_phi, "sigma_phi_pos": record.n_sigma_phi_pos}
+
+        return rebuilt(data, ("space", "phi"), build, "parabolic record", sizes)
 
 
 def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:

@@ -371,7 +371,14 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults
 
     @classmethod
     def from_dict(cls, data: dict) -> "DynkinDiagram":
-        """Rebuild a diagram of ``to_dict``, checking that it is one (``diagrams.from_dict``)."""
+        """Rebuild a diagram of ``to_dict``, checking that it is one (``diagrams.from_dict``).
+
+        Unlike the records, which ``readback.rebuilt`` rebuilds from their key
+        fields, a diagram has no key: this is the checked constructor of a
+        hand-made diagram, any graph whose edges give a Cartan matrix, which
+        ``subdiagram_type``, ``connected_components`` and
+        ``diagram_automorphisms`` all accept.
+        """
         from .diagrams import from_dict
 
         return from_dict(cls, data)

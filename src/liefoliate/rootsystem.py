@@ -9,8 +9,10 @@ height, then by their coefficients in descending lexicographic order, so
 ``positive`` begins with the simple roots in order.  A system holds O(r^2)
 roots of r coordinates each; the structure commands read the diagram of
 ``roots`` and its closed forms instead, and do not load this module.
-``RootSystem.from_dict`` checks listed simple roots against the same
-diagram's Cartan matrix before it walks any root.
+``RootSystem.from_dict`` reads back only what ``to_dict`` wrote: it
+rebuilds the system from its family and rank and compares every field
+(``readback.rebuilt``), after counting the listed roots against
+``POSITIVE_ROOT_COUNTS``, so a short record walks no root.
 
 The exact arithmetic on roots (``inner``, ``reflect``), reading and
 printing them (``root_from_coords``, ``format_root``), and the multiplicity
@@ -24,11 +26,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from operator import mul
 
 from .errors import LieFoliateError
-from .roots import (SCALE, _SIMPLE_ROOTS, DynkinDiagram, Family, Root, _checked_family, _positive_roots, _vector,
-                    expect, family_diagram)
+from .roots import (POSITIVE_ROOT_COUNTS, SCALE, _SIMPLE_ROOTS, DynkinDiagram, Family, Root, _checked_family,
+                    _positive_roots, _vector, expect, family_diagram)
 
 
 def root_from_coords(coords) -> Root:
@@ -107,18 +108,6 @@ def reflect(lam: Root, x: Root) -> Root:
     return Root(tuple(v // den for v in scaled))
 
 
-def _generate(family: Family, rank: int, simple, diagram: DynkinDiagram) -> "RootSystem":
-    """The root system spanned by the given simple roots (doubled-integer tuples) of the
-    Cartan matrix of ``diagram``, which the system keeps as its Dynkin diagram."""
-    walk = _positive_roots(simple, diagram.cartan, family is Family.BC)
-    positive = tuple([tuple.__new__(Root, (v,)) for _, v in walk])
-    roots = frozenset(positive) | frozenset(-lam for lam in positive)
-    coefficients = tuple(c for c, _ in walk)
-    rs = RootSystem(family, rank, len(simple[0]), roots, positive, positive[:rank], diagram.cartan, coefficients)
-    rs.__dict__["_dynkin_diagram"] = diagram
-    return rs
-
-
 class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positive simple cartan coefficients")):
     """A full root system: all roots, a choice of positives, and simple roots.
 
@@ -150,7 +139,7 @@ class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positiv
 
     @cached_property
     def _dynkin_diagram(self) -> "DynkinDiagram":
-        """Set by ``_generate``, which built it for the Cartan matrix; made here for a system built by hand."""
+        """Set by ``build_root_system``, which built it for the Cartan matrix; made here for a system built by hand."""
         return family_diagram(self.family, self.rank)
 
     def to_dict(self) -> dict:
@@ -166,50 +155,21 @@ class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positiv
 
     @classmethod
     def from_dict(cls, data: dict) -> "RootSystem":
-        """Generate the system from the listed simple roots and check the rest against it.
+        """Rebuild a system of ``to_dict`` from its family and rank, checking every other field.
 
-        The simple roots must have the Cartan matrix of ``family_diagram``
-        for the family and rank, and the listed positive roots must be the
-        generated ones, in any order; the result lists them in canonical order.
+        The listed roots are in the coordinates and the order that
+        ``build_root_system`` gives; their numbers, which ``POSITIVE_ROOT_COUNTS``
+        fixes, are checked before any root is walked.
         """
-        if not isinstance(data, dict):
-            raise LieFoliateError(f"root system data is a {type(data).__name__}, not a dict")
-        missing = [key for key in ("family", "rank", "ambient_dim", "simple", "positive", "roots")
-                   if key not in data]
-        if missing:
-            raise LieFoliateError(f"root system data lacks {', '.join(missing)}")
-        try:
-            family, rank = Family(data["family"]), data["rank"]
-        except ValueError:
-            raise LieFoliateError(f"unknown root system family {data['family']!r}") from None
-        simple = tuple(alpha.scaled for alpha in _listed_roots(data, "simple"))
-        if len(simple) != rank or rank < 1:
-            raise LieFoliateError("number of simple roots must equal the rank, which is at least 1")
-        if any(len(alpha) != data["ambient_dim"] for alpha in simple):
-            raise LieFoliateError("simple roots must have ambient_dim coordinates")
-        # A Cartan matrix of finite type is integral, nonsingular and <= 0 off the
-        # diagonal, so nonzero roots with 2<alpha_i, alpha_j> = A_ij <alpha_j, alpha_j>
-        # are linearly independent and make no acute angle.
-        diagram = family_diagram(family, rank)
-        norms = [sum(c * c for c in alpha) for alpha in simple]
-        if any(2 * sum(map(mul, alpha, beta)) != a_ij * norm
-               for alpha, row in zip(simple, diagram.cartan) for beta, a_ij, norm in zip(simple, row, norms)):
-            raise LieFoliateError(f"simple roots do not have the Cartan matrix of {family.value}_{rank}")
-        rs = _generate(family, rank, simple, diagram)
-        positive = _listed_roots(data, "positive")
-        if len(positive) != len(rs.positive) or set(positive) != set(rs.positive):
-            raise LieFoliateError("positive roots are not those the simple roots generate")
-        if frozenset(_listed_roots(data, "roots")) != rs.roots:
-            raise LieFoliateError("root set is not the positive roots and their negatives")
-        return rs
+        from .readback import rebuilt
+
+        return rebuilt(data, ("family", "rank"), build_root_system, "root system data", _listed_sizes)
 
 
-def _listed_roots(data: dict, key: str) -> list[Root]:
-    """The roots that ``data[key]`` lists as lists of doubled coordinates."""
-    listed = data[key]
-    if not isinstance(listed, list) or not all(isinstance(c, list) for c in listed):
-        raise LieFoliateError(f"{key} must be a list of lists of doubled coordinates")
-    return [Root(tuple(c)) for c in listed]
+def _listed_sizes(family, rank) -> dict[str, int]:
+    """The lengths of the root lists of ``to_dict`` for the family and rank, from the counts alone."""
+    positive = sum(POSITIVE_ROOT_COUNTS[_checked_family(family, rank)](rank))
+    return {"simple": rank, "positive": positive, "roots": 2 * positive}
 
 
 def build_root_system(family: Family | str, rank: int) -> RootSystem:
@@ -228,7 +188,13 @@ def build_root_system(family: Family | str, rank: int) -> RootSystem:
 @lru_cache(maxsize=None)
 def _built_root_system(family: Family, rank: int) -> RootSystem:
     dim, simple = _SIMPLE_ROOTS[family](rank)
-    return _generate(family, rank, tuple(_vector(dim, alpha) for alpha in simple), family_diagram(family, rank))
+    diagram = family_diagram(family, rank)
+    walk = _positive_roots([_vector(dim, alpha) for alpha in simple], diagram.cartan, family is Family.BC)
+    positive = tuple([tuple.__new__(Root, (v,)) for _, v in walk])
+    roots = frozenset(positive) | frozenset(-lam for lam in positive)
+    rs = RootSystem(family, rank, dim, roots, positive, positive[:rank], diagram.cartan, tuple(c for c, _ in walk))
+    rs.__dict__["_dynkin_diagram"] = diagram  # the diagram of its Cartan matrix
+    return rs
 
 
 build_root_system.cache_info = _built_root_system.cache_info

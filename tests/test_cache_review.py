@@ -36,7 +36,7 @@ CACHE_READERS = {
     "rootsystem.RootSystem.positive_index": "simple_coefficients, which verify criterion 2 calls for every root",
     "rootsystem.RootSystem._dynkin_diagram": "dynkin_diagram: the diagram the build made, the same on every call",
     "roots.DynkinDiagram._entries": "cli_cold: each new component's subdiagram_type and span_roots",
-    "roots.DynkinDiagram.cartan": "RootSystem.from_dict, which reads it twice, and every root-list build",
+    "roots.DynkinDiagram.cartan": "every root-list build, which reads it twice: the walk and the system's field",
     "roots.DynkinDiagram._adjacency": "structure_warm: each walk of the layers, subdiagram_type and "
                                       "diagrams.automorphisms",
     "roots.DynkinDiagram._automorphisms": "structure_warm: the spaces on one diagram share one search",

@@ -157,22 +157,27 @@ def test_readback_is_loaded_by_from_dict_alone():
     # Each record is made and written out, then read back, in a fresh
     # interpreter; readback is unloaded after each read.  The commands above
     # load exact module sets without it, and so does verify (checked above).
+    # The root system is read first: its read-back loads neither catalog nor parabolic.
     code = ("import sys, liefoliate\n"
-            "from liefoliate import catalog_lookup, enumerate_foliations, horospherical, parabolic_data, phi_subset\n"
-            "space = catalog_lookup('SL5')\n"
-            "phi = phi_subset(space, (1, 2, 4))\n"
             "loaded = []\n"
-            "for record in (space, parabolic_data(space, phi), horospherical(space, phi), enumerate_foliations(space)[5]):\n"
+            "def read_back(record):\n"
             "    data = record.to_dict()\n"
             "    before = 'liefoliate.readback' in sys.modules\n"
             "    same = type(record).from_dict(data) == record\n"
             "    loaded.append((type(record).__name__, before, sys.modules.pop('liefoliate.readback', None) is not None, same))\n"
             "    vars(liefoliate).pop('readback', None)\n"
+            "read_back(liefoliate.build_root_system('E6', 6))\n"
+            "print([m for m in ('catalog', 'parabolic') if f'liefoliate.{m}' in sys.modules])\n"
+            "from liefoliate import catalog_lookup, enumerate_foliations, horospherical, parabolic_data, phi_subset\n"
+            "space = catalog_lookup('SL5')\n"
+            "phi = phi_subset(space, (1, 2, 4))\n"
+            "for record in (space, parabolic_data(space, phi), horospherical(space, phi), enumerate_foliations(space)[5]):\n"
+            "    read_back(record)\n"
             "print(loaded)\n")
     proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == str([(name, False, True, True) for name in (
-        "SpaceDescriptor", "ParabolicData", "HorosphericalData", "FoliationClass")]) + "\n"
+    assert proc.stdout == "[]\n" + str([(name, False, True, True) for name in (
+        "RootSystem", "SpaceDescriptor", "ParabolicData", "HorosphericalData", "FoliationClass")]) + "\n"
 
 
 def test_iwasawa_error_path_loads_neither_slmodel_nor_numpy():
@@ -229,7 +234,7 @@ ARGV_READER = 410
     pytest.param(("catalog", "list"), 7_490, id="catalog-list"),
     pytest.param(("rootsys", "dynkin", "--family", "D", "--rank", "5", "--format", "dot"), 6_460,
                  id="rootsys-dynkin"),
-    pytest.param(("rootsys", "show", "--family", "E6", "--rank", "6"), 7_130, id="rootsys-show"),
+    pytest.param(("rootsys", "show", "--family", "E6", "--rank", "6"), 6_715, id="rootsys-show"),
     pytest.param(("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), 2_485, id="slmodel-iwasawa"),
 ))
 def test_a_command_compiles_at_most_its_share_of_the_package(argv, ceiling):

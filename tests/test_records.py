@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 import liefoliate
+from liefoliate import clear_caches, parabolic
 from liefoliate.catalog import catalog_entries, catalog_lookup
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import enumerate_foliations
-from liefoliate.parabolic import horospherical, parabolic_data, phi_subset
-from liefoliate.roots import RANK_RANGES, Family, Root, build_root_system, dynkin_diagram
+from liefoliate.parabolic import ParabolicData, horospherical, parabolic_data, phi_subset
+from liefoliate.roots import RANK_RANGES, Family, Root, RootSystem, build_root_system, dynkin_diagram
 
 PACKAGE = Path(liefoliate.__file__).resolve().parent
 
@@ -27,11 +28,16 @@ def _sl5_phi_13():
 
 
 # class name -> (a sample record, edits of its to_dict() that make it no record:
-# the field naming its space or family set to 5, and fields of the wrong shape)
+# the field naming its space or family set to 5, and fields of the wrong shape;
+# for BC_2 also the same system in other coordinates, e1 and e2 swapped (its
+# sorted root list is unchanged), and its positive roots out of order, which
+# to_dict never writes)
 SAMPLES = {
     "RootSystem": (lambda: build_root_system("BC", 2),
                    ({"family": 5}, {"simple": None}, {"simple": [None, None]}, {"positive": None},
-                    {"roots": 5})),
+                    {"roots": 5}, {"simple": [[-2, 2], [2, 0]],
+                                   "positive": [[-2, 2], [2, 0], [0, 2], [4, 0], [2, 2], [0, 4]]},
+                    {"positive": [[4, 0], [2, 2], [0, 4], [2, 0], [0, 2], [2, -2]]})),
     "DynkinDiagram": (lambda: dynkin_diagram(build_root_system("D", 4)), ()),
     "SpaceDescriptor": (lambda: catalog_lookup("su(4,2)"), ({"name": 5},)),
     "ParabolicData": (lambda: parabolic_data(*_sl5_phi_13()), ({"space": 5},)),
@@ -70,6 +76,26 @@ def test_record_type_round_trips_and_rejects_what_is_no_record(name):
     for value in [None, [], " ".join(data), *({**data, **edit} for edit in edits)]:
         with pytest.raises(LieFoliateError):
             cls.from_dict(value)
+
+
+def test_a_short_record_is_refused_before_any_root_is_walked(monkeypatch):
+    # A1000 has 500,500 positive roots and SL1001's Sigma_Phi for Phi = 1..1000 as many:
+    # the listed lengths are checked against the record's counts before any is built.
+    walked = []
+    monkeypatch.setattr(parabolic, "span_roots", lambda *args: walked.append(args))
+    clear_caches()
+    a1000 = {"family": "A", "rank": 1000, "ambient_dim": 1001, "coordinate_scale": 2,
+             "simple": [[0] * 1001] * 1000, "positive": [], "roots": []}
+    sl1001 = {"space": "SL1001", "phi": list(range(1, 1001))}
+    for cls, data, message in (
+            (RootSystem, {"family": "A", "rank": 1000}, "root system data lacks simple, positive, roots"),
+            (RootSystem, a1000, "root system data disagrees with A in positive, roots"),
+            (ParabolicData, sl1001, "parabolic record lacks sigma_phi, sigma_phi_pos"),
+            (ParabolicData, {**sl1001, "sigma_phi": [], "sigma_phi_pos": [[0] * 1001] * 500_500},
+             "parabolic record disagrees with SL1001 in sigma_phi$")):
+        with pytest.raises(LieFoliateError, match=message):
+            cls.from_dict(data)
+    assert build_root_system.cache_info().misses == 0 and walked == []
 
 
 def _one_of_each() -> dict:
