@@ -432,6 +432,90 @@ def test_from_dict_rejects_dependent_simple_roots():
         RootSystem.from_dict(data)
 
 
+_EDITED_SYSTEMS = [("A", 3), ("B", 3), ("C", 3), ("BC", 2), ("D", 4), ("F4", 4), ("G2", 2)]
+_ROOT_LISTS = ("simple", "positive", "roots")
+
+
+def _permute_coordinates(data, order):
+    for key in _ROOT_LISTS:
+        data[key] = [[v[c] for c in order] for v in data[key]]
+
+
+@st.composite
+def _edited_records(draw):
+    """A record of one of ``_EDITED_SYSTEMS`` with one to three edits of its
+    simple roots, and its coordinates then permuted the same way in every list."""
+    family, rank = draw(st.sampled_from(_EDITED_SYSTEMS))
+    data = build_root_system(family, rank).to_dict()
+    simple = data["simple"]
+    index = st.integers(0, rank - 1)
+    small = st.integers(-3, 3)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(index), draw(index)
+        kind = draw(st.sampled_from(("add", "scale", "negate", "swap", "dependent")))
+        if kind == "add" and i != j:
+            k = draw(small)
+            simple[i] = [a + k * b for a, b in zip(simple[i], simple[j])]
+        elif kind == "scale":
+            k = draw(small)
+            simple[i] = [k * a for a in simple[i]]
+        elif kind == "negate":
+            simple[i] = [-a for a in simple[i]]
+        elif kind == "swap":
+            simple[i], simple[j] = simple[j], simple[i]
+        elif kind == "dependent":
+            ks = [draw(small) for _ in range(rank)]
+            others = [[k * a for a in alpha] for n, (k, alpha) in enumerate(zip(ks, simple)) if n != i]
+            simple[i] = [sum(column) for column in zip(*others)]
+    _permute_coordinates(data, draw(st.permutations(range(data["ambient_dim"]))))
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_records())
+@example(build_root_system("A", 3).to_dict())  # unedited: read back
+def test_from_dict_refuses_an_edited_record_exactly_when_it_differs_from_to_dict(data):
+    family, rank = data["family"], data["rank"]
+    rs = build_root_system(family, rank)
+    written = rs.to_dict()
+    wrong = [key for key in _ROOT_LISTS if data[key] != written[key]]
+    if not wrong:
+        assert RootSystem.from_dict(data) is rs
+        return
+    with pytest.raises(LieFoliateError) as refused:
+        RootSystem.from_dict(data)
+    assert str(refused.value) == f"root system data disagrees with {family} in {', '.join(wrong)}"
+
+
+@pytest.mark.parametrize("family, rank", _EDITED_SYSTEMS)
+def test_from_dict_refuses_a_record_with_its_coordinates_permuted(family, rank):
+    data = build_root_system(family, rank).to_dict()
+    _permute_coordinates(data, list(range(data["ambient_dim"]))[::-1])
+    assert data["simple"] != build_root_system(family, rank).to_dict()["simple"]
+    with pytest.raises(LieFoliateError, match=f"^root system data disagrees with {family} in simple, positive"):
+        RootSystem.from_dict(data)
+
+
+@pytest.mark.parametrize("family, rank", _EDITED_SYSTEMS)
+def test_from_dict_refuses_a_record_with_its_positive_roots_reordered(family, rank):
+    data = build_root_system(family, rank).to_dict()
+    data["positive"] = data["positive"][::-1]
+    with pytest.raises(LieFoliateError, match=f"^root system data disagrees with {family} in positive$"):
+        RootSystem.from_dict(data)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 5), ("D", 6), ("BC", 3), ("E7", 7)])
+def test_from_dict_reads_back_through_the_build_cache(family, rank):
+    rs = build_root_system(family, rank)
+    data = rs.to_dict()
+    clear_caches()
+    again = RootSystem.from_dict(data)
+    assert again == rs
+    assert build_root_system.cache_info().misses == 1
+    assert RootSystem.from_dict(data) is again
+    assert build_root_system.cache_info().misses == 1
+
+
 def test_membership_is_membership_of_the_root_set():
     rs = build_root_system("B", 2)
     assert all(lam in rs for lam in rs.roots)
