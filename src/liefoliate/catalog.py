@@ -7,8 +7,9 @@ dimension of the centralizer k0 of a maximal flat in the isotropy algebra is
 read off the multiplicities: 0 when all are 1 (a split real form), else unknown.
 A space's Dynkin diagram comes from its family and rank, and dim M from the
 per-type root counts of each length, and ``multiplicities`` from the simple
-roots, so none builds a root; the full root list (``root_system``) is built
-only for ``root_multiplicity``.  ``MultiplicityFunction`` and
+roots, so none builds a root.  A descriptor keeps no root list: the one
+maker of it is ``build_root_system(space.family, space.rank)``, which only
+``root_multiplicity`` calls here.  ``MultiplicityFunction`` and
 ``root_multiplicity`` live in ``rootsystem`` with that list.  No catalog
 space has a rank above ``roots.MAX_RANK``.
 
@@ -138,12 +139,6 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
     def m_2alpha(self, index: int) -> int:
         """Multiplicity of 2*alpha_index, zero when that is not a root."""
         return self._simple(index)[1]
-
-    @property
-    def root_system(self) -> RootSystem:
-        from .roots import build_root_system  # loads rootsystem, which only root lists need and whose cache keeps them
-
-        return build_root_system(self.family, self.rank)
 
     @cached_property
     def diagram(self) -> DynkinDiagram:

@@ -4,9 +4,10 @@ forms, and the search for its automorphisms.
 ``rootsys dynkin`` prints the two forms, ``foliations`` groups the subsets
 Φ by the automorphisms, and library users read diagrams back, or build them
 by hand, with ``DynkinDiagram.from_dict``; the structure commands do none of
-these.  So the methods of ``roots.DynkinDiagram`` that give the two forms and
-keep the automorphisms load this module on first use, as ``Root.__str__``
-loads ``rootsystem``.
+these.  So the methods of ``roots.DynkinDiagram`` that give the two forms,
+and ``roots.diagram_automorphisms``, load this module on first use, as
+``Root.__str__`` loads ``rootsystem``.  The diagram keeps no automorphism:
+each space's foliation store keeps the one search its walk reads.
 ``DynkinDiagram.from_dict`` accepts only edges that give a Cartan matrix:
 vertices 1..n, edges of 1 to 3 lines between two of them, and an arrow on
 each multiple edge and on no other.
@@ -91,9 +92,9 @@ def to_dot(dd: DynkinDiagram, name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def automorphisms(dd: DynkinDiagram) -> tuple[tuple[int, ...], ...]:
+def automorphisms(dd: DynkinDiagram) -> list[tuple[int, ...]]:
     """What ``roots.diagram_automorphisms`` returns, searched without
-    recursion; the diagram keeps it, so the search runs once per diagram.
+    recursion, on each call.
 
     Vertices are mapped in breadth-first order, each connected part from a
     vertex whose mark (double circle, Cartan entries to and from its
@@ -137,4 +138,4 @@ def automorphisms(dd: DynkinDiagram) -> tuple[tuple[int, ...], ...]:
             choices.append(candidates(order[len(choices)]))
         else:
             results.append(tuple(image[i] for i in range(1, len(order) + 1)))
-    return tuple(sorted(results)) if order else ((),)
+    return sorted(results) if order else [()]

@@ -234,7 +234,8 @@ class SpaceOrbits:
     records with its trivial record on its own, which the first full ``enumerate_foliations``
     builds and every later one returns as it is; the descriptor keeps the store
     (``SpaceDescriptor.orbits``).  ``iter_foliations`` adds PhiOrbits and keeps no record.
-    No layer is kept: ``layers`` walks them anew on each call."""
+    No layer is kept: ``layers`` walks them anew on each call.  ``auts`` is the one copy of
+    the diagram's automorphisms, searched once per space."""
 
     __slots__ = ("space", "auts", "factors", "by_rep", "records", "trivial")
 

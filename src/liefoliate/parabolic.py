@@ -156,8 +156,9 @@ class ParabolicData(namedtuple("ParabolicData", (
     """Dimension data of the parabolic subalgebra attached to Phi.
 
     ``n_sigma_phi`` and ``n_sigma_phi_pos`` are |Sigma_Phi| and
-    |Sigma_Phi^+|; the root sets themselves are ``sigma_phi`` and
-    ``sigma_phi_pos``, read through ``root_subsystem`` and not stored.
+    |Sigma_Phi^+|.  The record holds no root: the root sets are
+    ``root_subsystem(space, phi_subset(space, phi))``, which ``to_dict``
+    calls once to list them.
     Fields whose value requires dim k0 are None when the catalog does not
     provide it.  dim_g_phi and dim_z_phi are only reported for spaces with
     k0 = 0, where the center z_Phi is forced to vanish.
@@ -169,20 +170,8 @@ class ParabolicData(namedtuple("ParabolicData", (
     def r_phi(self) -> int:
         return len(self.phi)
 
-    def _root_sets(self) -> tuple[frozenset[Root], frozenset[Root]]:
-        """``root_subsystem`` of the record's space and Phi."""
-        return root_subsystem(self.space, phi_subset(*self[:2]))
-
-    @property
-    def sigma_phi(self) -> frozenset[Root]:
-        return self._root_sets()[0]
-
-    @property
-    def sigma_phi_pos(self) -> frozenset[Root]:
-        return self._root_sets()[1]
-
     def to_dict(self) -> dict:
-        sigma_phi, sigma_phi_pos = self._root_sets()
+        sigma_phi, sigma_phi_pos = root_subsystem(self.space, phi_subset(*self[:2]))
         return {
             "space": self.space.name,
             "phi": list(self.phi),

@@ -259,11 +259,12 @@ class DynkinEdge(namedtuple("DynkinEdge", "i j lines arrow", defaults=(None,))):
 class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults=((),))):
     """Decorated graph on the simple roots: line counts, arrows, double circles.
 
-    Vertices and edges are stored and exported; adjacency, automorphisms,
-    the Cartan matrix and where the diagram leaves the path 1 - 2 - ... - r
+    Vertices and edges are stored and exported; adjacency, the Cartan
+    matrix and where the diagram leaves the path 1 - 2 - ... - r
     (``_off_path``, read by the one walk over the components of a set of
     vertices) read the Cartan entries derived from the edges once, cached in
-    the instance ``__dict__``.
+    the instance ``__dict__``.  The automorphisms are not kept here: see
+    ``diagram_automorphisms``.
     """
 
     @property
@@ -294,13 +295,6 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "vertices edges notes", defaults
         for i, j in self._entries:
             joined[i].add(j)
         return {i: frozenset(js) for i, js in joined.items()}
-
-    @cached_property
-    def _automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """What ``diagram_automorphisms`` returns, searched once (``diagrams.automorphisms``)."""
-        from .diagrams import automorphisms
-
-        return automorphisms(self)
 
     def neighbors(self, index: int) -> frozenset[int]:
         """The vertices joined to vertex ``index``, an int (not a bool) in 1..rank, else LieFoliateError."""
@@ -434,11 +428,15 @@ def diagram_automorphisms(dd: DynkinDiagram) -> list[tuple[int, ...]]:
     the same Cartan entries up to order (see ``diagrams.automorphisms``).
     Permutations are returned as tuples p with p[k] the image of vertex k+1,
     sorted with the identity first.  The result is closed under composition
-    and inverses.  The search runs once per diagram; each call returns a new
-    list.  ``dd`` must be a DynkinDiagram, else LieFoliateError.
+    and inverses.  Each call runs the search and returns a new list; the
+    one store of its result is a space's foliation store
+    (``foliations.SpaceOrbits.auts``), made once per space.  ``dd`` must be
+    a DynkinDiagram, else LieFoliateError.
     """
     expect(dd, DynkinDiagram)
-    return list(dd._automorphisms)
+    from .diagrams import automorphisms
+
+    return automorphisms(dd)
 
 
 # Positive roots of each irreducible type of rank k by length: (long, short,

@@ -8,7 +8,10 @@ simple-root coefficients.  Positive roots are ordered by
 height, then by their coefficients in descending lexicographic order, so
 ``positive`` begins with the simple roots in order.  A system holds O(r^2)
 roots of r coordinates each; the structure commands read the diagram of
-``roots`` and its closed forms instead, and do not load this module.
+``roots`` and its closed forms instead, and do not load this module.  The
+cache of ``build_root_system`` is the one store of a system: a catalog
+space keeps none (``root_multiplicity`` calls ``build_root_system``), and a
+system keeps no diagram (``dynkin_diagram`` calls ``family_diagram``).
 ``RootSystem.from_dict`` reads back only what ``to_dict`` wrote: it
 rebuilds the system from its family and rank and compares every field
 (``readback.rebuilt``), after counting the listed roots against
@@ -137,11 +140,6 @@ class RootSystem(namedtuple("RootSystem", "family rank ambient_dim roots positiv
         """Positive root -> its position in ``positive`` and ``coefficients``."""
         return {lam: k for k, lam in enumerate(self.positive)}
 
-    @cached_property
-    def _dynkin_diagram(self) -> "DynkinDiagram":
-        """Set by ``build_root_system``, which built it for the Cartan matrix; made here for a system built by hand."""
-        return family_diagram(self.family, self.rank)
-
     def to_dict(self) -> dict:
         return {
             "family": self.family.value,
@@ -192,9 +190,7 @@ def _built_root_system(family: Family, rank: int) -> RootSystem:
     walk = _positive_roots([_vector(dim, alpha) for alpha in simple], diagram.cartan, family is Family.BC)
     positive = tuple([tuple.__new__(Root, (v,)) for _, v in walk])
     roots = frozenset(positive) | frozenset(-lam for lam in positive)
-    rs = RootSystem(family, rank, dim, roots, positive, positive[:rank], diagram.cartan, tuple(c for c, _ in walk))
-    rs.__dict__["_dynkin_diagram"] = diagram  # the diagram of its Cartan matrix
-    return rs
+    return RootSystem(family, rank, dim, roots, positive, positive[:rank], diagram.cartan, tuple(c for c, _ in walk))
 
 
 build_root_system.cache_info = _built_root_system.cache_info
@@ -203,14 +199,11 @@ build_root_system.cache_clear = _built_root_system.cache_clear
 
 def dynkin_diagram(rs: RootSystem) -> DynkinDiagram:
     """Dynkin diagram of a root system: ``family_diagram`` of its family and
-    rank, which its Cartan matrix fixes.  It is made once per root system and
-    the same immutable object is returned on every call.
+    rank, which its Cartan matrix fixes.  Nothing keeps it: each call makes
+    a new diagram, equal to the last.
     """
-    try:
-        return rs._dynkin_diagram
-    except AttributeError:
-        expect(rs, RootSystem)
-        raise
+    expect(rs, RootSystem)
+    return family_diagram(rs.family, rs.rank)
 
 
 class MultiplicityFunction(namedtuple("MultiplicityFunction", "table")):
@@ -253,7 +246,7 @@ class MultiplicityFunction(namedtuple("MultiplicityFunction", "table")):
 def root_multiplicity(space: SpaceDescriptor, lam: Root) -> int:
     """Multiplicity of a root of the space's restricted root system."""
     try:
-        roots = space.root_system.roots
+        roots = build_root_system(space.family, space.rank).roots
     except AttributeError:
         from .catalog import SpaceDescriptor
 

@@ -289,12 +289,6 @@ def killing_form(x, y) -> float:
     return _ratio(total, da * db)
 
 
-def cartan_involution(x) -> MatrixElement:
-    """theta(X) = -X^t."""
-    a, d = _read(x)
-    return MatrixElement(_exact([[-v for v in col] for col in zip(*a)], d))
-
-
 def cartan_split(x) -> tuple[MatrixElement, MatrixElement]:
     """Split X into its skew-symmetric and symmetric parts (k part, p part)."""
     a, d = _read(x)
@@ -353,7 +347,6 @@ class Subspace:
     """A subspace of matrices given by a linearly independent basis."""
 
     basis: tuple[MatrixElement, ...]
-    label: str = ""
 
     def __post_init__(self) -> None:
         try:
@@ -366,7 +359,7 @@ class Subspace:
             raise LieFoliateError("basis matrices must all have the same size")
         span: dict = {}
         if not all(_extend(span, b._vector) for b in basis):
-            raise LieFoliateError(f"basis of {self.label or 'subspace'} is linearly dependent")
+            raise LieFoliateError("basis of subspace is linearly dependent")
         object.__setattr__(self, "_span", span)
 
     @property
@@ -378,13 +371,13 @@ class Subspace:
         return self.basis[0].size if self.basis else 0
 
 
-def subspace(mats, label: str = "", tag: str | None = None) -> Subspace:
+def subspace(mats, tag: str | None = None) -> Subspace:
     """The span of an iterable of matrices; LieFoliateError for anything else."""
     try:
         mats = iter(mats)
     except TypeError:
         raise LieFoliateError(f"subspace basis {mats!r} is not an iterable of matrices") from None
-    return Subspace(tuple(as_element(m, tag) for m in mats), label)
+    return Subspace(tuple(as_element(m, tag) for m in mats))
 
 
 LieTripleResult = namedtuple("LieTripleResult", "holds residual")
@@ -488,11 +481,6 @@ def q_phi_block_dimension(r: int, phi) -> int:
     return ((r + 1) ** 2 + sum(len(b) ** 2 for b in phi_blocks(r, phi))) // 2 - 1
 
 
-def _upper_units(n: int, skip=frozenset(), tag: str | None = None) -> list[MatrixElement]:
-    """The E_ij with i < j, row-major, but for the (i, j) in skip (0-based)."""
-    return [_element(n, tag, (i, j, 1)) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip]
-
-
 def a_phi_subspace(r: int, phi) -> Subspace:
     """The kernel of all chosen simple roots inside a: block-constant diagonals."""
     blocks = phi_blocks(r, phi)
@@ -501,7 +489,7 @@ def a_phi_subspace(r: int, phi) -> Subspace:
         diag = {(pos - 1, pos - 1): len(right) for pos in left}
         diag.update({(pos - 1, pos - 1): -len(left) for pos in right})
         mats.append(_matrix(r + 1, diag))
-    return subspace(mats, label="a_Phi", tag="a")
+    return subspace(mats, tag="a")
 
 
 def _same_block_pairs(r: int, phi) -> list[tuple[int, int]]:
@@ -512,19 +500,21 @@ def p_phi_subspace(r: int, phi) -> Subspace:
     """Lie triple system a + sum of p_lambda over the subsystem of Phi."""
     pairs = _same_block_pairs(r, phi)
     mats = [_h(r + 1, i, "p") for i in range(r)] + [_element(r + 1, "p", (i, j, 1), (j, i, 1)) for i, j in pairs]
-    return Subspace(tuple(mats), label="p_Phi")
+    return Subspace(tuple(mats))
 
 
 def p_phi_s_subspace(r: int, phi) -> Subspace:
     """Semisimple part: a^Phi + sum of p_lambda over the subsystem of Phi."""
     mats = [_h(r + 1, i - 1, "p") for i in _parabolic().phi_indices(r, phi)]
     mats.extend(_element(r + 1, "p", (i, j, 1), (j, i, 1)) for i, j in _same_block_pairs(r, phi))
-    return Subspace(tuple(mats), label="p_Phi^s")
+    return Subspace(tuple(mats))
 
 
 def n_phi_subspace(r: int, phi) -> Subspace:
+    """The E_ij with i < j (0-based), row-major, but for i and j in one block of Phi."""
     same = set(_same_block_pairs(r, phi))  # checks r first
-    return Subspace(tuple(_upper_units(r + 1, same, "n")), label="n_Phi")
+    return Subspace(tuple(_element(r + 1, "n", (i, j, 1)) for i, j in combinations(range(r + 1), 2)
+                          if (i, j) not in same))
 
 
 def q_phi_subspace(r: int, phi) -> Subspace:
@@ -533,24 +523,24 @@ def q_phi_subspace(r: int, phi) -> Subspace:
     mats = [_h(r + 1, i, None) for i in range(r)]
     for i, j in combinations(range(r + 1), 2):
         mats += [_element(r + 1, None, (i, j, 1))] + [_element(r + 1, None, (j, i, 1))] * ((i, j) in same)
-    return Subspace(tuple(mats), label="q_Phi")
+    return Subspace(tuple(mats))
 
 
 def build_s_phi_v(space: SpaceDescriptor, phi, dim_v: int) -> Subspace:
     """Basis of the foliation subalgebra (a^Phi + V + n) with one line removed from each
     root space g_alpha, alpha in Phi, as ``PhiSubset.check_foliation`` admits them.  V is
     the first dim_v vectors of the canonical basis of a_Phi.  In sl(n,R) each g_alpha
-    is a line, so the removed line is g_alpha itself."""
+    is a line, so the removed line is g_alpha itself, and for an orthogonal Phi, n less
+    these lines is n_Phi: the basis is the h_i for i in Phi, then V, then that of
+    ``n_phi_subspace``."""
     subset = _parabolic().phi_subset(space, phi)  # which checks that space is a SpaceDescriptor
     r = _check_sl_space(space)
     subset.check_foliation(dim_v)
     indices = subset.indices
-    n = r + 1
-    mats = [_h(n, i - 1, None) for i in indices]
+    mats = [_h(r + 1, i - 1, None) for i in indices]
     mats.extend(a_phi_subspace(r, indices).basis[:dim_v])
-    mats.extend(_upper_units(n, {(i - 1, i) for i in indices}))
-    label = f"s(Phi={{{','.join(map(str, indices))}}}, dim_V={dim_v})"
-    return Subspace(tuple(mats), label)
+    mats.extend(n_phi_subspace(r, indices).basis)
+    return Subspace(tuple(mats))
 
 
 # --- the SL_2 action on the upper half plane ---------------------------------

@@ -34,19 +34,18 @@ CACHE_READERS = {
     "catalog.SpaceDescriptor.multiplicities": "root_multiplicity: the table per squared length, O(r) to read",
     "catalog.SpaceDescriptor.dimension": "structure_warm: every parabolic_data and horospherical call, and dimension",
     "rootsystem.RootSystem.positive_index": "simple_coefficients, which verify criterion 2 calls for every root",
-    "rootsystem.RootSystem._dynkin_diagram": "dynkin_diagram: the diagram the build made, the same on every call",
     "roots.DynkinDiagram._entries": "cli_cold: each new component's subdiagram_type and span_roots",
     "roots.DynkinDiagram.cartan": "every root-list build, which reads it twice: the walk and the system's field",
     "roots.DynkinDiagram._adjacency": "structure_warm: each walk of the layers, subdiagram_type and "
                                       "diagrams.automorphisms",
-    "roots.DynkinDiagram._automorphisms": "structure_warm: the spaces on one diagram share one search",
     "roots.DynkinDiagram._off_path": "structure_warm: the components of a Phi not met as one component, on every "
                                      "diagram, and PhiSubset.is_orthogonal",
 }
 
 SLOT_READERS = {
     "foliations.SpaceOrbits.space": "SpaceOrbits.phi_orbit and layers: the space a new PhiOrbit is built on",
-    "foliations.SpaceOrbits.auts": "SpaceOrbits.phi_orbit: the images of a Phi met for the first time",
+    "foliations.SpaceOrbits.auts": "SpaceOrbits.phi_orbit: the images of a Phi met for the first time; the one "
+                                   "copy of the space's automorphism search, which the diagram does not keep",
     "foliations.SpaceOrbits.factors": "SpaceOrbits.phi_orbit: the hyperbolic factors of each new PhiOrbit",
     "foliations.SpaceOrbits.by_rep": "structure_warm: every enumeration, with or without codim, and read-back",
     "foliations.SpaceOrbits.records": "structure_warm: a full enumeration returns the kept tuple",

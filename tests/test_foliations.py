@@ -176,7 +176,7 @@ def test_sl5_enumeration_counts():
 def test_sl5_enumeration_against_brute_force_orbits():
     """Oracle: quotient all orthogonal subsets by all diagram symmetries."""
     sl5 = catalog_lookup("SL5")
-    dd = dynkin_diagram(sl5.root_system)
+    dd = dynkin_diagram(build_root_system(sl5.family, sl5.rank))
     auts = diagram_automorphisms(dd)
     subsets = orthogonal_subsets(dd)
     orbits = set()
@@ -320,6 +320,29 @@ def test_spaces_on_one_diagram_build_separate_stores_of_equal_records():
     assert len(set(map(id, stores))) == 3 and all(s.space is space for s, space in zip(stores, spaces))
     for a, b in itertools.combinations(stores, 2):
         assert not set(map(id, a.by_rep.values())) & set(map(id, b.by_rep.values()))
+
+
+def test_each_space_store_makes_one_automorphism_search(monkeypatch):
+    from liefoliate import diagrams
+
+    searched, search = [], diagrams.automorphisms
+
+    def counted(dd):
+        searched.append(dd)
+        return search(dd)
+
+    monkeypatch.setattr(diagrams, "automorphisms", counted)
+    clear_caches()
+    spaces = catalog_lookup("SL14"), catalog_lookup("sl(14,C)")
+    assert spaces[0].diagram == spaces[1].diagram and spaces[0].diagram is not spaces[1].diagram
+    for k, space in enumerate(spaces, start=1):
+        enumerate_foliations(space)
+        assert searched == [s.diagram for s in spaces[:k]]  # one search per descriptor, none shared
+    for space in spaces:  # each store keeps its search: what reads the automorphisms again makes none
+        records = enumerate_foliations(space)
+        assert enumerate_foliations(space, codim=2)
+        assert FoliationClass.from_dict(records[-1].to_dict()) == records[-1]
+    assert len(searched) == 2
 
 
 def test_enumeration_by_codim_builds_no_layer_records():
@@ -486,7 +509,7 @@ def test_enumerated_records_are_what_the_constructor_builds():
 def test_orbits_cover_all_orthogonal_subsets_once():
     for name in ["sl(6,R)", "so(4,4)", "e6(6)", "e6(-14)"]:
         space = catalog_lookup(name)
-        dd = dynkin_diagram(space.root_system)
+        dd = dynkin_diagram(build_root_system(space.family, space.rank))
         subsets = set(orthogonal_subsets(dd))
         seen = set()
         for c in enumerate_foliations(space, include_trivial=True):

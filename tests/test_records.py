@@ -101,7 +101,7 @@ def test_a_short_record_is_refused_before_any_root_is_walked(monkeypatch):
 def _one_of_each() -> dict:
     """Class name -> one instance, for every record class of the structure path."""
     space = catalog_lookup("su(4,2)")  # BC_2: a double circle and an arrow
-    rs = space.root_system
+    rs = build_root_system(space.family, space.rank)
     dd = dynkin_diagram(rs)
     phi = phi_subset(space, [1])
     horo = horospherical(space, phi)

@@ -583,7 +583,7 @@ def test_root_system_json_round_trip():
         assert again == rs
 
 
-def test_a_built_system_keeps_the_diagram_of_its_cartan_matrix(monkeypatch):
+def test_a_built_system_has_the_diagram_of_its_cartan_matrix(monkeypatch):
     from liefoliate import rootsystem
 
     calls = []
@@ -595,11 +595,13 @@ def test_a_built_system_keeps_the_diagram_of_its_cartan_matrix(monkeypatch):
     monkeypatch.setattr(rootsystem, "family_diagram", counting)
     clear_caches()
     rs = build_root_system("E6", 6)
-    assert rootsystem.dynkin_diagram(rs) is rootsystem.dynkin_diagram(rs) == family_diagram("E6", 6)
-    assert len(calls) == 1
+    assert len(calls) == 1  # the build reads the Cartan matrix off the diagram
+    first, second = rootsystem.dynkin_diagram(rs), rootsystem.dynkin_diagram(rs)
+    assert first == second == family_diagram("E6", 6) and first.cartan == rs.cartan
+    assert first is not second and len(calls) == 3  # the system keeps no diagram: each call makes one
     again = RootSystem.from_dict(rs.to_dict())
     assert again is rs  # read back through build_root_system's cache
-    assert len(calls) == 1
+    assert len(calls) == 3
     assert rootsystem.dynkin_diagram(again._replace()) == rootsystem.dynkin_diagram(rs)  # built by hand: made on use
 
 

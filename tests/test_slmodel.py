@@ -25,7 +25,6 @@ from liefoliate.slmodel import (
     bracket,
     bracket_closure_residual,
     build_s_phi_v,
-    cartan_involution,
     cartan_split,
     e_matrix,
     h_matrix,
@@ -122,7 +121,6 @@ MATRIX_CALLS = {
     "ad_matrix": ad_matrix,
     "killing_form x": lambda m: killing_form(m, _OK),
     "killing_form y": lambda m: killing_form(_OK, m),
-    "cartan_involution": cartan_involution,
     "cartan_split": cartan_split,
     "metric_inner x": lambda m: metric_inner(m, _OK),
     "metric_inner y": lambda m: metric_inner(_OK, m),
@@ -460,11 +458,14 @@ def test_cartan_split_examples():
 
 
 def test_cartan_involution_fixes_k_negates_p():
+    def theta(m):  # the Cartan involution of sl(n,R), theta(X) = -X^t
+        return tuple(map(tuple, scale(-1, transpose(m))))
+
     rng = random.Random(5)
     x = traceless(rng, 4)
     k, p = cartan_split(x)
-    assert cartan_involution(k).entries == k.entries
-    assert cartan_involution(p).entries == tuple(map(tuple, scale(-1, p.entries)))
+    assert theta(k.entries) == k.entries
+    assert theta(p.entries) == tuple(map(tuple, scale(-1, p.entries)))
     assert add(k.entries, p.entries) == x
 
 
@@ -869,6 +870,28 @@ def test_s_phi_v_dimension_and_closure():
             s = build_s_phi_v(space, c.phi, c.dim_v)
             assert s.dim == space.dimension - c.codim
             assert bracket_closure_residual(s) == 0.0
+
+
+def _reference_s_phi_v(r, phi, dim_v):
+    """The sparse vectors of a basis of s_{Phi,V} made without ``n_phi_subspace``: h_i for i in
+    Phi, the first dim V vectors of a_Phi, then every E_ij with i < j (0-based, row-major) but
+    E_{i,i+1} for i in Phi (1-based), the line g_alpha of each alpha in Phi."""
+    n, skip = r + 1, {(i - 1, i) for i in phi}
+    mats = [h_matrix(n, i - 1) for i in phi]
+    mats += [b.entries for b in a_phi_subspace(r, phi).basis[:dim_v]]
+    mats += [e_matrix(n, i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip]
+    return [MatrixElement(m)._vector for m in mats]
+
+
+def test_s_phi_v_keeps_its_basis():
+    from liefoliate.foliations import orthogonal_subsets
+
+    for r in range(2, 8):  # SL3 to SL8
+        space = catalog_lookup(f"SL{r + 1}")
+        for phi in orthogonal_subsets(space.diagram):
+            for dim_v in range(r - len(phi) + 1):
+                s = build_s_phi_v(space, phi, dim_v)
+                assert [b._vector for b in s.basis] == _reference_s_phi_v(r, phi, dim_v), (r, phi, dim_v)
 
 
 def test_bracket_closure_residual_of_a_subspace_that_is_not_closed():
