@@ -374,9 +374,17 @@ MALFORMED_MATRICES = {
 @pytest.mark.parametrize("command", [
     ("slmodel", "iwasawa", "--rank", "1", "--matrix"),
     ("slmodel", "killing", "--y", "[[1,0],[0,-1]]", "--x"),
-], ids=["iwasawa", "killing"])
+    ("slmodel", "killing", "--x", "[[1,0],[0,-1]]", "--y"),
+], ids=["iwasawa", "killing", "killing y"])
 def test_slmodel_malformed_matrix_is_a_domain_error(capsys, command, text, says):
     code, out, err = run(capsys, *command, text)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and says in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, says", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES.keys())
+def test_slmodel_check_lie_triple_gives_a_malformed_basis_matrix_the_same_message(capsys, text, says):
+    code, out, err = run(capsys, "slmodel", "check-lie-triple", "--basis", f"[[[0,1],[1,0]],{text}]")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and says in err and err.count("\n") == 1
 
