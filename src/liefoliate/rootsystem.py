@@ -244,15 +244,17 @@ class MultiplicityFunction(namedtuple("MultiplicityFunction", "table")):
 
 
 def root_multiplicity(space: SpaceDescriptor, lam: Root) -> int:
-    """Multiplicity of a root of the space's restricted root system."""
+    """Multiplicity of a root of the space's restricted root system.  The space is
+    checked by reading its multiplicity table, which only a ``SpaceDescriptor`` has,
+    before any root is built."""
     try:
-        roots = build_root_system(space.family, space.rank).roots
+        mult = space.multiplicities
     except AttributeError:
         from .catalog import SpaceDescriptor
 
         expect(space, SpaceDescriptor)
         raise
     expect(lam, Root)
-    if lam not in roots:
+    if lam not in build_root_system(space.family, space.rank).roots:
         raise LieFoliateError(f"{lam} is not a restricted root of {space.name}")
-    return space.multiplicities(lam)
+    return mult(lam)

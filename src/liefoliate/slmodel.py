@@ -481,6 +481,12 @@ def q_phi_block_dimension(r: int, phi) -> int:
     return ((r + 1) ** 2 + sum(len(b) ** 2 for b in phi_blocks(r, phi))) // 2 - 1
 
 
+def _upper_units(n: int, skip, tag: str | None) -> list[MatrixElement]:
+    """The E_ij with i < j (0-based), row-major, but for the (i, j) in skip: the
+    basis of n_Phi when skip holds the pairs inside one block of Phi."""
+    return [_element(n, tag, (i, j, 1)) for i, j in combinations(range(n), 2) if (i, j) not in skip]
+
+
 def a_phi_subspace(r: int, phi) -> Subspace:
     """The kernel of all chosen simple roots inside a: block-constant diagonals."""
     blocks = phi_blocks(r, phi)
@@ -511,10 +517,8 @@ def p_phi_s_subspace(r: int, phi) -> Subspace:
 
 
 def n_phi_subspace(r: int, phi) -> Subspace:
-    """The E_ij with i < j (0-based), row-major, but for i and j in one block of Phi."""
     same = set(_same_block_pairs(r, phi))  # checks r first
-    return Subspace(tuple(_element(r + 1, "n", (i, j, 1)) for i, j in combinations(range(r + 1), 2)
-                          if (i, j) not in same))
+    return Subspace(tuple(_upper_units(r + 1, same, "n")))
 
 
 def q_phi_subspace(r: int, phi) -> Subspace:
@@ -530,16 +534,16 @@ def build_s_phi_v(space: SpaceDescriptor, phi, dim_v: int) -> Subspace:
     """Basis of the foliation subalgebra (a^Phi + V + n) with one line removed from each
     root space g_alpha, alpha in Phi, as ``PhiSubset.check_foliation`` admits them.  V is
     the first dim_v vectors of the canonical basis of a_Phi.  In sl(n,R) each g_alpha
-    is a line, so the removed line is g_alpha itself, and for an orthogonal Phi, n less
-    these lines is n_Phi: the basis is the h_i for i in Phi, then V, then that of
-    ``n_phi_subspace``."""
+    is a line, so the removed line is g_alpha itself, and for an orthogonal Phi, whose
+    blocks are the pairs (i, i+1) for i in Phi, n less these lines is n_Phi: the basis
+    is the h_i for i in Phi, then V, then the units of ``n_phi_subspace``."""
     subset = _parabolic().phi_subset(space, phi)  # which checks that space is a SpaceDescriptor
     r = _check_sl_space(space)
     subset.check_foliation(dim_v)
     indices = subset.indices
     mats = [_h(r + 1, i - 1, None) for i in indices]
     mats.extend(a_phi_subspace(r, indices).basis[:dim_v])
-    mats.extend(n_phi_subspace(r, indices).basis)
+    mats.extend(_upper_units(r + 1, {(i - 1, i) for i in indices}, None))
     return Subspace(tuple(mats))
 
 

@@ -22,6 +22,12 @@ from liefoliate.errors import LieFoliateError
                  id="root_multiplicity"),
     pytest.param(lambda: rootsystem.root_multiplicity(catalog.catalog_lookup("SL5"), [1, 2]), "Root, not a list",
                  id="root_multiplicity-root"),
+    pytest.param(lambda: rootsystem.root_multiplicity(rootsystem.build_root_system("A", 4),
+                                                      rootsystem.root_from_coords((1, -1, 0, 0, 0))),
+                 "SpaceDescriptor, not a RootSystem", id="root_multiplicity-root-system"),
+    pytest.param(lambda: rootsystem.root_multiplicity(rootsystem.build_root_system("A", 4),
+                                                      rootsystem.root_from_coords((1, 1, 0, 0, 0))),
+                 "SpaceDescriptor, not a RootSystem", id="root_multiplicity-root-system-non-root"),
     pytest.param(lambda: catalog.catalog_lookup("SL5").multiplicities((2, -2, 0, 0, 0)), "Root, not a tuple",
                  id="MultiplicityFunction"),
     pytest.param(lambda: rootsystem.inner((2, 0), (0, 2)), "Root, not a tuple", id="inner"),

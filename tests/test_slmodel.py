@@ -873,14 +873,15 @@ def test_s_phi_v_dimension_and_closure():
 
 
 def _reference_s_phi_v(r, phi, dim_v):
-    """The sparse vectors of a basis of s_{Phi,V} made without ``n_phi_subspace``: h_i for i in
-    Phi, the first dim V vectors of a_Phi, then every E_ij with i < j (0-based, row-major) but
-    E_{i,i+1} for i in Phi (1-based), the line g_alpha of each alpha in Phi."""
+    """The tags and sparse vectors of a basis of s_{Phi,V} made without ``n_phi_subspace``: h_i
+    for i in Phi, the first dim V vectors of a_Phi (tagged "a"), then every E_ij with i < j
+    (0-based, row-major) but E_{i,i+1} for i in Phi (1-based), the line g_alpha of each alpha
+    in Phi.  Only the a_Phi part carries a tag."""
     n, skip = r + 1, {(i - 1, i) for i in phi}
-    mats = [h_matrix(n, i - 1) for i in phi]
-    mats += [b.entries for b in a_phi_subspace(r, phi).basis[:dim_v]]
-    mats += [e_matrix(n, i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip]
-    return [MatrixElement(m)._vector for m in mats]
+    mats = [MatrixElement(h_matrix(n, i - 1)) for i in phi]
+    mats += a_phi_subspace(r, phi).basis[:dim_v]
+    mats += [MatrixElement(e_matrix(n, i, j)) for i in range(n) for j in range(i + 1, n) if (i, j) not in skip]
+    return [(m.tag, m._vector) for m in mats]
 
 
 def test_s_phi_v_keeps_its_basis():
@@ -891,7 +892,7 @@ def test_s_phi_v_keeps_its_basis():
         for phi in orthogonal_subsets(space.diagram):
             for dim_v in range(r - len(phi) + 1):
                 s = build_s_phi_v(space, phi, dim_v)
-                assert [b._vector for b in s.basis] == _reference_s_phi_v(r, phi, dim_v), (r, phi, dim_v)
+                assert [(b.tag, b._vector) for b in s.basis] == _reference_s_phi_v(r, phi, dim_v), (r, phi, dim_v)
 
 
 def test_bracket_closure_residual_of_a_subspace_that_is_not_closed():
