@@ -13,19 +13,19 @@ and has ``run(args)``:
 - ``DESCRIPTION``, if any, heads the command's help.
 
 ``match`` reads a well-formed argv straight into the namespace that argparse
-would make of it, so such a call never loads argparse; ``cli.build_parser``
-gives argparse the same declarations through ``argparser.add_arguments``,
-for help, ``--version`` and every argv that ``match`` declines, and only
-that path compiles ``argparser``.  Both import only the module of the
-command that argv names, so a process compiles no other command's code.
-This package holds what the commands share; they import nothing from
-``cli``, which runs as ``__main__`` under ``python -m liefoliate.cli`` and
-would be compiled a second time.  Each ``run`` imports the library inside
-its body, so a tracer that replaces ``catalog.catalog_lookup`` and the like
-sees its calls.
+would make of it, so such a call never loads argparse;
+``argparser.build_parser`` gives argparse the same declarations, for help,
+usage errors and every argv that ``match`` declines, and only that path
+compiles ``argparser``.  Both import only the module of the command that
+argv names, so a process compiles no other command's code.  This package
+holds what the commands share; they import nothing from ``cli``, which runs
+as ``__main__`` under ``python -m liefoliate.cli`` and would be compiled a
+second time.  ``--help`` loads this package for ``argparser`` alone, so
+``emit_json`` imports ``json`` in its body.  Each ``run`` imports the
+library inside its body, so a tracer that replaces ``catalog.catalog_lookup``
+and the like sees its calls.
 """
 
-import json
 from importlib import import_module
 from types import SimpleNamespace
 
@@ -92,6 +92,8 @@ ascii_int, ascii_float = _ascii(int), _ascii(float)
 
 
 def emit_json(obj) -> None:
+    import json
+
     try:
         text = json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False)
     except ValueError as exc:  # NaN or infinity, which strict JSON cannot carry

@@ -20,7 +20,7 @@ import liefoliate
 from liefoliate import cli, clear_caches
 from liefoliate.catalog import catalog_lookup
 from liefoliate.cli import main
-from liefoliate.commands import ascii_float, ascii_int, emit_json, match
+from liefoliate.commands import argparser, ascii_float, ascii_int, emit_json, match
 from liefoliate.errors import LieFoliateError
 from liefoliate.foliations import FoliationClass
 from liefoliate.parabolic import HorosphericalData, ParabolicData
@@ -232,6 +232,46 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=120), err) == (1, b"")
+
+
+@pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize("argv", (
+    ("--version",),
+    ("horospherical", "--space", "SL5", "--phi", "1", "--format", "json"),
+    ("parabolic", "--space", "SL5", "--phi", "1,3"),
+    ("foliations", "enumerate", "--space", "SL12", "--format", "json"),
+), ids=lambda argv: argv[0])
+def test_a_reader_gone_before_the_start_exits_1_without_a_traceback(argv, unbuffered):
+    # A short answer waits in stdout's buffer unless PYTHONUNBUFFERED is set;
+    # main flushes it, so its write fails there and not at the interpreter's exit.
+    env = {key: value for key, value in ENV.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "liefoliate.cli", *argv], env=env, stdout=write,
+                              stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("columns", ("17", "18", "80", "400"))
+def test_version_is_argparses_line_never_wrapped(monkeypatch, capsys, columns):
+    # argparse's version action wraps its line below 18 columns; main never does
+    monkeypatch.setenv("COLUMNS", columns)
+    line = f"liefoliate {liefoliate.__version__}\n"
+    assert run(capsys, "--version") == (0, line, "")
+    with pytest.raises(SystemExit) as exc:
+        argparser.build_parser(cli.COMMANDS).parse_args(["--version"])
+    assert (exc.value.code, capsys.readouterr().out == line) == (0, columns != "17")
+
+
+def test_the_package_version_is_the_projects():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert liefoliate.__version__ == project["version"]
 
 
 def test_horospherical_json(capsys):
@@ -616,7 +656,7 @@ def test_what_the_matcher_reads_argparse_reads_alike(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            parsed = cli.build_parser(argv[0]).parse_args(argv)
+            parsed = argparser.build_parser(cli.COMMANDS, argv[0]).parse_args(argv)
         except SystemExit:
             pytest.fail(f"argparse refuses {argv}: {err.getvalue()}")
     assert vars(args) == vars(parsed)

@@ -26,6 +26,10 @@ from liefoliate.foliations import (
 from liefoliate.parabolic import boundary_components, phi_subset
 from liefoliate.roots import build_root_system, diagram_automorphisms, dynkin_diagram
 
+# A fresh interpreter that imports this checkout's package
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (str(Path(foliations.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+
 
 def fib(k):
     a, b = 0, 1
@@ -484,11 +488,9 @@ def test_enumeration_by_codim_at_high_rank_is_fast(space, codim, count):
     # 1 + 30 orbits of A_59 under its flip; 1 + 39 + 704 orbits of D_40 under the
     # swap of vertices 39 and 40; no class has a codimension past the rank.  The
     # full walk of A_59 would visit F(61) subsets.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(Path(foliations.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "liefoliate.cli", "foliations", "enumerate", "--space", space,
                            "--codim", str(codim), "--format", "json"],
-                          env=env, capture_output=True, text=True, timeout=5)
+                          env=ENV, capture_output=True, text=True, timeout=5)
     assert proc.returncode == 0, proc.stderr
     records = json.loads(proc.stdout)
     assert len(records) == count
@@ -602,23 +604,30 @@ def test_from_dict_rejects_an_edited_record(edit, message):
 
 def test_sl14_enumeration_peak_memory():
     # The first full enumeration keeps its 3,300 nontrivial slotted (PhiOrbit,
-    # dim V) records in one tuple, and the trivial one apart: 232 KiB, 72 B a
-    # record (Python 3.11, x86_64).  A later call returns that tuple and
-    # allocates nothing.
-    clear_caches()
-    space = catalog_lookup("SL14")
-    for _ in space.orbits.layers():  # the PhiOrbits, outside the measurement
-        pass
-    tracemalloc.start()
-    try:
-        enumerate_foliations(space)
-        kept, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        records = enumerate_foliations(space)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(records) == 3300
+    # dim V) records in one tuple, and the trivial one apart: 258,712 B traced
+    # in a fresh interpreter (Python 3.11, x86_64).  A later call returns that
+    # tuple and allocates nothing.  The measurement runs in a fresh interpreter,
+    # so that the trace counts no growth of dicts and free lists that earlier
+    # tests left behind.
+    script = """\
+import tracemalloc
+from liefoliate import catalog_lookup, enumerate_foliations
+space = catalog_lookup("SL14")
+for _ in space.orbits.layers():  # the PhiOrbits, outside the measurement
+    pass
+tracemalloc.start()
+enumerate_foliations(space)
+kept, _ = tracemalloc.get_traced_memory()
+tracemalloc.reset_peak()
+records = enumerate_foliations(space)
+_, peak = tracemalloc.get_traced_memory()
+tracemalloc.stop()
+print(len(records), kept, peak)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    count, kept, peak = map(int, proc.stdout.split())
+    assert count == 3300
     assert kept < 3301 * 80
     assert peak - kept < 1024
 

@@ -5,10 +5,11 @@ or group by its automorphisms; ``readback`` for none, only for a record's
 ``from_dict``), numpy never, not even for ``verify``, whose
 criteria run with numpy unimportable, ``dataclasses``, ``inspect`` and
 ``fractions`` for no structure command, none of the machinery of
-``importlib.resources``, and no ``argparse`` for a well-formed call.  A
-command compiles at most its share of the package's sources, importing the
-catalog compiles one pattern, the package also runs from a zip archive, and
-``clear_caches()`` loads nothing and empties every cache loaded."""
+``importlib.resources``, and no ``argparse`` for ``--version`` or a
+well-formed call.  A command compiles at most its share of the package's
+sources, importing the catalog compiles one pattern, the package also runs
+from a zip archive, and ``clear_caches()`` loads nothing and empties every
+cache loaded."""
 
 import ast
 import functools
@@ -38,8 +39,8 @@ COLD_START_HEAVY = ("dataclasses", "inspect", "fractions")
 RESOURCE_MACHINERY = ("importlib.resources", "pathlib", "zipfile", "tempfile", "typing")
 
 # What argparse loads: its first gettext lookup imports locale.  The CLI
-# reads a well-formed call without it, and builds its parser only for help,
-# --version and the argv its matcher declines.
+# answers --version and reads a well-formed call without it, and builds its
+# parser only for help, usage errors and the argv its matcher declines.
 ARGPARSE = ("argparse", "gettext", "locale")
 
 # Runs the CLI as ``python -m liefoliate.cli`` does, then reports its exit
@@ -114,11 +115,10 @@ def test_each_command_loads_only_the_modules_it_calls(argv, expected):
     assert not numpy
     if "slmodel" not in expected:  # its records are dataclasses, and it computes with Fractions
         assert watched & set(COLD_START_HEAVY) == set()
-    if argv != ("--version",):  # a well-formed call is read without argparse
-        assert watched & set(ARGPARSE) == set()
+    assert watched & set(ARGPARSE) == set()  # --version and a well-formed call are read without argparse
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _ in CALLS if argv != ("--version",)], ids=" ".join)
+@pytest.mark.parametrize("argv", [argv for argv, _ in CALLS], ids=" ".join)
 def test_without_site_a_well_formed_call_loads_no_argparse(argv):
     code, _, _, watched = probe(*argv, site=False)
     assert code == 0
@@ -127,16 +127,20 @@ def test_without_site_a_well_formed_call_loads_no_argparse(argv):
 
 @pytest.mark.parametrize("argv, code", (
     (("--help",), 0),
-    (("--version",), 0),
+    (("--version", "parabolic"), 0),  # --version with anything else is argparse's
+    (("bogus",), 2),
     (("parabolic",), 2),  # no --space
     (("rootsys", "show", "--family", "Z", "--rank", "3"), 2),  # Z is no family
+    (("parabolic", "--space", "SL5", "--version"), 2),
 ))
-def test_help_version_and_usage_errors_go_through_argparse(argv, code):
+def test_help_and_usage_errors_go_through_argparse(argv, code):
     got, modules, _, watched = probe(*argv)
     assert got == code
     assert "argparse" in watched
-    # the declarations reach argparse only for a named command
-    assert ("commands.argparser" in modules) == (argv[0] in cli.COMMANDS)
+    # the builder loads on every argparse path, and the declarations of a
+    # command exactly when argv names one
+    named = {f"commands.{arg}" for arg in argv if arg in cli.COMMANDS}
+    assert {m for m in modules if m.startswith("commands.")} == {"commands.argparser", *named}
 
 
 def test_verify_and_the_readme_slmodel_lines_run_with_numpy_unimportable():
@@ -221,21 +225,23 @@ def compiled_nodes(modules: set[str]) -> int:
 # nodes more: the matcher of ``commands`` less what the declarations of
 # arguments save on that path, for the about 4.8 ms that importing argparse
 # and building its parsers took.  The builder of argparse's parsers
-# (``commands.argparser``) is not on that path: only help, --version and
-# the argv the matcher declines compile it.
+# (``commands.argparser.build_parser``) is on neither that path nor
+# --version's, which ``cli.main`` answers itself: only help, usage errors
+# and the argv the matcher declines compile it.  Taking it out of ``cli``,
+# which every process compiles, took 61 nodes off every count and ceiling.
 ARGV_READER = 410
 
 
 @pytest.mark.parametrize("argv, ceiling", (
-    pytest.param(("--version",), 605, id="--version"),
-    pytest.param(("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json"), 9_354, id="parabolic"),
-    pytest.param(("horospherical", "--space", "su(4,2)", "--phi", "1"), 9_404, id="horospherical"),
-    pytest.param(("foliations", "enumerate", "--space", "so(5,2)"), 10_612, id="foliations-enumerate"),
-    pytest.param(("catalog", "list"), 7_438, id="catalog-list"),
-    pytest.param(("rootsys", "dynkin", "--family", "D", "--rank", "5", "--format", "dot"), 6_423,
+    pytest.param(("--version",), 544, id="--version"),
+    pytest.param(("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json"), 9_293, id="parabolic"),
+    pytest.param(("horospherical", "--space", "su(4,2)", "--phi", "1"), 9_343, id="horospherical"),
+    pytest.param(("foliations", "enumerate", "--space", "so(5,2)"), 10_551, id="foliations-enumerate"),
+    pytest.param(("catalog", "list"), 7_377, id="catalog-list"),
+    pytest.param(("rootsys", "dynkin", "--family", "D", "--rank", "5", "--format", "dot"), 6_362,
                  id="rootsys-dynkin"),
-    pytest.param(("rootsys", "show", "--family", "E6", "--rank", "6"), 6_658, id="rootsys-show"),
-    pytest.param(("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), 2_485, id="slmodel-iwasawa"),
+    pytest.param(("rootsys", "show", "--family", "E6", "--rank", "6"), 6_597, id="rootsys-show"),
+    pytest.param(("slmodel", "iwasawa", "--rank", "1", "--matrix", "[[1,0],[1,1]]"), 2_424, id="slmodel-iwasawa"),
 ))
 def test_a_command_compiles_at_most_its_share_of_the_package(argv, ceiling):
     code, modules, _, _ = probe(*argv)
