@@ -202,11 +202,8 @@ def space_dimension(space: SpaceDescriptor) -> int:
     ``span_counts`` over the whole diagram.  Single edges join each length
     class of simple roots, so the multiplicities must agree across every one
     of them, else LieFoliateError."""
-    try:
-        m = space.m_alpha
-    except AttributeError:
-        expect(space, SpaceDescriptor)
-        raise
+    expect(space, SpaceDescriptor)
+    m = space.m_alpha
     if any(e.lines == 1 and m(e.i) != m(e.j) for e in space.diagram.edges):
         raise LieFoliateError(f"{space.name}: simple roots of equal length carry different multiplicities")
     return space.rank + space.span_counts(tuple(range(1, space.rank + 1)))[1]

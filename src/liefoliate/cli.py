@@ -34,38 +34,39 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        if argv == ["--version"]:
-            # what argparse's version action prints, unwrapped
-            print(f"liefoliate {__version__}")
+        try:
+            if argv == ["--version"]:
+                # what argparse's version action prints, unwrapped
+                print(f"liefoliate {__version__}")
+                return 0
+            args = None
+            if argv and argv[0] in COMMANDS:
+                from .commands import match
+
+                args = match(argv)
+            if args is None:
+                from .commands.argparser import build_parser
+
+                # The top-level options take no value, so the command is the
+                # first argument that is not an option.  argparse also takes
+                # "--", "-", "-1" or "-a b" as the command, and refuses it: no
+                # command's arguments are needed.
+                command = next((arg for arg in argv if not arg.startswith("-")), None)
+                args = build_parser(COMMANDS, command).parse_args(argv)
+            return args.run(args)
+        finally:
+            # A short answer, or the help that argparse printed before its
+            # SystemExit, still sits in stdout's buffer: write it here, so that
+            # a failed write ends below and not at the interpreter's exit.
             sys.stdout.flush()
-            return 0
-        args = None
-        if argv and argv[0] in COMMANDS:
-            from .commands import match
-
-            args = match(argv)
-        if args is None:
-            from .commands.argparser import build_parser
-
-            # The top-level options take no value, so the command is the first
-            # argument that is not an option.  argparse also takes "--", "-",
-            # "-1" or "-a b" as the command, and refuses it: no command's
-            # arguments are needed.
-            command = next((arg for arg in argv if not arg.startswith("-")), None)
-            args = build_parser(COMMANDS, command).parse_args(argv)
-        code = args.run(args)
-        # A short answer still sits in stdout's buffer: write it here, so that a
-        # reader that went away ends below and not at the interpreter's exit.
-        sys.stdout.flush()
-        return code
-    except LieFoliateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # The reader of stdout went away.  Point stdout at devnull, so that
-        # the interpreter's last flush cannot fail again (Python docs, "Note
-        # on SIGPIPE").
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except (LieFoliateError, OSError) as exc:
+        if isinstance(exc, OSError):
+            # A write to stdout failed: its reader went away or, say, its disk
+            # is full.  Point stdout at devnull, so that the interpreter's last
+            # flush cannot fail again (Python docs, "Note on SIGPIPE").
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that went away is told by the exit status alone
+            print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

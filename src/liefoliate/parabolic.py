@@ -54,11 +54,8 @@ class PhiSubset(namedtuple("PhiSubset", "space indices")):
     __slots__ = ()
 
     def __new__(cls, space: SpaceDescriptor, indices: tuple[int, ...]) -> "PhiSubset":
-        try:
-            r = space.rank
-        except AttributeError:
-            expect(space, SpaceDescriptor)
-            raise
+        expect(space, SpaceDescriptor)
+        r = space.rank
         if not _is_canonical(r, indices):
             raise LieFoliateError(f"Phi indices {indices!r} must be ints in 1..{r}, strictly increasing")
         return tuple.__new__(cls, (space, tuple(indices)))
@@ -129,11 +126,8 @@ def phi_indices(r: int, indices) -> tuple[int, ...]:
 def phi_subset(space: SpaceDescriptor, indices) -> PhiSubset:
     # phi_indices makes every refusal and gives sorted, distinct ints in 1..r, so
     # PhiSubset.__new__ need not check them again
-    try:
-        return tuple.__new__(PhiSubset, (space, phi_indices(space.rank, indices)))
-    except AttributeError:
-        expect(space, SpaceDescriptor)
-        raise
+    expect(space, SpaceDescriptor)
+    return tuple.__new__(PhiSubset, (space, phi_indices(space.rank, indices)))
 
 
 def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Root], frozenset[Root]]:
@@ -264,17 +258,16 @@ class _Component:
 
 def _components(space: SpaceDescriptor, phi: PhiSubset) -> list[_Component]:
     """The components of phi in order (``DynkinDiagram._components_of``), each made
-    the first time the space meets it and kept in the dict ``space.components``."""
-    try:
-        seen = space.components
-    except AttributeError:
+    the first time the space meets it and kept in the dict ``space.components``.
+    Every maker of a PhiSubset checks its space, so a PhiSubset of this very
+    space needs no check."""
+    if not isinstance(phi, PhiSubset) or phi[0] is not space:
         expect(space, SpaceDescriptor)
-        raise
-    if not isinstance(phi, PhiSubset):  # a list, a tuple, a str or None
-        raise LieFoliateError(f"Phi must be a PhiSubset, as phi_subset(space, indices) makes it; got {phi!r}")
-    phi_space, indices = phi
-    if phi_space is not space and phi_space != space:
-        raise LieFoliateError("Phi subset belongs to a different space")
+        if not isinstance(phi, PhiSubset):  # a list, a tuple, a str or None
+            raise LieFoliateError(f"Phi must be a PhiSubset, as phi_subset(space, indices) makes it; got {phi!r}")
+        if phi[0] != space:
+            raise LieFoliateError("Phi subset belongs to a different space")
+    seen, indices = space.components, phi[1]
     component = seen.get(indices)  # a connected Phi met before is its one component
     if component is not None:
         return [component]

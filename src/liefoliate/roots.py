@@ -226,9 +226,9 @@ def _positive_roots(simple, cartan, doubled: bool) -> list[tuple[tuple[int, ...]
 
 
 def expect(value, kind: type) -> None:
-    """LieFoliateError unless ``value`` is a ``kind``; a warm entry point calls it only once reading fails."""
+    """LieFoliateError unless ``value`` is a ``kind``; each entry point calls it before reading a record argument."""
     if not isinstance(value, kind):
-        raise LieFoliateError(f"expected a {kind.__name__}, not a {type(value).__name__}") from None
+        raise LieFoliateError(f"expected a {kind.__name__}, not a {type(value).__name__}")
 
 
 def _checked_family(family, rank) -> Family:
@@ -475,12 +475,8 @@ def subdiagram_type(dd: DynkinDiagram, component) -> SubdiagramType:
     ``component`` must be sorted; else, or for any other subdiagram,
     LieFoliateError.
     """
-    try:
-        components = dd.connected_components(component)
-    except AttributeError:
-        expect(dd, DynkinDiagram)
-        raise
-    if components != [tuple(component)]:
+    expect(dd, DynkinDiagram)
+    if dd.connected_components(component) != [tuple(component)]:
         raise LieFoliateError(f"vertices {component!r} are not a sorted connected subdiagram")
     component = tuple(component)
     a, adj, inside, k = dd._entries, dd._adjacency, set(component), len(component)

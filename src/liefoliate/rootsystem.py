@@ -75,14 +75,11 @@ def format_root(root: Root) -> str:
 
 def _dot(lam: Root, mu: Root) -> int:
     """The pairing of the doubled coordinates of two Roots of one ambient dimension."""
-    try:
-        if lam.dim == mu.dim:
-            return sum(a * b for a, b in zip(lam.scaled, mu.scaled))
-    except AttributeError:
-        expect(lam, Root)
-        expect(mu, Root)
-        raise
-    raise LieFoliateError(f"ambient dimension mismatch: {lam.dim} != {mu.dim}")
+    expect(lam, Root)
+    expect(mu, Root)
+    if lam.dim != mu.dim:
+        raise LieFoliateError(f"ambient dimension mismatch: {lam.dim} != {mu.dim}")
+    return sum(a * b for a, b in zip(lam.scaled, mu.scaled))
 
 
 def inner(lam: Root, mu: Root) -> Fraction:
@@ -232,28 +229,21 @@ class MultiplicityFunction(namedtuple("MultiplicityFunction", "table")):
         return cls(table)
 
     def __call__(self, root: Root) -> int:
+        expect(root, Root)
         try:
             return self.table[sum(c * c for c in root.scaled)]
         except KeyError:
             raise LieFoliateError(
                 f"no multiplicity recorded for a root of squared length {inner(root, root)}"
             )
-        except AttributeError:
-            expect(root, Root)
-            raise
 
 
 def root_multiplicity(space: SpaceDescriptor, lam: Root) -> int:
-    """Multiplicity of a root of the space's restricted root system.  The space is
-    checked by reading its multiplicity table, which only a ``SpaceDescriptor`` has,
-    before any root is built."""
-    try:
-        mult = space.multiplicities
-    except AttributeError:
-        from .catalog import SpaceDescriptor
+    """Multiplicity of a root of the space's restricted root system."""
+    from .catalog import SpaceDescriptor
 
-        expect(space, SpaceDescriptor)
-        raise
+    expect(space, SpaceDescriptor)
+    mult = space.multiplicities  # which raises first for a space of inconsistent multiplicities
     expect(lam, Root)
     if lam not in build_root_system(space.family, space.rank).roots:
         raise LieFoliateError(f"{lam} is not a restricted root of {space.name}")

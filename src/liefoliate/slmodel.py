@@ -351,11 +351,12 @@ class Subspace:
     def __post_init__(self) -> None:
         try:
             basis = tuple(self.basis)  # read once, so that an iterator gives the subspace of its items
-            sizes = {b.size for b in basis}
-        except (TypeError, AttributeError):  # not an iterable, or an item with no size
-            raise LieFoliateError(f"basis {self.basis!r} is not a tuple of MatrixElements") from None
+        except TypeError:  # not an iterable
+            basis = None
+        if basis is None or not all(isinstance(b, MatrixElement) for b in basis):
+            raise LieFoliateError(f"basis {self.basis!r} is not a tuple of MatrixElements")
         object.__setattr__(self, "basis", basis)
-        if len(sizes) > 1:
+        if len({b.size for b in basis}) > 1:
             raise LieFoliateError("basis matrices must all have the same size")
         span: dict = {}
         if not all(_extend(span, b._vector) for b in basis):
@@ -385,13 +386,9 @@ LieTripleResult = namedtuple("LieTripleResult", "holds residual")
 
 def _vectors(s: Subspace) -> list[dict]:
     """The sparse vectors of the basis of s; LieFoliateError when s is no Subspace."""
-    try:
-        return [b._vector for b in s.basis]
-    except AttributeError:
-        from .roots import expect
-
-        expect(s, Subspace)
-        raise
+    if not isinstance(s, Subspace):  # roots.expect's message, without loading roots
+        raise LieFoliateError(f"expected a Subspace, not a {type(s).__name__}")
+    return [b._vector for b in s.basis]
 
 
 def _residual(vectors: list[dict], size: int, m: dict, factors) -> float:

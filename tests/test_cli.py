@@ -234,27 +234,51 @@ def test_a_closed_stdout_exits_1_without_a_traceback():
         assert (proc.wait(timeout=120), err) == (1, b"")
 
 
+def run_to(stdout: int, argv, unbuffered: bool) -> subprocess.CompletedProcess:
+    """The CLI run on argv in a fresh process writing to the file descriptor stdout,
+    with PYTHONUNBUFFERED set or unset."""
+    env = {key: value for key, value in ENV.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "liefoliate.cli", *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+
+
 @pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
 @pytest.mark.parametrize("argv", (
     ("--version",),
     ("horospherical", "--space", "SL5", "--phi", "1", "--format", "json"),
     ("parabolic", "--space", "SL5", "--phi", "1,3"),
     ("foliations", "enumerate", "--space", "SL12", "--format", "json"),
-), ids=lambda argv: argv[0])
-def test_a_reader_gone_before_the_start_exits_1_without_a_traceback(argv, unbuffered):
-    # A short answer waits in stdout's buffer unless PYTHONUNBUFFERED is set;
-    # main flushes it, so its write fails there and not at the interpreter's exit.
-    env = {key: value for key, value in ENV.items() if key != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    ("--help",),
+    ("parabolic", "--help"),
+), ids=("--version", "horospherical", "parabolic", "foliations", "--help", "parabolic--help"))
+def test_a_reader_gone_before_the_start_exits_1_without_a_traceback(request, argv, unbuffered):
+    # A short answer, help too, waits in stdout's buffer unless PYTHONUNBUFFERED is
+    # set; main flushes it, so its write fails there and not at the interpreter's exit.
+    if unbuffered and "--help" in argv:
+        request.node.add_marker(pytest.mark.xfail(
+            strict=True, reason="argparse throws away a failed write of help and exits 0"))
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run([sys.executable, "-m", "liefoliate.cli", *argv], env=env, stdout=write,
-                              stderr=subprocess.PIPE, timeout=120)
+        proc = run_to(write, argv, unbuffered)
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full, whose every write fails")
+@pytest.mark.parametrize("unbuffered", (False, True), ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize("argv", (
+    ("--version",),
+    ("horospherical", "--space", "SL5", "--phi", "1", "--format", "json"),
+), ids=lambda argv: argv[0])
+def test_a_write_error_on_stdout_exits_1_with_one_error_line(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = run_to(full.fileno(), argv, unbuffered)
+    assert proc.returncode == 1
+    assert re.fullmatch(rb"error: [^\n]*No space left on device\n", proc.stderr), proc.stderr
 
 
 @pytest.mark.parametrize("columns", ("17", "18", "80", "400"))

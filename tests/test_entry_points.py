@@ -1,10 +1,11 @@
 """A public entry point given a wrong object raises LieFoliateError, not AttributeError.
 
-Each reads its argument's attributes unchecked and checks the type only once
-that has failed, so a call with the right objects pays no check.  Every
-public callable, and each ``DynkinDiagram`` method that takes vertex
-indices, given None, a str, a bool, a float or a negative int in place of one
-valid argument, returns or raises LieFoliateError."""
+Each checks the type of a record argument before it reads any attribute of
+it, so an object of another kind that shares an attribute (a ``RootSystem``
+has the ``rank`` of a ``SpaceDescriptor``) is refused too.  Every public
+callable, and each ``DynkinDiagram`` method that takes vertex indices, given
+None, a str, a bool, a float, a negative int or a record of the package in
+place of one valid argument, returns or raises LieFoliateError."""
 
 import inspect
 
@@ -36,7 +37,13 @@ from liefoliate.errors import LieFoliateError
     pytest.param(lambda: slmodel.bracket_closure_residual([[1]]), "Subspace, not a list",
                  id="bracket_closure_residual"),
     pytest.param(lambda: parabolic.phi_subset("SL5", (1,)), "SpaceDescriptor, not a str", id="phi_subset"),
+    pytest.param(lambda: parabolic.phi_subset(rootsystem.build_root_system("A", 4), [1]),
+                 "SpaceDescriptor, not a RootSystem", id="phi_subset-root-system"),
     pytest.param(lambda: parabolic.PhiSubset(None, (1,)), "SpaceDescriptor, not a NoneType", id="PhiSubset"),
+    pytest.param(lambda: parabolic.PhiSubset(lf.family_diagram("A", 4), (1,)),
+                 "SpaceDescriptor, not a DynkinDiagram", id="PhiSubset-diagram"),
+    pytest.param(lambda: slmodel.build_s_phi_v(rootsystem.build_root_system("A", 4), [1], 0),
+                 "SpaceDescriptor, not a RootSystem", id="build_s_phi_v-root-system"),
     pytest.param(lambda: parabolic.parabolic_data(None, None), "SpaceDescriptor, not a NoneType",
                  id="parabolic_data"),
     pytest.param(lambda: parabolic.root_subsystem(None, None), "SpaceDescriptor, not a NoneType",
@@ -56,6 +63,12 @@ def test_a_root_of_the_wrong_kind_on_either_side_is_named():
         rootsystem.inner(root, (2, 0))
     with pytest.raises(LieFoliateError, match="ambient dimension mismatch: 2 != 3"):
         rootsystem.reflect(root, rootsystem.root_from_coords((1, 0, -1)))
+
+
+def test_a_subspace_of_arrays_raises_lie_foliate_error():
+    numpy = pytest.importorskip("numpy")
+    with pytest.raises(LieFoliateError, match="is not a tuple of MatrixElements$"):
+        slmodel.Subspace((numpy.array([[1, 0], [0, -1]]),))
 
 
 def _valid_arguments() -> dict[str, tuple]:
@@ -143,13 +156,16 @@ def test_every_public_callable_given_a_wrong_value_returns_or_raises_lie_foliate
     callables = [(name, getattr(lf, name), valid[name]) for name in names]
     callables += [("DynkinDiagram.neighbors", dd.neighbors, (2,)),
                   ("DynkinDiagram.connected_components", dd.connected_components, ((1, 2, 4),))]
+    records = (lf.build_root_system("A", 2), dd, lf.catalog_lookup("SL3"),
+               lf.phi_subset(lf.catalog_lookup("SL5"), (1, 3)), lf.root_from_coords((1, -1, 0)),
+               lf.Subspace((lf.MatrixElement([[1, 0], [0, -1]]),)))
     escaped = []
     for name, f, args in callables:
         params = _required(f)
         assert len(params) == len(args), name
         _call(f, args)
         for k, param in enumerate(params):
-            for wrong in (None, "x", True, 2.5, -1):
+            for wrong in (None, "x", True, 2.5, -1, *records):
                 try:
                     _call(f, args[:k] + (wrong,) + args[k + 1:])
                 except LieFoliateError:
