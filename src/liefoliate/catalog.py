@@ -155,7 +155,8 @@ class SpaceDescriptor(namedtuple("SpaceDescriptor", "name display family rank si
 
     @cached_property
     def components(self) -> dict:
-        """What ``parabolic`` keeps of this space: its ``_Component`` per connected component of a Phi met."""
+        """What ``parabolic`` keeps of this space: per connected component of a Phi met, the
+        (count, multiplicity sum, factors) triple of the positive roots it spans."""
         return {}
 
     @cached_property

@@ -6,9 +6,20 @@ which runs as ``__main__`` under ``python -m liefoliate.cli`` and would be
 compiled a second time."""
 
 import argparse
+import sys
 from importlib import import_module
 
 from .. import __version__
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose help is written with a plain write: argparse's
+    ``_print_message`` throws a failed write away, and help to a reader that
+    went away would exit 0 when stdout is unbuffered.  Its subparsers are of
+    this class too."""
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
 
 
 def build_parser(commands: dict[str, str], command: str | None = None) -> argparse.ArgumentParser:
@@ -16,7 +27,7 @@ def build_parser(commands: dict[str, str], command: str | None = None) -> argpar
     one-line help.  The subparser of ``command`` alone gets the arguments
     that its module ``commands.<command>`` declares, and its ``run`` becomes
     the parsed arguments' ``run``."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liefoliate",
         description="Restricted root systems, parabolic data, and hyperpolar foliation classes "
         "for symmetric spaces of noncompact type.",

@@ -14,16 +14,18 @@ The support of a root is connected, so Sigma_Phi^+ is the disjoint union of
 the positive roots spanned by each connected component of Phi, and F_Phi^s
 is the product of the components' factors.  A component's count of positive
 roots and their multiplicity sum come from the per-type root counts of its
-subdiagram (``SpaceDescriptor.span_counts``), so ``parabolic_data`` and
-``horospherical`` walk no root.  The roots themselves come, on each
+subdiagram (``SpaceDescriptor.span_counts``), and ``parabolic_data``,
+``horospherical`` and ``boundary_components`` read one sum of them over the
+components (``_sums``), so they walk no root.  The roots themselves come, on each
 ``root_subsystem`` call, from the raising reflections of each component alone
 (``roots.span_roots``), and are not kept: no call builds the space's full
 root list, and nothing reads them twice.  The components of Phi are its runs
 of consecutive indices, cut where (i, i + 1) is no edge and joined across the
 edges (i, j) with j > i + 1, which only D and E have
-(``DynkinDiagram._components_of``).  Each space keeps its components asked for,
-with their counts and factors, in a plain dict on its descriptor
-(``SpaceDescriptor.components``), O(r^2) of them on a classical diagram.
+(``DynkinDiagram._components_of``).  Each space keeps, in a plain dict on its
+descriptor (``SpaceDescriptor.components``), one (count, sum, factors) triple
+per connected component of a Phi asked for, O(r^2) of them on a classical
+diagram: what ``_sums`` gives for that component alone.
 """
 
 from __future__ import annotations
@@ -138,9 +140,10 @@ def root_subsystem(space: SpaceDescriptor, phi: PhiSubset) -> tuple[frozenset[Ro
     component is walked once per call, over itself alone; nothing is kept.  A
     Phi subset of another space raises LieFoliateError.
     """
-    components = _components(space, phi)  # which checks space and phi first
+    _sums(space, phi)  # checks space and phi first, and keeps their components' sums on the space
     family, rank, dd = space.family, space.rank, space.diagram
-    pos = frozenset(chain.from_iterable(span_roots(family, rank, dd, c.indices) for c in components))
+    components = DynkinDiagram._components_of(dd, phi[1])
+    pos = frozenset(chain.from_iterable(span_roots(family, rank, dd, c) for c in components))
     return pos.union([-lam for lam in pos]), pos
 
 
@@ -193,15 +196,7 @@ class ParabolicData(namedtuple("ParabolicData", (
 def parabolic_data(space: SpaceDescriptor, phi: PhiSubset) -> ParabolicData:
     """Chevalley and Langlands dimension data for q_Phi, from the components'
     counts alone: no root is walked."""
-    components = _components(space, phi)
-    if len(components) == 1:  # read off the component
-        component = components[0]
-        count, sum_phi_pos = component.count, component.sum_pos
-    else:
-        count = sum_phi_pos = 0
-        for c in components:
-            count += c.count
-            sum_phi_pos += c.sum_pos
+    count, sum_phi_pos, _ = _sums(space, phi)
     r, r_phi = space.rank, len(phi.indices)
     sum_phi = 2 * sum_phi_pos  # m(-lam) = m(lam)
     total_pos = space.dimension - r  # dim M = r + sum of positive multiplicities
@@ -238,29 +233,27 @@ class BoundaryFactor(namedtuple("BoundaryFactor", "component_indices rank name d
         }
 
 
-class _Component:
-    """A connected component of some Phi: the number and the multiplicity sum
-    of the positive roots it spans, and its factor.  Its roots are not kept:
-    ``root_subsystem`` walks them on each call."""
-
-    __slots__ = ("indices", "count", "sum_pos", "factor")
-
-    def __init__(self, space: SpaceDescriptor, component: tuple[int, ...]) -> None:
-        count, sum_pos = space.span_counts(component)
-        self.indices, self.count, self.sum_pos = component, count, sum_pos
-        rank = len(component)
-        # A_k is the only irreducible rank-k root system with k(k+1)/2 positive roots (D_3 = A_3);
-        # with every multiplicity one (a sum equal to the count) the factor is split SL.
-        split = count == sum_pos == rank * (rank + 1) // 2
-        name = f"SL_{rank + 1}(R)/SO_{rank + 1}" if split else f"unnamed rank-{rank} factor"
-        self.factor = BoundaryFactor(component, rank, name, rank + sum_pos)
+def _component_sums(space: SpaceDescriptor, component: tuple[int, ...]) -> tuple[int, int, tuple[BoundaryFactor]]:
+    """``_sums`` of a connected component, made the first time its space meets
+    it: the number and the multiplicity sum of the positive roots it spans, and
+    its one factor.  Its roots are not kept: ``root_subsystem`` walks them on
+    each call."""
+    count, sum_pos = space.span_counts(component)
+    rank = len(component)
+    # A_k is the only irreducible rank-k root system with k(k+1)/2 positive roots (D_3 = A_3);
+    # with every multiplicity one (a sum equal to the count) the factor is split SL.
+    split = count == sum_pos == rank * (rank + 1) // 2
+    name = f"SL_{rank + 1}(R)/SO_{rank + 1}" if split else f"unnamed rank-{rank} factor"
+    return count, sum_pos, (BoundaryFactor(component, rank, name, rank + sum_pos),)
 
 
-def _components(space: SpaceDescriptor, phi: PhiSubset) -> list[_Component]:
-    """The components of phi in order (``DynkinDiagram._components_of``), each made
-    the first time the space meets it and kept in the dict ``space.components``.
-    Every maker of a PhiSubset checks its space, so a PhiSubset of this very
-    space needs no check."""
+def _sums(space: SpaceDescriptor, phi: PhiSubset) -> tuple[int, int, tuple[BoundaryFactor, ...]]:
+    """(|Sigma_Phi^+|, the multiplicity sum over Sigma_Phi^+, the factors of
+    F_Phi^s), summed over the components of phi in order
+    (``DynkinDiagram._components_of``).  Each component's own sums are made
+    the first time the space meets it and kept in the dict ``space.components``,
+    so a connected Phi met before is one lookup.  Every maker of a PhiSubset
+    checks its space, so a PhiSubset of this very space needs no check."""
     if not isinstance(phi, PhiSubset) or phi[0] is not space:
         expect(space, SpaceDescriptor)
         if not isinstance(phi, PhiSubset):  # a list, a tuple, a str or None
@@ -268,22 +261,24 @@ def _components(space: SpaceDescriptor, phi: PhiSubset) -> list[_Component]:
         if phi[0] != space:
             raise LieFoliateError("Phi subset belongs to a different space")
     seen, indices = space.components, phi[1]
-    component = seen.get(indices)  # a connected Phi met before is its one component
-    if component is not None:
-        return [component]
-    found = []
+    sums = seen.get(indices)  # a connected Phi met before is its one component
+    if sums is not None:
+        return sums
+    count = sum_pos = 0
+    factors = []
     # through the class: binding a method to a tuple subclass costs about 0.1 µs a call
     for c in DynkinDiagram._components_of(space.diagram, indices):
-        component = seen.get(c)
-        if component is None:  # setdefault: the first stored, under threads too
-            component = seen.setdefault(c, _Component(space, c))
-        found.append(component)
-    return found
+        # setdefault: the first stored, under threads too
+        part = seen.get(c) or seen.setdefault(c, _component_sums(space, c))
+        count += part[0]
+        sum_pos += part[1]
+        factors += part[2]
+    return count, sum_pos, tuple(factors)
 
 
 def boundary_components(space: SpaceDescriptor, phi: PhiSubset) -> list[BoundaryFactor]:
     """Factors of F_Phi^s, one per connected component of Phi in the diagram."""
-    return [c.factor for c in _components(space, phi)]
+    return list(_sums(space, phi)[2])
 
 
 class HorosphericalData(namedtuple("HorosphericalData", "space phi factors dim_Fs dim_euclidean dim_N")):
@@ -317,16 +312,7 @@ def horospherical(space: SpaceDescriptor, phi: PhiSubset) -> HorosphericalData:
     Only the components' multiplicity sums and factors are read: no root set
     is built.
     """
-    components = _components(space, phi)
-    if len(components) == 1:  # read off the component
-        component = components[0]
-        factors, sum_phi_pos = (component.factor,), component.sum_pos
-    else:
-        factors, sum_phi_pos = [], 0
-        for c in components:
-            factors.append(c.factor)
-            sum_phi_pos += c.sum_pos
-        factors = tuple(factors)
+    _, sum_phi_pos, factors = _sums(space, phi)
     r, r_phi = space.rank, len(phi.indices)
     # dim F_Phi^s = dim p_Phi^s = r_Phi + sum_phi_pos, the sum of the factors' dims, and
     # dim N_Phi = dim n_Phi = (dim M - r) - sum_phi_pos, as in parabolic_data

@@ -29,7 +29,8 @@ CACHE_READERS = {
     # cached_property
     "catalog.SpaceDescriptor.diagram": "structure_warm: every parabolic, horospherical and foliations call",
     "catalog.SpaceDescriptor.components": "structure_warm: every parabolic_data, horospherical, boundary_components "
-                                          "and root_subsystem call",
+                                          "and root_subsystem call, through parabolic._sums, which adds up "
+                                          "one (count, sum, factors) triple per component of Phi",
     "catalog.SpaceDescriptor.orbits": "structure_warm: a full enumeration returns the kept records",
     "catalog.SpaceDescriptor.multiplicities": "root_multiplicity: the table per squared length, O(r) to read",
     "catalog.SpaceDescriptor.dimension": "structure_warm: every parabolic_data and horospherical call, and dimension",
@@ -50,10 +51,6 @@ SLOT_READERS = {
     "foliations.SpaceOrbits.by_rep": "structure_warm: every enumeration, with or without codim, and read-back",
     "foliations.SpaceOrbits.records": "structure_warm: a full enumeration returns the kept tuple",
     "foliations.SpaceOrbits.trivial": "enumerate_foliations(include_trivial=True), which puts it back at index r",
-    "parabolic._Component.indices": "root_subsystem: the span_roots walk of each component, on every call",
-    "parabolic._Component.count": "structure_warm: parabolic_data, the number of positive roots of Sigma_Phi",
-    "parabolic._Component.sum_pos": "structure_warm: parabolic_data and horospherical, the multiplicity sums",
-    "parabolic._Component.factor": "structure_warm: horospherical and boundary_components, the factors of F_Phi^s",
 }
 
 CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}

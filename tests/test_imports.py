@@ -232,13 +232,16 @@ def compiled_nodes(modules: set[str]) -> int:
 # Checking each record argument before reading it, in place of a read and
 # a check in its except clause, took 11-25 nodes off each structure
 # command; reporting any failed write of stdout put 5 back into ``cli``.
+# One sum over Phi's components for parabolic_data, horospherical and
+# boundary_components, in place of a component class and two loops, took 96
+# off parabolic and horospherical.
 ARGV_READER = 410
 
 
 @pytest.mark.parametrize("argv, ceiling", (
     pytest.param(("--version",), 544, id="--version"),
-    pytest.param(("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json"), 9_285, id="parabolic"),
-    pytest.param(("horospherical", "--space", "su(4,2)", "--phi", "1"), 9_335, id="horospherical"),
+    pytest.param(("parabolic", "--space", "su(8,6)", "--phi", "1,3", "--format", "json"), 9_189, id="parabolic"),
+    pytest.param(("horospherical", "--space", "su(4,2)", "--phi", "1"), 9_239, id="horospherical"),
     pytest.param(("foliations", "enumerate", "--space", "so(5,2)"), 10_540, id="foliations-enumerate"),
     pytest.param(("catalog", "list"), 7_366, id="catalog-list"),
     pytest.param(("rootsys", "dynkin", "--family", "D", "--rank", "5", "--format", "dot"), 6_356,

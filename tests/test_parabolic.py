@@ -423,7 +423,7 @@ def components_reference(dd, phi) -> list[tuple[int, ...]]:
 def assert_components(space, phi, expected) -> None:
     """The components of Phi, by ``parabolic``, by the diagram and as ``is_orthogonal`` counts them."""
     subset = phi_subset(space, phi)
-    assert [c.indices for c in parabolic._components(space, subset)] == expected, phi
+    assert [f.component_indices for f in boundary_components(space, subset)] == expected, phi
     assert space.diagram.connected_components(phi) == expected, phi
     assert subset.is_orthogonal == (len(expected) == len(phi)), phi
 
@@ -480,7 +480,8 @@ def large_phi(draw):
 @given(large_phi())
 def test_the_components_of_a_phi_up_to_rank_1000_are_its_connected_components(case):
     space, phi = case
-    components = parabolic._components(space, phi_subset(space, phi))
-    assert [c.indices for c in components] == components_reference(space.diagram, phi)
-    assert space.diagram.connected_components(phi) == [c.indices for c in components]
-    assert parabolic._components(space, phi_subset(space, phi)) == components  # warm: the same components
+    factors = boundary_components(space, phi_subset(space, phi))
+    components = [f.component_indices for f in factors]
+    assert components == components_reference(space.diagram, phi)
+    assert space.diagram.connected_components(phi) == components
+    assert boundary_components(space, phi_subset(space, phi)) == factors  # warm: the same components
