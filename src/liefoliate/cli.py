@@ -13,6 +13,7 @@ argparse, built by ``commands.argparser`` from the same declarations, reads
 every other argv and writes help and usage errors.
 """
 
+import gc
 import os
 import sys
 
@@ -32,7 +33,19 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    """Run the command that ``argv`` names and return the exit status.
+
+    A call without ``argv`` is the process's entry (the console script and
+    ``python -m liefoliate.cli``): it reads ``sys.argv`` and, once the
+    answer is out or the call has failed, freezes the heap (``gc.freeze``),
+    so that the interpreter's shutdown collections skip every object alive
+    then and the OS takes the memory back.  A program that keeps running
+    passes ``argv``, which leaves its collector as it found it."""
+    if argv is None:
+        try:
+            return main(sys.argv[1:])
+        finally:
+            gc.freeze()
     try:
         try:
             if argv == ["--version"]:

@@ -13,13 +13,17 @@ from .. import __version__
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, whose help is written with a plain write: argparse's
-    ``_print_message`` throws a failed write away, and help to a reader that
-    went away would exit 0 when stdout is unbuffered.  Its subparsers are of
-    this class too."""
+    """argparse's parser, which writes to stdout (help and the version line)
+    with a plain write: argparse's ``_print_message`` throws a failed write
+    away, and help or ``--version parabolic`` to a reader that went away
+    would exit 0 when stdout is unbuffered.  Usage errors go to stderr
+    through argparse's own method.  Its subparsers are of this class too."""
 
-    def print_help(self, file=None) -> None:
-        (file or sys.stdout).write(self.format_help())
+    def _print_message(self, message, file=None) -> None:
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 def build_parser(commands: dict[str, str], command: str | None = None) -> argparse.ArgumentParser:

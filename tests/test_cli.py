@@ -1,6 +1,7 @@
 """Command-line interface behavior: formats, exit codes, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -252,7 +253,8 @@ def run_to(stdout: int, argv, unbuffered: bool) -> subprocess.CompletedProcess:
     ("foliations", "enumerate", "--space", "SL12", "--format", "json"),
     ("--help",),
     ("parabolic", "--help"),
-), ids=("--version", "horospherical", "parabolic", "foliations", "--help", "parabolic--help"))
+    ("--version", "parabolic"),  # argparse's version action
+), ids=("--version", "horospherical", "parabolic", "foliations", "--help", "parabolic--help", "--version-parabolic"))
 def test_a_reader_gone_before_the_start_exits_1_without_a_traceback(argv, unbuffered):
     # A short answer, help too, waits in stdout's buffer unless PYTHONUNBUFFERED is
     # set; main flushes it, so its write fails there and not at the interpreter's exit.
@@ -272,12 +274,48 @@ def test_a_reader_gone_before_the_start_exits_1_without_a_traceback(argv, unbuff
     ("horospherical", "--space", "SL5", "--phi", "1", "--format", "json"),
     ("--help",),
     ("parabolic", "--help"),
-), ids=("--version", "horospherical", "--help", "parabolic--help"))
+    ("--version", "parabolic"),
+), ids=("--version", "horospherical", "--help", "parabolic--help", "--version-parabolic"))
 def test_a_write_error_on_stdout_exits_1_with_one_error_line(argv, unbuffered):
     with open("/dev/full", "wb") as full:
         proc = run_to(full.fileno(), argv, unbuffered)
     assert proc.returncode == 1
     assert re.fullmatch(rb"error: [^\n]*No space left on device\n", proc.stderr), proc.stderr
+
+
+# An answer, a domain error and a usage error, with their exit statuses.
+OUTCOMES = pytest.mark.parametrize("argv, code", (
+    (("parabolic", "--space", "SL5", "--phi", "1,3"), 0),
+    (("parabolic", "--space", "nope", "--phi", "1"), 1),
+    (("parabolic",), 2),  # no --space: argparse's SystemExit
+), ids=("answer", "domain-error", "usage-error"))
+
+
+@OUTCOMES
+def test_the_process_entry_freezes_the_heap_once_the_call_is_done(argv, code):
+    # main() without argv, as the console script and ``python -m`` call it
+    script = ("import gc, sys\n"
+              "from liefoliate import cli\n"
+              f"sys.argv = ['liefoliate', *{argv!r}]\n"
+              "before = gc.get_freeze_count()\n"
+              "try:\n"
+              "    code = cli.main()\n"
+              "except SystemExit as exc:\n"
+              "    code = exc.code\n"
+              "print(code, before == 0, gc.get_freeze_count() > 0, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=ENV, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"{code} True True"
+
+
+@OUTCOMES
+def test_a_call_with_argv_leaves_the_collector_as_it_found_it(capsys, argv, code):
+    found = gc.get_freeze_count(), gc.isenabled()
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, (gc.get_freeze_count(), gc.isenabled())) == (code, found)
 
 
 @pytest.mark.parametrize("columns", ("17", "18", "80", "400"))

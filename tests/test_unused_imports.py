@@ -16,6 +16,11 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # inherited methods read (``_replace`` calls ``_make``), not a private member.
 NAMEDTUPLE_API = {"_make", "_replace", "_asdict", "_fields", "_field_defaults"}
 
+# argparse.ArgumentParser writes help, usage errors and its version line
+# through ``_print_message``: a parser class that defines it overrides what
+# the inherited methods call, as a namedtuple's class does with NAMEDTUPLE_API.
+ARGPARSE_API = {"_print_message"}
+
 
 def _imports_in(scope: ast.AST):
     """Import statements of a scope, leaving out those of nested functions."""
@@ -77,13 +82,20 @@ def _builds_on_namedtuple(cls: ast.ClassDef) -> bool:
                for base in cls.bases)
 
 
+def _builds_on_argparse(cls: ast.ClassDef) -> bool:
+    """A base of the class is ``ArgumentParser`` (or ``argparse.ArgumentParser``)."""
+    return any(getattr(base, "id", getattr(base, "attr", None)) == "ArgumentParser" for base in cls.bases)
+
+
 def unread_privates(source: str) -> list[str]:
     """Private module-level names no other statement of the module reads, and
     private class members the module never reads as an attribute.  A class
-    built on a namedtuple may define the names of NAMEDTUPLE_API."""
+    built on a namedtuple may define the names of NAMEDTUPLE_API, and one
+    built on argparse's parser those of ARGPARSE_API."""
     tree = ast.parse(source)
     members = [m for cls in tree.body if isinstance(cls, ast.ClassDef) for m in cls.body
-               if not (_builds_on_namedtuple(cls) and set(_private_names(m)) <= NAMEDTUPLE_API)]
+               if not (_builds_on_namedtuple(cls) and set(_private_names(m)) <= NAMEDTUPLE_API
+                       or _builds_on_argparse(cls) and set(_private_names(m)) <= ARGPARSE_API)]
     loads = [n for n in ast.walk(tree)
              if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)]
     unread = []
@@ -117,6 +129,9 @@ def test_module_reads_every_private_name_it_defines(path):
     ("import collections\nclass P(collections.namedtuple('P', 'x')):\n    def _asdict(self):\n"
      "        return {}\n    def _m(self):\n        pass\n", ["line 5: _m"]),
     ("class D:\n    @classmethod\n    def _make(cls, it):\n        return cls(*it)\n", ["line 3: _make"]),
+    ("import argparse\nclass P(argparse.ArgumentParser):\n    def _print_message(self, message, file=None):\n"
+     "        pass\n    def _m(self):\n        pass\n", ["line 5: _m"]),
+    ("class D:\n    def _print_message(self, message, file=None):\n        pass\n", ["line 2: _print_message"]),
 ])
 def test_unread_private_check_finds_what_it_should(source, expected):
     assert unread_privates(source) == expected
